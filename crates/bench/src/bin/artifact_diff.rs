@@ -1,28 +1,35 @@
-//! `obs_diff` — compare two telemetry captures (single documents or whole
-//! `--obs-dir` directories) within tolerances, the `lab_diff` counterpart
-//! for `orwl-obs/v1` artifacts.
+//! `artifact_diff` — compare two JSON artifacts within tolerances.  The
+//! document's `schema` string picks what is compared:
+//!
+//! * `orwl-lab/v1` sweep artifacts are matched row by row on their
+//!   identity key, and the metric columns of matched rows compared (see
+//!   `orwl_lab::diff`);
+//! * `orwl-obs/v1` telemetry captures are compared on their stable
+//!   surface only — identity fields, per-kind event counts, metric
+//!   instruments (see `orwl_obs::diff`) — so two runs of the same
+//!   deterministic sweep agree exactly while wall-clock noise never trips
+//!   the gate.
 //!
 //! ```sh
-//! cargo run -p orwl-bench --bin obs_diff -- a.obs.json b.obs.json
-//! cargo run -p orwl-bench --bin obs_diff -- obs_run_a/ obs_run_b/ --tol-ratio 0.05
+//! cargo run -p orwl-bench --bin artifact_diff -- A.json B.json                 # exact match
+//! cargo run -p orwl-bench --bin artifact_diff -- A.json B.json --tol-ratio 0.01
+//! cargo run -p orwl-bench --bin artifact_diff -- obs_run_a/ obs_run_b/ --tol-ratio 0.05
 //! ```
 //!
-//! Directories are paired by `*.obs.json` filename; a capture present on
-//! one side only is drift.  Only the stable surface of each document is
-//! compared (identity fields, per-kind event counts, metric instruments —
-//! see `orwl_obs::diff`), so two runs of the same deterministic sweep
-//! agree exactly while wall-clock noise never trips the gate.
+//! Two directories (as written by `--obs-dir`) are paired by `*.obs.json`
+//! filename; a capture present on one side only is drift.
 //!
 //! Exit status: `0` when every pair agrees within the tolerance, `1` on
-//! any drift, `2` on usage or parse errors.
+//! any drift (missing/extra rows or numbers beyond tolerance), `2` on
+//! usage, parse or schema errors — so CI can diff two runs the same way it
+//! `cmp`s byte-identical ones, but with headroom for cost-model changes.
 
-use orwl_obs::diff::diff_telemetry;
 use orwl_obs::json::Json;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: obs_diff A(.json|dir) B(.json|dir) [--tol-ratio F]";
+const USAGE: &str = "usage: artifact_diff A(.json|dir) B(.json|dir) [--tol-ratio F]";
 
 fn load(path: &Path) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
@@ -43,9 +50,24 @@ fn captures(dir: &Path) -> Result<BTreeSet<String>, String> {
     Ok(names)
 }
 
-/// Diffs one document pair; returns the number of disagreements printed.
+/// Diffs one document pair with the differ its schema names; prints the
+/// disagreements and returns how many there were.
 fn diff_pair(label: &str, a: &Path, b: &Path, tol_ratio: f64) -> Result<usize, String> {
-    let entries = diff_telemetry(&load(a)?, &load(b)?, tol_ratio).map_err(|e| format!("{label}: {e}"))?;
+    let (first, second) = (load(a)?, load(b)?);
+    let schema = |doc: &Json| doc.get("schema").and_then(Json::as_str).unwrap_or("<none>").to_string();
+    let entries: Vec<String> = match (schema(&first).as_str(), schema(&second).as_str()) {
+        (orwl_lab::SCHEMA_VERSION, orwl_lab::SCHEMA_VERSION) => {
+            orwl_lab::validate(&first).map_err(|e| format!("{}: {e}", a.display()))?;
+            orwl_lab::validate(&second).map_err(|e| format!("{}: {e}", b.display()))?;
+            let entries = orwl_lab::diff_documents(&first, &second, tol_ratio).map_err(|e| e.to_string())?;
+            entries.iter().map(ToString::to_string).collect()
+        }
+        (orwl_obs::export::OBS_SCHEMA, orwl_obs::export::OBS_SCHEMA) => {
+            let entries = orwl_obs::diff::diff_telemetry(&first, &second, tol_ratio)?;
+            entries.iter().map(ToString::to_string).collect()
+        }
+        (x, y) => return Err(format!("no differ for schemas {x:?} and {y:?}")),
+    };
     for entry in &entries {
         eprintln!("  {label}: {entry}");
     }
@@ -108,25 +130,18 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
+    let (a, b) = (paths[0].display(), paths[1].display());
     match run(&paths[0], &paths[1], tol_ratio) {
         Ok(0) => {
-            println!(
-                "obs_diff: {} and {} agree (tol-ratio {tol_ratio})",
-                paths[0].display(),
-                paths[1].display()
-            );
+            println!("artifact_diff: {a} and {b} agree (tol-ratio {tol_ratio})");
             ExitCode::SUCCESS
         }
         Ok(n) => {
-            eprintln!(
-                "obs_diff: {n} disagreement(s) between {} and {} (tol-ratio {tol_ratio})",
-                paths[0].display(),
-                paths[1].display()
-            );
+            eprintln!("artifact_diff: {n} disagreement(s) between {a} and {b} (tol-ratio {tol_ratio})");
             ExitCode::FAILURE
         }
         Err(e) => {
-            eprintln!("obs_diff: {e}");
+            eprintln!("artifact_diff: {e}");
             ExitCode::from(2)
         }
     }

@@ -1,5 +1,6 @@
-//! Tolerant comparison of two `orwl-lab/v1` artifacts — the library behind
-//! the `lab_diff` tool (`cargo run -p orwl-bench --bin lab_diff`).
+//! The `orwl-lab/v1` side of the `artifact_diff` tool (`cargo run -p
+//! orwl-bench --bin artifact_diff`): the flattening of a sweep artifact
+//! into the keyed rows `orwl_obs::diff::diff_rows` compares.
 //!
 //! Rows are matched by their identity key (section, scenario, backend,
 //! topology, nodes, oversubscription, policy, mode); the numeric metric
@@ -14,6 +15,10 @@
 
 use crate::report::SchemaError;
 use orwl_core::json::Json;
+use orwl_obs::diff::{diff_rows, Row};
+
+/// One disagreement between two artifacts.
+pub use orwl_obs::diff::RowDiff as DiffEntry;
 
 /// The numeric metric columns compared per matched row.  Key columns and
 /// non-schema extras (e.g. `placement_wall_seconds`, machine-dependent by
@@ -36,53 +41,6 @@ const METRIC_FIELDS: &[&str] = &[
 const KEY_FIELDS: &[&str] =
     &["section", "scenario", "backend", "topology", "nodes", "oversubscription", "policy", "mode"];
 
-/// One disagreement between two artifacts.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DiffEntry {
-    /// A row of the first artifact has no counterpart in the second.
-    OnlyInFirst {
-        /// The row's identity key.
-        key: String,
-    },
-    /// A row of the second artifact has no counterpart in the first.
-    OnlyInSecond {
-        /// The row's identity key.
-        key: String,
-    },
-    /// A metric of a matched row drifted beyond the tolerance.
-    MetricDrift {
-        /// The row's identity key.
-        key: String,
-        /// The drifted column.
-        field: &'static str,
-        /// Value in the first artifact (`None` = JSON null).
-        first: Option<f64>,
-        /// Value in the second artifact.
-        second: Option<f64>,
-        /// The relative difference that exceeded the tolerance.
-        relative: f64,
-    },
-}
-
-impl std::fmt::Display for DiffEntry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DiffEntry::OnlyInFirst { key } => write!(f, "only in first:  {key}"),
-            DiffEntry::OnlyInSecond { key } => write!(f, "only in second: {key}"),
-            DiffEntry::MetricDrift { key, field, first, second, relative } => {
-                let show = |v: &Option<f64>| v.map_or("null".to_string(), |x| format!("{x}"));
-                write!(
-                    f,
-                    "{key}: {field} drifted {:.3}% ({} vs {})",
-                    100.0 * relative,
-                    show(first),
-                    show(second)
-                )
-            }
-        }
-    }
-}
-
 fn row_key(row: &Json) -> String {
     let mut parts = Vec::with_capacity(KEY_FIELDS.len());
     for field in KEY_FIELDS {
@@ -95,15 +53,23 @@ fn row_key(row: &Json) -> String {
     parts.join("/")
 }
 
-/// The relative difference used by the tolerance test: `|a − b|` scaled by
-/// the larger magnitude (`0` when both are zero).
-fn relative_diff(a: f64, b: f64) -> f64 {
-    let scale = a.abs().max(b.abs());
-    if scale == 0.0 {
-        0.0
-    } else {
-        (a - b).abs() / scale
-    }
+/// The `orwl-lab/v1` flattener: one [`Row`] per sweep row, keyed by its
+/// identity columns, holding its metric columns.
+fn rows_of(doc: &Json, which: &str) -> Result<Vec<Row>, SchemaError> {
+    let rows = doc.get("rows").and_then(Json::as_arr).ok_or(SchemaError {
+        path: format!("{which}.rows"),
+        message: "expected a rows array (is this an orwl-lab/v1 document?)".to_string(),
+    })?;
+    Ok(rows
+        .iter()
+        .map(|row| Row {
+            key: row_key(row),
+            fields: METRIC_FIELDS
+                .iter()
+                .map(|&field| (field.to_string(), row.get(field).and_then(Json::as_f64)))
+                .collect(),
+        })
+        .collect())
 }
 
 /// Compares two **schema-valid** `orwl-lab/v1` documents row by row.
@@ -111,65 +77,7 @@ fn relative_diff(a: f64, b: f64) -> f64 {
 /// [`SchemaError`] when a document is not the expected shape — run
 /// [`crate::report::validate`] first for a precise report.
 pub fn diff_documents(first: &Json, second: &Json, tol_ratio: f64) -> Result<Vec<DiffEntry>, SchemaError> {
-    let rows_of = |doc: &Json, which: &str| -> Result<Vec<Json>, SchemaError> {
-        doc.get("rows").and_then(Json::as_arr).map(<[Json]>::to_vec).ok_or(SchemaError {
-            path: format!("{which}.rows"),
-            message: "expected a rows array (is this an orwl-lab/v1 document?)".to_string(),
-        })
-    };
-    let first_rows = rows_of(first, "first")?;
-    let second_rows = rows_of(second, "second")?;
-
-    // Index the second artifact's rows by key (duplicate keys keep their
-    // first occurrence; the sweep never emits duplicates).
-    let mut second_by_key: Vec<(String, &Json)> = Vec::with_capacity(second_rows.len());
-    for row in &second_rows {
-        second_by_key.push((row_key(row), row));
-    }
-
-    let mut entries = Vec::new();
-    let mut matched = vec![false; second_by_key.len()];
-    for row in &first_rows {
-        let key = row_key(row);
-        let Some(pos) = second_by_key.iter().position(|(k, _)| *k == key) else {
-            entries.push(DiffEntry::OnlyInFirst { key });
-            continue;
-        };
-        matched[pos] = true;
-        let other = second_by_key[pos].1;
-        for &field in METRIC_FIELDS {
-            let a = row.get(field).and_then(Json::as_f64);
-            let b = other.get(field).and_then(Json::as_f64);
-            match (a, b) {
-                (None, None) => {}
-                (Some(x), Some(y)) => {
-                    let relative = relative_diff(x, y);
-                    if relative > tol_ratio {
-                        entries.push(DiffEntry::MetricDrift {
-                            key: key.clone(),
-                            field,
-                            first: a,
-                            second: b,
-                            relative,
-                        });
-                    }
-                }
-                _ => entries.push(DiffEntry::MetricDrift {
-                    key: key.clone(),
-                    field,
-                    first: a,
-                    second: b,
-                    relative: f64::INFINITY,
-                }),
-            }
-        }
-    }
-    for (pos, (key, _)) in second_by_key.iter().enumerate() {
-        if !matched[pos] {
-            entries.push(DiffEntry::OnlyInSecond { key: key.clone() });
-        }
-    }
-    Ok(entries)
+    Ok(diff_rows(&rows_of(first, "first")?, &rows_of(second, "second")?, tol_ratio))
 }
 
 #[cfg(test)]
@@ -228,7 +136,7 @@ mod tests {
         assert_eq!(drift.len(), 1);
         match &drift[0] {
             DiffEntry::MetricDrift { field, relative, .. } => {
-                assert_eq!(*field, "hop_bytes");
+                assert_eq!(field, "hop_bytes");
                 assert!(*relative > 0.004 && *relative < 0.006);
                 // The rendering names the field and both values.
                 assert!(drift[0].to_string().contains("hop_bytes"));
@@ -273,7 +181,7 @@ mod tests {
         let drift = diff_documents(&a, &b, 1.0e9).unwrap();
         assert!(matches!(
             &drift[0],
-            DiffEntry::MetricDrift { field: "sim_seconds", relative, .. } if relative.is_infinite()
+            DiffEntry::MetricDrift { field, relative, .. } if field == "sim_seconds" && relative.is_infinite()
         ));
     }
 

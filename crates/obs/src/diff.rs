@@ -1,6 +1,12 @@
-//! Tolerant comparison of two `orwl-obs/v1` telemetry documents — the
-//! library behind the `obs_diff` tool (`cargo run -p orwl-bench --bin
-//! obs_diff`), mirroring what `orwl_lab::diff` does for sweep artifacts.
+//! Tolerant comparison of two JSON artifacts — the library behind the
+//! `artifact_diff` tool (`cargo run -p orwl-bench --bin artifact_diff`).
+//!
+//! Every artifact schema diffs the same way: a flattening function turns
+//! a document into [`Row`]s of named numbers, and [`diff_rows`] matches
+//! rows by key and compares their numbers within a relative tolerance.
+//! This module holds that one comparison core plus the flattener for
+//! `orwl-obs/v1` telemetry ([`diff_telemetry`]); `orwl_lab::diff` holds
+//! the flattener for `orwl-lab/v1` sweep artifacts.
 //!
 //! Telemetry is inherently noisier than a sweep artifact (timestamps,
 //! wall-clock durations, thread interleavings), so the diff deliberately
@@ -9,9 +15,8 @@
 //! every metric instrument (counter values, gauge values, histogram
 //! count/sum).  Event timestamps and orderings are never compared.
 //!
-//! Numeric fields compare within a relative tolerance; a field present in
-//! one document but absent in the other is an infinite drift, exactly like
-//! `lab_diff`'s null-vs-number rule.  An empty report means agreement.
+//! A number present on one side but null or absent on the other is an
+//! infinite drift.  An empty report means agreement.
 
 use crate::export::validate_obs;
 use crate::json::Json;
@@ -59,6 +64,63 @@ impl std::fmt::Display for ObsDiffEntry {
     }
 }
 
+/// One row of a flattened document: an identity key plus its named
+/// numbers (`None` = JSON null).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Row {
+    /// What identifies the row across documents.
+    pub key: String,
+    /// The row's comparable numbers.
+    pub fields: Vec<(String, Option<f64>)>,
+}
+
+/// One disagreement between two flattened documents.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RowDiff {
+    /// A row of the first document has no counterpart in the second.
+    OnlyInFirst {
+        /// The row's identity key.
+        key: String,
+    },
+    /// A row of the second document has no counterpart in the first.
+    OnlyInSecond {
+        /// The row's identity key.
+        key: String,
+    },
+    /// A number of a matched row drifted beyond the tolerance.
+    MetricDrift {
+        /// The row's identity key.
+        key: String,
+        /// The drifted field.
+        field: String,
+        /// Value in the first document (`None` = null or absent).
+        first: Option<f64>,
+        /// Value in the second document.
+        second: Option<f64>,
+        /// The relative difference that exceeded the tolerance.
+        relative: f64,
+    },
+}
+
+impl std::fmt::Display for RowDiff {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RowDiff::OnlyInFirst { key } => write!(f, "only in first:  {key}"),
+            RowDiff::OnlyInSecond { key } => write!(f, "only in second: {key}"),
+            RowDiff::MetricDrift { key, field, first, second, relative } => {
+                let show = |v: &Option<f64>| v.map_or("null".to_string(), |x| format!("{x}"));
+                write!(
+                    f,
+                    "{key}: {field} drifted {:.3}% ({} vs {})",
+                    100.0 * relative,
+                    show(first),
+                    show(second)
+                )
+            }
+        }
+    }
+}
+
 /// The relative difference used by the tolerance test: `|a − b|` scaled by
 /// the larger magnitude (`0` when both are zero).
 fn relative_diff(a: f64, b: f64) -> f64 {
@@ -70,9 +132,51 @@ fn relative_diff(a: f64, b: f64) -> f64 {
     }
 }
 
-/// The stable numeric surface of one document, as sorted
-/// `(field, value)` pairs.
-fn numeric_fields(doc: &Json) -> Vec<(String, f64)> {
+/// Compares two flattened documents: rows are matched by key (duplicate
+/// keys keep their first occurrence), and every field either matched row
+/// names is compared within `tol_ratio`.  Null or absent on both sides
+/// agrees; on one side only it is an infinite drift.
+#[must_use]
+pub fn diff_rows(first: &[Row], second: &[Row], tol_ratio: f64) -> Vec<RowDiff> {
+    let find = |row: &Row, field: &str| row.fields.iter().find(|(f, _)| f == field).map(|(_, v)| *v);
+    let mut entries = Vec::new();
+    let mut matched = vec![false; second.len()];
+    for row in first {
+        let Some(pos) = second.iter().position(|other| other.key == row.key) else {
+            entries.push(RowDiff::OnlyInFirst { key: row.key.clone() });
+            continue;
+        };
+        matched[pos] = true;
+        let other = &second[pos];
+        let shared = row.fields.iter().map(|(field, a)| (field, *a, find(other, field).flatten()));
+        let second_only =
+            other.fields.iter().filter(|(f, _)| find(row, f).is_none()).map(|(f, b)| (f, None, *b));
+        for (field, a, b) in shared.chain(second_only) {
+            let relative = match (a, b) {
+                (None, None) => continue,
+                (Some(x), Some(y)) => relative_diff(x, y),
+                _ => f64::INFINITY,
+            };
+            if relative > tol_ratio {
+                entries.push(RowDiff::MetricDrift {
+                    key: row.key.clone(),
+                    field: field.clone(),
+                    first: a,
+                    second: b,
+                    relative,
+                });
+            }
+        }
+    }
+    for (row, _) in second.iter().zip(&matched).filter(|(_, &m)| !m) {
+        entries.push(RowDiff::OnlyInSecond { key: row.key.clone() });
+    }
+    entries
+}
+
+/// The `orwl-obs/v1` flattener: the stable numeric surface of one
+/// document as a single row of sorted `(field, value)` pairs.
+fn numeric_fields(doc: &Json) -> Row {
     let mut fields: Vec<(String, f64)> = Vec::new();
     if let Some(dropped) = doc.get("dropped").and_then(Json::as_f64) {
         fields.push(("dropped".to_string(), dropped));
@@ -120,7 +224,7 @@ fn numeric_fields(doc: &Json) -> Vec<(String, f64)> {
         }
     }
     fields.sort_by(|a, b| a.0.cmp(&b.0));
-    fields
+    Row { key: String::new(), fields: fields.into_iter().map(|(f, v)| (f, Some(v))).collect() }
 }
 
 /// Compares two `orwl-obs/v1` documents (validated with
@@ -166,40 +270,10 @@ pub fn diff_telemetry(first: &Json, second: &Json, tol_ratio: f64) -> Result<Vec
         entries.push(ObsDiffEntry::FieldMismatch { field: "tracks", first: a, second: b });
     }
 
-    let first_fields = numeric_fields(first);
-    let second_fields = numeric_fields(second);
-    let mut matched = vec![false; second_fields.len()];
-    for (field, a) in &first_fields {
-        match second_fields.iter().position(|(f, _)| f == field) {
-            Some(pos) => {
-                matched[pos] = true;
-                let b = second_fields[pos].1;
-                let relative = relative_diff(*a, b);
-                if relative > tol_ratio {
-                    entries.push(ObsDiffEntry::MetricDrift {
-                        field: field.clone(),
-                        first: Some(*a),
-                        second: Some(b),
-                        relative,
-                    });
-                }
-            }
-            None => entries.push(ObsDiffEntry::MetricDrift {
-                field: field.clone(),
-                first: Some(*a),
-                second: None,
-                relative: f64::INFINITY,
-            }),
-        }
-    }
-    for (pos, (field, b)) in second_fields.iter().enumerate() {
-        if !matched[pos] {
-            entries.push(ObsDiffEntry::MetricDrift {
-                field: field.clone(),
-                first: None,
-                second: Some(*b),
-                relative: f64::INFINITY,
-            });
+    for entry in diff_rows(&[numeric_fields(first)], &[numeric_fields(second)], tol_ratio) {
+        // Both documents flatten to the one row, so it always matches.
+        if let RowDiff::MetricDrift { field, first, second, relative, .. } = entry {
+            entries.push(ObsDiffEntry::MetricDrift { field, first, second, relative });
         }
     }
     Ok(entries)

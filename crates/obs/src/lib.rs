@@ -27,12 +27,11 @@ pub mod export;
 pub mod json;
 pub mod merge;
 pub mod metrics;
-pub mod snapshot;
 pub mod timeseries;
 
 pub use event::{ClockKind, DriftOutcome, EventClass, EventKind, FabricLane, ObsEvent, SolvePhase};
 pub use json::{Json, JsonError, ToJson};
-pub use snapshot::TelemetrySnapshot;
+pub use merge::TelemetrySnapshot;
 pub use timeseries::{fold_deltas, DeltaSampler, IntervalStats, LiveAggregator, TelemetryDelta};
 
 use metrics::{MetricsRegistry, MetricsSnapshot};

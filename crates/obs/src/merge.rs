@@ -20,9 +20,31 @@
 //! hard the clocks disagreed.  Only timestamps move; no event is dropped
 //! or reordered within its own track.
 
-use crate::snapshot::TelemetrySnapshot;
+use crate::metrics::MetricsSnapshot;
 use crate::{EventKind, ObsEvent, RunTelemetry, TrackInfo};
 use std::collections::BTreeMap;
+
+/// One worker's whole-run telemetry plus the clock metadata the
+/// coordinator needs to rebase it: where the recorder's time zero sits on
+/// the worker's process clock, and the estimated offset between the two
+/// process clocks.  Built from the worker's telemetry frames by
+/// [`fold_deltas`](crate::timeseries::fold_deltas).
+#[derive(Debug, Clone, PartialEq)]
+pub struct TelemetrySnapshot {
+    /// The recorder's time zero on the worker's process clock
+    /// (`Recorder::origin_us`).
+    pub origin_us: f64,
+    /// Estimated `coordinator_clock − worker_clock` in microseconds
+    /// (midpoint method over the handshake); adding it to a worker-clock
+    /// time yields a coordinator-clock time.
+    pub clock_offset_us: f64,
+    /// The worker's events.
+    pub events: Vec<ObsEvent>,
+    /// Events lost to ring overwrites.
+    pub dropped: u64,
+    /// Final metric values.
+    pub metrics: MetricsSnapshot,
+}
 
 /// Minimum gap (µs) enforced between a clamped cause/effect pair, so the
 /// merged sort keeps the effect strictly after its cause.
@@ -32,7 +54,7 @@ const CLAMP_GAP_US: f64 = 1.0e-3;
 ///
 /// `base` is the coordinator recorder's drained telemetry and
 /// `base_origin_us` its `Recorder::origin_us`.  Each `(node, snapshot)`
-/// upload becomes track `node + 1` (the coordinator is track 0); worker
+/// pair becomes track `node + 1` (the coordinator is track 0); worker
 /// metrics are namespaced `node<k>.<name>`.  The result is one
 /// `(ts, track, seq)`-sorted timeline with globally reassigned sequence
 /// numbers.
@@ -40,7 +62,7 @@ const CLAMP_GAP_US: f64 = 1.0e-3;
 pub fn merge_run(
     base: RunTelemetry,
     base_origin_us: f64,
-    uploads: &[(u32, TelemetrySnapshot)],
+    workers: &[(u32, TelemetrySnapshot)],
 ) -> RunTelemetry {
     let mut tracks = vec![TrackInfo { track: 0, label: "coordinator".to_string() }];
     let mut events = base.events;
@@ -50,7 +72,7 @@ pub fn merge_run(
     let mut dropped = base.dropped;
     let mut metrics = base.metrics;
 
-    for (node, snap) in uploads {
+    for (node, snap) in workers {
         let track = node + 1;
         tracks.push(TrackInfo { track, label: format!("node{node}") });
         let shift = snap.origin_us + snap.clock_offset_us - base_origin_us;
@@ -191,7 +213,7 @@ pub fn split_tracks(merged: &RunTelemetry) -> Vec<(TrackInfo, RunTelemetry)> {
                     None => (!name.contains('.')).then(|| name.to_string()),
                 }
             };
-            let metrics = crate::metrics::MetricsSnapshot {
+            let metrics = MetricsSnapshot {
                 counters: merged
                     .metrics
                     .counters
@@ -222,7 +244,6 @@ pub fn split_tracks(merged: &RunTelemetry) -> Vec<(TrackInfo, RunTelemetry)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::MetricsSnapshot;
     use crate::ClockKind;
 
     fn event(ts_us: f64, seq: u64, kind: EventKind) -> ObsEvent {
@@ -242,10 +263,8 @@ mod tests {
 
     fn snapshot(events: Vec<ObsEvent>, origin_us: f64, offset_us: f64) -> TelemetrySnapshot {
         TelemetrySnapshot {
-            clock: ClockKind::Wall,
             origin_us,
             clock_offset_us: offset_us,
-            backend: "proc".to_string(),
             events,
             dropped: 0,
             metrics: MetricsSnapshot::default(),

@@ -1,118 +1,152 @@
-//! Live telemetry: interval deltas, the mid-run sampler, and the
-//! per-interval aggregator.
+//! The telemetry frame: how a recorder's output leaves its process, plus
+//! the sampler that produces frames and the aggregator and fold that
+//! consume them.
 //!
-//! Post-mortem telemetry ([`Recorder::finish`] → [`TelemetrySnapshot`])
-//! tells you what a run did only after it ends.  This module is the
-//! streaming counterpart: a [`DeltaSampler`] periodically drains the
-//! recorder's per-thread rings and diffs the cumulative
-//! [`MetricsRegistry`](crate::metrics::MetricsRegistry) snapshot, packing
-//! everything new since the previous sample into one sequence-numbered
-//! [`TelemetryDelta`].  Ring drains are destructive and disjoint, so the
-//! delta stream is duplicate-free by construction: every event (and every
-//! counted drop) leaves the process exactly once, either inside a delta or
-//! inside the final snapshot — [`fold_deltas`] reunites the two, deduping
-//! by the recorder-wide event sequence number as a safety net.
+//! A [`DeltaSampler`] drains the recorder's per-thread rings into
+//! sequence-numbered [`TelemetryDelta`] frames.  Each frame carries the
+//! events drained since the previous frame and the *cumulative*
+//! [`MetricsSnapshot`] at the sample instant.  Ring drains are destructive
+//! and disjoint, so every event (and every counted drop) leaves the
+//! process exactly once; [`fold_deltas`] concatenates one producer's
+//! frames back into the [`TelemetrySnapshot`] the post-run merge consumes
+//! (metrics are the last frame's — cumulative values subsume every
+//! earlier frame).  The same frame serves a mid-run stream and the single
+//! drain at the end of a run.
 //!
-//! Deltas encode to a compact little-endian binary layout, versioned
-//! independently of whatever wire carries them (in `orwl-proc` that is the
-//! v3 `TelemetryDelta` frame).  Metric names are interned into a per-delta
-//! string table, so a delta with twenty instruments pays each name once:
+//! Frames encode to a compact little-endian binary layout, versioned
+//! independently of whatever wire carries them (in `orwl-proc` that is
+//! the `TelemetryDelta` frame):
 //!
 //! ```text
 //! | magic "ODLT" (4) | version u16 | seq u64 | origin_us f64 |
 //! | clock_offset_us f64 | t_end_us f64 | dropped u64 |
-//! | strings u32 × str | counters u32 × (idx u32, delta u64) |
-//! | histograms u32 × (idx u32, count u64, sum u64) | events u32 × event |
+//! | events u32 × event | counters u32 × (str, u64) |
+//! | gauges u32 × (str, f64) | histograms u32 × (str, count, sum, buckets) |
 //! ```
 //!
-//! On the consuming side a [`LiveAggregator`] folds deltas from many
-//! tracks into fixed-width per-interval time series — lock-wait
-//! nanoseconds, remote grants, fabric bytes per lane, ring drops — after
-//! rebasing each delta's sample instant onto the consumer's clock via the
-//! same origin/offset metadata the post-run merge uses.
+//! Each event is `ts_us f64 | dur_us f64 | seq u64 | tid u64 | track u32 |
+//! tag u8 | payload`, with one tag per [`EventKind`] variant.  Decoding is
+//! strict: bad magic, unknown versions, unknown tags, non-finite
+//! timestamps, oversized length prefixes, truncated buffers and trailing
+//! bytes are all typed errors — a corrupt frame must never poison the
+//! consumer's merged timeline.
+//!
+//! On the consuming side a [`LiveAggregator`] turns each arriving frame
+//! into the rates of its interval — lock-wait nanoseconds, remote grants,
+//! fabric bytes per lane, ring drops — as the difference of two
+//! consecutive cumulative snapshots of the same track.
 
-use crate::metrics::MetricsSnapshot;
-use crate::snapshot::{
-    put_event, put_str, take_event, Reader, SnapshotError, TelemetrySnapshot, MAX_INSTRUMENTS,
-};
+use crate::event::{DriftOutcome, EventKind, FabricLane, SolvePhase};
+use crate::merge::TelemetrySnapshot;
+use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
 use crate::{ObsEvent, Recorder};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Magic prefix of a serialized delta.
+/// Magic prefix of a serialized frame.
 pub const DELTA_MAGIC: &[u8; 4] = b"ODLT";
 
-/// Current delta format version.
-pub const DELTA_VERSION: u16 = 1;
+/// Current frame format version.
+pub const DELTA_VERSION: u16 = 2;
 
-/// Hard cap on events one delta may carry (well under the snapshot cap: a
-/// delta holds at most one sampling interval's worth of rings).
-const MAX_DELTA_EVENTS: u32 = 1 << 20;
+/// The event cap of one frame: [`DeltaSampler::sample`] splits a larger
+/// drain over several frames and [`TelemetryDelta::decode`] rejects a
+/// larger count.  At 61 bytes per encoded event a full frame stays under
+/// 3 MiB.
+pub const MAX_FRAME_EVENTS: usize = 50_000;
 
-/// Everything a recorder produced during one sampling interval.
+/// Hard caps on the other collection lengths: a malformed length prefix
+/// must fail fast instead of asking the allocator for terabytes.
+const MAX_INSTRUMENTS: u32 = 1 << 16;
+const MAX_STRING: u32 = 1 << 12;
+
+/// A decode failure (encoding is infallible).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FrameError {
+    /// The buffer does not start with [`DELTA_MAGIC`].
+    BadMagic,
+    /// A version this build does not speak.
+    BadVersion {
+        /// The version the peer wrote.
+        got: u16,
+    },
+    /// An enum code outside the known range.
+    BadCode {
+        /// Which field carried the code.
+        field: &'static str,
+        /// The offending code.
+        got: u8,
+    },
+    /// The buffer ended inside a field.
+    Truncated,
+    /// Bytes left over after the last field.
+    TrailingBytes,
+    /// A string field was not UTF-8.
+    BadUtf8,
+    /// A numeric field failed a range check (non-finite timestamp,
+    /// oversized length).
+    BadField(&'static str),
+}
+
+impl std::fmt::Display for FrameError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FrameError::BadMagic => write!(f, "telemetry frame does not start with ODLT"),
+            FrameError::BadVersion { got } => write!(f, "unsupported telemetry frame version {got}"),
+            FrameError::BadCode { field, got } => write!(f, "unknown {field} code {got}"),
+            FrameError::Truncated => write!(f, "telemetry frame truncated"),
+            FrameError::TrailingBytes => write!(f, "trailing bytes after telemetry frame"),
+            FrameError::BadUtf8 => write!(f, "telemetry frame string is not UTF-8"),
+            FrameError::BadField(field) => write!(f, "telemetry frame field {field} out of range"),
+        }
+    }
+}
+
+impl std::error::Error for FrameError {}
+
+/// Everything a recorder produced between two samples, plus its
+/// cumulative metric values at the second.
 ///
-/// `origin_us`/`clock_offset_us` mirror [`TelemetrySnapshot`]'s clock
-/// metadata so a consumer on another process can rebase `t_end_us` (the
-/// sample instant on the producing recorder's clock) without waiting for
-/// the final upload: see [`TelemetryDelta::consumer_end_us`].
-#[derive(Debug, Clone, PartialEq)]
+/// `origin_us`/`clock_offset_us` let a consumer on another process rebase
+/// the frame onto its own clock: `origin_us` is the recorder's time zero
+/// on the producer's process clock, and adding `clock_offset_us` to a
+/// producer-clock time yields a consumer-clock time.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetryDelta {
-    /// Sampler-assigned delta sequence number (0, 1, 2, ... per run);
-    /// consumers dedup retransmits and detect gaps with it.
+    /// Sampler-assigned frame sequence number (0, 1, 2, ... per run).
     pub seq: u64,
     /// The recorder's time zero on the producer's process clock.
     pub origin_us: f64,
     /// Estimated `consumer_clock − producer_clock` microseconds (the
-    /// handshake midpoint estimate, identical to the final snapshot's).
+    /// handshake midpoint estimate, see [`crate::merge`]).
     pub clock_offset_us: f64,
     /// Sample instant in microseconds on the producing recorder's clock.
     pub t_end_us: f64,
-    /// Ring overwrites that happened during this interval (drain resets
-    /// the counters, so consecutive deltas never double-count).
+    /// Ring overwrites since the previous frame (drain resets the
+    /// counters, so consecutive frames never double-count).
     pub dropped: u64,
-    /// Counter increments since the previous sample (zero-delta counters
-    /// are omitted).
-    pub counters: Vec<(String, u64)>,
-    /// Histogram `(count, sum)` increments since the previous sample.
-    pub hists: Vec<(String, u64, u64)>,
-    /// Events drained from the rings this interval, `(ts_us, seq)`-ordered.
+    /// Events drained from the rings since the previous frame,
+    /// `(ts_us, seq)`-ordered.
     pub events: Vec<ObsEvent>,
+    /// Every metric instrument's value at the sample instant, cumulative
+    /// over the whole run.
+    pub metrics: MetricsSnapshot,
 }
 
 impl TelemetryDelta {
-    /// True when the interval produced nothing: no events, no drops, no
-    /// metric movement.  Streamers may skip shipping such deltas (the
-    /// heartbeat alone proves liveness).
+    /// True when the frame carries no event and no drop.  Streamers may
+    /// skip shipping such frames (the heartbeat alone proves liveness):
+    /// metric movement of an event-free interval rides in the next frame,
+    /// because the values are cumulative.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty() && self.dropped == 0 && self.counters.is_empty() && self.hists.is_empty()
+        self.events.is_empty() && self.dropped == 0
     }
 
-    /// The sample instant rebased onto the consumer's process clock
-    /// (`t_end + origin + offset`), comparable across producers.
-    #[must_use]
-    pub fn consumer_end_us(&self) -> f64 {
-        self.t_end_us + self.origin_us + self.clock_offset_us
-    }
-
-    /// Serializes to the versioned binary layout, interning metric names
-    /// into the delta's string table.
+    /// Serializes to the versioned binary layout.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        fn idx_of<'a>(table: &mut Vec<&'a str>, index: &mut BTreeMap<&'a str, u32>, name: &'a str) -> u32 {
-            *index.entry(name).or_insert_with(|| {
-                table.push(name);
-                (table.len() - 1) as u32
-            })
-        }
-        let mut table: Vec<&str> = Vec::new();
-        let mut index: BTreeMap<&str, u32> = BTreeMap::new();
-        let counter_idx: Vec<u32> =
-            self.counters.iter().map(|(n, _)| idx_of(&mut table, &mut index, n.as_str())).collect();
-        let hist_idx: Vec<u32> =
-            self.hists.iter().map(|(n, _, _)| idx_of(&mut table, &mut index, n.as_str())).collect();
-
-        let mut out = Vec::with_capacity(64 + table.len() * 24 + self.events.len() * 48);
+        let mut out = Vec::with_capacity(256 + self.events.len() * 56);
         out.extend_from_slice(DELTA_MAGIC);
         out.extend_from_slice(&DELTA_VERSION.to_le_bytes());
         out.extend_from_slice(&self.seq.to_le_bytes());
@@ -120,150 +154,350 @@ impl TelemetryDelta {
         out.extend_from_slice(&self.clock_offset_us.to_le_bytes());
         out.extend_from_slice(&self.t_end_us.to_le_bytes());
         out.extend_from_slice(&self.dropped.to_le_bytes());
-        out.extend_from_slice(&(table.len() as u32).to_le_bytes());
-        for name in &table {
-            put_str(&mut out, name);
-        }
-        out.extend_from_slice(&(self.counters.len() as u32).to_le_bytes());
-        for (k, (_, delta)) in self.counters.iter().enumerate() {
-            out.extend_from_slice(&counter_idx[k].to_le_bytes());
-            out.extend_from_slice(&delta.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.hists.len() as u32).to_le_bytes());
-        for (k, (_, count, sum)) in self.hists.iter().enumerate() {
-            out.extend_from_slice(&hist_idx[k].to_le_bytes());
-            out.extend_from_slice(&count.to_le_bytes());
-            out.extend_from_slice(&sum.to_le_bytes());
-        }
         out.extend_from_slice(&(self.events.len() as u32).to_le_bytes());
         for ev in &self.events {
             put_event(&mut out, ev);
         }
+        out.extend_from_slice(&(self.metrics.counters.len() as u32).to_le_bytes());
+        for (name, value) in &self.metrics.counters {
+            put_str(&mut out, name);
+            out.extend_from_slice(&value.to_le_bytes());
+        }
+        out.extend_from_slice(&(self.metrics.gauges.len() as u32).to_le_bytes());
+        for (name, value) in &self.metrics.gauges {
+            put_str(&mut out, name);
+            out.extend_from_slice(&value.to_le_bytes());
+        }
+        out.extend_from_slice(&(self.metrics.histograms.len() as u32).to_le_bytes());
+        for (name, h) in &self.metrics.histograms {
+            put_str(&mut out, name);
+            out.extend_from_slice(&h.count.to_le_bytes());
+            out.extend_from_slice(&h.sum.to_le_bytes());
+            out.extend_from_slice(&(h.buckets.len() as u32).to_le_bytes());
+            for &(log2, n) in &h.buckets {
+                out.push(log2 as u8);
+                out.extend_from_slice(&n.to_le_bytes());
+            }
+        }
         out
     }
 
-    /// Strictly decodes a buffer produced by [`TelemetryDelta::encode`];
-    /// shares the snapshot codec's typed error taxonomy.
-    pub fn decode(buf: &[u8]) -> Result<TelemetryDelta, SnapshotError> {
+    /// Strictly decodes a buffer produced by [`TelemetryDelta::encode`].
+    pub fn decode(buf: &[u8]) -> Result<TelemetryDelta, FrameError> {
         let mut r = Reader { buf, at: 0 };
         if r.take(4)? != DELTA_MAGIC {
-            return Err(SnapshotError::BadMagic);
+            return Err(FrameError::BadMagic);
         }
         let version = r.u16()?;
         if version != DELTA_VERSION {
-            return Err(SnapshotError::BadVersion { got: version });
+            return Err(FrameError::BadVersion { got: version });
         }
         let seq = r.u64()?;
         let origin_us = r.finite_f64("origin_us")?;
         let clock_offset_us = r.finite_f64("clock_offset_us")?;
         let t_end_us = r.finite_f64("t_end_us")?;
         let dropped = r.u64()?;
-        let n_strings = r.len_prefix(MAX_INSTRUMENTS, "strings")?;
-        let mut table = Vec::with_capacity(n_strings);
-        for _ in 0..n_strings {
-            table.push(r.string()?);
-        }
-        let resolve = |idx: u32, table: &[String]| -> Result<String, SnapshotError> {
-            table.get(idx as usize).cloned().ok_or(SnapshotError::BadField("string index"))
-        };
-        let mut counters = Vec::new();
-        for _ in 0..r.len_prefix(MAX_INSTRUMENTS, "counters")? {
-            let name = resolve(r.u32()?, &table)?;
-            counters.push((name, r.u64()?));
-        }
-        let mut hists = Vec::new();
-        for _ in 0..r.len_prefix(MAX_INSTRUMENTS, "histograms")? {
-            let name = resolve(r.u32()?, &table)?;
-            let count = r.u64()?;
-            let sum = r.u64()?;
-            hists.push((name, count, sum));
-        }
-        let n_events = r.len_prefix(MAX_DELTA_EVENTS, "events")?;
+        let n_events = r.len_prefix(MAX_FRAME_EVENTS as u32, "events")?;
         let mut events = Vec::with_capacity(n_events);
         for _ in 0..n_events {
             events.push(take_event(&mut r)?);
         }
-        if r.at != r.buf.len() {
-            return Err(SnapshotError::TrailingBytes);
+        let mut metrics = MetricsSnapshot::default();
+        for _ in 0..r.len_prefix(MAX_INSTRUMENTS, "counters")? {
+            let name = r.string()?;
+            metrics.counters.push((name, r.u64()?));
         }
-        Ok(TelemetryDelta { seq, origin_us, clock_offset_us, t_end_us, dropped, counters, hists, events })
+        for _ in 0..r.len_prefix(MAX_INSTRUMENTS, "gauges")? {
+            let name = r.string()?;
+            metrics.gauges.push((name, r.finite_f64("gauge")?));
+        }
+        for _ in 0..r.len_prefix(MAX_INSTRUMENTS, "histograms")? {
+            let name = r.string()?;
+            let count = r.u64()?;
+            let sum = r.u64()?;
+            let n_buckets = r.len_prefix(64, "buckets")?;
+            let mut buckets = Vec::with_capacity(n_buckets);
+            for _ in 0..n_buckets {
+                let log2 = r.u8()?;
+                if log2 >= 64 {
+                    return Err(FrameError::BadField("bucket log2"));
+                }
+                buckets.push((u32::from(log2), r.u64()?));
+            }
+            metrics.histograms.push((name, HistogramSnapshot { count, sum, buckets }));
+        }
+        if r.at != r.buf.len() {
+            return Err(FrameError::TrailingBytes);
+        }
+        Ok(TelemetryDelta { seq, origin_us, clock_offset_us, t_end_us, dropped, events, metrics })
     }
 }
 
-/// The interval-bucketed sampler: drains a [`Recorder`]'s rings and diffs
-/// its cumulative metrics on every [`DeltaSampler::sample`] call.
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    let bytes = &s.as_bytes()[..s.len().min(MAX_STRING as usize)];
+    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+    out.extend_from_slice(bytes);
+}
+
+fn put_event(out: &mut Vec<u8>, ev: &ObsEvent) {
+    out.extend_from_slice(&ev.ts_us.to_le_bytes());
+    out.extend_from_slice(&ev.dur_us.to_le_bytes());
+    out.extend_from_slice(&ev.seq.to_le_bytes());
+    out.extend_from_slice(&ev.tid.to_le_bytes());
+    out.extend_from_slice(&ev.track.to_le_bytes());
+    match ev.kind {
+        EventKind::Epoch { epoch, bytes } => {
+            out.push(0);
+            out.extend_from_slice(&epoch.to_le_bytes());
+            out.extend_from_slice(&bytes.to_le_bytes());
+        }
+        EventKind::PlacementSolve { phase, wall_ns } => {
+            out.push(1);
+            out.push(match phase {
+                SolvePhase::Group => 0,
+                SolvePhase::Coarsen => 1,
+                SolvePhase::Refine => 2,
+                SolvePhase::Total => 3,
+            });
+            out.extend_from_slice(&wall_ns.to_le_bytes());
+        }
+        EventKind::DriftDecision { outcome, delta } => {
+            out.push(2);
+            out.push(match outcome {
+                DriftOutcome::Fired => 0,
+                DriftOutcome::SuppressedByPatience => 1,
+                DriftOutcome::Cooldown => 2,
+                DriftOutcome::Quiet => 3,
+            });
+            out.extend_from_slice(&delta.to_le_bytes());
+        }
+        EventKind::LockWait { location, wait_ns } => {
+            out.push(3);
+            out.extend_from_slice(&location.to_le_bytes());
+            out.extend_from_slice(&wait_ns.to_le_bytes());
+        }
+        EventKind::FabricTransfer { lane, bytes } => {
+            out.push(4);
+            out.push(match lane {
+                FabricLane::SameNode => 0,
+                FabricLane::SameRack => 1,
+                FabricLane::CrossRack => 2,
+            });
+            out.extend_from_slice(&bytes.to_le_bytes());
+        }
+        EventKind::Rebind { task, pu } => {
+            out.push(5);
+            out.extend_from_slice(&(task as u64).to_le_bytes());
+            out.extend_from_slice(&(pu as u64).to_le_bytes());
+        }
+        EventKind::Migration { tasks_moved, bytes, cross_node } => {
+            out.push(6);
+            out.extend_from_slice(&(tasks_moved as u64).to_le_bytes());
+            out.extend_from_slice(&bytes.to_le_bytes());
+            out.push(u8::from(cross_node));
+        }
+        EventKind::LockRequest { rseq, location, owner } => {
+            out.push(7);
+            out.extend_from_slice(&rseq.to_le_bytes());
+            out.extend_from_slice(&location.to_le_bytes());
+            out.extend_from_slice(&owner.to_le_bytes());
+        }
+        EventKind::LockGrant { rseq, location, wait_ns } => {
+            out.push(8);
+            out.extend_from_slice(&rseq.to_le_bytes());
+            out.extend_from_slice(&location.to_le_bytes());
+            out.extend_from_slice(&wait_ns.to_le_bytes());
+        }
+        EventKind::LockRelease { rseq, location, held_ns } => {
+            out.push(9);
+            out.extend_from_slice(&rseq.to_le_bytes());
+            out.extend_from_slice(&location.to_le_bytes());
+            out.extend_from_slice(&held_ns.to_le_bytes());
+        }
+        EventKind::NodeLoss { node, tasks_lost } => {
+            out.push(10);
+            out.extend_from_slice(&node.to_le_bytes());
+            out.extend_from_slice(&(tasks_lost as u64).to_le_bytes());
+        }
+        EventKind::Recovery { node, tasks_migrated } => {
+            out.push(11);
+            out.extend_from_slice(&node.to_le_bytes());
+            out.extend_from_slice(&(tasks_migrated as u64).to_le_bytes());
+        }
+    }
+}
+
+fn take_event(r: &mut Reader<'_>) -> Result<ObsEvent, FrameError> {
+    let ts_us = r.finite_f64("ts_us")?;
+    let dur_us = r.finite_f64("dur_us")?;
+    let seq = r.u64()?;
+    let tid = r.u64()?;
+    let track = r.u32()?;
+    let tag = r.u8()?;
+    let kind = match tag {
+        0 => EventKind::Epoch { epoch: r.u64()?, bytes: r.finite_f64("bytes")? },
+        1 => EventKind::PlacementSolve {
+            phase: match r.u8()? {
+                0 => SolvePhase::Group,
+                1 => SolvePhase::Coarsen,
+                2 => SolvePhase::Refine,
+                3 => SolvePhase::Total,
+                got => return Err(FrameError::BadCode { field: "phase", got }),
+            },
+            wall_ns: r.u64()?,
+        },
+        2 => EventKind::DriftDecision {
+            outcome: match r.u8()? {
+                0 => DriftOutcome::Fired,
+                1 => DriftOutcome::SuppressedByPatience,
+                2 => DriftOutcome::Cooldown,
+                3 => DriftOutcome::Quiet,
+                got => return Err(FrameError::BadCode { field: "outcome", got }),
+            },
+            delta: r.finite_f64("delta")?,
+        },
+        3 => EventKind::LockWait { location: r.u64()?, wait_ns: r.u64()? },
+        4 => EventKind::FabricTransfer {
+            lane: match r.u8()? {
+                0 => FabricLane::SameNode,
+                1 => FabricLane::SameRack,
+                2 => FabricLane::CrossRack,
+                got => return Err(FrameError::BadCode { field: "lane", got }),
+            },
+            bytes: r.finite_f64("bytes")?,
+        },
+        5 => EventKind::Rebind { task: r.u64()? as usize, pu: r.u64()? as usize },
+        6 => EventKind::Migration {
+            tasks_moved: r.u64()? as usize,
+            bytes: r.finite_f64("bytes")?,
+            cross_node: match r.u8()? {
+                0 => false,
+                1 => true,
+                got => return Err(FrameError::BadCode { field: "cross_node", got }),
+            },
+        },
+        7 => EventKind::LockRequest { rseq: r.u64()?, location: r.u64()?, owner: r.u32()? },
+        8 => EventKind::LockGrant { rseq: r.u64()?, location: r.u64()?, wait_ns: r.u64()? },
+        9 => EventKind::LockRelease { rseq: r.u64()?, location: r.u64()?, held_ns: r.u64()? },
+        10 => EventKind::NodeLoss { node: r.u32()?, tasks_lost: r.u64()? as usize },
+        11 => EventKind::Recovery { node: r.u32()?, tasks_migrated: r.u64()? as usize },
+        got => return Err(FrameError::BadCode { field: "event tag", got }),
+    };
+    Ok(ObsEvent { ts_us, dur_us, seq, tid, track, kind })
+}
+
+struct Reader<'b> {
+    buf: &'b [u8],
+    at: usize,
+}
+
+impl<'b> Reader<'b> {
+    fn take(&mut self, n: usize) -> Result<&'b [u8], FrameError> {
+        if self.buf.len() - self.at < n {
+            return Err(FrameError::Truncated);
+        }
+        let slice = &self.buf[self.at..self.at + n];
+        self.at += n;
+        Ok(slice)
+    }
+
+    fn u8(&mut self) -> Result<u8, FrameError> {
+        Ok(self.take(1)?[0])
+    }
+
+    fn u16(&mut self) -> Result<u16, FrameError> {
+        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+    }
+
+    fn u32(&mut self) -> Result<u32, FrameError> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    }
+
+    fn u64(&mut self) -> Result<u64, FrameError> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    fn finite_f64(&mut self, field: &'static str) -> Result<f64, FrameError> {
+        let x = f64::from_le_bytes(self.take(8)?.try_into().unwrap());
+        if x.is_finite() {
+            Ok(x)
+        } else {
+            Err(FrameError::BadField(field))
+        }
+    }
+
+    fn len_prefix(&mut self, max: u32, field: &'static str) -> Result<usize, FrameError> {
+        let n = self.u32()?;
+        if n > max {
+            return Err(FrameError::BadField(field));
+        }
+        Ok(n as usize)
+    }
+
+    fn string(&mut self) -> Result<String, FrameError> {
+        let n = self.len_prefix(MAX_STRING, "string length")?;
+        std::str::from_utf8(self.take(n)?).map(str::to_string).map_err(|_| FrameError::BadUtf8)
+    }
+}
+
+/// The frame producer: drains a [`Recorder`]'s rings and snapshots its
+/// metrics on every [`DeltaSampler::sample`] call.
 ///
-/// The sampler owns no timer — whoever drives the streaming loop calls
-/// `sample()` once per interval.  Successive samples are disjoint: rings
-/// are emptied and drop counters reset by each drain, and metric deltas
-/// are differences of consecutive non-destructive registry snapshots, so
-/// replaying all deltas plus the final [`Recorder::finish`] reconstructs
-/// the run exactly (see [`fold_deltas`]).
+/// The sampler owns no timer — whoever drives the loop calls `sample()`
+/// once per interval, or once at the end of an unstreamed run.
+/// Successive samples are disjoint: rings are emptied and drop counters
+/// reset by each drain, so concatenating every frame reconstructs the run
+/// exactly (see [`fold_deltas`]).
 #[derive(Debug)]
 pub struct DeltaSampler {
     recorder: Arc<Recorder>,
     clock_offset_us: f64,
     next_seq: u64,
-    last: MetricsSnapshot,
 }
 
 impl DeltaSampler {
-    /// A sampler over `recorder`, stamping every delta with the given
+    /// A sampler over `recorder`, stamping every frame with the given
     /// consumer-clock offset (0 when producer and consumer share a clock).
     #[must_use]
     pub fn new(recorder: Arc<Recorder>, clock_offset_us: f64) -> DeltaSampler {
-        DeltaSampler { recorder, clock_offset_us, next_seq: 0, last: MetricsSnapshot::default() }
+        DeltaSampler { recorder, clock_offset_us, next_seq: 0 }
     }
 
-    /// Deltas produced so far.
-    #[must_use]
-    pub fn samples_taken(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Drains everything recorded since the previous sample into a fresh
-    /// sequence-numbered delta.
-    pub fn sample(&mut self) -> TelemetryDelta {
+    /// Drains everything recorded since the previous sample into fresh
+    /// sequence-numbered frames: one, unless the drain exceeds
+    /// [`MAX_FRAME_EVENTS`], in which case the events are split in order
+    /// over as many frames as it takes — never truncated.  Every frame
+    /// carries the same cumulative metrics; the drop count rides in the
+    /// first.
+    pub fn sample(&mut self) -> Vec<TelemetryDelta> {
         let t_end_us = self.recorder.now_us();
         let (events, dropped) = self.recorder.drain_rings();
-        let now = self.recorder.metrics().snapshot();
-        let mut counters = Vec::new();
-        for (name, value) in &now.counters {
-            let delta = value - self.last.counter(name).unwrap_or(0);
-            if delta > 0 {
-                counters.push((name.clone(), delta));
-            }
-        }
-        let mut hists = Vec::new();
-        for (name, h) in &now.histograms {
-            let (last_count, last_sum) =
-                self.last.histogram(name).map_or((0, 0), |prev| (prev.count, prev.sum));
-            if h.count > last_count {
-                hists.push((name.clone(), h.count - last_count, h.sum - last_sum));
-            }
-        }
-        self.last = now;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        TelemetryDelta {
-            seq,
-            origin_us: self.recorder.origin_us() as f64,
-            clock_offset_us: self.clock_offset_us,
-            t_end_us,
-            dropped,
-            counters,
-            hists,
-            events,
-        }
+        let metrics = self.recorder.metrics().snapshot();
+        let origin_us = self.recorder.origin_us() as f64;
+        let n_frames = events.len().div_ceil(MAX_FRAME_EVENTS).max(1) as u64;
+        let first_seq = self.next_seq;
+        self.next_seq += n_frames;
+        let mut chunks = events.chunks(MAX_FRAME_EVENTS);
+        (0..n_frames)
+            .map(|k| TelemetryDelta {
+                seq: first_seq + k,
+                origin_us,
+                clock_offset_us: self.clock_offset_us,
+                t_end_us,
+                dropped: if k == 0 { dropped } else { 0 },
+                events: chunks.next().unwrap_or_default().to_vec(),
+                metrics: metrics.clone(),
+            })
+            .collect()
     }
 }
 
-/// One interval's folded rates for one track.
+/// The rates of one frame's interval on one track.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IntervalStats {
-    /// Deltas folded into this interval.
+    /// Frames the interval spans (always 1 for a frame's own rates).
     pub deltas: u32,
-    /// Events carried by those deltas.
+    /// Events carried by the frame.
     pub events: u64,
     /// Ring overwrites reported in the interval.
     pub dropped: u64,
@@ -277,185 +511,141 @@ pub struct IntervalStats {
 }
 
 impl IntervalStats {
-    /// The folded rates of a single delta — what a live monitor shows for
-    /// one arrival before any interval bucketing.
-    #[must_use]
-    pub fn of_delta(delta: &TelemetryDelta) -> IntervalStats {
-        let mut stats = IntervalStats::default();
-        stats.fold(delta);
-        stats
-    }
-
-    fn fold(&mut self, delta: &TelemetryDelta) {
-        self.deltas += 1;
-        self.events += delta.events.len() as u64;
-        self.dropped += delta.dropped;
-        for (name, incr) in &delta.counters {
-            if name == "remote_grants" {
-                self.grants += incr;
-            }
-        }
-        for (name, _count, sum) in &delta.hists {
-            match name.as_str() {
-                "lock_wait_ns" => self.lock_wait_ns += sum,
-                "fabric_bytes_same_node" => self.fabric_bytes[0] += sum,
-                "fabric_bytes_same_rack" => self.fabric_bytes[1] += sum,
-                "fabric_bytes_cross_rack" => self.fabric_bytes[2] += sum,
-                _ => {}
-            }
-        }
-    }
-
-    fn add(&mut self, other: &IntervalStats) {
-        self.deltas += other.deltas;
-        self.events += other.events;
-        self.dropped += other.dropped;
-        self.lock_wait_ns += other.lock_wait_ns;
-        self.grants += other.grants;
-        for lane in 0..3 {
-            self.fabric_bytes[lane] += other.fabric_bytes[lane];
+    /// The cumulative value of every rate lane in one metrics snapshot;
+    /// an interval's rates are the difference of two of these.
+    fn lanes(metrics: &MetricsSnapshot) -> IntervalStats {
+        let sum = |name: &str| metrics.histogram(name).map_or(0, |h| h.sum);
+        IntervalStats {
+            lock_wait_ns: sum("lock_wait_ns"),
+            grants: metrics.counter("remote_grants").unwrap_or(0),
+            fabric_bytes: [
+                sum("fabric_bytes_same_node"),
+                sum("fabric_bytes_same_rack"),
+                sum("fabric_bytes_cross_rack"),
+            ],
+            ..IntervalStats::default()
         }
     }
 }
 
-/// Folds deltas from many tracks into fixed-width per-interval time
-/// series, deduping retransmitted deltas by `(track, seq)`.
-///
-/// Interval index of a delta is `floor(consumer_end_us / interval_us)` —
-/// the sample instant rebased onto the consumer's clock, so tracks with
-/// different clock origins land in comparable buckets.
-#[derive(Debug)]
+/// Turns the frames of many tracks into per-interval rates, deduping
+/// repeated frames by `(track, seq)`: a frame's rates are its cumulative
+/// metrics minus the same track's previous frame's.
+#[derive(Debug, Default)]
 pub struct LiveAggregator {
-    interval_us: f64,
-    tracks: BTreeMap<u32, BTreeMap<u64, IntervalStats>>,
+    cumulative: BTreeMap<u32, IntervalStats>,
     seen: BTreeSet<(u32, u64)>,
     duplicates: u64,
 }
 
 impl LiveAggregator {
-    /// A fresh aggregator bucketing on `interval_us`-wide intervals.
-    ///
-    /// # Panics
-    /// When `interval_us` is not a positive finite width.
+    /// A fresh aggregator: every track starts from zero.
     #[must_use]
-    pub fn new(interval_us: f64) -> LiveAggregator {
-        assert!(interval_us.is_finite() && interval_us > 0.0, "interval must be positive, got {interval_us}");
-        LiveAggregator { interval_us, tracks: BTreeMap::new(), seen: BTreeSet::new(), duplicates: 0 }
+    pub fn new() -> LiveAggregator {
+        LiveAggregator::default()
     }
 
-    /// The configured bucket width in microseconds.
-    #[must_use]
-    pub fn interval_us(&self) -> f64 {
-        self.interval_us
-    }
-
-    /// Folds one delta into `track`'s series; returns `false` (and folds
-    /// nothing) when the `(track, seq)` pair was already ingested.
-    pub fn ingest(&mut self, track: u32, delta: &TelemetryDelta) -> bool {
+    /// Returns the rates of one frame of `track`; `None` when the
+    /// `(track, seq)` pair was already ingested.
+    pub fn ingest(&mut self, track: u32, delta: &TelemetryDelta) -> Option<IntervalStats> {
         if !self.seen.insert((track, delta.seq)) {
             self.duplicates += 1;
-            return false;
+            return None;
         }
-        let bucket = (delta.consumer_end_us() / self.interval_us).floor().max(0.0) as u64;
-        self.tracks.entry(track).or_default().entry(bucket).or_default().fold(delta);
-        true
+        let now = IntervalStats::lanes(&delta.metrics);
+        let prev = self.cumulative.insert(track, now).unwrap_or_default();
+        Some(IntervalStats {
+            deltas: 1,
+            events: delta.events.len() as u64,
+            dropped: delta.dropped,
+            lock_wait_ns: now.lock_wait_ns.saturating_sub(prev.lock_wait_ns),
+            grants: now.grants.saturating_sub(prev.grants),
+            fabric_bytes: std::array::from_fn(|lane| {
+                now.fabric_bytes[lane].saturating_sub(prev.fabric_bytes[lane])
+            }),
+        })
     }
 
-    /// Retransmissions rejected so far.
+    /// Repeated frames rejected so far.
     #[must_use]
     pub fn duplicates(&self) -> u64 {
         self.duplicates
     }
-
-    /// Tracks that have contributed at least one delta.
-    #[must_use]
-    pub fn tracks(&self) -> Vec<u32> {
-        self.tracks.keys().copied().collect()
-    }
-
-    /// `(interval index, stats)` pairs of one track, interval-ordered.
-    pub fn series(&self, track: u32) -> impl Iterator<Item = (u64, IntervalStats)> + '_ {
-        self.tracks.get(&track).into_iter().flatten().map(|(&i, s)| (i, *s))
-    }
-
-    /// The most recent interval of one track.
-    #[must_use]
-    pub fn latest(&self, track: u32) -> Option<(u64, IntervalStats)> {
-        self.tracks.get(&track).and_then(|s| s.iter().next_back()).map(|(&i, s)| (i, *s))
-    }
-
-    /// Everything one track reported, summed across intervals.
-    #[must_use]
-    pub fn totals(&self, track: u32) -> IntervalStats {
-        let mut total = IntervalStats::default();
-        for (_, stats) in self.series(track) {
-            total.add(&stats);
-        }
-        total
-    }
 }
 
-/// Reunites a run's streamed deltas with its final post-run snapshot:
-/// delta events are merged into `snap.events` (deduped by the
-/// recorder-wide event sequence number, so a delta retransmit or an event
-/// present in both cannot double-count), delta drop counts are added, and
-/// the timeline is re-sorted `(ts_us, seq)`.  Returns how many events the
-/// deltas contributed.
-///
-/// Metrics are left untouched: the snapshot's registry values are
-/// cumulative over the whole run and already subsume every delta.
-pub fn fold_deltas(snap: &mut TelemetrySnapshot, deltas: &[TelemetryDelta]) -> u64 {
-    let mut seen_events: HashSet<u64> = snap.events.iter().map(|e| e.seq).collect();
-    let mut seen_deltas: HashSet<u64> = HashSet::new();
-    let mut added = 0u64;
-    for delta in deltas {
-        if !seen_deltas.insert(delta.seq) {
-            continue;
-        }
-        snap.dropped += delta.dropped;
-        for ev in &delta.events {
-            if seen_events.insert(ev.seq) {
-                snap.events.push(*ev);
-                added += 1;
-            }
-        }
+/// Concatenates one producer's frames into the snapshot the post-run
+/// merge consumes: events in frame-`seq` order, drop counts summed, clock
+/// metadata and metrics from the last frame (cumulative values subsume
+/// every earlier one).  `None` when the producer sent no frame at all.
+#[must_use]
+pub fn fold_deltas(mut frames: Vec<TelemetryDelta>) -> Option<TelemetrySnapshot> {
+    frames.sort_by_key(|frame| frame.seq);
+    let last = frames.pop()?;
+    let mut events =
+        Vec::with_capacity(frames.iter().map(|f| f.events.len()).sum::<usize>() + last.events.len());
+    let mut dropped = last.dropped;
+    for frame in frames {
+        dropped += frame.dropped;
+        events.extend(frame.events);
     }
-    snap.events.sort_by(|a, b| {
-        a.ts_us.partial_cmp(&b.ts_us).unwrap_or(std::cmp::Ordering::Equal).then(a.seq.cmp(&b.seq))
-    });
-    added
+    events.extend(last.events);
+    Some(TelemetrySnapshot {
+        origin_us: last.origin_us,
+        clock_offset_us: last.clock_offset_us,
+        events,
+        dropped,
+        metrics: last.metrics,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ClockKind, EventKind, FabricLane, ObsConfig};
+    use crate::{ClockKind, ObsConfig};
+    use std::collections::HashSet;
 
     fn recorder(capacity: usize) -> Arc<Recorder> {
         Recorder::new(ClockKind::Simulated, ObsConfig { ring_capacity: capacity, ..Default::default() })
     }
 
+    /// One frame holding every event kind plus all three instrument types.
+    fn sample_frame() -> TelemetryDelta {
+        let rec = Recorder::new(ClockKind::Wall, ObsConfig::default());
+        let mut sampler = DeltaSampler::new(Arc::clone(&rec), -123.5);
+        rec.record(EventKind::Epoch { epoch: 1, bytes: 4096.0 });
+        rec.record(EventKind::PlacementSolve { phase: SolvePhase::Total, wall_ns: 1_500_000 });
+        rec.record(EventKind::DriftDecision { outcome: DriftOutcome::Quiet, delta: 0.01 });
+        rec.record(EventKind::FabricTransfer { lane: FabricLane::SameRack, bytes: 2048.0 });
+        rec.record(EventKind::Rebind { task: 2, pu: 5 });
+        rec.record(EventKind::Migration { tasks_moved: 3, bytes: 96.0, cross_node: true });
+        rec.record(EventKind::LockRequest { rseq: (2 << 32) | 7, location: 4, owner: 0 });
+        rec.record(EventKind::LockGrant { rseq: (2 << 32) | 7, location: 4, wait_ns: 9_000 });
+        rec.record(EventKind::LockRelease { rseq: (2 << 32) | 7, location: 4, held_ns: 700 });
+        rec.record(EventKind::NodeLoss { node: 1, tasks_lost: 9 });
+        rec.record(EventKind::Recovery { node: 1, tasks_migrated: 9 });
+        rec.record_lock_wait(3, 60_000);
+        sampler.sample().pop().unwrap()
+    }
+
     #[test]
-    fn delta_round_trips_with_interned_names() {
+    fn every_kind_and_instrument_round_trips() {
+        let frame = sample_frame();
+        let back = TelemetryDelta::decode(&frame.encode()).unwrap();
+        assert_eq!(back, frame);
+        assert_eq!(back.events.len(), 12);
+        assert_eq!(back.clock_offset_us, -123.5);
+        assert_eq!(back.metrics.counter("remote_grants"), Some(1));
+        assert!(back.metrics.gauge("drift_delta_last").is_some());
+        assert!(!back.metrics.histogram("lock_wait_ns").unwrap().buckets.is_empty());
+    }
+
+    #[test]
+    fn an_idle_recorder_still_yields_one_round_tripping_frame() {
         let rec = recorder(1 << 10);
-        let mut sampler = DeltaSampler::new(Arc::clone(&rec), -42.5);
-        rec.set_sim_now(0.010);
-        rec.record(EventKind::Epoch { epoch: 1, bytes: 128.0 });
-        rec.record(EventKind::FabricTransfer { lane: FabricLane::CrossRack, bytes: 512.0 });
-        rec.record_lock_wait(3, 50_000);
-        let delta = sampler.sample();
-        assert_eq!(delta.seq, 0);
-        assert_eq!(delta.clock_offset_us, -42.5);
-        assert_eq!(delta.t_end_us, 10_000.0);
-        assert!(!delta.is_empty());
-        let back = TelemetryDelta::decode(&delta.encode()).unwrap();
-        assert_eq!(back, delta);
-        // Interning pays each name once: "events_recorded" appears in
-        // counters, and the encoded bytes contain it exactly once.
-        let bytes = delta.encode();
-        let needle = b"events_recorded";
-        let hits = bytes.windows(needle.len()).filter(|w| w == needle).count();
-        assert_eq!(hits, 1);
+        let frames = DeltaSampler::new(rec, 0.0).sample();
+        assert_eq!(frames.len(), 1);
+        assert!(frames[0].is_empty());
+        assert_eq!(TelemetryDelta::decode(&frames[0].encode()).unwrap(), frames[0]);
     }
 
     #[test]
@@ -463,177 +653,180 @@ mod tests {
         // Forced overflow: a 4-slot ring fed 10 events keeps 4 and drops 6.
         let rec = recorder(4);
         let mut sampler = DeltaSampler::new(Arc::clone(&rec), 0.0);
+        rec.set_sim_now(0.010);
         for epoch in 0..10 {
             rec.record(EventKind::Epoch { epoch, bytes: 0.0 });
         }
-        let first = sampler.sample();
+        let first = sampler.sample().pop().unwrap();
+        assert_eq!(first.seq, 0);
+        assert_eq!(first.t_end_us, 10_000.0);
         assert_eq!(first.events.len(), 4);
         assert_eq!(first.dropped, 6);
 
         // Draining again right away re-reports nothing.
-        let empty = sampler.sample();
+        let empty = sampler.sample().pop().unwrap();
         assert!(empty.is_empty(), "re-drain must not duplicate: {empty:?}");
-        assert_eq!(empty.dropped, 0);
 
         // New events after the drain come out exactly once, no drops.
         for epoch in 10..13 {
             rec.record(EventKind::Epoch { epoch, bytes: 0.0 });
         }
-        let second = sampler.sample();
+        let second = sampler.sample().pop().unwrap();
         assert_eq!(second.events.len(), 3);
         assert_eq!(second.dropped, 0);
         let first_seqs: HashSet<u64> = first.events.iter().map(|e| e.seq).collect();
         assert!(second.events.iter().all(|e| !first_seqs.contains(&e.seq)));
 
-        // Metric deltas are increments, not cumulative values.
-        assert_eq!(first.counters.iter().find(|(n, _)| n == "events_recorded").map(|&(_, v)| v), Some(10));
-        assert_eq!(second.counters.iter().find(|(n, _)| n == "events_recorded").map(|&(_, v)| v), Some(3));
-        assert_eq!(sampler.samples_taken(), 3);
+        // Metric values are cumulative, not increments.
+        assert_eq!(first.metrics.counter("events_recorded"), Some(10));
+        assert_eq!(second.metrics.counter("events_recorded"), Some(13));
+        assert_eq!(second.seq, 2);
     }
 
     #[test]
-    fn finish_after_sampling_sees_only_the_tail() {
-        // The streamed prefix and the final drain partition the run.
-        let rec = recorder(1 << 10);
+    fn an_oversized_drain_is_split_over_frames_not_truncated() {
+        let n = 2 * MAX_FRAME_EVENTS + 1;
+        let rec = recorder(n);
         let mut sampler = DeltaSampler::new(Arc::clone(&rec), 0.0);
-        rec.record(EventKind::Epoch { epoch: 1, bytes: 0.0 });
-        let delta = sampler.sample();
-        rec.record(EventKind::Epoch { epoch: 2, bytes: 0.0 });
-        let t = rec.finish("sim");
-        assert_eq!(delta.events.len(), 1);
-        assert_eq!(t.events.len(), 1);
-        assert_ne!(delta.events[0].seq, t.events[0].seq);
-        // The final registry snapshot is cumulative over both halves.
-        assert_eq!(t.metrics.counter("epochs"), Some(2));
+        for epoch in 0..n as u64 {
+            rec.record(EventKind::Epoch { epoch, bytes: 0.0 });
+        }
+        let frames = sampler.sample();
+        assert_eq!(
+            frames.iter().map(|f| f.events.len()).collect::<Vec<_>>(),
+            [MAX_FRAME_EVENTS, MAX_FRAME_EVENTS, 1]
+        );
+        assert_eq!(frames.iter().map(|f| f.seq).collect::<Vec<_>>(), [0, 1, 2]);
+        // A full frame decodes; one event more is over the decode cap.
+        assert!(TelemetryDelta::decode(&frames[0].encode()).is_ok());
+        let mut over = frames[0].clone();
+        over.events.push(frames[2].events[0]);
+        assert_eq!(TelemetryDelta::decode(&over.encode()), Err(FrameError::BadField("events")));
+        // Folding the frames back loses nothing and keeps emission order.
+        let snap = fold_deltas(frames).unwrap();
+        assert_eq!(snap.events.len(), n);
+        assert_eq!(snap.dropped, 0);
+        assert!(snap.events.windows(2).all(|w| w[0].seq < w[1].seq));
     }
 
     #[test]
-    fn malformed_deltas_are_typed_errors() {
-        let rec = recorder(1 << 10);
-        let mut sampler = DeltaSampler::new(Arc::clone(&rec), 0.0);
-        rec.record_lock_wait(1, 20_000);
-        rec.record(EventKind::Epoch { epoch: 1, bytes: 1.0 });
-        let good = sampler.sample().encode();
+    fn malformed_frames_are_typed_errors() {
+        let good = sample_frame().encode();
 
-        assert_eq!(TelemetryDelta::decode(b"JUNK"), Err(SnapshotError::BadMagic));
+        assert_eq!(TelemetryDelta::decode(b"JUNK"), Err(FrameError::BadMagic));
         let mut wrong_version = good.clone();
         wrong_version[4] = 9;
-        assert_eq!(TelemetryDelta::decode(&wrong_version), Err(SnapshotError::BadVersion { got: 9 }));
+        assert_eq!(TelemetryDelta::decode(&wrong_version), Err(FrameError::BadVersion { got: 9 }));
+
+        // Truncation at any prefix length never panics and fails typed.
         for cut in 0..good.len() {
             let err = TelemetryDelta::decode(&good[..cut]).unwrap_err();
             assert!(
                 matches!(
                     err,
-                    SnapshotError::Truncated
-                        | SnapshotError::BadMagic
-                        | SnapshotError::BadField(_)
-                        | SnapshotError::BadCode { .. }
+                    FrameError::Truncated
+                        | FrameError::BadMagic
+                        | FrameError::BadField(_)
+                        | FrameError::BadCode { .. }
                 ),
                 "cut at {cut}: {err:?}"
             );
         }
         let mut trailing = good.clone();
         trailing.push(0);
-        assert_eq!(TelemetryDelta::decode(&trailing), Err(SnapshotError::TrailingBytes));
+        assert_eq!(TelemetryDelta::decode(&trailing), Err(FrameError::TrailingBytes));
 
-        // A counter referencing a string-table slot that does not exist.
-        let empty = TelemetryDelta {
-            seq: 0,
-            origin_us: 0.0,
-            clock_offset_us: 0.0,
-            t_end_us: 0.0,
-            dropped: 0,
-            counters: vec![("x".to_string(), 1)],
-            hists: vec![],
-            events: vec![],
-        };
-        let mut bytes = empty.encode();
-        // The single counter entry sits right after the 1-entry string
-        // table and the counter count; point its index out of range.
-        // Tail after the index: delta u64, hists len u32, events len u32.
-        let idx_at = bytes.len() - 4 - 16;
-        bytes[idx_at..idx_at + 4].copy_from_slice(&7u32.to_le_bytes());
-        assert_eq!(TelemetryDelta::decode(&bytes), Err(SnapshotError::BadField("string index")));
+        // A non-finite origin is rejected (magic 4 + version 2 + seq 8).
+        let mut nan_origin = good.clone();
+        nan_origin[14..22].copy_from_slice(&f64::NAN.to_le_bytes());
+        assert_eq!(TelemetryDelta::decode(&nan_origin), Err(FrameError::BadField("origin_us")));
+
+        // An unknown event tag: the first event's tag byte sits after the
+        // 50-byte frame header and the event's 36 fixed bytes.
+        let mut bad_tag = good;
+        bad_tag[50 + 36] = 200;
+        assert_eq!(
+            TelemetryDelta::decode(&bad_tag),
+            Err(FrameError::BadCode { field: "event tag", got: 200 })
+        );
     }
 
-    fn synthetic_delta(seq: u64, t_end_us: f64, grants: u64, wait_ns: u64) -> TelemetryDelta {
+    #[test]
+    fn absurd_length_prefixes_fail_fast() {
+        // A header, zero events, then a counter table claiming one entry
+        // whose name is 4 GiB long: must be BadField, not an allocation.
+        let mut buf = TelemetryDelta::default().encode();
+        buf.truncate(50); // keep the header and the zero event count
+        let mut huge_name = buf.clone();
+        huge_name.extend_from_slice(&1u32.to_le_bytes());
+        huge_name.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(TelemetryDelta::decode(&huge_name), Err(FrameError::BadField("string length")));
+        // ... and a table claiming 4 G entries fails on the count itself.
+        buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(TelemetryDelta::decode(&buf), Err(FrameError::BadField("counters")));
+    }
+
+    fn synthetic_delta(seq: u64, grants: u64, wait_ns: u64) -> TelemetryDelta {
+        let hist = |sum: u64| HistogramSnapshot { count: 1, sum, buckets: vec![] };
         TelemetryDelta {
             seq,
-            origin_us: 1_000.0,
-            clock_offset_us: -500.0,
-            t_end_us,
             dropped: seq, // arbitrary distinct drop counts
-            counters: vec![("remote_grants".to_string(), grants)],
-            hists: vec![
-                ("lock_wait_ns".to_string(), grants, wait_ns),
-                ("fabric_bytes_cross_rack".to_string(), 1, 2_048),
-            ],
-            events: vec![],
+            metrics: MetricsSnapshot {
+                counters: vec![("remote_grants".to_string(), grants)],
+                gauges: vec![],
+                histograms: vec![
+                    ("fabric_bytes_cross_rack".to_string(), hist(2_048 * (seq + 1))),
+                    ("lock_wait_ns".to_string(), hist(wait_ns)),
+                ],
+            },
+            ..TelemetryDelta::default()
         }
     }
 
     #[test]
-    fn aggregator_buckets_on_the_consumer_clock_and_dedups() {
-        let mut agg = LiveAggregator::new(10_000.0); // 10 ms buckets
-                                                     // consumer_end = t_end + 1000 − 500 = t_end + 500.
-        assert!(agg.ingest(1, &synthetic_delta(0, 4_500.0, 3, 100)));
-        assert!(agg.ingest(1, &synthetic_delta(1, 14_500.0, 5, 200)));
-        assert!(!agg.ingest(1, &synthetic_delta(1, 14_500.0, 5, 200)), "retransmit must fold nothing");
-        assert!(agg.ingest(2, &synthetic_delta(0, 24_500.0, 7, 400)));
+    fn aggregator_differences_cumulative_frames_and_dedups() {
+        let mut agg = LiveAggregator::new();
+        let first = agg.ingest(1, &synthetic_delta(0, 3, 100)).unwrap();
+        assert_eq!((first.deltas, first.grants, first.lock_wait_ns, first.dropped), (1, 3, 100, 0));
+        assert_eq!(first.fabric_bytes, [0, 0, 2_048]);
+        // Cumulative 8 grants / 300 ns after 3 / 100: the interval saw 5 / 200.
+        let second = agg.ingest(1, &synthetic_delta(1, 8, 300)).unwrap();
+        assert_eq!((second.grants, second.lock_wait_ns, second.dropped), (5, 200, 1));
+        assert_eq!(second.fabric_bytes, [0, 0, 2_048]);
+        assert!(agg.ingest(1, &synthetic_delta(1, 8, 300)).is_none(), "a repeat must yield nothing");
         assert_eq!(agg.duplicates(), 1);
-        assert_eq!(agg.tracks(), vec![1, 2]);
-
-        let series: Vec<(u64, IntervalStats)> = agg.series(1).collect();
-        assert_eq!(series.len(), 2);
-        assert_eq!(series[0].0, 0);
-        assert_eq!(series[0].1.grants, 3);
-        assert_eq!(series[0].1.lock_wait_ns, 100);
-        assert_eq!(series[1].0, 1);
-        assert_eq!(series[1].1.fabric_bytes, [0, 0, 2_048]);
-
-        let (latest_bucket, latest) = agg.latest(1).unwrap();
-        assert_eq!(latest_bucket, 1);
-        assert_eq!(latest.grants, 5);
-        assert!(agg.latest(9).is_none());
-
-        let totals = agg.totals(1);
-        assert_eq!(totals.grants, 8);
-        assert_eq!(totals.lock_wait_ns, 300);
-        assert_eq!(totals.deltas, 2);
-        assert_eq!(totals.dropped, 1); // seq 0 + seq 1 drop fields
-        assert_eq!(agg.totals(2).grants, 7);
+        // Another track starts from its own zero.
+        assert_eq!(agg.ingest(2, &synthetic_delta(0, 7, 400)).unwrap().grants, 7);
     }
 
     #[test]
     fn fold_deltas_reconstructs_the_full_timeline() {
-        // Stream two deltas mid-run, finish at the end: folding the deltas
-        // into the final snapshot must reproduce every event exactly once,
-        // with exact drop accounting, even when a delta is replayed.
+        // Two mid-run samples and one at the end: folding must reproduce
+        // every event exactly once with exact drop accounting, whatever
+        // order the frames are handed over in.
         let rec = recorder(4);
-        let mut sampler = DeltaSampler::new(Arc::clone(&rec), 0.0);
+        let mut sampler = DeltaSampler::new(Arc::clone(&rec), 7.0);
         for epoch in 0..10 {
             rec.record(EventKind::Epoch { epoch, bytes: 0.0 });
         }
-        let d0 = sampler.sample(); // 4 events, 6 dropped
+        let d0 = sampler.sample().pop().unwrap(); // 4 events, 6 dropped
         for epoch in 10..13 {
             rec.record(EventKind::Epoch { epoch, bytes: 0.0 });
         }
-        let d1 = sampler.sample(); // 3 events
+        let d1 = sampler.sample().pop().unwrap(); // 3 events
         rec.record(EventKind::Epoch { epoch: 13, bytes: 0.0 });
-        let origin = rec.origin_us() as f64;
-        let mut snap = TelemetrySnapshot::from_telemetry(rec.finish("sim"), origin, 0.0);
-        assert_eq!(snap.events.len(), 1);
+        let d2 = sampler.sample().pop().unwrap(); // the tail
+        assert_eq!(d2.events.len(), 1);
 
-        let added = fold_deltas(&mut snap, &[d0.clone(), d1.clone(), d0.clone()]);
-        assert_eq!(added, 7);
+        let snap = fold_deltas(vec![d2.clone(), d0, d1]).unwrap();
         assert_eq!(snap.events.len(), 8);
         assert_eq!(snap.dropped, 6);
-        let seqs: HashSet<u64> = snap.events.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs.len(), 8, "every event exactly once");
-        assert!(snap.events.windows(2).all(|w| w[0].ts_us <= w[1].ts_us));
-        // Folding the same deltas into the folded snapshot adds nothing.
-        let mut again = snap.clone();
-        assert_eq!(fold_deltas(&mut again, &[d0, d1]), 0);
-        assert_eq!(again.events.len(), 8);
+        assert_eq!(snap.clock_offset_us, 7.0);
+        assert!(snap.events.windows(2).all(|w| w[0].seq < w[1].seq), "every event once, in order");
+        // The last frame's cumulative metrics are the run's.
+        assert_eq!(snap.metrics, d2.metrics);
+        assert_eq!(snap.metrics.counter("epochs"), Some(14));
+
+        assert!(fold_deltas(Vec::new()).is_none());
     }
 }

@@ -6,9 +6,9 @@
 //! chose, the socket rendezvous points, and the per-phase read schedule
 //! filtered to the tasks this worker hosts.  It travels as the JSON
 //! payload of [`Message::Assignment`](crate::wire::Message::Assignment)
-//! under the versioned `orwl-proc-assign/v1` schema, so a worker from a
-//! different build fails loudly on schema drift instead of
-//! misinterpreting fields.
+//! under the `orwl-proc-assign/v1` schema.  Coordinator and worker are the
+//! same binary, so parsing is exact: every key the writer emits is
+//! required, and a missing one is an error, not a default.
 
 use orwl_obs::json::Json;
 use orwl_obs::{EventFilter, ObsConfig};
@@ -23,8 +23,7 @@ pub const REASSIGN_SCHEMA: &str = "orwl-proc-reassign/v1";
 /// The observation request riding along in an assignment: the worker's
 /// recorder configuration plus the coordinator-side handshake timestamps
 /// the worker needs to estimate its clock offset (midpoint method — see
-/// `orwl_obs::merge`).  Optional: absent means "run dark", and v1
-/// documents (which never carry it) keep parsing.
+/// `orwl_obs::merge`).  An unobserved run's assignment carries none.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObsSpec {
     /// Recorder ring capacity (events per thread).
@@ -40,17 +39,16 @@ pub struct ObsSpec {
     /// Coordinator clock (µs) when this assignment was sent.
     pub assign_send_us: u64,
     /// Live-streaming interval in milliseconds: every interval the worker
-    /// sends a heartbeat and drains an interval delta to the coordinator.
-    /// `0` (the default, and what older documents parse to) disables
-    /// streaming — the run uploads one post-run snapshot only.
+    /// sends a heartbeat and a telemetry frame to the coordinator.  `0`
+    /// disables streaming — the worker sends only its final frame.
     pub stream_interval_ms: u64,
 }
 
 impl ObsSpec {
-    /// Builds the spec from a recorder config plus the two
-    /// coordinator-side handshake timestamps.
+    /// Builds the spec from a recorder config, the two coordinator-side
+    /// handshake timestamps and the streaming interval (`0` = none).
     #[must_use]
-    pub fn new(cfg: &ObsConfig, hello_recv_us: u64, assign_send_us: u64) -> Self {
+    pub fn new(cfg: &ObsConfig, hello_recv_us: u64, assign_send_us: u64, stream_interval_ms: u64) -> Self {
         ObsSpec {
             ring_capacity: cfg.ring_capacity,
             lock_wait_threshold_ns: cfg.lock_wait_threshold_ns,
@@ -58,16 +56,8 @@ impl ObsSpec {
             sample_every: cfg.sample_every,
             hello_recv_us,
             assign_send_us,
-            stream_interval_ms: 0,
+            stream_interval_ms,
         }
-    }
-
-    /// Asks the worker to stream heartbeats and interval deltas every
-    /// `interval_ms` milliseconds during the run.
-    #[must_use]
-    pub fn with_stream_interval_ms(mut self, interval_ms: u64) -> Self {
-        self.stream_interval_ms = interval_ms;
-        self
     }
 
     /// The worker-side recorder configuration this spec describes.
@@ -102,14 +92,7 @@ impl ObsSpec {
             sample_every: req_usize(doc, "sample_every")? as u32,
             hello_recv_us: req_usize(doc, "hello_recv_us")? as u64,
             assign_send_us: req_usize(doc, "assign_send_us")? as u64,
-            // Absent in documents written before live streaming existed:
-            // parse tolerantly to "no streaming" instead of rejecting.
-            stream_interval_ms: match doc.get("stream_interval_ms") {
-                Some(v) => req_usize(doc, "stream_interval_ms").map_err(|_| {
-                    format!("field \"stream_interval_ms\" must be a non-negative integer, got {v:?}")
-                })? as u64,
-                None => 0,
-            },
+            stream_interval_ms: req_usize(doc, "stream_interval_ms")? as u64,
         })
     }
 }
@@ -166,9 +149,7 @@ pub struct Assignment {
     /// Whether the coordinator may interrupt this run for node-loss
     /// recovery: the worker then executes round-by-round, watching for
     /// `Quiesce` frames between rounds, and parks instead of failing when
-    /// a peer read breaks.  `false` (the default, and what documents
-    /// written before recovery existed parse to) keeps the original
-    /// run-to-completion behaviour.
+    /// a peer read breaks.  `false` runs straight to completion.
     pub recovery: bool,
 }
 
@@ -251,12 +232,9 @@ impl Assignment {
                 Some(obs) => Some(ObsSpec::from_json(obs).map_err(|e| format!("obs: {e}"))?),
                 None => None,
             },
-            // Absent in documents written before recovery existed: parse
-            // tolerantly to "not interruptible" instead of rejecting.
-            recovery: match doc.get("recovery") {
-                Some(Json::Bool(b)) => *b,
-                Some(v) => return Err(format!("field \"recovery\" must be a boolean, got {v:?}")),
-                None => false,
+            recovery: match req(doc, "recovery")? {
+                Json::Bool(b) => *b,
+                v => return Err(format!("field \"recovery\" must be a boolean, got {v:?}")),
             },
         };
         assignment.validate()?;
@@ -549,12 +527,12 @@ mod tests {
     }
 
     #[test]
-    fn obs_spec_roundtrips_and_stays_optional() {
-        // A document without "obs" (every v1 assignment) parses to None —
-        // already covered by json_roundtrip_is_lossless; here the observed
-        // variant round-trips including the handshake timestamps.
+    fn obs_spec_roundtrips_and_every_key_is_required() {
+        // An unobserved assignment (no "obs") parses to None — covered by
+        // json_roundtrip_is_lossless; here the observed variant
+        // round-trips including the handshake timestamps.
         let mut a = sample();
-        a.obs = Some(ObsSpec::new(&ObsConfig::default(), 1234, 5678));
+        a.obs = Some(ObsSpec::new(&ObsConfig::default(), 1234, 5678, 0));
         let parsed = Assignment::from_json(&Json::parse(&a.to_json().pretty()).unwrap()).unwrap();
         assert_eq!(parsed, a);
         let spec = parsed.obs.unwrap();
@@ -567,14 +545,13 @@ mod tests {
 
         // The streaming interval rides along when requested...
         let mut live = sample();
-        live.obs = Some(ObsSpec::new(&ObsConfig::default(), 1, 2).with_stream_interval_ms(250));
+        live.obs = Some(ObsSpec::new(&ObsConfig::default(), 1, 2, 250));
         let parsed = Assignment::from_json(&Json::parse(&live.to_json().pretty()).unwrap()).unwrap();
         assert_eq!(parsed.obs.unwrap().stream_interval_ms, 250);
 
-        // ...and a document written before live streaming existed (no
-        // "stream_interval_ms" key) still parses, to "no streaming".
-        let mut old = a.to_json();
-        if let Json::Obj(pairs) = &mut old {
+        // ...and is required like every other key of the spec.
+        let mut partial = a.to_json();
+        if let Json::Obj(pairs) = &mut partial {
             for (k, v) in pairs.iter_mut() {
                 if k == "obs" {
                     if let Json::Obj(obs_pairs) = v {
@@ -583,8 +560,7 @@ mod tests {
                 }
             }
         }
-        let parsed = Assignment::from_json(&old).unwrap();
-        assert_eq!(parsed.obs.unwrap().stream_interval_ms, 0);
+        assert!(Assignment::from_json(&partial).unwrap_err().contains("stream_interval_ms"));
 
         // A malformed obs object is a loud error, not a silent None.
         let mut bad = a.to_json();
@@ -620,20 +596,18 @@ mod tests {
     }
 
     #[test]
-    fn recovery_flag_roundtrips_and_stays_optional() {
+    fn recovery_flag_roundtrips_and_is_required() {
         let mut a = sample();
         a.recovery = true;
         let parsed = Assignment::from_json(&Json::parse(&a.to_json().pretty()).unwrap()).unwrap();
         assert!(parsed.recovery);
 
-        // A document written before recovery existed (no "recovery" key)
-        // parses to run-to-completion.
-        let mut old = sample().to_json();
-        if let Json::Obj(pairs) = &mut old {
+        // A document without the key is an error, not run-to-completion.
+        let mut partial = sample().to_json();
+        if let Json::Obj(pairs) = &mut partial {
             pairs.retain(|(k, _)| k != "recovery");
         }
-        let parsed = Assignment::from_json(&old).unwrap();
-        assert!(!parsed.recovery);
+        assert!(Assignment::from_json(&partial).unwrap_err().contains("missing field \"recovery\""));
 
         // A malformed flag is a loud error, not a silent default.
         let mut bad = sample().to_json();

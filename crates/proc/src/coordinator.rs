@@ -95,12 +95,9 @@ impl WorkerChild {
     }
 }
 
-/// What one lossy poll attempt observed on a control connection.
-///
-/// [`WorkerPool::poll_from`] turns `Lost` into a fatal cascade failure;
-/// recovery-enabled coordinators use [`WorkerPool::poll_from_lossy`]
-/// directly so a lost node can trigger a re-shard instead of ending the
-/// run.
+/// What one [`WorkerPool::poll_from_lossy`] attempt observed on a control
+/// connection.  `Lost` is the caller's to judge: a recovery-enabled
+/// coordinator re-shards, any other fails the run.
 #[derive(Debug)]
 pub enum Polled {
     /// A whole message arrived.
@@ -257,34 +254,38 @@ impl WorkerPool {
     }
 
     /// Like [`WorkerPool::fail`], but for failures observed on `node`
-    /// that may be collateral damage: when some *other* worker already
-    /// exited with a failure status, that death is the root cause (a
-    /// dying peer tears down every connection it serves) and its stderr
-    /// tail carries the original panic — blame it instead of `node`.
+    /// that may be collateral damage: when some *other* worker is the
+    /// likelier root cause (a dying peer tears down every connection it
+    /// serves) its stderr tail carries the original panic — blame it
+    /// instead of `node`.
     pub fn fail_cascade(&mut self, node: usize, reason: impl Into<String>) -> WorkerFailure {
-        // A peer's cascade error can race the dying worker's reaping by a
-        // few milliseconds, so give the root cause a short grace window
-        // to show up as an exited child before settling blame — unless
-        // `node` itself already died, which settles it immediately.
+        // A worker that exits 1 diagnosed its own failure and said so
+        // (`maybe_worker`) — most often a symptom of a peer's death; one
+        // that died any other way (a signal, a panic) diagnosed nothing
+        // and is the root cause wherever the failure was first seen.  So
+        // among the failed children a crash outranks an exit 1, and `node`
+        // outranks its peers.  A peer's cascade error can race the dying
+        // worker's reaping by a few milliseconds, so the first failed
+        // child gets a short grace window to show up before blame settles.
+        let crashed = |s: std::process::ExitStatus| s.code() != Some(1);
         let mut root = None;
         for _ in 0..5 {
-            if self.children[node].poll_exit().is_some_and(|s| !s.success()) {
-                break;
-            }
-            root = (0..self.children.len()).find(|&n| {
-                n != node && !self.dead[n] && self.children[n].poll_exit().is_some_and(|s| !s.success())
-            });
+            root = (0..self.children.len())
+                .filter(|&n| n == node || !self.dead[n])
+                .filter_map(|n| Some((n, self.children[n].poll_exit().filter(|s| !s.success())?)))
+                .min_by_key(|&(n, s)| (!crashed(s), n != node))
+                .map(|(n, _)| n);
             if root.is_some() {
                 break;
             }
             std::thread::sleep(Duration::from_millis(10));
         }
         match root {
-            Some(root) => self.fail(
+            Some(root) if root != node => self.fail(
                 Some(root),
                 format!("worker exited during the run (a peer then saw: {})", reason.into()),
             ),
-            None => self.fail(Some(node), reason),
+            _ => self.fail(Some(node), reason),
         }
     }
 
@@ -372,27 +373,14 @@ impl WorkerPool {
         Ok(())
     }
 
-    /// One short-slice receive attempt on `node`'s control connection:
-    /// `Ok(None)` when nothing whole arrived within `slice`, the decoded
-    /// message otherwise.  A worker-reported error, a closed socket or a
-    /// dead worker is still a typed failure — only silence is `None`.
-    /// This is the live monitor's building block: round-robin `poll_from`
-    /// over every node multiplexes heartbeats, deltas and `Done` reports
-    /// without parking the coordinator on any single worker.
-    pub fn poll_from(&mut self, node: usize, slice: Duration) -> Result<Option<Message>, WorkerFailure> {
-        match self.poll_from_lossy(node, slice)? {
-            Polled::Message(message) => Ok(Some(message)),
-            Polled::Silence => Ok(None),
-            Polled::Lost(detail) => Err(self.fail_cascade(node, detail)),
-        }
-    }
-
-    /// The loss-tolerant poll underneath [`WorkerPool::poll_from`]: a
-    /// vanished connection comes back as [`Polled::Lost`] instead of
-    /// tearing the run down, so a recovery-enabled coordinator can
-    /// confirm the loss and re-shard.  A worker-*reported* error is still
-    /// fatal — the worker chose to fail, and the failure would recur on
-    /// any survivor.
+    /// One short-slice receive attempt on `node`'s control connection —
+    /// the live monitor's building block: round-robin polling over every
+    /// node multiplexes heartbeats, telemetry frames and `Done` reports
+    /// without parking the coordinator on any single worker.  A vanished
+    /// connection comes back as [`Polled::Lost`] instead of tearing the
+    /// run down, so a recovery-enabled coordinator can confirm the loss
+    /// and re-shard.  A worker-*reported* error is still fatal — the
+    /// worker chose to fail, and the failure would recur on any survivor.
     pub fn poll_from_lossy(&mut self, node: usize, slice: Duration) -> Result<Polled, WorkerFailure> {
         let Some(control) = self.controls[node].as_mut() else {
             return Err(self.fail(Some(node), "no control connection"));
@@ -417,38 +405,33 @@ impl WorkerPool {
         }
     }
 
-    /// Streaming frames that arrived while a specific kind was awaited —
-    /// [`WorkerPool::recv_from`] sets them aside instead of failing, and
-    /// the live monitor drains them here so no delta is ever lost to
-    /// protocol-step racing.
+    /// Heartbeats and telemetry frames that arrived while a specific
+    /// kind was awaited — [`WorkerPool::recv_from`] sets them aside
+    /// instead of failing, and the coordinator drains them here: a live
+    /// run's frames racing a protocol step, and every observed run's
+    /// final frames, which precede `Metrics`.
     pub fn take_stray(&mut self) -> Vec<(usize, Message)> {
         std::mem::take(&mut self.stray)
     }
 
     /// Waits (deadline-bounded, death-aware) for one message of kind
-    /// `expect` from `node`.  Live-streaming frames (heartbeats, interval
-    /// deltas) may race any protocol step, so they are set aside for
-    /// [`WorkerPool::take_stray`] rather than failing the run; anything
-    /// else unexpected — a worker-reported error, an unexpected kind, a
-    /// dead or silent worker — fails the whole run.
+    /// `expect` from `node`.  Heartbeats and telemetry frames may race
+    /// (or, after `Shutdown`, precede) any protocol step, so they are set
+    /// aside for [`WorkerPool::take_stray`] rather than failing the run;
+    /// anything else unexpected — a worker-reported error, an unexpected
+    /// kind, a dead or silent worker — fails the whole run.
     pub fn recv_from(&mut self, node: usize, expect: &'static str) -> Result<Message, WorkerFailure> {
         let deadline = Instant::now() + self.io_timeout;
         loop {
-            let Some(control) = self.controls[node].as_mut() else {
-                return Err(self.fail(Some(node), "no control connection"));
-            };
-            match control.recv(Some(Duration::from_millis(100))) {
-                Ok(message) if message.name() == expect => return Ok(message),
-                Ok(Message::Error { message }) => {
-                    return Err(self.fail(Some(node), format!("worker reported: {message}")));
-                }
-                Ok(message @ (Message::Heartbeat { .. } | Message::TelemetryDelta { .. })) => {
+            match self.poll_from_lossy(node, Duration::from_millis(100))? {
+                Polled::Message(message) if message.name() == expect => return Ok(message),
+                Polled::Message(message @ (Message::Heartbeat { .. } | Message::TelemetryDelta { .. })) => {
                     self.stray.push((node, message));
                 }
-                Ok(other) => {
+                Polled::Message(other) => {
                     return Err(self.fail(Some(node), format!("expected {expect}, got {}", other.name())));
                 }
-                Err(RecvError::Timeout) => {
+                Polled::Silence => {
                     if let Some(status) = self.children[node].poll_exit() {
                         return Err(self.fail(
                             Some(node),
@@ -459,22 +442,8 @@ impl WorkerPool {
                         return Err(self.fail(Some(node), format!("timed out waiting for {expect}")));
                     }
                 }
-                Err(RecvError::Closed) => {
-                    // Drain the exit status first: a crash shows up as a
-                    // closed socket, and the status plus stderr tail is the
-                    // useful part of the report.
-                    std::thread::sleep(Duration::from_millis(20));
-                    let status = self.children[node].poll_exit();
-                    let detail = match status {
-                        Some(status) => {
-                            format!("worker exited ({status}) while the coordinator awaited {expect}")
-                        }
-                        None => format!("worker closed its control connection awaiting {expect}"),
-                    };
-                    return Err(self.fail(Some(node), detail));
-                }
-                Err(e) => {
-                    return Err(self.fail(Some(node), format!("control receive failed: {e}")));
+                Polled::Lost(detail) => {
+                    return Err(self.fail(Some(node), format!("{detail} (the coordinator awaited {expect})")));
                 }
             }
         }

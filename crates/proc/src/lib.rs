@@ -69,19 +69,19 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Configuration of live telemetry: while the run executes, every worker
-/// streams a heartbeat and an interval delta per `interval`, and the
+/// streams a heartbeat and a telemetry frame per `interval`, and the
 /// coordinator folds them into a [`LiveAggregator`], surfaces each
 /// arrival through `on_event`, and flags any node silent for more than
 /// `straggler_intervals` intervals as a straggler — *before* the run's
 /// recv deadline turns the silence into a hard failure.
 ///
 /// Live streaming requires an observed run (`SessionConfig::observe`):
-/// the deltas are drained from the worker's recorder, so a dark run has
+/// the frames are drained from the worker's recorder, so a dark run has
 /// nothing to stream and the config is ignored.
 #[derive(Clone)]
 pub struct LiveConfig {
-    /// Streaming interval: one heartbeat (plus one delta, when anything
-    /// happened) per worker per interval.
+    /// Streaming interval: one heartbeat (plus one telemetry frame, when
+    /// anything happened) per worker per interval.
     pub interval: Duration,
     /// Heartbeat intervals a node may miss before it is flagged.
     pub straggler_intervals: u32,
@@ -137,14 +137,15 @@ pub enum LiveEvent {
         /// The worker's beat counter.
         seq: u64,
     },
-    /// A worker's interval delta arrived and was folded into the
+    /// A worker's telemetry frame arrived and was folded into the
     /// aggregator.
     Delta {
         /// The reporting node.
         node: usize,
-        /// Encoded size of the delta on the wire.
+        /// Encoded size of the frame on the wire.
         bytes: usize,
-        /// The delta's folded rates.
+        /// The frame's own rates: its cumulative metrics minus the
+        /// previous frame's.
         stats: IntervalStats,
     },
     /// A node exceeded its missed-heartbeat budget — the typed warning
@@ -171,13 +172,13 @@ pub enum LiveEvent {
 }
 
 /// The coordinator-side live monitor: consumes streaming frames during
-/// the done-wait, rebases deltas onto the coordinator clock (each delta
-/// carries its track's NTP-midpoint offset), aggregates them, tracks
-/// per-node liveness and keeps every delta for the post-run fold.
+/// the done-wait, rebases telemetry frames onto the coordinator clock
+/// (each carries its track's NTP-midpoint offset), aggregates them,
+/// tracks per-node liveness and keeps every frame for the post-run fold.
 struct LiveMonitor<'a> {
     cfg: &'a LiveConfig,
     aggregator: LiveAggregator,
-    deltas: Vec<Vec<TelemetryDelta>>,
+    frames: Vec<Vec<TelemetryDelta>>,
     last_beat: Vec<Instant>,
     flagged: Vec<bool>,
     heartbeats: u64,
@@ -192,8 +193,8 @@ impl<'a> LiveMonitor<'a> {
     fn new(n_nodes: usize, cfg: &'a LiveConfig) -> LiveMonitor<'a> {
         LiveMonitor {
             cfg,
-            aggregator: LiveAggregator::new(cfg.interval.as_secs_f64().max(1e-3) * 1e6),
-            deltas: vec![Vec::new(); n_nodes],
+            aggregator: LiveAggregator::new(),
+            frames: vec![Vec::new(); n_nodes],
             last_beat: vec![Instant::now(); n_nodes],
             flagged: vec![false; n_nodes],
             heartbeats: 0,
@@ -221,14 +222,15 @@ impl<'a> LiveMonitor<'a> {
     }
 
     fn delta(&mut self, node: usize, bytes: &[u8]) -> Result<(), String> {
-        let delta = TelemetryDelta::decode(bytes).map_err(|e| format!("bad telemetry delta: {e}"))?;
-        self.delta_bytes += bytes.len() as u64;
+        let delta = decode_telemetry(bytes)?;
         // Workers merge onto track node+1 (track 0 is the coordinator);
-        // the aggregator's series use the same numbering.
-        self.aggregator.ingest(node as u32 + 1, &delta);
-        let stats = IntervalStats::of_delta(&delta);
-        self.deltas[node].push(delta);
-        self.emit(&LiveEvent::Delta { node, bytes: bytes.len(), stats });
+        // the aggregator's tracks use the same numbering.  A repeated
+        // frame is counted there and goes no further.
+        if let Some(stats) = self.aggregator.ingest(node as u32 + 1, &delta) {
+            self.delta_bytes += bytes.len() as u64;
+            self.frames[node].push(delta);
+            self.emit(&LiveEvent::Delta { node, bytes: bytes.len(), stats });
+        }
         Ok(())
     }
 
@@ -260,7 +262,7 @@ impl<'a> LiveMonitor<'a> {
     fn record_summary(&self, recorder: &Recorder) {
         let metrics = recorder.metrics();
         metrics.counter("live.heartbeats").add(self.heartbeats);
-        metrics.counter("live.deltas").add(self.deltas.iter().map(|d| d.len() as u64).sum());
+        metrics.counter("live.deltas").add(self.frames.iter().map(|f| f.len() as u64).sum());
         metrics.counter("live.delta_bytes").add(self.delta_bytes);
         metrics.counter("live.stragglers_flagged").add(self.stragglers_flagged);
         metrics.counter("live.duplicate_deltas").add(self.aggregator.duplicates());
@@ -320,6 +322,10 @@ impl Default for RecoveryConfig {
     }
 }
 
+fn decode_telemetry(bytes: &[u8]) -> Result<TelemetryDelta, String> {
+    TelemetryDelta::decode(bytes).map_err(|e| format!("bad telemetry frame: {e}"))
+}
+
 /// What the protocol's recovery machinery did, folded into the report's
 /// [`AdaptReport`] when any re-shard happened.  (The per-episode task
 /// counts travel as [`EventKind::Recovery`] events and `live.*` counters
@@ -339,8 +345,9 @@ struct RecoveryState {
 }
 
 /// What a completed control protocol hands back: the wall-clocked
-/// execution span, one metrics document per worker, (observed runs
-/// only) the per-node telemetry snapshots, and the recovery summary.
+/// execution span, one metrics document per surviving worker, (observed
+/// runs only) one telemetry snapshot per node that sent any frame, and
+/// the recovery summary.
 type ProtocolOutcome = (Duration, Vec<WorkerMetrics>, Vec<(u32, TelemetrySnapshot)>, RecoverySummary);
 
 /// The multi-process cluster executor as a `Session` backend: one OS
@@ -425,7 +432,7 @@ impl ProcBackend {
     }
 
     /// Enables live telemetry on observed runs: workers stream heartbeats
-    /// and interval deltas on [`LiveConfig::interval`], the coordinator
+    /// and telemetry frames on [`LiveConfig::interval`], the coordinator
     /// aggregates them mid-run and flags stragglers.  Ignored unless the
     /// session asks for observation (`SessionConfig::observe`), because
     /// the stream is drained from the run's recorder.
@@ -513,8 +520,8 @@ impl ProcBackend {
 
     /// Drives the coordinator side of the control protocol to completion:
     /// handshake, assignments, synchronized start, the wall-clocked
-    /// execution span, telemetry collection (observed runs), shutdown,
-    /// and one metrics document per worker.
+    /// execution span, shutdown, one metrics document per worker, and
+    /// (observed runs) the fold of every telemetry frame received.
     fn run_protocol(
         &self,
         mut pool: WorkerPool,
@@ -543,11 +550,13 @@ impl ProcBackend {
             // needs for its clock-offset estimate, and the send stamp
             // must be taken as late as possible.
             if let Some(cfg) = observe {
-                let mut spec = ObsSpec::new(cfg, pool.hello_recv_us(node), orwl_obs::process_clock_us());
-                if let Some(live) = live {
-                    spec = spec.with_stream_interval_ms((live.interval.as_millis() as u64).max(1));
-                }
-                assignment.obs = Some(spec);
+                let interval_ms = live.map_or(0, |live| (live.interval.as_millis() as u64).max(1));
+                assignment.obs = Some(ObsSpec::new(
+                    cfg,
+                    pool.hello_recv_us(node),
+                    orwl_obs::process_clock_us(),
+                    interval_ms,
+                ));
             }
             pool.send_to(node, &Message::Assignment { json: assignment.to_json().pretty() })?;
         }
@@ -568,60 +577,13 @@ impl ProcBackend {
             }
         }
         let elapsed = started.elapsed();
-        // Shutdown is broadcast *before* collecting telemetry: once every
-        // node has reported Done, every section anywhere has been granted
-        // and released, so a worker that drains its recorder after seeing
-        // Shutdown misses no owner-side events.  (Draining at Done would
-        // race a slow peer's read storm against the drain.)
+        // Once every node has reported Done, every section anywhere has
+        // been granted and released, so a worker that drains its recorder
+        // after seeing Shutdown misses no owner-side events.  (Draining
+        // at Done would race a slow peer's read storm against the drain.)
+        // Each observed worker answers Shutdown with its final telemetry
+        // frame(s) and then its Metrics, in that order on one stream.
         pool.broadcast(&Message::Shutdown)?;
-        let mut uploads = Vec::new();
-        if observe.is_some() {
-            // A lost node uploads nothing: its telemetry died with it.
-            // (Its pre-loss streamed deltas have no snapshot to fold
-            // into, so they survive only as live counters — documented
-            // in DESIGN.md's recovery limits.)
-            let alive: Vec<usize> = (0..n_nodes).filter(|&node| !pool.is_dead(node)).collect();
-            for node in alive {
-                let Message::TelemetryUpload { node: from, snapshot } =
-                    pool.recv_from(node, "telemetry_upload")?
-                else {
-                    unreachable!("recv_from returns the requested kind");
-                };
-                match TelemetrySnapshot::decode(&snapshot) {
-                    Ok(snap) => uploads.push((from, snap)),
-                    Err(e) => {
-                        return Err(pool.fail(Some(node), format!("bad telemetry snapshot: {e}")));
-                    }
-                }
-            }
-        }
-        if let Some(monitor) = monitor.as_mut() {
-            // Streaming frames can race any protocol step (a worker's last
-            // interval fires while its Done or upload is in flight);
-            // `recv_from` stashed them instead of failing, so no delta is
-            // lost.  A worker stops streaming before it uploads, so by now
-            // the stash is complete.
-            for (node, message) in pool.take_stray() {
-                match message {
-                    Message::Heartbeat { seq, .. } => monitor.heartbeat(node, seq),
-                    Message::TelemetryDelta { delta, .. } => {
-                        monitor.delta(node, &delta).map_err(|e| pool.fail(Some(node), e))?;
-                    }
-                    _ => unreachable!("recv_from stashes only streaming frames"),
-                }
-            }
-            // Mid-run deltas drained events the final snapshots no longer
-            // hold: fold them back so the merged timeline is identical to
-            // a non-streaming observed run (delta events dedup by seq;
-            // metric state needs no fold — registry snapshots are
-            // cumulative, so the final snapshot subsumes every delta).
-            for (from, snap) in &mut uploads {
-                fold_deltas(snap, &monitor.deltas[*from as usize]);
-            }
-            if let Some(recorder) = recorder {
-                monitor.record_summary(recorder);
-            }
-        }
         let mut metrics = Vec::with_capacity(n_nodes);
         let alive: Vec<usize> = (0..n_nodes).filter(|&node| !pool.is_dead(node)).collect();
         for node in alive {
@@ -636,16 +598,50 @@ impl ProcBackend {
                 Err(e) => return Err(pool.fail(Some(node), format!("bad metrics report: {e}"))),
             }
         }
+        // Telemetry frames can race any protocol step (a worker's last
+        // interval fires while its Done is in flight) and the final ones
+        // always precede Metrics; `recv_from` stashed them all instead of
+        // failing, so by now the stash completes every node's track.
+        let mut frames = vec![Vec::new(); n_nodes];
+        for (node, message) in pool.take_stray() {
+            match (message, monitor.as_mut()) {
+                (Message::Heartbeat { seq, .. }, Some(monitor)) => monitor.heartbeat(node, seq),
+                (Message::TelemetryDelta { delta, .. }, Some(monitor)) => {
+                    monitor.delta(node, &delta).map_err(|e| pool.fail(Some(node), e))?;
+                }
+                (Message::TelemetryDelta { delta, .. }, None) => {
+                    frames[node].push(decode_telemetry(&delta).map_err(|e| pool.fail(Some(node), e))?);
+                }
+                // Only a live run's workers beat, and recv_from stashes
+                // nothing else.
+                _ => {}
+            }
+        }
+        if let Some(monitor) = monitor {
+            if let Some(recorder) = recorder {
+                monitor.record_summary(recorder);
+            }
+            frames = monitor.frames;
+        }
+        // A node's telemetry is the concatenation of its frames — which
+        // also makes whatever a lost node streamed before it died a
+        // complete (if short) track of its own.
+        let telemetry = frames
+            .into_iter()
+            .enumerate()
+            .filter_map(|(node, frames)| Some((node as u32, fold_deltas(frames)?)))
+            .collect();
         pool.wait_all()?;
         let summary = recovery
             .map(|state| RecoverySummary { node_reshards: state.down.len() as u64 })
             .unwrap_or_default();
-        Ok((elapsed, metrics, uploads, summary))
+        Ok((elapsed, metrics, telemetry, summary))
     }
 
     /// The live done-wait: round-robins a short-slice poll over every
-    /// worker's control connection, dispatching heartbeats and deltas to
-    /// the monitor as they stream in, until every node reports `Done`.
+    /// worker's control connection, dispatching heartbeats and telemetry
+    /// frames to the monitor as they stream in, until every node reports
+    /// `Done`.
     /// Silence on one node never parks the coordinator — each cycle ends
     /// with a straggler sweep, and a node with no control traffic for the
     /// whole io timeout (heartbeats reset the clock) fails the run.
@@ -1025,7 +1021,7 @@ impl ExecutionBackend for ProcBackend {
         }
         let pool = WorkerPool::spawn(cluster.n_nodes(), &self.worker_args, &worker_env, self.io_timeout)
             .map_err(|e| OrwlError::WorkerFailed { node: 0, detail: format!("spawning workers: {e}") })?;
-        let (elapsed, metrics, uploads, recovery) = self
+        let (elapsed, metrics, telemetry, recovery) = self
             .run_protocol(pool, &workload, &cp.node_of_task, config.observe.as_ref(), recorder.as_deref())
             .map_err(|f| OrwlError::WorkerFailed { node: f.node, detail: f.detail })?;
 
@@ -1040,8 +1036,8 @@ impl ExecutionBackend for ProcBackend {
 
         if let Some(obs) = recorder.as_ref() {
             // The coordinator's own track carries the run-level fabric
-            // summary; per-section lock telemetry now arrives from the
-            // workers as first-class events in the uploads.
+            // summary; per-section lock telemetry arrives from the
+            // workers as first-class events in their frames.
             for (lane, bytes) in [
                 (FabricLane::SameNode, same_node_bytes_model),
                 (FabricLane::SameRack, same_rack_bytes as f64),
@@ -1090,7 +1086,7 @@ impl ExecutionBackend for ProcBackend {
             }),
             obs: recorder.map(|r| {
                 let origin_us = r.origin_us() as f64;
-                merge_run(r.finish(self.name()), origin_us, &uploads)
+                merge_run(r.finish(self.name()), origin_us, &telemetry)
             }),
         })
     }

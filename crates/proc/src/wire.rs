@@ -1,4 +1,4 @@
-//! The versioned wire codec of the ORWL lock protocol.
+//! The wire codec of the ORWL lock protocol.
 //!
 //! Every message travels as one frame:
 //!
@@ -18,8 +18,15 @@
 //! once the FIFO grants the section *and carries the location buffer as
 //! its payload*, and [`Message::Release`] closes the section.  The
 //! remaining kinds run the coordinator↔worker lifecycle (hello,
-//! assignment, ready/start barrier, metrics/done, shutdown) and error
-//! reporting.
+//! assignment, ready/start barrier, done, shutdown, metrics), liveness and
+//! telemetry ([`Message::Heartbeat`], [`Message::TelemetryDelta`]),
+//! node-loss recovery (quiesce/ack/re-assignment/resume) and error
+//! reporting — seventeen kinds in all.
+//!
+//! The version check is exact: workers are the coordinator's own binary
+//! re-exec'd, so both ends of every connection were compiled from the same
+//! source and a frame stamped with any other [`VERSION`] is a typed
+//! [`WireError::BadVersion`], never a compatibility case to decode.
 //!
 //! [`FrameReader`] decodes incrementally: push whatever bytes arrived,
 //! take out whole messages — partial headers, split payloads and multiple
@@ -30,19 +37,10 @@ use std::fmt;
 /// Frame magic: `"ORWL"`.
 pub const MAGIC: [u8; 4] = *b"ORWL";
 
-/// Protocol version carried in every frame header.
-///
-/// v2 added [`Message::TelemetryUpload`]; v3 added the live-streaming
-/// kinds [`Message::Heartbeat`] and [`Message::TelemetryDelta`]; v4
-/// added the recovery kinds [`Message::Quiesce`],
-/// [`Message::QuiesceAck`], [`Message::ReAssignment`] and
-/// [`Message::Resume`].  Every older frame is still decoded
-/// byte-for-byte (released kinds' layouts are frozen), so a v4 peer
-/// accepts any version in `MIN_VERSION..=VERSION`.
-pub const VERSION: u16 = 4;
-
-/// Oldest protocol version this codec still decodes.
-pub const MIN_VERSION: u16 = 1;
+/// Protocol version carried in, and required of, every frame header.  It
+/// names the whole layout — the kind numbering and every payload — and
+/// changes whenever any of it does.
+pub const VERSION: u16 = 5;
 
 /// Frame header length in bytes (magic + version + kind + payload len).
 pub const HEADER_LEN: usize = 11;
@@ -54,15 +52,11 @@ pub const MAX_DATA: usize = 1 << 20;
 /// fields, with headroom for the JSON-bearing kinds.
 pub const MAX_PAYLOAD: usize = MAX_DATA + 64;
 
-/// Hard cap on a telemetry snapshot carried by a
-/// [`Message::TelemetryUpload`] — event rings are bigger than any single
-/// location buffer, so this kind gets its own budget.
-pub const MAX_SNAPSHOT: usize = 8 << 20;
-
-/// Hard cap on an encoded interval delta carried by a
-/// [`Message::TelemetryDelta`].  One interval drains at most one ring's
-/// worth of events, so deltas are far smaller than final snapshots, but
-/// the cap stays generous: a blown budget mid-run would kill the stream.
+/// Hard cap on an encoded telemetry frame carried by a
+/// [`Message::TelemetryDelta`] — event drains are bigger than any single
+/// location buffer, so this kind gets its own budget.  The producer splits
+/// a drain at `orwl_obs::timeseries::MAX_FRAME_EVENTS` events per frame,
+/// which keeps every frame under this cap.
 pub const MAX_DELTA: usize = 4 << 20;
 
 /// Access mode of a remote lock request.
@@ -102,13 +96,12 @@ const KIND_DONE: u8 = 7;
 const KIND_METRICS: u8 = 8;
 const KIND_ERROR: u8 = 9;
 const KIND_SHUTDOWN: u8 = 10;
-const KIND_TELEMETRY_UPLOAD: u8 = 11; // v2
-const KIND_HEARTBEAT: u8 = 12; // v3
-const KIND_TELEMETRY_DELTA: u8 = 13; // v3
-const KIND_QUIESCE: u8 = 14; // v4
-const KIND_QUIESCE_ACK: u8 = 15; // v4
-const KIND_REASSIGNMENT: u8 = 16; // v4
-const KIND_RESUME: u8 = 17; // v4
+const KIND_HEARTBEAT: u8 = 11;
+const KIND_TELEMETRY_DELTA: u8 = 12;
+const KIND_QUIESCE: u8 = 13;
+const KIND_QUIESCE_ACK: u8 = 14;
+const KIND_REASSIGNMENT: u8 = 15;
+const KIND_RESUME: u8 = 16;
 
 /// One protocol message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -166,7 +159,7 @@ pub enum Message {
         node: u32,
     },
     /// Worker → coordinator: transport and lock-wait accounting (an
-    /// `orwl-proc-metrics/v1` JSON document), sent just before `Done`.
+    /// `orwl-proc-metrics/v1` JSON document), the worker's last frame.
     Metrics {
         /// The worker's node index.
         node: u32,
@@ -180,47 +173,36 @@ pub enum Message {
     },
     /// Coordinator → worker: every worker is done; exit now.
     Shutdown,
-    /// Worker → coordinator (v2): the worker's drained telemetry, sent
-    /// after `Shutdown` (once every node's sections are served) when the
-    /// assignment asked for observation.  The snapshot bytes are the
-    /// `orwl-obs` binary
-    /// [`TelemetrySnapshot`](orwl_obs::TelemetrySnapshot) encoding —
-    /// opaque at this layer.
-    TelemetryUpload {
-        /// The worker's node index.
-        node: u32,
-        /// The encoded snapshot.
-        snapshot: Vec<u8>,
-    },
-    /// Worker → coordinator (v3): a liveness beacon sent once per
-    /// streaming interval while the run executes.  The coordinator's
-    /// monitor flags a node as a straggler when beats stop arriving.
+    /// Worker → coordinator: a liveness beacon sent once per streaming
+    /// interval while a live run executes.  The coordinator's monitor
+    /// flags a node as a straggler when beats stop arriving.
     Heartbeat {
         /// The worker's node index.
         node: u32,
         /// Monotonic beat counter, starting at 0 on `Start`.
         seq: u64,
     },
-    /// Worker → coordinator (v3): one interval's drained telemetry — the
-    /// `orwl-obs` binary
-    /// [`TelemetryDelta`](orwl_obs::TelemetryDelta) encoding, opaque at
-    /// this layer.  Sent alongside heartbeats while the run executes;
-    /// the final post-run [`Message::TelemetryUpload`] subsumes the
-    /// metric state, and delta events are deduplicated by sequence.
+    /// Worker → coordinator: one telemetry frame — the events drained
+    /// since the previous frame plus the cumulative metrics, in the
+    /// `orwl-obs` binary [`TelemetryDelta`](orwl_obs::TelemetryDelta)
+    /// encoding, opaque at this layer.  The only way telemetry travels:
+    /// a live worker sends one per interval alongside its heartbeats, and
+    /// every observed worker sends its final drain after `Shutdown` (once
+    /// every node's sections are served), just before `Metrics`.
     TelemetryDelta {
         /// The worker's node index.
         node: u32,
-        /// The encoded interval delta.
+        /// The encoded frame.
         delta: Vec<u8>,
     },
-    /// Coordinator → worker (v4): a node died; park at the next
+    /// Coordinator → worker: a node died; park at the next
     /// iteration boundary and acknowledge.  `round` numbers the recovery
     /// episode so late acks can never be confused across episodes.
     Quiesce {
         /// Recovery episode counter, starting at 1 on the first loss.
         round: u32,
     },
-    /// Worker → coordinator (v4): this worker is parked and will accept
+    /// Worker → coordinator: this worker is parked and will accept
     /// a re-assignment for the echoed `round`.
     QuiesceAck {
         /// The worker's node index.
@@ -228,13 +210,13 @@ pub enum Message {
         /// Echo of the quiesce's `round`.
         round: u32,
     },
-    /// Coordinator → worker (v4): the post-loss work distribution (an
+    /// Coordinator → worker: the post-loss work distribution (an
     /// `orwl-proc-reassign/v1` JSON document, see `assignment`).
     ReAssignment {
         /// The re-assignment document text.
         json: String,
     },
-    /// Coordinator → worker (v4): every survivor re-acknowledged ready;
+    /// Coordinator → worker: every survivor re-acknowledged ready;
     /// resume executing under the new distribution.
     Resume {
         /// Echo of the quiesce's `round`.
@@ -256,7 +238,6 @@ impl Message {
             Message::Metrics { .. } => KIND_METRICS,
             Message::Error { .. } => KIND_ERROR,
             Message::Shutdown => KIND_SHUTDOWN,
-            Message::TelemetryUpload { .. } => KIND_TELEMETRY_UPLOAD,
             Message::Heartbeat { .. } => KIND_HEARTBEAT,
             Message::TelemetryDelta { .. } => KIND_TELEMETRY_DELTA,
             Message::Quiesce { .. } => KIND_QUIESCE,
@@ -281,7 +262,6 @@ impl Message {
             Message::Metrics { .. } => "metrics",
             Message::Error { .. } => "error",
             Message::Shutdown => "shutdown",
-            Message::TelemetryUpload { .. } => "telemetry_upload",
             Message::Heartbeat { .. } => "heartbeat",
             Message::TelemetryDelta { .. } => "telemetry_delta",
             Message::Quiesce { .. } => "quiesce",
@@ -291,11 +271,9 @@ impl Message {
         }
     }
 
-    /// Payload budget of one kind; telemetry snapshots and interval
-    /// deltas get their own.
+    /// Payload budget of one kind; telemetry frames get their own.
     fn max_payload_of(kind: u8) -> usize {
         match kind {
-            KIND_TELEMETRY_UPLOAD => MAX_SNAPSHOT + 16,
             KIND_TELEMETRY_DELTA => MAX_DELTA + 16,
             _ => MAX_PAYLOAD,
         }
@@ -305,8 +283,8 @@ impl Message {
     ///
     /// # Panics
     /// If the payload would exceed its kind's cap ([`MAX_PAYLOAD`], or
-    /// [`MAX_SNAPSHOT`] + fixed fields for a telemetry upload); callers
-    /// cap grant data at [`MAX_DATA`] and snapshots at [`MAX_SNAPSHOT`].
+    /// [`MAX_DELTA`] + fixed fields for a telemetry frame); callers cap
+    /// grant data at [`MAX_DATA`] and telemetry frames at [`MAX_DELTA`].
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut payload = Vec::new();
@@ -337,11 +315,6 @@ impl Message {
             Message::Metrics { node, json } => {
                 payload.extend_from_slice(&node.to_le_bytes());
                 payload.extend_from_slice(json.as_bytes());
-            }
-            Message::TelemetryUpload { node, snapshot } => {
-                assert!(snapshot.len() <= MAX_SNAPSHOT, "snapshot over MAX_SNAPSHOT");
-                payload.extend_from_slice(&node.to_le_bytes());
-                payload.extend_from_slice(snapshot);
             }
             Message::Heartbeat { node, seq } => {
                 payload.extend_from_slice(&node.to_le_bytes());
@@ -382,17 +355,19 @@ pub enum WireError {
         /// The four bytes found instead.
         got: [u8; 4],
     },
-    /// The frame carries an unsupported protocol version.
+    /// The frame carries any protocol version but [`VERSION`].
     BadVersion {
         /// The version found.
         got: u16,
     },
     /// The frame's kind byte names no message.
     UnknownKind(u8),
-    /// The declared payload length exceeds [`MAX_PAYLOAD`].
+    /// The declared payload length exceeds the cap of the frame's kind.
     PayloadTooLarge {
         /// The declared length.
         len: u32,
+        /// The cap it exceeded.
+        cap: usize,
     },
     /// The payload is shorter than the kind's fixed fields.
     Truncated {
@@ -423,8 +398,8 @@ impl fmt::Display for WireError {
                 write!(f, "unsupported protocol version {got} (speaking {VERSION})")
             }
             WireError::UnknownKind(kind) => write!(f, "unknown message kind {kind}"),
-            WireError::PayloadTooLarge { len } => {
-                write!(f, "payload of {len} bytes exceeds the {MAX_PAYLOAD}-byte cap")
+            WireError::PayloadTooLarge { len, cap } => {
+                write!(f, "payload of {len} bytes exceeds the {cap}-byte cap")
             }
             WireError::Truncated { kind } => write!(f, "payload of kind {kind} is truncated"),
             WireError::BadUtf8 { kind } => write!(f, "payload of kind {kind} is not valid UTF-8"),
@@ -456,19 +431,7 @@ fn take_string(payload: &[u8], at: usize, kind: u8) -> Result<String, WireError>
     String::from_utf8(tail.to_vec()).map_err(|_| WireError::BadUtf8 { kind })
 }
 
-fn decode_payload(version: u16, kind: u8, payload: &[u8]) -> Result<Message, WireError> {
-    // Kinds introduced after v1 are unknown inside an older frame: a peer
-    // must not emit them under a version that predates them, and decoding
-    // them anyway would mask that bug.
-    if kind >= KIND_TELEMETRY_UPLOAD && version < 2 {
-        return Err(WireError::UnknownKind(kind));
-    }
-    if kind >= KIND_HEARTBEAT && version < 3 {
-        return Err(WireError::UnknownKind(kind));
-    }
-    if kind >= KIND_QUIESCE && version < 4 {
-        return Err(WireError::UnknownKind(kind));
-    }
+fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, WireError> {
     Ok(match kind {
         KIND_HELLO => Message::Hello { node: take_u32(payload, 0, kind)? },
         KIND_ASSIGNMENT => Message::Assignment { json: take_string(payload, 0, kind)? },
@@ -497,10 +460,6 @@ fn decode_payload(version: u16, kind: u8, payload: &[u8]) -> Result<Message, Wir
         }
         KIND_ERROR => Message::Error { message: take_string(payload, 0, kind)? },
         KIND_SHUTDOWN => Message::Shutdown,
-        KIND_TELEMETRY_UPLOAD => Message::TelemetryUpload {
-            node: take_u32(payload, 0, kind)?,
-            snapshot: payload.get(4..).ok_or(WireError::Truncated { kind })?.to_vec(),
-        },
         KIND_HEARTBEAT => {
             Message::Heartbeat { node: take_u32(payload, 0, kind)?, seq: take_u64(payload, 4, kind)? }
         }
@@ -521,34 +480,17 @@ fn decode_payload(version: u16, kind: u8, payload: &[u8]) -> Result<Message, Wir
 /// Incremental frame decoder: push arriving bytes, take whole messages.
 ///
 /// Survives partial headers, split payloads and several frames per push —
-/// whatever chunking the socket produces.  Accepts frame versions in
-/// `MIN_VERSION..=max_version` (the codec's own [`VERSION`] by default);
-/// anything outside that window is a typed [`WireError::BadVersion`], so
-/// an old peer fed a newer frame fails fast instead of mis-parsing it.
-#[derive(Debug)]
+/// whatever chunking the socket produces.
+#[derive(Debug, Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
-    max_version: u16,
-}
-
-impl Default for FrameReader {
-    fn default() -> Self {
-        FrameReader { buf: Vec::new(), max_version: VERSION }
-    }
 }
 
 impl FrameReader {
-    /// An empty reader speaking the current [`VERSION`].
+    /// An empty reader.
     #[must_use]
     pub fn new() -> Self {
         FrameReader::default()
-    }
-
-    /// An empty reader that tops out at `max_version` — models (and
-    /// tests) an older peer receiving newer frames.
-    #[must_use]
-    pub fn with_max_version(max_version: u16) -> Self {
-        FrameReader { buf: Vec::new(), max_version }
     }
 
     /// Appends bytes read from the transport.
@@ -574,32 +516,22 @@ impl FrameReader {
             return Err(WireError::BadMagic { got: magic });
         }
         let version = u16::from_le_bytes(self.buf[4..6].try_into().unwrap());
-        if !(MIN_VERSION..=self.max_version).contains(&version) {
+        if version != VERSION {
             return Err(WireError::BadVersion { got: version });
         }
         let kind = self.buf[6];
         let len = u32::from_le_bytes(self.buf[7..11].try_into().unwrap());
-        if len as usize > Message::max_payload_of(kind) {
-            return Err(WireError::PayloadTooLarge { len });
+        let cap = Message::max_payload_of(kind);
+        if len as usize > cap {
+            return Err(WireError::PayloadTooLarge { len, cap });
         }
         let total = HEADER_LEN + len as usize;
         if self.buf.len() < total {
             return Ok(None);
         }
-        let message = decode_payload(version, kind, &self.buf[HEADER_LEN..total])?;
+        let message = decode_payload(kind, &self.buf[HEADER_LEN..total])?;
         self.buf.drain(..total);
         Ok(Some(message))
-    }
-}
-
-/// Decodes exactly one message from a complete frame.
-pub fn decode_frame(frame: &[u8]) -> Result<Message, WireError> {
-    let mut reader = FrameReader::new();
-    reader.push(frame);
-    match reader.try_next()? {
-        Some(message) if reader.pending() == 0 => Ok(message),
-        Some(_) => Err(WireError::Truncated { kind: frame.get(6).copied().unwrap_or(0) }),
-        None => Err(WireError::Truncated { kind: frame.get(6).copied().unwrap_or(0) }),
     }
 }
 
@@ -607,6 +539,16 @@ pub fn decode_frame(frame: &[u8]) -> Result<Message, WireError> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Decodes exactly one message from a complete frame.
+    fn decode_frame(frame: &[u8]) -> Result<Message, WireError> {
+        let mut reader = FrameReader::new();
+        reader.push(frame);
+        match reader.try_next()? {
+            Some(message) if reader.pending() == 0 => Ok(message),
+            _ => Err(WireError::Truncated { kind: frame.get(6).copied().unwrap_or(0) }),
+        }
+    }
 
     fn roundtrip(message: &Message) {
         let frame = message.encode();
@@ -629,8 +571,6 @@ mod tests {
             Message::Metrics { node: 3, json: "{\"node\":3}".to_string() },
             Message::Error { message: "worker 2 panicked".to_string() },
             Message::Shutdown,
-            Message::TelemetryUpload { node: 1, snapshot: vec![0x4f, 0x53, 0x4e, 0x50] },
-            Message::TelemetryUpload { node: 0, snapshot: Vec::new() },
             Message::Heartbeat { node: 2, seq: 0 },
             Message::Heartbeat { node: 0, seq: u64::MAX },
             Message::TelemetryDelta { node: 1, delta: vec![0x4f, 0x44, 0x4c, 0x54] },
@@ -645,249 +585,107 @@ mod tests {
         }
     }
 
-    /// The exact bytes of a telemetry-upload frame, pinned so the layout
-    /// can never drift silently: magic, version LE, kind 11, payload
-    /// length LE, node LE, snapshot bytes.
+    /// The exact bytes of one frame per payload shape, pinned so the
+    /// layout can never drift silently: magic, version LE, kind, payload
+    /// length LE, then the kind's fields.
     #[test]
-    fn telemetry_upload_frame_bytes_are_pinned() {
-        let frame = Message::TelemetryUpload { node: 3, snapshot: vec![0xAA, 0xBB] }.encode();
-        assert_eq!(
-            frame,
-            vec![
-                b'O', b'R', b'W', b'L', // magic
-                0x04, 0x00, // version 4
-                0x0B, // kind 11
-                0x06, 0x00, 0x00, 0x00, // payload length 6
-                0x03, 0x00, 0x00, 0x00, // node 3
-                0xAA, 0xBB, // snapshot
-            ]
+    fn frame_bytes_are_pinned() {
+        let header = |kind: u8, len: u8| -> Vec<u8> {
+            vec![b'O', b'R', b'W', b'L', 0x05, 0x00, kind, len, 0x00, 0x00, 0x00]
+        };
+        let pinned = |message: Message, kind: u8, payload: &[u8]| {
+            let mut want = header(kind, payload.len() as u8);
+            want.extend_from_slice(payload);
+            assert_eq!(message.encode(), want, "layout of {}", message.name());
+        };
+        pinned(Message::Hello { node: 3 }, 0, &[3, 0, 0, 0]);
+        pinned(Message::Start, 3, &[]);
+        pinned(
+            Message::LockRequest { seq: 7, location: 2, access: WireAccess::Write, bytes: 64 },
+            4,
+            &[7, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1, 64, 0, 0, 0, 0, 0, 0, 0],
         );
-    }
-
-    /// The exact bytes of the v3 streaming frames, pinned the same way.
-    #[test]
-    fn v3_frame_bytes_are_pinned() {
-        let beat = Message::Heartbeat { node: 2, seq: 7 }.encode();
-        assert_eq!(
-            beat,
-            vec![
-                b'O', b'R', b'W', b'L', // magic
-                0x04, 0x00, // version 4
-                0x0C, // kind 12
-                0x0C, 0x00, 0x00, 0x00, // payload length 12
-                0x02, 0x00, 0x00, 0x00, // node 2
-                0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // seq 7
-            ]
+        pinned(
+            Message::LockGrant { seq: 7, location: 2, data: vec![0xAA, 0xBB] },
+            5,
+            &[7, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0xAA, 0xBB],
         );
-
-        let delta = Message::TelemetryDelta { node: 1, delta: vec![0xCC, 0xDD, 0xEE] }.encode();
-        assert_eq!(
-            delta,
-            vec![
-                b'O', b'R', b'W', b'L', // magic
-                0x04, 0x00, // version 4
-                0x0D, // kind 13
-                0x07, 0x00, 0x00, 0x00, // payload length 7
-                0x01, 0x00, 0x00, 0x00, // node 1
-                0xCC, 0xDD, 0xEE, // delta
-            ]
+        pinned(
+            Message::Release { seq: 7, location: 2 },
+            6,
+            &[7, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0],
         );
-    }
-
-    /// The exact bytes of the v4 recovery frames, pinned the same way.
-    #[test]
-    fn v4_frame_bytes_are_pinned() {
-        let quiesce = Message::Quiesce { round: 1 }.encode();
-        assert_eq!(
-            quiesce,
-            vec![
-                b'O', b'R', b'W', b'L', // magic
-                0x04, 0x00, // version 4
-                0x0E, // kind 14
-                0x04, 0x00, 0x00, 0x00, // payload length 4
-                0x01, 0x00, 0x00, 0x00, // round 1
-            ]
+        pinned(Message::Metrics { node: 1, json: "{}".to_string() }, 8, &[1, 0, 0, 0, b'{', b'}']);
+        pinned(Message::Heartbeat { node: 2, seq: 7 }, 11, &[2, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0]);
+        pinned(
+            Message::TelemetryDelta { node: 1, delta: vec![0xCC, 0xDD, 0xEE] },
+            12,
+            &[1, 0, 0, 0, 0xCC, 0xDD, 0xEE],
         );
-
-        let ack = Message::QuiesceAck { node: 3, round: 2 }.encode();
-        assert_eq!(
-            ack,
-            vec![
-                b'O', b'R', b'W', b'L', // magic
-                0x04, 0x00, // version 4
-                0x0F, // kind 15
-                0x08, 0x00, 0x00, 0x00, // payload length 8
-                0x03, 0x00, 0x00, 0x00, // node 3
-                0x02, 0x00, 0x00, 0x00, // round 2
-            ]
-        );
-
-        let resume = Message::Resume { round: 2 }.encode();
-        assert_eq!(
-            resume,
-            vec![
-                b'O', b'R', b'W', b'L', // magic
-                0x04, 0x00, // version 4
-                0x11, // kind 17
-                0x04, 0x00, 0x00, 0x00, // payload length 4
-                0x02, 0x00, 0x00, 0x00, // round 2
-            ]
-        );
-
-        let reassign = Message::ReAssignment { json: "{}".to_string() }.encode();
-        assert_eq!(
-            reassign,
-            vec![
-                b'O', b'R', b'W', b'L', // magic
-                0x04, 0x00, // version 4
-                0x10, // kind 16
-                0x02, 0x00, 0x00, 0x00, // payload length 2
-                b'{', b'}', // document
-            ]
-        );
+        pinned(Message::Quiesce { round: 1 }, 13, &[1, 0, 0, 0]);
+        pinned(Message::QuiesceAck { node: 3, round: 2 }, 14, &[3, 0, 0, 0, 2, 0, 0, 0]);
+        pinned(Message::ReAssignment { json: "{}".to_string() }, 15, b"{}");
+        pinned(Message::Resume { round: 2 }, 16, &[2, 0, 0, 0]);
     }
 
     #[test]
-    fn v1_frames_still_decode() {
-        // A v3 codec must accept every v1 frame unchanged: patch the
-        // version field of a freshly encoded v1-era kind down to 1.
-        for message in [
-            Message::Hello { node: 4 },
-            Message::LockRequest { seq: 8, location: 2, access: WireAccess::Write, bytes: 64 },
-            Message::LockGrant { seq: 8, location: 2, data: vec![9, 9] },
-            Message::Shutdown,
-        ] {
-            let mut frame = message.encode();
-            frame[4..6].copy_from_slice(&1u16.to_le_bytes());
-            assert_eq!(decode_frame(&frame).unwrap(), message, "v1 frame of {}", message.name());
-        }
-
-        // ... but a v2-only kind inside a v1 frame is a protocol bug, not
-        // a message.
-        let mut frame = Message::TelemetryUpload { node: 0, snapshot: vec![1] }.encode();
-        frame[4..6].copy_from_slice(&1u16.to_le_bytes());
-        assert!(matches!(decode_frame(&frame), Err(WireError::UnknownKind(11))));
-    }
-
-    #[test]
-    fn v2_frames_still_decode() {
-        // A v3 reader must accept every v2 frame unchanged, including the
-        // v2-era telemetry upload.
-        for message in [
-            Message::TelemetryUpload { node: 1, snapshot: vec![0xAA, 0xBB, 0xCC] },
-            Message::Metrics { node: 1, json: "{}".to_string() },
-            Message::Done { node: 1 },
-        ] {
-            let mut frame = message.encode();
-            frame[4..6].copy_from_slice(&2u16.to_le_bytes());
-            assert_eq!(decode_frame(&frame).unwrap(), message, "v2 frame of {}", message.name());
-        }
-
-        // ... but a v3-only kind inside an older frame is a protocol bug,
-        // not a message, under both v2 and v1 headers.
-        for old_version in [1u16, 2] {
-            let mut beat = Message::Heartbeat { node: 0, seq: 1 }.encode();
-            beat[4..6].copy_from_slice(&old_version.to_le_bytes());
-            assert!(matches!(decode_frame(&beat), Err(WireError::UnknownKind(12))));
-
-            let mut delta = Message::TelemetryDelta { node: 0, delta: vec![1] }.encode();
-            delta[4..6].copy_from_slice(&old_version.to_le_bytes());
-            assert!(matches!(decode_frame(&delta), Err(WireError::UnknownKind(13))));
-        }
-    }
-
-    #[test]
-    fn v3_frames_still_decode() {
-        // A v4 reader must accept every v3 frame unchanged, including the
-        // v3-era streaming kinds.
-        for message in [
-            Message::Heartbeat { node: 1, seq: 9 },
-            Message::TelemetryDelta { node: 1, delta: vec![0xAA] },
-            Message::TelemetryUpload { node: 1, snapshot: vec![0xBB] },
-            Message::Done { node: 1 },
-        ] {
-            let mut frame = message.encode();
-            frame[4..6].copy_from_slice(&3u16.to_le_bytes());
-            assert_eq!(decode_frame(&frame).unwrap(), message, "v3 frame of {}", message.name());
-        }
-
-        // ... but a v4-only kind inside an older frame is a protocol bug,
-        // not a message, under v3, v2 and v1 headers alike.
-        for old_version in [1u16, 2, 3] {
-            for (message, kind) in [
-                (Message::Quiesce { round: 1 }, 14u8),
-                (Message::QuiesceAck { node: 0, round: 1 }, 15),
-                (Message::ReAssignment { json: "{}".to_string() }, 16),
-                (Message::Resume { round: 1 }, 17),
-            ] {
+    fn any_other_version_is_bad_version() {
+        // Both ends run the same binary, so there is exactly one version
+        // to accept: everything else fails fast with a typed error —
+        // never a hang waiting for more bytes, never a mis-parse.
+        for message in [Message::Hello { node: 4 }, Message::Heartbeat { node: 2, seq: 5 }, Message::Shutdown]
+        {
+            for other in [0u16, 1, 2, 3, VERSION - 1, VERSION + 1, 99, u16::MAX] {
                 let mut frame = message.encode();
-                frame[4..6].copy_from_slice(&old_version.to_le_bytes());
-                match decode_frame(&frame) {
-                    Err(WireError::UnknownKind(got)) => assert_eq!(got, kind),
-                    other => {
-                        panic!("v{old_version} frame of kind {kind}: expected UnknownKind, got {other:?}")
-                    }
-                }
+                frame[4..6].copy_from_slice(&other.to_le_bytes());
+                assert_eq!(decode_frame(&frame), Err(WireError::BadVersion { got: other }));
             }
+            assert_eq!(decode_frame(&message.encode()), Ok(message));
         }
-    }
-
-    #[test]
-    fn older_peers_reject_v4_frames_with_a_typed_error() {
-        // An old binary (max version 1, 2 or 3) fed a current frame must
-        // fail fast with BadVersion — never hang waiting for more bytes,
-        // never panic, never mis-parse.
-        for max_version in [1u16, 2, 3] {
-            let mut reader = FrameReader::with_max_version(max_version);
-            reader.push(&Message::Heartbeat { node: 2, seq: 5 }.encode());
-            assert_eq!(reader.try_next(), Err(WireError::BadVersion { got: 4 }), "max version {max_version}");
-
-            let mut reader = FrameReader::with_max_version(max_version);
-            reader.push(&Message::Quiesce { round: 1 }.encode());
-            assert_eq!(reader.try_next(), Err(WireError::BadVersion { got: 4 }), "max version {max_version}");
-        }
-
-        // A frame at the peer's own version still flows through.
-        let mut reader = FrameReader::with_max_version(1);
-        let mut frame = Message::Hello { node: 2 }.encode();
-        frame[4..6].copy_from_slice(&1u16.to_le_bytes());
-        reader.push(&frame);
-        assert_eq!(reader.try_next(), Ok(Some(Message::Hello { node: 2 })));
-
-        let mut reader = FrameReader::with_max_version(2);
-        let mut frame = Message::TelemetryUpload { node: 2, snapshot: vec![7; 32] }.encode();
-        frame[4..6].copy_from_slice(&2u16.to_le_bytes());
-        reader.push(&frame);
-        assert!(matches!(reader.try_next(), Ok(Some(Message::TelemetryUpload { .. }))));
-    }
-
-    #[test]
-    fn snapshot_budget_is_enforced_both_ways() {
-        // Encode refuses oversize snapshots...
-        let caught = std::panic::catch_unwind(|| {
-            Message::TelemetryUpload { node: 0, snapshot: vec![0; MAX_SNAPSHOT + 1] }.encode()
-        });
-        assert!(caught.is_err());
-        // ...and decode refuses oversize declared lengths for kind 11,
-        // while still allowing it to exceed the ordinary MAX_PAYLOAD.
-        let mut over = Message::TelemetryUpload { node: 0, snapshot: Vec::new() }.encode();
-        over[7..11].copy_from_slice(&((MAX_SNAPSHOT + 17) as u32).to_le_bytes());
-        assert!(matches!(decode_frame(&over), Err(WireError::PayloadTooLarge { .. })));
-        let big = Message::TelemetryUpload { node: 0, snapshot: vec![5; MAX_PAYLOAD + 1] }.encode();
-        assert!(matches!(decode_frame(&big), Ok(Message::TelemetryUpload { .. })));
     }
 
     #[test]
     fn delta_budget_is_enforced_both_ways() {
+        // Encode refuses oversize telemetry frames...
         let caught = std::panic::catch_unwind(|| {
             Message::TelemetryDelta { node: 0, delta: vec![0; MAX_DELTA + 1] }.encode()
         });
         assert!(caught.is_err());
+        // ...and decode refuses oversize declared lengths for the kind,
+        // naming the cap that was actually exceeded...
         let mut over = Message::TelemetryDelta { node: 0, delta: Vec::new() }.encode();
         over[7..11].copy_from_slice(&((MAX_DELTA + 17) as u32).to_le_bytes());
-        assert!(matches!(decode_frame(&over), Err(WireError::PayloadTooLarge { .. })));
+        let err = decode_frame(&over).unwrap_err();
+        assert_eq!(err, WireError::PayloadTooLarge { len: (MAX_DELTA + 17) as u32, cap: MAX_DELTA + 16 });
+        assert_eq!(err.to_string(), "payload of 4194321 bytes exceeds the 4194320-byte cap");
+        // ...while every other kind is held to the ordinary cap...
+        let mut over = Message::Start.encode();
+        over[7..11].copy_from_slice(&((MAX_PAYLOAD + 1) as u32).to_le_bytes());
+        assert_eq!(
+            decode_frame(&over).unwrap_err().to_string(),
+            "payload of 1048641 bytes exceeds the 1048640-byte cap"
+        );
+        // ...which a telemetry frame may exceed.
         let big = Message::TelemetryDelta { node: 0, delta: vec![5; MAX_PAYLOAD + 1] }.encode();
         assert!(matches!(decode_frame(&big), Ok(Message::TelemetryDelta { .. })));
+    }
+
+    #[test]
+    fn a_full_telemetry_frame_fits_the_delta_budget() {
+        // The producer's event cap and this codec's byte cap are set
+        // independently; pin that the first implies the second, with
+        // 64 KiB to spare for the metrics tables, on the largest event.
+        use orwl_obs::timeseries::MAX_FRAME_EVENTS;
+        let event = orwl_obs::ObsEvent {
+            ts_us: 1.0,
+            dur_us: 0.0,
+            seq: 0,
+            tid: 0,
+            track: 0,
+            kind: orwl_obs::EventKind::LockGrant { rseq: 1, location: 2, wait_ns: 3 },
+        };
+        let full = orwl_obs::TelemetryDelta { events: vec![event; MAX_FRAME_EVENTS], ..Default::default() };
+        assert!(full.encode().len() + (64 << 10) <= MAX_DELTA);
     }
 
     #[test]
@@ -942,7 +740,7 @@ mod tests {
             WireError::BadMagic { got: *b"XXXX" },
             WireError::BadVersion { got: 9 },
             WireError::UnknownKind(99),
-            WireError::PayloadTooLarge { len: u32::MAX },
+            WireError::PayloadTooLarge { len: u32::MAX, cap: MAX_PAYLOAD },
             WireError::Truncated { kind: 1 },
             WireError::BadUtf8 { kind: 1 },
             WireError::BadField { kind: 4, what: "access mode", got: 9 },
@@ -978,7 +776,7 @@ mod tests {
         data: Vec<u8>,
     ) -> Message {
         let text: String = text_bytes.iter().map(|&b| char::from(b % 94 + 32)).collect();
-        match selector % 18 {
+        match selector % 17 {
             0 => Message::Hello { node: a as u32 },
             1 => Message::Assignment { json: text },
             2 => Message::Ready { node: b as u32 },
@@ -995,12 +793,11 @@ mod tests {
             8 => Message::Metrics { node: b as u32, json: text },
             9 => Message::Error { message: text },
             10 => Message::Shutdown,
-            11 => Message::TelemetryUpload { node: a as u32, snapshot: data },
-            12 => Message::Heartbeat { node: a as u32, seq: b },
-            13 => Message::TelemetryDelta { node: b as u32, delta: data },
-            14 => Message::Quiesce { round: a as u32 },
-            15 => Message::QuiesceAck { node: a as u32, round: b as u32 },
-            16 => Message::ReAssignment { json: text },
+            11 => Message::Heartbeat { node: a as u32, seq: b },
+            12 => Message::TelemetryDelta { node: b as u32, delta: data },
+            13 => Message::Quiesce { round: a as u32 },
+            14 => Message::QuiesceAck { node: a as u32, round: b as u32 },
+            15 => Message::ReAssignment { json: text },
             _ => Message::Resume { round: b as u32 },
         }
     }
@@ -1010,7 +807,7 @@ mod tests {
 
         #[test]
         fn any_message_roundtrips(
-            selector in 0usize..18,
+            selector in 0usize..17,
             a in 0u64..u64::MAX,
             b in 0u64..u64::MAX,
             small in 0u8..255,
@@ -1024,7 +821,7 @@ mod tests {
 
         #[test]
         fn split_reads_reassemble_any_stream(
-            selectors in proptest::collection::vec(0usize..18, 1..6),
+            selectors in proptest::collection::vec(0usize..17, 1..6),
             a in 0u64..u64::MAX,
             b in 0u64..1_000_000,
             small in 0u8..255,

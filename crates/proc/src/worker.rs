@@ -11,7 +11,7 @@
 //! `Ready` → `Start` → run the local tasks through a real
 //! `orwl_core` session (one-shot ORWL handles for local sections, the
 //! wire protocol for remote ones) → `Done` → keep serving peers until
-//! `Shutdown` → drain and upload telemetry (observed runs) → report
+//! `Shutdown` → send the final telemetry frame (observed runs) → report
 //! [`WorkerMetrics`] → exit.
 //!
 //! On recovery-enabled runs the execution span is a *loop of rounds*: a
@@ -46,7 +46,7 @@ use orwl_core::request::AccessMode;
 use orwl_core::session::{Session, ThreadBackend};
 use orwl_core::task::{LocationLink, OrwlProgram, TaskSpec};
 use orwl_obs::json::Json;
-use orwl_obs::{ClockKind, DeltaSampler, EventKind, ObsEvent, Recorder, RunTelemetry, TelemetrySnapshot};
+use orwl_obs::{ClockKind, DeltaSampler, EventKind, Recorder, TelemetryDelta};
 use orwl_topo::binding::RecordingBinder;
 use orwl_topo::object::ObjectType;
 use orwl_topo::topology::{LevelSpec, Topology};
@@ -56,16 +56,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-/// Events kept in an uploaded snapshot (newest win; the remainder joins
-/// the drop counter).  Keeps the upload well under the wire's
-/// `MAX_SNAPSHOT` budget.
-const MAX_UPLOAD_EVENTS: usize = 100_000;
-
-/// Events kept in one streamed interval delta (newest win; the remainder
-/// joins the delta's drop counter).  Keeps every delta well under the
-/// wire's `MAX_DELTA` budget however bursty the interval was.
-const MAX_DELTA_EVENTS: usize = 50_000;
-
 /// The owned-locations map, shared by the serving threads, the task
 /// bodies and the recovery path (which inserts adopted locations between
 /// rounds).  Readers clone the `Arc` out and drop the guard before any
@@ -73,8 +63,8 @@ const MAX_DELTA_EVENTS: usize = 50_000;
 /// a section in flight.
 type SharedLocations = Arc<RwLock<HashMap<u64, Arc<Location<u64>>>>>;
 
-/// Process-local `LocationId` → global task index, shared with the
-/// telemetry streamer and grown by every adoption.
+/// Process-local `LocationId` → global task index, read by every
+/// telemetry send and grown by every adoption.
 type SharedGlobals = Arc<RwLock<HashMap<u64, u64>>>;
 
 /// Runs the worker lifecycle and exits iff this process was spawned as an
@@ -655,15 +645,17 @@ fn run_worker(
     // gateway's request/release events and the serving threads' grant
     // events all land in it.  The offset estimate is the NTP midpoint of
     // the Hello→Assignment handshake's two one-way legs, in coordinator
-    // clock minus worker clock.
+    // clock minus worker clock.  One sampler over that recorder produces
+    // every telemetry frame of the run.
     let obs = assignment.obs.as_ref().map(|spec| {
         let offset_us = ((spec.hello_recv_us as f64 - hello_send_us as f64)
             + (spec.assign_send_us as f64 - assign_recv_us as f64))
             / 2.0;
-        let recorder = Arc::new(Recorder::new(ClockKind::Wall, spec.config()));
+        let recorder = Recorder::new(ClockKind::Wall, spec.config());
         let registration = orwl_obs::install(&recorder);
-        (recorder, registration, offset_us)
+        (DeltaSampler::new(recorder, offset_us), registration)
     });
+    let (mut sampler, registration) = obs.unzip();
 
     // The locations this worker owns, keyed by global task index.  The
     // serving thread and the local task bodies share the same Arcs, so
@@ -706,8 +698,8 @@ fn run_worker(
     }
 
     // Maps the process-local `LocationId` of every owned location to its
-    // global task index — both the streamed deltas and the final snapshot
-    // must speak the global location namespace.
+    // global task index — every telemetry frame must speak the global
+    // location namespace.
     let global_of: SharedGlobals = Arc::new(RwLock::new(
         locations
             .read()
@@ -719,26 +711,30 @@ fn run_worker(
 
     let gateway = Arc::new(PeerGateway::connect(assignment, &faults)?);
 
-    // Live runs stream telemetry from `Start` until `Shutdown`: one
-    // heartbeat (and, when anything happened, one interval delta) per
-    // configured interval, interleaved on the shared control stream.
-    let streamer = obs.as_ref().and_then(|(recorder, _, offset_us)| {
-        let interval_ms = assignment.obs.as_ref().map_or(0, |spec| spec.stream_interval_ms);
-        let stall = Duration::from_millis(faults.stall_ms(assignment.node).unwrap_or(0));
-        let drop_first = faults.drop_heartbeats(assignment.node);
-        (interval_ms > 0).then(|| {
+    // Live runs lend the sampler to a streamer from `Start` until
+    // `Shutdown` — one heartbeat (and, when anything happened, one frame)
+    // per configured interval, interleaved on the shared control stream —
+    // and take it back for the final frame; other observed runs only ever
+    // send that final frame.
+    let telemetry = TelemetryLink {
+        control: Arc::clone(control),
+        global_of: Arc::clone(&global_of),
+        node: assignment.node as u32,
+    };
+    let interval_ms = assignment.obs.as_ref().map_or(0, |spec| spec.stream_interval_ms);
+    let streamer = if interval_ms > 0 {
+        sampler.take().map(|sampler| {
             Streamer::spawn(
-                Arc::clone(control),
-                Arc::clone(recorder),
-                Arc::clone(&global_of),
-                assignment.node as u32,
+                telemetry.clone(),
+                sampler,
                 Duration::from_millis(interval_ms),
-                *offset_us,
-                stall,
-                drop_first,
+                Duration::from_millis(faults.stall_ms(assignment.node).unwrap_or(0)),
+                faults.drop_heartbeats(assignment.node),
             )
         })
-    });
+    } else {
+        None
+    };
 
     let mut work = WorkState::new(assignment);
     let interrupt = Arc::new(Interrupt::new(assignment.recovery));
@@ -813,34 +809,12 @@ fn run_worker(
         Ok(())
     })();
 
-    // The streamer owns a recorder Arc and the drain below needs the
-    // recorder unique, so the join happens before any telemetry work —
-    // and before bailing on a failed run.
+    // The streamer holds the sampler, so the join happens before the
+    // final frame — and before bailing on a failed run.
     if let Some(streamer) = streamer {
-        streamer.stop();
+        sampler = Some(streamer.stop()?);
     }
     run_outcome?;
-
-    // Drain and ship the telemetry after the Shutdown barrier: the
-    // coordinator only broadcasts it once *every* node has reported Done,
-    // at which point every section anywhere has been granted and released
-    // — so the serving threads' grant events are all in the rings by now
-    // and the drain loses nothing.  (Draining at Done instead would race
-    // a slow peer's read storm against our own early finish.)
-    if let Some((recorder, registration, offset_us)) = obs {
-        drop(registration); // stop the hooks before draining
-        let origin_us = recorder.origin_us() as f64;
-        let recorder = Arc::try_unwrap(recorder).map_err(|_| "recorder still shared at drain".to_string())?;
-        let mut telemetry = recorder.finish("proc");
-        {
-            let globals = global_of.read().map_err(|_| "location namespace map poisoned".to_string())?;
-            remap_lock_wait_locations(&mut telemetry.events, &globals);
-        }
-        cap_events(&mut telemetry, MAX_UPLOAD_EVENTS);
-        let snapshot = TelemetrySnapshot::from_telemetry(telemetry, origin_us, offset_us).encode();
-        send_ctl(control, &Message::TelemetryUpload { node: assignment.node as u32, snapshot })
-            .map_err(|e| format!("uploading telemetry: {e}"))?;
-    }
 
     // Order matters: every task body has returned by now (the session run
     // joined them), so the gateway Arc is unique again; closing its
@@ -861,6 +835,21 @@ fn run_worker(
     drop(conns); // hang up on every owner peer
     shutdown.store(true, Ordering::Relaxed);
     let server_counters = server.join().unwrap_or_default();
+
+    // The final frame goes out after the Shutdown barrier: the
+    // coordinator only broadcasts it once *every* node has reported Done,
+    // at which point every section anywhere has been granted and released
+    // — so the serving threads' grant events are all in the rings by now
+    // and the drain loses nothing.  (Draining at Done instead would race
+    // a slow peer's read storm against our own early finish.)  It is sent
+    // even when empty: its cumulative metrics are the run's totals.  And
+    // it is sent only now, with our peers hung up on: a large frame blocks
+    // in the write until the coordinator reads it, the coordinator reads
+    // one node at a time, and every peer's server join waits on our hangup.
+    if let Some(mut sampler) = sampler {
+        drop(registration); // stop the hooks before draining
+        telemetry.send(sampler.sample(), false).map_err(|e| format!("sending final telemetry: {e}"))?;
+    }
 
     let metrics = compose_metrics(assignment, wall_seconds, &tallies, gateway_counters, server_counters);
     send_ctl(control, &Message::Metrics { node: assignment.node as u32, json: metrics.to_json().pretty() })?;
@@ -922,38 +911,71 @@ fn apply_recovery(
     Ok(())
 }
 
+/// Where telemetry frames go: the shared control stream, plus what a
+/// frame needs on its way out.
+#[derive(Clone)]
+struct TelemetryLink {
+    control: Arc<Mutex<FramedStream>>,
+    global_of: SharedGlobals,
+    node: u32,
+}
+
+impl TelemetryLink {
+    /// Sends `frames` as `TelemetryDelta` messages under one hold of the
+    /// control-stream lock, after rewriting core-emitted `LockWait`
+    /// locations from the process-local `LocationId` to the global task
+    /// index so merged timelines speak one location namespace (the
+    /// wire-level request/grant/release events already carry global
+    /// indices).  With `skip_empty`, frames with nothing new stay home.
+    fn send(&self, frames: Vec<TelemetryDelta>, skip_empty: bool) -> Result<(), String> {
+        let globals = self.global_of.read().map_err(|_| "location namespace map poisoned".to_string())?;
+        let mut stream = self.control.lock().map_err(|_| "control stream poisoned".to_string())?;
+        for mut frame in frames {
+            if skip_empty && frame.is_empty() {
+                continue;
+            }
+            for ev in &mut frame.events {
+                if let EventKind::LockWait { location, .. } = &mut ev.kind {
+                    if let Some(&task) = globals.get(location) {
+                        *location = task;
+                    }
+                }
+            }
+            stream
+                .send(&Message::TelemetryDelta { node: self.node, delta: frame.encode() })
+                .map_err(|e| e.to_string())?;
+        }
+        Ok(())
+    }
+}
+
 /// The worker's live-telemetry streamer: one background thread sampling
-/// the recorder into interval deltas and interleaving `Heartbeat` /
-/// `TelemetryDelta` frames on the shared control stream, from `Start`
+/// the recorder into frames and interleaving `Heartbeat` /
+/// `TelemetryDelta` messages on the shared control stream, from `Start`
 /// until [`Streamer::stop`].
 struct Streamer {
     stop: Arc<AtomicBool>,
-    handle: std::thread::JoinHandle<()>,
+    handle: std::thread::JoinHandle<DeltaSampler>,
 }
 
 impl Streamer {
-    #[allow(clippy::too_many_arguments)]
     fn spawn(
-        control: Arc<Mutex<FramedStream>>,
-        recorder: Arc<Recorder>,
-        global_of: SharedGlobals,
-        node: u32,
+        link: TelemetryLink,
+        mut sampler: DeltaSampler,
         interval: Duration,
-        offset_us: f64,
         stall: Duration,
         drop_first: u64,
     ) -> Streamer {
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
         let handle = std::thread::spawn(move || {
-            let mut sampler = DeltaSampler::new(recorder, offset_us);
             let mut seq = 0u64;
             // Injected initial silence (straggler tests only; zero in
             // production runs), waited out in stop-aware ticks.
             let stalled = Instant::now();
             while stalled.elapsed() < stall {
                 if stop_flag.load(Ordering::Relaxed) {
-                    return;
+                    return sampler;
                 }
                 std::thread::sleep(Duration::from_millis(5));
             }
@@ -970,63 +992,27 @@ impl Streamer {
                 if stop_flag.load(Ordering::Relaxed) {
                     break;
                 }
-                let mut delta = sampler.sample();
-                if let Ok(globals) = global_of.read() {
-                    remap_lock_wait_locations(&mut delta.events, &globals);
-                }
-                if delta.events.len() > MAX_DELTA_EVENTS {
-                    let excess = delta.events.len() - MAX_DELTA_EVENTS;
-                    delta.events.drain(..excess);
-                    delta.dropped += excess as u64;
-                }
-                let Ok(mut stream) = control.lock() else { break };
                 // The heartbeat-drop fault swallows the first `drop_first`
-                // beats (the seq keeps counting, deltas keep flowing) —
+                // beats (the seq keeps counting, frames keep flowing) —
                 // the minimal signal loss that trips straggler detection.
-                if seq >= drop_first && stream.send(&Message::Heartbeat { node, seq }).is_err() {
+                let beat = Message::Heartbeat { node: link.node, seq };
+                if (seq >= drop_first && send_ctl(&link.control, &beat).is_err())
+                    || link.send(sampler.sample(), true).is_err()
+                {
                     break; // coordinator gone: the main thread will fail too
                 }
-                if !delta.is_empty()
-                    && stream.send(&Message::TelemetryDelta { node, delta: delta.encode() }).is_err()
-                {
-                    break;
-                }
-                drop(stream);
                 seq += 1;
             }
+            sampler
         });
         Streamer { stop, handle }
     }
 
-    /// Signals the streaming thread and joins it, releasing its recorder
-    /// Arc so the caller can drain.
-    fn stop(self) {
+    /// Signals the streaming thread, joins it and hands the sampler back
+    /// for the final frame.
+    fn stop(self) -> Result<DeltaSampler, String> {
         self.stop.store(true, Ordering::Relaxed);
-        let _ = self.handle.join();
-    }
-}
-
-/// Rewrites the `location` of core-emitted `LockWait` events from the
-/// process-local `LocationId` to the global task index, so merged
-/// timelines speak one location namespace.  (The wire-level
-/// request/grant/release events already carry global indices.)
-fn remap_lock_wait_locations(events: &mut [ObsEvent], global_of: &HashMap<u64, u64>) {
-    for ev in events {
-        if let EventKind::LockWait { location, .. } = &mut ev.kind {
-            if let Some(&task) = global_of.get(location) {
-                *location = task;
-            }
-        }
-    }
-}
-
-/// Keeps the newest `max` events (by sequence), folding the remainder
-/// into the drop counter — bounds the upload independent of ring sizing.
-fn cap_events(t: &mut RunTelemetry, max: usize) {
-    if t.events.len() > max {
-        let excess = t.events.len() - max;
-        t.events.drain(..excess);
-        t.dropped += excess as u64;
+        self.handle.join().map_err(|_| "telemetry streamer panicked".to_string())
     }
 }
 

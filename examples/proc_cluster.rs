@@ -36,8 +36,8 @@
 //! ```
 //!
 //! Live runs use a longer schedule so the run spans many intervals; the
-//! merged post-run document is identical either way (streamed deltas are
-//! folded back into the final upload, deduplicated by event sequence).
+//! merged post-run document is identical either way (a worker's telemetry
+//! is the concatenation of its frames, however many it was cut into).
 //!
 //! With `--kill NODE:MS` the hierarchical run doubles as a chaos drill:
 //! worker `NODE` SIGKILLs itself `MS` milliseconds after Start (no

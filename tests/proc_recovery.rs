@@ -99,6 +99,13 @@ fn a_killed_worker_is_survived_by_resharding_onto_the_rest() {
     assert!(loss.2 >= 1, "the dead node hosted tasks");
     assert_eq!(loss.2, recovery.2, "every lost task must be migrated, no more, no fewer");
 
+    // What node 2 streamed before it died survives as its own track.
+    let node2 = obs.tracks.iter().find(|t| t.label == "node2").expect("the lost node keeps its track");
+    assert!(
+        obs.events.iter().any(|ev| ev.track == node2.track && ev.ts_us < loss.0),
+        "node2's pre-loss frames must be on the merged timeline"
+    );
+
     // The live counters agree with the events.
     let counter = |name: &str| {
         obs.metrics
