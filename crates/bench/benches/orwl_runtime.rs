@@ -65,10 +65,21 @@ fn bench_runtime_end_to_end(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("ring_program", tasks), &tasks, |b, &n| {
             b.iter(|| {
                 let locs: Vec<_> = (0..n).map(|i| Location::new(format!("l{i}"), 0u64)).collect();
+                // The fenced init of the ORWL model: every request is posted
+                // before a task runs, each location's write ahead of its
+                // read.  Posted lazily from the task bodies, a reader can
+                // queue behind its partner's *re-posted* write all around
+                // the ring — the circular wait the debug-build detector
+                // panics on.
+                let mut writers: Vec<_> =
+                    locs.iter().map(|l| l.iterative_handle(AccessMode::Write)).collect();
+                let mut readers: Vec<_> =
+                    (0..n).map(|t| locs[(t + n - 1) % n].iterative_handle(AccessMode::Read)).collect();
+                for handle in writers.iter_mut().chain(&mut readers) {
+                    handle.request().expect("fresh handle");
+                }
                 let mut program = OrwlProgram::new();
-                for t in 0..n {
-                    let me = Arc::clone(&locs[t]);
-                    let prev = Arc::clone(&locs[(t + n - 1) % n]);
+                for (t, (mut w, mut r)) in writers.into_iter().zip(readers).enumerate() {
                     program.add_task(
                         TaskSpec::new(
                             format!("t{t}"),
@@ -78,8 +89,6 @@ fn bench_runtime_end_to_end(c: &mut Criterion) {
                             ],
                         ),
                         move |_| {
-                            let mut w = me.iterative_handle(AccessMode::Write);
-                            let mut r = prev.iterative_handle(AccessMode::Read);
                             for i in 0..50u64 {
                                 *w.acquire().unwrap() = i;
                                 criterion::black_box(*r.acquire().unwrap());

@@ -1,16 +1,18 @@
-//! Placement-at-scale harness: how fast is the (incremental-gain) TreeMatch
-//! pipeline as the task count grows, and what locality does it deliver?
+//! Placement-at-scale harness: how fast is the (sparse, incremental-gain)
+//! TreeMatch pipeline as the task count grows, and what locality does it
+//! deliver?
 //!
 //! The grid is `p ∈ {64, 256, 512, 1024}` tasks × three matrix families —
 //! `stencil` (the paper's LK23 decomposition), `power_law` (irregular
 //! graph-analytics shape) and `clustered` (the pattern placement helps
-//! most) — each placed once on the paper's 192-PU SMP via flat TreeMatch.
-//! Every cell records the **placement wall time** and the quality metrics
-//! of the resulting mapping.
+//! most) — plus `p ∈ {2048, 4096}` for the two sparse families, each
+//! placed on the paper's 192-PU SMP via flat TreeMatch.  Every cell records
+//! the **placement wall time** and the quality metrics of the resulting
+//! mapping.
 //!
 //! [`scaling_to_json`] lowers the cells into `BENCH_scaling.json`, shaped
 //! as an `orwl-lab/v1` document (it passes `orwl_lab::report::validate`, so
-//! the `lab_diff` tool and the CI schema check apply as-is) with one extra
+//! the `artifact_diff` tool and the CI schema check apply as-is) with one extra
 //! per-row column, `placement_wall_seconds`.  Unlike `BENCH_lab.json` the
 //! artifact is *not* byte-reproducible — wall time is the point here — so
 //! CI validates its schema and re-measures rather than `cmp`ing bytes.
@@ -26,8 +28,16 @@ use std::time::Instant;
 /// The matrix families of the grid.
 pub const FAMILIES: [&str; 3] = ["stencil", "power_law", "clustered"];
 
-/// The task counts of the full grid.
+/// The task counts every family is measured at.
 pub const FULL_SIZES: [usize; 4] = [64, 256, 512, 1024];
+
+/// The larger task counts, measured for the sparse families only
+/// (`stencil`, `power_law`): a `clustered` matrix of 8-task cliques says
+/// nothing new past 1024 tasks, and a dense 4096² matrix is 128 MiB.
+pub const LARGE_SIZES: [usize; 2] = [2048, 4096];
+
+/// Placements timed per cell; the fastest is recorded.
+pub const REPEATS: usize = 3;
 
 /// One measured cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,16 +57,17 @@ pub struct ScalingCell {
     pub local_fraction: f64,
 }
 
-/// The `(family, tasks)` cells of the grid.  The smoke grid drops the
-/// 1024-task tail and keeps the 512-task cell only for the stencil — the
-/// cell the CI wall-clock budget is asserted on.
+/// The `(family, tasks)` cells of the grid.  The smoke grid stops every
+/// family at 256 tasks except the stencil, whose 512- and 1024-task cells
+/// are the ones the CI latches (wall-clock budget, doubling ratio) are
+/// asserted on.
 #[must_use]
 pub fn grid(smoke: bool) -> Vec<(&'static str, usize)> {
     let mut cells = Vec::new();
     for family in FAMILIES {
-        for p in FULL_SIZES {
-            let keep = if smoke { p < 512 || (p == 512 && family == "stencil") } else { true };
-            if keep {
+        let large = if family == "clustered" { &[][..] } else { &LARGE_SIZES[..] };
+        for &p in FULL_SIZES.iter().chain(large) {
+            if !smoke || p < 512 || (p <= 1024 && family == "stencil") {
                 cells.push((family, p));
             }
         }
@@ -87,9 +98,11 @@ pub fn matrix_for(family: &str, p: usize, seed: u64) -> CommMatrix {
     }
 }
 
-/// Runs the grid: one timed flat-TreeMatch placement per cell on the
-/// paper's 192-PU machine, scratch shared across cells (the steady-state
-/// regime the adaptive engine runs in).
+/// Runs the grid: flat-TreeMatch placements on the paper's 192-PU machine,
+/// scratch shared across cells (the steady-state regime the adaptive engine
+/// runs in).  A cell's wall time is the fastest of [`REPEATS`] placements of
+/// the same matrix — the run the box's other tenants disturbed least — so
+/// that ratios between cells of one run mean something.
 #[must_use]
 pub fn run_scaling(smoke: bool, seed: u64) -> Vec<ScalingCell> {
     let topo = synthetic::cluster2016_smp192();
@@ -99,9 +112,14 @@ pub fn run_scaling(smoke: bool, seed: u64) -> Vec<ScalingCell> {
         .into_iter()
         .map(|(family, tasks)| {
             let m = matrix_for(family, tasks, seed);
-            let start = Instant::now();
-            let placement = mapper.compute_placement_with(&topo, &m, &mut scratch);
-            let wall_seconds = start.elapsed().as_secs_f64();
+            let (wall_seconds, placement) = (0..REPEATS)
+                .map(|_| {
+                    let start = Instant::now();
+                    let placement = mapper.compute_placement_with(&topo, &m, &mut scratch);
+                    (start.elapsed().as_secs_f64(), placement)
+                })
+                .min_by(|a, b| a.0.total_cmp(&b.0))
+                .expect("REPEATS is positive");
             let mapping = placement.compute_mapping_or_zero();
             ScalingCell {
                 family,
@@ -163,17 +181,21 @@ mod tests {
     #[test]
     fn grids_cover_the_documented_cells() {
         let full = grid(false);
-        assert_eq!(full.len(), FAMILIES.len() * FULL_SIZES.len());
+        assert_eq!(full.len(), FAMILIES.len() * FULL_SIZES.len() + 2 * LARGE_SIZES.len());
+        assert!(full.contains(&("power_law", 4096)) && !full.contains(&("clustered", 2048)));
         let smoke = grid(true);
         assert!(smoke.len() < full.len());
-        assert!(smoke.contains(&("stencil", 512)), "the budget-asserted cell must stay in the smoke grid");
-        assert!(!smoke.iter().any(|&(_, p)| p == 1024));
+        for latched in [("stencil", 512), ("stencil", 1024)] {
+            assert!(smoke.contains(&latched), "the CI latches read {latched:?}");
+        }
+        assert!(smoke.iter().all(|&(family, p)| p <= 256 || family == "stencil"));
         assert!(smoke.iter().all(|cell| full.contains(cell)));
     }
 
     #[test]
     fn matrices_have_the_requested_order_and_are_deterministic() {
-        for (family, p) in grid(false) {
+        // (The 2048- and 4096-task matrices are 32 and 128 MiB: left to the bin.)
+        for (family, p) in grid(false).into_iter().filter(|&(_, p)| p <= 1024) {
             let m = matrix_for(family, p, 42);
             assert_eq!(m.order(), p, "{family}/{p}");
             assert_eq!(m.as_slice(), matrix_for(family, p, 42).as_slice(), "{family}/{p}");

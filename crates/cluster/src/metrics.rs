@@ -11,21 +11,15 @@ use orwl_topo::cluster::ClusterTopology;
 pub fn split_hop_bytes(cluster: &ClusterTopology, m: &CommMatrix, mapping: &[usize]) -> (f64, f64) {
     assert!(mapping.len() >= m.order(), "mapping must cover every task of the matrix");
     let (mut intra, mut inter) = (0.0, 0.0);
-    for i in 0..m.order() {
-        for j in 0..m.order() {
-            let v = m.get(i, j);
-            if v == 0.0 {
-                continue;
-            }
-            let (a, b) = (mapping[i], mapping[j]);
-            let hops = v * cluster.hop_distance(a, b) as f64;
-            if cluster.node_of_pu(a) == cluster.node_of_pu(b) {
-                intra += hops;
-            } else {
-                inter += hops;
-            }
+    m.for_each_nonzero(|i, j, v| {
+        let (a, b) = (mapping[i], mapping[j]);
+        let hops = v * cluster.hop_distance(a, b) as f64;
+        if cluster.node_of_pu(a) == cluster.node_of_pu(b) {
+            intra += hops;
+        } else {
+            inter += hops;
         }
-    }
+    });
     (intra, inter)
 }
 
@@ -34,13 +28,11 @@ pub fn split_hop_bytes(cluster: &ClusterTopology, m: &CommMatrix, mapping: &[usi
 pub fn inter_node_bytes(cluster: &ClusterTopology, m: &CommMatrix, mapping: &[usize]) -> f64 {
     assert!(mapping.len() >= m.order(), "mapping must cover every task of the matrix");
     let mut bytes = 0.0;
-    for i in 0..m.order() {
-        for j in 0..m.order() {
-            if m.get(i, j) != 0.0 && cluster.node_of_pu(mapping[i]) != cluster.node_of_pu(mapping[j]) {
-                bytes += m.get(i, j);
-            }
+    m.for_each_nonzero(|i, j, v| {
+        if cluster.node_of_pu(mapping[i]) != cluster.node_of_pu(mapping[j]) {
+            bytes += v;
         }
-    }
+    });
     bytes
 }
 
@@ -53,14 +45,7 @@ pub fn inter_node_bytes(cluster: &ClusterTopology, m: &CommMatrix, mapping: &[us
 pub fn cluster_cost(machine: &ClusterMachine, m: &CommMatrix, mapping: &[usize]) -> f64 {
     assert!(mapping.len() >= m.order(), "mapping must cover every task of the matrix");
     let mut cost = 0.0;
-    for i in 0..m.order() {
-        for j in 0..m.order() {
-            let v = m.get(i, j);
-            if v != 0.0 {
-                cost += v * machine.link_byte_cost(mapping[i], mapping[j]);
-            }
-        }
-    }
+    m.for_each_nonzero(|i, j, v| cost += v * machine.link_byte_cost(mapping[i], mapping[j]));
     cost
 }
 

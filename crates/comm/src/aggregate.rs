@@ -6,14 +6,15 @@
 //! traffic *between groups*.
 
 use crate::matrix::CommMatrix;
+use crate::sparse::SparseComm;
 
 /// A partition of threads into groups.  `groups[g]` lists the thread
 /// indices belonging to group `g`.  Threads may be omitted (e.g. a thread
 /// mapped nowhere), but no thread may appear in two groups.
 pub type Groups = Vec<Vec<usize>>;
 
-/// Reusable buffers of [`aggregate_into`], so the per-level aggregation of
-/// `tree_match_assign` allocates nothing once warm.
+/// Reusable buffers of [`aggregate_into`] / [`aggregate_sparse_into`], so the
+/// per-level aggregation of `tree_match_assign` allocates nothing once warm.
 #[derive(Debug, Default, Clone)]
 pub struct AggregateScratch {
     owner: Vec<usize>,
@@ -41,30 +42,50 @@ pub fn aggregate(m: &CommMatrix, groups: &Groups) -> CommMatrix {
 /// # Panics
 /// Panics when a thread index is out of range or appears in two groups.
 pub fn aggregate_into(m: &CommMatrix, groups: &Groups, scratch: &mut AggregateScratch, out: &mut CommMatrix) {
-    let owner = &mut scratch.owner;
-    owner.clear();
-    owner.resize(m.order(), usize::MAX);
-    for (g, members) in groups.iter().enumerate() {
-        for &t in members {
-            assert!(t < m.order(), "thread index {t} out of range for matrix of order {}", m.order());
-            assert!(owner[t] == usize::MAX, "thread {t} appears in more than one group");
-            owner[t] = g;
-        }
-    }
+    let owner = scratch.owners(m.order(), groups);
     out.reset_to_order(groups.len());
-    for i in 0..m.order() {
-        if owner[i] == usize::MAX {
-            continue;
-        }
-        for j in 0..m.order() {
-            if owner[j] == usize::MAX {
-                continue;
+    m.for_each_nonzero(|i, j, v| add_entry(owner, out, i, j, v));
+}
+
+/// [`aggregate_into`] reading the matrix through an already-built
+/// [`SparseComm`]: same entries in the same order, hence the same bits,
+/// without the pass over the dense matrix.
+///
+/// # Panics
+/// Panics when a thread index is out of range or appears in two groups.
+pub fn aggregate_sparse_into(
+    m: &SparseComm,
+    groups: &Groups,
+    scratch: &mut AggregateScratch,
+    out: &mut CommMatrix,
+) {
+    let owner = scratch.owners(m.order(), groups);
+    out.reset_to_order(groups.len());
+    m.for_each_nonzero(|i, j, v| add_entry(owner, out, i, j, v));
+}
+
+impl AggregateScratch {
+    /// The group of each of the `order` threads, `usize::MAX` for a thread
+    /// in no group.
+    fn owners(&mut self, order: usize, groups: &Groups) -> &[usize] {
+        let owner = &mut self.owner;
+        owner.clear();
+        owner.resize(order, usize::MAX);
+        for (g, members) in groups.iter().enumerate() {
+            for &t in members {
+                assert!(t < order, "thread index {t} out of range for matrix of order {order}");
+                assert!(owner[t] == usize::MAX, "thread {t} appears in more than one group");
+                owner[t] = g;
             }
-            let v = m.get(i, j);
-            if v != 0.0 {
-                out.add(owner[i], owner[j], v);
-            }
         }
+        owner
+    }
+}
+
+/// Adds one `src → dst` entry to the cell of its endpoints' groups.
+fn add_entry(owner: &[usize], out: &mut CommMatrix, src: usize, dst: usize, volume: f64) {
+    if owner[src] != usize::MAX && owner[dst] != usize::MAX {
+        out.add(owner[src], owner[dst], volume);
     }
 }
 
@@ -151,6 +172,9 @@ mod tests {
         let groups2 = vec![vec![0, 1], vec![2, 3]];
         aggregate_into(&m2, &groups2, &mut scratch, &mut out);
         assert_eq!(out, aggregate(&m2, &groups2));
+        // The sparse view feeds the same entries in the same order.
+        aggregate_sparse_into(&SparseComm::from_dense(&m), &groups, &mut scratch, &mut out);
+        assert_eq!(out, aggregate(&m, &groups));
     }
 
     #[test]

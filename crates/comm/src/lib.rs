@@ -11,7 +11,9 @@
 //! * [`aggregate`](mod@aggregate) — the `AggregateComMatrix` step of Algorithm 1 (collapse
 //!   a matrix over groups of threads);
 //! * [`metrics`] — mapping-quality metrics (communication cost, hop-bytes,
-//!   traffic breakdown per hardware level).
+//!   traffic breakdown per hardware level);
+//! * [`sparse`] — the row-compressed view of a matrix every inner loop of
+//!   the placement pipeline runs over.
 //!
 //! # Example
 //!
@@ -35,8 +37,10 @@ pub mod aggregate;
 pub mod matrix;
 pub mod metrics;
 pub mod patterns;
+pub mod sparse;
 
 pub use aggregate::{aggregate, Groups};
 pub use matrix::CommMatrix;
 pub use metrics::{hop_bytes, mapping_cost, traffic_breakdown, PuMapping, TrafficBreakdown};
 pub use patterns::StencilSpec;
+pub use sparse::SparseComm;

@@ -84,13 +84,33 @@ impl CommMatrix {
     /// All per-thread traffic sums at once: `traffic_sums()[i]` is
     /// bit-identical to [`CommMatrix::traffic_of`]`(i)` (same accumulation
     /// order).  Precompute this instead of calling `traffic_of` inside a
-    /// sort comparator, which would cost `O(p)` per comparison.  (The
-    /// placement crate's seed sorts use a row-access variant specialised
-    /// to already-symmetrised matrices,
-    /// `orwl_treematch::grouping::symmetric_traffic_of`; this is the
-    /// general-matrix form.)
+    /// sort comparator, which would cost `O(p)` per comparison.
     pub fn traffic_sums(&self) -> Vec<f64> {
         (0..self.order).map(|i| self.traffic_of(i)).collect()
+    }
+
+    /// Calls `f(src, dst, volume)` for every non-zero entry, in row-major
+    /// order — the one scan every consumer of a dense matrix shares (the
+    /// locality metrics, aggregation, [`crate::sparse::SparseComm`]).  An
+    /// ordered sum over these entries equals the same sum over all `order²`
+    /// entries bit for bit: an accumulator that starts at `0.0` and only
+    /// ever adds non-negative terms is unchanged by an added `0.0`.
+    pub fn for_each_nonzero(&self, mut f: impl FnMut(usize, usize, f64)) {
+        // Sparse rows are mostly runs of zeros: test a block of entries with
+        // one branch-free (vectorisable) reduction and look inside only the
+        // blocks that hold something.
+        const BLOCK: usize = 8;
+        for (i, row) in self.values.chunks_exact(self.order.max(1)).enumerate() {
+            for (b, block) in row.chunks(BLOCK).enumerate() {
+                if block.iter().fold(false, |any, v| any | (*v != 0.0)) {
+                    for (at, &v) in block.iter().enumerate() {
+                        if v != 0.0 {
+                            f(i, b * BLOCK + at, v);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// True when the matrix equals its transpose (within `1e-9`).
@@ -109,38 +129,22 @@ impl CommMatrix {
     /// the total volume exchanged between `i` and `j` in both directions.
     pub fn symmetrized(&self) -> CommMatrix {
         let mut s = CommMatrix::zeros(self.order);
-        self.symmetrize_into(&mut s);
-        s
-    }
-
-    /// In-place variant of [`CommMatrix::symmetrized`]: fills `out` with
-    /// `M + Mᵀ`, reusing `out`'s buffer (no allocation once `out`'s
-    /// capacity has grown to `order²`).
-    pub fn symmetrize_into(&self, out: &mut CommMatrix) {
-        out.reset_to_order(self.order);
         for i in 0..self.order {
             for j in 0..self.order {
-                out.set(i, j, self.get(i, j) + self.get(j, i));
+                s.set(i, j, self.get(i, j) + self.get(j, i));
             }
         }
+        s
     }
 
     /// Reshapes this matrix to `order × order` zeros, reusing the existing
     /// buffer (allocates only when capacity must grow).  The in-place
-    /// counterpart of [`CommMatrix::zeros`] used by scratch buffers that
-    /// live across placement levels.
+    /// counterpart of [`CommMatrix::zeros`] used by the aggregated level
+    /// matrix that lives across placement levels.
     pub fn reset_to_order(&mut self, order: usize) {
         self.order = order;
         self.values.clear();
         self.values.resize(order * order, 0.0);
-    }
-
-    /// Copies `other` into this matrix, reusing the existing buffer — the
-    /// allocation-free counterpart of `clone`.
-    pub fn copy_from(&mut self, other: &CommMatrix) {
-        self.order = other.order;
-        self.values.clear();
-        self.values.extend_from_slice(&other.values);
     }
 
     /// Returns a copy scaled so the largest entry is `1.0` (no-op on the
@@ -401,16 +405,26 @@ mod tests {
     }
 
     #[test]
-    fn in_place_variants_match_allocating_ones() {
-        let m = CommMatrix::from_edges(3, &[(0, 1, 4.0), (1, 0, 2.0), (2, 2, 1.0)]);
-        let mut s = CommMatrix::zeros(7); // wrong order on purpose
-        m.symmetrize_into(&mut s);
-        assert_eq!(s, m.symmetrized());
-        let mut c = CommMatrix::zeros(1);
-        c.copy_from(&m);
-        assert_eq!(c, m);
+    fn reset_to_order_reshapes_to_zeros() {
+        let mut c = CommMatrix::from_edges(3, &[(0, 1, 4.0), (2, 2, 1.0)]);
         c.reset_to_order(2);
         assert_eq!(c, CommMatrix::zeros(2));
+    }
+
+    #[test]
+    fn for_each_nonzero_visits_the_nonzero_entries_in_row_major_order() {
+        let entries = |m: &CommMatrix| {
+            let mut seen = Vec::new();
+            m.for_each_nonzero(|i, j, v| seen.push((i, j, v)));
+            seen
+        };
+        // Order 11: a full block of eight and a partial one per row.
+        let mut m =
+            CommMatrix::from_edges(11, &[(10, 0, 4.0), (0, 1, 1.5), (1, 1, 2.0), (0, 9, 3.0), (10, 10, 1.0)]);
+        m.set(0, 2, -0.0); // compares equal to zero: not an entry
+        assert_eq!(entries(&m), vec![(0, 1, 1.5), (0, 9, 3.0), (1, 1, 2.0), (10, 0, 4.0), (10, 10, 1.0)]);
+        assert!(entries(&CommMatrix::zeros(4)).is_empty());
+        assert!(entries(&CommMatrix::zeros(0)).is_empty());
     }
 
     #[test]

@@ -24,14 +24,7 @@ pub type PuMapping = Vec<usize>;
 pub fn mapping_cost(m: &CommMatrix, dist: &DistanceMatrix, mapping: &[usize]) -> f64 {
     assert!(mapping.len() >= m.order(), "mapping must cover every thread of the matrix");
     let mut cost = 0.0;
-    for i in 0..m.order() {
-        for j in 0..m.order() {
-            let v = m.get(i, j);
-            if v != 0.0 {
-                cost += v * dist.cost(mapping[i], mapping[j]);
-            }
-        }
-    }
+    m.for_each_nonzero(|i, j, v| cost += v * dist.cost(mapping[i], mapping[j]));
     cost
 }
 
@@ -41,14 +34,7 @@ pub fn mapping_cost(m: &CommMatrix, dist: &DistanceMatrix, mapping: &[usize]) ->
 pub fn hop_bytes(m: &CommMatrix, topo: &Topology, mapping: &[usize]) -> f64 {
     assert!(mapping.len() >= m.order(), "mapping must cover every thread of the matrix");
     let mut cost = 0.0;
-    for i in 0..m.order() {
-        for j in 0..m.order() {
-            let v = m.get(i, j);
-            if v != 0.0 {
-                cost += v * topo.hop_distance(mapping[i], mapping[j]) as f64;
-            }
-        }
-    }
+    m.for_each_nonzero(|i, j, v| cost += v * topo.hop_distance(mapping[i], mapping[j]) as f64);
     cost
 }
 
@@ -124,38 +110,34 @@ impl TrafficBreakdown {
 /// topologies it stays in [`cross_numa`](TrafficBreakdown::cross_numa).
 pub fn traffic_breakdown(m: &CommMatrix, topo: &Topology, mapping: &[usize]) -> TrafficBreakdown {
     assert!(mapping.len() >= m.order(), "mapping must cover every thread of the matrix");
+    // The object type of every depth, looked up once instead of per entry.
+    let type_at_depth: Vec<Option<ObjectType>> =
+        (0..topo.depth()).map(|d| topo.objects_at_depth(d).next().map(|o| o.obj_type)).collect();
     // A `Group` level right below the machine root marks a flattened
     // multi-node cluster: only then does "shares nothing but the root"
     // mean crossing a machine boundary.
-    let node_level_is_group = topo.objects_at_depth(1).next().map(|o| o.obj_type) == Some(ObjectType::Group);
+    let node_level_is_group = type_at_depth.get(1) == Some(&Some(ObjectType::Group));
     let mut out = TrafficBreakdown::default();
-    for i in 0..m.order() {
-        for j in 0..m.order() {
-            let v = m.get(i, j);
-            if v == 0.0 {
-                continue;
-            }
-            let (a, b) = (mapping[i], mapping[j]);
-            if a == b {
-                out.same_pu += v;
-                continue;
-            }
-            let depth = topo.shared_level_of_pus(a, b);
-            let ty = topo.objects_at_depth(depth).next().map(|o| o.obj_type);
-            match ty {
-                Some(ObjectType::Core) | Some(ObjectType::PU) => out.same_core += v,
-                Some(t) if t.is_cache() => out.shared_cache += v,
-                // Sharing only the per-node Group of a flattened cluster
-                // means "same machine, nothing deeper": NUMA was crossed.
-                Some(ObjectType::Group) if node_level_is_group && depth == 1 => out.cross_numa += v,
-                Some(ObjectType::NumaNode) | Some(ObjectType::Package) | Some(ObjectType::Group) => {
-                    out.same_numa += v
-                }
-                _ if node_level_is_group => out.cross_node += v,
-                _ => out.cross_numa += v,
-            }
+    m.for_each_nonzero(|i, j, v| {
+        let (a, b) = (mapping[i], mapping[j]);
+        if a == b {
+            out.same_pu += v;
+            return;
         }
-    }
+        let depth = topo.shared_level_of_pus(a, b);
+        match type_at_depth[depth] {
+            Some(ObjectType::Core) | Some(ObjectType::PU) => out.same_core += v,
+            Some(t) if t.is_cache() => out.shared_cache += v,
+            // Sharing only the per-node Group of a flattened cluster
+            // means "same machine, nothing deeper": NUMA was crossed.
+            Some(ObjectType::Group) if node_level_is_group && depth == 1 => out.cross_numa += v,
+            Some(ObjectType::NumaNode) | Some(ObjectType::Package) | Some(ObjectType::Group) => {
+                out.same_numa += v
+            }
+            _ if node_level_is_group => out.cross_node += v,
+            _ => out.cross_numa += v,
+        }
+    });
     out
 }
 

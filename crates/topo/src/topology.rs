@@ -106,6 +106,10 @@ impl TreeShape {
 pub struct Topology {
     objects: Vec<TopoObject>,
     levels: Vec<Vec<ObjId>>,
+    /// `pu_of_os[os_index]` is the PU with that OS index, if any.  Built
+    /// once with the levels, so per-pair distance queries neither scan nor
+    /// allocate.
+    pu_of_os: Vec<Option<ObjId>>,
     /// Levels used to build this topology when it was synthetic.
     spec: Vec<LevelSpec>,
     name: String,
@@ -138,6 +142,7 @@ impl Topology {
         let mut topo = Topology {
             objects: Vec::new(),
             levels: Vec::new(),
+            pu_of_os: Vec::new(),
             spec: levels.to_vec(),
             name: name.to_string(),
         };
@@ -219,12 +224,27 @@ impl Topology {
             let objs = &self.objects;
             level.sort_by_key(|id| objs[id.index()].logical_index);
         }
+        // The PU table: first PU in left-to-right order wins, so a tree
+        // `validate` is about to reject for duplicate OS indices still
+        // answers lookups the way a scan of `pus()` would.
+        let pus = self.pus();
+        let mut table = vec![None; pus.iter().map(|pu| pu.os_index + 1).max().unwrap_or(0)];
+        for pu in pus {
+            table[pu.os_index].get_or_insert(pu.id);
+        }
+        self.pu_of_os = table;
     }
 
     /// Constructs a topology directly from pre-built objects.  Used by the
     /// OS discovery code; the objects must already form a consistent tree.
     pub(crate) fn from_objects(name: &str, objects: Vec<TopoObject>) -> Result<Self, TopologyError> {
-        let mut topo = Topology { objects, levels: Vec::new(), spec: Vec::new(), name: name.to_string() };
+        let mut topo = Topology {
+            objects,
+            levels: Vec::new(),
+            pu_of_os: Vec::new(),
+            spec: Vec::new(),
+            name: name.to_string(),
+        };
         topo.rebuild_levels();
         topo.validate()?;
         Ok(topo)
@@ -321,7 +341,7 @@ impl Topology {
 
     /// Returns the PU object with the given OS index, if any.
     pub fn pu_by_os_index(&self, os_index: usize) -> Option<&TopoObject> {
-        self.pus().into_iter().find(|pu| pu.os_index == os_index)
+        self.pu_of_os.get(os_index).copied().flatten().map(|id| self.object(id))
     }
 
     /// Walks up from `id` to the root, yielding every ancestor (excluding
@@ -617,6 +637,45 @@ mod tests {
         let t = smp(2, 2);
         assert_eq!(t.pu_by_os_index(3).unwrap().os_index, 3);
         assert!(t.pu_by_os_index(99).is_none());
+    }
+
+    /// The answers the OS-index table gives are those of the scan and the
+    /// ancestor walk it replaced, on every PU pair and on absent indices.
+    #[test]
+    fn table_lookups_equal_the_scan_and_the_ancestor_walk() {
+        for t in
+            [crate::synthetic::cluster2016_smp192(), crate::synthetic::laptop(), crate::discover::discover()]
+        {
+            let pus = t.pus();
+            let leaf_depth = t.depth() - 1;
+            let max_os = pus.iter().map(|pu| pu.os_index).max().unwrap();
+            for os in 0..=max_os + 2 {
+                let scanned = pus.iter().find(|pu| pu.os_index == os).map(|pu| pu.id);
+                assert_eq!(t.pu_by_os_index(os).map(|pu| pu.id), scanned, "{}: os index {os}", t.name());
+            }
+            for a in &pus {
+                // Ancestors of `a`, root last.
+                let up_a = t.ancestors(a.id);
+                for b in &pus {
+                    let shared = if a.id == b.id {
+                        leaf_depth
+                    } else {
+                        let up_b = t.ancestors(b.id);
+                        let common = up_a.iter().find(|x| up_b.contains(x)).unwrap();
+                        t.object(*common).depth
+                    };
+                    let (oa, ob) = (a.os_index, b.os_index);
+                    assert_eq!(t.shared_level_of_pus(oa, ob), shared, "{}: PUs {oa},{ob}", t.name());
+                    assert_eq!(
+                        t.hop_distance(oa, ob),
+                        2 * (leaf_depth - shared),
+                        "{}: PUs {oa},{ob}",
+                        t.name()
+                    );
+                }
+            }
+            assert_eq!(t.shared_level_of_pus(0, max_os + 1), 0, "an absent PU shares only the root");
+        }
     }
 
     #[test]

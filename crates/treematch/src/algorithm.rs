@@ -19,26 +19,30 @@
 //! when the hardware allows it — for every control thread.
 
 use crate::control::{decide_control_mode, extend_for_control, ControlPlacementMode, ControlThreadSpec};
-use crate::grouping::{group_processes_with, GroupingScratch};
+use crate::grouping::{group_processes_sparse, GroupingScratch};
 use crate::mapping::Placement;
-use crate::oversub::manage_oversubscription;
-use orwl_comm::aggregate::{aggregate_into, AggregateScratch, Groups};
+use crate::oversub::{manage_oversubscription, OversubPlan};
+use orwl_comm::aggregate::{aggregate_sparse_into, AggregateScratch, Groups};
 use orwl_comm::matrix::CommMatrix;
+use orwl_comm::sparse::SparseComm;
 use orwl_topo::object::ObjectType;
 use orwl_topo::topology::{Topology, TreeShape};
 
-/// Reusable buffers of the whole placement pipeline: the per-level
-/// current/aggregated matrices of [`tree_match_assign`] plus the grouping
-/// and aggregation scratch.  A caller that computes placements repeatedly —
-/// the adaptive engine re-placing every drift epoch, a policy sweep, the
-/// scaling harness — holds one `PlacementScratch` and stops paying a dense
-/// `O(p²)` allocation per tree level per placement.
+/// Reusable buffers of the whole placement pipeline.  A caller that
+/// computes placements repeatedly — the adaptive engine re-placing every
+/// drift epoch, a policy sweep, the scaling harness — holds one
+/// `PlacementScratch` and stops allocating per tree level per placement.
+///
+/// Nothing here is `p × p`: the caller's matrix is read once into the
+/// sparse view, and the only dense intermediates are the aggregated level
+/// matrices, of order `⌈p / arity⌉` and smaller.
 #[derive(Debug, Default, Clone)]
 pub struct PlacementScratch {
-    /// The matrix of the level being grouped.
-    cur: CommMatrix,
+    /// The sparse view of the level being grouped: the caller's matrix
+    /// first, then each aggregated level.
+    view: SparseComm,
     /// The aggregated matrix the next level will group.
-    next: CommMatrix,
+    level: CommMatrix,
     /// Aggregation owner table.
     agg: AggregateScratch,
     /// Grouping-phase buffers.
@@ -92,7 +96,7 @@ impl TreeMatchMapper {
 
     /// Allocation-reusing variant of
     /// [`compute_placement`](TreeMatchMapper::compute_placement): identical
-    /// output, but every dense intermediate lives in `scratch` and is
+    /// output, but every intermediate lives in `scratch` and is
     /// reused across calls — the form the adaptive engine uses so epoch
     /// re-placements stop allocating.
     pub fn compute_placement_with(
@@ -206,8 +210,8 @@ pub fn tree_match_assign(shape: &TreeShape, m: &CommMatrix) -> Vec<usize> {
 }
 
 /// Allocation-reusing variant of [`tree_match_assign`]: identical output,
-/// with the per-level matrices ping-ponging between the two scratch
-/// buffers instead of being cloned and reallocated at every level.
+/// with the sparse view and the aggregated level matrix living in
+/// `scratch` instead of being reallocated at every level.
 pub fn tree_match_assign_with(
     shape: &TreeShape,
     m: &CommMatrix,
@@ -228,12 +232,11 @@ pub fn tree_match_assign_with(
     let levels = arities.len();
 
     // Lines 4–7: group from the leaves towards the root, aggregating the
-    // matrix between levels.  The level matrices ping-pong between the two
-    // scratch buffers: `cur` is grouped, aggregated into `next`, then the
-    // roles swap — no per-level clone or allocation once the buffers are
-    // warm.
+    // matrix between levels.  Each level is grouped and aggregated through
+    // its sparse view: of the caller's matrix first, then of the aggregated
+    // matrix of the level below, the only dense intermediate — no per-level
+    // allocation once the buffers are warm.
     let mut partitions: Vec<Groups> = Vec::with_capacity(levels);
-    scratch.cur.copy_from(m);
     // Per-phase timing accumulates across levels into one `group` and one
     // `coarsen` span per solve; the clock is only read when recording is on.
     let observing = orwl_obs::enabled();
@@ -241,25 +244,35 @@ pub fn tree_match_assign_with(
     let mut coarsen_ns = 0u64;
     for l in (0..levels).rev() {
         let t0 = observing.then(std::time::Instant::now);
-        let groups = group_processes_with(&scratch.cur, arities[l], &mut scratch.grouping);
+        scratch.view.rebuild(if partitions.is_empty() { m } else { &scratch.level });
         let t1 = observing.then(std::time::Instant::now);
-        aggregate_into(&scratch.cur, &groups, &mut scratch.agg, &mut scratch.next);
-        if let (Some(t0), Some(t1)) = (t0, t1) {
-            group_ns += (t1 - t0).as_nanos() as u64;
-            coarsen_ns += t1.elapsed().as_nanos() as u64;
+        let groups = group_processes_sparse(&scratch.view, arities[l], &mut scratch.grouping);
+        let t2 = observing.then(std::time::Instant::now);
+        // The root level's groups are final: nothing reads their aggregate.
+        if l > 0 {
+            aggregate_sparse_into(&scratch.view, &groups, &mut scratch.agg, &mut scratch.level);
         }
-        std::mem::swap(&mut scratch.cur, &mut scratch.next);
+        if let (Some(t0), Some(t1), Some(t2)) = (t0, t1, t2) {
+            group_ns += (t2 - t1).as_nanos() as u64;
+            coarsen_ns += ((t1 - t0) + t2.elapsed()).as_nanos() as u64;
+        }
         partitions.push(groups);
     }
     if observing {
         orwl_obs::solve_phase_ns(orwl_obs::SolvePhase::Group, group_ns);
         orwl_obs::solve_phase_ns(orwl_obs::SolvePhase::Coarsen, coarsen_ns);
     }
+    map_groups(&partitions, &plan, p)
+}
 
-    // Line 8 (MapGroups): walk the hierarchy of groups top-down, assigning
-    // each group a leaf slot aligned on subtree boundaries so that a group
-    // never straddles two parents.
-    //
+/// Line 8 of Algorithm 1 (`MapGroups`): walks the hierarchy of groups
+/// top-down — `partitions[0]` groups the `p` entities, each later stage
+/// groups the groups of the one before — assigning each group a leaf slot
+/// aligned on subtree boundaries so that a group never straddles two
+/// parents, and returns every entity's physical leaf.
+pub(crate) fn map_groups(partitions: &[Groups], plan: &OversubPlan, p: usize) -> Vec<usize> {
+    let arities = &plan.shape.arities;
+    let levels = arities.len();
     // `width[s]` = number of (virtual) leaves spanned by one stage-`s`
     // entity: a stage-0 entity is an original thread (width 1), a stage-1
     // entity is a bottom-level group (width = deepest arity), and so on.
@@ -273,7 +286,7 @@ pub fn tree_match_assign_with(
     // group counts); iterate defensively anyway.
     let top = partitions.len() - 1;
     for (g, _) in partitions[top].iter().enumerate() {
-        assign_rec(&partitions, top + 1, g, g * width[levels], &width, &mut virtual_leaf);
+        assign_rec(partitions, top + 1, g, g * width[levels], &width, &mut virtual_leaf);
     }
 
     // Fold virtual leaves back onto physical leaves.

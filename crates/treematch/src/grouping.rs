@@ -13,18 +13,20 @@
 //! exact on the small instances the unit tests check and close to optimal on
 //! stencil-like matrices.
 //!
-//! # Incremental gain structures
+//! # Incremental gain structures over the sparse view
 //!
 //! Both phases are hot: placement runs *online* (every adaptive
-//! re-placement epoch) and at every tree level, so the naive
-//! recompute-everything formulation — `O(p² · a)` per level, with an
-//! `O(p)` `traffic_of` call inside the seed-sort comparator — dominated
-//! placement cost at scale.  The implementation instead maintains
+//! re-placement epoch) and at every tree level.  Every inner loop walks the
+//! rows of the symmetrised matrix through [`SparseComm`], so it costs the
+//! non-zero entries it touches rather than `p`; the naive
+//! recompute-everything formulation is `O(p² · a)` per level.  The
+//! implementation maintains
 //!
 //! * a per-candidate *connectivity-to-the-growing-group* accumulator during
-//!   greedy construction (`O(1)` lookup per candidate, `O(p)` update per
-//!   adoption), built by the **same ordered additions** the naive sum would
-//!   perform, so every comparison sees bit-identical values;
+//!   greedy construction, extended by one adopted member's row at a time —
+//!   the **same ordered additions** the naive sum would perform, minus the
+//!   exact zeros, so every comparison sees bit-identical values — and picks
+//!   the next member among the candidates that row walk has touched;
 //! * a per-entity per-group connectivity table in the swap-refinement
 //!   phase, used as a *sound `O(1)` screen*: pairs whose screened gain
 //!   cannot reach the acceptance threshold are skipped, and only
@@ -32,12 +34,15 @@
 //!   remains the sole basis of accept/reject decisions.
 //!
 //! Groups are therefore **exactly identical** to the naive implementation's
-//! (pinned by the regression tests below and the proptests in this file):
-//! greedy decisions compare bit-identical floats, and refinement decisions
-//! are always taken on the naive gain.
+//! (pinned by the regression tests below and the proptests in this file and
+//! in `sparse_identity.rs`): greedy decisions compare bit-identical floats,
+//! and refinement decisions are always taken on the naive gain.  Volumes
+//! must be non-negative — what makes a skipped `+ 0.0` exact and the
+//! screens sound.
 
 use orwl_comm::aggregate::Groups;
 use orwl_comm::matrix::CommMatrix;
+use orwl_comm::sparse::SparseComm;
 
 /// Gain a swap must exceed to be accepted (strictly positive so refinement
 /// terminates: intra-group volume strictly increases at every swap).
@@ -57,15 +62,15 @@ const SCREEN_EPS: f64 = 1e-9;
 /// level (or per adaptive epoch) stop allocating.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct GroupingScratch {
-    /// The symmetrised input matrix.
-    sym: CommMatrix,
     /// Per-entity total traffic (seed-sort keys).
     traffic: Vec<f64>,
     /// Seed visit order.
     order: Vec<usize>,
     /// Greedy: connectivity of each candidate to the group under
-    /// construction.
+    /// construction; all zeros between groups.
     conn: Vec<f64>,
+    /// Greedy: the entities whose `conn` the current group has touched.
+    touched: Vec<usize>,
     /// Refinement: `gconn[g * p + x]` ≈ connectivity of entity `x` to
     /// group `g`.
     gconn: Vec<f64>,
@@ -74,6 +79,10 @@ pub(crate) struct GroupingScratch {
     gg: Vec<f64>,
     /// Refinement: owning group of each entity.
     owner: Vec<usize>,
+    /// Refinement: the diagonal `s[x][x]`.
+    diag: Vec<f64>,
+    /// Refinement: the last pass that changed each group.
+    changed_in: Vec<usize>,
     /// Greedy: which entities are already grouped.
     assigned: Vec<bool>,
 }
@@ -87,26 +96,28 @@ pub(crate) struct GroupingScratch {
 /// # Panics
 /// Panics when `arity == 0`.
 pub fn group_processes(m: &CommMatrix, arity: usize) -> Groups {
-    group_processes_with(m, arity, &mut GroupingScratch::default())
+    group_processes_sparse(&SparseComm::from_dense(m), arity, &mut GroupingScratch::default())
 }
 
-/// Allocation-reusing variant of [`group_processes`]; same output, shared
-/// scratch buffers.
-pub(crate) fn group_processes_with(m: &CommMatrix, arity: usize, scratch: &mut GroupingScratch) -> Groups {
+/// [`group_processes`] on an already-built view, with shared scratch
+/// buffers; same output.
+pub(crate) fn group_processes_sparse(s: &SparseComm, arity: usize, scratch: &mut GroupingScratch) -> Groups {
     assert!(arity > 0, "arity must be at least 1");
-    let p = m.order();
+    let p = s.order();
     if p == 0 {
         return Vec::new();
     }
-    // Work on the symmetrised matrix: grouping only cares about the total
-    // volume between two entities, not its direction.
-    m.symmetrize_into(&mut scratch.sym);
+    // Grouping only cares about the total volume between two entities, not
+    // its direction: it reads the symmetrised rows of the view.
     let n_groups = p.div_ceil(arity);
 
-    let mut groups = greedy_grouping(arity, n_groups, scratch);
-    orwl_obs::time_phase(orwl_obs::SolvePhase::Refine, || {
-        refine_by_swaps(&scratch.sym, &mut groups, &mut scratch.gconn, &mut scratch.gg, &mut scratch.owner);
-    });
+    let mut groups = greedy_grouping(s, arity, n_groups, scratch);
+    // Swapping between singleton groups gains exactly nothing.
+    if arity > 1 {
+        orwl_obs::time_phase(orwl_obs::SolvePhase::Refine, || {
+            refine_by_swaps(s, &mut groups, scratch);
+        });
+    }
 
     // Canonical order: sort members, then groups by first member.
     for g in &mut groups {
@@ -116,16 +127,13 @@ pub(crate) fn group_processes_with(m: &CommMatrix, arity: usize, scratch: &mut G
     groups
 }
 
-/// `traffic_of` specialised to a symmetric matrix: the transposed entry is
-/// bitwise equal (`s[i][j] = m[i][j] + m[j][i]` and IEEE addition is
-/// commutative), so the column walk of the naive sum can be replaced by a
-/// second read of the row entry — same bits per addition, hence a
-/// bit-identical total, without the column-stride cache misses that
-/// dominated the seed sort at `p ≥ 512`.
-pub(crate) fn symmetric_traffic_of(s: &CommMatrix, i: usize) -> f64 {
+/// `traffic_of` on the symmetrised matrix: the transposed entry is bitwise
+/// equal (`s[i][j] = m[i][j] + m[j][i]` and IEEE addition is commutative),
+/// so the row-plus-column walk of the naive sum is a doubled read of the
+/// row entry — same bits per addition, hence a bit-identical total.
+pub(crate) fn symmetric_traffic_of(s: &SparseComm, i: usize) -> f64 {
     let mut t = 0.0;
-    for j in 0..s.order() {
-        let v = s.get(i, j);
+    for (_, v) in s.sym_row(i) {
         t += v + v;
     }
     t
@@ -136,19 +144,20 @@ pub(crate) fn symmetric_traffic_of(s: &CommMatrix, i: usize) -> f64 {
 /// connection to the group.
 ///
 /// `scratch.conn[cand]` carries each candidate's connectivity to the group
-/// under construction, accumulated one `+= s[member][cand]` per adoption —
-/// the exact ordered additions of the naive per-candidate rescan, so the
-/// argmax comparisons are bit-identical while the per-adoption cost drops
-/// from `O(group · p)` to `O(p)`.
-fn greedy_grouping(arity: usize, n_groups: usize, scratch: &mut GroupingScratch) -> Groups {
-    let s = &scratch.sym;
+/// under construction, accumulated one `+= s[member][cand]` per adoption
+/// over the member's non-zero row — the exact ordered additions of the naive
+/// per-candidate rescan.  The next member is the touched candidate with the
+/// largest connectivity (lowest index among equals, as a scan of `0..p`
+/// finds it); when the group has no connected candidate left, every
+/// remaining connectivity is an exact zero and that scan would return the
+/// lowest unassigned index, which a cursor tracks.
+fn greedy_grouping(s: &SparseComm, arity: usize, n_groups: usize, scratch: &mut GroupingScratch) -> Groups {
     let p = s.order();
     let assigned = &mut scratch.assigned;
     assigned.clear();
     assigned.resize(p, false);
     // Heaviest communicators first so they get to pick their partners; the
-    // sort keys are precomputed once (`traffic_of` inside the comparator
-    // would cost O(p) per comparison — O(p² log p) for the sort).
+    // sort keys are precomputed once.
     scratch.traffic.clear();
     scratch.traffic.extend((0..p).map(|i| symmetric_traffic_of(s, i)));
     let traffic = &scratch.traffic;
@@ -162,6 +171,10 @@ fn greedy_grouping(arity: usize, n_groups: usize, scratch: &mut GroupingScratch)
     let conn = &mut scratch.conn;
     conn.clear();
     conn.resize(p, 0.0);
+    let touched = &mut scratch.touched;
+    touched.clear();
+    // Every entity below the cursor is assigned.
+    let mut lowest_free = 0;
     let mut groups: Groups = Vec::with_capacity(n_groups);
     for &seed in order.iter() {
         if assigned[seed] {
@@ -172,36 +185,40 @@ fn greedy_grouping(arity: usize, n_groups: usize, scratch: &mut GroupingScratch)
         }
         let mut group = vec![seed];
         assigned[seed] = true;
-        // Connectivity of every candidate to the one-member group.  Stale
-        // entries of previous groups are overwritten wholesale; entries of
-        // assigned entities are never read.
-        for (cand, c) in conn.iter_mut().enumerate() {
-            *c = s.get(seed, cand);
-        }
+        let mut adopted = seed;
         while group.len() < arity {
+            // The adopted member's row extends every candidate's ordered
+            // connectivity sum.
+            for (x, v) in s.sym_row(adopted) {
+                if conn[x] == 0.0 {
+                    touched.push(x);
+                }
+                conn[x] += v;
+            }
             // Entity with maximum connectivity to the current group.
             let mut best: Option<(usize, f64)> = None;
-            for (cand, &taken) in assigned.iter().enumerate() {
-                if taken {
-                    continue;
-                }
-                match best {
-                    Some((_, bconn)) if conn[cand] <= bconn => {}
-                    _ => best = Some((cand, conn[cand])),
+            for &cand in touched.iter().filter(|&&cand| !assigned[cand]) {
+                if best.is_none_or(|(b, bconn)| conn[cand] > bconn || (conn[cand] == bconn && cand < b)) {
+                    best = Some((cand, conn[cand]));
                 }
             }
-            match best {
-                Some((cand, _)) => {
-                    assigned[cand] = true;
-                    group.push(cand);
-                    // The adopted member's row extends every remaining
-                    // candidate's ordered connectivity sum.
-                    for (x, c) in conn.iter_mut().enumerate() {
-                        *c += s.get(cand, x);
+            adopted = match best {
+                Some((cand, c)) if c > 0.0 => cand,
+                _ => {
+                    while lowest_free < p && assigned[lowest_free] {
+                        lowest_free += 1;
                     }
+                    if lowest_free == p {
+                        break;
+                    }
+                    lowest_free
                 }
-                None => break,
-            }
+            };
+            assigned[adopted] = true;
+            group.push(adopted);
+        }
+        for x in touched.drain(..) {
+            conn[x] = 0.0;
         }
         groups.push(group);
     }
@@ -239,39 +256,43 @@ fn greedy_grouping(arity: usize, n_groups: usize, scratch: &mut GroupingScratch)
 /// # Screening
 ///
 /// `gconn[g · p + x]` approximates entity `x`'s connectivity to group `g`;
-/// it is built once before the pass loop, and on every accepted swap the
-/// two affected rows are rebuilt wholesale from the new memberships (never
-/// delta-updated — see the maintenance comment below; this is what keeps
-/// every screened value a cancellation-free sum of non-negative volumes).
-/// Two sound filters sit in front of the naive gain:
+/// it is built once before the pass loop from the members' non-zero rows,
+/// and on every accepted swap the two affected rows are rebuilt wholesale
+/// from the new memberships (never delta-updated — see the maintenance
+/// comment below; this is what keeps every screened value a
+/// cancellation-free sum of non-negative volumes).  Sound filters sit in
+/// front of the naive gain:
 ///
 /// 1. a **group-pair block filter** — a swap can only gain when it moves
 ///    cross-connectivity inside, and the gain is bounded by
 ///    `max_a conn(a, gb) + max_b conn(b, ga)`; most group pairs (distant
 ///    stencil blocks, disjoint clusters) fail this bound outright and skip
 ///    the whole `|ga| × |gb|` inner loop;
-/// 2. a **per-pair screen** on the approximated gain.
+/// 2. a **row filter** — what `a` gains by crossing over plus the most any
+///    member of `gb` gains by crossing back bounds every swap of `a`;
+/// 3. a **per-pair screen** on the approximated gain, first on the bound
+///    that leaves the pair's own link `s[a][b] ≥ 0` out (no lookup), then
+///    with it.
 ///
-/// Both filters carry a rounding slack of `SCREEN_EPS × (the magnitudes
-/// involved + max |s|)`: volumes are non-negative, so current magnitudes
-/// bound the reordering error, and the extra `max |s|` term covers
-/// cancellation residue left by delta updates.  Pairs that survive are
-/// decided by the naive ordered-sum [`swap_gain`], keeping accepted swaps
-/// (and therefore the final groups) exactly those of the naive
-/// implementation.
-fn refine_by_swaps(
-    s: &CommMatrix,
-    groups: &mut Groups,
-    gconn: &mut Vec<f64>,
-    gg: &mut Vec<f64>,
-    owner: &mut Vec<usize>,
-) {
+/// A group pair neither of whose groups changed since its last scan is not
+/// scanned at all: the scan reads nothing but the two member lists, found
+/// no swap then, and would find none now.
+///
+/// The filters carry a rounding slack of `SCREEN_EPS × (the magnitudes
+/// involved)`: volumes are non-negative, so current magnitudes bound the
+/// reordering error.  Pairs that survive are decided by the naive
+/// ordered-sum [`swap_gain`], keeping accepted swaps (and therefore the
+/// final groups) exactly those of the naive implementation.
+fn refine_by_swaps(s: &SparseComm, groups: &mut Groups, scratch: &mut GroupingScratch) {
     const MAX_PASSES: usize = 8;
     let p = s.order();
     let n_groups = groups.len();
     if n_groups < 2 {
         return;
     }
+    let GroupingScratch { gconn, gg, owner, diag, changed_in, .. } = scratch;
+    diag.clear();
+    diag.extend((0..p).map(|x| s.sym_get(x, x)));
     // Build the connectivity table once — gconn[g][x] = Σ s[x][m] over the
     // members of g in list order, reading the symmetric matrix by rows
     // (`s[m][x]` is bitwise `s[x][m]`, see [`symmetric_traffic_of`]) — and
@@ -283,38 +304,37 @@ fn refine_by_swaps(
     // the filters sound.
     gconn.clear();
     gconn.resize(n_groups * p, 0.0);
-    for (g, members) in groups.iter().enumerate() {
-        let row = &mut gconn[g * p..(g + 1) * p];
-        for &m in members {
-            for (x, acc) in row.iter_mut().enumerate() {
-                *acc += s.get(m, x);
-            }
-        }
-    }
-    // Aggregate group-to-group connectivity for the block filter
-    // (`gg[ga][gb]` = Σ over ga's members of their gconn towards gb),
-    // streamed row-major over gconn so the build stays cache-friendly.
     owner.clear();
     owner.resize(p, usize::MAX);
     for (g, members) in groups.iter().enumerate() {
+        let row = &mut gconn[g * p..(g + 1) * p];
         for &m in members {
             owner[m] = g;
-        }
-    }
-    gg.clear();
-    gg.resize(n_groups * n_groups, 0.0);
-    for g in 0..n_groups {
-        let row = &gconn[g * p..(g + 1) * p];
-        for (x, &c) in row.iter().enumerate() {
-            if owner[x] != usize::MAX {
-                gg[owner[x] * n_groups + g] += c;
+            for (x, v) in s.sym_row(m) {
+                row[x] += v;
             }
         }
     }
-    for _ in 0..MAX_PASSES {
+    // Aggregate group-to-group connectivity for the block filter:
+    // `gg[ga][gb]` = Σ s[x][y] over x in ga, y in gb.
+    gg.clear();
+    gg.resize(n_groups * n_groups, 0.0);
+    for (ga, members) in groups.iter().enumerate() {
+        add_group_connectivity(s, members, ga, owner, gg, n_groups);
+    }
+    // changed_in[g]: the last pass (1-based, 0 = before the first) that
+    // swapped a member of g.  A group pair's scan reads nothing but the two
+    // member lists, so a pair neither of whose groups changed since its last
+    // scan — which found no swap — would find none again.
+    changed_in.clear();
+    changed_in.resize(n_groups, 0);
+    for pass in 1..=MAX_PASSES {
         let mut improved = false;
         for ga in 0..n_groups {
             for gb in (ga + 1)..n_groups {
+                if changed_in[ga] + 1 < pass && changed_in[gb] + 1 < pass {
+                    continue;
+                }
                 // Block filter: every pair's naive gain is bounded by
                 // conn(a, gb) + conn(b, ga) — the subtracted home terms are
                 // ordered sums of non-negative volumes, hence ≥ 0 exactly —
@@ -326,22 +346,42 @@ fn refine_by_swaps(
                 if gg_ab + gg_ba + SCREEN_EPS * (gg_ab + gg_ba) <= GAIN_THRESHOLD {
                     continue;
                 }
+                // Row filter: what `a` gains by crossing over plus the most
+                // any member of gb gains by crossing back bounds every swap
+                // of `a` (the pair's own link `s[a][b] ≥ 0` only lowers it),
+                // so most members skip their |gb| partners in O(1).
+                let crossing = |gconn: &[f64], x: usize, from: usize, to: usize| {
+                    let (home, away) = (gconn[from * p + x], gconn[to * p + x]);
+                    (away - (home - diag[x]), home + away + diag[x])
+                };
+                let best_return = |gconn: &[f64], members: &[usize]| {
+                    members
+                        .iter()
+                        .map(|&b| crossing(gconn, b, gb, ga))
+                        .fold((f64::NEG_INFINITY, 0.0f64), |(gain, scale), (g, m)| {
+                            (gain.max(g), scale.max(m))
+                        })
+                };
+                let (mut best_back, mut best_back_scale) = best_return(gconn, &groups[gb]);
                 for ia in 0..groups[ga].len() {
+                    let (over, over_scale) = crossing(gconn, groups[ga][ia], ga, gb);
+                    if over + best_back + SCREEN_EPS * (over_scale + best_back_scale) <= GAIN_THRESHOLD {
+                        continue; // certain reject of the whole row
+                    }
                     for ib in 0..groups[gb].len() {
                         let a = groups[ga][ia];
                         let b = groups[gb][ib];
-                        let a_ga = gconn[ga * p + a];
-                        let a_gb = gconn[gb * p + a];
-                        let b_ga = gconn[ga * p + b];
-                        let b_gb = gconn[gb * p + b];
+                        let ((over, over_scale), (back, back_scale)) =
+                            (crossing(gconn, a, ga, gb), crossing(gconn, b, gb, ga));
+                        let slack = SCREEN_EPS * (over_scale + back_scale);
+                        if over + back + slack <= GAIN_THRESHOLD {
+                            continue; // certain reject: naive gain cannot pass
+                        }
                         // `s[a][b]` and `s[b][a]` are bitwise equal on the
                         // symmetric matrix.
-                        let v = s.get(a, b);
-                        let screened = (a_gb - v) + (b_ga - v) - (a_ga - s.get(a, a)) - (b_gb - s.get(b, b));
-                        let slack =
-                            SCREEN_EPS * (a_ga + a_gb + b_ga + b_gb + s.get(a, a) + s.get(b, b) + 2.0 * v);
-                        if screened + slack <= GAIN_THRESHOLD {
-                            continue; // certain reject: naive gain cannot pass
+                        let v = s.sym_get(a, b);
+                        if over + back - 2.0 * v + slack + SCREEN_EPS * 2.0 * v <= GAIN_THRESHOLD {
+                            continue;
                         }
                         let gain = swap_gain(s, &groups[ga], &groups[gb], a, b);
                         if gain > GAIN_THRESHOLD {
@@ -349,36 +389,40 @@ fn refine_by_swaps(
                             groups[gb][ib] = a;
                             owner[a] = gb;
                             owner[b] = ga;
+                            changed_in[ga] = pass;
+                            changed_in[gb] = pass;
                             // Rebuild the two affected rows from the new
-                            // memberships (no deltas — see above).
-                            for g in [ga, gb] {
+                            // memberships (no deltas — see above).  A row is
+                            // non-zero only where a member's row is, so
+                            // clearing under the old and new members' rows
+                            // clears it all.
+                            for (g, left) in [(ga, a), (gb, b)] {
                                 let row = &mut gconn[g * p..(g + 1) * p];
-                                row.fill(0.0);
+                                for &m in groups[g].iter().chain(std::iter::once(&left)) {
+                                    for (x, _) in s.sym_row(m) {
+                                        row[x] = 0.0;
+                                    }
+                                }
                                 for &m in &groups[g] {
-                                    for (x, acc) in row.iter_mut().enumerate() {
-                                        *acc += s.get(m, x);
+                                    for (x, v) in s.sym_row(m) {
+                                        row[x] += v;
                                     }
                                 }
                             }
                             // Refresh the aggregate rows/columns the swap
                             // touched: ga/gb's memberships changed and every
                             // group's connectivity towards ga/gb shifted.
-                            for g in 0..n_groups {
-                                let mut to_a = 0.0;
-                                let mut to_b = 0.0;
-                                for &m in &groups[g] {
-                                    to_a += gconn[ga * p + m];
-                                    to_b += gconn[gb * p + m];
+                            for g in [ga, gb] {
+                                for h in 0..n_groups {
+                                    gg[g * n_groups + h] = 0.0;
+                                    gg[h * n_groups + g] = 0.0;
                                 }
-                                gg[g * n_groups + ga] = to_a;
-                                gg[g * n_groups + gb] = to_b;
+                                add_group_connectivity(s, &groups[g], g, owner, gg, n_groups);
+                                for h in (0..n_groups).filter(|&h| h != g) {
+                                    gg[h * n_groups + g] = gg[g * n_groups + h];
+                                }
                             }
-                            for (h, acc) in gg[ga * n_groups..(ga + 1) * n_groups].iter_mut().enumerate() {
-                                *acc = groups[ga].iter().map(|&m| gconn[h * p + m]).sum();
-                            }
-                            for (h, acc) in gg[gb * n_groups..(gb + 1) * n_groups].iter_mut().enumerate() {
-                                *acc = groups[gb].iter().map(|&m| gconn[h * p + m]).sum();
-                            }
+                            (best_back, best_back_scale) = best_return(gconn, &groups[gb]);
                             improved = true;
                         }
                     }
@@ -391,12 +435,30 @@ fn refine_by_swaps(
     }
 }
 
+/// Adds the rows of `members` (the members of group `g`) into row `g` of
+/// the group-to-group table: `gg[g][owner[y]] += s[m][y]`.
+fn add_group_connectivity(
+    s: &SparseComm,
+    members: &[usize],
+    g: usize,
+    owner: &[usize],
+    gg: &mut [f64],
+    n_groups: usize,
+) {
+    let row = &mut gg[g * n_groups..(g + 1) * n_groups];
+    for &m in members {
+        for (y, v) in s.sym_row(m) {
+            row[owner[y]] += v;
+        }
+    }
+}
+
 /// Increase in intra-group volume obtained by swapping `a` (in `ga`) with
 /// `b` (in `gb`).  This is the naive ordered-sum gain every accepted swap
 /// is decided on (see [`refine_by_swaps`]).
-fn swap_gain(s: &CommMatrix, ga: &[usize], gb: &[usize], a: usize, b: usize) -> f64 {
+fn swap_gain(s: &SparseComm, ga: &[usize], gb: &[usize], a: usize, b: usize) -> f64 {
     let conn = |x: usize, group: &[usize], exclude: usize| -> f64 {
-        group.iter().filter(|&&g| g != exclude).map(|&g| s.get(x, g)).sum()
+        group.iter().filter(|&&g| g != exclude).map(|&g| s.sym_get(x, g)).sum()
     };
     let before = conn(a, ga, a) + conn(b, gb, b);
     let after = conn(a, gb, b) + conn(b, ga, a);
@@ -484,6 +546,15 @@ pub(crate) mod naive {
             }
         }
         groups
+    }
+
+    fn swap_gain(s: &CommMatrix, ga: &[usize], gb: &[usize], a: usize, b: usize) -> f64 {
+        let conn = |x: usize, group: &[usize], exclude: usize| -> f64 {
+            group.iter().filter(|&&g| g != exclude).map(|&g| s.get(x, g)).sum()
+        };
+        let before = conn(a, ga, a) + conn(b, gb, b);
+        let after = conn(a, gb, b) + conn(b, ga, a);
+        after - before
     }
 
     fn refine_by_swaps(s: &CommMatrix, groups: &mut Groups) {
@@ -619,7 +690,8 @@ mod tests {
         let mut scratch = GroupingScratch::default();
         for (p, a) in [(12, 3), (5, 2), (20, 4), (12, 3)] {
             let m = patterns::random_symmetric(p, 0.5, 100.0, 17);
-            assert_eq!(group_processes_with(&m, a, &mut scratch), group_processes(&m, a), "p={p} a={a}");
+            let view = SparseComm::from_dense(&m);
+            assert_eq!(group_processes_sparse(&view, a, &mut scratch), group_processes(&m, a), "p={p} a={a}");
         }
     }
 

@@ -47,6 +47,8 @@ pub mod mapping;
 pub mod oversub;
 pub mod partition;
 pub mod policies;
+#[cfg(test)]
+mod sparse_identity;
 
 pub use algorithm::{
     tree_match_assign, tree_match_assign_with, PlacementScratch, TreeMatchConfig, TreeMatchMapper,

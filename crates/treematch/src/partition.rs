@@ -15,6 +15,7 @@
 
 use crate::algorithm::TreeMatchMapper;
 use orwl_comm::matrix::CommMatrix;
+use orwl_comm::sparse::SparseComm;
 use orwl_topo::topology::Topology;
 
 /// Stage 2 of two-level placement, shared by `Policy::Hierarchical` and
@@ -92,14 +93,7 @@ impl PartCosts {
 pub fn cut_cost(m: &CommMatrix, assignment: &[usize], costs: &PartCosts) -> f64 {
     assert!(assignment.len() >= m.order(), "assignment must cover every entity of the matrix");
     let mut cut = 0.0;
-    for i in 0..m.order() {
-        for j in 0..m.order() {
-            let v = m.get(i, j);
-            if v != 0.0 {
-                cut += v * costs.cost(assignment[i], assignment[j]);
-            }
-        }
-    }
+    m.for_each_nonzero(|i, j, v| cut += v * costs.cost(assignment[i], assignment[j]));
     cut
 }
 
@@ -107,13 +101,11 @@ pub fn cut_cost(m: &CommMatrix, assignment: &[usize], costs: &PartCosts) -> f64 
 pub fn cut_bytes(m: &CommMatrix, assignment: &[usize]) -> f64 {
     assert!(assignment.len() >= m.order(), "assignment must cover every entity of the matrix");
     let mut cut = 0.0;
-    for i in 0..m.order() {
-        for j in 0..m.order() {
-            if assignment[i] != assignment[j] {
-                cut += m.get(i, j);
-            }
+    m.for_each_nonzero(|i, j, v| {
+        if assignment[i] != assignment[j] {
+            cut += v;
         }
-    }
+    });
     cut
 }
 
@@ -156,68 +148,13 @@ impl std::error::Error for PartitionError {}
 /// grouping threshold so both local-search stages terminate).
 const GAIN_THRESHOLD: f64 = 1e-12;
 
-/// Relative slack of the incremental screens, mirroring
-/// `orwl_treematch::grouping`: screened values are trusted to within
-/// `SCREEN_EPS × (magnitudes involved)` of the naive ordered sums, which
-/// holds with ≈ 10⁷ operations of headroom because volumes and part costs
-/// are non-negative.
+/// Relative slack of the refinement's pruning bound, mirroring
+/// `orwl_treematch::grouping`: a bound computed from the exact cost table
+/// is trusted to within `SCREEN_EPS × (magnitudes involved)` of the gain
+/// expression it bounds.  That expression is five floating-point
+/// operations on non-negative values, ≈ 10⁻¹⁵ relative error, so `1e-9`
+/// leaves six orders of magnitude of headroom.
 const SCREEN_EPS: f64 = 1e-9;
-
-/// `vol[e · k + q] ≈ Σ s[e][other]` over the entities currently assigned
-/// to part `q` (excluding `e` itself): the incremental attraction table
-/// both greedy growth and KL refinement screen against.  Values differ
-/// from the naive index-order sums only by floating-point rounding, which
-/// the screens' slack absorbs; every accept/compare decision falls back to
-/// the naive sums.
-struct VolToPart {
-    k: usize,
-    vol: Vec<f64>,
-}
-
-impl VolToPart {
-    fn new(p: usize, k: usize) -> Self {
-        VolToPart { k, vol: vec![0.0; p * k] }
-    }
-
-    fn get(&self, e: usize, q: usize) -> f64 {
-        self.vol[e * self.k + q]
-    }
-
-    /// Accounts entity `x` joining part `q` (row access on the symmetric
-    /// matrix: `s[x][e]` is bitwise `s[e][x]`).
-    fn on_assign(&mut self, s: &CommMatrix, x: usize, q: usize) {
-        for e in 0..s.order() {
-            if e != x {
-                self.vol[e * self.k + q] += s.get(x, e);
-            }
-        }
-    }
-
-    /// Accounts entity `x` leaving part `from` for part `to`.
-    fn on_move(&mut self, s: &CommMatrix, x: usize, from: usize, to: usize) {
-        for e in 0..s.order() {
-            if e != x {
-                let v = s.get(x, e);
-                self.vol[e * self.k + from] -= v;
-                self.vol[e * self.k + to] += v;
-            }
-        }
-    }
-
-    /// Rebuilds the table from an assignment (entities with
-    /// `assignment[e] == usize::MAX` are not yet placed and contribute
-    /// nothing).
-    fn rebuild(&mut self, s: &CommMatrix, assignment: &[usize]) {
-        self.vol.fill(0.0);
-        for e in 0..s.order() {
-            for (other, &q) in assignment.iter().enumerate() {
-                if other != e && q != usize::MAX {
-                    self.vol[e * self.k + q] += s.get(e, other);
-                }
-            }
-        }
-    }
-}
 
 /// Partitions the `m.order()` entities into `costs.n_parts()` parts holding
 /// at most `capacity` entities each, minimising the weighted cut
@@ -228,12 +165,16 @@ impl VolToPart {
 /// derive the capacity from a machine (cluster placement) `expect` it,
 /// callers forwarding user input (the lab sweep grid) surface it.
 ///
-/// Like [`crate::grouping::group_processes`], the greedy growth and the KL
-/// refinement maintain incremental attraction tables (`VolToPart`) used
-/// as sound screens over the naive from-scratch sums, so the output is
-/// **exactly** the pre-optimisation implementation's (pinned by proptests
-/// against the retained `naive` reference below) while the dominant
-/// per-candidate/per-action cost drops from `O(p)` to `O(1)`–`O(k)`.
+/// Like [`crate::grouping::group_processes`], every inner loop walks the
+/// non-zero rows of the symmetrised matrix ([`SparseComm`]).  The
+/// quantities decisions are taken on — a candidate's connectivity to the
+/// growing part, an entity's external cost in a part — are kept as tables
+/// of the *naive ordered sums themselves*, recomputed by a row walk (in
+/// index order, the naive order) for exactly the entities an assignment
+/// changed them for.  The output is therefore **exactly** the
+/// pre-optimisation implementation's (pinned by proptests against the
+/// retained `naive` reference below) at `O(non-zeros touched)` per step.
+/// Volumes and part costs must be non-negative.
 pub fn partition(m: &CommMatrix, costs: &PartCosts, capacity: usize) -> Result<Vec<usize>, PartitionError> {
     let p = m.order();
     let k = costs.n_parts();
@@ -246,127 +187,163 @@ pub fn partition(m: &CommMatrix, costs: &PartCosts, capacity: usize) -> Result<V
     if k * capacity < p {
         return Err(PartitionError::InsufficientCapacity { parts: k, capacity, entities: p });
     }
-    let s = m.symmetrized();
+    let s = SparseComm::from_dense(m);
 
     // --- Greedy construction ------------------------------------------------
     // Aim for balanced parts (⌈p/k⌉) during construction so the refinement
     // starts from a feasible, load-balanced state; `capacity` only matters
     // when p does not divide evenly.
     let target = p.div_ceil(k).min(capacity);
-    // Precomputed seed-sort keys (a `traffic_of` call in the comparator
-    // would cost O(p) per comparison).
+    // Precomputed seed-sort keys.
     let traffic: Vec<f64> = (0..p).map(|i| crate::grouping::symmetric_traffic_of(&s, i)).collect();
     let mut order: Vec<usize> = (0..p).collect();
     order.sort_by(|&a, &b| {
         traffic[b].partial_cmp(&traffic[a]).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
     });
 
-    let mut assignment = vec![usize::MAX; p];
-    let mut load = vec![0usize; k];
-    let mut vol = VolToPart::new(p, k);
+    let mut parts = Parts { assignment: vec![usize::MAX; p], members: vec![Vec::new(); k] };
+    let mut frontier = Frontier { list: Vec::new(), listed: vec![false; p], conn: vec![0.0; p] };
     for &seed in &order {
-        if assignment[seed] != usize::MAX {
+        if parts.assignment[seed] != usize::MAX {
             continue;
         }
         // Open the next empty part for this seed; when all parts are seeded,
         // fall through to the affinity rule below.
-        let part = match (0..k).find(|&q| load[q] == 0) {
+        let part = match (0..k).find(|&q| parts.members[q].is_empty()) {
             Some(q) => q,
-            None => best_part(&s, &assignment, &load, seed, costs, target, capacity),
+            None => best_part(&s, &parts, seed, costs, target, capacity),
         };
-        assignment[seed] = part;
-        load[part] += 1;
-        vol.on_assign(&s, seed, part);
-        // Grow the part around the seed up to the balanced target.  The
-        // naive per-candidate connectivity rescan is screened by the
-        // incremental table: only candidates that may beat the running
-        // best are re-summed from scratch, and the comparisons always use
-        // those naive sums.
-        while load[part] < target {
-            let mut best: Option<(usize, f64)> = None;
-            for cand in 0..p {
-                if assignment[cand] != usize::MAX {
-                    continue;
-                }
-                let approx = vol.get(cand, part);
-                // Volumes are non-negative, so an exactly-zero screened sum
-                // means the naive sum is exactly zero too.
-                let conn = if approx == 0.0 {
-                    0.0
-                } else {
-                    match best {
-                        Some((_, bc)) if approx + SCREEN_EPS * approx <= bc => continue,
-                        // Row access: bitwise equal to the naive
-                        // `s.get(e, cand)` column walk on the symmetric
-                        // matrix.
-                        _ => (0..p).filter(|&e| assignment[e] == part).map(|e| s.get(cand, e)).sum(),
-                    }
-                };
-                if best.is_none_or(|(_, bc)| conn > bc) {
-                    best = Some((cand, conn));
-                }
-            }
-            match best {
-                Some((cand, conn)) if conn > 0.0 || load[part] == 0 => {
-                    assignment[cand] = part;
-                    load[part] += 1;
-                    vol.on_assign(&s, cand, part);
+        parts.place(seed, part);
+        // Grow the part around the seed up to the balanced target.  Only an
+        // unassigned neighbour of a member can have a positive connectivity:
+        // those form the frontier, and their connectivities are re-summed
+        // when a neighbour joins the part.
+        for &member in &parts.members[part] {
+            frontier.reach_from(&s, &parts.assignment, member, part);
+        }
+        while parts.members[part].len() < target {
+            match frontier.best(&parts.assignment) {
+                Some((cand, conn)) if conn > 0.0 => {
+                    parts.place(cand, part);
+                    frontier.reach_from(&s, &parts.assignment, cand, part);
                 }
                 // No connected candidate left: stop growing, let the
                 // remaining entities pick their own seeds / best parts.
                 _ => break,
             }
         }
+        frontier.clear();
     }
     // Anything still unassigned (disconnected entities) goes to the
     // cheapest part with room.
     for e in 0..p {
-        if assignment[e] == usize::MAX {
-            let part = best_part(&s, &assignment, &load, e, costs, target, capacity);
-            assignment[e] = part;
-            load[part] += 1;
+        if parts.assignment[e] == usize::MAX {
+            let part = best_part(&s, &parts, e, costs, target, capacity);
+            parts.place(e, part);
         }
     }
 
-    refine(&s, &mut assignment, &mut load, costs, capacity, &mut vol);
-    Ok(assignment)
+    refine(&s, &mut parts, costs, capacity);
+    Ok(parts.assignment)
+}
+
+/// An assignment under construction, with each part's member list.
+struct Parts {
+    /// Part of each entity, `usize::MAX` while unassigned.
+    assignment: Vec<usize>,
+    /// Entities of each part, in no particular order.
+    members: Vec<Vec<usize>>,
+}
+
+impl Parts {
+    fn place(&mut self, entity: usize, part: usize) {
+        self.assignment[entity] = part;
+        self.members[part].push(entity);
+    }
+
+    fn remove(&mut self, entity: usize) {
+        let list = &mut self.members[self.assignment[entity]];
+        let at = list.iter().position(|&x| x == entity).expect("an assigned entity is listed in its part");
+        list.swap_remove(at);
+        self.assignment[entity] = usize::MAX;
+    }
+}
+
+/// The unassigned neighbours of the part being grown, each with its naive
+/// connectivity to that part.
+struct Frontier {
+    list: Vec<usize>,
+    /// Whether an entity is in `list`.
+    listed: Vec<bool>,
+    /// Of a listed entity: its connectivity to the part's entities, summed
+    /// in index order — the naive sum without its exact zeros.
+    conn: Vec<f64>,
+}
+
+impl Frontier {
+    /// Accounts for `member` having joined `part`: lists its unassigned
+    /// neighbours and re-sums their connectivity.
+    fn reach_from(&mut self, s: &SparseComm, assignment: &[usize], member: usize, part: usize) {
+        for (x, _) in s.sym_row(member).filter(|&(x, _)| assignment[x] == usize::MAX) {
+            if !self.listed[x] {
+                self.listed[x] = true;
+                self.list.push(x);
+            }
+            self.conn[x] = s.sym_row(x).filter(|&(e, _)| assignment[e] == part).fold(0.0, |c, (_, v)| c + v);
+        }
+    }
+
+    /// The still-unassigned entity of highest connectivity, lowest index
+    /// among equals.
+    fn best(&self, assignment: &[usize]) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64)> = None;
+        for &cand in self.list.iter().filter(|&&cand| assignment[cand] == usize::MAX) {
+            if best.is_none_or(|(b, bc)| self.conn[cand] > bc || (self.conn[cand] == bc && cand < b)) {
+                best = Some((cand, self.conn[cand]));
+            }
+        }
+        best
+    }
+
+    fn clear(&mut self) {
+        for x in self.list.drain(..) {
+            self.listed[x] = false;
+        }
+    }
 }
 
 /// The part the entity is most attracted to among those with room: highest
 /// connectivity, then lowest load, then lowest index.
 fn best_part(
-    s: &CommMatrix,
-    assignment: &[usize],
-    load: &[usize],
+    s: &SparseComm,
+    parts: &Parts,
     entity: usize,
     costs: &PartCosts,
     target: usize,
     capacity: usize,
 ) -> usize {
-    let k = load.len();
+    let load = |q: usize| parts.members[q].len();
+    let k = parts.members.len();
     // Prefer parts under the balanced target; allow up to capacity when
     // every part has reached it.
-    let limit = if load.iter().all(|&l| l >= target) { capacity } else { target };
+    let limit = if (0..k).all(|q| load(q) >= target) { capacity } else { target };
     let mut best: Option<(usize, f64)> = None;
     for q in 0..k {
-        if load[q] >= limit {
+        if load(q) >= limit {
             continue;
         }
         // Attraction = volume kept local minus fabric-weighted volume to the
         // entities already placed elsewhere.
         let mut score = 0.0;
-        for (e, &part) in assignment.iter().enumerate() {
-            if part == usize::MAX {
-                continue;
-            }
-            let v = s.get(e, entity);
-            if v != 0.0 {
+        for (e, v) in s.sym_row(entity) {
+            let part = parts.assignment[e];
+            if part != usize::MAX {
                 score -= v * costs.cost(part, q);
             }
         }
         let better = match best {
             None => true,
-            Some((bq, bs)) => score > bs || (score == bs && (load[q], q) < (load[bq], bq)),
+            Some((bq, bs)) => score > bs || (score == bs && (load(q), q) < (load(bq), bq)),
         };
         if better {
             best = Some((q, score));
@@ -381,128 +358,113 @@ fn best_part(
 ///
 /// The naive formulation recomputed `cost_in` — an `O(p)` scan — for every
 /// candidate action of every pass, an `O(p³)` bill per applied action.
-/// Here an *approximate* entity × part cost table (derived from the
-/// incremental `VolToPart` attractions, `O(k)` per entry) screens the
-/// candidate actions in `O(1)`; only actions whose screened gain could
-/// beat the running best are re-evaluated with the naive `cost_in`, and
-/// the best-action choice and the accept threshold always use those naive
-/// values — so the refined assignment is exactly the naive one.
-fn refine(
-    s: &CommMatrix,
-    assignment: &mut [usize],
-    load: &mut [usize],
-    costs: &PartCosts,
-    capacity: usize,
-    vol: &mut VolToPart,
-) {
+/// Here `exact[e · k + q]` *is* `cost_in(e, q)`, bit for bit: a row is the
+/// ordered sum over `e`'s non-zero neighbours, recomputed from scratch for
+/// the neighbours of the entities an action moved (an entity's own part
+/// does not enter its row).  Every gain is then the naive expression over
+/// table entries.
+///
+/// The `O(p²)` pair scan is pruned per (entity, destination part): a swap
+/// of `a` with any `b` of part `Q` gains at most `a`'s move gain towards
+/// `Q` plus the best move gain of `Q`'s entities towards `a`'s part (the
+/// pair's own link only lowers it).  When that bound, plus its rounding
+/// slack, cannot beat the best gain found so far, none of `Q`'s entities
+/// is looked at.  The best action is the one the full scan finds: the
+/// largest gain, first in scan order (entity `a` ascending, its moves
+/// before its swaps, swap partners ascending) among equals.
+fn refine(s: &SparseComm, parts: &mut Parts, costs: &PartCosts, capacity: usize) {
     let p = s.order();
-    let k = load.len();
-    // External cost of entity `e` if it were in part `q`.
-    let cost_in = |assignment: &[usize], e: usize, q: usize| -> f64 {
-        let mut c = 0.0;
-        for (other, &part) in assignment.iter().enumerate().take(p) {
-            if other == e {
-                continue;
-            }
-            let v = s.get(e, other);
-            if v != 0.0 {
-                c += v * costs.cost(q, part);
+    let k = parts.members.len();
+    let mut exact = vec![0.0f64; p * k];
+    // External cost of entity `e` in every part `q`.
+    let cost_in_row = |exact: &mut [f64], assignment: &[usize], e: usize| {
+        let row = &mut exact[e * k..(e + 1) * k];
+        row.fill(0.0);
+        for (other, v) in s.sym_row(e) {
+            if other != e {
+                let part = assignment[other];
+                for (q, c) in row.iter_mut().enumerate() {
+                    *c += v * costs.cost(q, part);
+                }
             }
         }
-        c
     };
-    // The greedy phase's incremental table misses the leftover placements
-    // (and carries their rounding history); re-anchor it once.
-    vol.rebuild(s, assignment);
-    // Additive slack term covering cancellation residue left in `vol` by
-    // `on_move` deltas (current magnitudes alone underestimate the
-    // accumulated rounding after near-total cancellation).
-    let s_max = s.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs()));
-    let c_max = (0..k)
-        .flat_map(|a| (0..k).map(move |b| (a, b)))
-        .fold(0.0f64, |m, (a, b)| m.max(costs.cost(a, b).abs()));
-    let abs_slack = SCREEN_EPS * s_max * c_max * 2.0;
-    // ac[e · k + q] ≈ cost_in(e, q), refreshed from `vol` every pass;
-    // volumes and costs are non-negative, so each entry doubles as the
-    // magnitude bound its screen's slack is scaled by.
-    let mut ac = vec![0.0f64; p * k];
+    for e in 0..p {
+        cost_in_row(&mut exact, &parts.assignment, e);
+    }
+    // best_arrival[q · k + r]: the largest move gain towards part `r` among
+    // the entities of part `q` (−∞ for an empty part).
+    let mut best_arrival = vec![f64::NEG_INFINITY; k * k];
 
     for _pass in 0..2 * p.max(4) {
-        for e in 0..p {
-            for q in 0..k {
-                let mut c = 0.0;
-                for qq in 0..k {
-                    c += costs.cost(q, qq) * vol.get(e, qq);
-                }
-                ac[e * k + q] = c;
+        let mut largest = 0.0f64;
+        best_arrival.fill(f64::NEG_INFINITY);
+        for (e, row) in exact.chunks_exact(k).enumerate() {
+            let q = parts.assignment[e];
+            for (r, &c) in row.iter().enumerate() {
+                largest = largest.max(c);
+                let arrival = &mut best_arrival[q * k + r];
+                *arrival = arrival.max(row[q] - c);
             }
         }
+        let slack = SCREEN_EPS * 6.0 * largest;
+
         let mut best_gain = GAIN_THRESHOLD;
         let mut best_action: Option<(usize, Option<usize>, usize)> = None; // (a, Some(b)=swap / None=move, dest)
         for a in 0..p {
-            let pa = assignment[a];
-            // The naive `here` is computed lazily, at most once per `a`.
-            let mut here_exact: Option<f64> = None;
-            let approx_here = ac[a * k + pa];
+            let pa = parts.assignment[a];
+            let row_a = &exact[a * k..(a + 1) * k];
+            let here = row_a[pa];
             // Single moves to any part with room.
-            for (q, &part_load) in load.iter().enumerate().take(k) {
-                if q == pa || part_load >= capacity {
+            for (q, &there) in row_a.iter().enumerate() {
+                if q == pa || parts.members[q].len() >= capacity {
                     continue;
                 }
-                let approx_there = ac[a * k + q];
-                let slack = SCREEN_EPS * (approx_here.abs() + approx_there.abs()) + abs_slack;
-                if approx_here - approx_there + slack <= best_gain {
-                    continue; // certain reject at naive precision
-                }
-                let here = *here_exact.get_or_insert_with(|| cost_in(assignment, a, pa));
-                let gain = here - cost_in(assignment, a, q);
+                let gain = here - there;
                 if gain > best_gain {
                     best_gain = gain;
                     best_action = Some((a, None, q));
                 }
             }
-            // Pairwise swaps.
-            for b in (a + 1)..p {
-                let pb = assignment[b];
-                if pb == pa {
+            // Pairwise swaps, part by part.
+            for pb in 0..k {
+                if pb == pa || (here - row_a[pb]) + best_arrival[pb * k + pa] + slack <= best_gain {
                     continue;
                 }
-                let cross = 2.0 * s.get(a, b) * costs.cost(pa, pb);
-                let approx_before = approx_here + ac[b * k + pb];
-                let approx_after = ac[a * k + pb] + ac[b * k + pa] + cross;
-                let slack = SCREEN_EPS * (approx_before.abs() + approx_after.abs()) + abs_slack;
-                if approx_before - approx_after + slack <= best_gain {
-                    continue;
-                }
-                let here = *here_exact.get_or_insert_with(|| cost_in(assignment, a, pa));
-                let before = here + cost_in(assignment, b, pb);
-                // `cost_in` is evaluated against the *unswapped* assignment,
-                // where the a↔b term vanishes (each sees the other still in
-                // the destination part); after the swap the pair straddles
-                // pa↔pb again, so add the term back for both directions.
-                let after = cost_in(assignment, a, pb) + cost_in(assignment, b, pa) + cross;
-                let gain = before - after;
-                if gain > best_gain {
-                    best_gain = gain;
-                    best_action = Some((a, Some(b), pb));
+                for &b in parts.members[pb].iter().filter(|&&b| b > a) {
+                    let row_b = &exact[b * k..(b + 1) * k];
+                    let before = here + row_b[pb];
+                    // The table is evaluated against the *unswapped*
+                    // assignment, where the a↔b term vanishes (each sees the
+                    // other still in the destination part); after the swap
+                    // the pair straddles pa↔pb again, so add the term back
+                    // for both directions.
+                    let after = row_a[pb] + row_b[pa] + 2.0 * s.sym_get(a, b) * costs.cost(pa, pb);
+                    let gain = before - after;
+                    // Members are listed in no order: among equal gains of
+                    // this `a`, the lowest partner is the one an ascending
+                    // scan meets first.
+                    let earlier_tie = gain == best_gain
+                        && matches!(best_action, Some((ba, Some(bb), _)) if ba == a && b < bb);
+                    if gain > best_gain || earlier_tie {
+                        best_gain = gain;
+                        best_action = Some((a, Some(b), pb));
+                    }
                 }
             }
         }
-        match best_action {
-            Some((a, None, q)) => {
-                let pa = assignment[a];
-                load[pa] -= 1;
-                assignment[a] = q;
-                load[q] += 1;
-                vol.on_move(s, a, pa, q);
+        let Some((a, partner, dest)) = best_action else { break };
+        let pa = parts.assignment[a];
+        parts.remove(a);
+        parts.place(a, dest);
+        if let Some(b) = partner {
+            parts.remove(b);
+            parts.place(b, pa);
+        }
+        for moved in std::iter::once(a).chain(partner) {
+            for (x, _) in s.sym_row(moved) {
+                cost_in_row(&mut exact, &parts.assignment, x);
             }
-            Some((a, Some(b), _)) => {
-                let (pa, pb) = (assignment[a], assignment[b]);
-                assignment.swap(a, b);
-                vol.on_move(s, a, pa, pb);
-                vol.on_move(s, b, pb, pa);
-            }
-            None => break,
         }
     }
 }
@@ -579,6 +541,43 @@ pub(crate) mod naive {
 
         refine(&s, &mut assignment, &mut load, costs, capacity);
         Ok(assignment)
+    }
+
+    fn best_part(
+        s: &CommMatrix,
+        assignment: &[usize],
+        load: &[usize],
+        entity: usize,
+        costs: &PartCosts,
+        target: usize,
+        capacity: usize,
+    ) -> usize {
+        let k = load.len();
+        let limit = if load.iter().all(|&l| l >= target) { capacity } else { target };
+        let mut best: Option<(usize, f64)> = None;
+        for q in 0..k {
+            if load[q] >= limit {
+                continue;
+            }
+            let mut score = 0.0;
+            for (e, &part) in assignment.iter().enumerate() {
+                if part == usize::MAX {
+                    continue;
+                }
+                let v = s.get(e, entity);
+                if v != 0.0 {
+                    score -= v * costs.cost(part, q);
+                }
+            }
+            let better = match best {
+                None => true,
+                Some((bq, bs)) => score > bs || (score == bs && (load[q], q) < (load[bq], bq)),
+            };
+            if better {
+                best = Some((q, score));
+            }
+        }
+        best.map(|(q, _)| q).expect("capacity assertion guarantees a part with room")
     }
 
     fn refine(
