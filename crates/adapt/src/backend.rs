@@ -1,324 +1,109 @@
-//! The NUMA simulator as an [`ExecutionBackend`]: the `Session` front door
-//! for phased workloads, with the static / adaptive / oracle run modes that
-//! used to be the bespoke `run_static` / `run_adaptive` / `run_oracle` trio
-//! of the deleted pre-`Session` harness.
+//! The NUMA simulator behind the `Session` front door: [`SimBackend`], the
+//! shared [driver](crate::driver) with a [`SimMachine`] in it, playing the
+//! paper's 192-core testbed.
 //!
-//! The backend plays the role of the paper's 192-core testbed.  Under
-//! [`Mode::Static`](orwl_core::session::Mode) it places once from the first
-//! phase's matrix and never re-maps; under `Mode::Adaptive` it closes the
-//! monitor → epoch roll → drift detection → budgeted re-placement loop
-//! online, paying for every migration both in time and in hop-bytes; under
-//! `Mode::Oracle` it re-maps for free at every phase boundary — the
-//! unbeatable reference the adaptive policy is measured against.
-//!
-//! The adaptive driver is honest about its information: the detector sees
-//! only what the executor's [`SimMonitor`] hooks observed, epoch by epoch —
-//! it has no knowledge of where phase boundaries are.  The backend is
-//! pinned against golden values (captured from the bit-for-bit-equivalent
-//! original harness) by the `session_equivalence` integration test.
+//! `SimMachine` is the single-node [`PhasedModel`]: placements come from the
+//! session's policy, `NoBind` runs under the OS-placement scenario, a chunk
+//! is one `simulate_monitored` call priced in hop-bytes, and a re-placement
+//! is a TreeMatch run through the [`Replacer`].  Pinned against golden
+//! values (captured from the bit-for-bit-equivalent original harness) by
+//! the `session_equivalence` integration test.
 
-use crate::drift::DriftDetector;
-use crate::engine::AdaptConfig;
-use crate::online::OnlineCommMatrix;
+use crate::driver::{Backend, Move, PhasedModel, Run};
 use crate::replace::{Decision, Replacer};
+use orwl_comm::matrix::CommMatrix;
 use orwl_comm::metrics::hop_bytes;
-use orwl_core::error::{ConfigError, OrwlError};
-use orwl_core::placement::PlacementPlan;
-use orwl_core::runtime::AdaptReport;
-use orwl_core::session::{ExecutionBackend, Mode, Report, RunTime, SessionConfig, Workload};
 use orwl_numasim::exec::{simulate_monitored, SimMonitor};
 use orwl_numasim::machine::SimMachine;
 use orwl_numasim::scenario::ExecutionScenario;
-use orwl_numasim::workload::PhasedWorkload;
-use orwl_obs::{ClockKind, EventKind, Recorder};
+use orwl_numasim::taskgraph::TaskGraph;
+use orwl_topo::topology::Topology;
+use orwl_treematch::algorithm::PlacementScratch;
 use orwl_treematch::mapping::Placement;
 use orwl_treematch::policies::{compute_placement, Policy};
 
 /// The discrete-event NUMA simulator as a `Session` backend.
-#[derive(Debug, Clone)]
-pub struct SimBackend {
-    machine: SimMachine,
-    adapt: AdaptConfig,
-    nobind_seed: u64,
+pub type SimBackend = Backend<SimMachine>;
+
+/// The PU every task of `placement` runs on, unbound tasks spread over the
+/// machine's PUs in index order.
+fn mapping_of(machine: &SimMachine, placement: &Placement) -> Vec<usize> {
+    let pus = machine.topology().pu_os_indices();
+    placement.compute_mapping_with(|t| pus[t % pus.len()])
 }
 
-impl SimBackend {
-    /// Wraps a simulated machine with the default adaptive tuning.
-    #[must_use]
-    pub fn new(machine: SimMachine) -> Self {
-        SimBackend { machine, adapt: AdaptConfig::default(), nobind_seed: 0xC0FFEE }
+impl PhasedModel for SimMachine {
+    const NAME: &'static str = "numasim";
+    type Placement = Placement;
+
+    fn topology(&self) -> &Topology {
+        self.topology()
     }
 
-    /// Replaces the engine tuning used in adaptive mode (decay, drift
-    /// detector, replacer).
-    #[must_use]
-    pub fn with_adapt_config(mut self, adapt: AdaptConfig) -> Self {
-        self.adapt = adapt;
-        self
+    fn place(&self, run: &Run, matrix: &CommMatrix) -> Placement {
+        compute_placement(run.policy, self.topology(), matrix, run.control_threads)
     }
 
-    /// Replaces the seed of the OS-placement model used for
-    /// [`Policy::NoBind`] runs.
-    #[must_use]
-    pub fn with_nobind_seed(mut self, seed: u64) -> Self {
-        self.nobind_seed = seed;
-        self
-    }
-
-    /// The simulated machine.
-    #[must_use]
-    pub fn machine(&self) -> &SimMachine {
-        &self.machine
-    }
-
-    fn placement_for(&self, config: &SessionConfig, workload: &PhasedWorkload, phase: usize) -> Placement {
-        let matrix = workload.phases[phase].graph.comm_matrix().symmetrized();
-        compute_placement(config.policy, &config.topology, &matrix, config.control_threads)
-    }
-
-    fn mapping_of(&self, placement: &Placement) -> Vec<usize> {
-        let pus = self.machine.topology().pu_os_indices();
-        placement.compute_mapping_with(|t| pus[t % pus.len()])
-    }
-
-    fn scenario_for(&self, config: &SessionConfig, mapping: Vec<usize>, n_tasks: usize) -> ExecutionScenario {
-        if config.policy == Policy::NoBind {
-            ExecutionScenario::orwl_nobind(&self.machine, n_tasks, self.nobind_seed)
+    fn simulate(
+        &self,
+        run: &mut Run,
+        placement: &Placement,
+        graph: &TaskGraph,
+        matrix: &CommMatrix,
+        iterations: usize,
+        monitor: &mut dyn SimMonitor,
+    ) -> (f64, Vec<usize>) {
+        let scenario = if run.policy == Policy::NoBind {
+            ExecutionScenario::orwl_nobind(self, graph.n_tasks(), run.nobind_seed)
         } else {
-            ExecutionScenario::bound(&self.machine, mapping)
+            ExecutionScenario::bound(self, mapping_of(self, placement))
         }
-        .with_label(config.policy.name())
+        .with_label(run.policy.name());
+        let report = simulate_monitored(self, graph, &scenario, iterations, monitor);
+        let chunk_bytes = iterations as f64 * hop_bytes(matrix, self.topology(), &scenario.task_pu);
+        run.time += report.total_time;
+        run.hop_bytes += chunk_bytes;
+        (chunk_bytes, scenario.task_pu)
     }
 
-    /// Static and oracle modes share one loop: a fixed placement schedule,
-    /// re-computed per phase only for the oracle.
-    fn run_fixed_schedule(
+    fn replace(
         &self,
-        config: &SessionConfig,
-        workload: &PhasedWorkload,
-        oracle: bool,
-        obs: Option<&Recorder>,
-    ) -> (PlacementPlan, f64, f64) {
-        let initial = self.placement_for(config, workload, 0);
-        let mut total_time = 0.0;
-        let mut cumulative_hop_bytes = 0.0;
-        for (k, phase) in workload.phases.iter().enumerate() {
-            let placement =
-                if oracle && k > 0 { self.placement_for(config, workload, k) } else { initial.clone() };
-            let mapping = self.mapping_of(&placement);
-            let scenario = self.scenario_for(config, mapping, phase.graph.n_tasks());
-            let report =
-                orwl_numasim::exec::simulate(&self.machine, &phase.graph, &scenario, phase.iterations);
-            total_time += report.total_time;
-            let phase_bytes = phase.iterations as f64
-                * hop_bytes(&phase.graph.comm_matrix(), self.machine.topology(), &scenario.task_pu);
-            cumulative_hop_bytes += phase_bytes;
-            if let Some(obs) = obs {
-                // One epoch per phase: the fixed schedules have no finer
-                // decision boundary.
-                obs.set_sim_now(total_time);
-                obs.record(EventKind::Epoch { epoch: k as u64 + 1, bytes: phase_bytes });
-            }
-        }
-        let plan =
-            PlacementPlan::new(config.policy, workload.phases[0].graph.comm_matrix().symmetrized(), initial);
-        (plan, total_time, cumulative_hop_bytes)
+        run: &mut Run,
+        live: &CommMatrix,
+        current: &Placement,
+        _task_pu: &[usize],
+        _epoch_iterations: usize,
+    ) -> Option<Move<Placement>> {
+        let decision = Replacer::new(run.replacer).evaluate_with(
+            self.topology(),
+            live,
+            current,
+            run.control_threads,
+            &mut PlacementScratch::new(),
+        );
+        let Decision::Migrate { placement, migration_cost, .. } = decision else { return None };
+        // The moved bytes are charged both as hop-bytes (the metric) and as
+        // interconnect time (the simulated stall while working sets move).
+        run.hop_bytes += migration_cost;
+        run.time += migration_cost / self.params().interconnect_bandwidth;
+        let (old, new) = (mapping_of(self, current), mapping_of(self, &placement));
+        let tasks_moved = old.iter().zip(&new).filter(|(a, b)| a != b).count();
+        Some(Move { placement, tasks_moved, cross_node: false })
     }
 
-    /// The full online loop: monitor (through the executor's hooks) → epoch
-    /// roll → drift detection → budgeted re-placement, paying for every
-    /// migration both in time (moving task state across the interconnect)
-    /// and in hop-bytes.
-    fn run_adaptive(
-        &self,
-        config: &SessionConfig,
-        workload: &PhasedWorkload,
-        epoch_iterations: usize,
-        obs: Option<&Recorder>,
-    ) -> (PlacementPlan, f64, f64, AdaptReport) {
-        let n = workload.n_tasks();
-        let topo = self.machine.topology();
-        let initial = self.placement_for(config, workload, 0);
-        let mut placement = initial.clone();
-        let mut baseline = workload.phases[0].graph.comm_matrix().symmetrized();
-        let mut online = OnlineCommMatrix::new(n, self.adapt.decay);
-        let mut detector = DriftDetector::new(self.adapt.drift);
-        let replacer = Replacer::new(self.adapt.replacer);
-
-        let mut total_time = 0.0;
-        let mut cumulative_hop_bytes = 0.0;
-        let mut epochs = 0u64;
-        let mut migrations = 0u64;
-        let mut drift_deltas = Vec::new();
-
-        for phase in &workload.phases {
-            let phase_matrix = phase.graph.comm_matrix();
-            let mut done = 0usize;
-            while done < phase.iterations {
-                let chunk = epoch_iterations.min(phase.iterations - done);
-                let mapping = self.mapping_of(&placement);
-                let scenario = self.scenario_for(config, mapping.clone(), n);
-                let mut monitor = RecordingMonitor { online: &mut online, bytes: 0.0 };
-                let report = simulate_monitored(&self.machine, &phase.graph, &scenario, chunk, &mut monitor);
-                let chunk_bytes = monitor.bytes;
-                total_time += report.total_time;
-                cumulative_hop_bytes += chunk as f64 * hop_bytes(&phase_matrix, topo, &scenario.task_pu);
-                done += chunk;
-
-                // Epoch boundary: roll the window and decide.
-                epochs += 1;
-                online.roll_epoch();
-                if let Some(obs) = obs {
-                    obs.set_sim_now(total_time);
-                    obs.record(EventKind::Epoch { epoch: epochs, bytes: chunk_bytes });
-                }
-                if !online.is_warmed_up() {
-                    continue;
-                }
-                let live = online.smoothed_symmetric();
-                let observation = detector.observe(topo, &scenario.task_pu, &baseline, &live);
-                drift_deltas.push(observation.delta);
-                if let Some(obs) = obs {
-                    obs.record(EventKind::DriftDecision {
-                        outcome: observation.outcome(),
-                        delta: observation.delta,
-                    });
-                }
-                if !observation.fired {
-                    continue;
-                }
-                if let Decision::Migrate { placement: next, migration_cost, .. } =
-                    replacer.evaluate(topo, &live, &placement, config.control_threads)
-                {
-                    // Pay for the migration: the moved bytes are charged
-                    // both as hop-bytes (the metric) and as interconnect
-                    // time (the simulated stall while working sets move).
-                    cumulative_hop_bytes += migration_cost;
-                    total_time += migration_cost / self.machine.params().interconnect_bandwidth;
-                    if let Some(obs) = obs {
-                        let next_mapping = self.mapping_of(&next);
-                        let tasks_moved = mapping.iter().zip(&next_mapping).filter(|(a, b)| a != b).count();
-                        obs.set_sim_now(total_time);
-                        obs.record(EventKind::Migration {
-                            tasks_moved,
-                            bytes: migration_cost,
-                            cross_node: false,
-                        });
-                    }
-                    placement = next;
-                    baseline = live.clone();
-                    detector.arm_cooldown();
-                    migrations += 1;
-                }
-            }
-        }
-        let plan =
-            PlacementPlan::new(config.policy, workload.phases[0].graph.comm_matrix().symmetrized(), initial);
-        let adapt = AdaptReport {
-            epochs,
-            replacements: migrations,
-            rebinds_applied: 0,
-            node_reshards: 0,
-            drift_deltas,
-        };
-        (plan, total_time, cumulative_hop_bytes, adapt)
-    }
-}
-
-struct RecordingMonitor<'a> {
-    online: &'a mut OnlineCommMatrix,
-    /// Bytes the executor reported this chunk — becomes the epoch event's
-    /// traffic volume in the telemetry timeline.
-    bytes: f64,
-}
-
-impl SimMonitor for RecordingMonitor<'_> {
-    fn on_transfer(&mut self, _iteration: usize, src: usize, dst: usize, bytes: f64) {
-        self.online.record(src, dst, bytes);
-        self.bytes += bytes;
-    }
-}
-
-impl ExecutionBackend for SimBackend {
-    fn name(&self) -> &'static str {
-        "numasim"
-    }
-
-    fn run(&self, config: &SessionConfig, workload: Workload) -> Result<Report, OrwlError> {
-        let Workload::Phased(workload) = workload else {
-            return Err(ConfigError::WorkloadMismatch {
-                backend: self.name().to_string(),
-                expected: "phased".to_string(),
-            }
-            .into());
-        };
-        // Placements are computed against the session topology while the
-        // cost model runs on the machine's — they must be one and the same,
-        // or every metric would silently mix two machines.
-        let modelled = self.machine.topology();
-        if config.topology.name() != modelled.name()
-            || config.topology.nb_pus() != modelled.nb_pus()
-            || config.topology.level_spec() != modelled.level_spec()
-        {
-            return Err(ConfigError::TopologyMismatch {
-                backend: self.name().to_string(),
-                expected: modelled.name().to_string(),
-                got: config.topology.name().to_string(),
-            }
-            .into());
-        }
-        // Simulated clock: event timestamps advance with the cost model's
-        // notion of time, not the host's.  The recorder is also installed
-        // globally so the placement-solve phase spans emitted from inside
-        // TreeMatch land in the same timeline.
-        let recorder = config.observe.map(|cfg| Recorder::new(ClockKind::Simulated, cfg));
-        let registration = recorder.as_ref().map(orwl_obs::install);
-        let (plan, total_time, cumulative_hop_bytes, adapt) = match &config.mode {
-            Mode::Static => {
-                let (plan, t, h) = self.run_fixed_schedule(config, &workload, false, recorder.as_deref());
-                (plan, t, h, None)
-            }
-            Mode::Oracle => {
-                let (plan, t, h) = self.run_fixed_schedule(config, &workload, true, recorder.as_deref());
-                (plan, t, h, None)
-            }
-            Mode::Adaptive(spec) => {
-                // A controller-bearing spec was tuned for the thread
-                // runtime; running it here would silently substitute this
-                // backend's own engine tuning.
-                if spec.controller.is_some() {
-                    return Err(
-                        ConfigError::UnsupportedController { backend: self.name().to_string() }.into()
-                    );
-                }
-                let (plan, t, h, adapt) =
-                    self.run_adaptive(config, &workload, spec.epoch_iterations, recorder.as_deref());
-                (plan, t, h, Some(adapt))
-            }
-        };
-        drop(registration);
-        let breakdown = plan.breakdown(&config.topology);
-        Ok(Report {
-            backend: self.name().to_string(),
-            mode: config.mode.name(),
-            time: RunTime::Simulated(total_time),
-            plan,
-            breakdown,
-            hop_bytes: cumulative_hop_bytes,
-            adapt,
-            thread: None,
-            fabric: None,
-            obs: recorder.map(|r| r.finish(self.name())),
-        })
+    fn plan_placement(&self, _run: &Run, initial: Placement) -> Placement {
+        initial
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::AdaptConfig;
     use orwl_core::runtime::AdaptiveSpec;
-    use orwl_core::session::Session;
+    use orwl_core::session::{Mode, Session};
     use orwl_numasim::costmodel::CostParams;
+    use orwl_numasim::workload::PhasedWorkload;
     use orwl_topo::synthetic;
 
     fn machine() -> SimMachine {
@@ -341,18 +126,6 @@ mod tests {
     }
 
     #[test]
-    fn single_phase_workload_never_migrates() {
-        let w = PhasedWorkload::rotating_stencil(4, 65536.0, 1024.0, 16384.0, 131072.0, &[40]);
-        let adaptive = session(Mode::Adaptive(AdaptiveSpec::per_iterations(4))).run(w.clone()).unwrap();
-        let adapt = adaptive.adapt.expect("adaptive runs report counters");
-        assert_eq!(adapt.replacements, 0);
-        assert!(adapt.epochs >= 1);
-        // With no drift the adaptive run's hop-bytes equal the static run's.
-        let fixed = session(Mode::Static).run(w).unwrap();
-        assert!((adaptive.hop_bytes - fixed.hop_bytes).abs() < 1e-6);
-    }
-
-    #[test]
     fn adaptive_beats_static_and_approaches_oracle() {
         let w = workload();
         let fixed = session(Mode::Static).run(w.clone()).unwrap();
@@ -370,71 +143,6 @@ mod tests {
         assert!(oracle.hop_bytes <= adaptive.hop_bytes + 1e-9, "the free-remap oracle is a lower bound");
         let ratio = adaptive.hop_bytes / oracle.hop_bytes;
         assert!(ratio <= 1.10, "adaptive must be within 10% of the oracle, got {ratio:.3}");
-    }
-
-    #[test]
-    fn oracle_wall_clock_is_no_worse_than_static() {
-        let w = workload();
-        let fixed = session(Mode::Static).run(w.clone()).unwrap();
-        let oracle = session(Mode::Oracle).run(w).unwrap();
-        assert!(oracle.time.seconds() <= fixed.time.seconds() * 1.0001);
-        assert!(oracle.time.as_wall().is_none(), "simulated runs report simulated time");
-    }
-
-    #[test]
-    fn program_workloads_are_mismatched_on_the_simulator() {
-        let err = session(Mode::Static).run(orwl_core::task::OrwlProgram::new()).unwrap_err();
-        // Empty programs are caught by the session before the backend...
-        assert_eq!(err, OrwlError::Config(ConfigError::EmptyProgram));
-        // ...non-empty ones by the backend's workload check.
-        let mut program = orwl_core::task::OrwlProgram::new();
-        program.add_task(orwl_core::task::TaskSpec::new("t", vec![]), |_| {});
-        match session(Mode::Static).run(program).unwrap_err() {
-            OrwlError::Config(ConfigError::WorkloadMismatch { backend, expected }) => {
-                assert_eq!(backend, "numasim");
-                assert_eq!(expected, "phased");
-            }
-            other => panic!("expected WorkloadMismatch, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn mismatched_session_topology_is_rejected() {
-        let session = Session::builder()
-            .topology(synthetic::laptop()) // not the machine the backend models
-            .control_threads(0)
-            .backend(SimBackend::new(machine()))
-            .build()
-            .unwrap();
-        let w = PhasedWorkload::rotating_stencil(2, 64.0, 8.0, 16.0, 64.0, &[2]);
-        match session.run(w).unwrap_err() {
-            OrwlError::Config(ConfigError::TopologyMismatch { backend, expected, got }) => {
-                assert_eq!(backend, "numasim");
-                assert_eq!(expected, machine().topology().name());
-                assert_eq!(got, "laptop");
-            }
-            other => panic!("expected TopologyMismatch, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn controller_bearing_adaptive_spec_is_rejected() {
-        let engine = crate::engine::AdaptiveEngine::new(AdaptConfig::default());
-        let spec = crate::engine::adaptive_session_spec(engine, std::time::Duration::from_millis(15));
-        let session = Session::builder()
-            .topology(machine().topology().clone())
-            .control_threads(0)
-            .adaptive(spec)
-            .backend(SimBackend::new(machine()))
-            .build()
-            .unwrap();
-        let w = PhasedWorkload::rotating_stencil(2, 64.0, 8.0, 16.0, 64.0, &[2]);
-        match session.run(w).unwrap_err() {
-            OrwlError::Config(ConfigError::UnsupportedController { backend }) => {
-                assert_eq!(backend, "numasim");
-            }
-            other => panic!("expected UnsupportedController, got {other:?}"),
-        }
     }
 
     #[test]

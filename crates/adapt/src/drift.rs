@@ -13,7 +13,12 @@
 //! * **cooldown** — after a fire (typically followed by a migration) the
 //!   detector holds off for a few epochs so the system settles before the
 //!   next decision, preventing oscillation (hysteresis).
+//!
+//! [`DriftStep`] is the detector with the two matrices it compares: the
+//! state every adaptive loop carries, and the only place that rolls,
+//! gates, smooths, observes and re-anchors.
 
+use crate::online::OnlineCommMatrix;
 use orwl_comm::matrix::CommMatrix;
 use orwl_comm::metrics::mapping_cost_default;
 use orwl_topo::topology::Topology;
@@ -128,11 +133,74 @@ impl DriftDetector {
         DriftObservation { baseline_cost, live_cost, delta, over_threshold, in_cooldown, fired }
     }
 
-    /// Resets the patience counter and starts a cooldown window — called
-    /// after the baseline is re-anchored (e.g. following a migration).
-    pub fn arm_cooldown(&mut self) {
+    /// Resets the patience counter and starts a cooldown window — after a
+    /// fire, and when [`DriftStep::adopt`] re-anchors the baseline.
+    fn arm_cooldown(&mut self) {
         self.consecutive_over = 0;
         self.cooldown_left = self.config.cooldown;
+    }
+}
+
+/// The state an adaptive loop carries between epochs: the online matrix
+/// the monitor feeds, the detector, and the baseline the current placement
+/// was computed from.  [`epoch`](DriftStep::epoch) closes an epoch and
+/// measures the drift; [`adopt`](DriftStep::adopt) accepts a re-placement.
+/// What happens between the two (price, pay, publish) is the caller's: the
+/// simulator [driver](crate::driver) or the thread runtime's
+/// [`AdaptiveEngine`](crate::engine::AdaptiveEngine).
+#[derive(Debug, Clone)]
+pub struct DriftStep {
+    online: OnlineCommMatrix,
+    detector: DriftDetector,
+    baseline: CommMatrix,
+}
+
+impl DriftStep {
+    /// A step for `n_tasks` tasks whose current placement was computed from
+    /// `baseline` (symmetrised); `decay` as in [`OnlineCommMatrix::new`].
+    pub fn new(n_tasks: usize, decay: f64, drift: DriftConfig, baseline: CommMatrix) -> Self {
+        DriftStep {
+            online: OnlineCommMatrix::new(n_tasks, decay),
+            detector: DriftDetector::new(drift),
+            baseline,
+        }
+    }
+
+    /// The accumulator, for monitors that look before they record.
+    pub fn online(&self) -> &OnlineCommMatrix {
+        &self.online
+    }
+
+    /// Records `bytes` flowing `src → dst` during the open epoch (see
+    /// [`OnlineCommMatrix::record`]).
+    pub fn record(&mut self, src: usize, dst: usize, bytes: f64) {
+        self.online.record(src, dst, bytes);
+    }
+
+    /// Closes the open epoch.  Returns its transfer-record count and — once
+    /// an epoch has carried traffic — the drift of the live (smoothed,
+    /// symmetrised) matrix against the baseline under `mapping`, with that
+    /// matrix: what a re-placement is computed from.  Before that warm-up
+    /// nothing is observed and patience and cooldown do not advance.
+    pub fn epoch(
+        &mut self,
+        topo: &Topology,
+        mapping: &[usize],
+    ) -> (u64, Option<(DriftObservation, CommMatrix)>) {
+        let records = self.online.roll_epoch();
+        if !self.online.is_warmed_up() {
+            return (records, None);
+        }
+        let live = self.online.smoothed_symmetric();
+        let observation = self.detector.observe(topo, mapping, &self.baseline, &live);
+        (records, Some((observation, live)))
+    }
+
+    /// A placement computed from `live` was adopted: `live` is the new
+    /// baseline, and the detector holds off for its cooldown.
+    pub fn adopt(&mut self, live: CommMatrix) {
+        self.baseline = live;
+        self.detector.arm_cooldown();
     }
 }
 
@@ -211,5 +279,91 @@ mod tests {
         let obs = det.observe(&topo, &mapping, &zero, &zero);
         assert_eq!(obs.delta, 0.0);
         assert!(!obs.fired);
+    }
+
+    /// One epoch of `pattern` through `step`, decided under `mapping`.
+    fn epoch_of(
+        step: &mut DriftStep,
+        topo: &Topology,
+        mapping: &[usize],
+        pattern: &CommMatrix,
+    ) -> Option<(DriftObservation, CommMatrix)> {
+        pattern.for_each_nonzero(|src, dst, bytes| step.record(src, dst, bytes));
+        step.epoch(topo, mapping).1
+    }
+
+    fn rotated() -> CommMatrix {
+        let spec = StencilSpec { rows: 4, cols: 4, edge_volume: 0.0, corner_volume: 8.0 };
+        stencil_2d_rotated(&spec, 4096.0, 64.0)
+    }
+
+    #[test]
+    fn step_observes_nothing_before_warm_up() {
+        let (topo, baseline, mapping) = setup();
+        let config = DriftConfig { threshold: 0.15, patience: 1, cooldown: 3 };
+        let mut step = DriftStep::new(16, 0.0, config, baseline.symmetrized());
+        // Silent epochs close (and count their records) without a verdict.
+        for _ in 0..4 {
+            assert_eq!(step.epoch(&topo, &mapping), (0, None));
+        }
+        assert_eq!(step.online().epochs(), 4);
+        // They advanced neither patience nor a cooldown: the first epoch
+        // with traffic is observed, outside any cooldown, and fires.
+        rotated().for_each_nonzero(|src, dst, bytes| step.record(src, dst, bytes));
+        let (records, drift) = step.epoch(&topo, &mapping);
+        assert!(records > 0);
+        let (observation, _) = drift.expect("warmed up");
+        assert!(!observation.in_cooldown);
+        assert!(observation.fired);
+    }
+
+    #[test]
+    fn step_runs_the_patience_and_cooldown_sequence() {
+        let (topo, baseline, mapping) = setup();
+        let config = DriftConfig { threshold: 0.15, patience: 2, cooldown: 2 };
+        let mut step = DriftStep::new(16, 0.0, config, baseline.symmetrized());
+        let outcomes: Vec<_> =
+            (0..6).map(|_| epoch_of(&mut step, &topo, &mapping, &rotated()).unwrap().0.outcome()).collect();
+        use orwl_obs::DriftOutcome::{Cooldown, Fired, SuppressedByPatience};
+        // Without an adopt the baseline stays, so the same drift fires again
+        // once the cooldown and a fresh patience streak have passed.
+        assert_eq!(outcomes, [SuppressedByPatience, Fired, Cooldown, Cooldown, SuppressedByPatience, Fired]);
+        // A quiet epoch in between resets the streak.
+        let mut step = DriftStep::new(16, 0.0, config, baseline.symmetrized());
+        assert!(!epoch_of(&mut step, &topo, &mapping, &rotated()).unwrap().0.fired);
+        assert!(!epoch_of(&mut step, &topo, &mapping, &baseline).unwrap().0.over_threshold);
+        assert!(!epoch_of(&mut step, &topo, &mapping, &rotated()).unwrap().0.fired);
+        assert!(epoch_of(&mut step, &topo, &mapping, &rotated()).unwrap().0.fired);
+    }
+
+    #[test]
+    fn adopt_re_anchors_the_baseline_and_arms_the_cooldown() {
+        let (topo, baseline, mapping) = setup();
+        // patience 1, no cooldown after a plain fire: only `adopt` arms one.
+        let config = DriftConfig { threshold: 0.15, patience: 1, cooldown: 0 };
+        let mut step = DriftStep::new(16, 0.0, config, baseline.symmetrized());
+        let (first, live) = epoch_of(&mut step, &topo, &mapping, &rotated()).unwrap();
+        assert!(first.fired && first.delta > 0.15);
+        assert_eq!(live, rotated().symmetrized());
+        step.adopt(live);
+        // The same live matrix measured against itself: no drift at all.
+        let again = epoch_of(&mut step, &topo, &mapping, &rotated()).unwrap().0;
+        assert_eq!(again.delta, 0.0);
+        assert!(!again.fired && !again.in_cooldown);
+
+        // With a cooldown configured, `adopt` suppresses exactly that many
+        // epochs — even of a pattern that has drifted away again.
+        let config = DriftConfig { threshold: 0.15, patience: 1, cooldown: 2 };
+        let mut step = DriftStep::new(16, 0.0, config, baseline.symmetrized());
+        let (_, live) = epoch_of(&mut step, &topo, &mapping, &rotated()).unwrap();
+        step.adopt(live);
+        let after: Vec<_> =
+            (0..3).map(|_| epoch_of(&mut step, &topo, &mapping, &baseline).unwrap().0).collect();
+        assert!(
+            after.iter().all(|o| o.over_threshold),
+            "back on the old pattern = drift from the new baseline"
+        );
+        assert_eq!(after.iter().map(|o| o.in_cooldown).collect::<Vec<_>>(), [true, true, false]);
+        assert_eq!(after.iter().map(|o| o.fired).collect::<Vec<_>>(), [false, false, true]);
     }
 }

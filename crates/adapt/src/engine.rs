@@ -10,19 +10,18 @@
 //!    `(task, location, mode)`, from which the engine reconstructs actual
 //!    transfers — a read of location `L` by task `t` moves the declared
 //!    per-iteration volume from `L`'s last writer to `t` — and feeds the
-//!    [`OnlineCommMatrix`];
-//! 3. calls [`AdaptiveController::on_epoch`] every epoch: the engine rolls
-//!    the window, runs the [`DriftDetector`] against the baseline, and on a
-//!    fire asks the [`Replacer`] whether migrating pays; an accepted
-//!    migration re-anchors the baseline and returns the new placement for
-//!    the runtime to publish to its task threads.
+//!    step's [`OnlineCommMatrix`](crate::online::OnlineCommMatrix);
+//! 3. calls [`AdaptiveController::on_epoch`] every epoch: the engine closes
+//!    the epoch on its [`DriftStep`] (the same step the simulator driver
+//!    runs on), and on a fire asks the [`Replacer`] whether migrating pays;
+//!    an accepted migration is adopted by the step and the new placement
+//!    returned for the runtime to publish to its task threads.
 //!
 //! Location ids are process-unique, so the engine ignores accesses to
 //! locations outside its program and concurrent runtimes can monitor
 //! side by side.
 
-use crate::drift::{DriftConfig, DriftDetector};
-use crate::online::OnlineCommMatrix;
+use crate::drift::{DriftConfig, DriftStep};
 use crate::replace::{Decision, Replacer, ReplacerConfig};
 use orwl_comm::matrix::CommMatrix;
 use orwl_core::monitor::AccessSink;
@@ -41,7 +40,7 @@ use std::sync::{Arc, Mutex};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptConfig {
     /// Exponential-decay factor of the online matrix (see
-    /// [`OnlineCommMatrix::new`]).
+    /// [`OnlineCommMatrix::new`](crate::online::OnlineCommMatrix::new)).
     pub decay: f64,
     /// Drift-detector tuning.
     pub drift: DriftConfig,
@@ -103,12 +102,10 @@ struct EngineState {
     default_read: HashMap<LocationId, f64>,
     /// Last task that wrote each location.
     last_writer: HashMap<LocationId, TaskId>,
-    online: OnlineCommMatrix,
-    /// The matrix the current placement was computed from.
-    baseline: CommMatrix,
+    /// The online matrix, the detector and the baseline `placement` was
+    /// computed from.
+    step: DriftStep,
     placement: Placement,
-    detector: DriftDetector,
-    replacer: Replacer,
     /// Dense placement buffers reused by every epoch's re-placement
     /// evaluation, so the adaptive loop stops allocating per-level
     /// matrices once warm.
@@ -133,11 +130,8 @@ impl AdaptiveEngine {
                 read_bytes: HashMap::new(),
                 default_read: HashMap::new(),
                 last_writer: HashMap::new(),
-                online: OnlineCommMatrix::new(0, config.decay),
-                baseline: CommMatrix::zeros(0),
+                step: DriftStep::new(0, config.decay, config.drift, CommMatrix::zeros(0)),
                 placement: Placement::unbound(0, 0),
-                detector: DriftDetector::new(config.drift),
-                replacer: Replacer::new(config.replacer),
                 scratch: PlacementScratch::new(),
                 timeline: Vec::new(),
             }),
@@ -172,7 +166,7 @@ impl AccessSink for AdaptiveEngine {
             }
             AccessMode::Read => {
                 if let Some(&writer) = state.last_writer.get(&location) {
-                    if writer != task && task.0 < state.online.order() {
+                    if writer != task && task.0 < state.step.online().order() {
                         let bytes = state
                             .read_bytes
                             .get(&(location, task))
@@ -180,7 +174,7 @@ impl AccessSink for AdaptiveEngine {
                             .copied()
                             .unwrap_or(0.0);
                         if bytes > 0.0 {
-                            state.online.record(writer.0, task.0, bytes);
+                            state.step.record(writer.0, task.0, bytes);
                         }
                     }
                 }
@@ -214,10 +208,9 @@ impl AdaptiveEngine {
         for (loc, (sum, count)) in read_sum {
             state.default_read.insert(loc, if count == 0 { 0.0 } else { sum / count as f64 });
         }
-        state.online = OnlineCommMatrix::new(specs.len(), self.config.decay);
-        state.baseline = plan.matrix.symmetrized();
+        state.step =
+            DriftStep::new(specs.len(), self.config.decay, self.config.drift, plan.matrix.symmetrized());
         state.placement = plan.placement.clone();
-        state.detector = DriftDetector::new(self.config.drift);
         state.timeline.clear();
     }
 
@@ -225,69 +218,54 @@ impl AdaptiveEngine {
     /// by the runtime through [`AdaptiveController::on_epoch`].
     pub fn on_epoch(&self, epoch: u64) -> Option<Placement> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let records = state.online.roll_epoch();
-        if !state.online.is_warmed_up() {
-            state.timeline.push(EpochRecord {
-                epoch,
-                records,
-                delta: 0.0,
-                drift_fired: false,
-                migrated: false,
-            });
-            return None;
-        }
         let topo = state.topo.clone().expect("on_run_start ran before on_epoch");
-        let live = state.online.smoothed_symmetric();
         let mapping = state.placement.compute_mapping_or_zero();
-        let observation = {
-            let baseline = state.baseline.clone();
-            state.detector.observe(&topo, &mapping, &baseline, &live)
-        };
-        orwl_obs::emit(orwl_obs::EventKind::DriftDecision {
-            outcome: observation.outcome(),
-            delta: observation.delta,
-        });
+        let (records, drift) = state.step.epoch(&topo, &mapping);
+        let mut record = EpochRecord { epoch, records, delta: 0.0, drift_fired: false, migrated: false };
         let mut migrated = None;
-        if observation.fired {
-            // Run the (comparatively expensive) TreeMatch re-placement
-            // WITHOUT the state lock: `on_access` runs inside every task
-            // thread's lock grant, and stalling all of them for the length
-            // of a placement computation would pause the whole application.
-            // Only the monitor thread calls `on_epoch`, so `placement` /
-            // `baseline` cannot change underneath us while unlocked — and
-            // the scratch buffers travel out of the state for the same
-            // reason (taken, used unlocked, put back).
-            let placement = state.placement.clone();
-            let n_control = state.n_control;
-            let replacer = state.replacer.clone();
-            let mut scratch = std::mem::take(&mut state.scratch);
-            drop(state);
-            let decision = replacer.evaluate_with(&topo, &live, &placement, n_control, &mut scratch);
-            state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            state.scratch = scratch;
-            if let Decision::Migrate { placement, migration_cost, .. } = decision {
-                if orwl_obs::enabled() {
-                    let next = placement.compute_mapping_or_zero();
-                    let tasks_moved = mapping.iter().zip(&next).filter(|(a, b)| a != b).count();
-                    orwl_obs::emit(orwl_obs::EventKind::Migration {
-                        tasks_moved,
-                        bytes: migration_cost,
-                        cross_node: false,
-                    });
+        if let Some((observation, live)) = drift {
+            record.delta = observation.delta;
+            record.drift_fired = observation.fired;
+            orwl_obs::emit(orwl_obs::EventKind::DriftDecision {
+                outcome: observation.outcome(),
+                delta: observation.delta,
+            });
+            if observation.fired {
+                // Run the (comparatively expensive) TreeMatch re-placement
+                // WITHOUT the state lock: `on_access` runs inside every task
+                // thread's lock grant, and stalling all of them for the
+                // length of a placement computation would pause the whole
+                // application.  Only the monitor thread calls `on_epoch`, so
+                // `placement` and the step's baseline cannot change
+                // underneath us while unlocked — and the scratch buffers
+                // travel out of the state for the same reason (taken, used
+                // unlocked, put back).
+                let placement = state.placement.clone();
+                let n_control = state.n_control;
+                let replacer = Replacer::new(self.config.replacer);
+                let mut scratch = std::mem::take(&mut state.scratch);
+                drop(state);
+                let decision = replacer.evaluate_with(&topo, &live, &placement, n_control, &mut scratch);
+                state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+                state.scratch = scratch;
+                if let Decision::Migrate { placement, .. } = decision {
+                    if orwl_obs::enabled() {
+                        let next = placement.compute_mapping_or_zero();
+                        let tasks_moved = mapping.iter().zip(&next).filter(|(a, b)| a != b).count();
+                        orwl_obs::emit(orwl_obs::EventKind::Migration {
+                            tasks_moved,
+                            bytes: tasks_moved as f64 * self.config.replacer.model.task_state_bytes,
+                            cross_node: false,
+                        });
+                    }
+                    state.placement = placement.clone();
+                    state.step.adopt(live);
+                    record.migrated = true;
+                    migrated = Some(placement);
                 }
-                state.placement = placement.clone();
-                state.baseline = live.clone();
-                state.detector.arm_cooldown();
-                migrated = Some(placement);
             }
         }
-        state.timeline.push(EpochRecord {
-            epoch,
-            records,
-            delta: observation.delta,
-            drift_fired: observation.fired,
-            migrated: migrated.is_some(),
-        });
+        state.timeline.push(record);
         migrated
     }
 }
@@ -367,8 +345,8 @@ mod tests {
 
         engine.on_epoch(1);
         let state = engine.state.lock().unwrap();
-        assert_eq!(state.online.smoothed().get(0, 1), 512.0);
-        assert_eq!(state.online.smoothed().total_volume(), 512.0);
+        assert_eq!(state.step.online().smoothed().get(0, 1), 512.0);
+        assert_eq!(state.step.online().smoothed().total_volume(), 512.0);
     }
 
     #[test]

@@ -10,27 +10,34 @@
 //!   (real runtime) and `orwl_numasim::exec::SimMonitor` (simulator);
 //! * [`drift`] — [`DriftDetector`], comparing the live matrix against the
 //!   matrix the current placement was computed from (normalised
-//!   `mapping_cost_default` delta, with patience and cooldown hysteresis);
-//! * [`replace`] — [`Replacer`], recomputing the TreeMatch placement and
-//!   charging a migration-cost model (bytes moved × inter-leaf hop
-//!   distance) against the predicted hop-byte savings;
-//! * [`engine`] — [`AdaptiveEngine`], wiring the three into `orwl_core`'s
-//!   event runtime: build the spec with [`adaptive_session_spec`] and hand
-//!   it to `Session::builder().adaptive(..)` (threads re-bind
-//!   cooperatively at lock acquisitions);
-//! * [`backend`] — [`SimBackend`], the discrete-event simulator as a
-//!   `Session` [`ExecutionBackend`](orwl_core::session::ExecutionBackend)
-//!   with static/adaptive/oracle run modes.
+//!   `mapping_cost_default` delta, with patience and cooldown hysteresis),
+//!   and [`DriftStep`], the one *epoch* (roll → warm-up gate → smooth →
+//!   observe) and *adopt* (re-anchor, arm the cooldown) of every loop;
+//! * [`replace`] — [`ReplacerConfig::weigh`], the migration economy in
+//!   whatever unit the caller prices, and [`Replacer`], which recomputes
+//!   the TreeMatch placement and weighs it in hop-bytes (bytes moved ×
+//!   inter-leaf hop distance as the bill);
+//! * [`driver`] — [`driver::Backend`], the one `ExecutionBackend` and
+//!   phased-workload loop (static / oracle / adaptive) of both simulators;
+//!   the machine sits behind [`PhasedModel`];
+//! * [`engine`] — [`AdaptiveEngine`], the same step and replacer wired into
+//!   `orwl_core`'s event runtime: build the spec with
+//!   [`adaptive_session_spec`] and hand it to
+//!   `Session::builder().adaptive(..)` (threads re-bind cooperatively at
+//!   lock acquisitions);
+//! * [`backend`] — [`SimBackend`], the NUMA simulator as that backend.
 
 pub mod backend;
 pub mod drift;
+pub mod driver;
 pub mod engine;
 pub mod online;
 pub mod replace;
 pub mod reshard;
 
 pub use backend::SimBackend;
-pub use drift::{DriftConfig, DriftDetector, DriftObservation};
+pub use drift::{DriftConfig, DriftDetector, DriftObservation, DriftStep};
+pub use driver::PhasedModel;
 pub use engine::{adaptive_session_spec, AdaptConfig, AdaptiveEngine, EpochRecord};
 pub use online::OnlineCommMatrix;
 pub use replace::{Decision, KeepReason, MigrationCostModel, Replacer, ReplacerConfig};

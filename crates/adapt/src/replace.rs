@@ -7,6 +7,10 @@
 //! one-off migration bill (bytes moved × inter-leaf hop distance).  All
 //! quantities are in hop-bytes, the unit the TreeMatch literature uses, so
 //! gain and cost are directly comparable.
+//!
+//! The three gates themselves are [`ReplacerConfig::weigh`], a function of
+//! plain costs in any one unit: the [`Replacer`] calls it with hop-bytes,
+//! the cluster model with fabric seconds.
 
 use orwl_comm::matrix::CommMatrix;
 use orwl_comm::metrics::hop_bytes;
@@ -69,6 +73,36 @@ impl Default for ReplacerConfig {
     }
 }
 
+impl ReplacerConfig {
+    /// The migration economy: is moving from a placement costing
+    /// `current_cost` to one costing `candidate_cost` worth a one-off
+    /// `bill`?  All three share one unit (hop-bytes, seconds — the gates do
+    /// not care).  `periods_per_epoch` is how many cost periods an epoch
+    /// holds (`1.0` for costs per epoch, the epoch length for costs per
+    /// iteration), so the horizon stays `horizon_epochs` epochs.  Returns
+    /// the savings per period and why to stay — `None` when the move pays.
+    #[must_use]
+    pub fn weigh(
+        &self,
+        current_cost: f64,
+        candidate_cost: f64,
+        periods_per_epoch: f64,
+        bill: f64,
+    ) -> (f64, Option<KeepReason>) {
+        let gain = current_cost - candidate_cost;
+        let keep = if gain <= 0.0 {
+            Some(KeepReason::NoImprovement)
+        } else if current_cost > 0.0 && gain / current_cost < self.min_relative_gain {
+            Some(KeepReason::BelowMinGain)
+        } else if gain * (self.horizon_epochs * periods_per_epoch) <= bill {
+            Some(KeepReason::MigrationTooExpensive)
+        } else {
+            None
+        };
+        (gain, keep)
+    }
+}
+
 /// Why the replacer kept the current placement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KeepReason {
@@ -121,19 +155,8 @@ impl Replacer {
 
     /// Evaluates whether to migrate away from `current` given the live
     /// matrix.  `n_control` control threads are re-placed alongside the
-    /// compute threads, exactly as in the initial Algorithm 1 run.
-    pub fn evaluate(
-        &self,
-        topo: &Topology,
-        live: &CommMatrix,
-        current: &Placement,
-        n_control: usize,
-    ) -> Decision {
-        self.evaluate_with(topo, live, current, n_control, &mut PlacementScratch::new())
-    }
-
-    /// Allocation-reusing variant of [`Replacer::evaluate`]: the candidate
-    /// TreeMatch placement is computed through the caller's
+    /// compute threads, exactly as in the initial Algorithm 1 run.  The
+    /// candidate TreeMatch placement is computed through the caller's
     /// [`PlacementScratch`], so an engine evaluating a migration every
     /// drift epoch stops allocating dense per-level matrices.
     pub fn evaluate_with(
@@ -150,22 +173,14 @@ impl Replacer {
 
         let current_cost = hop_bytes(live, topo, &current.compute_mapping_or_zero());
         let candidate_cost = hop_bytes(live, topo, &candidate.compute_mapping_or_zero());
-        let gain = current_cost - candidate_cost;
-
-        if gain <= 0.0 {
-            return Decision::Keep { reason: KeepReason::NoImprovement, predicted_gain_per_epoch: gain };
-        }
-        if current_cost > 0.0 && gain / current_cost < self.config.min_relative_gain {
-            return Decision::Keep { reason: KeepReason::BelowMinGain, predicted_gain_per_epoch: gain };
-        }
         let migration_cost = self.config.model.migration_cost(topo, current, &candidate);
-        if gain * self.config.horizon_epochs <= migration_cost {
-            return Decision::Keep {
-                reason: KeepReason::MigrationTooExpensive,
-                predicted_gain_per_epoch: gain,
-            };
+        let (gain, keep) = self.config.weigh(current_cost, candidate_cost, 1.0, migration_cost);
+        match keep {
+            Some(reason) => Decision::Keep { reason, predicted_gain_per_epoch: gain },
+            None => {
+                Decision::Migrate { placement: candidate, predicted_gain_per_epoch: gain, migration_cost }
+            }
         }
-        Decision::Migrate { placement: candidate, predicted_gain_per_epoch: gain, migration_cost }
     }
 }
 
@@ -180,13 +195,42 @@ mod tests {
         StencilSpec { rows: 4, cols: 4, edge_volume: 0.0, corner_volume: 8.0 }
     }
 
+    /// Every outcome of the economy, once priced in hop-bytes per epoch
+    /// (`scale` 1, one period per epoch) and once in fabric seconds per
+    /// iteration (`scale` 1e-9, four iterations per epoch): the gates
+    /// compare ratios and products of one unit, so the verdicts agree.
+    #[test]
+    fn the_economy_gives_each_verdict_in_hop_bytes_and_in_seconds() {
+        let config = ReplacerConfig {
+            model: MigrationCostModel::default(),
+            horizon_epochs: 10.0,
+            min_relative_gain: 0.05,
+        };
+        for (scale, periods_per_epoch) in [(1.0, 1.0), (1e-9, 4.0)] {
+            let weigh = |current: f64, candidate: f64, bill: f64| {
+                config.weigh(current * scale, candidate * scale, periods_per_epoch, bill * scale)
+            };
+            let horizon = 10.0 * periods_per_epoch;
+            assert_eq!(weigh(1000.0, 1000.0, 0.0).1, Some(KeepReason::NoImprovement));
+            assert_eq!(weigh(1000.0, 1200.0, 0.0).1, Some(KeepReason::NoImprovement));
+            assert_eq!(weigh(1000.0, 960.0, 0.0).1, Some(KeepReason::BelowMinGain));
+            // A gain of 100 per period pays back 100 × horizon: a bill just
+            // above that is too expensive, one just below it is not.
+            assert_eq!(weigh(1000.0, 900.0, 101.0 * horizon).1, Some(KeepReason::MigrationTooExpensive));
+            let accepted = weigh(1000.0, 900.0, 99.0 * horizon);
+            assert_eq!(accepted.1, None);
+            assert!((accepted.0 - 100.0 * scale).abs() <= 1e-12 * scale);
+            assert_eq!(weigh(0.0, 0.0, 0.0).1, Some(KeepReason::NoImprovement));
+        }
+    }
+
     #[test]
     fn optimal_placement_is_kept() {
         let topo = synthetic::cluster2016_subset(2).unwrap();
         let m = stencil_2d_directional(&spec(), 4096.0, 64.0);
         let current = compute_placement(Policy::TreeMatch, &topo, &m, 0);
         let replacer = Replacer::new(ReplacerConfig::default());
-        match replacer.evaluate(&topo, &m, &current, 0) {
+        match replacer.evaluate_with(&topo, &m, &current, 0, &mut PlacementScratch::new()) {
             Decision::Keep { .. } => {}
             other => panic!("expected Keep for the matrix the placement was computed from, got {other:?}"),
         }
@@ -204,7 +248,7 @@ mod tests {
             horizon_epochs: 10.0,
             min_relative_gain: 0.05,
         });
-        match replacer.evaluate(&topo, &after, &current, 0) {
+        match replacer.evaluate_with(&topo, &after, &current, 0, &mut PlacementScratch::new()) {
             Decision::Migrate { placement, predicted_gain_per_epoch, migration_cost } => {
                 assert!(predicted_gain_per_epoch > 0.0);
                 assert!(migration_cost > 0.0, "some tasks must actually move");
@@ -227,7 +271,7 @@ mod tests {
             horizon_epochs: 1.0,
             min_relative_gain: 0.0,
         });
-        match replacer.evaluate(&topo, &after, &current, 0) {
+        match replacer.evaluate_with(&topo, &after, &current, 0, &mut PlacementScratch::new()) {
             Decision::Keep { reason: KeepReason::MigrationTooExpensive, predicted_gain_per_epoch } => {
                 assert!(predicted_gain_per_epoch > 0.0);
             }

@@ -8,8 +8,7 @@
 //! * [`ablations`] — the placement-policy, control-thread and
 //!   oversubscription studies referenced in DESIGN.md (experiments A1–A3);
 //! * [`scaling`] — placement cost at scale (experiment E-scaling): the
-//!   timed grid behind `BENCH_scaling.json` and the `placement_scaling`
-//!   criterion bench;
+//!   timed grid behind `BENCH_scaling.json` and the `scaling` binary;
 //! * [`proc_corr`] — the sim-vs-real correlation study (experiment
 //!   E-proc): predicted vs measured inter-node bytes across the
 //!   simulator and multi-process backends, behind `BENCH_proc_corr.json`

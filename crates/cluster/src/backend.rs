@@ -1,38 +1,33 @@
-//! The multi-node cluster as a `Session` [`ExecutionBackend`].
+//! The multi-node cluster behind the `Session` front door.
 //!
-//! [`ClusterBackend`] is the third backend behind the unified `Session`
-//! front door (after `ThreadBackend` and `SimBackend`): build the session
-//! with the cluster's [flattened](orwl_topo::cluster::ClusterTopology::flatten)
-//! topology and a `ClusterBackend`, and run phased workloads unchanged.
+//! [`ClusterBackend`] is the third backend (after `ThreadBackend` and
+//! `SimBackend`): build the session with the cluster's
+//! [flattened](orwl_topo::cluster::ClusterTopology::flatten) topology and a
+//! `ClusterBackend`, and run phased workloads unchanged.  The run modes are
+//! the shared [driver](orwl_adapt::driver)'s; this file is the cluster
+//! [`PhasedModel`] behind it:
 //!
-//! * **Static** — two-level placement from the first phase's matrix
-//!   ([`Policy::Hierarchical`]; flat policies are mapped onto the
-//!   flattened tree), never re-mapped.
-//! * **Oracle** — free two-level re-placement at every phase boundary.
-//! * **Adaptive** — the online loop of `orwl-adapt` lifted to cluster
-//!   scale: the executor's transfer hooks feed an `OnlineCommMatrix`,
-//!   drift is detected on the flattened topology, and a re-placement is a
-//!   fresh *two-level* computation — so drift can trigger **node-level
-//!   re-sharding** (tasks change machines, paying fabric transfer costs)
-//!   as well as intra-node re-binding.  The two are reported separately
-//!   ([`AdaptReport::node_reshards`] vs
-//!   [`AdaptReport::replacements`](orwl_core::runtime::AdaptReport)).
+//! * **placement** is two-level ([`Policy::Hierarchical`]; flat policies
+//!   run on the flattened tree, `NoBind` is a seeded OS spread) and carries
+//!   the node assignment with the thread → PU map;
+//! * **a chunk** is one [`simulate_cluster`] call, its hop-bytes split at
+//!   the machine boundary, with one `FabricTransfer` record per lane;
+//! * **a re-placement** is a fresh *two-level* computation priced in fabric
+//!   seconds, so drift can trigger **node-level re-sharding** as well as
+//!   intra-node re-binding (`AdaptReport::node_reshards` vs `replacements`).
 
 use crate::exec::simulate_cluster;
 use crate::machine::ClusterMachine;
 use crate::metrics::{cluster_cost, inter_node_bytes, split_hop_bytes};
 use crate::placement::{hierarchical_placement, policy_placement, ClusterPlacement};
-use orwl_adapt::drift::DriftDetector;
-use orwl_adapt::engine::AdaptConfig;
-use orwl_adapt::online::OnlineCommMatrix;
+use orwl_adapt::driver::{Backend, Move, PhasedModel, Run};
 use orwl_comm::matrix::CommMatrix;
-use orwl_core::error::{ConfigError, OrwlError};
-use orwl_core::placement::PlacementPlan;
-use orwl_core::runtime::AdaptReport;
-use orwl_core::session::{ClusterTraffic, ExecutionBackend, Mode, Report, RunTime, SessionConfig, Workload};
-use orwl_numasim::workload::PhasedWorkload;
-use orwl_obs::{ClockKind, EventKind, FabricLane, Recorder};
+use orwl_core::session::ClusterTraffic;
+use orwl_numasim::exec::SimMonitor;
+use orwl_numasim::taskgraph::TaskGraph;
+use orwl_obs::{EventKind, FabricLane};
 use orwl_topo::cluster::FabricClass;
+use orwl_topo::topology::Topology;
 use orwl_treematch::mapping::Placement;
 use orwl_treematch::policies::Policy;
 
@@ -44,99 +39,59 @@ fn lane_of(class: FabricClass) -> FabricLane {
     }
 }
 
-/// Cumulative counters of one cluster run.
-#[derive(Debug, Clone, Copy, Default)]
-struct RunTotals {
-    time: f64,
-    hop_bytes: f64,
-    intra_hop_bytes: f64,
-    inter_hop_bytes: f64,
-    inter_bytes: f64,
-}
-
 /// The multi-node discrete-event simulator as a `Session` backend.
-#[derive(Debug, Clone)]
-pub struct ClusterBackend {
-    machine: ClusterMachine,
-    adapt: AdaptConfig,
-    nobind_seed: u64,
-}
+pub type ClusterBackend = Backend<ClusterMachine>;
 
-impl ClusterBackend {
-    /// Wraps a cluster machine with the default adaptive tuning.
-    #[must_use]
-    pub fn new(machine: ClusterMachine) -> Self {
-        ClusterBackend { machine, adapt: AdaptConfig::default(), nobind_seed: 0xC0FFEE }
+impl PhasedModel for ClusterMachine {
+    const NAME: &'static str = "cluster";
+    type Placement = ClusterPlacement;
+
+    fn topology(&self) -> &Topology {
+        self.topology()
     }
 
-    /// Replaces the engine tuning used in adaptive mode.
-    #[must_use]
-    pub fn with_adapt_config(mut self, adapt: AdaptConfig) -> Self {
-        self.adapt = adapt;
-        self
+    /// The two-level placement of the run's policy — shared with the
+    /// multi-process backend through [`policy_placement`], so simulated
+    /// and real runs shard tasks over nodes identically.  `NoBind` mirrors
+    /// `SimBackend`'s OS-spread model (migration penalties and data
+    /// non-locality are not modelled at cluster scale).
+    fn place(&self, run: &Run, matrix: &CommMatrix) -> ClusterPlacement {
+        policy_placement(self, run.policy, run.control_threads, run.nobind_seed, matrix)
     }
 
-    /// Replaces the seed of the OS-placement model used for
-    /// [`Policy::NoBind`] runs.
-    #[must_use]
-    pub fn with_nobind_seed(mut self, seed: u64) -> Self {
-        self.nobind_seed = seed;
-        self
-    }
-
-    /// The simulated cluster machine.
-    #[must_use]
-    pub fn machine(&self) -> &ClusterMachine {
-        &self.machine
-    }
-
-    /// The two-level placement of this run's policy — shared with the
-    /// multi-process backend through
-    /// [`policy_placement`](crate::placement::policy_placement), so
-    /// simulated and real runs shard tasks over nodes identically.
-    /// `NoBind` mirrors `SimBackend`'s OS-spread model (migration
-    /// penalties and data non-locality are not modelled at cluster scale).
-    fn placement_for(&self, config: &SessionConfig, matrix: &CommMatrix) -> ClusterPlacement {
-        policy_placement(&self.machine, config.policy, config.control_threads, self.nobind_seed, matrix)
-    }
-
-    /// One simulated phase chunk, with its metrics folded into `totals`.
-    #[allow(clippy::too_many_arguments)]
-    fn run_chunk(
+    fn simulate(
         &self,
-        cp: &ClusterPlacement,
-        graph: &orwl_numasim::taskgraph::TaskGraph,
+        run: &mut Run,
+        placement: &ClusterPlacement,
+        graph: &TaskGraph,
         matrix: &CommMatrix,
         iterations: usize,
-        monitor: &mut dyn orwl_numasim::exec::SimMonitor,
-        totals: &mut RunTotals,
-        obs: Option<&Recorder>,
-    ) {
-        let mapping = cp.global_mapping(&self.machine);
-        let report = simulate_cluster(&self.machine, graph, &mapping, iterations, monitor);
-        let (intra, inter) = split_hop_bytes(self.machine.cluster(), matrix, &mapping);
+        monitor: &mut dyn SimMonitor,
+    ) -> (f64, Vec<usize>) {
+        let cluster = self.cluster();
+        let mapping = placement.global_mapping(self);
+        let report = simulate_cluster(self, graph, &mapping, iterations, monitor);
+        let (intra, inter) = split_hop_bytes(cluster, matrix, &mapping);
         let iters = iterations as f64;
-        totals.time += report.total_time;
-        totals.hop_bytes += iters * (intra + inter);
-        totals.intra_hop_bytes += iters * intra;
-        totals.inter_hop_bytes += iters * inter;
-        totals.inter_bytes += iters * inter_node_bytes(self.machine.cluster(), matrix, &mapping);
-        if let Some(obs) = obs {
+        let before = run.hop_bytes;
+        let fabric =
+            run.fabric.get_or_insert(ClusterTraffic { n_nodes: self.n_nodes(), ..ClusterTraffic::default() });
+        run.time += report.total_time;
+        run.hop_bytes += iters * (intra + inter);
+        fabric.intra_node_hop_bytes += iters * intra;
+        fabric.inter_node_hop_bytes += iters * inter;
+        fabric.inter_node_bytes += iters * inter_node_bytes(cluster, matrix, &mapping);
+        if let Some(obs) = run.obs {
             // One aggregate transfer event per fabric lane per chunk: the
             // timeline stays proportional to chunks, not to matrix entries.
-            let cluster = self.machine.cluster();
             let mut by_lane = [0.0f64; 3];
-            let n = matrix.order();
-            for src in 0..n {
-                for dst in 0..n {
-                    let volume = matrix.get(src, dst);
-                    if src != dst && volume > 0.0 {
-                        by_lane[lane_of(cluster.link_class(mapping[src], mapping[dst])) as usize] +=
-                            iters * volume;
-                    }
+            matrix.for_each_nonzero(|src, dst, volume| {
+                if src != dst {
+                    by_lane[lane_of(cluster.link_class(mapping[src], mapping[dst])) as usize] +=
+                        iters * volume;
                 }
-            }
-            obs.set_sim_now(totals.time);
+            });
+            obs.set_sim_now(run.time);
             for (lane, &bytes) in
                 [FabricLane::SameNode, FabricLane::SameRack, FabricLane::CrossRack].iter().zip(&by_lane)
             {
@@ -145,278 +100,84 @@ impl ClusterBackend {
                 }
             }
         }
+        (run.hop_bytes - before, mapping)
     }
 
-    /// Static and oracle modes: a fixed placement schedule, re-computed per
-    /// phase only for the oracle.
-    fn run_fixed_schedule(
+    /// A fresh two-level computation, so node assignment and intra-node
+    /// binding can both change.  Costs are fabric seconds per iteration
+    /// ([`cluster_cost`]) and so is the bill: every re-bound task streams
+    /// its state over the link between its old and new PU (fabric latency +
+    /// bandwidth across nodes, NUMA links within one).  The moved bytes are
+    /// also traffic, split at the machine boundary like any other, so the
+    /// fabric split stays consistent with the cumulative hop-bytes.
+    fn replace(
         &self,
-        config: &SessionConfig,
-        workload: &PhasedWorkload,
-        oracle: bool,
-        obs: Option<&Recorder>,
-    ) -> (ClusterPlacement, RunTotals) {
-        let initial = self.placement_for(config, &workload.phases[0].graph.comm_matrix().symmetrized());
-        let mut totals = RunTotals::default();
-        for (k, phase) in workload.phases.iter().enumerate() {
-            let cp = if oracle && k > 0 {
-                self.placement_for(config, &phase.graph.comm_matrix().symmetrized())
-            } else {
-                initial.clone()
-            };
-            let matrix = phase.graph.comm_matrix();
-            let before = totals.hop_bytes;
-            self.run_chunk(
-                &cp,
-                &phase.graph,
-                &matrix,
-                phase.iterations,
-                &mut orwl_numasim::exec::NoopSimMonitor,
-                &mut totals,
-                obs,
-            );
-            if let Some(obs) = obs {
-                obs.set_sim_now(totals.time);
-                obs.record(EventKind::Epoch { epoch: k as u64 + 1, bytes: totals.hop_bytes - before });
-            }
-        }
-        (initial, totals)
-    }
-
-    /// The online loop lifted to cluster scale: monitor → epoch roll →
-    /// drift detection → two-level re-placement with a fabric-aware
-    /// migration budget.
-    fn run_adaptive(
-        &self,
-        config: &SessionConfig,
-        workload: &PhasedWorkload,
+        run: &mut Run,
+        live: &CommMatrix,
+        current: &ClusterPlacement,
+        task_pu: &[usize],
         epoch_iterations: usize,
-        obs: Option<&Recorder>,
-    ) -> (ClusterPlacement, RunTotals, AdaptReport) {
-        let n = workload.n_tasks();
-        let flat = self.machine.topology();
-        let initial = self.placement_for(config, &workload.phases[0].graph.comm_matrix().symmetrized());
-        let mut current = initial.clone();
-        let mut baseline = workload.phases[0].graph.comm_matrix().symmetrized();
-        let mut online = OnlineCommMatrix::new(n, self.adapt.decay);
-        let mut detector = DriftDetector::new(self.adapt.drift);
-        let replacer = self.adapt.replacer;
-
-        let mut totals = RunTotals::default();
-        let mut epochs = 0u64;
-        let mut replacements = 0u64;
-        let mut node_reshards = 0u64;
-        let mut drift_deltas = Vec::new();
-
-        for phase in &workload.phases {
-            let matrix = phase.graph.comm_matrix();
-            let mut done = 0usize;
-            while done < phase.iterations {
-                let chunk = epoch_iterations.min(phase.iterations - done);
-                let mut monitor = Recording { online: &mut online, bytes: 0.0 };
-                self.run_chunk(&current, &phase.graph, &matrix, chunk, &mut monitor, &mut totals, obs);
-                let chunk_bytes = monitor.bytes;
-                done += chunk;
-
-                epochs += 1;
-                online.roll_epoch();
-                if let Some(obs) = obs {
-                    obs.set_sim_now(totals.time);
-                    obs.record(EventKind::Epoch { epoch: epochs, bytes: chunk_bytes });
-                }
-                if !online.is_warmed_up() {
-                    continue;
-                }
-                let live = online.smoothed_symmetric();
-                let mapping = current.global_mapping(&self.machine);
-                let observation = detector.observe(flat, &mapping, &baseline, &live);
-                drift_deltas.push(observation.delta);
-                if let Some(obs) = obs {
-                    obs.record(EventKind::DriftDecision {
-                        outcome: observation.outcome(),
-                        delta: observation.delta,
-                    });
-                }
-                if !observation.fired {
-                    continue;
-                }
-
-                // Re-placement is a fresh two-level computation, so node
-                // assignment and intra-node binding can both change.
-                let candidate = hierarchical_placement(&self.machine, &live);
-                let new_mapping = candidate.global_mapping(&self.machine);
-                let current_cost = cluster_cost(&self.machine, &live, &mapping);
-                let candidate_cost = cluster_cost(&self.machine, &live, &new_mapping);
-                let gain_per_iteration = current_cost - candidate_cost;
-                if gain_per_iteration <= 0.0
-                    || (current_cost > 0.0 && gain_per_iteration / current_cost < replacer.min_relative_gain)
-                {
-                    continue;
-                }
-                // Migration bill in seconds: every re-bound task streams its
-                // state over the link between its old and new PU (fabric
-                // latency + bandwidth across nodes, NUMA links within one).
-                // The moved bytes are also traffic, split at the machine
-                // boundary like any other, so the reported fabric split
-                // stays consistent with the cumulative hop-bytes.
-                let mut migration_seconds = 0.0;
-                let mut migration_intra_hop = 0.0;
-                let mut migration_inter_hop = 0.0;
-                let mut migration_inter_bytes = 0.0;
-                let mut moved_nodes = false;
-                let mut tasks_moved = 0usize;
-                for (t, (&old_pu, &new_pu)) in mapping.iter().zip(&new_mapping).enumerate() {
-                    if old_pu == new_pu {
-                        continue;
-                    }
-                    tasks_moved += 1;
-                    let bytes = replacer.model.task_state_bytes;
-                    migration_seconds += self.machine.message_latency(old_pu, new_pu)
-                        + bytes * self.machine.link_byte_cost(old_pu, new_pu);
-                    let hop_bytes = bytes * flat.hop_distance(old_pu, new_pu) as f64;
-                    if candidate.node_of_task[t] != current.node_of_task[t] {
-                        moved_nodes = true;
-                        migration_inter_hop += hop_bytes;
-                        migration_inter_bytes += bytes;
-                    } else {
-                        migration_intra_hop += hop_bytes;
-                    }
-                }
-                let horizon_iterations = replacer.horizon_epochs * epoch_iterations as f64;
-                if gain_per_iteration * horizon_iterations <= migration_seconds {
-                    continue;
-                }
-                totals.time += migration_seconds;
-                totals.hop_bytes += migration_intra_hop + migration_inter_hop;
-                totals.intra_hop_bytes += migration_intra_hop;
-                totals.inter_hop_bytes += migration_inter_hop;
-                totals.inter_bytes += migration_inter_bytes;
-                if let Some(obs) = obs {
-                    obs.set_sim_now(totals.time);
-                    obs.record(EventKind::Migration {
-                        tasks_moved,
-                        bytes: tasks_moved as f64 * replacer.model.task_state_bytes,
-                        cross_node: moved_nodes,
-                    });
-                }
-                current = candidate;
-                baseline = live.clone();
-                detector.arm_cooldown();
-                replacements += 1;
-                if moved_nodes {
-                    node_reshards += 1;
-                }
+    ) -> Option<Move<ClusterPlacement>> {
+        let candidate = hierarchical_placement(self, live);
+        let new_mapping = candidate.global_mapping(self);
+        let flat = self.topology();
+        let state_bytes = run.replacer.model.task_state_bytes;
+        let mut seconds = 0.0;
+        let mut moved = ClusterTraffic::default();
+        let mut cross_node = false;
+        let mut tasks_moved = 0usize;
+        for (t, (&old_pu, &new_pu)) in task_pu.iter().zip(&new_mapping).enumerate() {
+            if old_pu == new_pu {
+                continue;
+            }
+            tasks_moved += 1;
+            seconds +=
+                self.message_latency(old_pu, new_pu) + state_bytes * self.link_byte_cost(old_pu, new_pu);
+            let hop_bytes = state_bytes * flat.hop_distance(old_pu, new_pu) as f64;
+            if candidate.node_of_task[t] != current.node_of_task[t] {
+                cross_node = true;
+                moved.inter_node_hop_bytes += hop_bytes;
+                moved.inter_node_bytes += state_bytes;
+            } else {
+                moved.intra_node_hop_bytes += hop_bytes;
             }
         }
-        let adapt = AdaptReport { epochs, replacements, rebinds_applied: 0, node_reshards, drift_deltas };
-        (initial, totals, adapt)
-    }
-}
-
-struct Recording<'a> {
-    online: &'a mut OnlineCommMatrix,
-    /// Bytes the executor reported this chunk — the epoch event's traffic
-    /// volume in the telemetry timeline.
-    bytes: f64,
-}
-
-impl orwl_numasim::exec::SimMonitor for Recording<'_> {
-    fn on_transfer(&mut self, _iteration: usize, src: usize, dst: usize, bytes: f64) {
-        self.online.record(src, dst, bytes);
-        self.bytes += bytes;
-    }
-}
-
-impl ExecutionBackend for ClusterBackend {
-    fn name(&self) -> &'static str {
-        "cluster"
-    }
-
-    fn run(&self, config: &SessionConfig, workload: Workload) -> Result<Report, OrwlError> {
-        let Workload::Phased(workload) = workload else {
-            return Err(ConfigError::WorkloadMismatch {
-                backend: self.name().to_string(),
-                expected: "phased".to_string(),
-            }
-            .into());
-        };
-        let modelled = self.machine.topology();
-        if config.topology.name() != modelled.name()
-            || config.topology.nb_pus() != modelled.nb_pus()
-            || config.topology.level_spec() != modelled.level_spec()
-        {
-            return Err(ConfigError::TopologyMismatch {
-                backend: self.name().to_string(),
-                expected: modelled.name().to_string(),
-                got: config.topology.name().to_string(),
-            }
-            .into());
+        let (_, keep) = run.replacer.weigh(
+            cluster_cost(self, live, task_pu),
+            cluster_cost(self, live, &new_mapping),
+            epoch_iterations as f64,
+            seconds,
+        );
+        if keep.is_some() {
+            return None;
         }
-        // Simulated clock, installed globally so the two-level placement
-        // solves (which run through TreeMatch) land their phase spans in
-        // the same timeline as the fabric and drift events.
-        let recorder = config.observe.map(|cfg| Recorder::new(ClockKind::Simulated, cfg));
-        let registration = recorder.as_ref().map(orwl_obs::install);
-        let (initial, totals, adapt) = match &config.mode {
-            Mode::Static => {
-                let (cp, totals) = self.run_fixed_schedule(config, &workload, false, recorder.as_deref());
-                (cp, totals, None)
-            }
-            Mode::Oracle => {
-                let (cp, totals) = self.run_fixed_schedule(config, &workload, true, recorder.as_deref());
-                (cp, totals, None)
-            }
-            Mode::Adaptive(spec) => {
-                if spec.controller.is_some() {
-                    return Err(
-                        ConfigError::UnsupportedController { backend: self.name().to_string() }.into()
-                    );
-                }
-                let (cp, totals, adapt) =
-                    self.run_adaptive(config, &workload, spec.epoch_iterations, recorder.as_deref());
-                (cp, totals, Some(adapt))
-            }
-        };
-        drop(registration);
-        let matrix = workload.phases[0].graph.comm_matrix().symmetrized();
-        // The plan reports what the *policy* binds: for `NoBind` that is
-        // nothing (the OS-spread execution model above is not a binding),
-        // exactly as the other backends report it.
-        let placement = match config.policy {
-            Policy::NoBind => Placement::unbound(matrix.order(), config.control_threads),
-            _ => {
-                let mut p = initial.placement;
-                p.control = vec![None; config.control_threads];
-                p
-            }
-        };
-        let plan = PlacementPlan::new(config.policy, matrix, placement);
-        let breakdown = plan.breakdown(&config.topology);
-        Ok(Report {
-            backend: self.name().to_string(),
-            mode: config.mode.name(),
-            time: RunTime::Simulated(totals.time),
-            plan,
-            breakdown,
-            hop_bytes: totals.hop_bytes,
-            adapt,
-            thread: None,
-            fabric: Some(ClusterTraffic {
-                n_nodes: self.machine.n_nodes(),
-                intra_node_hop_bytes: totals.intra_hop_bytes,
-                inter_node_hop_bytes: totals.inter_hop_bytes,
-                inter_node_bytes: totals.inter_bytes,
-            }),
-            obs: recorder.map(|r| r.finish(self.name())),
-        })
+        let fabric = run.fabric.as_mut().expect("a chunk ran before the drift it caused");
+        run.time += seconds;
+        run.hop_bytes += moved.intra_node_hop_bytes + moved.inter_node_hop_bytes;
+        fabric.intra_node_hop_bytes += moved.intra_node_hop_bytes;
+        fabric.inter_node_hop_bytes += moved.inter_node_hop_bytes;
+        fabric.inter_node_bytes += moved.inter_node_bytes;
+        Some(Move { placement: candidate, tasks_moved, cross_node })
+    }
+
+    /// The plan reports what the *policy* binds: for `NoBind` that is
+    /// nothing (the OS-spread execution model is not a binding), exactly
+    /// as the other backends report it.
+    fn plan_placement(&self, run: &Run, initial: ClusterPlacement) -> Placement {
+        match run.policy {
+            Policy::NoBind => Placement::unbound(initial.node_of_task.len(), run.control_threads),
+            _ => Placement { control: vec![None; run.control_threads], ..initial.placement },
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orwl_adapt::engine::AdaptConfig;
     use orwl_core::runtime::AdaptiveSpec;
-    use orwl_core::session::Session;
+    use orwl_core::session::{Mode, Session};
+    use orwl_numasim::workload::PhasedWorkload;
 
     fn machine() -> ClusterMachine {
         ClusterMachine::paper(4)
@@ -464,15 +225,6 @@ mod tests {
             sf.inter_node_hop_bytes
         );
         assert!(hier.time.seconds() < scatter.time.seconds());
-    }
-
-    #[test]
-    fn oracle_is_a_lower_bound_for_static() {
-        let w = workload(&[12, 60]);
-        let fixed = session(Policy::Hierarchical, Mode::Static).run(w.clone()).unwrap();
-        let oracle = session(Policy::Hierarchical, Mode::Oracle).run(w).unwrap();
-        assert!(oracle.hop_bytes <= fixed.hop_bytes + 1e-9);
-        assert!(oracle.time.seconds() <= fixed.time.seconds() * 1.0001);
     }
 
     #[test]
@@ -533,53 +285,5 @@ mod tests {
             .run(workload(&[6]))
             .unwrap();
         assert_ne!(reseeded.hop_bytes, nobind.hop_bytes);
-    }
-
-    #[test]
-    fn mismatched_topology_and_workload_are_rejected() {
-        let err =
-            session(Policy::Hierarchical, Mode::Static).run(orwl_core::task::OrwlProgram::new()).unwrap_err();
-        assert_eq!(err, OrwlError::Config(ConfigError::EmptyProgram));
-        let mut program = orwl_core::task::OrwlProgram::new();
-        program.add_task(orwl_core::task::TaskSpec::new("t", vec![]), |_| {});
-        match session(Policy::Hierarchical, Mode::Static).run(program).unwrap_err() {
-            OrwlError::Config(ConfigError::WorkloadMismatch { backend, expected }) => {
-                assert_eq!(backend, "cluster");
-                assert_eq!(expected, "phased");
-            }
-            other => panic!("expected WorkloadMismatch, got {other:?}"),
-        }
-        let wrong_topo = Session::builder()
-            .topology(orwl_topo::synthetic::laptop())
-            .control_threads(0)
-            .backend(ClusterBackend::new(machine()))
-            .build()
-            .unwrap();
-        match wrong_topo.run(workload(&[2])).unwrap_err() {
-            OrwlError::Config(ConfigError::TopologyMismatch { backend, got, .. }) => {
-                assert_eq!(backend, "cluster");
-                assert_eq!(got, "laptop");
-            }
-            other => panic!("expected TopologyMismatch, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn controller_bearing_specs_are_rejected() {
-        let engine = orwl_adapt::engine::AdaptiveEngine::new(AdaptConfig::default());
-        let spec = orwl_adapt::engine::adaptive_session_spec(engine, std::time::Duration::from_millis(5));
-        let session = Session::builder()
-            .topology(machine().topology().clone())
-            .control_threads(0)
-            .adaptive(spec)
-            .backend(ClusterBackend::new(machine()))
-            .build()
-            .unwrap();
-        match session.run(workload(&[2])).unwrap_err() {
-            OrwlError::Config(ConfigError::UnsupportedController { backend }) => {
-                assert_eq!(backend, "cluster")
-            }
-            other => panic!("expected UnsupportedController, got {other:?}"),
-        }
     }
 }

@@ -300,6 +300,44 @@ pub struct SessionConfig {
     pub observe: Option<ObsConfig>,
 }
 
+impl SessionConfig {
+    /// The checks every backend that *models* a machine (the two simulators
+    /// and the multi-process backend) makes before it runs anything: the
+    /// workload is phased; the session topology is the `modelled` one by
+    /// name, PU count and level spec — placements are computed against the
+    /// first while the cost model runs on the second, so a mismatch would
+    /// silently mix two machines in every metric; and an adaptive spec
+    /// carries no controller, which was tuned for the thread runtime and
+    /// would be ignored in favour of the backend's own engine.
+    pub fn phased_on(
+        &self,
+        backend: &str,
+        modelled: &Topology,
+        workload: Workload,
+    ) -> Result<PhasedWorkload, ConfigError> {
+        let Workload::Phased(workload) = workload else {
+            return Err(ConfigError::WorkloadMismatch {
+                backend: backend.to_string(),
+                expected: "phased".to_string(),
+            });
+        };
+        if self.topology.name() != modelled.name()
+            || self.topology.nb_pus() != modelled.nb_pus()
+            || self.topology.level_spec() != modelled.level_spec()
+        {
+            return Err(ConfigError::TopologyMismatch {
+                backend: backend.to_string(),
+                expected: modelled.name().to_string(),
+                got: self.topology.name().to_string(),
+            });
+        }
+        if matches!(&self.mode, Mode::Adaptive(spec) if spec.controller.is_some()) {
+            return Err(ConfigError::UnsupportedController { backend: backend.to_string() });
+        }
+        Ok(workload)
+    }
+}
+
 impl std::fmt::Debug for SessionConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SessionConfig")

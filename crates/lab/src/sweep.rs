@@ -19,12 +19,12 @@
 //! deliberately *not* recorded.
 
 use crate::scenario::ScenarioSpec;
-use orwl_adapt::backend::SimBackend;
+use orwl_adapt::driver::{Backend, PhasedModel};
 use orwl_adapt::engine::AdaptConfig;
-use orwl_cluster::{ClusterBackend, ClusterMachine};
+use orwl_cluster::ClusterMachine;
 use orwl_core::error::OrwlError;
 use orwl_core::runtime::AdaptiveSpec;
-use orwl_core::session::{Mode, Report, Session, ThreadBackend};
+use orwl_core::session::{Mode, Report, Session, SessionBuilder, ThreadBackend};
 use orwl_numasim::costmodel::CostParams;
 use orwl_numasim::machine::SimMachine;
 use orwl_obs::{ObsConfig, RunTelemetry};
@@ -311,7 +311,7 @@ fn run_cell(
     mode: ModeKind,
     observe: Option<ObsConfig>,
 ) -> Result<(Report, String), OrwlError> {
-    let observed = |b: orwl_core::session::SessionBuilder| match observe {
+    let observed = |b: SessionBuilder| match observe {
         Some(cfg) => b.observe(cfg),
         None => b,
     };
@@ -335,35 +335,33 @@ fn run_cell(
             let topology = synthetic::cluster2016_subset(sockets)
                 .expect("sweep grids use socket counts within the paper machine");
             let machine = SimMachine::new(topology, CostParams::cluster2016());
-            let name = machine.topology().name().to_string();
-            let session = observed(
-                Session::builder()
-                    .topology(machine.topology().clone())
-                    .policy(policy)
-                    .control_threads(0)
-                    .mode(mode.to_mode(config.epoch_iterations))
-                    .backend(SimBackend::new(machine).with_adapt_config(AdaptConfig::evaluation())),
-            )
-            .build()
-            .expect("simulator session configuration is valid");
-            Ok((session.run(spec.workload())?, name))
+            run_simulated(machine, policy, mode.to_mode(config.epoch_iterations), observed, spec)
         }
         BackendSpec::Cluster { nodes, .. } => {
             let machine = ClusterMachine::paper(nodes);
-            let name = machine.topology().name().to_string();
-            let session = observed(
-                Session::builder()
-                    .topology(machine.topology().clone())
-                    .policy(policy)
-                    .control_threads(0)
-                    .mode(mode.to_mode(config.epoch_iterations))
-                    .backend(ClusterBackend::new(machine).with_adapt_config(AdaptConfig::evaluation())),
-            )
-            .build()
-            .expect("cluster session configuration is valid");
-            Ok((session.run(spec.workload())?, name))
+            run_simulated(machine, policy, mode.to_mode(config.epoch_iterations), observed, spec)
         }
     }
+}
+
+/// One cell on a simulated machine: either simulator, through the one
+/// backend both share.
+fn run_simulated<M: PhasedModel + 'static>(
+    machine: M,
+    policy: Policy,
+    mode: Mode,
+    observed: impl Fn(SessionBuilder) -> SessionBuilder,
+    spec: &ScenarioSpec,
+) -> Result<(Report, String), OrwlError> {
+    let topology = machine.topology().clone();
+    let name = topology.name().to_string();
+    let backend = Backend::new(machine).with_adapt_config(AdaptConfig::evaluation());
+    let session = observed(
+        Session::builder().topology(topology).policy(policy).control_threads(0).mode(mode).backend(backend),
+    )
+    .build()
+    .expect("simulator session configuration is valid");
+    Ok((session.run(spec.workload())?, name))
 }
 
 /// One executable cell of the flattened grid (see [`plan_cells`]).

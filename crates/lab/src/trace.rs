@@ -17,16 +17,19 @@
 //!   test pins the error under 1%).
 
 use crate::scenario::{ELEMENTS_PER_TASK, PRIVATE_BYTES_PER_TASK};
+use orwl_adapt::driver::{Backend, PhasedModel};
+use orwl_adapt::SimBackend;
+use orwl_cluster::ClusterBackend;
 use orwl_comm::matrix::CommMatrix;
 use orwl_core::json::Json;
 use orwl_core::monitor::AccessSink;
+use orwl_core::session::Mode;
 use orwl_core::{AccessMode, LocationId, TaskId};
-use orwl_numasim::exec::{simulate_monitored, SimMonitor};
+use orwl_numasim::exec::SimMonitor;
 use orwl_numasim::machine::SimMachine;
-use orwl_numasim::scenario::ExecutionScenario;
 use orwl_numasim::taskgraph::TaskGraph;
 use orwl_numasim::workload::{Phase, PhasedWorkload};
-use orwl_treematch::policies::{compute_placement, Policy};
+use orwl_treematch::policies::Policy;
 use std::sync::Mutex;
 
 /// One monitoring epoch of a captured run: the bytes observed between two
@@ -104,18 +107,13 @@ impl Trace {
             .map(|e| {
                 let mut eo = Json::obj();
                 let mut entries = Vec::new();
-                for src in 0..e.matrix.order() {
-                    for dst in 0..e.matrix.order() {
-                        let bytes = e.matrix.get(src, dst);
-                        if bytes != 0.0 {
-                            entries.push(Json::Arr(vec![
-                                Json::Num(src as f64),
-                                Json::Num(dst as f64),
-                                Json::Num(bytes),
-                            ]));
-                        }
-                    }
-                }
+                e.matrix.for_each_nonzero(|src, dst, bytes| {
+                    entries.push(Json::Arr(vec![
+                        Json::Num(src as f64),
+                        Json::Num(dst as f64),
+                        Json::Num(bytes),
+                    ]));
+                });
                 eo.push("iterations", e.iterations).push("entries", Json::Arr(entries));
                 eo
             })
@@ -208,10 +206,26 @@ impl SimMonitor for TraceRecorder {
     }
 }
 
+/// A static run of `workload` on `backend` through the shared driver, its
+/// phases cut every `epoch_iterations` iterations and each chunk recorded
+/// as one trace epoch.
+fn capture<M: PhasedModel>(
+    backend: &Backend<M>,
+    policy: Policy,
+    workload: &PhasedWorkload,
+    epoch_iterations: usize,
+    label: &str,
+) -> Trace {
+    let mut recorder = TraceRecorder::new(workload.n_tasks());
+    let mut run = backend.start(policy, 0, None);
+    let chunk = epoch_iterations.max(1);
+    backend.drive(&mut run, workload, &Mode::Static, chunk, &mut recorder, TraceRecorder::roll_epoch);
+    recorder.finish(format!("{label}:{}:{}", backend.machine().topology().name(), policy.name()))
+}
+
 /// Captures a trace from a *static* monitored run on the single-node
-/// simulator: the placement is computed once from the first phase (exactly
-/// like `SimBackend` in static mode), and the recorder rolls an epoch every
-/// `epoch_iterations` iterations.
+/// simulator: `SimBackend` in static mode (the placement computed once from
+/// the first phase), looked at every `epoch_iterations` iterations.
 ///
 /// The returned trace replays through the same machine and policy to the
 /// originating run's hop-bytes (pinned within 1% by the integration test).
@@ -222,32 +236,15 @@ pub fn capture_trace(
     workload: &PhasedWorkload,
     epoch_iterations: usize,
 ) -> Trace {
-    let n = workload.n_tasks();
-    let matrix = workload.phases[0].graph.comm_matrix().symmetrized();
-    let placement = compute_placement(policy, machine.topology(), &matrix, 0);
-    let pus = machine.topology().pu_os_indices();
-    let mapping = placement.compute_mapping_with(|t| pus[t % pus.len()]);
-    let scenario = ExecutionScenario::bound(machine, mapping).with_label(policy.name());
-
-    let mut recorder = TraceRecorder::new(n);
-    for phase in &workload.phases {
-        let mut done = 0;
-        while done < phase.iterations {
-            let chunk = epoch_iterations.max(1).min(phase.iterations - done);
-            simulate_monitored(machine, &phase.graph, &scenario, chunk, &mut recorder);
-            recorder.roll_epoch();
-            done += chunk;
-        }
-    }
-    recorder.finish(format!("sim:{}:{}", machine.topology().name(), policy.name()))
+    capture(&SimBackend::new(machine.clone()), policy, workload, epoch_iterations, "sim")
 }
 
 /// Captures a trace from a *static* monitored run on the multi-node
 /// cluster simulator — [`capture_trace`]'s sibling for
-/// [`ClusterMachine`](orwl_cluster::ClusterMachine): the two-level (or
-/// flattened, for flat policies) placement is computed once from the first
-/// phase, exactly like `ClusterBackend` in static mode, and the recorder
-/// rolls an epoch every `epoch_iterations` iterations.
+/// [`ClusterMachine`](orwl_cluster::ClusterMachine): `ClusterBackend` in
+/// static mode (the two-level, or for flat policies flattened, placement
+/// computed once from the first phase), looked at every `epoch_iterations`
+/// iterations.
 ///
 /// The returned trace replays through the same machine and policy to the
 /// originating run's hop-bytes (pinned within 1% by the
@@ -259,31 +256,7 @@ pub fn capture_cluster_trace(
     workload: &PhasedWorkload,
     epoch_iterations: usize,
 ) -> Trace {
-    let n = workload.n_tasks();
-    let matrix = workload.phases[0].graph.comm_matrix().symmetrized();
-    let mapping: Vec<usize> = match policy {
-        Policy::Hierarchical => {
-            orwl_cluster::placement::hierarchical_placement(machine, &matrix).global_mapping(machine)
-        }
-        policy => {
-            let flat = machine.topology();
-            let placement = compute_placement(policy, flat, &matrix, 0);
-            let pus = flat.pu_os_indices();
-            placement.compute_mapping_with(|t| pus[t % pus.len()])
-        }
-    };
-
-    let mut recorder = TraceRecorder::new(n);
-    for phase in &workload.phases {
-        let mut done = 0;
-        while done < phase.iterations {
-            let chunk = epoch_iterations.max(1).min(phase.iterations - done);
-            orwl_cluster::exec::simulate_cluster(machine, &phase.graph, &mapping, chunk, &mut recorder);
-            recorder.roll_epoch();
-            done += chunk;
-        }
-    }
-    recorder.finish(format!("cluster:{}:{}", machine.topology().name(), policy.name()))
+    capture(&ClusterBackend::new(machine.clone()), policy, workload, epoch_iterations, "cluster")
 }
 
 /// An [`AccessSink`] that records the thread runtime's lock grants into

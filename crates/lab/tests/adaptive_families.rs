@@ -5,6 +5,7 @@
 
 use orwl_adapt::backend::SimBackend;
 use orwl_adapt::engine::AdaptConfig;
+use orwl_cluster::{ClusterBackend, ClusterMachine};
 use orwl_core::runtime::AdaptiveSpec;
 use orwl_core::session::{Mode, Report, Session};
 use orwl_lab::scenario::{ScenarioFamily, ScenarioSpec};
@@ -112,6 +113,40 @@ fn drift_mix_fires_and_hotspot_structure_is_visible() {
         .filter(|e| matches!(e.kind, EventKind::DriftDecision { outcome: DriftOutcome::Quiet, .. }))
         .count();
     assert_eq!(Some(quiet as u64), hobs.metrics.counter("drift_quiet"));
+}
+
+#[test]
+fn migration_events_carry_the_state_bytes_moved_on_both_simulators() {
+    // `Migration.bytes` is what `orwl_obs::EventKind` documents — the state
+    // bytes billed for the move, `tasks_moved × task_state_bytes` — on every
+    // backend; the hop-byte (numasim) or fabric-second (cluster) bill the
+    // economy weighed is charged to the report, not to the event.
+    let state_bytes = AdaptConfig::evaluation().replacer.model.task_state_bytes;
+    let cluster = ClusterMachine::paper(4);
+    let cluster_run = Session::builder()
+        .topology(cluster.topology().clone())
+        .policy(Policy::Hierarchical)
+        .control_threads(0)
+        .mode(Mode::Adaptive(AdaptiveSpec::per_iterations(4)))
+        .backend(ClusterBackend::new(cluster).with_adapt_config(AdaptConfig::evaluation()))
+        .observe(ObsConfig::default())
+        .build()
+        .unwrap()
+        .run(ScenarioSpec::new(ScenarioFamily::DriftMix, 64, 42).workload())
+        .unwrap();
+    for report in [adaptive_run(ScenarioFamily::DriftMix, 42), cluster_run] {
+        let obs = report.obs.as_ref().unwrap();
+        let mut migrations = 0;
+        for ev in &obs.events {
+            if let EventKind::Migration { tasks_moved, bytes, .. } = ev.kind {
+                migrations += 1;
+                assert!(tasks_moved > 0, "{}: an accepted migration moves something", report.backend);
+                assert_eq!(bytes, tasks_moved as f64 * state_bytes, "{}", report.backend);
+            }
+        }
+        assert!(migrations >= 1, "{}: DriftMix must trigger a migration", report.backend);
+        assert_eq!(migrations, report.adapt.as_ref().unwrap().replacements, "{}", report.backend);
+    }
 }
 
 #[test]

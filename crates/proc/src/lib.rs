@@ -948,25 +948,7 @@ impl ExecutionBackend for ProcBackend {
                 detail: "ProcBackend invoked inside a worker process (recursive spawn guard)".to_string(),
             });
         }
-        let Workload::Phased(workload) = workload else {
-            return Err(ConfigError::WorkloadMismatch {
-                backend: self.name().to_string(),
-                expected: "phased".to_string(),
-            }
-            .into());
-        };
-        let modelled = self.machine.topology();
-        if config.topology.name() != modelled.name()
-            || config.topology.nb_pus() != modelled.nb_pus()
-            || config.topology.level_spec() != modelled.level_spec()
-        {
-            return Err(ConfigError::TopologyMismatch {
-                backend: self.name().to_string(),
-                expected: modelled.name().to_string(),
-                got: config.topology.name().to_string(),
-            }
-            .into());
-        }
+        let workload = config.phased_on(self.name(), self.machine.topology(), workload)?;
         if !matches!(config.mode, Mode::Static) {
             return Err(ConfigError::UnsupportedMode {
                 backend: self.name().to_string(),
@@ -1005,13 +987,11 @@ impl ExecutionBackend for ProcBackend {
             let (intra, _) = split_hop_bytes(cluster, &m, &mapping);
             intra_hop_model += iters * intra;
             let mut off_diagonal = 0.0;
-            for src in 0..m.order() {
-                for dst in 0..m.order() {
-                    if src != dst {
-                        off_diagonal += m.get(src, dst);
-                    }
+            m.for_each_nonzero(|src, dst, volume| {
+                if src != dst {
+                    off_diagonal += volume;
                 }
-            }
+            });
             same_node_bytes_model += iters * (off_diagonal - inter_node_bytes(cluster, &m, &mapping));
         }
 
