@@ -270,9 +270,10 @@ impl<M: PhasedModel + 'static> ExecutionBackend for Backend<M> {
             Mode::Static | Mode::Oracle => usize::MAX,
         };
         // Simulated clock: event timestamps advance with the cost model's
-        // notion of time, not the host's.  The recorder is also installed
-        // globally so the placement-solve phase spans emitted from inside
-        // TreeMatch land in the same timeline.
+        // notion of time, not the host's.  The recorder is also this
+        // thread's scope — the whole simulated run happens on it — so the
+        // placement-solve phase spans emitted from inside TreeMatch land in
+        // the same timeline.
         let recorder = config.observe.map(|cfg| Recorder::new(ClockKind::Simulated, cfg));
         let registration = recorder.as_ref().map(orwl_obs::install);
         let mut run = self.start(config.policy, config.control_threads, recorder.as_deref());

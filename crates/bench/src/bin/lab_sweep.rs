@@ -124,9 +124,8 @@ fn main() -> ExitCode {
     let grid = if args.smoke { "smoke" } else { "full" };
     eprintln!("lab_sweep: running the {grid} grid (seed {}, {} threads)...", args.seed, args.threads);
     let sweep_outcome = match &args.obs_dir {
-        // Observation forces sequential cells (one process-global recorder
-        // at a time); the rows themselves are unchanged by it.
-        Some(_) => run_sweep_observed(&config, ObsConfig::default()),
+        // The rows themselves are unchanged by observation.
+        Some(_) => run_sweep_observed(&config, args.threads, ObsConfig::default()),
         None => run_sweep_with_threads(&config, args.threads).map(|result| (result, Vec::new())),
     };
     let (result, observed) = match sweep_outcome {

@@ -80,9 +80,7 @@ pub use location::{Location, LocationId};
 pub use monitor::{AccessSink, RebindPlan, SinkRegistration};
 pub use placement::{plan_placement, PlacementPlan};
 pub use request::{AccessMode, RequestState, RequestToken};
-pub use runtime::{
-    AdaptReport, AdaptiveController, AdaptiveSpec, ControlEvent, OrwlRuntime, RunReport, RuntimeConfig,
-};
+pub use runtime::{AdaptReport, AdaptiveController, AdaptiveSpec};
 pub use session::{
     ClusterTraffic, ExecutionBackend, Mode, Report, RunTime, Session, SessionBuilder, SessionConfig,
     ThreadBackend, ThreadDetails, Workload,
@@ -96,7 +94,7 @@ pub mod prelude {
     pub use crate::handle::Handle;
     pub use crate::location::Location;
     pub use crate::request::AccessMode;
-    pub use crate::runtime::{AdaptiveSpec, OrwlRuntime, RunReport, RuntimeConfig};
+    pub use crate::runtime::AdaptiveSpec;
     pub use crate::session::{Mode, Report, RunTime, Session, ThreadBackend, Workload};
     pub use crate::task::{LocationLink, OrwlProgram, TaskContext, TaskSpec};
     pub use orwl_treematch::policies::Policy;

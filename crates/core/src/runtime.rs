@@ -1,4 +1,5 @@
-//! The event-based ORWL runtime.
+//! The event-based ORWL runtime behind
+//! [`ThreadBackend`](crate::session::ThreadBackend), its only caller.
 //!
 //! The runtime executes an [`OrwlProgram`]: it computes a placement for the
 //! program's tasks (and for its own control threads), spawns one thread per
@@ -8,17 +9,22 @@
 //! channel (task lifecycle notifications, progress accounting).  Control
 //! threads are deliberately real threads doing real work because the
 //! paper's Algorithm 1 places them alongside the computation threads.
+//!
+//! Telemetry travels with the threads: the task threads and the adaptive
+//! monitor thread install the caller's `orwl_obs` scope first thing, so
+//! whatever they emit (lock waits, rebinds, epochs, the controller's drift
+//! decisions and solves) reaches the recorder of the run that spawned them
+//! and no other.
 
-use crate::error::OrwlError;
+use crate::error::{ConfigError, OrwlError};
 use crate::monitor::{self, AccessSink, RebindPlan};
 use crate::placement::{plan_placement, PlacementPlan};
-use crate::stats::{RuntimeStats, StatsSnapshot};
+use crate::session::{SessionConfig, ThreadDetails};
+use crate::stats::RuntimeStats;
 use crate::task::{OrwlProgram, TaskContext, TaskId, TaskSpec};
 use crossbeam::channel;
-use orwl_topo::binding::{Binder, NoopBinder};
 use orwl_topo::topology::Topology;
 use orwl_treematch::mapping::Placement;
-use orwl_treematch::policies::Policy;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -81,13 +87,6 @@ impl AdaptiveSpec {
     pub fn per_iterations(epoch_iterations: usize) -> Self {
         AdaptiveSpec { controller: None, epoch: Self::DEFAULT_EPOCH, epoch_iterations }
     }
-
-    /// Replaces the iteration-epoch length.
-    #[must_use]
-    pub fn with_epoch_iterations(mut self, epoch_iterations: usize) -> Self {
-        self.epoch_iterations = epoch_iterations;
-        self
-    }
 }
 
 impl std::fmt::Debug for AdaptiveSpec {
@@ -120,329 +119,220 @@ pub struct AdaptReport {
     pub drift_deltas: Vec<f64>,
 }
 
-/// Configuration of a runtime instance.
-#[derive(Clone)]
-pub struct RuntimeConfig {
-    /// The machine topology placements are computed against.
-    pub topology: Topology,
-    /// The placement policy ([`Policy::TreeMatch`] = the paper's "Bind",
-    /// [`Policy::NoBind`] = the unbound baseline).
-    pub policy: Policy,
-    /// Number of control threads the runtime starts.
-    pub control_threads: usize,
-    /// How bindings are applied (real `sched_setaffinity`, recording, or
-    /// no-op).
-    pub binder: Arc<dyn Binder>,
-    /// Online monitoring + adaptive re-placement, when enabled.
-    pub adaptive: Option<AdaptiveSpec>,
-    /// Telemetry recorder the runtime stamps epoch boundaries into and
-    /// publishes its final counters to, when observation is enabled.
-    pub observer: Option<Arc<orwl_obs::Recorder>>,
-}
-
-impl RuntimeConfig {
-    /// A configuration with the paper's defaults for `topology` and
-    /// `policy`: one control thread, no-op binding (callers supply a real
-    /// binder with [`with_binder`](RuntimeConfig::with_binder)), no
-    /// adaptation.  The `Session` builder is the public front door; this
-    /// constructor serves code that drives [`OrwlRuntime`] directly.
-    pub fn new(topology: Topology, policy: Policy) -> Self {
-        RuntimeConfig {
-            topology,
-            policy,
-            control_threads: 1,
-            binder: Arc::new(NoopBinder),
-            adaptive: None,
-            observer: None,
-        }
-    }
-
-    /// Replaces the policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: Policy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Replaces the number of control threads.
-    #[must_use]
-    pub fn with_control_threads(mut self, n: usize) -> Self {
-        self.control_threads = n;
-        self
-    }
-
-    /// Replaces the binder.
-    #[must_use]
-    pub fn with_binder(mut self, binder: Arc<dyn Binder>) -> Self {
-        self.binder = binder;
-        self
-    }
-
-    /// Attaches a telemetry recorder.
-    #[must_use]
-    pub fn with_observer(mut self, observer: Arc<orwl_obs::Recorder>) -> Self {
-        self.observer = Some(observer);
-        self
-    }
-}
-
-impl std::fmt::Debug for RuntimeConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RuntimeConfig")
-            .field("topology", &self.topology.name())
-            .field("policy", &self.policy.name())
-            .field("control_threads", &self.control_threads)
-            .field("binder", &self.binder.name())
-            .field("adaptive", &self.adaptive.as_ref().map(|a| a.epoch))
-            .field("observer", &self.observer.is_some())
-            .finish()
-    }
-}
-
 /// Events flowing from computation threads to control threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ControlEvent {
+enum ControlEvent {
     /// A task's thread started executing.
     TaskStarted(TaskId),
     /// A task's thread finished executing.
     TaskFinished(TaskId),
 }
 
-/// Result of running a program.
-#[derive(Debug, Clone)]
-pub struct RunReport {
+/// What [`run`] hands back for the session's [`Report`](crate::session::Report).
+pub(crate) struct ThreadRun {
     /// Wall-clock time of the whole run (placement + execution + join).
     pub wall_time: Duration,
     /// The placement that was applied.
     pub plan: PlacementPlan,
-    /// Per-task execution time, indexed by task id.
-    pub per_task_time: Vec<Duration>,
-    /// Snapshot of the runtime counters at the end of the run.
-    pub stats: StatsSnapshot,
+    /// Per-task execution times and the runtime counters at the end.
+    pub details: ThreadDetails,
     /// Adaptive-machinery counters; `None` for non-adaptive runs.
     pub adapt: Option<AdaptReport>,
 }
 
-impl RunReport {
-    /// The longest task execution time (the critical path lower bound).
-    #[must_use]
-    pub fn max_task_time(&self) -> Duration {
-        self.per_task_time.iter().copied().max().unwrap_or(Duration::ZERO)
+/// Runs a program to completion under the session's topology, policy,
+/// control-thread count and binder, adapting online when `adaptive` is set.
+///
+/// Every task runs on its own OS thread (the ORWL execution model); the
+/// calling thread blocks until all tasks and control threads have
+/// finished.
+pub(crate) fn run(
+    config: &SessionConfig,
+    adaptive: Option<&AdaptiveSpec>,
+    program: OrwlProgram,
+) -> Result<ThreadRun, OrwlError> {
+    if program.is_empty() {
+        return Err(OrwlError::EmptyProgram);
     }
-}
+    let adaptive = match adaptive {
+        Some(spec) => Some((spec.controller.clone().ok_or(ConfigError::MissingController)?, spec.epoch)),
+        None => None,
+    };
+    let started = Instant::now();
 
-/// The ORWL runtime.
-#[derive(Debug)]
-pub struct OrwlRuntime {
-    config: RuntimeConfig,
-}
+    // 1. Placement: extract the communication matrix and map threads.
+    let plan = plan_placement(&program, &config.topology, config.policy, config.control_threads);
+    let compute_cpusets = plan.placement.compute_cpusets();
+    let control_cpusets = plan.placement.control_cpusets();
 
-impl OrwlRuntime {
-    /// Creates a runtime with the given configuration.
-    pub fn new(config: RuntimeConfig) -> Self {
-        OrwlRuntime { config }
-    }
+    let stats = Arc::new(RuntimeStats::new());
+    let (event_tx, event_rx) = channel::unbounded::<ControlEvent>();
 
-    /// The configuration in use.
-    pub fn config(&self) -> &RuntimeConfig {
-        &self.config
-    }
-
-    /// Runs a program to completion and reports on the execution.
-    ///
-    /// Every task runs on its own OS thread (the ORWL execution model); the
-    /// calling thread blocks until all tasks and control threads have
-    /// finished.
-    pub fn run(&self, program: OrwlProgram) -> Result<RunReport, OrwlError> {
-        if program.is_empty() {
-            return Err(OrwlError::EmptyProgram);
-        }
-        let started = Instant::now();
-
-        // 1. Placement: extract the communication matrix and map threads.
-        let plan =
-            plan_placement(&program, &self.config.topology, self.config.policy, self.config.control_threads);
-        let compute_cpusets = plan.placement.compute_cpusets();
-        let control_cpusets = plan.placement.control_cpusets();
-
-        let stats = Arc::new(RuntimeStats::new());
-        let (event_tx, event_rx) = channel::unbounded::<ControlEvent>();
-
-        // 1b. Adaptive mode: hand the controller the initial plan, register
-        //     its access sink for the duration of the run, and start the
-        //     epoch monitor thread.  Task threads pick re-placements up
-        //     cooperatively through the shared RebindPlan.
-        let rebind_plan = self
-            .config
-            .adaptive
-            .as_ref()
-            .map(|_| RebindPlan::new(program.n_tasks(), Arc::clone(&self.config.binder)));
-        let mut sink_registration = None;
-        let mut monitor_thread = None;
-        let monitor_stop = Arc::new(std::sync::Mutex::new(false));
-        let monitor_cv = Arc::new(std::sync::Condvar::new());
-        let epochs = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let replacements = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        if let Some(spec) = &self.config.adaptive {
-            let controller = Arc::clone(
-                spec.controller
-                    .as_ref()
-                    .ok_or(OrwlError::Config(crate::error::ConfigError::MissingController))?,
-            );
-            controller.on_run_start(program.specs(), &plan, &self.config.topology);
-            sink_registration = Some(monitor::register_sink(controller.sink()));
-            let epoch_len = spec.epoch;
-            let plan_handle = Arc::clone(rebind_plan.as_ref().expect("rebind plan exists in adaptive mode"));
-            let stop = Arc::clone(&monitor_stop);
-            let cv = Arc::clone(&monitor_cv);
-            let epochs = Arc::clone(&epochs);
-            let replacements = Arc::clone(&replacements);
-            let observer = self.config.observer.clone();
-            monitor_thread = Some(
-                std::thread::Builder::new()
-                    .name("orwl-adapt-monitor".to_string())
-                    .spawn(move || {
-                        let mut epoch_no = 0u64;
-                        'epochs: loop {
-                            // Sleep out the full epoch: a spurious condvar
-                            // wakeup re-waits on the remaining deadline
-                            // instead of being miscounted as a boundary.
-                            let deadline = Instant::now() + epoch_len;
-                            let mut guard = stop.lock().unwrap_or_else(|e| e.into_inner());
-                            loop {
-                                if *guard {
-                                    break 'epochs;
-                                }
-                                let now = Instant::now();
-                                if now >= deadline {
-                                    break;
-                                }
-                                let (g, _) =
-                                    cv.wait_timeout(guard, deadline - now).unwrap_or_else(|e| e.into_inner());
-                                guard = g;
-                            }
-                            drop(guard);
-                            epoch_no += 1;
-                            epochs.store(epoch_no, std::sync::atomic::Ordering::Relaxed);
-                            if let Some(obs) = &observer {
-                                obs.record(orwl_obs::EventKind::Epoch { epoch: epoch_no, bytes: 0.0 });
-                            }
-                            if let Some(placement) = controller.on_epoch(epoch_no) {
-                                replacements.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                plan_handle.publish(placement.compute);
-                            }
-                        }
-                    })
-                    .expect("spawning the adapt monitor thread cannot fail"),
-            );
-        }
-
-        // 2. Control threads: bind them per the placement and let them drain
-        //    the event channel until every sender is gone.
-        let mut control_joins = Vec::new();
-        for k in 0..self.config.control_threads {
-            let rx = event_rx.clone();
-            let stats = Arc::clone(&stats);
-            let binder = Arc::clone(&self.config.binder);
-            let cpuset = control_cpusets.get(k).cloned().flatten();
-            control_joins.push(
-                std::thread::Builder::new()
-                    .name(format!("orwl-control-{k}"))
-                    .spawn(move || {
-                        if let Some(cs) = cpuset {
-                            // Binding failures are not fatal for control
-                            // threads; the OS fallback is what the paper
-                            // describes for the unmappable case.
-                            let _ = binder.bind_current_thread(&cs);
-                        }
-                        while rx.recv().is_ok() {
-                            stats.record_control_event();
-                        }
-                    })
-                    .expect("spawning a control thread cannot fail"),
-            );
-        }
-        drop(event_rx);
-
-        // 3. Computation threads: one per task, bound per the placement.
-        let (specs, bodies) = program.into_parts();
-        let mut task_joins = Vec::new();
-        for (idx, (spec, body)) in specs.iter().cloned().zip(bodies).enumerate() {
-            let cpuset = compute_cpusets.get(idx).cloned().flatten();
-            let binder = Arc::clone(&self.config.binder);
-            let stats = Arc::clone(&stats);
-            let tx = event_tx.clone();
-            let task_id = TaskId(idx);
-            let task_rebind = rebind_plan.clone();
-            let join = std::thread::Builder::new()
-                .name(format!("orwl-task-{}", spec.name))
+    // 1b. Adaptive mode: hand the controller the initial plan, register
+    //     its access sink for the duration of the run, and start the
+    //     epoch monitor thread.  Task threads pick re-placements up
+    //     cooperatively through the shared RebindPlan.
+    let rebind_plan =
+        adaptive.as_ref().map(|_| RebindPlan::new(program.n_tasks(), Arc::clone(&config.binder)));
+    let mut sink_registration = None;
+    let mut monitor_thread = None;
+    let monitor_stop = Arc::new(std::sync::Mutex::new(false));
+    let monitor_cv = Arc::new(std::sync::Condvar::new());
+    let epochs = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let replacements = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    // The run's telemetry scope, for the threads that emit on its behalf.
+    let obs = orwl_obs::current();
+    if let Some((controller, epoch_len)) = adaptive {
+        controller.on_run_start(program.specs(), &plan, &config.topology);
+        sink_registration = Some(monitor::register_sink(controller.sink()));
+        let plan_handle = Arc::clone(rebind_plan.as_ref().expect("rebind plan exists in adaptive mode"));
+        let stop = Arc::clone(&monitor_stop);
+        let cv = Arc::clone(&monitor_cv);
+        let epochs = Arc::clone(&epochs);
+        let replacements = Arc::clone(&replacements);
+        let obs = obs.clone();
+        monitor_thread = Some(
+            std::thread::Builder::new()
+                .name("orwl-adapt-monitor".to_string())
                 .spawn(move || {
-                    if let Some(cs) = &cpuset {
-                        binder.bind_current_thread(cs).map_err(|e| OrwlError::Binding(e.to_string()))?;
+                    let _obs_scope = obs.as_ref().map(orwl_obs::install);
+                    let mut epoch_no = 0u64;
+                    'epochs: loop {
+                        // Sleep out the full epoch: a spurious condvar
+                        // wakeup re-waits on the remaining deadline
+                        // instead of being miscounted as a boundary.
+                        let deadline = Instant::now() + epoch_len;
+                        let mut guard = stop.lock().unwrap_or_else(|e| e.into_inner());
+                        loop {
+                            if *guard {
+                                break 'epochs;
+                            }
+                            let now = Instant::now();
+                            if now >= deadline {
+                                break;
+                            }
+                            let (g, _) =
+                                cv.wait_timeout(guard, deadline - now).unwrap_or_else(|e| e.into_inner());
+                            guard = g;
+                        }
+                        drop(guard);
+                        epoch_no += 1;
+                        epochs.store(epoch_no, std::sync::atomic::Ordering::Relaxed);
+                        orwl_obs::emit(orwl_obs::EventKind::Epoch { epoch: epoch_no, bytes: 0.0 });
+                        if let Some(placement) = controller.on_epoch(epoch_no) {
+                            replacements.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                            plan_handle.publish(placement.compute);
+                        }
                     }
-                    let _monitor_tag = monitor::enter_task(task_id, task_rebind);
-                    let ctx = TaskContext { task_id, bound_to: cpuset, stats: Arc::clone(&stats) };
-                    let _ = tx.send(ControlEvent::TaskStarted(task_id));
-                    stats.record_task_started();
-                    let t0 = Instant::now();
-                    body(&ctx);
-                    let elapsed = t0.elapsed();
-                    stats.record_task_finished();
-                    let _ = tx.send(ControlEvent::TaskFinished(task_id));
-                    Ok::<Duration, OrwlError>(elapsed)
                 })
-                .expect("spawning a task thread cannot fail");
-            task_joins.push((spec.name.clone(), join));
-        }
-        drop(event_tx);
-
-        // 4. Join computation threads, collecting per-task times.
-        let mut per_task_time = Vec::with_capacity(task_joins.len());
-        let mut first_error = None;
-        for (name, join) in task_joins {
-            match join.join() {
-                Ok(Ok(elapsed)) => per_task_time.push(elapsed),
-                Ok(Err(e)) => {
-                    per_task_time.push(Duration::ZERO);
-                    first_error.get_or_insert(e);
-                }
-                Err(_) => {
-                    per_task_time.push(Duration::ZERO);
-                    first_error.get_or_insert(OrwlError::TaskPanicked(name));
-                }
-            }
-        }
-
-        // 5. Control threads exit once every event sender is dropped.
-        for join in control_joins {
-            let _ = join.join();
-        }
-
-        // 6. Stop the adaptive machinery: wake the monitor thread, join it,
-        //    and unregister the access sink.
-        let adapt = monitor_thread.map(|join| {
-            *monitor_stop.lock().unwrap_or_else(|e| e.into_inner()) = true;
-            monitor_cv.notify_all();
-            let _ = join.join();
-            AdaptReport {
-                epochs: epochs.load(std::sync::atomic::Ordering::Relaxed),
-                replacements: replacements.load(std::sync::atomic::Ordering::Relaxed),
-                rebinds_applied: rebind_plan.as_ref().map(|p| p.rebinds_applied()).unwrap_or(0),
-                node_reshards: 0,
-                drift_deltas: Vec::new(),
-            }
-        });
-        drop(sink_registration);
-
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-        let snapshot = stats.snapshot();
-        if let Some(obs) = &self.config.observer {
-            snapshot.publish(obs.metrics());
-        }
-        Ok(RunReport { wall_time: started.elapsed(), plan, per_task_time, stats: snapshot, adapt })
+                .expect("spawning the adapt monitor thread cannot fail"),
+        );
     }
+
+    // 2. Control threads: bind them per the placement and let them drain
+    //    the event channel until every sender is gone.
+    let mut control_joins = Vec::new();
+    for k in 0..config.control_threads {
+        let rx = event_rx.clone();
+        let stats = Arc::clone(&stats);
+        let binder = Arc::clone(&config.binder);
+        let cpuset = control_cpusets.get(k).cloned().flatten();
+        control_joins.push(
+            std::thread::Builder::new()
+                .name(format!("orwl-control-{k}"))
+                .spawn(move || {
+                    if let Some(cs) = cpuset {
+                        // Binding failures are not fatal for control
+                        // threads; the OS fallback is what the paper
+                        // describes for the unmappable case.
+                        let _ = binder.bind_current_thread(&cs);
+                    }
+                    while rx.recv().is_ok() {
+                        stats.record_control_event();
+                    }
+                })
+                .expect("spawning a control thread cannot fail"),
+        );
+    }
+    drop(event_rx);
+
+    // 3. Computation threads: one per task, bound per the placement.
+    let (specs, bodies) = program.into_parts();
+    let mut task_joins = Vec::new();
+    for (idx, (spec, body)) in specs.iter().cloned().zip(bodies).enumerate() {
+        let cpuset = compute_cpusets.get(idx).cloned().flatten();
+        let binder = Arc::clone(&config.binder);
+        let stats = Arc::clone(&stats);
+        let tx = event_tx.clone();
+        let task_id = TaskId(idx);
+        let task_rebind = rebind_plan.clone();
+        let obs = obs.clone();
+        let join = std::thread::Builder::new()
+            .name(format!("orwl-task-{}", spec.name))
+            .spawn(move || {
+                let _obs_scope = obs.as_ref().map(orwl_obs::install);
+                if let Some(cs) = &cpuset {
+                    binder.bind_current_thread(cs).map_err(|e| OrwlError::Binding(e.to_string()))?;
+                }
+                let _monitor_tag = monitor::enter_task(task_id, task_rebind);
+                let ctx = TaskContext { task_id, bound_to: cpuset, stats: Arc::clone(&stats) };
+                let _ = tx.send(ControlEvent::TaskStarted(task_id));
+                stats.record_task_started();
+                let t0 = Instant::now();
+                body(&ctx);
+                let elapsed = t0.elapsed();
+                stats.record_task_finished();
+                let _ = tx.send(ControlEvent::TaskFinished(task_id));
+                Ok::<Duration, OrwlError>(elapsed)
+            })
+            .expect("spawning a task thread cannot fail");
+        task_joins.push((spec.name.clone(), join));
+    }
+    drop(event_tx);
+
+    // 4. Join computation threads, collecting per-task times.
+    let mut per_task_time = Vec::with_capacity(task_joins.len());
+    let mut first_error = None;
+    for (name, join) in task_joins {
+        match join.join() {
+            Ok(Ok(elapsed)) => per_task_time.push(elapsed),
+            Ok(Err(e)) => {
+                per_task_time.push(Duration::ZERO);
+                first_error.get_or_insert(e);
+            }
+            Err(_) => {
+                per_task_time.push(Duration::ZERO);
+                first_error.get_or_insert(OrwlError::TaskPanicked(name));
+            }
+        }
+    }
+
+    // 5. Control threads exit once every event sender is dropped.
+    for join in control_joins {
+        let _ = join.join();
+    }
+
+    // 6. Stop the adaptive machinery: wake the monitor thread, join it,
+    //    and unregister the access sink.
+    let adapt = monitor_thread.map(|join| {
+        *monitor_stop.lock().unwrap_or_else(|e| e.into_inner()) = true;
+        monitor_cv.notify_all();
+        let _ = join.join();
+        AdaptReport {
+            epochs: epochs.load(std::sync::atomic::Ordering::Relaxed),
+            replacements: replacements.load(std::sync::atomic::Ordering::Relaxed),
+            rebinds_applied: rebind_plan.as_ref().map(|p| p.rebinds_applied()).unwrap_or(0),
+            node_reshards: 0,
+            drift_deltas: Vec::new(),
+        }
+    });
+    drop(sink_registration);
+
+    if let Some(e) = first_error {
+        return Err(e);
+    }
+    let details = ThreadDetails { per_task_time, stats: stats.snapshot() };
+    Ok(ThreadRun { wall_time: started.elapsed(), plan, details, adapt })
 }
 
 #[cfg(test)]
@@ -450,9 +340,20 @@ mod tests {
     use super::*;
     use crate::location::Location;
     use crate::request::AccessMode;
+    use crate::session::{ExecutionBackend, Session, SessionBuilder, ThreadBackend, Workload};
     use crate::task::{LocationLink, TaskSpec};
-    use orwl_topo::binding::RecordingBinder;
+    use orwl_topo::binding::{NoopBinder, RecordingBinder};
     use orwl_topo::synthetic;
+    use orwl_treematch::policies::Policy;
+
+    /// The thread runtime on `topology` with a binder that binds nothing.
+    fn threads_on(topology: Topology, policy: Policy) -> SessionBuilder {
+        Session::builder()
+            .topology(topology)
+            .policy(policy)
+            .binder(Arc::new(NoopBinder))
+            .backend(ThreadBackend)
+    }
 
     fn counter_program(n_tasks: usize, increments: u64) -> (OrwlProgram, Arc<Location<u64>>) {
         let counter = Location::new("counter", 0u64);
@@ -476,24 +377,29 @@ mod tests {
 
     #[test]
     fn empty_program_is_rejected() {
-        let rt = OrwlRuntime::new(RuntimeConfig::new(synthetic::laptop(), Policy::NoBind));
-        assert!(matches!(rt.run(OrwlProgram::new()), Err(OrwlError::EmptyProgram)));
+        // `Session::run` turns an empty workload away before dispatch; a
+        // caller holding the backend itself meets the runtime's own guard.
+        let session = threads_on(synthetic::laptop(), Policy::NoBind).build().unwrap();
+        let outcome = ThreadBackend.run(session.config(), Workload::Program(OrwlProgram::new()));
+        assert!(matches!(outcome, Err(OrwlError::EmptyProgram)));
     }
 
     #[test]
     fn runtime_executes_all_tasks_nobind() {
         let (program, counter) = counter_program(4, 500);
-        let rt = OrwlRuntime::new(RuntimeConfig::new(synthetic::laptop(), Policy::NoBind));
-        let report = rt.run(program).unwrap();
+        let session = threads_on(synthetic::laptop(), Policy::NoBind).build().unwrap();
+        let report = session.run(program).unwrap();
         assert_eq!(counter.snapshot(), 4 * 500);
-        assert_eq!(report.per_task_time.len(), 4);
-        assert_eq!(report.stats.tasks_started, 4);
-        assert_eq!(report.stats.tasks_finished, 4);
-        assert_eq!(report.stats.lock_acquisitions, 4 * 500);
+        let details = report.thread.as_ref().unwrap();
+        assert_eq!(details.per_task_time.len(), 4);
+        assert_eq!(details.stats.tasks_started, 4);
+        assert_eq!(details.stats.tasks_finished, 4);
+        assert_eq!(details.stats.lock_acquisitions, 4 * 500);
         // Two lifecycle events per task were processed by control threads.
-        assert_eq!(report.stats.control_events, 8);
-        assert!(report.wall_time > Duration::ZERO);
-        assert!(report.max_task_time() <= report.wall_time);
+        assert_eq!(details.stats.control_events, 8);
+        let wall_time = report.time.as_wall().unwrap();
+        assert!(wall_time > Duration::ZERO);
+        assert!(details.max_task_time() <= wall_time);
         assert_eq!(report.plan.placement.bound_fraction(), 0.0);
     }
 
@@ -501,11 +407,12 @@ mod tests {
     fn runtime_with_recording_binder_applies_treematch_placement() {
         let (program, counter) = counter_program(4, 100);
         let binder = Arc::new(RecordingBinder::new());
-        let config = RuntimeConfig::new(synthetic::laptop(), Policy::TreeMatch)
-            .with_binder(binder.clone() as Arc<dyn Binder>)
-            .with_control_threads(1);
-        let rt = OrwlRuntime::new(config);
-        let report = rt.run(program).unwrap();
+        let session = threads_on(synthetic::laptop(), Policy::TreeMatch)
+            .binder(binder.clone())
+            .control_threads(1)
+            .build()
+            .unwrap();
+        let report = session.run(program).unwrap();
         assert_eq!(counter.snapshot(), 400);
         // All 4 compute threads were bound (laptop has 8 PUs), plus possibly
         // the control thread.
@@ -546,14 +453,14 @@ mod tests {
                 },
             );
         }
-        let rt = OrwlRuntime::new(
-            RuntimeConfig::new(synthetic::cluster2016_subset(1).unwrap(), Policy::TreeMatch)
-                .with_binder(Arc::new(RecordingBinder::new())),
-        );
-        let report = rt.run(program).unwrap();
+        let session = threads_on(synthetic::cluster2016_subset(1).unwrap(), Policy::TreeMatch)
+            .binder(Arc::new(RecordingBinder::new()))
+            .build()
+            .unwrap();
+        let report = session.run(program).unwrap();
         assert_eq!(report.plan.matrix.order(), 4);
         assert!(report.plan.matrix.total_volume() > 0.0);
-        report.plan.placement.validate_against(&rt.config().topology).unwrap();
+        report.plan.placement.validate_against(&session.config().topology).unwrap();
     }
 
     #[test]
@@ -561,8 +468,8 @@ mod tests {
         let mut program = OrwlProgram::new();
         program.add_task(TaskSpec::new("ok", vec![]), |_| {});
         program.add_task(TaskSpec::new("boom", vec![]), |_| panic!("intentional"));
-        let rt = OrwlRuntime::new(RuntimeConfig::new(synthetic::laptop(), Policy::NoBind));
-        match rt.run(program) {
+        let session = threads_on(synthetic::laptop(), Policy::NoBind).build().unwrap();
+        match session.run(program) {
             Err(OrwlError::TaskPanicked(name)) => assert_eq!(name, "boom"),
             other => panic!("expected TaskPanicked, got {other:?}"),
         }
@@ -571,20 +478,9 @@ mod tests {
     #[test]
     fn zero_control_threads_is_supported() {
         let (program, counter) = counter_program(2, 50);
-        let rt =
-            OrwlRuntime::new(RuntimeConfig::new(synthetic::laptop(), Policy::NoBind).with_control_threads(0));
-        let report = rt.run(program).unwrap();
+        let session = threads_on(synthetic::laptop(), Policy::NoBind).control_threads(0).build().unwrap();
+        let report = session.run(program).unwrap();
         assert_eq!(counter.snapshot(), 100);
-        assert_eq!(report.stats.control_events, 0);
-    }
-
-    #[test]
-    fn config_builders_compose() {
-        let cfg = RuntimeConfig::new(synthetic::laptop(), Policy::NoBind)
-            .with_policy(Policy::Packed)
-            .with_control_threads(3);
-        assert_eq!(cfg.policy, Policy::Packed);
-        assert_eq!(cfg.control_threads, 3);
-        assert!(format!("{cfg:?}").contains("packed"));
+        assert_eq!(report.thread.unwrap().stats.control_events, 0);
     }
 }

@@ -7,8 +7,8 @@
 //! no panics, no silent clamping) and then runs [`Workload`]s on whichever
 //! backend it was given:
 //!
-//! * [`ThreadBackend`] — the real event runtime of `orwl_core::runtime`
-//!   (one OS thread per task, real binding);
+//! * [`ThreadBackend`] — the real event runtime (one OS thread per task,
+//!   real binding), reachable through this door only;
 //! * `orwl_adapt::SimBackend` — the discrete-event NUMA simulator, playing
 //!   the role of the paper's 192-core testbed.
 //!
@@ -60,7 +60,7 @@
 
 use crate::error::{ConfigError, OrwlError};
 use crate::placement::PlacementPlan;
-use crate::runtime::{AdaptReport, AdaptiveSpec, OrwlRuntime, RunReport, RuntimeConfig};
+use crate::runtime::{AdaptReport, AdaptiveSpec, ThreadRun};
 use crate::stats::StatsSnapshot;
 use crate::task::OrwlProgram;
 use orwl_comm::metrics::TrafficBreakdown;
@@ -480,13 +480,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Sets a shared execution backend (required unless
-    /// [`backend`](SessionBuilder::backend) was called).
-    pub fn backend_shared(mut self, backend: Arc<dyn ExecutionBackend>) -> Self {
-        self.backend = Some(backend);
-        self
-    }
-
     /// Enables structured run telemetry: the backend records events and
     /// metrics during the run and hangs the drained [`RunTelemetry`] off
     /// [`Report::obs`].  Default: off (the zero-overhead path).
@@ -525,7 +518,7 @@ impl SessionBuilder {
 
 /// The real event runtime as an [`ExecutionBackend`]: one OS thread per
 /// task, placements applied through the session binder (see
-/// [`OrwlRuntime`]).
+/// [`crate::runtime`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ThreadBackend;
 
@@ -544,12 +537,7 @@ impl ExecutionBackend for ThreadBackend {
         };
         let adaptive = match &config.mode {
             Mode::Static => None,
-            Mode::Adaptive(spec) => {
-                if spec.controller.is_none() {
-                    return Err(ConfigError::MissingController.into());
-                }
-                Some(spec.clone())
-            }
+            Mode::Adaptive(spec) => Some(spec),
             Mode::Oracle => {
                 return Err(ConfigError::UnsupportedMode {
                     backend: self.name().to_string(),
@@ -558,22 +546,18 @@ impl ExecutionBackend for ThreadBackend {
                 .into());
             }
         };
-        // Observation: a wall-clock recorder, installed globally for the
-        // duration of the run so deep hooks (lock waits, rebinds, solve
-        // phases) reach it, and handed to the runtime for epoch stamping.
+        // Observation: a wall-clock recorder, this thread's scope for the
+        // duration of the run; the runtime's threads inherit the scope, so
+        // deep hooks (lock waits, rebinds, epochs, solve phases) reach it.
+        // An unobserved run leaves the caller's scope, if any, in place.
         let recorder = config.observe.map(|cfg| Recorder::new(ClockKind::Wall, cfg));
         let registration = recorder.as_ref().map(orwl_obs::install);
-        let runtime = OrwlRuntime::new(RuntimeConfig {
-            topology: config.topology.clone(),
-            policy: config.policy,
-            control_threads: config.control_threads,
-            binder: Arc::clone(&config.binder),
-            adaptive,
-            observer: recorder.clone(),
-        });
-        let run_result = runtime.run(program);
+        let outcome = crate::runtime::run(config, adaptive, program);
         drop(registration);
-        let RunReport { wall_time, plan, per_task_time, stats, adapt } = run_result?;
+        let ThreadRun { wall_time, plan, details, adapt } = outcome?;
+        if let Some(recorder) = &recorder {
+            details.stats.publish(recorder.metrics());
+        }
         let breakdown = plan.breakdown(&config.topology);
         let hop_bytes = plan.hop_bytes(&config.topology);
         Ok(Report {
@@ -584,7 +568,7 @@ impl ExecutionBackend for ThreadBackend {
             breakdown,
             hop_bytes,
             adapt,
-            thread: Some(ThreadDetails { per_task_time, stats }),
+            thread: Some(details),
             fabric: None,
             obs: recorder.map(|r| r.finish(self.name())),
         })

@@ -462,19 +462,20 @@ pub struct ObservedCell {
     pub telemetry: RunTelemetry,
 }
 
-/// [`run_sweep`] with observation enabled on every cell.
+/// [`run_sweep_with_threads`] with observation enabled on every cell.
 ///
-/// Cells run **sequentially**: observation installs a process-global
-/// recorder (that is how the placement-solve spans emitted from inside
-/// TreeMatch reach the cell's timeline), so concurrent cells would bleed
-/// into each other's telemetry.  The rows are byte-identical to an
-/// unobserved sweep — observation is read-only — which the `obs_sweep`
-/// integration test pins.
+/// Each cell's recorder is the scope of the worker thread running the cell
+/// (and of the threads that cell's session spawns), so concurrent cells
+/// cannot reach each other's telemetry.  The rows are byte-identical to an
+/// unobserved sweep — observation is read-only — and a simulated cell's
+/// event counts do not depend on `threads`; the `obs_sweep` integration
+/// test pins both.
 pub fn run_sweep_observed(
     config: &SweepConfig,
+    threads: usize,
     obs: ObsConfig,
 ) -> Result<(SweepResult, Vec<ObservedCell>), OrwlError> {
-    sweep_impl(config, 1, Some(obs))
+    sweep_impl(config, threads, Some(obs))
 }
 
 /// Filesystem-safe cell label: grid coordinates joined with `__`.
@@ -507,7 +508,7 @@ fn sweep_impl(
     // Execute every cell, results indexed by planned position.
     let mut results: Vec<Option<Result<(Report, String), OrwlError>>> = Vec::with_capacity(n);
     results.resize_with(n, || None);
-    let workers = if observe.is_some() { 1 } else { threads.min(n) };
+    let workers = threads.min(n);
     if workers <= 1 {
         for (slot, cell) in results.iter_mut().zip(&cells) {
             *slot = Some(run_cell(config, &cell.backend, &cell.spec, cell.policy, cell.mode, observe));
@@ -525,7 +526,7 @@ fn sweep_impl(
                         break;
                     }
                     let cell = &cells[i];
-                    let result = run_cell(config, &cell.backend, &cell.spec, cell.policy, cell.mode, None);
+                    let result = run_cell(config, &cell.backend, &cell.spec, cell.policy, cell.mode, observe);
                     if tx.send((i, result)).is_err() {
                         break;
                     }

@@ -293,99 +293,6 @@ impl EventKind {
             EventKind::Recovery { .. } => "recovery",
         }
     }
-
-    /// The fieldless class of this kind, for filtering and sampling.
-    #[must_use]
-    pub fn class(&self) -> EventClass {
-        match self {
-            EventKind::Epoch { .. } => EventClass::Epoch,
-            EventKind::PlacementSolve { .. } => EventClass::PlacementSolve,
-            EventKind::DriftDecision { .. } => EventClass::DriftDecision,
-            EventKind::LockWait { .. } => EventClass::LockWait,
-            EventKind::FabricTransfer { .. } => EventClass::FabricTransfer,
-            EventKind::Rebind { .. } => EventClass::Rebind,
-            EventKind::Migration { .. } => EventClass::Migration,
-            EventKind::LockRequest { .. } => EventClass::LockRequest,
-            EventKind::LockGrant { .. } => EventClass::LockGrant,
-            EventKind::LockRelease { .. } => EventClass::LockRelease,
-            EventKind::NodeLoss { .. } => EventClass::NodeLoss,
-            EventKind::Recovery { .. } => EventClass::Recovery,
-        }
-    }
-}
-
-/// A fieldless mirror of the [`EventKind`] variants, used by
-/// `ObsConfig::event_filter` and per-class sampling to select kinds
-/// without constructing a payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventClass {
-    /// [`EventKind::Epoch`].
-    Epoch,
-    /// [`EventKind::PlacementSolve`].
-    PlacementSolve,
-    /// [`EventKind::DriftDecision`].
-    DriftDecision,
-    /// [`EventKind::LockWait`].
-    LockWait,
-    /// [`EventKind::FabricTransfer`].
-    FabricTransfer,
-    /// [`EventKind::Rebind`].
-    Rebind,
-    /// [`EventKind::Migration`].
-    Migration,
-    /// [`EventKind::LockRequest`].
-    LockRequest,
-    /// [`EventKind::LockGrant`].
-    LockGrant,
-    /// [`EventKind::LockRelease`].
-    LockRelease,
-    /// [`EventKind::NodeLoss`].
-    NodeLoss,
-    /// [`EventKind::Recovery`].
-    Recovery,
-}
-
-impl EventClass {
-    /// Every event class, in declaration order.
-    pub const ALL: [EventClass; 12] = [
-        EventClass::Epoch,
-        EventClass::PlacementSolve,
-        EventClass::DriftDecision,
-        EventClass::LockWait,
-        EventClass::FabricTransfer,
-        EventClass::Rebind,
-        EventClass::Migration,
-        EventClass::LockRequest,
-        EventClass::LockGrant,
-        EventClass::LockRelease,
-        EventClass::NodeLoss,
-        EventClass::Recovery,
-    ];
-
-    /// Stable artifact name (matches [`EventKind::name`]).
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventClass::Epoch => "epoch",
-            EventClass::PlacementSolve => "placement_solve",
-            EventClass::DriftDecision => "drift_decision",
-            EventClass::LockWait => "lock_wait",
-            EventClass::FabricTransfer => "fabric_transfer",
-            EventClass::Rebind => "rebind",
-            EventClass::Migration => "migration",
-            EventClass::LockRequest => "lock_request",
-            EventClass::LockGrant => "lock_grant",
-            EventClass::LockRelease => "lock_release",
-            EventClass::NodeLoss => "node_loss",
-            EventClass::Recovery => "recovery",
-        }
-    }
-
-    /// Dense index of the class (position in [`EventClass::ALL`]).
-    #[must_use]
-    pub fn index(&self) -> usize {
-        *self as usize
-    }
 }
 
 /// One recorded event: a stamped [`EventKind`].
@@ -455,36 +362,5 @@ mod tests {
             assert_eq!(FabricLane::parse(lane.name()), Some(lane));
         }
         assert_eq!(ClockKind::parse("lunar"), None);
-    }
-
-    #[test]
-    fn classes_mirror_kinds() {
-        assert_eq!(EventKind::LockWait { location: 0, wait_ns: 1 }.class(), EventClass::LockWait);
-        assert_eq!(EventKind::Epoch { epoch: 1, bytes: 0.0 }.class(), EventClass::Epoch);
-        for (i, c) in EventClass::ALL.iter().enumerate() {
-            assert_eq!(c.index(), i);
-            assert_eq!(c.name(), kind_of(*c).name(), "class/kind name mismatch at {i}");
-        }
-    }
-
-    fn kind_of(class: EventClass) -> EventKind {
-        match class {
-            EventClass::Epoch => EventKind::Epoch { epoch: 0, bytes: 0.0 },
-            EventClass::PlacementSolve => EventKind::PlacementSolve { phase: SolvePhase::Total, wall_ns: 0 },
-            EventClass::DriftDecision => {
-                EventKind::DriftDecision { outcome: DriftOutcome::Quiet, delta: 0.0 }
-            }
-            EventClass::LockWait => EventKind::LockWait { location: 0, wait_ns: 0 },
-            EventClass::FabricTransfer => {
-                EventKind::FabricTransfer { lane: FabricLane::SameNode, bytes: 0.0 }
-            }
-            EventClass::Rebind => EventKind::Rebind { task: 0, pu: 0 },
-            EventClass::Migration => EventKind::Migration { tasks_moved: 0, bytes: 0.0, cross_node: false },
-            EventClass::LockRequest => EventKind::LockRequest { rseq: 0, location: 0, owner: 0 },
-            EventClass::LockGrant => EventKind::LockGrant { rseq: 0, location: 0, wait_ns: 0 },
-            EventClass::LockRelease => EventKind::LockRelease { rseq: 0, location: 0, held_ns: 0 },
-            EventClass::NodeLoss => EventKind::NodeLoss { node: 0, tasks_lost: 0 },
-            EventClass::Recovery => EventKind::Recovery { node: 0, tasks_migrated: 0 },
-        }
     }
 }

@@ -7,13 +7,17 @@
 //! exports as a versioned `orwl-obs/v1` JSON artifact or a Chrome
 //! trace-event timeline (see [`export`]).
 //!
-//! Recording is **default-off** and the disabled fast path is one relaxed
-//! atomic load: deep hot paths (lock grants, rebinds, solve phases) call
-//! [`enabled`] — a mirror of `orwl_core::monitor`'s `ACTIVE_SINKS` gate —
-//! and return immediately when no recorder is installed.  Backends that
-//! hold their own `Arc<Recorder>` record through it directly; library code
-//! with no handle emits through the process-global registry
-//! ([`install`]/[`emit`]), exactly like the monitor's sink registry.
+//! Recording is **default-off** and the disabled fast path is one read of
+//! a thread-local flag: deep hot paths (lock grants, rebinds, solve phases)
+//! call [`enabled`] and return immediately when the calling thread has no
+//! recorder.  Backends that hold their own `Arc<Recorder>` record through
+//! it directly; library code with no handle emits into the calling
+//! thread's *scope* ([`install`]/[`emit`]).  A scope belongs to one thread
+//! and holds at most one recorder: a run installs its recorder on the
+//! thread that drives it, and every thread that run spawns to emit on its
+//! behalf takes [`current`] before the spawn and installs it first thing
+//! in its body.  Threads outside that family see nothing, so two observed
+//! runs in one process cannot reach each other's recorders.
 //!
 //! Clocks: a recorder is created with a [`ClockKind`].  Thread backends
 //! stamp monotonic wall time; simulator backends advance the virtual clock
@@ -29,83 +33,17 @@ pub mod merge;
 pub mod metrics;
 pub mod timeseries;
 
-pub use event::{ClockKind, DriftOutcome, EventClass, EventKind, FabricLane, ObsEvent, SolvePhase};
+pub use event::{ClockKind, DriftOutcome, EventKind, FabricLane, ObsEvent, SolvePhase};
 pub use json::{Json, JsonError, ToJson};
 pub use merge::TelemetrySnapshot;
 pub use timeseries::{fold_deltas, DeltaSampler, IntervalStats, LiveAggregator, TelemetryDelta};
 
 use metrics::{MetricsRegistry, MetricsSnapshot};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
-
-/// A per-class event admission mask (one bit per [`EventClass`]).
-///
-/// Filtering applies to the event timeline only: metric instruments keep
-/// aggregating for every recorded kind, so a filtered run still reports
-/// exact totals while its rings hold only the classes of interest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EventFilter {
-    bits: u16,
-}
-
-impl EventFilter {
-    /// Admits every event class.
-    #[must_use]
-    pub fn all() -> Self {
-        EventFilter { bits: (1 << EventClass::ALL.len()) - 1 }
-    }
-
-    /// Admits no event class (metrics-only recording).
-    #[must_use]
-    pub fn none() -> Self {
-        EventFilter { bits: 0 }
-    }
-
-    /// Admits exactly the given classes.
-    #[must_use]
-    pub fn only(classes: &[EventClass]) -> Self {
-        classes.iter().fold(Self::none(), |f, c| f.with(*c))
-    }
-
-    /// This filter plus one more admitted class.
-    #[must_use]
-    pub fn with(self, class: EventClass) -> Self {
-        EventFilter { bits: self.bits | (1 << class.index()) }
-    }
-
-    /// This filter with one class removed.
-    #[must_use]
-    pub fn without(self, class: EventClass) -> Self {
-        EventFilter { bits: self.bits & !(1 << class.index()) }
-    }
-
-    /// Whether events of `class` reach the rings.
-    #[must_use]
-    pub fn allows(&self, class: EventClass) -> bool {
-        self.bits & (1 << class.index()) != 0
-    }
-
-    /// The raw admission mask, for wire transport of the filter.
-    #[must_use]
-    pub fn bits(&self) -> u16 {
-        self.bits
-    }
-
-    /// Rebuilds a filter from [`EventFilter::bits`]; unknown high bits are
-    /// masked off so a newer peer's mask stays valid here.
-    #[must_use]
-    pub fn from_bits(bits: u16) -> Self {
-        EventFilter { bits: bits & EventFilter::all().bits }
-    }
-}
-
-impl Default for EventFilter {
-    fn default() -> Self {
-        EventFilter::all()
-    }
-}
 
 /// Tuning of a [`Recorder`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,24 +54,11 @@ pub struct ObsConfig {
     /// Lock waits at least this long (in nanoseconds) become events; all
     /// waits land in the `lock_wait_ns` histogram regardless.
     pub lock_wait_threshold_ns: u64,
-    /// Which event classes reach the rings (metrics always aggregate).
-    /// Long observed runs can drop high-volume classes instead of letting
-    /// the rings overwrite-oldest.
-    pub event_filter: EventFilter,
-    /// Keep every n-th event per class (1 = keep all, the default; 0 is
-    /// treated as 1).  Sampling counts per class, so a chatty class cannot
-    /// starve a quiet one, and applies after `event_filter`.
-    pub sample_every: u32,
 }
 
 impl Default for ObsConfig {
     fn default() -> Self {
-        ObsConfig {
-            ring_capacity: 1 << 16,
-            lock_wait_threshold_ns: 10_000,
-            event_filter: EventFilter::all(),
-            sample_every: 1,
-        }
+        ObsConfig { ring_capacity: 1 << 16, lock_wait_threshold_ns: 10_000 }
     }
 }
 
@@ -192,9 +117,6 @@ pub struct Recorder {
     next_tid: AtomicU64,
     rings: Mutex<Vec<Arc<Ring>>>,
     metrics: MetricsRegistry,
-    /// Per-class admission counters for `sample_every` (indexed by
-    /// [`EventClass::index`]).
-    class_seen: [AtomicU64; EventClass::ALL.len()],
 }
 
 thread_local! {
@@ -218,7 +140,6 @@ impl Recorder {
             next_tid: AtomicU64::new(0),
             rings: Mutex::new(Vec::new()),
             metrics: MetricsRegistry::new(),
-            class_seen: std::array::from_fn(|_| AtomicU64::new(0)),
         })
     }
 
@@ -288,15 +209,6 @@ impl Recorder {
     }
 
     fn push_event(&self, kind: EventKind) {
-        let class = kind.class();
-        if !self.config.event_filter.allows(class) {
-            return;
-        }
-        let seen = self.class_seen[class.index()].fetch_add(1, Ordering::Relaxed);
-        let every = u64::from(self.config.sample_every.max(1));
-        if !seen.is_multiple_of(every) {
-            return;
-        }
         let dur_us = match kind {
             EventKind::PlacementSolve { wall_ns, .. } => wall_ns as f64 / 1.0e3,
             _ => 0.0,
@@ -476,68 +388,88 @@ pub fn process_clock_us() -> u64 {
     anchor.elapsed().as_micros() as u64
 }
 
-// --- The process-global gate (the `ACTIVE_SINKS` pattern) ----------------
+// --- The per-thread scope -------------------------------------------------
 
-/// Number of installed recorders; the one-load disabled fast path.
-static ACTIVE: AtomicU64 = AtomicU64::new(0);
-
-fn registry() -> &'static RwLock<Vec<Arc<Recorder>>> {
-    static REGISTRY: OnceLock<RwLock<Vec<Arc<Recorder>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| RwLock::new(Vec::new()))
+thread_local! {
+    /// Whether [`SCOPE`] holds a recorder: the closed gate is one read of
+    /// this flag, which needs no lazy initialisation and no destructor.
+    static OPEN: Cell<bool> = const { Cell::new(false) };
+    /// The recorder library code on this thread emits into.
+    static SCOPE: RefCell<Option<Arc<Recorder>>> = const { RefCell::new(None) };
 }
 
-/// True when at least one recorder is installed — one relaxed load, so hot
-/// paths can gate on it without measurable cost.
+/// True when the calling thread has a recorder in scope — one thread-local
+/// read, so hot paths can gate on it without measurable cost.
 #[inline]
 #[must_use]
 pub fn enabled() -> bool {
-    ACTIVE.load(Ordering::Relaxed) != 0
+    OPEN.with(Cell::get)
 }
 
-/// Keeps a recorder installed in the global registry; uninstalls on drop.
-#[must_use = "dropping the registration immediately uninstalls the recorder"]
+/// Keeps a recorder in the installing thread's scope; dropping it restores
+/// what the [`install`] replaced.  Registrations nest, so they are dropped
+/// in reverse order of installation, on the thread that installed them.
+#[must_use = "dropping the registration immediately restores the previous scope"]
 #[derive(Debug)]
 pub struct ObsRegistration {
-    recorder_id: u64,
+    replaced: Option<Arc<Recorder>>,
+    /// The scope is the installing thread's: the registration stays there.
+    _not_send: PhantomData<*const ()>,
 }
 
-/// Installs `recorder` so library code with no handle ([`emit`],
-/// [`time_phase`], [`lock_wait`]) reaches it; uninstall by dropping the
-/// returned registration.
+/// Makes `recorder` the calling thread's scope, so library code with no
+/// handle ([`emit`], [`time_phase`], [`lock_wait`]) reaches it — and only
+/// it: an enclosing scope's recorder is set aside until the returned
+/// registration drops.  A thread that emits on the run's behalf inherits
+/// the scope by installing the spawner's [`current`] recorder itself.
 pub fn install(recorder: &Arc<Recorder>) -> ObsRegistration {
-    let id = recorder.id;
-    registry().write().unwrap_or_else(std::sync::PoisonError::into_inner).push(Arc::clone(recorder));
-    ACTIVE.fetch_add(1, Ordering::SeqCst);
-    ObsRegistration { recorder_id: id }
+    let replaced = SCOPE.with(|scope| scope.borrow_mut().replace(Arc::clone(recorder)));
+    OPEN.with(|open| open.set(true));
+    ObsRegistration { replaced, _not_send: PhantomData }
 }
 
 impl Drop for ObsRegistration {
     fn drop(&mut self) {
-        let mut recorders = registry().write().unwrap_or_else(std::sync::PoisonError::into_inner);
-        recorders.retain(|r| r.id != self.recorder_id);
-        drop(recorders);
-        ACTIVE.fetch_sub(1, Ordering::SeqCst);
+        OPEN.with(|open| open.set(self.replaced.is_some()));
+        // `try_with`: a registration dropped by thread-local teardown may
+        // find the scope already gone, and `Drop` must not panic.
+        let _ = SCOPE.try_with(|scope| *scope.borrow_mut() = self.replaced.take());
     }
 }
 
-/// Runs `f` for every installed recorder (no-op when disabled).
-pub fn with_recorders(mut f: impl FnMut(&Recorder)) {
-    if !enabled() {
-        return;
-    }
-    for r in registry().read().unwrap_or_else(std::sync::PoisonError::into_inner).iter() {
-        f(r);
-    }
+/// The recorder in the calling thread's scope, for handing to a thread
+/// about to be spawned (which [`install`]s it first thing in its body).
+#[must_use]
+pub fn current() -> Option<Arc<Recorder>> {
+    SCOPE.with(|scope| scope.borrow().clone())
 }
 
-/// Emits an event to every installed recorder (no-op when disabled).
+/// Runs `f` on the calling thread's recorder.  Callers test [`enabled`]
+/// first and are `#[inline]`; this half stays out of line, so that what a
+/// call site pays while the gate is closed is the flag test alone.
+#[inline(never)]
+fn with_scope(f: impl FnOnce(&Recorder)) {
+    SCOPE.with(|scope| {
+        if let Some(recorder) = scope.borrow().as_deref() {
+            f(recorder);
+        }
+    });
+}
+
+/// Emits an event to the calling thread's recorder (no-op without one).
+#[inline]
 pub fn emit(kind: EventKind) {
-    with_recorders(|r| r.record(kind));
+    if enabled() {
+        with_scope(|r| r.record(kind));
+    }
 }
 
-/// Reports a lock wait to every installed recorder (no-op when disabled).
+/// Reports a lock wait to the calling thread's recorder (no-op without one).
+#[inline]
 pub fn lock_wait(location: u64, wait_ns: u64) {
-    with_recorders(|r| r.record_lock_wait(location, wait_ns));
+    if enabled() {
+        with_scope(|r| r.record_lock_wait(location, wait_ns));
+    }
 }
 
 /// Times `f` as a solve-phase span when recording is enabled; otherwise
@@ -565,9 +497,10 @@ mod tests {
 
     #[test]
     fn disabled_is_the_default_and_emit_is_a_noop() {
-        // No recorder installed by this test: emitting goes nowhere and the
-        // gate reports disabled (other tests install their own recorders,
-        // so only assert the no-crash property of the emit path).
+        // This thread installed nothing, whatever other tests are doing on
+        // theirs: the gate is closed and emitting goes nowhere.
+        assert!(!enabled());
+        assert!(current().is_none());
         emit(EventKind::Epoch { epoch: 1, bytes: 0.0 });
         lock_wait(7, 1_000_000);
         assert_eq!(time_phase(SolvePhase::Total, || 41 + 1), 42);
@@ -629,65 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn event_filter_drops_classes_but_keeps_metrics() {
-        let rec = Recorder::new(
-            ClockKind::Simulated,
-            ObsConfig {
-                event_filter: EventFilter::only(&[EventClass::FabricTransfer]),
-                ..Default::default()
-            },
-        );
-        rec.record(EventKind::Epoch { epoch: 1, bytes: 64.0 });
-        rec.record(EventKind::FabricTransfer { lane: FabricLane::SameRack, bytes: 128.0 });
-        rec.record(EventKind::Rebind { task: 0, pu: 3 });
-        let t = rec.finish("sim");
-        assert_eq!(t.events.len(), 1);
-        assert_eq!(t.count_kind("fabric_transfer"), 1);
-        // Metrics still saw every kind; only the timeline is filtered.
-        assert_eq!(t.metrics.counter("epochs"), Some(1));
-        assert_eq!(t.metrics.counter("rebinds"), Some(1));
-        // `events_recorded` counts kept events.
-        assert_eq!(t.metrics.counter("events_recorded"), Some(1));
-    }
-
-    #[test]
-    fn filter_combinators_compose() {
-        let f = EventFilter::all().without(EventClass::LockWait);
-        assert!(!f.allows(EventClass::LockWait));
-        assert!(f.allows(EventClass::Epoch));
-        let g = EventFilter::none().with(EventClass::Migration);
-        assert!(g.allows(EventClass::Migration));
-        assert!(!g.allows(EventClass::Epoch));
-        assert_eq!(EventFilter::default(), EventFilter::all());
-        assert_eq!(EventFilter::only(&[]), EventFilter::none());
-    }
-
-    #[test]
-    fn sampling_keeps_every_nth_event_per_class() {
-        let rec = Recorder::new(ClockKind::Simulated, ObsConfig { sample_every: 4, ..Default::default() });
-        for epoch in 0..10 {
-            rec.record(EventKind::Epoch { epoch, bytes: 0.0 });
-        }
-        // A second, quieter class is sampled independently.
-        rec.record(EventKind::Rebind { task: 1, pu: 2 });
-        let t = rec.finish("sim");
-        // Epochs 0, 4 and 8 survive (keep-first, then every 4th).
-        let kept: Vec<u64> = t
-            .events
-            .iter()
-            .filter_map(|e| match e.kind {
-                EventKind::Epoch { epoch, .. } => Some(epoch),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(kept, vec![0, 4, 8]);
-        assert_eq!(t.count_kind("rebind"), 1);
-        // Metric totals are unaffected by sampling.
-        assert_eq!(t.metrics.counter("epochs"), Some(10));
-        assert_eq!(t.metrics.counter("events_recorded"), Some(4));
-    }
-
-    #[test]
     fn threads_get_distinct_tids() {
         let rec = Recorder::new(ClockKind::Wall, ObsConfig::default());
         rec.record(EventKind::Epoch { epoch: 1, bytes: 0.0 });
@@ -707,12 +581,93 @@ mod tests {
         solve_phase_ns(SolvePhase::Group, 2_000);
         drop(reg);
         let t = rec.finish("x");
-        // This recorder saw exactly its own two solve events (other tests'
-        // recorders are separate instances).
         let solves: Vec<&ObsEvent> = t.events.iter().filter(|e| e.kind.name() == "placement_solve").collect();
         assert_eq!(solves.len(), 2);
         assert!(solves[0].dur_us > 0.0);
         assert_eq!(t.metrics.counter("placement_solves"), Some(1)); // Total only
         assert!(t.metrics.histogram("placement_solve_wall_ns").unwrap().count == 1);
+    }
+
+    #[test]
+    fn a_thread_outside_the_installers_family_reaches_nothing() {
+        // The installer churns its scope while a thread that inherited
+        // nothing emits throughout; a second thread is handed `current()`
+        // the way a run's own threads are.  Channels force the overlap.
+        // (The real heirs are pinned where they live: the runtime's task
+        // and monitor threads by `tests/adaptive_end_to_end.rs`, the
+        // worker's serving threads by `tests/proc_end_to_end.rs` — grants
+        // on the owner's track matched to requests — and by the
+        // benchmark's `proc.unmatched_grants` check.)
+        let rec = Recorder::new(ClockKind::Wall, ObsConfig::default());
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (stop_tx, stop_rx) = std::sync::mpsc::channel::<()>();
+        let stranger = std::thread::spawn(move || {
+            let mut seen_open = enabled();
+            emit(EventKind::Rebind { task: 1, pu: 1 });
+            started_tx.send(()).unwrap();
+            while stop_rx.try_recv() == Err(std::sync::mpsc::TryRecvError::Empty) {
+                emit(EventKind::Rebind { task: 1, pu: 1 });
+                seen_open |= enabled();
+            }
+            seen_open
+        });
+        started_rx.recv().unwrap();
+        for round in 0..50u64 {
+            let reg = install(&rec);
+            assert!(enabled());
+            emit(EventKind::Epoch { epoch: round, bytes: 0.0 });
+            drop(reg);
+            assert!(!enabled());
+        }
+        let reg = install(&rec);
+        let inherited = current();
+        std::thread::spawn(move || {
+            let _scope = inherited.as_ref().map(install);
+            emit(EventKind::Rebind { task: 2, pu: 2 });
+        })
+        .join()
+        .unwrap();
+        drop(reg);
+        stop_tx.send(()).unwrap();
+        assert!(!stranger.join().unwrap(), "a stranger's gate must stay closed");
+        let t = rec.finish("x");
+        assert_eq!(t.count_kind("epoch"), 50);
+        // The one rebind is the heir's; none of the stranger's arrived.
+        assert_eq!(t.count_kind("rebind"), 1);
+        assert!(matches!(t.events.last().unwrap().kind, EventKind::Rebind { task: 2, .. }));
+    }
+
+    #[test]
+    fn nested_install_records_to_the_inner_recorder_only() {
+        let outer = Recorder::new(ClockKind::Simulated, ObsConfig::default());
+        let inner = Recorder::new(ClockKind::Simulated, ObsConfig::default());
+        let outer_reg = install(&outer);
+        emit(EventKind::Epoch { epoch: 1, bytes: 0.0 });
+        {
+            let _inner_reg = install(&inner);
+            assert!(Arc::ptr_eq(&current().unwrap(), &inner));
+            emit(EventKind::Epoch { epoch: 2, bytes: 0.0 });
+            lock_wait(3, u64::MAX);
+        }
+        // The outer scope resumes where it left off.
+        assert!(Arc::ptr_eq(&current().unwrap(), &outer));
+        emit(EventKind::Epoch { epoch: 3, bytes: 0.0 });
+        drop(outer_reg);
+        assert!(!enabled());
+
+        let epochs = |t: &RunTelemetry| -> Vec<u64> {
+            t.events
+                .iter()
+                .filter_map(|e| match e.kind {
+                    EventKind::Epoch { epoch, .. } => Some(epoch),
+                    _ => None,
+                })
+                .collect()
+        };
+        let (outer, inner) = (outer.finish("outer"), inner.finish("inner"));
+        assert_eq!(epochs(&outer), vec![1, 3]);
+        assert_eq!(epochs(&inner), vec![2]);
+        assert_eq!(outer.count_kind("lock_wait"), 0);
+        assert_eq!(inner.count_kind("lock_wait"), 1);
     }
 }

@@ -11,7 +11,7 @@
 //! required, and a missing one is an error, not a default.
 
 use orwl_obs::json::Json;
-use orwl_obs::{EventFilter, ObsConfig};
+use orwl_obs::ObsConfig;
 
 /// Schema identifier of the assignment document.
 pub const ASSIGN_SCHEMA: &str = "orwl-proc-assign/v1";
@@ -30,10 +30,6 @@ pub struct ObsSpec {
     pub ring_capacity: usize,
     /// Lock-wait event threshold, nanoseconds.
     pub lock_wait_threshold_ns: u64,
-    /// Event-class filter, as [`EventFilter`] bits.
-    pub event_filter_bits: u16,
-    /// Keep every n-th event per class.
-    pub sample_every: u32,
     /// Coordinator clock (µs) when this worker's `Hello` arrived.
     pub hello_recv_us: u64,
     /// Coordinator clock (µs) when this assignment was sent.
@@ -52,8 +48,6 @@ impl ObsSpec {
         ObsSpec {
             ring_capacity: cfg.ring_capacity,
             lock_wait_threshold_ns: cfg.lock_wait_threshold_ns,
-            event_filter_bits: cfg.event_filter.bits(),
-            sample_every: cfg.sample_every,
             hello_recv_us,
             assign_send_us,
             stream_interval_ms,
@@ -63,20 +57,13 @@ impl ObsSpec {
     /// The worker-side recorder configuration this spec describes.
     #[must_use]
     pub fn config(&self) -> ObsConfig {
-        ObsConfig {
-            ring_capacity: self.ring_capacity,
-            lock_wait_threshold_ns: self.lock_wait_threshold_ns,
-            event_filter: EventFilter::from_bits(self.event_filter_bits),
-            sample_every: self.sample_every,
-        }
+        ObsConfig { ring_capacity: self.ring_capacity, lock_wait_threshold_ns: self.lock_wait_threshold_ns }
     }
 
     fn to_json(&self) -> Json {
         let mut obs = Json::obj();
         obs.push("ring_capacity", self.ring_capacity)
             .push("lock_wait_threshold_ns", self.lock_wait_threshold_ns)
-            .push("event_filter_bits", u64::from(self.event_filter_bits))
-            .push("sample_every", u64::from(self.sample_every))
             .push("hello_recv_us", self.hello_recv_us)
             .push("assign_send_us", self.assign_send_us)
             .push("stream_interval_ms", self.stream_interval_ms);
@@ -87,9 +74,6 @@ impl ObsSpec {
         Ok(ObsSpec {
             ring_capacity: req_usize(doc, "ring_capacity")?,
             lock_wait_threshold_ns: req_usize(doc, "lock_wait_threshold_ns")? as u64,
-            event_filter_bits: u16::try_from(req_usize(doc, "event_filter_bits")?)
-                .map_err(|_| "event_filter_bits out of u16 range".to_string())?,
-            sample_every: req_usize(doc, "sample_every")? as u32,
             hello_recv_us: req_usize(doc, "hello_recv_us")? as u64,
             assign_send_us: req_usize(doc, "assign_send_us")? as u64,
             stream_interval_ms: req_usize(doc, "stream_interval_ms")? as u64,
@@ -540,8 +524,7 @@ mod tests {
         assert_eq!(spec.assign_send_us, 5678);
         // The round-tripped config matches what the coordinator asked for.
         let cfg = spec.config();
-        assert_eq!(cfg.ring_capacity, ObsConfig::default().ring_capacity);
-        assert_eq!(cfg.event_filter.bits(), EventFilter::all().bits());
+        assert_eq!(cfg, ObsConfig::default());
 
         // The streaming interval rides along when requested...
         let mut live = sample();

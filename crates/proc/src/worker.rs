@@ -421,12 +421,18 @@ fn accept_loop(
     io_timeout: Duration,
 ) -> (u64, u64, u64, u64) {
     let mut handlers = Vec::new();
+    // The worker's telemetry scope: this thread took it from the main
+    // thread, and each serving thread takes it from here, so the grant
+    // events they emit reach the worker's recorder.
+    let obs = orwl_obs::current();
     while !shutdown.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, _)) => {
                 let locations = Arc::clone(&locations);
                 let shutdown = Arc::clone(&shutdown);
+                let obs = obs.clone();
                 handlers.push(std::thread::spawn(move || {
+                    let _obs_scope = obs.as_ref().map(orwl_obs::install);
                     serve_connection(FramedStream::new(stream), locations, shutdown, io_timeout)
                 }));
             }
@@ -640,10 +646,11 @@ fn run_worker(
     let faults = FaultPlan::from_env().map_err(|e| format!("fault plan: {e}"))?;
     let local_tasks = assignment.local_tasks();
 
-    // When the assignment asks for observation, install a wall-clock
-    // recorder process-wide: the core session's lock-wait hooks, the
-    // gateway's request/release events and the serving threads' grant
-    // events all land in it.  The offset estimate is the NTP midpoint of
+    // When the assignment asks for observation, a wall-clock recorder
+    // becomes this thread's scope, inherited by the peer server's threads
+    // and by every round's session threads: the core session's lock-wait
+    // hooks, the gateway's request/release events and the serving threads'
+    // grant events all land in it.  The offset estimate is the NTP midpoint of
     // the Hello→Assignment handshake's two one-way legs, in coordinator
     // clock minus worker clock.  One sampler over that recorder produces
     // every telemetry frame of the run.
@@ -675,7 +682,11 @@ fn run_worker(
     let server = {
         let locations = Arc::clone(&locations);
         let shutdown = Arc::clone(&shutdown);
-        std::thread::spawn(move || accept_loop(listener, locations, shutdown, io_timeout))
+        let obs = orwl_obs::current();
+        std::thread::spawn(move || {
+            let _obs_scope = obs.as_ref().map(orwl_obs::install);
+            accept_loop(listener, locations, shutdown, io_timeout)
+        })
     };
 
     send_ctl(control, &Message::Ready { node: assignment.node as u32 })?;

@@ -8,6 +8,8 @@
 //! * On the real event runtime: a drifting program drives the whole loop —
 //!   monitoring hooks → online matrix → drift detection → re-placement →
 //!   cooperative re-binding of live task threads.
+//! * Both at once, observed: each run's telemetry holds its own events
+//!   and nothing of the other's.
 
 use orwl_adapt::backend::SimBackend;
 use orwl_adapt::drift::DriftConfig;
@@ -18,8 +20,10 @@ use orwl_core::Location;
 use orwl_numasim::costmodel::CostParams;
 use orwl_numasim::machine::SimMachine;
 use orwl_numasim::workload::PhasedWorkload;
+use orwl_obs::{ObsConfig, RunTelemetry};
 use orwl_topo::binding::RecordingBinder;
 use orwl_topo::synthetic;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -181,4 +185,96 @@ fn non_adaptive_runs_report_no_adapt_counters() {
         .unwrap();
     let report = session.run(program).unwrap();
     assert!(report.adapt.is_none());
+}
+
+/// Event count per kind name.
+fn kinds(obs: &RunTelemetry) -> BTreeMap<&'static str, usize> {
+    let mut counts = BTreeMap::new();
+    for event in &obs.events {
+        *counts.entry(event.kind.name()).or_insert(0) += 1;
+    }
+    counts
+}
+
+#[test]
+fn overlapping_observed_sessions_record_only_their_own_events() {
+    // A simulated adaptive session (deterministic: same events every time)
+    // runs on this thread while an adaptive thread-runtime session runs on
+    // another.  Each recorder is the scope of the thread that runs its
+    // session and of the threads that session spawns, and of nothing else.
+    let machine = SimMachine::new(synthetic::cluster2016_subset(2).unwrap(), CostParams::cluster2016());
+    let workload = PhasedWorkload::rotating_stencil(4, 65536.0, 1024.0, 16384.0, 131072.0, &[24, 200]);
+    let simulated = Session::builder()
+        .topology(machine.topology().clone())
+        .control_threads(0)
+        .adaptive(AdaptiveSpec::per_iterations(4))
+        .observe(ObsConfig::default())
+        .backend(SimBackend::new(machine).with_adapt_config(AdaptConfig::evaluation()))
+        .build()
+        .unwrap();
+    let alone = simulated.run(workload.clone()).unwrap();
+    let alone_obs = alone.obs.as_ref().unwrap();
+    for kind in ["epoch", "drift_decision", "placement_solve", "migration"] {
+        assert!(alone_obs.count_kind(kind) > 0, "the simulated run emits {kind} events");
+    }
+
+    let n = 16;
+    let (phase1, phase2) = (120, 400);
+    let engine = AdaptiveEngine::new(AdaptConfig {
+        decay: 0.0,
+        drift: DriftConfig { threshold: 0.10, patience: 1, cooldown: 1 },
+        replacer: ReplacerConfig {
+            model: MigrationCostModel { task_state_bytes: 1.0 },
+            horizon_epochs: 50.0,
+            min_relative_gain: 0.0,
+        },
+    });
+    let binder = Arc::new(RecordingBinder::new());
+    let threads = Session::builder()
+        .topology(synthetic::cluster2016_subset(4).unwrap())
+        .binder(binder.clone())
+        .adaptive(adaptive_session_spec(engine, Duration::from_millis(15)))
+        // Threshold 0: every lock acquisition becomes a `lock_wait` event.
+        .observe(ObsConfig { lock_wait_threshold_ns: 0, ..ObsConfig::default() })
+        .backend(ThreadBackend)
+        .build()
+        .unwrap();
+    let (program, _locs) = drifting_program(n, phase1, phase2, Duration::from_micros(300));
+    let thread_run = std::thread::spawn(move || threads.run(program).unwrap());
+
+    // Every task thread binds itself before anything else, so `n` bindings
+    // mean the thread session's tasks are live.  A simulated run that
+    // starts after that and ends before the thread session does lies
+    // wholly inside it.
+    while binder.anonymous_bindings().len() < n {
+        std::thread::yield_now();
+    }
+    let mut overlapped = 0;
+    while !thread_run.is_finished() {
+        let report = simulated.run(workload.clone()).unwrap();
+        if thread_run.is_finished() {
+            break;
+        }
+        overlapped += 1;
+        let obs = report.obs.as_ref().unwrap();
+        assert_eq!(kinds(obs), kinds(alone_obs), "the simulated run saw the thread session's events");
+        assert_eq!(obs.metrics.counter("placement_solves"), alone_obs.metrics.counter("placement_solves"));
+        assert_eq!(obs.count_kind("lock_wait") + obs.count_kind("rebind"), 0);
+        assert_eq!(report.adapt, alone.adapt);
+    }
+    assert!(overlapped > 0, "no simulated run fitted inside the thread session");
+
+    // The thread session: one `epoch` per monitor epoch, one `rebind` per
+    // applied re-binding, one `lock_wait` per acquisition — exactly its
+    // own, however many simulated epochs and solves went by meanwhile.
+    let report = thread_run.join().unwrap();
+    let obs = report.obs.as_ref().unwrap();
+    let adapt = report.adapt.as_ref().unwrap();
+    assert!(adapt.epochs >= 1);
+    assert_eq!(obs.dropped, 0);
+    assert_eq!(obs.count_kind("epoch") as u64, adapt.epochs);
+    assert!(obs.count_kind("drift_decision") as u64 <= adapt.epochs);
+    assert_eq!(obs.count_kind("rebind") as u64, adapt.rebinds_applied);
+    assert_eq!(obs.count_kind("lock_wait") as u64, n as u64 * (phase1 + phase2) * 2);
+    assert_eq!(obs.count_kind("migration") as u64, adapt.replacements);
 }
