@@ -3,18 +3,23 @@
 //!
 //! The pool owns the run's rendezvous directory (under the system temp
 //! dir), the control listener, one [`Child`] per node and one bounded
-//! stderr-tail collector per child.  Every blocking wait is a short-tick
-//! poll against a deadline that also watches for child death, so a worker
-//! that crashes, hangs or exits early surfaces as a typed
-//! [`WorkerFailure`] carrying the worker's stderr tail — never as a hung
-//! coordinator.  Dropping the pool kills and reaps whatever is still
-//! running and removes the rendezvous directory.
+//! stderr-tail collector per child.  Every blocking wait is one
+//! [`wait_readable`] over the descriptors that can end it — the listener,
+//! the live control connections, the children's exit descriptors — with
+//! the step's deadline as its timeout: the coordinator wakes when a worker
+//! connects, speaks, hangs up or dies, and otherwise when the deadline
+//! passes, and never sleeps to look again.  So a worker that crashes,
+//! hangs or exits early surfaces as a typed [`WorkerFailure`] carrying the
+//! worker's stderr tail — never as a hung coordinator.  Dropping the pool
+//! kills and reaps whatever is still running and removes the rendezvous
+//! directory.
 
-use crate::transport::{FramedStream, RecvError};
+use crate::transport::{wait_readable, FramedStream, RecvError, PARTIAL_FRAME_WAIT};
 use crate::wire::Message;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read};
-use std::os::unix::net::UnixListener;
+use std::os::fd::{AsRawFd, OwnedFd, RawFd};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStderr, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,6 +47,14 @@ pub struct WorkerFailure {
     pub detail: String,
 }
 
+/// How long a closed control connection waits for its worker to be
+/// reaped, so the loss report can carry the exit status.
+const EXIT_STATUS_GRACE: Duration = Duration::from_millis(20);
+
+/// How long blame waits for the first failed child to show up when a
+/// failure was seen on a node that may only be collateral damage.
+const CASCADE_GRACE: Duration = Duration::from_millis(50);
+
 fn tail_collector(mut stderr: ChildStderr) -> JoinHandle<String> {
     std::thread::spawn(move || {
         let mut kept: VecDeque<u8> = VecDeque::new();
@@ -66,6 +79,11 @@ fn tail_collector(mut stderr: ChildStderr) -> JoinHandle<String> {
 struct WorkerChild {
     child: Child,
     tail: Option<JoinHandle<String>>,
+    /// The exit descriptor: one end of a socket pair whose other end is
+    /// the worker's stdin and nobody else's.  Nothing is ever written to
+    /// it, so it turns readable exactly when the kernel closes the
+    /// worker's descriptors — the process is on its way out.
+    exited: UnixStream,
     exit: Option<std::process::ExitStatus>,
 }
 
@@ -78,6 +96,22 @@ impl WorkerChild {
             }
         }
         self.exit
+    }
+
+    /// Waits up to `limit` for the process to exit and returns as soon as
+    /// it is reaped.  A process closes its descriptors a moment before it
+    /// becomes reapable, so the hang-up of the exit descriptor is followed
+    /// by a blocking reap: by then the process is past running any code
+    /// of its own and the wait is the kernel finishing the exit.
+    fn wait_exit(&mut self, limit: Duration) -> Option<std::process::ExitStatus> {
+        if self.poll_exit().is_none()
+            && matches!(wait_readable(&[self.exited.as_raw_fd()], limit), Ok(Some(_)))
+        {
+            if let Ok(status) = self.child.wait() {
+                self.exit = Some(status);
+            }
+        }
+        self.poll_exit()
     }
 
     /// Kills (if still running), reaps, and returns the stderr tail.
@@ -120,6 +154,8 @@ pub struct WorkerPool {
     io_timeout: Duration,
     stray: Vec<(usize, Message)>,
     dead: Vec<bool>,
+    /// Rotates which node [`WorkerPool::poll_any`] looks at first.
+    turn: usize,
 }
 
 impl WorkerPool {
@@ -146,13 +182,17 @@ impl WorkerPool {
         let mut children = Vec::with_capacity(n_nodes);
         let mut pool_guard = PoolDirGuard { dir: Some(dir.clone()), children: &mut children };
         for node in 0..n_nodes {
+            // A worker reads nothing from its stdin, so its stdin can be
+            // the far end of its exit descriptor (see `WorkerChild`); the
+            // coordinator's own copy of that end goes with `command`.
+            let (exiting, exited) = UnixStream::pair()?;
             let mut command = Command::new(&exe);
             command
                 .args(worker_args)
                 .env(ENV_ROLE, "worker")
                 .env(ENV_NODE, node.to_string())
                 .env(ENV_COORD, &coord_sock)
-                .stdin(Stdio::null())
+                .stdin(Stdio::from(OwnedFd::from(exiting)))
                 .stdout(Stdio::null())
                 .stderr(Stdio::piped());
             for (key, value) in extra_env {
@@ -160,7 +200,7 @@ impl WorkerPool {
             }
             let mut child = command.spawn()?;
             let tail = child.stderr.take().map(tail_collector);
-            pool_guard.children.push(WorkerChild { child, tail, exit: None });
+            pool_guard.children.push(WorkerChild { child, tail, exited, exit: None });
         }
         pool_guard.dir = None; // spawns succeeded: the pool takes ownership
         drop(pool_guard);
@@ -174,6 +214,7 @@ impl WorkerPool {
             io_timeout,
             stray: Vec::new(),
             dead: vec![false; n_nodes],
+            turn: 0,
         })
     }
 
@@ -265,22 +306,34 @@ impl WorkerPool {
         // and is the root cause wherever the failure was first seen.  So
         // among the failed children a crash outranks an exit 1, and `node`
         // outranks its peers.  A peer's cascade error can race the dying
-        // worker's reaping by a few milliseconds, so the first failed
-        // child gets a short grace window to show up before blame settles.
+        // worker's reaping — a worker that exits 1 over a peer's reset
+        // connection can be reaped before the peer that crashed — so blame
+        // settles at once only on a crash; otherwise it waits, on the exit
+        // descriptors of the children still running and up to a short
+        // grace, for a crash to show up.
         let crashed = |s: std::process::ExitStatus| s.code() != Some(1);
-        let mut root = None;
-        for _ in 0..5 {
-            root = (0..self.children.len())
-                .filter(|&n| n == node || !self.dead[n])
-                .filter_map(|n| Some((n, self.children[n].poll_exit().filter(|s| !s.success())?)))
-                .min_by_key(|&(n, s)| (!crashed(s), n != node))
-                .map(|(n, _)| n);
-            if root.is_some() {
-                break;
+        let grace = Instant::now() + CASCADE_GRACE;
+        let candidates: Vec<usize> =
+            (0..self.children.len()).filter(|&n| n == node || !self.dead[n]).collect();
+        let root = loop {
+            let root = candidates
+                .iter()
+                .filter_map(|&n| Some((n, self.children[n].poll_exit().filter(|s| !s.success())?)))
+                .min_by_key(|&(n, s)| (!crashed(s), n != node));
+            let running: Vec<usize> =
+                candidates.iter().copied().filter(|&n| self.children[n].exit.is_none()).collect();
+            if root.is_some_and(|(_, s)| crashed(s)) || running.is_empty() {
+                break root;
             }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        match root {
+            let exits: Vec<RawFd> = running.iter().map(|&n| self.children[n].exited.as_raw_fd()).collect();
+            match wait_readable(&exits, grace.saturating_duration_since(Instant::now())) {
+                Ok(Some(ready)) => {
+                    self.children[running[ready]].wait_exit(Duration::ZERO);
+                }
+                _ => break root,
+            }
+        };
+        match root.map(|(n, _)| n) {
             Some(root) if root != node => self.fail(
                 Some(root),
                 format!("worker exited during the run (a peer then saw: {})", reason.into()),
@@ -290,8 +343,10 @@ impl WorkerPool {
     }
 
     /// Accepts one control connection per worker; each must open with
-    /// [`Message::Hello`].  Polls for child death while waiting, so a
-    /// worker that dies before connecting fails the run immediately.
+    /// [`Message::Hello`].  The wait is on the listener *and* every
+    /// child's exit descriptor, so a connection is accepted the moment it
+    /// lands and a worker that dies before connecting fails the run
+    /// immediately.
     pub fn accept_controls(&mut self) -> Result<(), WorkerFailure> {
         let deadline = Instant::now() + self.io_timeout;
         let mut accepted = 0;
@@ -327,10 +382,22 @@ impl WorkerPool {
                             self.fail(Some(node), "worker exited before connecting to the coordinator")
                         );
                     }
-                    if Instant::now() >= deadline {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
                         return Err(self.fail(None, "timed out waiting for workers to connect"));
                     }
-                    std::thread::sleep(Duration::from_millis(5));
+                    let mut wake = vec![self.listener.as_raw_fd()];
+                    wake.extend(self.children.iter().map(|child| child.exited.as_raw_fd()));
+                    match wait_readable(&wake, left) {
+                        // A child is on its way out: reap it, and the
+                        // next pass reports it (after one more look at
+                        // the listener, in case it connected first).
+                        Ok(Some(ready)) if ready > 0 => {
+                            self.children[ready - 1].wait_exit(Duration::ZERO);
+                        }
+                        Ok(_) => {}
+                        Err(e) => return Err(self.fail(None, format!("control accept failed: {e}"))),
+                    }
                 }
                 Err(e) => return Err(self.fail(None, format!("control accept failed: {e}"))),
             }
@@ -373,14 +440,13 @@ impl WorkerPool {
         Ok(())
     }
 
-    /// One short-slice receive attempt on `node`'s control connection —
-    /// the live monitor's building block: round-robin polling over every
-    /// node multiplexes heartbeats, telemetry frames and `Done` reports
-    /// without parking the coordinator on any single worker.  A vanished
-    /// connection comes back as [`Polled::Lost`] instead of tearing the
-    /// run down, so a recovery-enabled coordinator can confirm the loss
-    /// and re-shard.  A worker-*reported* error is still fatal — the
-    /// worker chose to fail, and the failure would recur on any survivor.
+    /// One receive attempt on `node`'s control connection, blocking for at
+    /// most `slice` — the building block under [`WorkerPool::poll_any`].
+    /// A vanished connection comes back as [`Polled::Lost`] instead of
+    /// tearing the run down, so a recovery-enabled coordinator can confirm
+    /// the loss and re-shard.  A worker-*reported* error is still fatal —
+    /// the worker chose to fail, and the failure would recur on any
+    /// survivor.
     pub fn poll_from_lossy(&mut self, node: usize, slice: Duration) -> Result<Polled, WorkerFailure> {
         let Some(control) = self.controls[node].as_mut() else {
             return Err(self.fail(Some(node), "no control connection"));
@@ -392,11 +458,10 @@ impl WorkerPool {
             Ok(message) => Ok(Polled::Message(message)),
             Err(RecvError::Timeout) => Ok(Polled::Silence),
             Err(RecvError::Closed) => {
-                // Drain the exit status first: a crash shows up as a closed
-                // socket, and the status is the useful part of the report.
-                std::thread::sleep(Duration::from_millis(20));
-                let status = self.children[node].poll_exit();
-                Ok(Polled::Lost(match status {
+                // A crash shows up as a closed socket, and the exit status
+                // is the useful part of the report: give the reaping a
+                // moment to catch up with the hang-up.
+                Ok(Polled::Lost(match self.children[node].wait_exit(EXIT_STATUS_GRACE) {
                     Some(status) => format!("worker exited ({status}) during the run"),
                     None => "worker closed its control connection during the run".to_string(),
                 }))
@@ -405,8 +470,58 @@ impl WorkerPool {
         }
     }
 
+    /// Waits up to `limit` for the next whole message — or the loss — of
+    /// any node in `nodes`, and says whose it is; `None` when the time
+    /// passes in silence.  This is how the coordinator waits on several
+    /// workers at once: one readiness wait over their control connections,
+    /// so whoever speaks (or hangs up) first is served first, a frame
+    /// larger than a socket buffer is drained while its sender is still
+    /// writing it, and no node waits for another's turn.  The node looked
+    /// at first rotates from call to call, so a chatty node cannot starve
+    /// the rest.
+    pub fn poll_any(
+        &mut self,
+        nodes: &[usize],
+        limit: Duration,
+    ) -> Result<Option<(usize, Polled)>, WorkerFailure> {
+        if nodes.is_empty() {
+            return Ok(None);
+        }
+        let started = Instant::now();
+        self.turn = self.turn.wrapping_add(1);
+        let first = self.turn % nodes.len();
+        let order: Vec<usize> = nodes[first..].iter().chain(&nodes[..first]).copied().collect();
+        loop {
+            // A whole frame may already sit in a stream's reader, pulled in
+            // by the read that completed the previous one, where poll(2)
+            // cannot see it: a zero-length receive looks only there.
+            for &node in &order {
+                match self.poll_from_lossy(node, Duration::ZERO)? {
+                    Polled::Silence => {}
+                    polled => return Ok(Some((node, polled))),
+                }
+            }
+            let fds: Vec<RawFd> = order
+                .iter()
+                .map(|&node| self.controls[node].as_ref().map_or(-1, AsRawFd::as_raw_fd))
+                .collect();
+            match wait_readable(&fds, limit.saturating_sub(started.elapsed())) {
+                Ok(None) => return Ok(None),
+                Ok(Some(ready)) => {
+                    let node = order[ready];
+                    match self.poll_from_lossy(node, PARTIAL_FRAME_WAIT)? {
+                        // Part of a frame: its rest will wake the next wait.
+                        Polled::Silence => {}
+                        polled => return Ok(Some((node, polled))),
+                    }
+                }
+                Err(e) => return Err(self.fail(None, format!("control poll failed: {e}"))),
+            }
+        }
+    }
+
     /// Heartbeats and telemetry frames that arrived while a specific
-    /// kind was awaited — [`WorkerPool::recv_from`] sets them aside
+    /// kind was awaited — [`WorkerPool::recv_all`] sets them aside
     /// instead of failing, and the coordinator drains them here: a live
     /// run's frames racing a protocol step, and every observed run's
     /// final frames, which precede `Metrics`.
@@ -415,38 +530,45 @@ impl WorkerPool {
     }
 
     /// Waits (deadline-bounded, death-aware) for one message of kind
-    /// `expect` from `node`.  Heartbeats and telemetry frames may race
-    /// (or, after `Shutdown`, precede) any protocol step, so they are set
-    /// aside for [`WorkerPool::take_stray`] rather than failing the run;
-    /// anything else unexpected — a worker-reported error, an unexpected
-    /// kind, a dead or silent worker — fails the whole run.
-    pub fn recv_from(&mut self, node: usize, expect: &'static str) -> Result<Message, WorkerFailure> {
-        let deadline = Instant::now() + self.io_timeout;
-        loop {
-            match self.poll_from_lossy(node, Duration::from_millis(100))? {
-                Polled::Message(message) if message.name() == expect => return Ok(message),
-                Polled::Message(message @ (Message::Heartbeat { .. } | Message::TelemetryDelta { .. })) => {
+    /// `expect` from every live worker and returns them in node order.
+    /// The nodes are awaited together ([`WorkerPool::poll_any`]), in
+    /// whatever order they answer; the deadline restarts with every
+    /// awaited message, so each node still gets the io timeout the
+    /// node-by-node wait used to give it.  Heartbeats and telemetry frames
+    /// may race (or, after `Shutdown`, precede) any protocol step, so they
+    /// are set aside for [`WorkerPool::take_stray`] rather than failing
+    /// the run; anything else unexpected — a worker-reported error, an
+    /// unexpected kind, a dead or silent worker — fails the whole run.
+    pub fn recv_all(&mut self, expect: &'static str) -> Result<Vec<(usize, Message)>, WorkerFailure> {
+        let mut waiting: Vec<usize> = (0..self.children.len()).filter(|&node| !self.dead[node]).collect();
+        let mut answers = Vec::with_capacity(waiting.len());
+        let mut deadline = Instant::now() + self.io_timeout;
+        while !waiting.is_empty() {
+            match self.poll_any(&waiting, deadline.saturating_duration_since(Instant::now()))? {
+                Some((node, Polled::Message(message))) if message.name() == expect => {
+                    answers.push((node, message));
+                    waiting.retain(|&n| n != node);
+                    deadline = Instant::now() + self.io_timeout;
+                }
+                Some((
+                    node,
+                    Polled::Message(message @ (Message::Heartbeat { .. } | Message::TelemetryDelta { .. })),
+                )) => {
                     self.stray.push((node, message));
                 }
-                Polled::Message(other) => {
+                Some((node, Polled::Message(other))) => {
                     return Err(self.fail(Some(node), format!("expected {expect}, got {}", other.name())));
                 }
-                Polled::Silence => {
-                    if let Some(status) = self.children[node].poll_exit() {
-                        return Err(self.fail(
-                            Some(node),
-                            format!("worker exited ({status}) while the coordinator awaited {expect}"),
-                        ));
-                    }
-                    if Instant::now() >= deadline {
-                        return Err(self.fail(Some(node), format!("timed out waiting for {expect}")));
-                    }
-                }
-                Polled::Lost(detail) => {
+                Some((node, Polled::Lost(detail))) => {
                     return Err(self.fail(Some(node), format!("{detail} (the coordinator awaited {expect})")));
+                }
+                Some((_, Polled::Silence)) | None => {
+                    return Err(self.fail(Some(waiting[0]), format!("timed out waiting for {expect}")));
                 }
             }
         }
+        answers.sort_unstable_by_key(|&(node, _)| node);
+        Ok(answers)
     }
 
     /// Waits for every live worker to exit cleanly (deadline-bounded); a
@@ -458,17 +580,10 @@ impl WorkerPool {
             if self.dead[node] {
                 continue;
             }
-            loop {
-                if let Some(status) = self.children[node].poll_exit() {
-                    if status.success() {
-                        break;
-                    }
-                    return Err(self.fail(Some(node), format!("worker exited with {status}")));
-                }
-                if Instant::now() >= deadline {
-                    return Err(self.fail(Some(node), "worker did not exit after shutdown"));
-                }
-                std::thread::sleep(Duration::from_millis(5));
+            match self.children[node].wait_exit(deadline.saturating_duration_since(Instant::now())) {
+                Some(status) if status.success() => {}
+                Some(status) => return Err(self.fail(Some(node), format!("worker exited with {status}"))),
+                None => return Err(self.fail(Some(node), "worker did not exit after shutdown")),
             }
         }
         Ok(())
@@ -490,10 +605,8 @@ impl Drop for WorkerPool {
             }
         }
         let grace = Instant::now() + Duration::from_millis(500);
-        while Instant::now() < grace && self.children.iter_mut().any(|c| c.poll_exit().is_none()) {
-            std::thread::sleep(Duration::from_millis(10));
-        }
         for child in &mut self.children {
+            child.wait_exit(grace.saturating_duration_since(Instant::now()));
             child.kill_and_tail();
         }
         let _ = std::fs::remove_dir_all(&self.dir);
@@ -515,5 +628,164 @@ impl Drop for PoolDirGuard<'_> {
             }
             let _ = std::fs::remove_dir_all(dir);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Which worker the re-exec'd test binary should impersonate.
+    const ENV_FAKE: &str = "ORWL_PROC_FAKE_WORKER";
+
+    /// A pool of `n_nodes` impersonators: this test binary re-exec'd into
+    /// [`fake_worker_entry`] alone, told by `ENV_FAKE` how to misbehave.
+    fn fake_pool(n_nodes: usize, fake: &str, io_timeout: Duration) -> WorkerPool {
+        let args = ["coordinator::tests::fake_worker_entry", "--exact", "--nocapture"].map(String::from);
+        WorkerPool::spawn(n_nodes, &args, &[(ENV_FAKE.to_string(), fake.to_string())], io_timeout)
+            .expect("spawning fake workers")
+    }
+
+    fn hello(node: usize) -> FramedStream {
+        let coord = std::env::var(ENV_COORD).expect("coordinator socket");
+        let mut control = FramedStream::connect(Path::new(&coord)).expect("connect to the coordinator");
+        control.send(&Message::Hello { node: node as u32 }).expect("hello");
+        control
+    }
+
+    /// Not a test of its own: the body of every fake worker.  In the
+    /// harness's own pass the role is unset and it does nothing.
+    #[test]
+    fn fake_worker_entry() {
+        if std::env::var(ENV_ROLE).is_err() {
+            return;
+        }
+        let node: usize = std::env::var(ENV_NODE).expect("node index").parse().expect("node index");
+        let metrics = Message::Metrics { node: node as u32, json: "{}".to_string() };
+        // Where two fake workers of one pool meet, beside the coordinator's socket.
+        let gate =
+            Path::new(&std::env::var(ENV_COORD).expect("coordinator socket")).with_file_name("gate.sock");
+        match std::env::var(ENV_FAKE).expect("fake worker kind").as_str() {
+            // Alive, and never dials in.
+            "never_connects" => loop {
+                std::thread::park();
+            },
+            "exits_before_connecting" => std::process::exit(3),
+            // Reports like a finished worker, then dies on the way out.
+            "dies_after_metrics" => {
+                hello(node).send(&metrics).expect("metrics");
+                std::process::exit(7);
+            }
+            // Node 1's report starts with a frame far larger than a socket
+            // buffer, and node 0 reports only once node 1 got all of its
+            // own out — which takes a coordinator that drains node 1 while
+            // node 0 is still silent.
+            "big_frame_from_the_later_node" => {
+                if node == 0 {
+                    let gate = UnixListener::bind(&gate).expect("bind the gate");
+                    let mut control = hello(node);
+                    gate.accept().expect("node 1 at the gate");
+                    control.send(&metrics).expect("metrics");
+                } else {
+                    let mut control = hello(node);
+                    let delta = vec![0u8; 3 << 20];
+                    control.send(&Message::TelemetryDelta { node: node as u32, delta }).expect("big frame");
+                    control.send(&metrics).expect("metrics");
+                    FramedStream::connect_retry(&gate, Duration::from_secs(20)).expect("open the gate");
+                }
+                std::process::exit(0);
+            }
+            // Node 1 reports the symptom — its peer's connection broke —
+            // and exits 1; node 0, the cause, is only reaped after it.
+            "crash_behind_a_symptom" => {
+                if node == 0 {
+                    let gate = UnixListener::bind(&gate).expect("bind the gate");
+                    let _control = hello(node);
+                    let (mut peer, _) = gate.accept().expect("node 1 at the gate");
+                    // End-of-file: node 1 is gone ...
+                    let _ = peer.read(&mut [0u8; 1]);
+                    // ... and has been for a moment: long enough to be
+                    // reaped alone, well inside the blame grace.
+                    let _ = wait_readable(&[], CASCADE_GRACE / 10);
+                    std::process::exit(101);
+                }
+                let mut control = hello(node);
+                let _held = FramedStream::connect_retry(&gate, Duration::from_secs(20)).expect("the gate");
+                control
+                    .send(&Message::Error { message: "peer 0: connection reset".to_string() })
+                    .expect("error");
+                std::process::exit(1);
+            }
+            other => panic!("unknown fake worker kind {other:?}"),
+        }
+    }
+
+    #[test]
+    fn workers_that_never_connect_time_out_at_the_deadline() {
+        let mut pool = fake_pool(2, "never_connects", Duration::from_millis(300));
+        let started = Instant::now();
+        let failure = pool.accept_controls().expect_err("nobody connected");
+        assert!(failure.detail.contains("timed out waiting for workers to connect"), "{}", failure.detail);
+        assert!(started.elapsed() >= Duration::from_millis(300), "gave up after {:?}", started.elapsed());
+    }
+
+    #[test]
+    fn a_worker_that_exits_before_connecting_fails_the_run_well_before_the_deadline() {
+        let io_timeout = Duration::from_secs(60);
+        let mut pool = fake_pool(1, "exits_before_connecting", io_timeout);
+        let started = Instant::now();
+        let failure = pool.accept_controls().expect_err("the worker is gone");
+        assert_eq!(failure.node, 0);
+        assert!(
+            failure.detail.contains("worker exited before connecting to the coordinator"),
+            "{}",
+            failure.detail
+        );
+        assert!(failure.detail.contains("exit status: 3"), "{}", failure.detail);
+        assert!(started.elapsed() < io_timeout, "the exit itself ended the wait");
+    }
+
+    #[test]
+    fn a_worker_that_dies_between_metrics_and_exit_is_a_typed_failure() {
+        let mut pool = fake_pool(1, "dies_after_metrics", Duration::from_secs(60));
+        pool.accept_controls().expect("the worker connects");
+        let answers = pool.recv_all("metrics").expect("the worker reports");
+        assert!(matches!(answers[..], [(0, Message::Metrics { .. })]), "{answers:?}");
+        let failure = pool.wait_all().expect_err("exit status 7 is not a clean exit");
+        assert_eq!(failure.node, 0);
+        assert!(failure.detail.contains("worker exited with exit status: 7"), "{}", failure.detail);
+    }
+
+    #[test]
+    fn a_worker_that_outlives_shutdown_is_overdue_at_the_deadline() {
+        let mut pool = fake_pool(1, "never_connects", Duration::from_millis(200));
+        let failure = pool.wait_all().expect_err("the worker is still running");
+        assert!(failure.detail.contains("worker did not exit after shutdown"), "{}", failure.detail);
+    }
+
+    #[test]
+    fn a_crash_reaped_after_its_symptom_still_takes_the_blame() {
+        let mut pool = fake_pool(2, "crash_behind_a_symptom", Duration::from_secs(20));
+        pool.accept_controls().expect("both workers connect");
+        let failure = pool.recv_all("done").expect_err("one worker crashed, the other said so");
+        assert_eq!(failure.node, 0, "{}", failure.detail);
+        assert!(failure.detail.contains("exit status: 101"), "{}", failure.detail);
+    }
+
+    #[test]
+    fn every_node_is_drained_while_any_is_awaited() {
+        let mut pool = fake_pool(2, "big_frame_from_the_later_node", Duration::from_secs(20));
+        pool.accept_controls().expect("both workers connect");
+        let answers = pool.recv_all("metrics").expect("both workers report");
+        assert!(
+            matches!(answers[..], [(0, Message::Metrics { .. }), (1, Message::Metrics { .. })]),
+            "one report per node, in node order: {answers:?}"
+        );
+        let stray = pool.take_stray();
+        assert!(
+            matches!(&stray[..], [(1, Message::TelemetryDelta { delta, .. })] if delta.len() == 3 << 20),
+            "node 1's frame was set aside whole"
+        );
+        pool.wait_all().expect("both workers exit cleanly");
     }
 }

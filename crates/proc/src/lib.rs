@@ -256,6 +256,16 @@ impl<'a> LiveMonitor<'a> {
         }
     }
 
+    /// How long until [`LiveMonitor::check_stragglers`] could flag each
+    /// of `running` (nodes already flagged have no flag left to raise).
+    fn next_straggler_check<'s>(&'s self, running: &'s [usize]) -> impl Iterator<Item = Duration> + 's {
+        let budget = self.cfg.interval * self.cfg.straggler_intervals.max(1);
+        running
+            .iter()
+            .filter(|&&node| !self.flagged[node])
+            .map(move |&node| budget.saturating_sub(self.last_beat[node].elapsed()))
+    }
+
     /// Streams the run summary into the coordinator recorder's metrics,
     /// so the merged telemetry records that (and how much) the run was
     /// watched live.
@@ -560,17 +570,13 @@ impl ProcBackend {
             }
             pool.send_to(node, &Message::Assignment { json: assignment.to_json().pretty() })?;
         }
-        for node in 0..n_nodes {
-            pool.recv_from(node, "ready")?;
-        }
+        pool.recv_all("ready")?;
         let started = Instant::now();
         pool.broadcast(&Message::Start)?;
         let mut monitor = live.map(|cfg| LiveMonitor::new(n_nodes, cfg));
         match monitor.as_mut() {
             None => {
-                for node in 0..n_nodes {
-                    pool.recv_from(node, "done")?;
-                }
+                pool.recv_all("done")?;
             }
             Some(monitor) => {
                 self.monitor_run(&mut pool, monitor, n_nodes, workload, &mut recovery, recorder)?;
@@ -585,10 +591,9 @@ impl ProcBackend {
         // frame(s) and then its Metrics, in that order on one stream.
         pool.broadcast(&Message::Shutdown)?;
         let mut metrics = Vec::with_capacity(n_nodes);
-        let alive: Vec<usize> = (0..n_nodes).filter(|&node| !pool.is_dead(node)).collect();
-        for node in alive {
-            let Message::Metrics { json, .. } = pool.recv_from(node, "metrics")? else {
-                unreachable!("recv_from returns the requested kind");
+        for (node, message) in pool.recv_all("metrics")? {
+            let Message::Metrics { json, .. } = message else {
+                unreachable!("recv_all returns the requested kind");
             };
             let parsed = Json::parse(&json)
                 .map_err(|e| format!("metrics document is not valid JSON: {e}"))
@@ -600,7 +605,7 @@ impl ProcBackend {
         }
         // Telemetry frames can race any protocol step (a worker's last
         // interval fires while its Done is in flight) and the final ones
-        // always precede Metrics; `recv_from` stashed them all instead of
+        // always precede Metrics; `recv_all` stashed them all instead of
         // failing, so by now the stash completes every node's track.
         let mut frames = vec![Vec::new(); n_nodes];
         for (node, message) in pool.take_stray() {
@@ -612,7 +617,7 @@ impl ProcBackend {
                 (Message::TelemetryDelta { delta, .. }, None) => {
                     frames[node].push(decode_telemetry(&delta).map_err(|e| pool.fail(Some(node), e))?);
                 }
-                // Only a live run's workers beat, and recv_from stashes
+                // Only a live run's workers beat, and recv_all stashes
                 // nothing else.
                 _ => {}
             }
@@ -638,19 +643,20 @@ impl ProcBackend {
         Ok((elapsed, metrics, telemetry, summary))
     }
 
-    /// The live done-wait: round-robins a short-slice poll over every
-    /// worker's control connection, dispatching heartbeats and telemetry
+    /// The live done-wait: one readiness wait over the control
+    /// connections of every node still running
+    /// ([`WorkerPool::poll_any`]), dispatching heartbeats and telemetry
     /// frames to the monitor as they stream in, until every node reports
-    /// `Done`.
-    /// Silence on one node never parks the coordinator — each cycle ends
-    /// with a straggler sweep, and a node with no control traffic for the
-    /// whole io timeout (heartbeats reset the clock) fails the run.
+    /// `Done`.  The wait's timeout is the time to the next thing the clock
+    /// alone can cause — a straggler flag or a silence budget running out
+    /// — so silence on one node never parks the coordinator past a check
+    /// that is due, and a node with no control traffic for the whole io
+    /// timeout (heartbeats reset the clock) fails the run.
     ///
     /// With recovery enabled, a confirmed loss (socket closed + process
     /// reaped, observed exit, or silence past the kill-confirmation
     /// budget) triggers [`ProcBackend::recover`] instead of failing,
     /// while the loss budget lasts.
-    #[allow(clippy::too_many_lines)]
     fn monitor_run(
         &self,
         pool: &mut WorkerPool,
@@ -662,101 +668,92 @@ impl ProcBackend {
     ) -> Result<(), WorkerFailure> {
         let mut done = vec![false; n_nodes];
         let mut last_activity = vec![Instant::now(); n_nodes];
-        while (0..n_nodes).any(|node| !done[node] && !pool.is_dead(node)) {
-            for node in 0..n_nodes {
-                if done[node] || pool.is_dead(node) {
+        loop {
+            let running: Vec<usize> = (0..n_nodes).filter(|&n| !done[n] && !pool.is_dead(n)).collect();
+            if running.is_empty() {
+                return Ok(());
+            }
+            let can_recover = recovery.as_ref().is_some_and(|s| s.down.len() < s.cfg.max_node_losses);
+            let silence_budget = match recovery.as_ref() {
+                Some(state) if can_recover => state.cfg.kill_confirmation.min(self.io_timeout),
+                _ => self.io_timeout,
+            };
+            let next_check = running
+                .iter()
+                .map(|&node| silence_budget.saturating_sub(last_activity[node].elapsed()))
+                .chain(monitor.next_straggler_check(&running))
+                .min()
+                .unwrap_or(silence_budget);
+            let mut lost: Option<(usize, String)> = None;
+            let polled = pool.poll_any(&running, next_check)?;
+            let quiet = polled.is_none();
+            match polled {
+                Some((node, Polled::Message(message))) => {
+                    last_activity[node] = Instant::now();
+                    match message {
+                        Message::Done { .. } => {
+                            done[node] = true;
+                            monitor.done(node);
+                        }
+                        Message::Heartbeat { seq, .. } => monitor.heartbeat(node, seq),
+                        Message::TelemetryDelta { delta, .. } => {
+                            monitor.delta(node, &delta).map_err(|e| pool.fail(Some(node), e))?;
+                        }
+                        other => {
+                            return Err(pool.fail(Some(node), format!("expected done, got {}", other.name())));
+                        }
+                    }
+                }
+                Some((node, Polled::Lost(detail))) => lost = Some((node, detail)),
+                Some((_, Polled::Silence)) | None => {}
+            }
+            // Loss is confirmed three ways, cheapest signal first: the
+            // control socket closed under a read (above), the child
+            // process is observably gone — looked at only once no
+            // connection has anything left to say, so a dying worker's
+            // last words are read before its exit status — or the node
+            // stayed silent past the confirmation budget.
+            for &node in &running {
+                if lost.is_some() || done[node] {
                     continue;
                 }
-                // Drain what this node has buffered, then move on.  Both
-                // bounds matter: a short poll slice so an idle peer never
-                // parks the loop for long, and a message cap so a chatty
-                // peer beating faster than the slice cannot capture it —
-                // either way every node is visited (and the straggler
-                // clock consulted) several times per heartbeat interval.
-                let mut lost: Option<String> = None;
-                let mut drained = 0;
-                while drained < 64 {
-                    match pool.poll_from_lossy(node, Duration::from_millis(5))? {
-                        Polled::Silence => break,
-                        Polled::Lost(detail) => {
-                            lost = Some(detail);
-                            break;
-                        }
-                        Polled::Message(message) => {
-                            drained += 1;
-                            last_activity[node] = Instant::now();
-                            match message {
-                                Message::Done { .. } => {
-                                    done[node] = true;
-                                    monitor.done(node);
-                                    break;
-                                }
-                                Message::Heartbeat { seq, .. } => monitor.heartbeat(node, seq),
-                                Message::TelemetryDelta { delta, .. } => {
-                                    monitor.delta(node, &delta).map_err(|e| pool.fail(Some(node), e))?;
-                                }
-                                other => {
-                                    return Err(
-                                        pool.fail(Some(node), format!("expected done, got {}", other.name()))
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-                if done[node] {
-                    continue;
-                }
-                let can_recover = recovery.as_ref().is_some_and(|s| s.down.len() < s.cfg.max_node_losses);
-                // Loss is confirmed three ways, cheapest signal first:
-                // the control socket closed under a read, the child
-                // process is observably gone, or the node stayed silent
-                // past the confirmation budget.
-                if lost.is_none() {
-                    if let Some(status) = pool.worker_exited(node) {
-                        lost = Some(format!("worker exited ({status}) while the coordinator awaited done"));
-                    }
-                }
-                if lost.is_none() {
-                    let budget = match recovery.as_ref() {
-                        Some(state) if can_recover => state.cfg.kill_confirmation.min(self.io_timeout),
-                        _ => self.io_timeout,
-                    };
-                    if last_activity[node].elapsed() >= budget {
-                        if can_recover {
-                            lost = Some(format!(
-                                "no control traffic for {budget:?} (the kill-confirmation budget)"
-                            ));
-                        } else {
-                            return Err(pool.fail(
-                                Some(node),
-                                "timed out waiting for done (no heartbeat within the io timeout)",
-                            ));
-                        }
-                    }
-                }
-                if let Some(detail) = lost {
+                let exited = if quiet { pool.worker_exited(node) } else { None };
+                if let Some(status) = exited {
+                    lost =
+                        Some((node, format!("worker exited ({status}) while the coordinator awaited done")));
+                } else if last_activity[node].elapsed() >= silence_budget {
                     if !can_recover {
-                        return Err(pool.fail_cascade(node, detail));
+                        return Err(pool.fail(
+                            Some(node),
+                            "timed out waiting for done (no heartbeat within the io timeout)",
+                        ));
                     }
-                    let state = recovery.as_mut().expect("can_recover implies recovery state");
-                    self.recover(
-                        pool,
-                        monitor,
-                        state,
-                        workload,
+                    lost = Some((
                         node,
-                        &detail,
-                        &mut done,
-                        &mut last_activity,
-                        recorder,
-                    )?;
+                        format!("no control traffic for {silence_budget:?} (the kill-confirmation budget)"),
+                    ));
                 }
+            }
+            if let Some((node, detail)) = lost {
+                if !can_recover {
+                    return Err(pool.fail_cascade(node, detail));
+                }
+                let state = recovery.as_mut().expect("can_recover implies recovery state");
+                self.recover(
+                    pool,
+                    monitor,
+                    state,
+                    workload,
+                    node,
+                    &detail,
+                    &mut done,
+                    &mut last_activity,
+                    recorder,
+                )?;
             }
             let settled: Vec<bool> = (0..n_nodes).map(|n| done[n] || pool.is_dead(n)).collect();
             monitor.check_stragglers(&settled);
         }
-        Ok(())
     }
 
     /// One recovery episode: confirm the loss, quiesce the survivors at

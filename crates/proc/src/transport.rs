@@ -9,11 +9,82 @@
 //! Every stream counts frames and payload bytes in both directions; the
 //! worker folds these tallies into its metrics report, which is where the
 //! backend's *measured* hop-bytes come from.
+//!
+//! [`wait_readable`] is the crate's one readiness wait: everything that
+//! waits on more than one descriptor — a listener and a wake descriptor,
+//! several control connections, a child's exit descriptor — blocks in one
+//! `poll(2)` until something happens or a deadline passes, never in a
+//! sleep-and-look-again loop.  A *wake descriptor* is one end of a
+//! [`UnixStream::pair`]: nothing is ever written to it, and dropping the
+//! other end makes it readable for good.
 
 use crate::wire::{FrameReader, Message, WireError};
 use std::io::{ErrorKind, Read, Write};
+use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::time::{Duration, Instant};
+
+/// How long a receive on a descriptor [`wait_readable`] reported ready may
+/// block: what has arrived is read at once, and a frame whose rest is
+/// still in flight is left for the next wake-up rather than waited out
+/// while other descriptors (or a shared lock) wait.
+pub(crate) const PARTIAL_FRAME_WAIT: Duration = Duration::from_millis(1);
+
+/// Blocks until one of `fds` is readable or `timeout` has passed, and
+/// returns the index of the first ready descriptor (`None` on timeout).
+///
+/// Ready means a read will not block: data, end-of-file after the peer
+/// hung up, or an error condition the read will then report.  An empty
+/// set is a pure timeout.  A timeout too large to add to the clock
+/// (`Duration::MAX`) waits for as long as it takes.  A signal that
+/// interrupts the wait is not an outcome: the wait resumes for the time
+/// that is left.
+pub fn wait_readable(fds: &[RawFd], timeout: Duration) -> std::io::Result<Option<usize>> {
+    wait_readable_with(sys_poll, fds, timeout)
+}
+
+/// One `poll(2)` call: how many entries of `set` have conditions.
+fn sys_poll(set: &mut [libc::pollfd], timeout_ms: libc::c_int) -> std::io::Result<usize> {
+    // SAFETY: `set` is an exclusively borrowed slice of `pollfd`, so the
+    // pointer is valid for reads and writes of `set.len()` entries for
+    // the whole call, which is all poll(2) asks of it.
+    let ready = unsafe { libc::poll(set.as_mut_ptr(), set.len() as libc::nfds_t, timeout_ms) };
+    usize::try_from(ready).map_err(|_| std::io::Error::last_os_error())
+}
+
+/// [`wait_readable`] over an injectable poll call, so a test can
+/// interrupt the wait without delivering a real signal.
+fn wait_readable_with(
+    mut poll: impl FnMut(&mut [libc::pollfd], libc::c_int) -> std::io::Result<usize>,
+    fds: &[RawFd],
+    timeout: Duration,
+) -> std::io::Result<Option<usize>> {
+    let deadline = Instant::now().checked_add(timeout);
+    let mut set: Vec<libc::pollfd> =
+        fds.iter().map(|&fd| libc::pollfd { fd, events: libc::POLLIN, revents: 0 }).collect();
+    loop {
+        // Whole milliseconds, rounded up: rounding down would turn the
+        // last fraction of a wait into a spin of zero-length polls.
+        let (timeout_ms, last) = match deadline {
+            None => (-1, false),
+            Some(deadline) => {
+                let left = deadline.saturating_duration_since(Instant::now());
+                let ms = left.as_nanos().div_ceil(1_000_000);
+                match libc::c_int::try_from(ms) {
+                    Ok(ms) => (ms, true),
+                    Err(_) => (libc::c_int::MAX, false),
+                }
+            }
+        };
+        match poll(&mut set, timeout_ms) {
+            Ok(0) if last => return Ok(None),
+            Ok(0) => {}
+            Ok(_) => return Ok(set.iter().position(|entry| entry.revents != 0)),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+}
 
 /// Rendezvous connect gave up: the listener never appeared (or never
 /// accepted) within the budget.
@@ -81,6 +152,16 @@ pub struct FramedStream {
     bytes_received: u64,
 }
 
+impl AsRawFd for FramedStream {
+    /// The socket's descriptor, for [`wait_readable`].  Readiness says
+    /// nothing about frames a previous read already pulled into the
+    /// stream's reader: look there first with `recv(Some(Duration::ZERO))`,
+    /// which returns a buffered message without touching the socket.
+    fn as_raw_fd(&self) -> RawFd {
+        self.stream.as_raw_fd()
+    }
+}
+
 impl FramedStream {
     /// Wraps a connected socket.
     #[must_use]
@@ -133,7 +214,7 @@ impl FramedStream {
             let base = 1u64 << attempts.min(4); // 2, 4, 8, 16 ms, then flat
             let pause = Duration::from_millis(base + seed % base);
             let left = budget.saturating_sub(start.elapsed());
-            std::thread::sleep(pause.min(left).max(Duration::from_millis(1)));
+            std::thread::sleep(pause.min(left).max(Duration::from_millis(1))); // sleep-ok: back-off
         }
     }
 
@@ -226,9 +307,11 @@ impl FramedStream {
                 return Ok(message);
             }
             // One socket wait never overshoots the caller's deadline by
-            // more than a millisecond, so short deadlines make `recv` a
-            // cheap poll — the live monitor and the worker's streaming
-            // thread both interleave on sub-100ms slices.
+            // more than a millisecond, so a short deadline makes `recv` a
+            // bounded look: zero reads only the reader's buffer, a
+            // millisecond takes what a readable socket holds, and the
+            // worker's main thread shares its control stream with the
+            // streamer in 50 ms slices.
             let mut tick = Duration::from_millis(100);
             if let Some(limit) = deadline {
                 let elapsed = start.elapsed();
@@ -277,6 +360,77 @@ mod tests {
     fn pair() -> (FramedStream, FramedStream) {
         let (a, b) = UnixStream::pair().unwrap();
         (FramedStream::new(a), FramedStream::new(b))
+    }
+
+    #[test]
+    fn wait_readable_names_the_first_ready_descriptor() {
+        let (_a0, b0) = UnixStream::pair().unwrap();
+        let (mut a1, b1) = UnixStream::pair().unwrap();
+        let (mut a2, b2) = UnixStream::pair().unwrap();
+        a1.write_all(b"x").unwrap();
+        a2.write_all(b"y").unwrap();
+        let fds = [b0.as_raw_fd(), b1.as_raw_fd(), b2.as_raw_fd()];
+        assert_eq!(wait_readable(&fds, Duration::from_secs(5)).unwrap(), Some(1));
+        // No deadline at all is still an answer when something is ready.
+        assert_eq!(wait_readable(&fds, Duration::MAX).unwrap(), Some(1));
+    }
+
+    #[test]
+    fn wait_readable_counts_a_hang_up_as_ready() {
+        let (a, b) = UnixStream::pair().unwrap();
+        let waiter = std::thread::spawn(move || wait_readable(&[b.as_raw_fd()], Duration::MAX).unwrap());
+        drop(a);
+        assert_eq!(waiter.join().unwrap(), Some(0));
+    }
+
+    #[test]
+    fn wait_readable_times_out_on_silence_and_on_an_empty_set() {
+        let (_a, b) = UnixStream::pair().unwrap();
+        for fds in [&[b.as_raw_fd()][..], &[]] {
+            let started = Instant::now();
+            assert_eq!(wait_readable(fds, Duration::from_millis(30)).unwrap(), None);
+            assert!(started.elapsed() >= Duration::from_millis(30), "returned after {:?}", started.elapsed());
+        }
+    }
+
+    #[test]
+    fn wait_readable_resumes_an_interrupted_wait_for_the_time_left() {
+        let mut asked = Vec::new();
+        let poll = |set: &mut [libc::pollfd], timeout_ms: libc::c_int| {
+            asked.push(timeout_ms);
+            if asked.len() == 1 {
+                // Stand-in for a signal landing mid-wait; the pause makes
+                // "the time left" observably less than the whole budget.
+                let _ = sys_poll(&mut [], 20);
+                return Err(std::io::Error::from(ErrorKind::Interrupted));
+            }
+            set[0].revents = libc::POLLIN;
+            Ok(1)
+        };
+        assert_eq!(wait_readable_with(poll, &[0], Duration::from_secs(10)).unwrap(), Some(0));
+        assert_eq!(asked.len(), 2, "the interruption is retried, not reported");
+        assert_eq!(asked[0], 10_000);
+        assert!(asked[1] < asked[0] && asked[1] > 0, "second wait asked for {} ms", asked[1]);
+    }
+
+    #[test]
+    fn wait_readable_reports_a_failing_poll() {
+        let poll = |_: &mut [libc::pollfd], _| Err(std::io::Error::from(ErrorKind::InvalidInput));
+        let err = wait_readable_with(poll, &[0], Duration::from_secs(1)).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn a_buffered_frame_is_found_without_touching_the_socket() {
+        // Two frames land in one read; the second is then invisible to
+        // poll(2) and a zero-length receive is how a poller finds it.
+        let (mut a, mut b) = pair();
+        a.send(&Message::Start).unwrap();
+        a.send(&Message::Shutdown).unwrap();
+        assert_eq!(b.recv(Some(Duration::from_secs(5))).unwrap(), Message::Start);
+        assert_eq!(wait_readable(&[b.as_raw_fd()], Duration::ZERO).unwrap(), None);
+        assert_eq!(b.recv(Some(Duration::ZERO)).unwrap(), Message::Shutdown);
+        assert!(matches!(b.recv(Some(Duration::ZERO)), Err(RecvError::Timeout)));
     }
 
     #[test]
@@ -337,7 +491,7 @@ mod tests {
             std::thread::spawn(move || {
                 // Bind only after the dialer has already failed a few
                 // attempts against the missing socket.
-                std::thread::sleep(Duration::from_millis(60));
+                std::thread::sleep(Duration::from_millis(60)); // sleep-ok: test, the late bind
                 let listener = std::os::unix::net::UnixListener::bind(&path).unwrap();
                 let (_stream, _) = listener.accept().unwrap();
             })

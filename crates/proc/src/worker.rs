@@ -39,7 +39,7 @@ use crate::assignment::{Assignment, ReAssignment};
 use crate::coordinator::{ENV_COORD, ENV_NODE, ENV_ROLE};
 use crate::fault::FaultPlan;
 use crate::metrics::{WorkerMetrics, MAX_WAIT_SAMPLES};
-use crate::transport::{FramedStream, RecvError};
+use crate::transport::{wait_readable, FramedStream, RecvError, PARTIAL_FRAME_WAIT};
 use crate::wire::{Message, WireAccess, MAX_DATA};
 use orwl_core::location::Location;
 use orwl_core::request::AccessMode;
@@ -51,7 +51,8 @@ use orwl_topo::binding::RecordingBinder;
 use orwl_topo::object::ObjectType;
 use orwl_topo::topology::{LevelSpec, Topology};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::os::unix::net::UnixListener;
+use std::os::fd::AsRawFd;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -286,7 +287,7 @@ impl PeerGateway {
         if !self.wire_delay.is_zero() {
             // Injected link latency (fault plans only; zero in production
             // runs), paid before the section opens.
-            std::thread::sleep(self.wire_delay);
+            std::thread::sleep(self.wire_delay); // sleep-ok: injected fault
         }
         let mut stream = conn.lock().map_err(|_| "gateway connection poisoned".to_string())?;
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
@@ -414,8 +415,14 @@ fn serve_connection(
 /// The accept loop: hands every inbound connection to its own serving
 /// thread and, once shut down, joins them and returns the summed socket
 /// counters as `(frames_sent, frames_received, bytes_sent, bytes_received)`.
+///
+/// It waits on the listener and on `wake`, a wake descriptor whose other
+/// end the main thread drops when the run is over: a peer's connection is
+/// accepted the moment it lands, and the shutdown is seen the moment it is
+/// signalled.
 fn accept_loop(
     listener: UnixListener,
+    wake: UnixStream,
     locations: SharedLocations,
     shutdown: Arc<AtomicBool>,
     io_timeout: Duration,
@@ -425,21 +432,27 @@ fn accept_loop(
     // thread, and each serving thread takes it from here, so the grant
     // events they emit reach the worker's recorder.
     let obs = orwl_obs::current();
-    while !shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let locations = Arc::clone(&locations);
-                let shutdown = Arc::clone(&shutdown);
-                let obs = obs.clone();
-                handlers.push(std::thread::spawn(move || {
-                    let _obs_scope = obs.as_ref().map(orwl_obs::install);
-                    serve_connection(FramedStream::new(stream), locations, shutdown, io_timeout)
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
+    // The wait has no deadline of its own, so a timeout only means "wait
+    // again"; anything but the listener ending it — the wake descriptor
+    // hung up, or the wait itself failing — ends the loop.
+    while let Ok(ready) = wait_readable(&[listener.as_raw_fd(), wake.as_raw_fd()], Duration::MAX) {
+        match ready {
+            Some(0) => match listener.accept() {
+                Ok((stream, _)) => {
+                    let locations = Arc::clone(&locations);
+                    let shutdown = Arc::clone(&shutdown);
+                    let obs = obs.clone();
+                    handlers.push(std::thread::spawn(move || {
+                        let _obs_scope = obs.as_ref().map(orwl_obs::install);
+                        serve_connection(FramedStream::new(stream), locations, shutdown, io_timeout)
+                    }));
+                }
+                // The dialer gave up between the wake-up and the accept.
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+                Err(_) => break,
+            },
+            Some(_) => break,
+            None => {}
         }
     }
     let mut totals = (0, 0, 0, 0);
@@ -511,44 +524,53 @@ impl Interrupt {
 /// The main thread joins the watcher *before* its next control receive,
 /// so the two never contend for a frame.
 struct QuiesceWatcher {
-    stop: Arc<AtomicBool>,
+    /// Dropping this end of the wake descriptor stops the watcher.
+    stop: UnixStream,
     handle: std::thread::JoinHandle<Option<u32>>,
 }
 
 impl QuiesceWatcher {
-    fn spawn(control: Arc<Mutex<FramedStream>>, interrupt: Arc<Interrupt>) -> QuiesceWatcher {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || loop {
-            if stop_flag.load(Ordering::Relaxed) {
-                return None;
-            }
-            // Short lock slices with an unlocked sleep between them: the
-            // telemetry streamer shares this stream and must get the lock
-            // once per interval.
-            let outcome = {
-                let Ok(mut stream) = control.lock() else { return None };
-                stream.recv(Some(Duration::from_millis(10)))
-            };
-            match outcome {
-                Ok(Message::Quiesce { round }) => {
-                    interrupt.interrupt();
-                    return Some(round);
+    fn spawn(
+        control: Arc<Mutex<FramedStream>>,
+        interrupt: Arc<Interrupt>,
+    ) -> std::io::Result<QuiesceWatcher> {
+        let (stop, stopped) = UnixStream::pair()?;
+        let handle = std::thread::spawn(move || {
+            // The descriptor is the same for as long as the stream lives,
+            // and the watcher's own `Arc` keeps it alive.
+            let control_fd = control.lock().ok()?.as_raw_fd();
+            loop {
+                // The stream is locked only to read what has arrived (or
+                // was left in its reader by the main thread's last
+                // receive), never while idle: the telemetry streamer
+                // shares it and sends once per interval.
+                let outcome = control.lock().ok()?.recv(Some(PARTIAL_FRAME_WAIT));
+                match outcome {
+                    Ok(Message::Quiesce { round }) => {
+                        interrupt.interrupt();
+                        return Some(round);
+                    }
+                    // Mid-round the coordinator sends nothing else; an
+                    // unexpected frame is left to the main thread's own
+                    // post-round receive to diagnose.
+                    Ok(_) => continue,
+                    Err(RecvError::Timeout) => {}
+                    Err(_) => return None,
                 }
-                // Mid-round the coordinator sends nothing else; an
-                // unexpected frame is left to the main thread's own
-                // post-round receive to diagnose.
-                Ok(_) => {}
-                Err(RecvError::Timeout) => std::thread::sleep(Duration::from_millis(5)),
-                Err(_) => return None,
+                // Idle, unlocked: until the coordinator speaks or the
+                // main thread hangs up the wake descriptor.
+                match wait_readable(&[control_fd, stopped.as_raw_fd()], Duration::MAX) {
+                    Ok(Some(0) | None) => {}
+                    _ => return None,
+                }
             }
         });
-        QuiesceWatcher { stop, handle }
+        Ok(QuiesceWatcher { stop, handle })
     }
 
     /// Joins the watcher; `Some(round)` if it consumed a `Quiesce`.
     fn stop(self) -> Option<u32> {
-        self.stop.store(true, Ordering::Relaxed);
+        drop(self.stop);
         self.handle.join().unwrap_or(None)
     }
 }
@@ -679,13 +701,14 @@ fn run_worker(
         .map_err(|e| format!("binding peer listener at {}: {e}", assignment.listen))?;
     listener.set_nonblocking(true).map_err(|e| format!("peer listener: {e}"))?;
     let shutdown = Arc::new(AtomicBool::new(false));
+    let (server_wake, server_woken) = UnixStream::pair().map_err(|e| format!("peer listener: {e}"))?;
     let server = {
         let locations = Arc::clone(&locations);
         let shutdown = Arc::clone(&shutdown);
         let obs = orwl_obs::current();
         std::thread::spawn(move || {
             let _obs_scope = obs.as_ref().map(orwl_obs::install);
-            accept_loop(listener, locations, shutdown, io_timeout)
+            accept_loop(listener, server_woken, locations, shutdown, io_timeout)
         })
     };
 
@@ -700,7 +723,8 @@ fn run_worker(
         // goodbye of any kind — exactly what a powered-off host looks
         // like to the survivors.
         std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(after_ms));
+            std::thread::sleep(Duration::from_millis(after_ms)); // sleep-ok: injected fault
+
             // SAFETY: raising a signal against our own pid.
             unsafe {
                 libc::kill(std::process::id() as libc::pid_t, libc::SIGKILL);
@@ -734,15 +758,19 @@ fn run_worker(
     };
     let interval_ms = assignment.obs.as_ref().map_or(0, |spec| spec.stream_interval_ms);
     let streamer = if interval_ms > 0 {
-        sampler.take().map(|sampler| {
-            Streamer::spawn(
-                telemetry.clone(),
-                sampler,
-                Duration::from_millis(interval_ms),
-                Duration::from_millis(faults.stall_ms(assignment.node).unwrap_or(0)),
-                faults.drop_heartbeats(assignment.node),
-            )
-        })
+        sampler
+            .take()
+            .map(|sampler| {
+                Streamer::spawn(
+                    telemetry.clone(),
+                    sampler,
+                    Duration::from_millis(interval_ms),
+                    Duration::from_millis(faults.stall_ms(assignment.node).unwrap_or(0)),
+                    faults.drop_heartbeats(assignment.node),
+                )
+            })
+            .transpose()
+            .map_err(|e| format!("starting the telemetry streamer: {e}"))?
     } else {
         None
     };
@@ -758,7 +786,9 @@ fn run_worker(
         loop {
             let watcher = assignment
                 .recovery
-                .then(|| QuiesceWatcher::spawn(Arc::clone(control), Arc::clone(&interrupt)));
+                .then(|| QuiesceWatcher::spawn(Arc::clone(control), Arc::clone(&interrupt)))
+                .transpose()
+                .map_err(|e| format!("starting the quiesce watcher: {e}"))?;
             let started = Instant::now();
             let round_outcome = run_round(assignment, &work, &locations, &gateway, &interrupt);
             wall_seconds += started.elapsed().as_secs_f64();
@@ -845,6 +875,7 @@ fn run_worker(
     }
     drop(conns); // hang up on every owner peer
     shutdown.store(true, Ordering::Relaxed);
+    drop(server_wake); // wakes the accept loop, which joins the serving threads
     let server_counters = server.join().unwrap_or_default();
 
     // The final frame goes out after the Shutdown barrier: the
@@ -854,9 +885,10 @@ fn run_worker(
     // and the drain loses nothing.  (Draining at Done instead would race
     // a slow peer's read storm against our own early finish.)  It is sent
     // even when empty: its cumulative metrics are the run's totals.  And
-    // it is sent only now, with our peers hung up on: a large frame blocks
-    // in the write until the coordinator reads it, the coordinator reads
-    // one node at a time, and every peer's server join waits on our hangup.
+    // it is sent only now, with our peers hung up on, so that however long
+    // a large frame spends in the write, no peer's server join is waiting
+    // on our hangup meanwhile.  (The coordinator reads every node's stream
+    // as it fills, so the write itself waits on nobody else's turn.)
     if let Some(mut sampler) = sampler {
         drop(registration); // stop the hooks before draining
         telemetry.send(sampler.sample(), false).map_err(|e| format!("sending final telemetry: {e}"))?;
@@ -965,7 +997,8 @@ impl TelemetryLink {
 /// `TelemetryDelta` messages on the shared control stream, from `Start`
 /// until [`Streamer::stop`].
 struct Streamer {
-    stop: Arc<AtomicBool>,
+    /// Dropping this end of the wake descriptor stops the streamer.
+    stop: UnixStream,
     handle: std::thread::JoinHandle<DeltaSampler>,
 }
 
@@ -976,33 +1009,20 @@ impl Streamer {
         interval: Duration,
         stall: Duration,
         drop_first: u64,
-    ) -> Streamer {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
+    ) -> std::io::Result<Streamer> {
+        let (stop, stopped) = UnixStream::pair()?;
         let handle = std::thread::spawn(move || {
-            let mut seq = 0u64;
+            // Every pause is a wait on the wake descriptor with the pause
+            // as its timeout: it runs its full length unless the main
+            // thread hangs up, and then it ends at once.
+            let pause = |length: Duration| matches!(wait_readable(&[stopped.as_raw_fd()], length), Ok(None));
             // Injected initial silence (straggler tests only; zero in
-            // production runs), waited out in stop-aware ticks.
-            let stalled = Instant::now();
-            while stalled.elapsed() < stall {
-                if stop_flag.load(Ordering::Relaxed) {
-                    return sampler;
-                }
-                std::thread::sleep(Duration::from_millis(5));
+            // production runs).
+            if !stall.is_zero() && !pause(stall) {
+                return sampler;
             }
-            'beats: loop {
-                // Sleep out the interval in short ticks so a stop request
-                // never waits out a long interval.
-                let tick_started = Instant::now();
-                while tick_started.elapsed() < interval {
-                    if stop_flag.load(Ordering::Relaxed) {
-                        break 'beats;
-                    }
-                    std::thread::sleep(Duration::from_millis(5).min(interval));
-                }
-                if stop_flag.load(Ordering::Relaxed) {
-                    break;
-                }
+            let mut seq = 0u64;
+            while pause(interval) {
                 // The heartbeat-drop fault swallows the first `drop_first`
                 // beats (the seq keeps counting, frames keep flowing) —
                 // the minimal signal loss that trips straggler detection.
@@ -1016,13 +1036,13 @@ impl Streamer {
             }
             sampler
         });
-        Streamer { stop, handle }
+        Ok(Streamer { stop, handle })
     }
 
     /// Signals the streaming thread, joins it and hands the sampler back
     /// for the final frame.
     fn stop(self) -> Result<DeltaSampler, String> {
-        self.stop.store(true, Ordering::Relaxed);
+        drop(self.stop);
         self.handle.join().map_err(|_| "telemetry streamer panicked".to_string())
     }
 }
@@ -1185,5 +1205,88 @@ fn run_round(
     match slot.take() {
         Some(e) => Err(e),
         None => Ok(()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use orwl_obs::ObsConfig;
+
+    const WAIT: Duration = Duration::from_secs(10);
+
+    fn control_pair() -> (Arc<Mutex<FramedStream>>, FramedStream) {
+        let (worker_end, coordinator_end) = UnixStream::pair().unwrap();
+        (Arc::new(Mutex::new(FramedStream::new(worker_end))), FramedStream::new(coordinator_end))
+    }
+
+    #[test]
+    fn the_peer_server_serves_a_first_connection_and_stops_on_the_wake_descriptor() {
+        let dir = std::env::temp_dir().join(format!("orwl-serve-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let listener = UnixListener::bind(dir.join("peer.sock")).unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let locations: SharedLocations =
+            Arc::new(RwLock::new(HashMap::from([(7, Location::new("loc-7".to_string(), 41u64))])));
+        let (wake, woken) = UnixStream::pair().unwrap();
+        let server = {
+            let shutdown = Arc::new(AtomicBool::new(false));
+            std::thread::spawn(move || accept_loop(listener, woken, locations, shutdown, WAIT))
+        };
+
+        // One whole remote section against an idle server.
+        let mut peer = FramedStream::connect(&dir.join("peer.sock")).unwrap();
+        peer.send(&Message::LockRequest { seq: 1, location: 7, access: WireAccess::Read, bytes: 8 }).unwrap();
+        match peer.recv(Some(WAIT)) {
+            Ok(Message::LockGrant { seq: 1, location: 7, data }) => assert_eq!(data, 41u64.to_le_bytes()),
+            other => panic!("expected the grant, got {other:?}"),
+        }
+        peer.send(&Message::Release { seq: 1, location: 7 }).unwrap();
+        drop(peer);
+
+        // The shutdown flag is never raised: hanging up the wake
+        // descriptor is what ends the accept loop, and the join returns
+        // with the served section's counters.
+        drop(wake);
+        let (frames_sent, frames_received, _, _) = server.join().unwrap();
+        assert_eq!((frames_sent, frames_received), (1, 2), "a grant out; a request and a release in");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_quiesce_watcher_relays_a_quiesce_and_stops_idle_on_request() {
+        let (control, mut coordinator) = control_pair();
+        let interrupt = Arc::new(Interrupt::new(true));
+        let watcher = QuiesceWatcher::spawn(Arc::clone(&control), Arc::clone(&interrupt)).unwrap();
+        // Idle, the watcher leaves the shared stream unlocked for the
+        // streamer's sends.
+        send_ctl(&control, &Message::Heartbeat { node: 0, seq: 0 }).unwrap();
+        assert_eq!(coordinator.recv(Some(WAIT)).unwrap(), Message::Heartbeat { node: 0, seq: 0 });
+        assert_eq!(watcher.stop(), None, "nothing arrived");
+        assert!(!interrupt.parked());
+
+        // A quiesce already on the wire wins over a simultaneous stop.
+        let watcher = QuiesceWatcher::spawn(Arc::clone(&control), Arc::clone(&interrupt)).unwrap();
+        coordinator.send(&Message::Quiesce { round: 3 }).unwrap();
+        assert_eq!(watcher.stop(), Some(3));
+        assert!(interrupt.parked());
+    }
+
+    #[test]
+    fn the_streamer_beats_on_its_interval_and_stops_without_waiting_one_out() {
+        let (control, mut coordinator) = control_pair();
+        let link = TelemetryLink { control, global_of: Arc::new(RwLock::new(HashMap::new())), node: 4 };
+        let sampler = || DeltaSampler::new(Recorder::new(ClockKind::Wall, ObsConfig::default()), 0.0);
+
+        let beating =
+            Streamer::spawn(link.clone(), sampler(), Duration::from_millis(1), Duration::ZERO, 0).unwrap();
+        assert_eq!(coordinator.recv(Some(WAIT)).unwrap(), Message::Heartbeat { node: 4, seq: 0 });
+        beating.stop().unwrap();
+
+        // An interval (or an injected stall) that would outlast the test
+        // run is cut short by the stop.
+        let hour = Duration::from_secs(3600);
+        Streamer::spawn(link.clone(), sampler(), hour, Duration::ZERO, 0).unwrap().stop().unwrap();
+        Streamer::spawn(link, sampler(), Duration::from_millis(1), hour, 0).unwrap().stop().unwrap();
     }
 }
