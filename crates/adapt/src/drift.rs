@@ -14,7 +14,7 @@
 //!   detector holds off for a few epochs so the system settles before the
 //!   next decision, preventing oscillation (hysteresis).
 //!
-//! [`DriftStep`] is the detector with the two matrices it compares: the
+//! `DriftStep` is the detector with the two matrices it compares: the
 //! state every adaptive loop carries, and the only place that rolls,
 //! gates, smooths, observes and re-anchors.
 
@@ -88,11 +88,6 @@ impl DriftDetector {
         DriftDetector { config, consecutive_over: 0, cooldown_left: 0 }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &DriftConfig {
-        &self.config
-    }
-
     /// Measures the structural delta between `baseline` (what the current
     /// placement was computed from) and `live` (what the monitor observed),
     /// both evaluated under `mapping` on `topo`, and advances the
@@ -149,7 +144,7 @@ impl DriftDetector {
 /// simulator [driver](crate::driver) or the thread runtime's
 /// [`AdaptiveEngine`](crate::engine::AdaptiveEngine).
 #[derive(Debug, Clone)]
-pub struct DriftStep {
+pub(crate) struct DriftStep {
     online: OnlineCommMatrix,
     detector: DriftDetector,
     baseline: CommMatrix,
@@ -158,7 +153,7 @@ pub struct DriftStep {
 impl DriftStep {
     /// A step for `n_tasks` tasks whose current placement was computed from
     /// `baseline` (symmetrised); `decay` as in [`OnlineCommMatrix::new`].
-    pub fn new(n_tasks: usize, decay: f64, drift: DriftConfig, baseline: CommMatrix) -> Self {
+    pub(crate) fn new(n_tasks: usize, decay: f64, drift: DriftConfig, baseline: CommMatrix) -> Self {
         DriftStep {
             online: OnlineCommMatrix::new(n_tasks, decay),
             detector: DriftDetector::new(drift),
@@ -167,13 +162,13 @@ impl DriftStep {
     }
 
     /// The accumulator, for monitors that look before they record.
-    pub fn online(&self) -> &OnlineCommMatrix {
+    pub(crate) fn online(&self) -> &OnlineCommMatrix {
         &self.online
     }
 
     /// Records `bytes` flowing `src → dst` during the open epoch (see
     /// [`OnlineCommMatrix::record`]).
-    pub fn record(&mut self, src: usize, dst: usize, bytes: f64) {
+    pub(crate) fn record(&mut self, src: usize, dst: usize, bytes: f64) {
         self.online.record(src, dst, bytes);
     }
 
@@ -182,7 +177,7 @@ impl DriftStep {
     /// symmetrised) matrix against the baseline under `mapping`, with that
     /// matrix: what a re-placement is computed from.  Before that warm-up
     /// nothing is observed and patience and cooldown do not advance.
-    pub fn epoch(
+    pub(crate) fn epoch(
         &mut self,
         topo: &Topology,
         mapping: &[usize],
@@ -198,7 +193,7 @@ impl DriftStep {
 
     /// A placement computed from `live` was adopted: `live` is the new
     /// baseline, and the detector holds off for its cooldown.
-    pub fn adopt(&mut self, live: CommMatrix) {
+    pub(crate) fn adopt(&mut self, live: CommMatrix) {
         self.baseline = live;
         self.detector.arm_cooldown();
     }

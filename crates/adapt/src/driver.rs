@@ -4,7 +4,7 @@
 //! Place from the first phase's matrix, then run the phases chunk by chunk.
 //! A chunk boundary means, by mode: **static** — nothing (one chunk per
 //! phase); **oracle** — at a phase boundary, a free re-placement from the
-//! phase's own matrix; **adaptive** — an epoch of the [`DriftStep`] the
+//! phase's own matrix; **adaptive** — an epoch of the `DriftStep` the
 //! executor's transfer hooks feed, and on a fire a re-placement the model
 //! prices, the run pays and the step adopts.  What differs between the two
 //! machines is behind [`PhasedModel`]; the driver never asks which it serves.

@@ -12,7 +12,7 @@
 //!    per-iteration volume from `L`'s last writer to `t` — and feeds the
 //!    step's [`OnlineCommMatrix`](crate::online::OnlineCommMatrix);
 //! 3. calls [`AdaptiveController::on_epoch`] every epoch: the engine closes
-//!    the epoch on its [`DriftStep`] (the same step the simulator driver
+//!    the epoch on its `DriftStep` (the same step the simulator driver
 //!    runs on), and on a fire asks the [`Replacer`] whether migrating pays;
 //!    an accepted migration is adopted by the step and the new placement
 //!    returned for the runtime to publish to its task threads.
@@ -186,7 +186,7 @@ impl AccessSink for AdaptiveEngine {
 impl AdaptiveEngine {
     /// Initialises the engine from the program about to run; called by the
     /// runtime through [`AdaptiveController::on_run_start`].
-    pub fn on_run_start(&self, specs: &[TaskSpec], plan: &PlacementPlan, topo: &Topology) {
+    pub(crate) fn on_run_start(&self, specs: &[TaskSpec], plan: &PlacementPlan, topo: &Topology) {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         state.topo = Some(topo.clone());
         state.n_control = plan.placement.n_control();
@@ -216,7 +216,7 @@ impl AdaptiveEngine {
 
     /// Rolls the monitoring epoch and decides on drift / migration; called
     /// by the runtime through [`AdaptiveController::on_epoch`].
-    pub fn on_epoch(&self, epoch: u64) -> Option<Placement> {
+    pub(crate) fn on_epoch(&self, epoch: u64) -> Option<Placement> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         let topo = state.topo.clone().expect("on_run_start ran before on_epoch");
         let mapping = state.placement.compute_mapping_or_zero();

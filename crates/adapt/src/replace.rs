@@ -32,7 +32,7 @@ impl MigrationCostModel {
     /// `Σ task_state_bytes · hops(old_pu, new_pu)` over re-bound tasks.
     /// Tasks that stay put, or that were/stay unbound, cost nothing —
     /// unbound threads carry no locality to destroy.
-    pub fn migration_cost(&self, topo: &Topology, old: &Placement, new: &Placement) -> f64 {
+    pub(crate) fn migration_cost(&self, topo: &Topology, old: &Placement, new: &Placement) -> f64 {
         let mut cost = 0.0;
         for (o, n) in old.compute.iter().zip(&new.compute) {
             if let (Some(a), Some(b)) = (o, n) {
@@ -146,11 +146,6 @@ impl Replacer {
     /// Creates a replacer.
     pub fn new(config: ReplacerConfig) -> Self {
         Replacer { config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &ReplacerConfig {
-        &self.config
     }
 
     /// Evaluates whether to migrate away from `current` given the live

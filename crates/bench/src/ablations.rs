@@ -7,7 +7,6 @@
 //! oversubscription extension.
 
 use orwl_adapt::backend::SimBackend;
-use orwl_comm::matrix::CommMatrix;
 use orwl_comm::metrics::mapping_cost_default;
 use orwl_core::session::Session;
 use orwl_lk23::sim_model::Lk23Workload;
@@ -153,25 +152,6 @@ pub fn oversubscription_ablation(sockets: usize, factors: &[usize], iterations: 
         .collect()
 }
 
-/// Helper shared by benches: the communication cost of the LK23 matrix
-/// under every policy, normalised to the TreeMatch cost (≥ 1.0 means worse
-/// than TreeMatch).
-pub fn relative_policy_costs(topo: &Topology, matrix: &CommMatrix) -> Vec<(String, f64)> {
-    let pus = topo.pu_os_indices();
-    let tm = compute_placement(Policy::TreeMatch, topo, matrix, 0);
-    let tm_cost =
-        mapping_cost_default(matrix, topo, &tm.compute_mapping_with(|t| pus[t % pus.len()])).max(1e-12);
-    Policy::all()
-        .into_iter()
-        .map(|p| {
-            let placement = compute_placement(p, topo, matrix, 0);
-            let cost =
-                mapping_cost_default(matrix, topo, &placement.compute_mapping_with(|t| pus[t % pus.len()]));
-            (p.name().to_string(), cost / tm_cost)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,19 +208,5 @@ mod tests {
         assert_eq!(results[0].tasks_per_core, 1);
         assert_eq!(results[0].n_tasks, 16);
         assert!(results[0].simulated_time <= results[2].simulated_time * 1.05);
-    }
-
-    #[test]
-    fn relative_costs_are_normalised_to_treematch() {
-        let topo = synthetic::cluster2016_subset(2).unwrap();
-        let matrix = Lk23Workload::new(2048, 4, 4, 1).comm_matrix();
-        let rel = relative_policy_costs(&topo, &matrix);
-        let tm = rel.iter().find(|(n, _)| n == "treematch").unwrap();
-        assert!((tm.1 - 1.0).abs() < 1e-9);
-        for (name, ratio) in &rel {
-            if name != "nobind" {
-                assert!(*ratio >= 0.99, "{name} ratio {ratio}");
-            }
-        }
     }
 }

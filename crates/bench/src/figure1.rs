@@ -50,7 +50,7 @@ impl Figure1Row {
 /// 8 cores; the paper's full machine is 24 sockets = 192 cores).
 ///
 /// `iterations` lets callers trade fidelity for speed: the paper uses 100;
-/// the Criterion benches use fewer since the per-iteration times are in
+/// the `figures` bin uses fewer since the per-iteration times are in
 /// steady state after the first couple of sweeps.
 pub fn figure1_sweep(socket_counts: &[usize], iterations: usize, seed: u64) -> Vec<Figure1Row> {
     let mut rows = Vec::with_capacity(socket_counts.len());
@@ -121,35 +121,6 @@ pub fn headline(rows: &[Figure1Row]) -> Headline {
     }
 }
 
-/// Renders a sweep as the text table printed by the benches and the
-/// `figure1_sim` example (one row per core count, one column per series —
-/// the same series Figure 1 plots).
-pub fn render_table(rows: &[Figure1Row]) -> String {
-    let mut out = String::new();
-    out.push_str("cores  openmp[s]  orwl-nobind[s]  orwl-bind[s]  bind-vs-openmp  bind-vs-nobind\n");
-    for r in rows {
-        out.push_str(&format!(
-            "{:>5}  {:>9.2}  {:>14.2}  {:>12.2}  {:>14.2}  {:>14.2}\n",
-            r.cores,
-            r.openmp,
-            r.orwl_nobind,
-            r.orwl_bind,
-            r.speedup_vs_openmp(),
-            r.speedup_vs_nobind()
-        ));
-    }
-    out
-}
-
-/// Renders a sweep as CSV (used to archive results next to EXPERIMENTS.md).
-pub fn render_csv(rows: &[Figure1Row]) -> String {
-    let mut out = String::from("cores,openmp_s,orwl_nobind_s,orwl_bind_s\n");
-    for r in rows {
-        out.push_str(&format!("{},{},{},{}\n", r.cores, r.openmp, r.orwl_nobind, r.orwl_bind));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,16 +180,5 @@ mod tests {
         let openmp_gain = r2.openmp / r24.openmp;
         assert!(bind_gain > 3.0, "bind gain from 16 to 192 cores: {bind_gain}");
         assert!(openmp_gain < bind_gain / 2.0, "openmp gain {openmp_gain} vs bind gain {bind_gain}");
-    }
-
-    #[test]
-    fn render_helpers_include_all_rows() {
-        let rows = figure1_sweep(&[1, 2], 2, 1);
-        let table = render_table(&rows);
-        assert!(table.contains("cores"));
-        assert_eq!(table.lines().count(), 3);
-        let csv = render_csv(&rows);
-        assert_eq!(csv.lines().count(), 3);
-        assert!(csv.starts_with("cores,"));
     }
 }

@@ -14,13 +14,14 @@
 //!   simulator and multi-process backends, behind `BENCH_proc_corr.json`
 //!   and the `proc_correlate` binary.
 //!
-//! The Criterion benchmarks under `benches/` and the `figure1_sim` example
-//! are thin wrappers around these functions, so the numbers reported in
-//! EXPERIMENTS.md can be regenerated from several entry points.
+//! The bins under `src/bin/` are thin wrappers around these functions;
+//! `figures` owns the Figure 1 / ablation tables (`BENCH_figure1.json`).
+
+// `pub` means another crate (or a bin, test or example) calls it: everything
+// else is `pub(crate)` so `dead_code` can see it.  DESIGN.md, "Public surface".
+#![warn(unreachable_pub)]
 
 pub mod ablations;
 pub mod figure1;
 pub mod proc_corr;
 pub mod scaling;
-
-pub use figure1::{figure1_sweep, headline, render_table, Figure1Row, Headline};

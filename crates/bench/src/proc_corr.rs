@@ -1,6 +1,6 @@
 //! The sim-vs-real correlation study (experiment E-proc): for a battery
 //! of lab scenario families × placement policies × cluster sizes
-//! ([`CORR_NODE_SWEEP`]), run the cluster *simulator* and the
+//! (`CORR_NODE_SWEEP`), run the cluster *simulator* and the
 //! *multi-process* backend over the same `policy_placement` sharding and
 //! pin the simulator's predicted inter-node bytes against the bytes the
 //! worker processes actually moved over their sockets.
@@ -13,7 +13,7 @@
 //! acceptance gate.  The document is byte-deterministic: payload sizes
 //! are a pure function of the matrices and the placement, never of
 //! timing.  The one timing column, `wall_seconds`, is the median wall
-//! clock over [`CORR_REPEATS`] measured-backend runs; the document
+//! clock over `CORR_REPEATS` measured-backend runs; the document
 //! declares it nondeterministic so the byte-identity gate compares
 //! [`deterministic_view`](orwl_proc::deterministic_view)s instead of raw
 //! bytes.
@@ -29,22 +29,22 @@ use orwl_treematch::policies::Policy;
 /// is measured at each cluster size, so the artifact records how the
 /// measured wall clock scales with the number of worker processes while
 /// the byte columns stay exactly predictable at every size.
-pub const CORR_NODE_SWEEP: [usize; 3] = [2, 4, 8];
+pub(crate) const CORR_NODE_SWEEP: [usize; 3] = [2, 4, 8];
 /// Tasks in every correlation run (beyond the 32 PUs of the two-node
 /// machine, so placement must oversubscribe and split every family across
 /// nodes).
-pub const CORR_TASKS: usize = 36;
+pub(crate) const CORR_TASKS: usize = 36;
 /// Iterations per phase (schedules keep each family's phase *count*).
-pub const CORR_ITERATIONS: usize = 2;
+pub(crate) const CORR_ITERATIONS: usize = 2;
 /// Measured-backend repetitions per row: the byte figures must agree
 /// across all repeats (they are deterministic), `wall_seconds` is their
 /// median.
-pub const CORR_REPEATS: usize = 3;
+pub(crate) const CORR_REPEATS: usize = 3;
 
 /// The scenario battery: one spec per family, phase schedules shortened
 /// to [`CORR_ITERATIONS`] per phase so a full run stays in CI budget.
 #[must_use]
-pub fn corr_scenarios() -> Vec<ScenarioSpec> {
+pub(crate) fn corr_scenarios() -> Vec<ScenarioSpec> {
     [
         ScenarioFamily::DenseStencil,
         ScenarioFamily::RotatedStencil,

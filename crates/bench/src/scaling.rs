@@ -26,18 +26,18 @@ use orwl_treematch::{PlacementScratch, TreeMatchMapper};
 use std::time::Instant;
 
 /// The matrix families of the grid.
-pub const FAMILIES: [&str; 3] = ["stencil", "power_law", "clustered"];
+pub(crate) const FAMILIES: [&str; 3] = ["stencil", "power_law", "clustered"];
 
 /// The task counts every family is measured at.
-pub const FULL_SIZES: [usize; 4] = [64, 256, 512, 1024];
+pub(crate) const FULL_SIZES: [usize; 4] = [64, 256, 512, 1024];
 
 /// The larger task counts, measured for the sparse families only
 /// (`stencil`, `power_law`): a `clustered` matrix of 8-task cliques says
 /// nothing new past 1024 tasks, and a dense 4096² matrix is 128 MiB.
-pub const LARGE_SIZES: [usize; 2] = [2048, 4096];
+pub(crate) const LARGE_SIZES: [usize; 2] = [2048, 4096];
 
 /// Placements timed per cell; the fastest is recorded.
-pub const REPEATS: usize = 3;
+pub(crate) const REPEATS: usize = 3;
 
 /// One measured cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,7 +62,7 @@ pub struct ScalingCell {
 /// are the ones the CI latches (wall-clock budget, doubling ratio) are
 /// asserted on.
 #[must_use]
-pub fn grid(smoke: bool) -> Vec<(&'static str, usize)> {
+pub(crate) fn grid(smoke: bool) -> Vec<(&'static str, usize)> {
     let mut cells = Vec::new();
     for family in FAMILIES {
         let large = if family == "clustered" { &[][..] } else { &LARGE_SIZES[..] };
@@ -80,7 +80,7 @@ pub fn grid(smoke: bool) -> Vec<(&'static str, usize)> {
 /// # Panics
 /// Panics on an unknown family name.
 #[must_use]
-pub fn matrix_for(family: &str, p: usize, seed: u64) -> CommMatrix {
+pub(crate) fn matrix_for(family: &str, p: usize, seed: u64) -> CommMatrix {
     match family {
         "stencil" => {
             // Squarest rows × cols factorisation of p, rows ≤ cols.
@@ -100,7 +100,7 @@ pub fn matrix_for(family: &str, p: usize, seed: u64) -> CommMatrix {
 
 /// Runs the grid: flat-TreeMatch placements on the paper's 192-PU machine,
 /// scratch shared across cells (the steady-state regime the adaptive engine
-/// runs in).  A cell's wall time is the fastest of [`REPEATS`] placements of
+/// runs in).  A cell's wall time is the fastest of `REPEATS` placements of
 /// the same matrix — the run the box's other tenants disturbed least — so
 /// that ratios between cells of one run mean something.
 #[must_use]

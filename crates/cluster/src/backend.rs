@@ -105,7 +105,7 @@ impl PhasedModel for ClusterMachine {
 
     /// A fresh two-level computation, so node assignment and intra-node
     /// binding can both change.  Costs are fabric seconds per iteration
-    /// ([`cluster_cost`]) and so is the bill: every re-bound task streams
+    /// (`cluster_cost`) and so is the bill: every re-bound task streams
     /// its state over the link between its old and new PU (fabric latency +
     /// bandwidth across nodes, NUMA links within one).  The moved bytes are
     /// also traffic, split at the machine boundary like any other, so the

@@ -46,14 +46,18 @@
 //! assert!(fabric.inter_node_fraction() < 0.5);
 //! ```
 
-pub mod backend;
-pub mod exec;
-pub mod machine;
-pub mod metrics;
-pub mod placement;
+// `pub` means another crate (or a bin, test or example) calls it: everything
+// else is `pub(crate)` so `dead_code` can see it.  DESIGN.md, "Public surface".
+#![warn(unreachable_pub)]
+
+mod backend;
+mod exec;
+mod machine;
+mod metrics;
+mod placement;
 
 pub use backend::ClusterBackend;
-pub use exec::{simulate_cluster, ClusterSimReport};
+pub use exec::simulate_cluster;
 pub use machine::ClusterMachine;
-pub use metrics::{cluster_cost, inter_node_bytes, split_hop_bytes};
-pub use placement::{hierarchical_placement, policy_placement, reshard_after_node_loss, ClusterPlacement};
+pub use metrics::{inter_node_bytes, split_hop_bytes};
+pub use placement::{hierarchical_placement, policy_placement, reshard_after_node_loss};

@@ -20,7 +20,7 @@ pub struct ClusterMachine {
 
 impl ClusterMachine {
     /// Builds the cluster machine model.
-    pub fn new(cluster: ClusterTopology, params: CostParams, fabric: FabricParams) -> Self {
+    pub(crate) fn new(cluster: ClusterTopology, params: CostParams, fabric: FabricParams) -> Self {
         let node = SimMachine::new(cluster.node_topology().clone(), params);
         ClusterMachine { cluster, node, fabric }
     }
@@ -51,7 +51,7 @@ impl ClusterMachine {
     }
 
     /// The single-node machine model.
-    pub fn node_machine(&self) -> &SimMachine {
+    pub(crate) fn node_machine(&self) -> &SimMachine {
         &self.node
     }
 
@@ -72,7 +72,7 @@ impl ClusterMachine {
 
     /// Per-byte streaming cost between two *global* PUs: the node-local
     /// link cost within a node, the fabric per-byte cost across nodes.
-    pub fn link_byte_cost(&self, ga: usize, gb: usize) -> f64 {
+    pub(crate) fn link_byte_cost(&self, ga: usize, gb: usize) -> f64 {
         match self.cluster.link_class(ga, gb) {
             FabricClass::SameNode => {
                 self.node.link_byte_cost(self.cluster.local_pu(ga), self.cluster.local_pu(gb))
@@ -83,14 +83,14 @@ impl ClusterMachine {
 
     /// One-way message latency between two global PUs (`0` within a node —
     /// intra-node grants are priced by the link costs alone).
-    pub fn message_latency(&self, ga: usize, gb: usize) -> f64 {
+    pub(crate) fn message_latency(&self, ga: usize, gb: usize) -> f64 {
         self.fabric.latency(self.cluster.link_class(ga, gb))
     }
 
     /// Relative per-byte fabric cost between two *nodes*, normalised so
     /// that the cheapest fabric class costs `1.0` (used to weight the
     /// partitioning stage's cut).  Zero for the same node.
-    pub fn relative_node_cost(&self, node_a: usize, node_b: usize) -> f64 {
+    pub(crate) fn relative_node_cost(&self, node_a: usize, node_b: usize) -> f64 {
         if node_a == node_b {
             return 0.0;
         }

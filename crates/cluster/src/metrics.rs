@@ -42,7 +42,7 @@ pub fn inter_node_bytes(cluster: &ClusterTopology, m: &CommMatrix, mapping: &[us
 /// is the objective the adaptive cluster engine compares placements by —
 /// unlike hop-bytes it knows that a fabric hop costs orders of magnitude
 /// more than a tree hop.
-pub fn cluster_cost(machine: &ClusterMachine, m: &CommMatrix, mapping: &[usize]) -> f64 {
+pub(crate) fn cluster_cost(machine: &ClusterMachine, m: &CommMatrix, mapping: &[usize]) -> f64 {
     assert!(mapping.len() >= m.order(), "mapping must cover every task of the matrix");
     let mut cost = 0.0;
     m.for_each_nonzero(|i, j, v| cost += v * machine.link_byte_cost(mapping[i], mapping[j]));

@@ -33,14 +33,12 @@
 //! assert!(hop_bytes(&matrix, &topo, &mapping) > 0.0);
 //! ```
 
+// `pub` means another crate (or a bin, test or example) calls it: everything
+// else is `pub(crate)` so `dead_code` can see it.  DESIGN.md, "Public surface".
+#![warn(unreachable_pub)]
+
 pub mod aggregate;
 pub mod matrix;
 pub mod metrics;
 pub mod patterns;
 pub mod sparse;
-
-pub use aggregate::{aggregate, Groups};
-pub use matrix::CommMatrix;
-pub use metrics::{hop_bytes, mapping_cost, traffic_breakdown, PuMapping, TrafficBreakdown};
-pub use patterns::StencilSpec;
-pub use sparse::SparseComm;

@@ -27,15 +27,6 @@ impl CommMatrix {
         CommMatrix { order, values: vec![0.0; order * order] }
     }
 
-    /// Creates a matrix from a row-major slice of length `order * order`.
-    ///
-    /// # Panics
-    /// Panics when the slice length is not `order * order`.
-    pub fn from_rows(order: usize, rows: &[f64]) -> Self {
-        assert_eq!(rows.len(), order * order, "row-major data must have order^2 entries");
-        CommMatrix { order, values: rows.to_vec() }
-    }
-
     /// Builds a matrix from `(src, dst, volume)` edges; repeated edges
     /// accumulate.
     pub fn from_edges(order: usize, edges: &[(usize, usize, f64)]) -> Self {
@@ -79,14 +70,6 @@ impl CommMatrix {
             t += self.get(i, j) + self.get(j, i);
         }
         t
-    }
-
-    /// All per-thread traffic sums at once: `traffic_sums()[i]` is
-    /// bit-identical to [`CommMatrix::traffic_of`]`(i)` (same accumulation
-    /// order).  Precompute this instead of calling `traffic_of` inside a
-    /// sort comparator, which would cost `O(p)` per comparison.
-    pub fn traffic_sums(&self) -> Vec<f64> {
-        (0..self.order).map(|i| self.traffic_of(i)).collect()
     }
 
     /// Calls `f(src, dst, volume)` for every non-zero entry, in row-major
@@ -141,21 +124,10 @@ impl CommMatrix {
     /// buffer (allocates only when capacity must grow).  The in-place
     /// counterpart of [`CommMatrix::zeros`] used by the aggregated level
     /// matrix that lives across placement levels.
-    pub fn reset_to_order(&mut self, order: usize) {
+    pub(crate) fn reset_to_order(&mut self, order: usize) {
         self.order = order;
         self.values.clear();
         self.values.resize(order * order, 0.0);
-    }
-
-    /// Returns a copy scaled so the largest entry is `1.0` (no-op on the
-    /// all-zero matrix).
-    pub fn normalized(&self) -> CommMatrix {
-        let max = self.values.iter().cloned().fold(0.0, f64::max);
-        if max == 0.0 {
-            return self.clone();
-        }
-        let values = self.values.iter().map(|v| v / max).collect();
-        CommMatrix { order: self.order, values }
     }
 
     /// Returns the matrix restricted to the rows/columns listed in `keep`,
@@ -242,35 +214,6 @@ impl CommMatrix {
         }
         self.scaled(1.0 / total)
     }
-
-    /// Serialises to a simple CSV text (one row per line, comma-separated).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        for i in 0..self.order {
-            let row: Vec<String> = (0..self.order).map(|j| format!("{}", self.get(i, j))).collect();
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parses the CSV text produced by [`CommMatrix::to_csv`].
-    pub fn from_csv(text: &str) -> Result<CommMatrix, String> {
-        let rows: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-        let order = rows.len();
-        let mut m = CommMatrix::zeros(order);
-        for (i, row) in rows.iter().enumerate() {
-            let cells: Vec<&str> = row.split(',').collect();
-            if cells.len() != order {
-                return Err(format!("row {i} has {} cells, expected {order}", cells.len()));
-            }
-            for (j, cell) in cells.iter().enumerate() {
-                let v: f64 = cell.trim().parse().map_err(|e| format!("row {i} col {j}: {e}"))?;
-                m.set(i, j, v);
-            }
-        }
-        Ok(m)
-    }
 }
 
 impl fmt::Debug for CommMatrix {
@@ -308,19 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn from_rows_and_edges_agree() {
-        let a = CommMatrix::from_rows(2, &[0.0, 1.0, 2.0, 0.0]);
-        let b = CommMatrix::from_edges(2, &[(0, 1, 1.0), (1, 0, 2.0)]);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic]
-    fn from_rows_rejects_bad_length() {
-        CommMatrix::from_rows(2, &[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
     fn symmetry_detection_and_symmetrization() {
         let m = CommMatrix::from_edges(3, &[(0, 1, 4.0), (1, 0, 2.0)]);
         assert!(!m.is_symmetric());
@@ -329,17 +259,6 @@ mod tests {
         assert_eq!(s.get(0, 1), 6.0);
         assert_eq!(s.get(1, 0), 6.0);
         assert_eq!(s.total_volume(), 12.0);
-    }
-
-    #[test]
-    fn normalization_scales_to_unit_max() {
-        let m = CommMatrix::from_edges(2, &[(0, 1, 10.0), (1, 0, 5.0)]);
-        let n = m.normalized();
-        assert_eq!(n.get(0, 1), 1.0);
-        assert_eq!(n.get(1, 0), 0.5);
-        // All-zero matrix stays unchanged.
-        let z = CommMatrix::zeros(4).normalized();
-        assert_eq!(z.total_volume(), 0.0);
     }
 
     #[test]
@@ -381,27 +300,6 @@ mod tests {
     #[should_panic]
     fn extended_cannot_shrink() {
         CommMatrix::zeros(4).extended(2);
-    }
-
-    #[test]
-    fn csv_roundtrip() {
-        let m = CommMatrix::from_edges(3, &[(0, 1, 1.5), (2, 0, 4.0)]);
-        let text = m.to_csv();
-        let back = CommMatrix::from_csv(&text).unwrap();
-        assert_eq!(m, back);
-        assert!(CommMatrix::from_csv("1,2\n3").is_err());
-        assert!(CommMatrix::from_csv("a,b\nc,d").is_err());
-        assert_eq!(CommMatrix::from_csv("").unwrap().order(), 0);
-    }
-
-    #[test]
-    fn traffic_sums_match_traffic_of_bitwise() {
-        let m = crate::patterns::random_symmetric(17, 0.7, 123.456, 5);
-        let sums = m.traffic_sums();
-        assert_eq!(sums.len(), 17);
-        for (i, &s) in sums.iter().enumerate() {
-            assert_eq!(s.to_bits(), m.traffic_of(i).to_bits(), "thread {i}");
-        }
     }
 
     #[test]

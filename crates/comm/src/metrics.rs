@@ -12,16 +12,11 @@ use orwl_topo::distance::{DistanceMatrix, LevelCosts};
 use orwl_topo::object::ObjectType;
 use orwl_topo::topology::Topology;
 
-/// A placement of threads onto processing units: `mapping[t]` is the OS
-/// index of the PU thread `t` runs on.  Several threads may share a PU
-/// (oversubscription).
-pub type PuMapping = Vec<usize>;
-
 /// Total communication cost of a mapping: `Σ m[i][j] · dist(pu_i, pu_j)`
 /// where `dist` is the relative per-byte cost from the topology-derived
 /// [`DistanceMatrix`].  Lower is better; `0` means all traffic stays on one
 /// core.
-pub fn mapping_cost(m: &CommMatrix, dist: &DistanceMatrix, mapping: &[usize]) -> f64 {
+pub(crate) fn mapping_cost(m: &CommMatrix, dist: &DistanceMatrix, mapping: &[usize]) -> f64 {
     assert!(mapping.len() >= m.order(), "mapping must cover every thread of the matrix");
     let mut cost = 0.0;
     m.for_each_nonzero(|i, j, v| cost += v * dist.cost(mapping[i], mapping[j]));
@@ -87,17 +82,6 @@ impl TrafficBreakdown {
             return 1.0;
         }
         (t - self.cross_numa - self.cross_node) / t
-    }
-
-    /// Fraction of the traffic that stays within one machine of a cluster
-    /// (`1.0` on single-machine topologies).  This is the quantity the
-    /// two-level placement's partitioning stage minimises the complement of.
-    pub fn intra_node_fraction(&self) -> f64 {
-        let t = self.total();
-        if t == 0.0 {
-            return 1.0;
-        }
-        (t - self.cross_node) / t
     }
 }
 
@@ -198,13 +182,11 @@ mod tests {
         assert_eq!(b.cross_node, link, "different nodes");
         assert_eq!(b.same_numa, 0.0);
         assert!((b.total() - m.total_volume()).abs() < 1e-9);
-        assert!((b.intra_node_fraction() - 0.5).abs() < 1e-9);
         assert_eq!(b.local_fraction(), 0.0);
         // On a single machine the same traffic is all intra-node.
         let single = synthetic::from_synthetic("single", "numa:4 core:2 pu:1").unwrap();
         let bs = traffic_breakdown(&m, &single, &[0, 2, 4]);
         assert_eq!(bs.cross_node, 0.0);
-        assert_eq!(bs.intra_node_fraction(), 1.0);
         assert_eq!(bs.cross_numa, m.total_volume());
     }
 

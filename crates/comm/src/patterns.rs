@@ -45,7 +45,7 @@ impl StencilSpec {
     }
 
     /// Linear task index of grid cell `(r, c)` in row-major order.
-    pub fn task_at(&self, r: usize, c: usize) -> usize {
+    pub(crate) fn task_at(&self, r: usize, c: usize) -> usize {
         r * self.cols + c
     }
 }

@@ -149,7 +149,7 @@ impl SparseComm {
     /// Calls `f(src, dst, volume)` for every non-zero entry of `M`, in
     /// row-major order — the same sequence as
     /// [`CommMatrix::for_each_nonzero`].
-    pub fn for_each_nonzero(&self, mut f: impl FnMut(usize, usize, f64)) {
+    pub(crate) fn for_each_nonzero(&self, mut f: impl FnMut(usize, usize, f64)) {
         for i in 0..self.order {
             for (j, v) in self.directed.iter_row(i) {
                 f(i, j, v);

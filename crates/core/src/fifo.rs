@@ -16,7 +16,6 @@
 use crate::request::{AccessMode, RequestState, RequestToken};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::time::Duration;
 
 #[derive(Debug)]
 struct Entry {
@@ -140,10 +139,6 @@ mod deadlock {
 struct FifoInner {
     queue: VecDeque<Entry>,
     next_seq: u64,
-    /// Total requests ever inserted (statistics).
-    inserted: u64,
-    /// Total requests released (statistics).
-    released: u64,
     /// Threads currently parked in [`LockFifo::acquire`] (debug builds):
     /// a release invalidates their wait-for registrations, because what
     /// they are blocked on just changed (they re-register on wake if still
@@ -177,32 +172,33 @@ impl FifoInner {
 
 /// A FIFO of ordered read-write lock requests (one per location).
 #[derive(Debug, Default)]
-pub struct LockFifo {
+pub(crate) struct LockFifo {
     inner: Mutex<FifoInner>,
     cond: Condvar,
 }
 
 impl LockFifo {
     /// Creates an empty FIFO.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Posts a new request at the tail of the FIFO and returns its token.
     /// The request starts in the [`RequestState::Requested`] state.
-    pub fn insert(&self, mode: AccessMode) -> RequestToken {
+    pub(crate) fn insert(&self, mode: AccessMode) -> RequestToken {
         let mut inner = self.inner.lock();
         let seq = inner.next_seq;
         inner.next_seq += 1;
-        inner.inserted += 1;
         inner.queue.push_back(Entry::new(seq, mode));
         RequestToken::new(seq, mode)
     }
 
     /// Non-blocking acquisition attempt: returns `true` (and marks the
     /// request allocated) when the request is grantable now.
-    /// Idempotent for already-allocated requests.
-    pub fn try_acquire(&self, token: &RequestToken) -> bool {
+    /// Idempotent for already-allocated requests.  The probe the grant-order
+    /// tests look at the queue with; the runtime only ever blocks.
+    #[cfg(test)]
+    pub(crate) fn try_acquire(&self, token: &RequestToken) -> bool {
         let mut inner = self.inner.lock();
         let Some(idx) = inner.position(token.seq()) else { return false };
         match inner.queue[idx].state {
@@ -224,7 +220,7 @@ impl LockFifo {
     /// In debug builds, a blocking acquire that would close a circular wait
     /// among parked handles panics with the cycle instead of deadlocking
     /// (see the `deadlock` module).
-    pub fn acquire(&self, token: &RequestToken) {
+    pub(crate) fn acquire(&self, token: &RequestToken) {
         let mut inner = self.inner.lock();
         #[cfg(debug_assertions)]
         let mut registered = false;
@@ -283,33 +279,12 @@ impl LockFifo {
         }
     }
 
-    /// Blocks until the request is granted or the timeout expires; returns
-    /// `true` when the request was granted.
-    pub fn acquire_timeout(&self, token: &RequestToken, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut inner = self.inner.lock();
-        loop {
-            let Some(idx) = inner.position(token.seq()) else { return false };
-            if inner.queue[idx].state == RequestState::Allocated {
-                return true;
-            }
-            if inner.queue[idx].state == RequestState::Requested && inner.grantable(idx) {
-                inner.queue[idx].state = RequestState::Allocated;
-                return true;
-            }
-            if self.cond.wait_until(&mut inner, deadline).timed_out() {
-                return false;
-            }
-        }
-    }
-
     /// Releases a request (whether it was acquired or still pending), wakes
     /// every waiter, and garbage-collects the released prefix of the queue.
-    pub fn release(&self, token: &RequestToken) {
+    pub(crate) fn release(&self, token: &RequestToken) {
         let mut inner = self.inner.lock();
         if let Some(idx) = inner.position(token.seq()) {
             inner.queue[idx].state = RequestState::Released;
-            inner.released += 1;
             inner.pop_released_prefix();
             // What this FIFO's parked threads are blocked on just changed:
             // their wait-for registrations are stale until they wake and
@@ -331,11 +306,10 @@ impl LockFifo {
     /// handle could slip its own re-posted request in between and invert the
     /// periodic schedule (e.g. a reader overtaking the writer it alternates
     /// with), breaking the deterministic ordering the model guarantees.
-    pub fn release_and_reinsert(&self, token: &RequestToken) -> RequestToken {
+    pub(crate) fn release_and_reinsert(&self, token: &RequestToken) -> RequestToken {
         let mut inner = self.inner.lock();
         if let Some(idx) = inner.position(token.seq()) {
             inner.queue[idx].state = RequestState::Released;
-            inner.released += 1;
             inner.pop_released_prefix();
             // See `release`: invalidate stale wait-for registrations.
             #[cfg(debug_assertions)]
@@ -345,7 +319,6 @@ impl LockFifo {
         }
         let seq = inner.next_seq;
         inner.next_seq += 1;
-        inner.inserted += 1;
         inner.queue.push_back(Entry::new(seq, token.mode()));
         drop(inner);
         self.cond.notify_all();
@@ -354,29 +327,22 @@ impl LockFifo {
 
     /// Current state of a request, `None` when the token has already left
     /// the queue.
-    pub fn state_of(&self, token: &RequestToken) -> Option<RequestState> {
+    #[cfg(test)]
+    pub(crate) fn state_of(&self, token: &RequestToken) -> Option<RequestState> {
         let inner = self.inner.lock();
         inner.position(token.seq()).map(|i| inner.queue[i].state)
     }
 
     /// Number of requests currently in the queue (any state).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().queue.len()
     }
 
     /// True when no request is queued.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Total number of requests ever inserted (statistics).
-    pub fn total_inserted(&self) -> u64 {
-        self.inner.lock().inserted
-    }
-
-    /// Total number of requests released (statistics).
-    pub fn total_released(&self) -> u64 {
-        self.inner.lock().released
     }
 }
 
@@ -396,8 +362,6 @@ mod tests {
         assert!(fifo.try_acquire(&t));
         fifo.release(&t);
         assert!(fifo.is_empty());
-        assert_eq!(fifo.total_inserted(), 1);
-        assert_eq!(fifo.total_released(), 1);
     }
 
     #[test]
@@ -464,18 +428,6 @@ mod tests {
     }
 
     #[test]
-    fn acquire_timeout_expires_when_blocked() {
-        let fifo = LockFifo::new();
-        let w1 = fifo.insert(AccessMode::Write);
-        let w2 = fifo.insert(AccessMode::Write);
-        assert!(fifo.try_acquire(&w1));
-        assert!(!fifo.acquire_timeout(&w2, Duration::from_millis(20)));
-        fifo.release(&w1);
-        assert!(fifo.acquire_timeout(&w2, Duration::from_millis(20)));
-        fifo.release(&w2);
-    }
-
-    #[test]
     fn blocking_acquire_wakes_up_across_threads() {
         let fifo = Arc::new(LockFifo::new());
         let w1 = fifo.insert(AccessMode::Write);
@@ -487,7 +439,7 @@ mod tests {
             f2.release(&w2);
             true
         });
-        std::thread::sleep(Duration::from_millis(30));
+        std::thread::sleep(std::time::Duration::from_millis(30));
         fifo.release(&w1);
         assert!(handle.join().unwrap());
         assert!(fifo.is_empty());

@@ -19,7 +19,7 @@ use crate::request::{AccessMode, RequestToken};
 use parking_lot::lock_api::{ArcRwLockReadGuard, ArcRwLockWriteGuard};
 use parking_lot::RawRwLock;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A task's handle on a location.
 #[derive(Debug)]
@@ -28,21 +28,17 @@ pub struct Handle<T> {
     mode: AccessMode,
     iterative: bool,
     pending: Option<RequestToken>,
-    /// Cumulated time spent blocked in `acquire` (statistics).
-    wait_time: Duration,
-    /// Number of successful acquisitions (statistics).
-    acquisitions: u64,
 }
 
 impl<T> Handle<T> {
     /// Creates a one-shot handle (requests must be re-posted manually).
-    pub fn new(location: Arc<Location<T>>, mode: AccessMode) -> Self {
-        Handle { location, mode, iterative: false, pending: None, wait_time: Duration::ZERO, acquisitions: 0 }
+    pub(crate) fn new(location: Arc<Location<T>>, mode: AccessMode) -> Self {
+        Handle { location, mode, iterative: false, pending: None }
     }
 
     /// Creates an iterative handle: every release re-posts a request.
-    pub fn new_iterative(location: Arc<Location<T>>, mode: AccessMode) -> Self {
-        Handle { location, mode, iterative: true, pending: None, wait_time: Duration::ZERO, acquisitions: 0 }
+    pub(crate) fn new_iterative(location: Arc<Location<T>>, mode: AccessMode) -> Self {
+        Handle { location, mode, iterative: true, pending: None }
     }
 
     /// The location this handle is attached to.
@@ -50,24 +46,10 @@ impl<T> Handle<T> {
         &self.location
     }
 
-    /// The access mode of this handle.
-    pub fn mode(&self) -> AccessMode {
-        self.mode
-    }
-
     /// True when a request is currently posted (or held).
-    pub fn has_pending_request(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has_pending_request(&self) -> bool {
         self.pending.is_some()
-    }
-
-    /// Total time spent blocked in [`Handle::acquire`].
-    pub fn total_wait_time(&self) -> Duration {
-        self.wait_time
-    }
-
-    /// Number of accesses granted so far.
-    pub fn acquisitions(&self) -> u64 {
-        self.acquisitions
     }
 
     /// Posts a request in the location's FIFO.
@@ -100,8 +82,6 @@ impl<T> Handle<T> {
         let start = Instant::now();
         self.location.fifo().acquire(&token);
         let waited = start.elapsed();
-        self.wait_time += waited;
-        self.acquisitions += 1;
         if orwl_obs::enabled() {
             orwl_obs::lock_wait(self.location.id().0, waited.as_nanos() as u64);
         }
@@ -114,8 +94,10 @@ impl<T> Handle<T> {
     }
 
     /// Non-blocking variant of [`Handle::acquire`]: returns `Ok(None)` when
-    /// the request is not grantable yet.
-    pub fn try_acquire(&mut self) -> Result<Option<OrwlGuard<'_, T>>, OrwlError> {
+    /// the request is not grantable yet.  The runtime only ever blocks; the
+    /// tests use it to look at a queue without parking.
+    #[cfg(test)]
+    pub(crate) fn try_acquire(&mut self) -> Result<Option<OrwlGuard<'_, T>>, OrwlError> {
         if self.pending.is_none() {
             if self.iterative {
                 self.request()?;
@@ -127,7 +109,6 @@ impl<T> Handle<T> {
         if !self.location.fifo().try_acquire(&token) {
             return Ok(None);
         }
-        self.acquisitions += 1;
         crate::monitor::on_lock_granted(self.location.id(), self.mode);
         let data = match self.mode {
             AccessMode::Read => GuardData::Read(self.location.data().read_arc()),
@@ -172,27 +153,11 @@ enum GuardData<T> {
 
 /// RAII guard giving access to a location's data while the lock is held.
 ///
-/// Dereference it to read; use [`OrwlGuard::as_mut`] (or `DerefMut`, which
-/// panics on read guards) to write.  Dropping the guard releases the lock
+/// Dereference it to read; `DerefMut` (which panics on read guards) writes.  Dropping the guard releases the lock
 /// and, for iterative handles, re-posts the next request.
 pub struct OrwlGuard<'a, T> {
     handle: &'a mut Handle<T>,
     data: Option<GuardData<T>>,
-}
-
-impl<T> OrwlGuard<'_, T> {
-    /// Mutable access to the data; `None` for read guards.
-    pub fn as_mut(&mut self) -> Option<&mut T> {
-        match self.data.as_mut() {
-            Some(GuardData::Write(g)) => Some(&mut *g),
-            _ => None,
-        }
-    }
-
-    /// The access mode this guard was obtained with.
-    pub fn mode(&self) -> AccessMode {
-        self.handle.mode
-    }
 }
 
 impl<T> std::ops::Deref for OrwlGuard<'_, T> {
@@ -243,21 +208,9 @@ mod tests {
             let mut g = h.acquire().unwrap();
             *g = 7;
             assert_eq!(*g, 7);
-            assert_eq!(g.mode(), AccessMode::Write);
         }
         assert!(!h.has_pending_request(), "one-shot handles do not re-post");
         assert_eq!(loc.snapshot(), 7);
-        assert_eq!(h.acquisitions(), 1);
-    }
-
-    #[test]
-    fn read_guard_cannot_write() {
-        let loc = Location::new("x", 5u32);
-        let mut h = loc.handle(AccessMode::Read);
-        h.request().unwrap();
-        let mut g = h.acquire().unwrap();
-        assert_eq!(*g, 5);
-        assert!(g.as_mut().is_none());
     }
 
     #[test]
@@ -281,7 +234,6 @@ mod tests {
             assert!(h.has_pending_request(), "iterative handle re-posts automatically");
         }
         assert_eq!(loc.snapshot(), 5);
-        assert_eq!(h.acquisitions(), 5);
         // The FIFO holds exactly the one re-posted request.
         assert_eq!(loc.fifo().len(), 1);
     }
@@ -376,25 +328,5 @@ mod tests {
             r.join().unwrap();
         }
         assert_eq!(loc.snapshot(), 200);
-    }
-
-    #[test]
-    fn wait_time_accumulates_when_contended() {
-        let loc = Location::new("x", 0u8);
-        let mut a = loc.handle(AccessMode::Write);
-        a.request().unwrap();
-        let guard = a.acquire().unwrap();
-        let loc2 = Arc::clone(&loc);
-        let t = thread::spawn(move || {
-            let mut b = loc2.handle(AccessMode::Write);
-            b.request().unwrap();
-            let g = b.acquire().unwrap();
-            drop(g);
-            b.total_wait_time()
-        });
-        thread::sleep(Duration::from_millis(30));
-        drop(guard);
-        let waited = t.join().unwrap();
-        assert!(waited >= Duration::from_millis(20), "waited {waited:?}");
     }
 }

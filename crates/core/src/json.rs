@@ -10,7 +10,7 @@
 //! `TrafficBreakdown` impl lives next to its type in `orwl-comm`; the
 //! orphan rule keeps it out of this crate.)
 
-pub use orwl_obs::json::{Json, JsonError, ToJson};
+pub use orwl_obs::json::{Json, ToJson};
 
 use crate::runtime::AdaptReport;
 use crate::session::{ClusterTraffic, Report, RunTime, ThreadDetails};

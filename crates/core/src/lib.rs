@@ -9,19 +9,19 @@
 //! ## The model
 //!
 //! * Shared state lives in [`Location`]s.  Every location owns a FIFO of
-//!   lock requests ([`fifo::LockFifo`]).
+//!   lock requests (`fifo::LockFifo`).
 //! * Tasks access locations through [`Handle`]s: they *post* a request,
 //!   *acquire* it when the FIFO grants it (writers exclusively, adjacent
 //!   readers together), and *release* it by dropping the guard.  Iterative
 //!   handles re-post automatically, producing the periodic, deadlock-free
 //!   schedules iterative ORWL applications are built on.
-//! * A program ([`OrwlProgram`]) declares, for every task, the locations it
+//! * A program ([`OrwlProgram`](task::OrwlProgram)) declares, for every task, the locations it
 //!   will use and the per-iteration volume — from which the runtime builds
 //!   the thread-to-thread communication matrix.
-//! * A [`Session`] (built with [`Session::builder`]) is the single front
+//! * A [`Session`](session::Session) (built with [`Session::builder`](session::Session::builder)) is the single front
 //!   door: it validates the configuration (topology, policy, control
-//!   threads, run mode) and executes workloads on an [`ExecutionBackend`] —
-//!   [`ThreadBackend`] for the real event runtime (one thread per task,
+//!   threads, run mode) and executes workloads on an [`ExecutionBackend`](session::ExecutionBackend) —
+//!   [`ThreadBackend`](session::ThreadBackend) for the real event runtime (one thread per task,
 //!   TreeMatch placement via crate `orwl-treematch`, binding via
 //!   [`orwl_topo::binding`]), or the NUMA simulator backend from
 //!   `orwl-adapt`.
@@ -60,9 +60,13 @@
 //! assert_eq!(report.thread.unwrap().stats.tasks_finished, 4);
 //! ```
 
+// `pub` means another crate (or a bin, test or example) calls it: everything
+// else is `pub(crate)` so `dead_code` can see it.  DESIGN.md, "Public surface".
+#![warn(unreachable_pub)]
+
 pub mod error;
-pub mod fifo;
-pub mod handle;
+mod fifo;
+mod handle;
 pub mod json;
 pub mod location;
 pub mod monitor;
@@ -73,29 +77,20 @@ pub mod session;
 pub mod stats;
 pub mod task;
 
-pub use error::{ConfigError, OrwlError};
-pub use handle::{Handle, OrwlGuard};
-pub use json::{Json, JsonError, ToJson};
+pub use handle::Handle;
 pub use location::{Location, LocationId};
-pub use monitor::{AccessSink, RebindPlan, SinkRegistration};
-pub use placement::{plan_placement, PlacementPlan};
-pub use request::{AccessMode, RequestState, RequestToken};
-pub use runtime::{AdaptReport, AdaptiveController, AdaptiveSpec};
-pub use session::{
-    ClusterTraffic, ExecutionBackend, Mode, Report, RunTime, Session, SessionBuilder, SessionConfig,
-    ThreadBackend, ThreadDetails, Workload,
-};
-pub use stats::{RuntimeStats, StatsSnapshot};
-pub use task::{LocationLink, OrwlProgram, TaskContext, TaskId, TaskSpec};
+pub use monitor::AccessSink;
+pub use request::AccessMode;
+pub use task::TaskId;
 
 /// Convenient glob import of the most commonly used items.
 pub mod prelude {
-    pub use crate::error::{ConfigError, OrwlError};
+    pub use crate::error::OrwlError;
     pub use crate::handle::Handle;
     pub use crate::location::Location;
     pub use crate::request::AccessMode;
     pub use crate::runtime::AdaptiveSpec;
-    pub use crate::session::{Mode, Report, RunTime, Session, ThreadBackend, Workload};
-    pub use crate::task::{LocationLink, OrwlProgram, TaskContext, TaskSpec};
+    pub use crate::session::{Mode, Report, Session, ThreadBackend};
+    pub use crate::task::{LocationLink, OrwlProgram, TaskSpec};
     pub use orwl_treematch::policies::Policy;
 }

@@ -1,6 +1,6 @@
 //! ORWL locations: the shared resources tasks synchronise on.
 //!
-//! A location pairs a data buffer with a [`LockFifo`] controlling access to
+//! A location pairs a data buffer with a `LockFifo` controlling access to
 //! it.  In the ORWL model every piece of shared state — a matrix block, a
 //! halo buffer, a reduction cell — is a location; tasks never share data any
 //! other way.
@@ -52,7 +52,7 @@ impl<T> Location<T> {
     }
 
     /// The request FIFO (exposed for instrumentation and tests).
-    pub fn fifo(&self) -> &LockFifo {
+    pub(crate) fn fifo(&self) -> &LockFifo {
         &self.fifo
     }
 

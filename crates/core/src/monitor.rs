@@ -8,14 +8,14 @@
 //! path.  Three pieces live here:
 //!
 //! * **task identity** — the runtime tags each computation thread with its
-//!   [`TaskId`] ([`enter_task`]); untagged threads (user code outside a
+//!   [`TaskId`] (`enter_task`); untagged threads (user code outside a
 //!   runtime, control threads) emit nothing;
 //! * **access sinks** — observers ([`AccessSink`]) registered for the
 //!   duration of a run ([`register_sink`]).  The registry is global because
 //!   handles are reachable from arbitrary user closures, but sinks are
 //!   expected to filter by [`LocationId`] (ids are process-unique), so
 //!   concurrent runtimes do not corrupt each other's measurements;
-//! * **cooperative re-binding** — a [`RebindPlan`] holding the current
+//! * **cooperative re-binding** — a `RebindPlan` holding the current
 //!   epoch's thread→PU assignment.  Threads cannot be re-bound from the
 //!   outside (`sched_setaffinity` binds the *calling* thread), so each task
 //!   thread checks the plan's epoch counter at every lock acquisition — a
@@ -80,7 +80,7 @@ impl Drop for SinkRegistration {
 /// The runtime's monitor thread [`publish`](RebindPlan::publish)es a new
 /// assignment; each task thread picks it up cooperatively at its next lock
 /// acquisition.
-pub struct RebindPlan {
+pub(crate) struct RebindPlan {
     epoch: AtomicU64,
     /// `assignments[task] = Some(pu)` pins, `None` leaves the thread alone.
     assignments: RwLock<Vec<Option<usize>>>,
@@ -100,7 +100,7 @@ impl fmt::Debug for RebindPlan {
 
 impl RebindPlan {
     /// Creates a plan for `n_tasks` threads with no pending re-binding.
-    pub fn new(n_tasks: usize, binder: Arc<dyn Binder>) -> Arc<Self> {
+    pub(crate) fn new(n_tasks: usize, binder: Arc<dyn Binder>) -> Arc<Self> {
         Arc::new(RebindPlan {
             epoch: AtomicU64::new(0),
             assignments: RwLock::new(vec![None; n_tasks]),
@@ -111,18 +111,18 @@ impl RebindPlan {
 
     /// Publishes a new assignment and advances the epoch so task threads
     /// re-bind at their next quiescent point.
-    pub fn publish(&self, assignments: Vec<Option<usize>>) {
+    pub(crate) fn publish(&self, assignments: Vec<Option<usize>>) {
         *self.assignments.write().unwrap_or_else(|e| e.into_inner()) = assignments;
         self.epoch.fetch_add(1, Ordering::Release);
     }
 
     /// The current epoch number (0 = initial placement, nothing published).
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
 
     /// Number of thread re-bindings actually applied by task threads.
-    pub fn rebinds_applied(&self) -> u64 {
+    pub(crate) fn rebinds_applied(&self) -> u64 {
         self.rebinds_applied.load(Ordering::Relaxed)
     }
 
@@ -154,7 +154,7 @@ thread_local! {
 
 /// RAII tag marking the current thread as executing `task`; created by the
 /// runtime when it spawns a computation thread.
-pub struct TaskGuard {
+pub(crate) struct TaskGuard {
     _priv: (),
 }
 
@@ -165,7 +165,7 @@ pub struct TaskGuard {
 /// plan's current epoch: a re-placement published before this thread got
 /// here must be applied at its first lock grant, since the thread bound
 /// itself from the by-then-stale initial placement.
-pub fn enter_task(task: TaskId, plan: Option<Arc<RebindPlan>>) -> TaskGuard {
+pub(crate) fn enter_task(task: TaskId, plan: Option<Arc<RebindPlan>>) -> TaskGuard {
     CURRENT_TASK.with(|c| c.set(Some(task)));
     SEEN_EPOCH.with(|c| c.set(0));
     REBIND_PLAN.with(|c| *c.borrow_mut() = plan);
@@ -180,11 +180,12 @@ impl Drop for TaskGuard {
 }
 
 /// The task id the calling thread is tagged with, if any.
-pub fn current_task() -> Option<TaskId> {
+#[cfg(test)]
+pub(crate) fn current_task() -> Option<TaskId> {
     CURRENT_TASK.with(|c| c.get())
 }
 
-/// The lock layer's hook: called by `Handle::{acquire, try_acquire}` after
+/// The lock layer's hook: called by `Handle::acquire` after
 /// a grant.  No-op on untagged threads; on tagged threads it applies any
 /// pending re-binding and notifies the registered sinks.
 pub(crate) fn on_lock_granted(location: LocationId, mode: AccessMode) {

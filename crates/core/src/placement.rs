@@ -65,7 +65,7 @@ impl PlacementPlan {
     /// keep their binding, unbound threads fall back to the cached
     /// round-robin OS guess.
     #[must_use]
-    pub fn effective_mapping(&self, topo: &Topology) -> Vec<usize> {
+    pub(crate) fn effective_mapping(&self, topo: &Topology) -> Vec<usize> {
         let cache = self.os_guess.get_or_init(|| OsGuessCache {
             topo_name: topo.name().to_string(),
             topo_spec: topo.level_spec().to_vec(),

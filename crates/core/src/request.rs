@@ -9,17 +9,10 @@ pub enum AccessMode {
     Write,
 }
 
-impl AccessMode {
-    /// True for [`AccessMode::Write`].
-    pub fn is_write(self) -> bool {
-        self == AccessMode::Write
-    }
-}
-
 /// Lifecycle of a request inside a location's FIFO, as in the ORWL model:
 /// `requested → allocated → released`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RequestState {
+pub(crate) enum RequestState {
     /// Posted, waiting for its turn.
     Requested,
     /// Granted: the owner may access the data.
@@ -31,7 +24,7 @@ pub enum RequestState {
 /// A token identifying one posted request.  Tokens are cheap to copy and
 /// only meaningful for the FIFO that issued them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RequestToken {
+pub(crate) struct RequestToken {
     seq: u64,
     mode: AccessMode,
 }
@@ -43,12 +36,12 @@ impl RequestToken {
 
     /// Position counter assigned at insertion (monotonically increasing per
     /// FIFO).
-    pub fn seq(&self) -> u64 {
+    pub(crate) fn seq(&self) -> u64 {
         self.seq
     }
 
     /// Access mode the request was posted with.
-    pub fn mode(&self) -> AccessMode {
+    pub(crate) fn mode(&self) -> AccessMode {
         self.mode
     }
 }
@@ -56,12 +49,6 @@ impl RequestToken {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mode_predicates() {
-        assert!(AccessMode::Write.is_write());
-        assert!(!AccessMode::Read.is_write());
-    }
 
     #[test]
     fn token_accessors() {

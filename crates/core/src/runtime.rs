@@ -69,10 +69,10 @@ pub struct AdaptiveSpec {
 impl AdaptiveSpec {
     /// Iterations per epoch used when a spec is built for the thread
     /// runtime without an explicit override.
-    pub const DEFAULT_EPOCH_ITERATIONS: usize = 4;
+    pub(crate) const DEFAULT_EPOCH_ITERATIONS: usize = 4;
     /// Wall-clock epoch used when a spec is built for a simulator backend
     /// without an explicit override.
-    pub const DEFAULT_EPOCH: Duration = Duration::from_millis(15);
+    pub(crate) const DEFAULT_EPOCH: Duration = Duration::from_millis(15);
 
     /// A spec for real-time backends: `controller` drives the adaptation,
     /// one epoch per `epoch` of wall time.

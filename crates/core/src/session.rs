@@ -114,24 +114,6 @@ pub enum Workload {
 }
 
 impl Workload {
-    /// True when the workload has no tasks to run.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        match self {
-            Workload::Program(p) => p.is_empty(),
-            Workload::Phased(w) => w.is_empty(),
-        }
-    }
-
-    /// Short machine-friendly name of the workload kind.
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Workload::Program(_) => "program",
-            Workload::Phased(_) => "phased",
-        }
-    }
-
     /// Structural validation run by [`Session::run`] before dispatch, so a
     /// malformed workload is a typed error rather than a downstream panic.
     fn validate(&self) -> Result<(), ConfigError> {
@@ -383,15 +365,9 @@ impl Session {
     }
 
     /// The validated settings.
-    #[must_use]
-    pub fn config(&self) -> &SessionConfig {
+    #[cfg(test)]
+    pub(crate) fn config(&self) -> &SessionConfig {
         &self.config
-    }
-
-    /// The backend's name.
-    #[must_use]
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
     }
 
     /// Runs a workload to completion and reports on the execution.
@@ -660,6 +636,9 @@ mod tests {
         let session = thread_session(Policy::NoBind);
         let err = session.run(OrwlProgram::new()).unwrap_err();
         assert_eq!(err, OrwlError::Config(ConfigError::EmptyProgram));
+        // So is a phased workload without phases, before any backend sees it.
+        let err = session.run(PhasedWorkload { phases: vec![] }).unwrap_err();
+        assert_eq!(err, OrwlError::Config(ConfigError::EmptyProgram));
     }
 
     #[test]
@@ -750,7 +729,6 @@ mod tests {
         assert_eq!(session.config().policy, Policy::TreeMatch);
         assert_eq!(session.config().control_threads, 1);
         assert_eq!(session.config().mode.name(), "static");
-        assert_eq!(session.backend_name(), "threads");
         assert!(format!("{session:?}").contains("threads"));
     }
 

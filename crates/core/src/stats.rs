@@ -2,7 +2,6 @@
 //! runtime itself.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// Lock-free counters updated concurrently by tasks and control threads.
 #[derive(Debug, Default)]
@@ -11,7 +10,6 @@ pub struct RuntimeStats {
     tasks_finished: AtomicU64,
     control_events: AtomicU64,
     lock_acquisitions: AtomicU64,
-    wait_nanos: AtomicU64,
 }
 
 impl RuntimeStats {
@@ -40,21 +38,6 @@ impl RuntimeStats {
         self.lock_acquisitions.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records time spent blocked waiting for a lock.
-    pub fn record_wait(&self, waited: Duration) {
-        self.wait_nanos.fetch_add(waited.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Merges a snapshot's counts into these counters (used when partial
-    /// runs or per-chunk stats blocks are folded into one run-wide block).
-    pub fn absorb(&self, snap: &StatsSnapshot) {
-        self.tasks_started.fetch_add(snap.tasks_started, Ordering::Relaxed);
-        self.tasks_finished.fetch_add(snap.tasks_finished, Ordering::Relaxed);
-        self.control_events.fetch_add(snap.control_events, Ordering::Relaxed);
-        self.lock_acquisitions.fetch_add(snap.lock_acquisitions, Ordering::Relaxed);
-        self.wait_nanos.fetch_add(snap.total_wait.as_nanos() as u64, Ordering::Relaxed);
-    }
-
     /// Takes an immutable snapshot of the counters.
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
@@ -62,7 +45,6 @@ impl RuntimeStats {
             tasks_finished: self.tasks_finished.load(Ordering::Relaxed),
             control_events: self.control_events.load(Ordering::Relaxed),
             lock_acquisitions: self.lock_acquisitions.load(Ordering::Relaxed),
-            total_wait: Duration::from_nanos(self.wait_nanos.load(Ordering::Relaxed)),
         }
     }
 }
@@ -78,32 +60,18 @@ pub struct StatsSnapshot {
     pub control_events: u64,
     /// Successful ORWL lock acquisitions reported by tasks.
     pub lock_acquisitions: u64,
-    /// Total time tasks spent blocked waiting for locks.
-    pub total_wait: Duration,
 }
 
 impl StatsSnapshot {
-    /// The element-wise sum of two snapshots.
-    #[must_use]
-    pub fn merged(&self, other: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            tasks_started: self.tasks_started + other.tasks_started,
-            tasks_finished: self.tasks_finished + other.tasks_finished,
-            control_events: self.control_events + other.control_events,
-            lock_acquisitions: self.lock_acquisitions + other.lock_acquisitions,
-            total_wait: self.total_wait + other.total_wait,
-        }
-    }
-
     /// Publishes the counters into an observability metrics registry (the
     /// registry generalises this block: same counts, plus histograms and
-    /// everything else the run recorded).
+    /// everything else the run recorded — the time spent waiting for locks is
+    /// its `lock_wait_ns` histogram).
     pub fn publish(&self, metrics: &orwl_obs::metrics::MetricsRegistry) {
         metrics.counter("tasks_started").add(self.tasks_started);
         metrics.counter("tasks_finished").add(self.tasks_finished);
         metrics.counter("control_events").add(self.control_events);
         metrics.counter("lock_acquisitions").add(self.lock_acquisitions);
-        metrics.counter("lock_wait_total_ns").add(self.total_wait.as_nanos() as u64);
     }
 }
 
@@ -120,14 +88,11 @@ mod tests {
         s.record_task_finished();
         s.record_control_event();
         s.record_acquisitions(5);
-        s.record_wait(Duration::from_millis(2));
-        s.record_wait(Duration::from_millis(3));
         let snap = s.snapshot();
         assert_eq!(snap.tasks_started, 2);
         assert_eq!(snap.tasks_finished, 1);
         assert_eq!(snap.control_events, 1);
         assert_eq!(snap.lock_acquisitions, 5);
-        assert_eq!(snap.total_wait, Duration::from_millis(5));
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub struct TaskContext {
 }
 
 /// The closure type executed by a task's thread.
-pub type TaskFn = Box<dyn FnOnce(&TaskContext) + Send + 'static>;
+pub(crate) type TaskFn = Box<dyn FnOnce(&TaskContext) + Send + 'static>;
 
 /// A complete ORWL program: tasks, their bodies and their links.
 #[derive(Default)]
@@ -100,7 +100,7 @@ impl OrwlProgram {
     }
 
     /// True when the program has no tasks.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.specs.is_empty()
     }
 
@@ -131,7 +131,7 @@ impl std::fmt::Debug for OrwlProgram {
 
 /// Builds the communication matrix of a set of task specs (see
 /// [`OrwlProgram::comm_matrix`]).
-pub fn build_comm_matrix(specs: &[TaskSpec]) -> CommMatrix {
+pub(crate) fn build_comm_matrix(specs: &[TaskSpec]) -> CommMatrix {
     let n = specs.len();
     let mut m = CommMatrix::zeros(n);
     // location -> (writers, readers) with their declared volumes.

@@ -1,6 +1,6 @@
 //! Race tests for the monitor's global access-sink list, which the runtime
-//! hangs off its hot path, plus the lock-free `RuntimeStats` merging used
-//! when per-chunk blocks fold into a run-wide one.
+//! hangs off its hot path, plus the lock-free `RuntimeStats` counters tasks
+//! and control threads update side by side.
 //!
 //! These tests churn registrations from many threads *while runs are
 //! executing* — the scenario the RAII registration design must survive:
@@ -11,7 +11,6 @@ use orwl_core::stats::{RuntimeStats, StatsSnapshot};
 use orwl_core::{AccessSink, LocationId, TaskId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 struct CountingSink(AtomicU64);
 
@@ -101,56 +100,40 @@ fn sink_churn_during_active_runs_neither_crashes_nor_leaks_observations() {
 }
 
 #[test]
-fn runtime_stats_merge_concurrently_without_losing_counts() {
-    // Writers hammer a shared block while absorbers concurrently fold
-    // fixed snapshots into it — the exact pattern of per-chunk stats being
-    // merged into the run-wide block while tasks still record.
+fn runtime_stats_count_concurrently_without_losing_updates() {
+    // Task threads and control threads hammer one shared block at the same
+    // time, each through its own recorders: no counter may tear or lose an
+    // update to a neighbour's.
     let stats = Arc::new(RuntimeStats::new());
-    let chunk = StatsSnapshot {
-        tasks_started: 2,
-        tasks_finished: 2,
-        control_events: 1,
-        lock_acquisitions: 10,
-        total_wait: Duration::from_nanos(500),
-    };
     let mut joins = Vec::new();
     for _ in 0..4 {
         let stats = Arc::clone(&stats);
         joins.push(std::thread::spawn(move || {
+            stats.record_task_started();
             for _ in 0..1000 {
-                stats.record_acquisitions(1);
-                stats.record_wait(Duration::from_nanos(3));
+                stats.record_acquisitions(3);
             }
+            stats.record_task_finished();
         }));
     }
     for _ in 0..4 {
         let stats = Arc::clone(&stats);
         joins.push(std::thread::spawn(move || {
             for _ in 0..250 {
-                stats.absorb(&chunk);
+                stats.record_control_event();
             }
         }));
     }
     for j in joins {
         j.join().unwrap();
     }
-    let snap = stats.snapshot();
-    assert_eq!(snap.lock_acquisitions, 4 * 1000 + 4 * 250 * 10);
-    assert_eq!(snap.tasks_started, 4 * 250 * 2);
-    assert_eq!(snap.control_events, 4 * 250);
-    assert_eq!(snap.total_wait, Duration::from_nanos(4 * 1000 * 3 + 4 * 250 * 500));
-
-    // merged() is the pure counterpart of absorb(): summing the same
-    // snapshots sequentially reaches the same totals.
-    let mut folded = StatsSnapshot {
-        tasks_started: 0,
-        tasks_finished: 0,
-        control_events: 0,
-        lock_acquisitions: 4000,
-        total_wait: Duration::from_nanos(12_000),
-    };
-    for _ in 0..1000 {
-        folded = folded.merged(&chunk);
-    }
-    assert_eq!(folded, snap);
+    assert_eq!(
+        stats.snapshot(),
+        StatsSnapshot {
+            tasks_started: 4,
+            tasks_finished: 4,
+            control_events: 4 * 250,
+            lock_acquisitions: 4 * 1000 * 3
+        }
+    );
 }

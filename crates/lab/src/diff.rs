@@ -18,7 +18,7 @@ use orwl_core::json::Json;
 use orwl_obs::diff::{diff_rows, Row};
 
 /// One disagreement between two artifacts.
-pub use orwl_obs::diff::RowDiff as DiffEntry;
+pub(crate) use orwl_obs::diff::RowDiff as DiffEntry;
 
 /// The numeric metric columns compared per matched row.  Key columns and
 /// non-schema extras (e.g. `placement_wall_seconds`, machine-dependent by

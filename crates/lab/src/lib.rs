@@ -6,7 +6,7 @@
 //! 1. **[`scenario`]** — the ScenarioSpec DSL: seven named workload
 //!    families (dense/rotated stencils, pipeline, all-to-all shuffle,
 //!    power-law graphs, phased drifting mixes, owner-skewed hotspots),
-//!    parameterised by task count, intensity, seed and phase schedule, each
+//!    parameterised by task count, seed and phase schedule, each
 //!    compiling deterministically into a [`PhasedWorkload`] for the
 //!    simulator backends or an [`OrwlProgram`] for the thread backend;
 //! 2. **[`trace`]** — trace capture and replay: per-epoch communication
@@ -29,6 +29,7 @@
 //!
 //! ```
 //! use orwl_lab::prelude::*;
+//! use orwl_lab::trace::capture_trace;
 //!
 //! // One scenario, compiled for a simulator backend...
 //! let spec = ScenarioSpec::new(ScenarioFamily::RotatedStencil, 16, 42);
@@ -52,26 +53,26 @@
 //! [`OrwlProgram`]: orwl_core::task::OrwlProgram
 //! [`Trace`]: trace::Trace
 
-pub mod diff;
+// `pub` means another crate (or a bin, test or example) calls it: everything
+// else is `pub(crate)` so `dead_code` can see it.  DESIGN.md, "Public surface".
+#![warn(unreachable_pub)]
+
+mod diff;
 pub mod report;
 pub mod scenario;
 pub mod sweep;
 pub mod trace;
 
-pub use diff::{diff_documents, DiffEntry};
-pub use report::{render_table, sweep_to_json, validate, SchemaError, SCHEMA_VERSION};
+pub use diff::diff_documents;
+pub use report::{sweep_to_json, validate, SCHEMA_VERSION};
 pub use scenario::{ScenarioFamily, ScenarioSpec};
-pub use sweep::{
-    default_sweep_threads, run_sweep, run_sweep_with_threads, BackendSpec, ModeKind, SweepConfig,
-    SweepResult, SweepRow, SweepSection,
-};
-pub use trace::{capture_trace, AccessTraceRecorder, Trace, TraceEpoch, TraceRecorder};
+pub use sweep::{run_sweep, run_sweep_with_threads, SweepConfig, SweepResult};
+pub use trace::Trace;
 
 /// The usual lab imports.
 pub mod prelude {
     pub use crate::report::{render_table, sweep_to_json, validate, SCHEMA_VERSION};
     pub use crate::scenario::{ScenarioFamily, ScenarioSpec};
-    pub use crate::sweep::{run_sweep, BackendSpec, ModeKind, SweepConfig, SweepResult};
-    pub use crate::trace::{capture_trace, Trace, TraceRecorder};
+    pub use crate::sweep::{run_sweep, BackendSpec, ModeKind, SweepConfig};
     pub use orwl_treematch::policies::Policy;
 }

@@ -1,8 +1,8 @@
 //! The ScenarioSpec DSL: deterministic, seeded generators for named
 //! workload families.
 //!
-//! A [`ScenarioSpec`] is a small value — family, task count, intensity,
-//! seed, phase schedule — that *compiles* into concrete workloads for any
+//! A [`ScenarioSpec`] is a small value — family, task count, seed, phase
+//! schedule — that *compiles* into concrete workloads for any
 //! `Session` backend:
 //!
 //! * [`ScenarioSpec::workload`] — a [`PhasedWorkload`] for the simulator
@@ -30,8 +30,8 @@ pub const PRIVATE_BYTES_PER_TASK: f64 = 131072.0;
 
 /// The named workload families of the lab.
 ///
-/// Each family is a distinct communication *shape*; the spec's task count,
-/// intensity and seed parameterise it.  `is_drifting` families change their
+/// Each family is a distinct communication *shape*; the spec's task count
+/// and seed parameterise it.  The drifting families change their
 /// matrix across phases (the adaptive-placement test beds), the others keep
 /// one matrix and use the phase schedule only as an iteration count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -71,7 +71,7 @@ impl ScenarioFamily {
 
     /// Short machine-friendly name (used in reports and JSON rows).
     #[must_use]
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             ScenarioFamily::DenseStencil => "dense_stencil",
             ScenarioFamily::RotatedStencil => "rotated_stencil",
@@ -84,15 +84,15 @@ impl ScenarioFamily {
     }
 
     /// True when the family's matrix changes across phases.
-    #[must_use]
-    pub fn is_drifting(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_drifting(&self) -> bool {
         matches!(self, ScenarioFamily::RotatedStencil | ScenarioFamily::DriftMix)
     }
 
     /// True when the family lives on a square task grid (its effective
     /// task count is a perfect square).
     #[must_use]
-    pub fn is_square(&self) -> bool {
+    pub(crate) fn is_square(&self) -> bool {
         matches!(
             self,
             ScenarioFamily::DenseStencil | ScenarioFamily::RotatedStencil | ScenarioFamily::DriftMix
@@ -103,7 +103,7 @@ impl ScenarioFamily {
     /// several phases, stationary ones a single phase of the same total
     /// length.
     #[must_use]
-    pub fn default_phases(&self) -> Vec<usize> {
+    pub(crate) fn default_phases(&self) -> Vec<usize> {
         match self {
             ScenarioFamily::RotatedStencil => vec![12, 28],
             ScenarioFamily::DriftMix => vec![10, 10, 10, 10],
@@ -121,8 +121,6 @@ pub struct ScenarioSpec {
     /// Requested task count (stencil families round down to a square; use
     /// [`n_tasks`](ScenarioSpec::n_tasks) for the effective count).
     pub tasks: usize,
-    /// Volume scale: 1.0 is the calibrated evaluation intensity.
-    pub intensity: f64,
     /// Seed for the irregular families (power-law wiring, hotspot owners).
     pub seed: u64,
     /// Iterations per phase; drifting families change their matrix at each
@@ -131,10 +129,10 @@ pub struct ScenarioSpec {
 }
 
 impl ScenarioSpec {
-    /// A spec with the family's default phase schedule, intensity 1.
+    /// A spec with the family's default phase schedule.
     #[must_use]
     pub fn new(family: ScenarioFamily, tasks: usize, seed: u64) -> Self {
-        ScenarioSpec { family, tasks, intensity: 1.0, seed, phase_iterations: family.default_phases() }
+        ScenarioSpec { family, tasks, seed, phase_iterations: family.default_phases() }
     }
 
     /// The full catalog: one default spec per family, sharing `tasks` and
@@ -147,7 +145,7 @@ impl ScenarioSpec {
     /// Same spec with a different task count (used by oversubscription
     /// grids that derive the count from the machine).
     #[must_use]
-    pub fn with_tasks(mut self, tasks: usize) -> Self {
+    pub(crate) fn with_tasks(mut self, tasks: usize) -> Self {
         self.tasks = tasks;
         self
     }
@@ -156,13 +154,6 @@ impl ScenarioSpec {
     #[must_use]
     pub fn with_phases(mut self, phase_iterations: Vec<usize>) -> Self {
         self.phase_iterations = phase_iterations;
-        self
-    }
-
-    /// Same spec with a different intensity.
-    #[must_use]
-    pub fn with_intensity(mut self, intensity: f64) -> Self {
-        self.intensity = intensity;
         self
     }
 
@@ -191,7 +182,6 @@ impl ScenarioSpec {
     /// repeat the last one).  Every matrix is symmetric.
     #[must_use]
     pub fn phase_matrix(&self, k: usize) -> CommMatrix {
-        let i = self.intensity;
         let n = self.n_tasks();
         let side = self.side();
         let phases = self.phase_iterations.len().max(1);
@@ -201,13 +191,13 @@ impl ScenarioSpec {
                 let spec = patterns::StencilSpec {
                     rows: side,
                     cols: side,
-                    edge_volume: 65536.0 * i,
-                    corner_volume: 1024.0 * i,
+                    edge_volume: 65536.0,
+                    corner_volume: 1024.0,
                 };
                 patterns::stencil_2d(&spec)
             }
             ScenarioFamily::RotatedStencil => {
-                let (a, b) = patterns::rotating_sweep_matrices(side, 65536.0 * i, 1024.0 * i);
+                let (a, b) = patterns::rotating_sweep_matrices(side, 65536.0, 1024.0);
                 if k.is_multiple_of(2) {
                     a
                 } else {
@@ -215,23 +205,21 @@ impl ScenarioSpec {
                 }
             }
             ScenarioFamily::Pipeline => {
-                let mut m = patterns::chain(n, 65536.0 * i);
-                let feedback = patterns::ring(n, 1024.0 * i).symmetrized();
+                let mut m = patterns::chain(n, 65536.0);
+                let feedback = patterns::ring(n, 1024.0).symmetrized();
                 m.add_scaled(&feedback, 1.0);
                 m
             }
-            ScenarioFamily::Shuffle => patterns::all_to_all(n, 2048.0 * i),
-            ScenarioFamily::PowerLaw => patterns::power_law(n, 3, 16384.0 * i, self.seed),
+            ScenarioFamily::Shuffle => patterns::all_to_all(n, 2048.0),
+            ScenarioFamily::PowerLaw => patterns::power_law(n, 3, 16384.0, self.seed),
             ScenarioFamily::DriftMix => {
                 let stencil =
                     ScenarioSpec { family: ScenarioFamily::DenseStencil, ..self.clone() }.phase_matrix(0);
-                let hot = patterns::hotspot(n, (n / 8).max(1), 1024.0 * i, 65536.0 * i, self.seed);
+                let hot = patterns::hotspot(n, (n / 8).max(1), 1024.0, 65536.0, self.seed);
                 let t = if phases == 1 { 0.0 } else { k as f64 / (phases - 1) as f64 };
                 patterns::blend(&stencil, &hot, t)
             }
-            ScenarioFamily::Hotspot => {
-                patterns::hotspot(n, (n / 8).max(1), 1024.0 * i, 65536.0 * i, self.seed)
-            }
+            ScenarioFamily::Hotspot => patterns::hotspot(n, (n / 8).max(1), 1024.0, 65536.0, self.seed),
         }
     }
 
@@ -347,14 +335,6 @@ mod tests {
                 assert!(ms.windows(2).all(|w| w[0] == w[1]), "{family:?} must be stationary");
             }
         }
-    }
-
-    #[test]
-    fn intensity_scales_volume_linearly() {
-        let base = ScenarioSpec::new(ScenarioFamily::DenseStencil, 16, 1);
-        let double = base.clone().with_intensity(2.0);
-        let (b, d) = (base.phase_matrix(0), double.phase_matrix(0));
-        assert!((d.total_volume() - 2.0 * b.total_volume()).abs() < 1e-6);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub enum ModeKind {
 impl ModeKind {
     /// Machine-friendly name, identical to [`Mode::name`].
     #[must_use]
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             ModeKind::Static => "static",
             ModeKind::Adaptive => "adaptive",
@@ -89,7 +89,7 @@ pub enum BackendSpec {
 impl BackendSpec {
     /// The `Report::backend` name this spec produces.
     #[must_use]
-    pub fn backend_name(&self) -> &'static str {
+    pub(crate) fn backend_name(&self) -> &'static str {
         match self {
             BackendSpec::Threads => "threads",
             BackendSpec::NumaSim { .. } => "numasim",
@@ -99,7 +99,7 @@ impl BackendSpec {
 
     /// True when the backend can execute the mode.
     #[must_use]
-    pub fn supports(&self, mode: ModeKind) -> bool {
+    pub(crate) fn supports(&self, mode: ModeKind) -> bool {
         match self {
             // The thread backend has no oracle (no future knowledge) and
             // its adaptive mode needs an external controller — the sweep
@@ -123,7 +123,7 @@ pub struct SweepSection {
     /// The policy axis (Scatter and TreeMatch baselines are added
     /// automatically).
     pub policies: Vec<Policy>,
-    /// The mode axis (filtered per backend by [`BackendSpec::supports`]).
+    /// The mode axis (filtered per backend by `BackendSpec::supports`).
     pub modes: Vec<ModeKind>,
 }
 

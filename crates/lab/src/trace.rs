@@ -172,13 +172,13 @@ pub struct TraceRecorder {
 impl TraceRecorder {
     /// A recorder for `n_tasks` tasks with an empty first epoch.
     #[must_use]
-    pub fn new(n_tasks: usize) -> Self {
+    pub(crate) fn new(n_tasks: usize) -> Self {
         TraceRecorder { current: CommMatrix::zeros(n_tasks), iterations: 0, epochs: Vec::new() }
     }
 
     /// Closes the current epoch (no-op when nothing was observed and no
     /// iteration ran).
-    pub fn roll_epoch(&mut self) {
+    pub(crate) fn roll_epoch(&mut self) {
         if self.iterations == 0 && self.current.total_volume() == 0.0 {
             return;
         }
@@ -190,7 +190,7 @@ impl TraceRecorder {
 
     /// Finishes the recording into a [`Trace`] labelled `source`.
     #[must_use]
-    pub fn finish(mut self, source: impl Into<String>) -> Trace {
+    pub(crate) fn finish(mut self, source: impl Into<String>) -> Trace {
         self.roll_epoch();
         Trace { n_tasks: self.current.order(), source: source.into(), epochs: self.epochs }
     }
@@ -265,9 +265,8 @@ pub fn capture_cluster_trace(
 /// writer** to *t*.
 ///
 /// The recorder observes whatever the runtime monitor emits — register it
-/// with [`orwl_core::monitor::register_sink`] around a `Session` run, call
-/// [`roll_epoch`](AccessTraceRecorder::roll_epoch) at the cadence you want,
-/// then [`finish`](AccessTraceRecorder::finish).
+/// with [`orwl_core::monitor::register_sink`] around a `Session` run, then
+/// [`finish`](AccessTraceRecorder::finish) it into a one-epoch trace.
 pub struct AccessTraceRecorder {
     inner: Mutex<AccessState>,
     bytes_per_access: f64,
@@ -298,7 +297,8 @@ impl AccessTraceRecorder {
 
     /// Closes the current epoch (recorded with `iterations == 1`: the
     /// thread runtime has no iteration counter, so an epoch is the unit).
-    pub fn roll_epoch(&self) {
+    #[cfg(test)]
+    pub(crate) fn roll_epoch(&self) {
         self.inner.lock().expect("access recorder poisoned").recorder.roll_epoch();
     }
 

@@ -13,7 +13,7 @@ use std::ops::Range;
 
 /// The eight neighbour directions of a block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Direction {
+pub(crate) enum Direction {
     /// Row above.
     North,
     /// Row below.
@@ -34,7 +34,7 @@ pub enum Direction {
 
 impl Direction {
     /// All eight directions, edges first.
-    pub fn all() -> [Direction; 8] {
+    pub(crate) fn all() -> [Direction; 8] {
         [
             Direction::North,
             Direction::South,
@@ -48,7 +48,7 @@ impl Direction {
     }
 
     /// The `(row, col)` offset of the neighbouring block in this direction.
-    pub fn offset(self) -> (isize, isize) {
+    pub(crate) fn offset(self) -> (isize, isize) {
         match self {
             Direction::North => (-1, 0),
             Direction::South => (1, 0),
@@ -62,7 +62,7 @@ impl Direction {
     }
 
     /// The direction a neighbour uses to refer back to this block.
-    pub fn opposite(self) -> Direction {
+    pub(crate) fn opposite(self) -> Direction {
         match self {
             Direction::North => Direction::South,
             Direction::South => Direction::North,
@@ -76,7 +76,7 @@ impl Direction {
     }
 
     /// True for the four corner directions.
-    pub fn is_corner(self) -> bool {
+    pub(crate) fn is_corner(self) -> bool {
         matches!(
             self,
             Direction::NorthEast | Direction::NorthWest | Direction::SouthEast | Direction::SouthWest
@@ -123,27 +123,27 @@ impl BlockDecomposition {
     }
 
     /// Linear index of block `(bi, bj)`.
-    pub fn block_index(&self, bi: usize, bj: usize) -> usize {
+    pub(crate) fn block_index(&self, bi: usize, bj: usize) -> usize {
         bi * self.blocks_c + bj
     }
 
     /// Block coordinates of a linear index.
-    pub fn block_coords(&self, idx: usize) -> (usize, usize) {
+    pub(crate) fn block_coords(&self, idx: usize) -> (usize, usize) {
         (idx / self.blocks_c, idx % self.blocks_c)
     }
 
     /// Global row range of block row `bi`.
-    pub fn row_range(&self, bi: usize) -> Range<usize> {
+    pub(crate) fn row_range(&self, bi: usize) -> Range<usize> {
         split_range(self.grid_rows, self.blocks_r, bi)
     }
 
     /// Global column range of block column `bj`.
-    pub fn col_range(&self, bj: usize) -> Range<usize> {
+    pub(crate) fn col_range(&self, bj: usize) -> Range<usize> {
         split_range(self.grid_cols, self.blocks_c, bj)
     }
 
     /// The neighbour of block `idx` in the given direction, if it exists.
-    pub fn neighbor(&self, idx: usize, dir: Direction) -> Option<usize> {
+    pub(crate) fn neighbor(&self, idx: usize, dir: Direction) -> Option<usize> {
         let (bi, bj) = self.block_coords(idx);
         let (dr, dc) = dir.offset();
         let ni = bi as isize + dr;
@@ -237,13 +237,13 @@ impl BlockView {
 
     /// Interior cell accessor (`r` in `0..rows`, `c` in `0..cols`).
     #[inline]
-    pub fn interior(&self, r: usize, c: usize) -> f64 {
+    pub(crate) fn interior(&self, r: usize, c: usize) -> f64 {
         self.data[self.idx(r + 1, c + 1)]
     }
 
     /// Interior cell mutator.
     #[inline]
-    pub fn set_interior(&mut self, r: usize, c: usize, v: f64) {
+    pub(crate) fn set_interior(&mut self, r: usize, c: usize, v: f64) {
         let i = self.idx(r + 1, c + 1);
         self.data[i] = v;
     }
@@ -252,7 +252,7 @@ impl BlockView {
     /// interior row/column (edges) or cell (corners), in increasing
     /// row/column order.  This is what the block *exports* to its
     /// neighbours.
-    pub fn edge(&self, dir: Direction) -> Vec<f64> {
+    pub(crate) fn edge(&self, dir: Direction) -> Vec<f64> {
         match dir {
             Direction::North => (0..self.cols).map(|c| self.interior(0, c)).collect(),
             Direction::South => (0..self.cols).map(|c| self.interior(self.rows - 1, c)).collect(),
@@ -271,7 +271,7 @@ impl BlockView {
     /// # Panics
     /// Panics when the slice length does not match the edge length
     /// (edges: `cols`/`rows` elements, corners: 1 element).
-    pub fn set_ghost(&mut self, dir: Direction, values: &[f64]) {
+    pub(crate) fn set_ghost(&mut self, dir: Direction, values: &[f64]) {
         match dir {
             Direction::North => {
                 assert_eq!(values.len(), self.cols);
@@ -366,7 +366,7 @@ impl BlockView {
     }
 
     /// Bytes of one edge exchange in a direction (`f64` elements).
-    pub fn edge_bytes(&self, dir: Direction) -> f64 {
+    pub(crate) fn edge_bytes(&self, dir: Direction) -> f64 {
         (self.edge(dir).len() * std::mem::size_of::<f64>()) as f64
     }
 }

@@ -26,7 +26,7 @@ use orwl_treematch::control::ControlThreadSpec;
 /// Bytes streamed from memory per grid point and per sweep in the simulator
 /// model: `ZA` (read + write) plus the five coefficient fields `ZR`, `ZB`,
 /// `ZU`, `ZV`, `ZZ`, eight bytes each.
-pub const SIM_BYTES_PER_POINT: f64 = 56.0;
+pub(crate) const SIM_BYTES_PER_POINT: f64 = 56.0;
 
 /// A Livermore Kernel 23 workload description.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,12 +55,12 @@ impl Lk23Workload {
     }
 
     /// Number of block tasks.
-    pub fn n_tasks(&self) -> usize {
+    pub(crate) fn n_tasks(&self) -> usize {
         self.blocks_r * self.blocks_c
     }
 
     /// The block decomposition geometry.
-    pub fn decomposition(&self) -> BlockDecomposition {
+    pub(crate) fn decomposition(&self) -> BlockDecomposition {
         BlockDecomposition::new(self.matrix_size, self.matrix_size, self.blocks_r, self.blocks_c)
             .expect("workload dimensions are valid")
     }
@@ -72,7 +72,7 @@ impl Lk23Workload {
 
     /// The per-iteration task graph fed to the simulator.
     ///
-    /// Each grid point streams [`SIM_BYTES_PER_POINT`] bytes per sweep: the
+    /// Each grid point streams `SIM_BYTES_PER_POINT` bytes per sweep: the
     /// old and new `ZA` values plus the five coefficient fields of the
     /// original kernel (7 × 8 bytes), which is what the real memory system
     /// would move even though the Rust kernel recomputes the coefficients.
@@ -125,13 +125,8 @@ pub enum ImplKind {
 }
 
 impl ImplKind {
-    /// All three implementations, in the order the paper plots them.
-    pub fn all() -> [ImplKind; 3] {
-        [ImplKind::OpenMp, ImplKind::OrwlNoBind, ImplKind::OrwlBind]
-    }
-
     /// Short label used in reports.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             ImplKind::OrwlBind => "orwl-bind",
             ImplKind::OrwlNoBind => "orwl-nobind",
@@ -142,7 +137,7 @@ impl ImplKind {
 
 /// Builds the execution scenario of an implementation for `workload` on
 /// `machine`.
-pub fn build_scenario(
+pub(crate) fn build_scenario(
     machine: &SimMachine,
     workload: &Lk23Workload,
     kind: ImplKind,
@@ -209,7 +204,8 @@ mod tests {
 
     #[test]
     fn implementations_have_distinct_labels() {
-        let labels: std::collections::HashSet<&str> = ImplKind::all().iter().map(|k| k.label()).collect();
+        let kinds = [ImplKind::OpenMp, ImplKind::OrwlNoBind, ImplKind::OrwlBind];
+        let labels: std::collections::HashSet<&str> = kinds.iter().map(|k| k.label()).collect();
         assert_eq!(labels.len(), 3);
     }
 

@@ -29,7 +29,7 @@ pub struct LinkCosts {
 
 impl LinkCosts {
     /// Picks the cost matching the deepest shared object type.
-    pub fn for_shared_type(&self, ty: Option<ObjectType>) -> f64 {
+    pub(crate) fn for_shared_type(&self, ty: Option<ObjectType>) -> f64 {
         match ty {
             Some(ObjectType::Core) | Some(ObjectType::PU) => self.same_core,
             Some(ObjectType::L1Cache) | Some(ObjectType::L2Cache) => self.shared_l2,
@@ -100,7 +100,8 @@ impl CostParams {
 
     /// A fast, exaggerated parameter set for unit tests: big NUMA penalties
     /// and tiny compute so locality effects dominate and tests run quickly.
-    pub fn test_exaggerated() -> Self {
+    #[cfg(test)]
+    pub(crate) fn test_exaggerated() -> Self {
         CostParams {
             sec_per_element: 1.0e-9,
             local_byte_cost: 1.0e-9,
@@ -139,13 +140,8 @@ pub struct FabricLink {
 
 impl FabricLink {
     /// Seconds per byte streamed over the link.
-    pub fn per_byte(&self) -> f64 {
+    pub(crate) fn per_byte(&self) -> f64 {
         1.0 / self.bandwidth
-    }
-
-    /// Time for one message of `bytes` payload: latency + serialisation.
-    pub fn transfer_time(&self, bytes: f64) -> f64 {
-        self.latency + bytes * self.per_byte()
     }
 }
 
@@ -177,19 +173,9 @@ impl FabricParams {
         }
     }
 
-    /// Exaggerated constants for unit tests: fabric crossings are so
-    /// expensive that node-placement effects dominate everything else.
-    pub fn test_exaggerated() -> Self {
-        FabricParams {
-            same_rack: FabricLink { latency: 50.0e-6, bandwidth: 0.05e9 },
-            cross_rack: FabricLink { latency: 200.0e-6, bandwidth: 0.0125e9 },
-            aggregate_bandwidth: 0.25e9,
-        }
-    }
-
     /// The link serving a fabric class; `None` for
     /// [`FabricClass::SameNode`], which crosses no fabric.
-    pub fn link(&self, class: FabricClass) -> Option<FabricLink> {
+    pub(crate) fn link(&self, class: FabricClass) -> Option<FabricLink> {
         match class {
             FabricClass::SameNode => None,
             FabricClass::SameRack => Some(self.same_rack),
@@ -205,13 +191,6 @@ impl FabricParams {
     /// One-way latency of the given class (`0` within a node).
     pub fn latency(&self, class: FabricClass) -> f64 {
         self.link(class).map_or(0.0, |l| l.latency)
-    }
-
-    /// Time for one `bytes`-payload message over the given class (`0`
-    /// within a node — intra-node transfers are priced by
-    /// [`LinkCosts`], not by the fabric).
-    pub fn transfer_time(&self, bytes: f64, class: FabricClass) -> f64 {
-        self.link(class).map_or(0.0, |l| l.transfer_time(bytes))
     }
 }
 
@@ -248,33 +227,17 @@ mod tests {
 
     #[test]
     fn fabric_links_are_ordered_and_slower_than_on_node_links() {
-        for (params, fabric) in [
-            (CostParams::cluster2016(), FabricParams::cluster2016()),
-            (CostParams::test_exaggerated(), FabricParams::test_exaggerated()),
-        ] {
-            // Per-byte: on-node remote-NUMA < same-rack fabric < cross-rack.
-            assert!(params.link.remote_numa < fabric.per_byte(FabricClass::SameRack));
-            assert!(fabric.per_byte(FabricClass::SameRack) < fabric.per_byte(FabricClass::CrossRack));
-            // Latency ordering and the free same-node class.
-            assert!(fabric.latency(FabricClass::SameRack) < fabric.latency(FabricClass::CrossRack));
-            assert_eq!(fabric.per_byte(FabricClass::SameNode), 0.0);
-            assert_eq!(fabric.latency(FabricClass::SameNode), 0.0);
-            assert_eq!(fabric.transfer_time(1.0e6, FabricClass::SameNode), 0.0);
-            assert!(fabric.link(FabricClass::SameNode).is_none());
-            assert!(fabric.aggregate_bandwidth > 0.0);
-        }
-    }
-
-    #[test]
-    fn fabric_transfer_time_combines_latency_and_serialisation() {
-        let fabric = FabricParams::cluster2016();
-        let link = fabric.link(FabricClass::SameRack).unwrap();
-        let t = fabric.transfer_time(1.0e6, FabricClass::SameRack);
-        assert!((t - (link.latency + 1.0e6 / link.bandwidth)).abs() < 1e-15);
-        // Latency dominates small messages, bandwidth dominates large ones.
-        assert!(fabric.transfer_time(1.0, FabricClass::SameRack) < 2.0 * link.latency);
-        assert!(fabric.transfer_time(1.0e9, FabricClass::SameRack) > 100.0 * link.latency);
+        let (params, fabric) = (CostParams::cluster2016(), FabricParams::cluster2016());
         assert_eq!(FabricParams::default(), fabric);
+        // Per-byte: on-node remote-NUMA < same-rack fabric < cross-rack.
+        assert!(params.link.remote_numa < fabric.per_byte(FabricClass::SameRack));
+        assert!(fabric.per_byte(FabricClass::SameRack) < fabric.per_byte(FabricClass::CrossRack));
+        // Latency ordering and the free same-node class.
+        assert!(fabric.latency(FabricClass::SameRack) < fabric.latency(FabricClass::CrossRack));
+        assert_eq!(fabric.per_byte(FabricClass::SameNode), 0.0);
+        assert_eq!(fabric.latency(FabricClass::SameNode), 0.0);
+        assert!(fabric.link(FabricClass::SameNode).is_none());
+        assert!(fabric.aggregate_bandwidth > 0.0);
     }
 
     #[test]

@@ -79,17 +79,6 @@ pub struct SimReport {
     pub label: String,
 }
 
-impl SimReport {
-    /// Mean iteration time.
-    pub fn mean_iteration_time(&self) -> f64 {
-        if self.iteration_times.is_empty() {
-            0.0
-        } else {
-            self.iteration_times.iter().sum::<f64>() / self.iteration_times.len() as f64
-        }
-    }
-}
-
 /// Simulates `iterations` iterations of `graph` under `scenario`.
 ///
 /// # Panics
@@ -275,7 +264,6 @@ mod tests {
         let r = simulate(&m, &g, &s, 0);
         assert_eq!(r.total_time, 0.0);
         assert!(r.iteration_times.is_empty());
-        assert_eq!(r.mean_iteration_time(), 0.0);
     }
 
     #[test]

@@ -22,7 +22,11 @@
 //! # Example: one socket vs four sockets
 //!
 //! ```
-//! use orwl_numasim::prelude::*;
+//! use orwl_numasim::costmodel::CostParams;
+//! use orwl_numasim::exec::simulate;
+//! use orwl_numasim::machine::SimMachine;
+//! use orwl_numasim::scenario::ExecutionScenario;
+//! use orwl_numasim::taskgraph::TaskGraph;
 //! use orwl_comm::patterns::StencilSpec;
 //! use orwl_topo::synthetic;
 //!
@@ -43,25 +47,13 @@
 //! assert!(t_bound < t_openmp);
 //! ```
 
+// `pub` means another crate (or a bin, test or example) calls it: everything
+// else is `pub(crate)` so `dead_code` can see it.  DESIGN.md, "Public surface".
+#![warn(unreachable_pub)]
+
 pub mod costmodel;
 pub mod exec;
 pub mod machine;
 pub mod scenario;
 pub mod taskgraph;
 pub mod workload;
-
-pub use costmodel::{CostParams, LinkCosts};
-pub use exec::{simulate, simulate_monitored, NoopSimMonitor, SimMonitor, SimReport, TimeBreakdown};
-pub use machine::SimMachine;
-pub use scenario::ExecutionScenario;
-pub use taskgraph::{SimEdge, SimTask, TaskGraph};
-pub use workload::{Phase, PhasedWorkload};
-
-/// Convenient glob import of the most commonly used items.
-pub mod prelude {
-    pub use crate::costmodel::CostParams;
-    pub use crate::exec::{simulate, SimReport};
-    pub use crate::machine::SimMachine;
-    pub use crate::scenario::ExecutionScenario;
-    pub use crate::taskgraph::{SimTask, TaskGraph};
-}

@@ -70,7 +70,8 @@ impl SimMachine {
 
     /// Builds the paper's evaluation machine (24 sockets × 8 cores) with the
     /// calibrated cost model.
-    pub fn cluster2016() -> Self {
+    #[cfg(test)]
+    pub(crate) fn cluster2016() -> Self {
         SimMachine::new(orwl_topo::synthetic::cluster2016_smp192(), CostParams::cluster2016())
     }
 
@@ -110,7 +111,7 @@ impl SimMachine {
     /// Per-byte cost of a working-set access issued by a core of
     /// `access_node` to data resident on `data_node` (before bandwidth
     /// sharing is applied).
-    pub fn access_byte_cost(&self, access_node: usize, data_node: usize) -> f64 {
+    pub(crate) fn access_byte_cost(&self, access_node: usize, data_node: usize) -> f64 {
         if access_node == data_node {
             self.params.local_byte_cost
         } else {

@@ -30,11 +30,6 @@ pub struct ExecutionScenario {
 }
 
 impl ExecutionScenario {
-    /// Number of tasks covered by the scenario.
-    pub fn n_tasks(&self) -> usize {
-        self.task_pu.len()
-    }
-
     /// The paper's **ORWL Bind** configuration: tasks pinned according to a
     /// placement (typically produced by the TreeMatch mapper), data
     /// first-touched by the pinned owner, so it is local to the node the
@@ -121,40 +116,6 @@ impl ExecutionScenario {
         }
     }
 
-    /// Worst-case OpenMP variant used by the ablations: the shared matrix is
-    /// initialised serially by the master thread, so *every* page lives on
-    /// the master's NUMA node and its memory controller serves the whole
-    /// machine.
-    pub fn openmp_master_touch(machine: &SimMachine, n_tasks: usize) -> Self {
-        let pus = machine.topology().pu_os_indices();
-        let task_pu: Vec<usize> = (0..n_tasks).map(|t| pus[t % pus.len()]).collect();
-        let master_node = machine.node_of_pu(pus[0]);
-        ExecutionScenario {
-            task_pu,
-            data_node: vec![master_node; n_tasks],
-            migrating: true,
-            fork_join_barrier: true,
-            label: "openmp-master".to_string(),
-        }
-    }
-
-    /// A what-if variant of the OpenMP baseline with correct parallel
-    /// first-touch initialisation (data local to the executing thread) but
-    /// still no pinning and a per-iteration barrier.  Used by the ablation
-    /// benchmarks.
-    pub fn openmp_first_touch(machine: &SimMachine, n_tasks: usize) -> Self {
-        let pus = machine.topology().pu_os_indices();
-        let task_pu: Vec<usize> = (0..n_tasks).map(|t| pus[t % pus.len()]).collect();
-        let data_node = task_pu.iter().map(|&pu| machine.node_of_pu(pu)).collect();
-        ExecutionScenario {
-            task_pu,
-            data_node,
-            migrating: true,
-            fork_join_barrier: true,
-            label: "openmp-first-touch".to_string(),
-        }
-    }
-
     /// Overrides the label (useful when sweeping policies).
     pub fn with_label(mut self, label: &str) -> Self {
         self.label = label.to_string();
@@ -191,7 +152,7 @@ mod tests {
     fn bound_scenario_keeps_data_local() {
         let m = machine();
         let s = ExecutionScenario::bound(&m, (0..32).collect());
-        assert_eq!(s.n_tasks(), 32);
+        assert_eq!(s.task_pu.len(), 32);
         assert!(!s.migrating);
         assert!(!s.fork_join_barrier);
         assert_eq!(s.remote_data_fraction(&m), 0.0);
@@ -227,18 +188,6 @@ mod tests {
         // blocks are remote.
         let frac = s.remote_data_fraction(&m);
         assert!(frac > 0.5, "remote fraction {frac}");
-        // The worst-case master-touch variant is fully on node 0.
-        let master = ExecutionScenario::openmp_master_touch(&m, 32);
-        assert!(master.data_node.iter().all(|&n| n == 0));
-        assert!((master.remote_data_fraction(&m) - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn openmp_first_touch_fixes_data_locality_only() {
-        let m = machine();
-        let s = ExecutionScenario::openmp_first_touch(&m, 32);
-        assert!(s.fork_join_barrier);
-        assert_eq!(s.remote_data_fraction(&m), 0.0);
     }
 
     #[test]

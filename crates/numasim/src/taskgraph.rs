@@ -73,18 +73,8 @@ impl TaskGraph {
     }
 
     /// Incoming edges of task `t`.
-    pub fn in_edges(&self, t: usize) -> impl Iterator<Item = &SimEdge> {
+    pub(crate) fn in_edges(&self, t: usize) -> impl Iterator<Item = &SimEdge> {
         self.in_edges[t].iter().map(move |&i| &self.edges[i])
-    }
-
-    /// Total bytes exchanged between distinct tasks per iteration.
-    pub fn total_edge_bytes(&self) -> f64 {
-        self.edges.iter().map(|e| e.bytes).sum()
-    }
-
-    /// Total working-set bytes streamed per iteration (sum over tasks).
-    pub fn total_private_bytes(&self) -> f64 {
-        self.tasks.iter().map(|t| t.private_bytes).sum()
     }
 
     /// The task × task communication matrix of the graph — exactly the
@@ -156,8 +146,8 @@ mod tests {
         assert_eq!(g.n_tasks(), 3);
         assert_eq!(g.in_edges(1).count(), 2);
         assert_eq!(g.in_edges(0).count(), 0);
-        assert_eq!(g.total_edge_bytes(), 14.0);
-        assert_eq!(g.total_private_bytes(), 240.0);
+        assert_eq!(g.comm_matrix().total_volume(), 14.0);
+        assert_eq!(g.task(2).private_bytes, 80.0);
         assert_eq!(g.task(0).elements, 10.0);
     }
 
@@ -190,7 +180,7 @@ mod tests {
     fn empty_graph_is_fine() {
         let g = TaskGraph::new(vec![], vec![]);
         assert_eq!(g.n_tasks(), 0);
-        assert_eq!(g.total_edge_bytes(), 0.0);
+        assert!(g.edges().is_empty());
         assert_eq!(g.comm_matrix().order(), 0);
     }
 }

@@ -39,12 +39,6 @@ impl PhasedWorkload {
         self.phases.iter().map(|p| p.iterations).sum()
     }
 
-    /// True when the workload has no phases or no tasks.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.phases.is_empty() || self.phases[0].graph.n_tasks() == 0
-    }
-
     /// Number of tasks (identical across phases by construction).
     ///
     /// # Panics
@@ -95,7 +89,6 @@ mod tests {
         let w = PhasedWorkload::rotating_stencil(4, 65536.0, 1024.0, 16384.0, 131072.0, &[24, 200]);
         assert_eq!(w.n_tasks(), 16);
         assert_eq!(w.total_iterations(), 224);
-        assert!(!w.is_empty());
         // The two phases carry the same total traffic but different matrices.
         let a = w.phases[0].graph.comm_matrix();
         let b = w.phases[1].graph.comm_matrix();
@@ -110,12 +103,5 @@ mod tests {
         assert_eq!(w.phases.len(), 1);
         assert_eq!(w.total_iterations(), 7);
         assert_eq!(w.n_tasks(), 1);
-    }
-
-    #[test]
-    fn empty_workloads_are_detected() {
-        assert!(PhasedWorkload { phases: vec![] }.is_empty());
-        let w = PhasedWorkload::single_phase(TaskGraph::new(vec![], vec![]), 3);
-        assert!(w.is_empty());
     }
 }

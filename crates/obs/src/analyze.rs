@@ -25,7 +25,7 @@ use crate::{EventKind, RunTelemetry};
 use std::collections::BTreeMap;
 
 /// Schema tag of the analyzer's JSON artifact.
-pub const REPORT_SCHEMA: &str = "orwl-obs-report/v1";
+pub(crate) const REPORT_SCHEMA: &str = "orwl-obs-report/v1";
 
 /// A log2-bucketed sample set with exact count/sum (the analyzer's local
 /// mirror of the metrics histogram, built from events).

@@ -22,7 +22,7 @@ pub enum ClockKind {
 impl ClockKind {
     /// Stable artifact name.
     #[must_use]
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             ClockKind::Wall => "wall",
             ClockKind::Simulated => "simulated",
@@ -31,7 +31,7 @@ impl ClockKind {
 
     /// Inverse of [`ClockKind::name`].
     #[must_use]
-    pub fn parse(name: &str) -> Option<ClockKind> {
+    pub(crate) fn parse(name: &str) -> Option<ClockKind> {
         match name {
             "wall" => Some(ClockKind::Wall),
             "simulated" => Some(ClockKind::Simulated),
@@ -57,7 +57,7 @@ pub enum SolvePhase {
 impl SolvePhase {
     /// Stable artifact name.
     #[must_use]
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             SolvePhase::Group => "group",
             SolvePhase::Coarsen => "coarsen",
@@ -68,7 +68,7 @@ impl SolvePhase {
 
     /// Inverse of [`SolvePhase::name`].
     #[must_use]
-    pub fn parse(name: &str) -> Option<SolvePhase> {
+    pub(crate) fn parse(name: &str) -> Option<SolvePhase> {
         match name {
             "group" => Some(SolvePhase::Group),
             "coarsen" => Some(SolvePhase::Coarsen),
@@ -95,7 +95,7 @@ pub enum DriftOutcome {
 impl DriftOutcome {
     /// Stable artifact name.
     #[must_use]
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             DriftOutcome::Fired => "fired",
             DriftOutcome::SuppressedByPatience => "suppressed_by_patience",
@@ -106,7 +106,7 @@ impl DriftOutcome {
 
     /// Inverse of [`DriftOutcome::name`].
     #[must_use]
-    pub fn parse(name: &str) -> Option<DriftOutcome> {
+    pub(crate) fn parse(name: &str) -> Option<DriftOutcome> {
         match name {
             "fired" => Some(DriftOutcome::Fired),
             "suppressed_by_patience" => Some(DriftOutcome::SuppressedByPatience),
@@ -132,7 +132,7 @@ pub enum FabricLane {
 impl FabricLane {
     /// Stable artifact name.
     #[must_use]
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             FabricLane::SameNode => "same_node",
             FabricLane::SameRack => "same_rack",
@@ -142,7 +142,7 @@ impl FabricLane {
 
     /// Inverse of [`FabricLane::name`].
     #[must_use]
-    pub fn parse(name: &str) -> Option<FabricLane> {
+    pub(crate) fn parse(name: &str) -> Option<FabricLane> {
         match name {
             "same_node" => Some(FabricLane::SameNode),
             "same_rack" => Some(FabricLane::SameRack),

@@ -131,8 +131,8 @@ impl RunTelemetry {
     /// Each track additionally gets Perfetto counter (`"C"`) tracks —
     /// `grants`, `lock_wait_ns` and a per-lane `fabric_bytes` — derived by
     /// bucketing the track's lock and fabric events into
-    /// [`COUNTER_BUCKETS`] fixed-width intervals, so the time series render
-    /// alongside the event timeline (see [`RunTelemetry::counter_events`]).
+    /// `COUNTER_BUCKETS` fixed-width intervals, so the time series render
+    /// alongside the event timeline (see `RunTelemetry::counter_events`).
     #[must_use]
     pub fn chrome_trace(&self) -> Json {
         let mut events: Vec<Json> = self
@@ -208,7 +208,7 @@ impl RunTelemetry {
     /// first and last contributing event, zeros included, so the rendered
     /// lines return to the axis between bursts.
     #[must_use]
-    pub fn counter_events(&self) -> Vec<Json> {
+    pub(crate) fn counter_events(&self) -> Vec<Json> {
         #[derive(Default, Clone, Copy)]
         struct Bucket {
             grants: u64,
@@ -283,7 +283,7 @@ impl RunTelemetry {
 /// How many fixed-width intervals [`RunTelemetry::counter_events`] cuts a
 /// timeline into (events exactly at the end of the span fold into the last
 /// interval).
-pub const COUNTER_BUCKETS: u64 = 50;
+pub(crate) const COUNTER_BUCKETS: u64 = 50;
 
 fn require_num(obj: &Json, key: &str, at: &str) -> Result<(), String> {
     match obj.get(key) {

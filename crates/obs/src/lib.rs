@@ -24,9 +24,13 @@
 //! with [`Recorder::set_sim_now`] as simulated seconds accumulate, so one
 //! timeline viewer works for all execution paths.
 
+// `pub` means another crate (or a bin, test or example) calls it: everything
+// else is `pub(crate)` so `dead_code` can see it.  DESIGN.md, "Public surface".
+#![warn(unreachable_pub)]
+
 pub mod analyze;
 pub mod diff;
-pub mod event;
+mod event;
 pub mod export;
 pub mod json;
 pub mod merge;
@@ -34,7 +38,7 @@ pub mod metrics;
 pub mod timeseries;
 
 pub use event::{ClockKind, DriftOutcome, EventKind, FabricLane, ObsEvent, SolvePhase};
-pub use json::{Json, JsonError, ToJson};
+pub use json::{Json, ToJson};
 pub use merge::TelemetrySnapshot;
 pub use timeseries::{fold_deltas, DeltaSampler, IntervalStats, LiveAggregator, TelemetryDelta};
 
@@ -143,23 +147,11 @@ impl Recorder {
         })
     }
 
-    /// The clock events are stamped with.
-    #[must_use]
-    pub fn clock(&self) -> ClockKind {
-        self.clock
-    }
-
     /// [`process_clock_us`] at the moment this recorder was created (its
     /// event time zero on the process-wide clock).
     #[must_use]
     pub fn origin_us(&self) -> u64 {
         self.origin_us
-    }
-
-    /// The recorder's tuning.
-    #[must_use]
-    pub fn config(&self) -> &ObsConfig {
-        &self.config
     }
 
     /// The metrics registry of this run.
@@ -175,7 +167,7 @@ impl Recorder {
 
     /// "Now" in microseconds on this recorder's clock.
     #[must_use]
-    pub fn now_us(&self) -> f64 {
+    pub(crate) fn now_us(&self) -> f64 {
         match self.clock {
             ClockKind::Wall => self.origin.elapsed().as_nanos() as f64 / 1.0e3,
             ClockKind::Simulated => f64::from_bits(self.sim_now_us.load(Ordering::Relaxed)),
@@ -289,7 +281,7 @@ impl Recorder {
 
     /// Records one lock wait: every wait lands in the `lock_wait_ns`
     /// histogram; waits over the configured threshold also become events.
-    pub fn record_lock_wait(&self, location: u64, wait_ns: u64) {
+    pub(crate) fn record_lock_wait(&self, location: u64, wait_ns: u64) {
         self.metrics.histogram("lock_wait_ns").observe(wait_ns);
         if wait_ns >= self.config.lock_wait_threshold_ns {
             self.record(EventKind::LockWait { location, wait_ns });

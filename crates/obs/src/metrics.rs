@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// Number of power-of-two histogram buckets (covers the full `u64` range).
-pub const HISTOGRAM_BUCKETS: usize = 64;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 64;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -26,37 +26,37 @@ impl Counter {
     }
 
     /// Increments the counter by one.
-    pub fn incr(&self) {
+    pub(crate) fn incr(&self) {
         self.add(1);
     }
 
     /// The current value.
     #[must_use]
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
 }
 
 /// A last-write-wins floating-point gauge.
 #[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
+pub(crate) struct Gauge(AtomicU64);
 
 impl Gauge {
     /// Sets the gauge.
-    pub fn set(&self, value: f64) {
+    pub(crate) fn set(&self, value: f64) {
         self.0.store(value.to_bits(), Ordering::Relaxed);
     }
 
     /// The current value.
     #[must_use]
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
 
 /// A fixed power-of-two-bucket histogram of `u64` samples.
 #[derive(Debug)]
-pub struct Histogram {
+pub(crate) struct Histogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
@@ -75,7 +75,7 @@ impl Default for Histogram {
 impl Histogram {
     /// Bucket index of a sample: `floor(log2(value))`, with 0 in bucket 0.
     #[must_use]
-    pub fn bucket_of(value: u64) -> usize {
+    pub(crate) fn bucket_of(value: u64) -> usize {
         if value == 0 {
             0
         } else {
@@ -84,7 +84,7 @@ impl Histogram {
     }
 
     /// Records one sample.
-    pub fn observe(&self, value: u64) {
+    pub(crate) fn observe(&self, value: u64) {
         self.buckets[Self::bucket_of(value)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
@@ -92,20 +92,20 @@ impl Histogram {
 
     /// Number of samples recorded.
     #[must_use]
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
     /// Sum of all samples (wrapping on overflow).
     #[must_use]
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
 
     /// Sparse snapshot of the non-empty buckets, as
     /// `(log2-floor, sample count)` pairs in bucket order.
     #[must_use]
-    pub fn sparse_buckets(&self) -> Vec<(u32, u64)> {
+    pub(crate) fn sparse_buckets(&self) -> Vec<(u32, u64)> {
         self.buckets
             .iter()
             .enumerate()
@@ -148,8 +148,8 @@ impl MetricsSnapshot {
     }
 
     /// Gauge lookup by name.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
 
@@ -195,7 +195,7 @@ fn get_or_create<T: Default>(table: &RwLock<Vec<(String, Arc<T>)>>, name: &str) 
 impl MetricsRegistry {
     /// An empty registry.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MetricsRegistry::default()
     }
 
@@ -207,19 +207,19 @@ impl MetricsRegistry {
 
     /// The gauge named `name` (created at 0.0 on first use).
     #[must_use]
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
+    pub(crate) fn gauge(&self, name: &str) -> Arc<Gauge> {
         get_or_create(&self.gauges, name)
     }
 
     /// The histogram named `name` (created empty on first use).
     #[must_use]
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
+    pub(crate) fn histogram(&self, name: &str) -> Arc<Histogram> {
         get_or_create(&self.histograms, name)
     }
 
     /// Drains every instrument into a name-sorted snapshot.
     #[must_use]
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         let mut counters: Vec<(String, u64)> = self
             .counters
             .read()

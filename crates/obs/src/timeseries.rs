@@ -44,10 +44,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Magic prefix of a serialized frame.
-pub const DELTA_MAGIC: &[u8; 4] = b"ODLT";
+pub(crate) const DELTA_MAGIC: &[u8; 4] = b"ODLT";
 
 /// Current frame format version.
-pub const DELTA_VERSION: u16 = 2;
+pub(crate) const DELTA_VERSION: u16 = 2;
 
 /// The event cap of one frame: [`DeltaSampler::sample`] splits a larger
 /// drain over several frames and [`TelemetryDelta::decode`] rejects a
@@ -63,7 +63,7 @@ const MAX_STRING: u32 = 1 << 12;
 /// A decode failure (encoding is infallible).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameError {
-    /// The buffer does not start with [`DELTA_MAGIC`].
+    /// The buffer does not start with `DELTA_MAGIC`.
     BadMagic,
     /// A version this build does not speak.
     BadVersion {

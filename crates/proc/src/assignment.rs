@@ -1,6 +1,6 @@
 //! The run assignment a coordinator ships to each worker.
 //!
-//! An [`Assignment`] is everything a freshly-exec'd worker process needs
+//! An `Assignment` is everything a freshly-exec'd worker process needs
 //! to reconstruct its slice of the run: the cluster shape (node topology
 //! levels, rack layout), the task → node sharding the placement policy
 //! chose, the socket rendezvous points, and the per-phase read schedule
@@ -14,18 +14,18 @@ use orwl_obs::json::Json;
 use orwl_obs::ObsConfig;
 
 /// Schema identifier of the assignment document.
-pub const ASSIGN_SCHEMA: &str = "orwl-proc-assign/v1";
+pub(crate) const ASSIGN_SCHEMA: &str = "orwl-proc-assign/v1";
 
 /// Schema identifier of the re-assignment document shipped after a node
 /// loss ([`Message::ReAssignment`](crate::wire::Message::ReAssignment)).
-pub const REASSIGN_SCHEMA: &str = "orwl-proc-reassign/v1";
+pub(crate) const REASSIGN_SCHEMA: &str = "orwl-proc-reassign/v1";
 
 /// The observation request riding along in an assignment: the worker's
 /// recorder configuration plus the coordinator-side handshake timestamps
 /// the worker needs to estimate its clock offset (midpoint method — see
 /// `orwl_obs::merge`).  An unobserved run's assignment carries none.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ObsSpec {
+pub(crate) struct ObsSpec {
     /// Recorder ring capacity (events per thread).
     pub ring_capacity: usize,
     /// Lock-wait event threshold, nanoseconds.
@@ -44,7 +44,12 @@ impl ObsSpec {
     /// Builds the spec from a recorder config, the two coordinator-side
     /// handshake timestamps and the streaming interval (`0` = none).
     #[must_use]
-    pub fn new(cfg: &ObsConfig, hello_recv_us: u64, assign_send_us: u64, stream_interval_ms: u64) -> Self {
+    pub(crate) fn new(
+        cfg: &ObsConfig,
+        hello_recv_us: u64,
+        assign_send_us: u64,
+        stream_interval_ms: u64,
+    ) -> Self {
         ObsSpec {
             ring_capacity: cfg.ring_capacity,
             lock_wait_threshold_ns: cfg.lock_wait_threshold_ns,
@@ -56,7 +61,7 @@ impl ObsSpec {
 
     /// The worker-side recorder configuration this spec describes.
     #[must_use]
-    pub fn config(&self) -> ObsConfig {
+    pub(crate) fn config(&self) -> ObsConfig {
         ObsConfig { ring_capacity: self.ring_capacity, lock_wait_threshold_ns: self.lock_wait_threshold_ns }
     }
 
@@ -84,7 +89,7 @@ impl ObsSpec {
 /// One read edge of the protocol: `reader` pulls `bytes` from the
 /// location owned by `src`, once per iteration of the enclosing phase.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ReadEdge {
+pub(crate) struct ReadEdge {
     /// Global index of the reading task.
     pub reader: usize,
     /// Global index of the task owning the location read.
@@ -95,7 +100,7 @@ pub struct ReadEdge {
 
 /// One phase of the read schedule.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PhasePlan {
+pub(crate) struct PhasePlan {
     /// Iterations of this phase.
     pub iterations: usize,
     /// Every read performed per iteration, filtered to readers hosted on
@@ -105,7 +110,7 @@ pub struct PhasePlan {
 
 /// The complete per-worker run description.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Assignment {
+pub(crate) struct Assignment {
     /// This worker's node index.
     pub node: usize,
     /// Total number of nodes in the run.
@@ -140,13 +145,13 @@ pub struct Assignment {
 impl Assignment {
     /// Global indices of the tasks this worker hosts.
     #[must_use]
-    pub fn local_tasks(&self) -> Vec<usize> {
+    pub(crate) fn local_tasks(&self) -> Vec<usize> {
         (0..self.n_tasks).filter(|&t| self.node_of_task[t] == self.node).collect()
     }
 
     /// Serialises under the `orwl-proc-assign/v1` schema.
     #[must_use]
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let mut doc = Json::obj();
         doc.push("schema", ASSIGN_SCHEMA);
         doc.push("node", self.node);
@@ -176,7 +181,7 @@ impl Assignment {
     }
 
     /// Parses and validates an assignment document.
-    pub fn from_json(doc: &Json) -> Result<Self, String> {
+    pub(crate) fn from_json(doc: &Json) -> Result<Self, String> {
         let schema = req_str(doc, "schema")?;
         if schema != ASSIGN_SCHEMA {
             return Err(format!("schema is {schema:?}, expected {ASSIGN_SCHEMA:?}"));
@@ -226,7 +231,7 @@ impl Assignment {
     }
 
     /// Structural consistency checks beyond field presence.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.node >= self.n_nodes {
             return Err(format!("node {} out of range for {} nodes", self.node, self.n_nodes));
         }
@@ -284,7 +289,7 @@ impl Assignment {
 /// [`Message::ReAssignment`](crate::wire::Message::ReAssignment) under
 /// the versioned `orwl-proc-reassign/v1` schema.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ReAssignment {
+pub(crate) struct ReAssignment {
     /// The receiving worker's node index.
     pub node: usize,
     /// The recovery round this document answers (matches the `Quiesce`
@@ -304,7 +309,7 @@ pub struct ReAssignment {
 impl ReAssignment {
     /// Serialises under the `orwl-proc-reassign/v1` schema.
     #[must_use]
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let mut doc = Json::obj();
         doc.push("schema", REASSIGN_SCHEMA);
         doc.push("node", self.node);
@@ -317,7 +322,7 @@ impl ReAssignment {
     }
 
     /// Parses and validates a re-assignment document.
-    pub fn from_json(doc: &Json) -> Result<Self, String> {
+    pub(crate) fn from_json(doc: &Json) -> Result<Self, String> {
         let schema = req_str(doc, "schema")?;
         if schema != REASSIGN_SCHEMA {
             return Err(format!("schema is {schema:?}, expected {REASSIGN_SCHEMA:?}"));
@@ -335,7 +340,7 @@ impl ReAssignment {
     }
 
     /// Structural consistency checks beyond field presence.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         let n_tasks = self.node_of_task.len();
         if self.node_of_task.contains(&self.dead) {
             return Err(format!("node_of_task still routes tasks to dead node {}", self.dead));

@@ -20,27 +20,27 @@ use std::collections::VecDeque;
 use std::io::{ErrorKind, Read};
 use std::os::fd::{AsRawFd, OwnedFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::{Child, ChildStderr, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Bytes of each worker's stderr kept for failure reports.
-pub const STDERR_TAIL_BYTES: usize = 4096;
+pub(crate) const STDERR_TAIL_BYTES: usize = 4096;
 
 /// Environment variable selecting the worker role in a re-exec'd binary.
-pub const ENV_ROLE: &str = "ORWL_PROC_ROLE";
+pub(crate) const ENV_ROLE: &str = "ORWL_PROC_ROLE";
 /// Environment variable carrying the worker's node index.
-pub const ENV_NODE: &str = "ORWL_PROC_NODE";
+pub(crate) const ENV_NODE: &str = "ORWL_PROC_NODE";
 /// Environment variable carrying the coordinator socket path.
-pub const ENV_COORD: &str = "ORWL_PROC_COORD";
+pub(crate) const ENV_COORD: &str = "ORWL_PROC_COORD";
 
 static RUN_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// A worker failure attributable to one node.
 #[derive(Debug)]
-pub struct WorkerFailure {
+pub(crate) struct WorkerFailure {
     /// The failing worker's node index.
     pub node: usize,
     /// What happened, with the worker's stderr tail appended.
@@ -133,7 +133,7 @@ impl WorkerChild {
 /// connection.  `Lost` is the caller's to judge: a recovery-enabled
 /// coordinator re-shards, any other fails the run.
 #[derive(Debug)]
-pub enum Polled {
+pub(crate) enum Polled {
     /// A whole message arrived.
     Message(Message),
     /// Nothing whole arrived within the slice; the worker may simply be
@@ -222,7 +222,7 @@ impl WorkerPool {
     /// control connection dropped, its process reaped.  Dead nodes are
     /// skipped by broadcasts, waits and auto-blame.
     #[must_use]
-    pub fn is_dead(&self, node: usize) -> bool {
+    pub(crate) fn is_dead(&self, node: usize) -> bool {
         self.dead[node]
     }
 
@@ -236,7 +236,7 @@ impl WorkerPool {
     /// stderr tail, drops its control connection and marks it dead.
     /// Returns the exit status (when the process already exited) and the
     /// stderr tail, for the recovery telemetry.
-    pub fn confirm_loss(&mut self, node: usize) -> (Option<std::process::ExitStatus>, String) {
+    pub(crate) fn confirm_loss(&mut self, node: usize) -> (Option<std::process::ExitStatus>, String) {
         let status = self.children[node].poll_exit();
         let tail = self.children[node].kill_and_tail();
         self.controls[node] = None;
@@ -248,20 +248,14 @@ impl WorkerPool {
     /// — one side of the clock-offset handshake (see `orwl_obs::merge`);
     /// `0` until [`WorkerPool::accept_controls`] has seen that node.
     #[must_use]
-    pub fn hello_recv_us(&self, node: usize) -> u64 {
+    pub(crate) fn hello_recv_us(&self, node: usize) -> u64 {
         self.hello_recv_us[node]
     }
 
     /// Path of the peer listener socket assigned to `node`.
     #[must_use]
-    pub fn peer_socket(&self, node: usize) -> PathBuf {
+    pub(crate) fn peer_socket(&self, node: usize) -> PathBuf {
         self.dir.join(format!("worker{node}.sock"))
-    }
-
-    /// The rendezvous directory (owned by the pool until drop).
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Kills every worker, joins the stderr tails and composes the typed
@@ -269,7 +263,7 @@ impl WorkerPool {
     /// first still-credited child that exited with a failure status, else
     /// node 0).  Nodes already written off by a completed recovery are
     /// never auto-blamed — their deaths were already accounted for.
-    pub fn fail(&mut self, node: Option<usize>, reason: impl Into<String>) -> WorkerFailure {
+    pub(crate) fn fail(&mut self, node: Option<usize>, reason: impl Into<String>) -> WorkerFailure {
         let statuses: Vec<Option<std::process::ExitStatus>> =
             self.children.iter_mut().map(WorkerChild::poll_exit).collect();
         let node = node
@@ -299,7 +293,7 @@ impl WorkerPool {
     /// likelier root cause (a dying peer tears down every connection it
     /// serves) its stderr tail carries the original panic — blame it
     /// instead of `node`.
-    pub fn fail_cascade(&mut self, node: usize, reason: impl Into<String>) -> WorkerFailure {
+    pub(crate) fn fail_cascade(&mut self, node: usize, reason: impl Into<String>) -> WorkerFailure {
         // A worker that exits 1 diagnosed its own failure and said so
         // (`maybe_worker`) — most often a symptom of a peer's death; one
         // that died any other way (a signal, a panic) diagnosed nothing
@@ -347,7 +341,7 @@ impl WorkerPool {
     /// child's exit descriptor, so a connection is accepted the moment it
     /// lands and a worker that dies before connecting fails the run
     /// immediately.
-    pub fn accept_controls(&mut self) -> Result<(), WorkerFailure> {
+    pub(crate) fn accept_controls(&mut self) -> Result<(), WorkerFailure> {
         let deadline = Instant::now() + self.io_timeout;
         let mut accepted = 0;
         while accepted < self.children.len() {
@@ -411,7 +405,7 @@ impl WorkerPool {
 
     /// Non-blocking probe: has `node`'s worker process exited?
     #[must_use]
-    pub fn worker_exited(&mut self, node: usize) -> Option<std::process::ExitStatus> {
+    pub(crate) fn worker_exited(&mut self, node: usize) -> Option<std::process::ExitStatus> {
         self.children.get_mut(node).and_then(WorkerChild::poll_exit)
     }
 
@@ -419,7 +413,7 @@ impl WorkerPool {
     /// deadline-bounded by the pool's io timeout, so a worker whose
     /// socket buffer filled up (e.g. one that was SIGSTOPped mid-run)
     /// stalls the coordinator for at most one timeout, never forever.
-    pub fn send_to(&mut self, node: usize, message: &Message) -> Result<(), WorkerFailure> {
+    pub(crate) fn send_to(&mut self, node: usize, message: &Message) -> Result<(), WorkerFailure> {
         let io_timeout = self.io_timeout;
         let Some(control) = self.controls[node].as_mut() else {
             return Err(self.fail(Some(node), "no control connection"));
@@ -431,7 +425,7 @@ impl WorkerPool {
     }
 
     /// Broadcasts one message to every live (not written-off) worker.
-    pub fn broadcast(&mut self, message: &Message) -> Result<(), WorkerFailure> {
+    pub(crate) fn broadcast(&mut self, message: &Message) -> Result<(), WorkerFailure> {
         for node in 0..self.children.len() {
             if !self.dead[node] {
                 self.send_to(node, message)?;
@@ -447,7 +441,7 @@ impl WorkerPool {
     /// the loss and re-shard.  A worker-*reported* error is still fatal —
     /// the worker chose to fail, and the failure would recur on any
     /// survivor.
-    pub fn poll_from_lossy(&mut self, node: usize, slice: Duration) -> Result<Polled, WorkerFailure> {
+    pub(crate) fn poll_from_lossy(&mut self, node: usize, slice: Duration) -> Result<Polled, WorkerFailure> {
         let Some(control) = self.controls[node].as_mut() else {
             return Err(self.fail(Some(node), "no control connection"));
         };
@@ -479,7 +473,7 @@ impl WorkerPool {
     /// writing it, and no node waits for another's turn.  The node looked
     /// at first rotates from call to call, so a chatty node cannot starve
     /// the rest.
-    pub fn poll_any(
+    pub(crate) fn poll_any(
         &mut self,
         nodes: &[usize],
         limit: Duration,
@@ -525,7 +519,7 @@ impl WorkerPool {
     /// instead of failing, and the coordinator drains them here: a live
     /// run's frames racing a protocol step, and every observed run's
     /// final frames, which precede `Metrics`.
-    pub fn take_stray(&mut self) -> Vec<(usize, Message)> {
+    pub(crate) fn take_stray(&mut self) -> Vec<(usize, Message)> {
         std::mem::take(&mut self.stray)
     }
 
@@ -539,7 +533,7 @@ impl WorkerPool {
     /// are set aside for [`WorkerPool::take_stray`] rather than failing
     /// the run; anything else unexpected — a worker-reported error, an
     /// unexpected kind, a dead or silent worker — fails the whole run.
-    pub fn recv_all(&mut self, expect: &'static str) -> Result<Vec<(usize, Message)>, WorkerFailure> {
+    pub(crate) fn recv_all(&mut self, expect: &'static str) -> Result<Vec<(usize, Message)>, WorkerFailure> {
         let mut waiting: Vec<usize> = (0..self.children.len()).filter(|&node| !self.dead[node]).collect();
         let mut answers = Vec::with_capacity(waiting.len());
         let mut deadline = Instant::now() + self.io_timeout;
@@ -574,7 +568,7 @@ impl WorkerPool {
     /// Waits for every live worker to exit cleanly (deadline-bounded); a
     /// non-zero exit or an overdue worker fails the run.  Nodes written
     /// off by recovery were already reaped and are skipped.
-    pub fn wait_all(&mut self) -> Result<(), WorkerFailure> {
+    pub(crate) fn wait_all(&mut self) -> Result<(), WorkerFailure> {
         let deadline = Instant::now() + self.io_timeout;
         for node in 0..self.children.len() {
             if self.dead[node] {
@@ -634,6 +628,7 @@ impl Drop for PoolDirGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     /// Which worker the re-exec'd test binary should impersonate.
     const ENV_FAKE: &str = "ORWL_PROC_FAKE_WORKER";

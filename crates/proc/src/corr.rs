@@ -21,7 +21,7 @@
 use orwl_obs::json::Json;
 
 /// Schema identifier of the correlation artifact.
-pub const CORR_SCHEMA: &str = "orwl-proc-corr/v1";
+pub(crate) const CORR_SCHEMA: &str = "orwl-proc-corr/v1";
 
 /// Maximum relative |measured − predicted| / max(predicted, 1) any row may
 /// show.  Covers the one deliberate divergence between the two pipelines:
@@ -31,7 +31,7 @@ pub const CORR_TOLERANCE: f64 = 0.02;
 /// Row fields whose values legitimately vary run to run (wall-clock
 /// timing).  The document lists them under `nondeterministic` and the
 /// byte-comparison gate strips them via [`deterministic_view`].
-pub const CORR_NONDETERMINISTIC: &[&str] = &["wall_seconds"];
+pub(crate) const CORR_NONDETERMINISTIC: &[&str] = &["wall_seconds"];
 
 /// One (scenario, policy) correlation row.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,7 +57,7 @@ pub struct CorrRow {
 impl CorrRow {
     /// Relative deviation of measured from predicted.
     #[must_use]
-    pub fn relative_error(&self) -> f64 {
+    pub(crate) fn relative_error(&self) -> f64 {
         (self.measured_inter_node_bytes - self.predicted_inter_node_bytes).abs()
             / self.predicted_inter_node_bytes.max(1.0)
     }

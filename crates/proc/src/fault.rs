@@ -17,7 +17,7 @@
 use std::fmt;
 
 /// Environment variable carrying the serialized plan to workers.
-pub const ENV_FAULTS: &str = "ORWL_PROC_FAULTS";
+pub(crate) const ENV_FAULTS: &str = "ORWL_PROC_FAULTS";
 
 /// One injected failure, targeted at a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,20 +65,6 @@ pub enum Fault {
     },
 }
 
-impl Fault {
-    /// The node this fault targets.
-    #[must_use]
-    pub fn node(&self) -> usize {
-        match *self {
-            Fault::StallStreamer { node, .. }
-            | Fault::PanicAfterStart { node }
-            | Fault::Sigkill { node, .. }
-            | Fault::WireDelay { node, .. }
-            | Fault::DropHeartbeats { node, .. } => node,
-        }
-    }
-}
-
 impl fmt::Display for Fault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
@@ -93,7 +79,7 @@ impl fmt::Display for Fault {
 
 /// A malformed serialized plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultParseError {
+pub(crate) struct FaultParseError {
     /// The clause that failed to parse.
     pub clause: String,
     /// What was wrong with it.
@@ -130,24 +116,18 @@ impl FaultPlan {
 
     /// True when the plan injects nothing.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.faults.is_empty()
-    }
-
-    /// Every fault in the plan, in insertion order.
-    #[must_use]
-    pub fn faults(&self) -> &[Fault] {
-        &self.faults
     }
 
     /// Serializes the plan for [`ENV_FAULTS`].
     #[must_use]
-    pub fn to_env_value(&self) -> String {
+    pub(crate) fn to_env_value(&self) -> String {
         self.faults.iter().map(ToString::to_string).collect::<Vec<_>>().join(";")
     }
 
     /// Parses a serialized plan (the inverse of [`Self::to_env_value`]).
-    pub fn parse(text: &str) -> Result<Self, FaultParseError> {
+    pub(crate) fn parse(text: &str) -> Result<Self, FaultParseError> {
         let mut plan = FaultPlan::new();
         for clause in text.split(';').map(str::trim).filter(|c| !c.is_empty()) {
             let err = |reason| FaultParseError { clause: clause.to_string(), reason };
@@ -182,7 +162,7 @@ impl FaultPlan {
     /// The plan a spawned worker was handed, read from [`ENV_FAULTS`].
     /// A malformed value is a worker-startup error, not a silent no-op —
     /// a chaos test whose plan never applied would pass vacuously.
-    pub fn from_env() -> Result<Self, FaultParseError> {
+    pub(crate) fn from_env() -> Result<Self, FaultParseError> {
         match std::env::var(ENV_FAULTS) {
             Ok(text) => FaultPlan::parse(&text),
             Err(_) => Ok(FaultPlan::new()),
@@ -191,7 +171,7 @@ impl FaultPlan {
 
     /// Streamer stall for `node`, if any.
     #[must_use]
-    pub fn stall_ms(&self, node: usize) -> Option<u64> {
+    pub(crate) fn stall_ms(&self, node: usize) -> Option<u64> {
         self.faults.iter().find_map(|f| match *f {
             Fault::StallStreamer { node: n, ms } if n == node => Some(ms),
             _ => None,
@@ -200,13 +180,13 @@ impl FaultPlan {
 
     /// True when `node` must panic after the start barrier.
     #[must_use]
-    pub fn panics_after_start(&self, node: usize) -> bool {
+    pub(crate) fn panics_after_start(&self, node: usize) -> bool {
         self.faults.iter().any(|f| matches!(*f, Fault::PanicAfterStart { node: n } if n == node))
     }
 
     /// Self-SIGKILL delay for `node`, if any.
     #[must_use]
-    pub fn sigkill_after_ms(&self, node: usize) -> Option<u64> {
+    pub(crate) fn sigkill_after_ms(&self, node: usize) -> Option<u64> {
         self.faults.iter().find_map(|f| match *f {
             Fault::Sigkill { node: n, after_ms } if n == node => Some(after_ms),
             _ => None,
@@ -215,7 +195,7 @@ impl FaultPlan {
 
     /// Per-remote-read delay for `node`, if any.
     #[must_use]
-    pub fn wire_delay_ms(&self, node: usize) -> Option<u64> {
+    pub(crate) fn wire_delay_ms(&self, node: usize) -> Option<u64> {
         self.faults.iter().find_map(|f| match *f {
             Fault::WireDelay { node: n, ms } if n == node => Some(ms),
             _ => None,
@@ -224,7 +204,7 @@ impl FaultPlan {
 
     /// Leading heartbeats to drop for `node`.
     #[must_use]
-    pub fn drop_heartbeats(&self, node: usize) -> u64 {
+    pub(crate) fn drop_heartbeats(&self, node: usize) -> u64 {
         self.faults
             .iter()
             .find_map(|f| match *f {
@@ -265,7 +245,6 @@ mod tests {
         assert_eq!(plan.wire_delay_ms(2), None);
         assert!(!plan.panics_after_start(2));
         assert_eq!(plan.drop_heartbeats(0), 0);
-        assert_eq!(plan.faults()[0].node(), 2);
         assert!(!plan.is_empty());
         assert!(FaultPlan::new().is_empty());
     }

@@ -21,30 +21,32 @@
 //! [`ClusterTraffic`] split whose inter-node component is *measured*
 //! from transport accounting rather than modelled — the committed
 //! `BENCH_proc_corr.json` artifact pins measured against predicted per
-//! lab scenario family (see [`corr`]).
+//! lab scenario family (see `corr`).
 //!
 //! Any binary or test harness that drives [`ProcBackend`] must call
 //! [`maybe_worker`] as the first statement of `main` (or expose a test
 //! named in [`ProcBackend::with_worker_args`]): workers are the current
 //! executable re-exec'd with the worker-role environment.
 
+// `pub` means another crate (or a bin, test or example) calls it: everything
+// else is `pub(crate)` so `dead_code` can see it.  DESIGN.md, "Public surface".
+#![warn(unreachable_pub)]
+
 pub mod assignment;
-pub mod coordinator;
-pub mod corr;
-pub mod fault;
-pub mod metrics;
+mod coordinator;
+mod corr;
+mod fault;
+mod metrics;
 pub mod transport;
 pub mod wire;
-pub mod worker;
+mod worker;
 
-pub use assignment::{Assignment, ReAssignment, REASSIGN_SCHEMA};
-pub use coordinator::{Polled, WorkerFailure, WorkerPool};
-pub use corr::{
-    corr_document, deterministic_view, validate_corr, CorrRow, CORR_NONDETERMINISTIC, CORR_SCHEMA,
-    CORR_TOLERANCE,
-};
-pub use fault::{Fault, FaultParseError, FaultPlan, ENV_FAULTS};
-pub use metrics::{WorkerMetrics, METRICS_SCHEMA};
+pub(crate) use assignment::{Assignment, ReAssignment};
+pub use coordinator::WorkerPool;
+pub(crate) use coordinator::{Polled, WorkerFailure};
+pub use corr::{corr_document, deterministic_view, validate_corr, CorrRow, CORR_TOLERANCE};
+pub use fault::{Fault, FaultPlan};
+pub(crate) use metrics::WorkerMetrics;
 pub use worker::maybe_worker;
 
 use crate::assignment::{ObsSpec, PhasePlan, ReadEdge};
@@ -91,7 +93,7 @@ pub struct LiveConfig {
 
 /// The live-event observer callback: invoked on the coordinator thread
 /// for every [`LiveEvent`] as it arrives.
-pub type LiveObserver = Arc<dyn Fn(&LiveEvent) + Send + Sync>;
+pub(crate) type LiveObserver = Arc<dyn Fn(&LiveEvent) + Send + Sync>;
 
 impl LiveConfig {
     /// Streams on `interval`, flagging after 4 missed intervals.
@@ -287,50 +289,18 @@ impl<'a> LiveMonitor<'a> {
     }
 }
 
-/// Configuration of failure-driven recovery: when a worker is confirmed
-/// lost mid-run (its process exited, its control socket closed, or it
-/// stayed silent past the kill-confirmation budget), the coordinator
-/// quiesces the survivors at their next iteration boundary, re-shards
-/// the lost node's tasks onto them ([`orwl_cluster::reshard_after_node_loss`] —
-/// only the affected shard moves) and resumes the run degraded.
-///
-/// Recovery requires live telemetry on an observed run
-/// ([`ProcBackend::with_live`] + `SessionConfig::observe`): loss
-/// detection rides the heartbeat stream, so a dark run has no liveness
-/// signal to act on and the config is ignored.
-#[derive(Debug, Clone)]
-pub struct RecoveryConfig {
-    /// Heartbeat silence after which a node is declared dead (capped by
-    /// the backend's io timeout).  Process exit and socket closure are
-    /// confirmed immediately; the budget only gates the silent-hang case.
-    pub kill_confirmation: Duration,
-    /// Losses tolerated before the run fails anyway.  A loss *during*
-    /// recovery is always fatal, whatever the budget says.
-    pub max_node_losses: usize,
-}
-
-impl RecoveryConfig {
-    /// Replaces the heartbeat-silence budget before a node is declared
-    /// dead.
-    #[must_use]
-    pub fn with_kill_confirmation(mut self, kill_confirmation: Duration) -> Self {
-        self.kill_confirmation = kill_confirmation;
-        self
-    }
-
-    /// Replaces the number of node losses survived before failing.
-    #[must_use]
-    pub fn with_max_node_losses(mut self, max_node_losses: usize) -> Self {
-        self.max_node_losses = max_node_losses;
-        self
-    }
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig { kill_confirmation: Duration::from_secs(10), max_node_losses: 1 }
-    }
-}
+/// Heartbeat silence after which failure-driven recovery
+/// ([`ProcBackend::with_recovery`]) declares a node dead (capped by the
+/// backend's io timeout).  Process exit and socket closure are confirmed
+/// immediately; the budget only gates the silent-hang case.
+const KILL_CONFIRMATION: Duration = Duration::from_secs(10);
+/// Seed of the `NoBind` OS-spread placement model: the default of
+/// [`ClusterBackend`](orwl_cluster::ClusterBackend), so the two backends
+/// shard a `NoBind` session alike.
+const NOBIND_SEED: u64 = 0xC0FFEE;
+/// Node losses a recovering run adopts before it fails anyway.  A loss
+/// *during* recovery is always fatal, whatever the budget says.
+const MAX_NODE_LOSSES: usize = 1;
 
 fn decode_telemetry(bytes: &[u8]) -> Result<TelemetryDelta, String> {
     TelemetryDelta::decode(bytes).map_err(|e| format!("bad telemetry frame: {e}"))
@@ -348,7 +318,6 @@ struct RecoverySummary {
 /// The coordinator's mutable recovery state across one run: the current
 /// routing table (updated by every re-shard) and the casualty list.
 struct RecoveryState {
-    cfg: RecoveryConfig,
     node_of_task: Vec<usize>,
     down: Vec<usize>,
     round: u32,
@@ -366,13 +335,11 @@ type ProtocolOutcome = (Duration, Vec<WorkerMetrics>, Vec<(u32, TelemetrySnapsho
 #[derive(Debug, Clone)]
 pub struct ProcBackend {
     machine: ClusterMachine,
-    nobind_seed: u64,
     io_timeout: Duration,
     worker_args: Vec<String>,
-    worker_env: Vec<(String, String)>,
     live: Option<LiveConfig>,
     faults: FaultPlan,
-    recovery: Option<RecoveryConfig>,
+    recovery: bool,
 }
 
 impl ProcBackend {
@@ -381,13 +348,11 @@ impl ProcBackend {
     pub fn new(machine: ClusterMachine) -> Self {
         ProcBackend {
             machine,
-            nobind_seed: 0xC0FFEE,
             io_timeout: Duration::from_secs(30),
             worker_args: Vec::new(),
-            worker_env: Vec::new(),
             live: None,
             faults: FaultPlan::new(),
-            recovery: None,
+            recovery: false,
         }
     }
 
@@ -408,16 +373,9 @@ impl ProcBackend {
         self
     }
 
-    /// Adds an environment variable to every spawned worker.
-    #[must_use]
-    pub fn with_worker_env(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.worker_env.push((key.into(), value.into()));
-        self
-    }
-
     /// Installs a fault-injection plan: the typed chaos knob the
     /// robustness tests turn.  The plan ships to every worker through the
-    /// [`ENV_FAULTS`] environment variable; each clause names the node it
+    /// `ENV_FAULTS` environment variable; each clause names the node it
     /// hits, so one plan describes the whole cluster's chaos.
     #[must_use]
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
@@ -425,12 +383,20 @@ impl ProcBackend {
         self
     }
 
-    /// Enables failure-driven recovery: a confirmed node loss re-shards
-    /// the lost tasks onto the survivors instead of failing the run.
-    /// Takes effect only on live observed runs (see [`RecoveryConfig`]).
+    /// Enables failure-driven recovery: when a worker is confirmed lost
+    /// mid-run (its process exited, its control socket closed, or it stayed
+    /// silent for `KILL_CONFIRMATION`), the coordinator quiesces the
+    /// survivors at their next iteration boundary, re-shards the lost
+    /// node's tasks onto them ([`orwl_cluster::reshard_after_node_loss`] —
+    /// only the affected shard moves) and resumes the run degraded; up to
+    /// `MAX_NODE_LOSSES` losses are adopted.
+    ///
+    /// Takes effect only on live observed runs ([`ProcBackend::with_live`]
+    /// and `SessionConfig::observe`): loss detection rides the heartbeat
+    /// stream, so a dark run has no liveness signal to act on.
     #[must_use]
-    pub fn with_recovery(mut self, recovery: RecoveryConfig) -> Self {
-        self.recovery = Some(recovery);
+    pub fn with_recovery(mut self) -> Self {
+        self.recovery = true;
         self
     }
 
@@ -450,20 +416,6 @@ impl ProcBackend {
     pub fn with_live(mut self, live: LiveConfig) -> Self {
         self.live = Some(live);
         self
-    }
-
-    /// Replaces the seed of the `NoBind` OS-spread placement model
-    /// (shared with [`ClusterBackend`](orwl_cluster::ClusterBackend)).
-    #[must_use]
-    pub fn with_nobind_seed(mut self, seed: u64) -> Self {
-        self.nobind_seed = seed;
-        self
-    }
-
-    /// The cluster machine the processes emulate.
-    #[must_use]
-    pub fn machine(&self) -> &ClusterMachine {
-        &self.machine
     }
 
     /// Builds each worker's assignment from the node sharding and the
@@ -545,8 +497,7 @@ impl ProcBackend {
         // needs the heartbeat stream as its liveness signal, so it takes
         // effect only on live runs.
         let live = self.live.as_ref().filter(|_| observe.is_some());
-        let mut recovery = live.and(self.recovery.as_ref()).map(|cfg| RecoveryState {
-            cfg: cfg.clone(),
+        let mut recovery = (live.is_some() && self.recovery).then(|| RecoveryState {
             node_of_task: node_of_task.to_vec(),
             down: Vec::new(),
             round: 0,
@@ -673,11 +624,9 @@ impl ProcBackend {
             if running.is_empty() {
                 return Ok(());
             }
-            let can_recover = recovery.as_ref().is_some_and(|s| s.down.len() < s.cfg.max_node_losses);
-            let silence_budget = match recovery.as_ref() {
-                Some(state) if can_recover => state.cfg.kill_confirmation.min(self.io_timeout),
-                _ => self.io_timeout,
-            };
+            let can_recover = recovery.as_ref().is_some_and(|s| s.down.len() < MAX_NODE_LOSSES);
+            let silence_budget =
+                if can_recover { KILL_CONFIRMATION.min(self.io_timeout) } else { self.io_timeout };
             let next_check = running
                 .iter()
                 .map(|&node| silence_budget.saturating_sub(last_activity[node].elapsed()))
@@ -966,7 +915,7 @@ impl ExecutionBackend for ProcBackend {
             &self.machine,
             config.policy,
             config.control_threads,
-            self.nobind_seed,
+            NOBIND_SEED,
             &workload.phases[0].graph.comm_matrix().symmetrized(),
         );
         let mapping = cp.global_mapping(&self.machine);
@@ -992,7 +941,7 @@ impl ExecutionBackend for ProcBackend {
             same_node_bytes_model += iters * (off_diagonal - inter_node_bytes(cluster, &m, &mapping));
         }
 
-        let mut worker_env = self.worker_env.clone();
+        let mut worker_env = Vec::new();
         if !self.faults.is_empty() {
             worker_env.push((fault::ENV_FAULTS.to_string(), self.faults.to_env_value()));
         }

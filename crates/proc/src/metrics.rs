@@ -12,15 +12,15 @@
 use orwl_obs::json::Json;
 
 /// Schema identifier of the worker metrics document.
-pub const METRICS_SCHEMA: &str = "orwl-proc-metrics/v1";
+pub(crate) const METRICS_SCHEMA: &str = "orwl-proc-metrics/v1";
 
 /// Cap on the lock-wait samples shipped verbatim (the full distribution
 /// stays summarised by `count` / `total_ns`).
-pub const MAX_WAIT_SAMPLES: usize = 64;
+pub(crate) const MAX_WAIT_SAMPLES: usize = 64;
 
 /// One worker's transport and lock-wait accounting.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct WorkerMetrics {
+pub(crate) struct WorkerMetrics {
     /// The reporting worker's node index.
     pub node: usize,
     /// Wall-clock seconds the worker spent between start and done.
@@ -48,15 +48,9 @@ pub struct WorkerMetrics {
 }
 
 impl WorkerMetrics {
-    /// Payload bytes received across the fabric, whatever the lane.
-    #[must_use]
-    pub fn inter_node_payload_bytes(&self) -> u64 {
-        self.same_rack_payload_bytes + self.cross_rack_payload_bytes
-    }
-
     /// Serialises under the `orwl-proc-metrics/v1` schema.
     #[must_use]
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let mut doc = Json::obj();
         doc.push("schema", METRICS_SCHEMA);
         doc.push("node", self.node);
@@ -87,7 +81,7 @@ impl WorkerMetrics {
     }
 
     /// Parses a worker metrics document.
-    pub fn from_json(doc: &Json) -> Result<Self, String> {
+    pub(crate) fn from_json(doc: &Json) -> Result<Self, String> {
         let schema = doc.get("schema").and_then(Json::as_str).ok_or("missing schema field")?;
         if schema != METRICS_SCHEMA {
             return Err(format!("schema is {schema:?}, expected {METRICS_SCHEMA:?}"));
@@ -163,7 +157,6 @@ mod tests {
         let text = m.to_json().pretty();
         let parsed = WorkerMetrics::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(parsed, m);
-        assert_eq!(parsed.inter_node_payload_bytes(), (1 << 20) + 4096);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! worker folds these tallies into its metrics report, which is where the
 //! backend's *measured* hop-bytes come from.
 //!
-//! [`wait_readable`] is the crate's one readiness wait: everything that
+//! `wait_readable` is the crate's one readiness wait: everything that
 //! waits on more than one descriptor — a listener and a wake descriptor,
 //! several control connections, a child's exit descriptor — blocks in one
 //! `poll(2)` until something happens or a deadline passes, never in a
@@ -39,7 +39,7 @@ pub(crate) const PARTIAL_FRAME_WAIT: Duration = Duration::from_millis(1);
 /// (`Duration::MAX`) waits for as long as it takes.  A signal that
 /// interrupts the wait is not an outcome: the wait resumes for the time
 /// that is left.
-pub fn wait_readable(fds: &[RawFd], timeout: Duration) -> std::io::Result<Option<usize>> {
+pub(crate) fn wait_readable(fds: &[RawFd], timeout: Duration) -> std::io::Result<Option<usize>> {
     wait_readable_with(sys_poll, fds, timeout)
 }
 
@@ -89,7 +89,7 @@ fn wait_readable_with(
 /// Rendezvous connect gave up: the listener never appeared (or never
 /// accepted) within the budget.
 #[derive(Debug)]
-pub struct RendezvousTimeout {
+pub(crate) struct RendezvousTimeout {
     /// The socket path that was tried.
     pub path: std::path::PathBuf,
     /// How many connect attempts were made.
@@ -153,7 +153,7 @@ pub struct FramedStream {
 }
 
 impl AsRawFd for FramedStream {
-    /// The socket's descriptor, for [`wait_readable`].  Readiness says
+    /// The socket's descriptor, for `wait_readable`.  Readiness says
     /// nothing about frames a previous read already pulled into the
     /// stream's reader: look there first with `recv(Some(Duration::ZERO))`,
     /// which returns a buffered message without touching the socket.
@@ -178,7 +178,8 @@ impl FramedStream {
     }
 
     /// Connects to a Unix-domain listener at `path`.
-    pub fn connect(path: &std::path::Path) -> std::io::Result<Self> {
+    #[cfg(test)]
+    pub(crate) fn connect(path: &std::path::Path) -> std::io::Result<Self> {
         UnixStream::connect(path).map(FramedStream::new)
     }
 
@@ -192,7 +193,7 @@ impl FramedStream {
     /// that race into a raw `ECONNREFUSED`/`ENOENT`; this retries at
     /// ~1–20 ms spacing (deterministic per-path jitter, no RNG state)
     /// and gives up with a typed [`RendezvousTimeout`].
-    pub fn connect_retry(path: &std::path::Path, budget: Duration) -> Result<Self, RendezvousTimeout> {
+    pub(crate) fn connect_retry(path: &std::path::Path, budget: Duration) -> Result<Self, RendezvousTimeout> {
         let start = Instant::now();
         let mut attempts: u32 = 0;
         loop {
@@ -220,25 +221,25 @@ impl FramedStream {
 
     /// Frames written so far.
     #[must_use]
-    pub fn frames_sent(&self) -> u64 {
+    pub(crate) fn frames_sent(&self) -> u64 {
         self.frames_sent
     }
 
     /// Frames decoded so far.
     #[must_use]
-    pub fn frames_received(&self) -> u64 {
+    pub(crate) fn frames_received(&self) -> u64 {
         self.frames_received
     }
 
     /// Total bytes written (headers included).
     #[must_use]
-    pub fn bytes_sent(&self) -> u64 {
+    pub(crate) fn bytes_sent(&self) -> u64 {
         self.bytes_sent
     }
 
     /// Total bytes read (headers included).
     #[must_use]
-    pub fn bytes_received(&self) -> u64 {
+    pub(crate) fn bytes_received(&self) -> u64 {
         self.bytes_received
     }
 
@@ -260,7 +261,11 @@ impl FramedStream {
     /// node.  Short write timeouts are retried until the deadline; a
     /// partial frame past the deadline is a hard `TimedOut` (the stream
     /// is unusable after that — framing is broken).
-    pub fn send_with_deadline(&mut self, message: &Message, deadline: Duration) -> std::io::Result<()> {
+    pub(crate) fn send_with_deadline(
+        &mut self,
+        message: &Message,
+        deadline: Duration,
+    ) -> std::io::Result<()> {
         let frame = message.encode();
         let start = Instant::now();
         let mut written = 0usize;
@@ -331,22 +336,6 @@ impl FramedStream {
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(RecvError::Io(e)),
             }
-        }
-    }
-
-    /// `recv` restricted to one expected kind; anything else — including a
-    /// peer-reported [`Message::Error`] — becomes a descriptive error
-    /// string for the caller's typed failure.
-    pub fn recv_expect(
-        &mut self,
-        expect: &'static str,
-        deadline: Option<Duration>,
-    ) -> Result<Message, String> {
-        match self.recv(deadline) {
-            Ok(message) if message.name() == expect => Ok(message),
-            Ok(Message::Error { message }) => Err(format!("peer reported: {message}")),
-            Ok(other) => Err(format!("expected {expect}, got {}", other.name())),
-            Err(e) => Err(format!("while waiting for {expect}: {e}")),
         }
     }
 }
@@ -550,18 +539,5 @@ mod tests {
         a.send_with_deadline(&msg, Duration::from_secs(5)).unwrap();
         assert_eq!(b.recv(Some(Duration::from_secs(5))).unwrap(), msg);
         assert_eq!(a.frames_sent(), 1);
-    }
-
-    #[test]
-    fn recv_expect_names_the_mismatch() {
-        let (mut a, mut b) = pair();
-        a.send(&Message::Start).unwrap();
-        let err = b.recv_expect("ready", Some(Duration::from_secs(5))).unwrap_err();
-        assert!(err.contains("expected ready"), "{err}");
-        assert!(err.contains("start"), "{err}");
-
-        a.send(&Message::Error { message: "boom".to_string() }).unwrap();
-        let err = b.recv_expect("ready", Some(Duration::from_secs(5))).unwrap_err();
-        assert!(err.contains("boom"), "{err}");
     }
 }

@@ -25,7 +25,7 @@
 //!
 //! The version check is exact: workers are the coordinator's own binary
 //! re-exec'd, so both ends of every connection were compiled from the same
-//! source and a frame stamped with any other [`VERSION`] is a typed
+//! source and a frame stamped with any other `VERSION` is a typed
 //! [`WireError::BadVersion`], never a compatibility case to decode.
 //!
 //! [`FrameReader`] decodes incrementally: push whatever bytes arrived,
@@ -35,29 +35,29 @@
 use std::fmt;
 
 /// Frame magic: `"ORWL"`.
-pub const MAGIC: [u8; 4] = *b"ORWL";
+pub(crate) const MAGIC: [u8; 4] = *b"ORWL";
 
 /// Protocol version carried in, and required of, every frame header.  It
 /// names the whole layout — the kind numbering and every payload — and
 /// changes whenever any of it does.
-pub const VERSION: u16 = 5;
+pub(crate) const VERSION: u16 = 5;
 
 /// Frame header length in bytes (magic + version + kind + payload len).
-pub const HEADER_LEN: usize = 11;
+pub(crate) const HEADER_LEN: usize = 11;
 
 /// Hard cap on a location buffer carried by a [`Message::LockGrant`].
-pub const MAX_DATA: usize = 1 << 20;
+pub(crate) const MAX_DATA: usize = 1 << 20;
 
 /// Hard cap on most frame payloads: the largest grant plus its fixed
 /// fields, with headroom for the JSON-bearing kinds.
-pub const MAX_PAYLOAD: usize = MAX_DATA + 64;
+pub(crate) const MAX_PAYLOAD: usize = MAX_DATA + 64;
 
 /// Hard cap on an encoded telemetry frame carried by a
 /// [`Message::TelemetryDelta`] — event drains are bigger than any single
 /// location buffer, so this kind gets its own budget.  The producer splits
 /// a drain at `orwl_obs::timeseries::MAX_FRAME_EVENTS` events per frame,
 /// which keeps every frame under this cap.
-pub const MAX_DELTA: usize = 4 << 20;
+pub(crate) const MAX_DELTA: usize = 4 << 20;
 
 /// Access mode of a remote lock request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,7 +137,7 @@ pub enum Message {
         bytes: u64,
     },
     /// Owner → peer: the FIFO granted the section; `data` is the location
-    /// buffer (truncated to the requested size, capped at [`MAX_DATA`]).
+    /// buffer (truncated to the requested size, capped at `MAX_DATA`).
     LockGrant {
         /// Echo of the request's `seq`.
         seq: u64,
@@ -249,7 +249,7 @@ impl Message {
 
     /// Stable name of the message kind (diagnostics).
     #[must_use]
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Message::Hello { .. } => "hello",
             Message::Assignment { .. } => "assignment",
@@ -282,9 +282,9 @@ impl Message {
     /// Encodes the message as one complete frame.
     ///
     /// # Panics
-    /// If the payload would exceed its kind's cap ([`MAX_PAYLOAD`], or
-    /// [`MAX_DELTA`] + fixed fields for a telemetry frame); callers cap
-    /// grant data at [`MAX_DATA`] and telemetry frames at [`MAX_DELTA`].
+    /// If the payload would exceed its kind's cap (`MAX_PAYLOAD`, or
+    /// `MAX_DELTA` + fixed fields for a telemetry frame); callers cap
+    /// grant data at `MAX_DATA` and telemetry frames at `MAX_DELTA`.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut payload = Vec::new();
@@ -355,7 +355,7 @@ pub enum WireError {
         /// The four bytes found instead.
         got: [u8; 4],
     },
-    /// The frame carries any protocol version but [`VERSION`].
+    /// The frame carries any protocol version but `VERSION`.
     BadVersion {
         /// The version found.
         got: u16,
@@ -499,8 +499,8 @@ impl FrameReader {
     }
 
     /// Bytes buffered but not yet decoded.
-    #[must_use]
-    pub fn pending(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending(&self) -> usize {
         self.buf.len()
     }
 

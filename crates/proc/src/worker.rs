@@ -138,8 +138,9 @@ fn send_ctl(control: &Arc<Mutex<FramedStream>>, message: &Message) -> Result<(),
         .map_err(|e| e.to_string())
 }
 
-/// `recv_expect` against the shared control stream, holding the lock only
-/// in 50 ms slices so the streamer thread can interleave its sends while
+/// Receives one frame of the expected kind from the shared control stream
+/// (anything else — including a peer-reported [`Message::Error`] — becomes a
+/// descriptive error string), holding the lock only in 50 ms slices so the streamer thread can interleave its sends while
 /// the main thread waits out a long protocol step.
 fn recv_ctl(
     control: &Arc<Mutex<FramedStream>>,

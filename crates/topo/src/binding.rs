@@ -4,14 +4,13 @@
 //! module applies it.  Binding is abstracted behind the [`Binder`] trait so
 //! that the same placement code can
 //!
-//! * really pin threads on Linux ([`LinuxBinder`], via `sched_setaffinity`),
+//! * really pin threads on Linux (`LinuxBinder`, via `sched_setaffinity`),
 //! * record the requested bindings for inspection and testing
 //!   ([`RecordingBinder`]), or
 //! * deliberately do nothing ([`NoopBinder`] — the "NoBind" configuration of
 //!   the paper).
 
 use crate::bitmap::CpuSet;
-use std::collections::HashMap;
 use std::sync::Mutex;
 
 /// Error returned when a binding request cannot be applied.
@@ -58,12 +57,10 @@ impl Binder for NoopBinder {
     }
 }
 
-/// A binder that records every request, keyed by an application-chosen
-/// label, without touching the OS.  Used in tests and in the simulator,
-/// where the recorded placement feeds the cost model.
+/// A binder that records every request, in call order, without touching
+/// the OS.  Used where the CPU count of the host must not matter.
 #[derive(Debug, Default)]
 pub struct RecordingBinder {
-    bindings: Mutex<HashMap<String, CpuSet>>,
     anonymous: Mutex<Vec<CpuSet>>,
 }
 
@@ -73,39 +70,10 @@ impl RecordingBinder {
         Self::default()
     }
 
-    /// Records a binding for a named entity (e.g. a task id) instead of the
-    /// calling thread.
-    pub fn record_named(&self, label: &str, cpuset: &CpuSet) {
-        self.bindings.lock().unwrap().insert(label.to_string(), cpuset.clone());
-    }
-
-    /// Returns the recorded binding for `label`, if any.
-    pub fn get(&self, label: &str) -> Option<CpuSet> {
-        self.bindings.lock().unwrap().get(label).cloned()
-    }
-
-    /// Number of named bindings recorded so far.
-    pub fn len(&self) -> usize {
-        self.bindings.lock().unwrap().len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0 && self.anonymous.lock().unwrap().is_empty()
-    }
-
     /// All bindings recorded through [`Binder::bind_current_thread`]
     /// (anonymous, in call order).
     pub fn anonymous_bindings(&self) -> Vec<CpuSet> {
         self.anonymous.lock().unwrap().clone()
-    }
-
-    /// All named bindings as `(label, cpuset)` pairs, sorted by label.
-    pub fn named_bindings(&self) -> Vec<(String, CpuSet)> {
-        let mut v: Vec<_> =
-            self.bindings.lock().unwrap().iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        v.sort_by(|a, b| a.0.cmp(&b.0));
-        v
     }
 }
 
@@ -123,7 +91,7 @@ impl Binder for RecordingBinder {
 /// Real binding through `sched_setaffinity(2)`.  Only available on Linux.
 #[cfg(target_os = "linux")]
 #[derive(Debug, Default, Clone, Copy)]
-pub struct LinuxBinder;
+pub(crate) struct LinuxBinder;
 
 #[cfg(target_os = "linux")]
 impl Binder for LinuxBinder {
@@ -203,28 +171,12 @@ mod tests {
     }
 
     #[test]
-    fn recording_binder_remembers_named_and_anonymous() {
+    fn recording_binder_remembers_anonymous_bindings_in_call_order() {
         let b = RecordingBinder::new();
-        assert!(b.is_empty());
-        b.record_named("task-3", &CpuSet::singleton(7));
-        b.bind_current_thread(&CpuSet::from_range(0..2)).unwrap();
-        assert_eq!(b.get("task-3"), Some(CpuSet::singleton(7)));
-        assert_eq!(b.get("task-9"), None);
-        assert_eq!(b.len(), 1);
-        assert_eq!(b.anonymous_bindings(), vec![CpuSet::from_range(0..2)]);
-        assert!(!b.is_empty());
-        let named = b.named_bindings();
-        assert_eq!(named.len(), 1);
-        assert_eq!(named[0].0, "task-3");
-    }
-
-    #[test]
-    fn recording_binder_overwrites_same_label() {
-        let b = RecordingBinder::new();
-        b.record_named("t", &CpuSet::singleton(1));
-        b.record_named("t", &CpuSet::singleton(2));
-        assert_eq!(b.get("t"), Some(CpuSet::singleton(2)));
-        assert_eq!(b.len(), 1);
+        assert!(b.anonymous_bindings().is_empty());
+        b.bind_current_thread(&CpuSet::from_indices(0..2)).unwrap();
+        b.bind_current_thread(&CpuSet::singleton(7)).unwrap();
+        assert_eq!(b.anonymous_bindings(), vec![CpuSet::from_indices(0..2), CpuSet::singleton(7)]);
     }
 
     #[cfg(target_os = "linux")]

@@ -1,12 +1,12 @@
 //! CPU sets represented as growable bitmaps.
 //!
 //! This is the equivalent of `hwloc_bitmap_t` in the HWLOC library: a set of
-//! non-negative integers (processing-unit indices) with the usual set algebra
-//! (union, intersection, difference), inclusion tests and iteration.
+//! non-negative integers (processing-unit indices) with union, inclusion
+//! tests and iteration — the operations the topology tree and the binders use.
 //!
 //! The representation is a vector of 64-bit words; index `i` is stored in
-//! word `i / 64`, bit `i % 64`.  Trailing zero words are trimmed so that two
-//! bitmaps representing the same set always compare equal.
+//! word `i / 64`, bit `i % 64`.  No operation clears a bit, so the last word is
+//! never zero and two bitmaps representing the same set always compare equal.
 
 use std::fmt;
 
@@ -23,11 +23,9 @@ const BITS_PER_WORD: usize = 64;
 /// ```
 /// use orwl_topo::bitmap::CpuSet;
 ///
-/// let mut a = CpuSet::new();
-/// a.set(0);
-/// a.set(5);
-/// let b = CpuSet::from_range(0..4);
-/// assert_eq!(a.and(&b).weight(), 1);
+/// let a = CpuSet::from_indices([0, 5]);
+/// let b = CpuSet::from_indices(0..4);
+/// assert_eq!(a.or(&b).weight(), 5);
 /// assert_eq!(format!("{}", b), "0-3");
 /// ```
 #[derive(Clone, Default, PartialEq, Eq, Hash)]
@@ -37,7 +35,7 @@ pub struct CpuSet {
 
 impl CpuSet {
     /// Creates an empty set.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         CpuSet { words: Vec::new() }
     }
 
@@ -50,11 +48,6 @@ impl CpuSet {
         s
     }
 
-    /// Creates a set containing every index in the half-open range.
-    pub fn from_range(range: std::ops::Range<usize>) -> Self {
-        Self::from_indices(range)
-    }
-
     /// Creates a set containing the single index `idx`.
     pub fn singleton(idx: usize) -> Self {
         let mut s = CpuSet::new();
@@ -63,7 +56,7 @@ impl CpuSet {
     }
 
     /// Returns `true` when no index is present.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
     }
 
@@ -73,26 +66,12 @@ impl CpuSet {
     }
 
     /// Adds `idx` to the set.
-    pub fn set(&mut self, idx: usize) {
+    pub(crate) fn set(&mut self, idx: usize) {
         let word = idx / BITS_PER_WORD;
         if word >= self.words.len() {
             self.words.resize(word + 1, 0);
         }
         self.words[word] |= 1u64 << (idx % BITS_PER_WORD);
-    }
-
-    /// Removes `idx` from the set (no-op when absent).
-    pub fn clear(&mut self, idx: usize) {
-        let word = idx / BITS_PER_WORD;
-        if word < self.words.len() {
-            self.words[word] &= !(1u64 << (idx % BITS_PER_WORD));
-            self.trim();
-        }
-    }
-
-    /// Removes every index from the set.
-    pub fn clear_all(&mut self) {
-        self.words.clear();
     }
 
     /// Tests whether `idx` is in the set.
@@ -111,27 +90,6 @@ impl CpuSet {
         None
     }
 
-    /// Largest index in the set, or `None` if empty.
-    pub fn last(&self) -> Option<usize> {
-        for (wi, &w) in self.words.iter().enumerate().rev() {
-            if w != 0 {
-                return Some(wi * BITS_PER_WORD + (BITS_PER_WORD - 1 - w.leading_zeros() as usize));
-            }
-        }
-        None
-    }
-
-    /// Keeps only the smallest index (HWLOC's `hwloc_bitmap_singlify`).
-    ///
-    /// Binding a thread uses a singlified set so that the OS scheduler cannot
-    /// migrate it between the PUs of a wider set.
-    pub fn singlify(&mut self) {
-        if let Some(f) = self.first() {
-            self.clear_all();
-            self.set(f);
-        }
-    }
-
     /// Set union, returning a new set.
     pub fn or(&self, other: &CpuSet) -> CpuSet {
         let n = self.words.len().max(other.words.len());
@@ -141,58 +99,12 @@ impl CpuSet {
             let b = other.words.get(i).copied().unwrap_or(0);
             *w = a | b;
         }
-        let mut s = CpuSet { words };
-        s.trim();
-        s
-    }
-
-    /// Set intersection, returning a new set.
-    pub fn and(&self, other: &CpuSet) -> CpuSet {
-        let n = self.words.len().min(other.words.len());
-        let mut words = vec![0u64; n];
-        for (i, w) in words.iter_mut().enumerate() {
-            *w = self.words[i] & other.words[i];
-        }
-        let mut s = CpuSet { words };
-        s.trim();
-        s
-    }
-
-    /// Set difference `self \ other`, returning a new set.
-    pub fn andnot(&self, other: &CpuSet) -> CpuSet {
-        let mut words = self.words.clone();
-        for (i, w) in words.iter_mut().enumerate() {
-            let b = other.words.get(i).copied().unwrap_or(0);
-            *w &= !b;
-        }
-        let mut s = CpuSet { words };
-        s.trim();
-        s
-    }
-
-    /// Symmetric difference, returning a new set.
-    pub fn xor(&self, other: &CpuSet) -> CpuSet {
-        let n = self.words.len().max(other.words.len());
-        let mut words = vec![0u64; n];
-        for (i, w) in words.iter_mut().enumerate() {
-            let a = self.words.get(i).copied().unwrap_or(0);
-            let b = other.words.get(i).copied().unwrap_or(0);
-            *w = a ^ b;
-        }
-        let mut s = CpuSet { words };
-        s.trim();
-        s
+        CpuSet { words }
     }
 
     /// In-place union.
-    pub fn or_assign(&mut self, other: &CpuSet) {
+    pub(crate) fn or_assign(&mut self, other: &CpuSet) {
         *self = self.or(other);
-    }
-
-    /// Tests whether the two sets have at least one common index.
-    pub fn intersects(&self, other: &CpuSet) -> bool {
-        let n = self.words.len().min(other.words.len());
-        (0..n).any(|i| self.words[i] & other.words[i] != 0)
     }
 
     /// Tests whether every index of `self` is also in `other`.
@@ -207,7 +119,7 @@ impl CpuSet {
     }
 
     /// Iterates over the contained indices in increasing order.
-    pub fn iter(&self) -> CpuSetIter<'_> {
+    pub(crate) fn iter(&self) -> CpuSetIter<'_> {
         CpuSetIter { set: self, word: 0, mask: self.words.first().copied().unwrap_or(0) }
     }
 
@@ -220,42 +132,6 @@ impl CpuSet {
     pub fn nth(&self, n: usize) -> Option<usize> {
         self.iter().nth(n)
     }
-
-    /// Parses the canonical list syntax produced by [`fmt::Display`], e.g.
-    /// `"0-3,8,12-15"`.  The empty string parses to the empty set.
-    pub fn parse_list(s: &str) -> Result<CpuSet, String> {
-        let mut set = CpuSet::new();
-        let s = s.trim();
-        if s.is_empty() {
-            return Ok(set);
-        }
-        for part in s.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            if let Some((a, b)) = part.split_once('-') {
-                let a: usize = a.trim().parse().map_err(|e| format!("bad index {part:?}: {e}"))?;
-                let b: usize = b.trim().parse().map_err(|e| format!("bad index {part:?}: {e}"))?;
-                if b < a {
-                    return Err(format!("descending range {part:?}"));
-                }
-                for i in a..=b {
-                    set.set(i);
-                }
-            } else {
-                let i: usize = part.parse().map_err(|e| format!("bad index {part:?}: {e}"))?;
-                set.set(i);
-            }
-        }
-        Ok(set)
-    }
-
-    fn trim(&mut self) {
-        while self.words.last() == Some(&0) {
-            self.words.pop();
-        }
-    }
 }
 
 impl FromIterator<usize> for CpuSet {
@@ -265,7 +141,7 @@ impl FromIterator<usize> for CpuSet {
 }
 
 /// Iterator over the indices of a [`CpuSet`] in increasing order.
-pub struct CpuSetIter<'a> {
+pub(crate) struct CpuSetIter<'a> {
     set: &'a CpuSet,
     word: usize,
     mask: u64,
@@ -331,31 +207,24 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.weight(), 0);
         assert_eq!(s.first(), None);
-        assert_eq!(s.last(), None);
         assert!(!s.is_set(0));
         assert_eq!(s.to_vec(), Vec::<usize>::new());
     }
 
     #[test]
-    fn set_and_clear_roundtrip() {
+    fn set_marks_members_across_words() {
         let mut s = CpuSet::new();
         s.set(3);
         s.set(70);
         assert!(s.is_set(3));
         assert!(s.is_set(70));
+        assert!(!s.is_set(4));
         assert_eq!(s.weight(), 2);
-        s.clear(3);
-        assert!(!s.is_set(3));
-        assert_eq!(s.weight(), 1);
-        s.clear(70);
-        assert!(s.is_empty());
-        // After trimming, equal to a freshly created set.
-        assert_eq!(s, CpuSet::new());
     }
 
     #[test]
-    fn from_range_and_display() {
-        let s = CpuSet::from_range(0..8);
+    fn display_lists_indices_and_ranges() {
+        let s = CpuSet::from_indices(0..8);
         assert_eq!(s.weight(), 8);
         assert_eq!(format!("{s}"), "0-7");
         let t = CpuSet::from_indices([0, 1, 2, 5, 9, 10]);
@@ -364,49 +233,23 @@ mod tests {
     }
 
     #[test]
-    fn parse_list_roundtrip() {
-        for text in ["", "0", "0-3", "0-2,5,9-10", "64-130,200"] {
-            let s = CpuSet::parse_list(text).unwrap();
-            assert_eq!(format!("{s}"), text);
-        }
-        assert!(CpuSet::parse_list("3-1").is_err());
-        assert!(CpuSet::parse_list("x").is_err());
-    }
-
-    #[test]
-    fn boolean_algebra() {
-        let a = CpuSet::from_range(0..10);
-        let b = CpuSet::from_range(5..15);
-        assert_eq!(a.and(&b), CpuSet::from_range(5..10));
-        assert_eq!(a.or(&b), CpuSet::from_range(0..15));
-        assert_eq!(a.andnot(&b), CpuSet::from_range(0..5));
-        assert_eq!(a.xor(&b), CpuSet::from_range(0..5).or(&CpuSet::from_range(10..15)));
-        assert!(a.intersects(&b));
-        assert!(!a.intersects(&CpuSet::from_range(20..30)));
-        assert!(CpuSet::from_range(2..4).is_subset_of(&a));
+    fn union_and_inclusion() {
+        let a = CpuSet::from_indices(0..10);
+        let b = CpuSet::from_indices(5..15);
+        assert_eq!(a.or(&b), CpuSet::from_indices(0..15));
+        assert!(CpuSet::from_indices(2..4).is_subset_of(&a));
         assert!(!b.is_subset_of(&a));
         assert!(CpuSet::new().is_subset_of(&a));
     }
 
     #[test]
-    fn first_last_nth_across_word_boundaries() {
+    fn first_and_nth_across_word_boundaries() {
         let s = CpuSet::from_indices([63, 64, 65, 200]);
         assert_eq!(s.first(), Some(63));
-        assert_eq!(s.last(), Some(200));
         assert_eq!(s.nth(0), Some(63));
         assert_eq!(s.nth(2), Some(65));
         assert_eq!(s.nth(3), Some(200));
         assert_eq!(s.nth(4), None);
-    }
-
-    #[test]
-    fn singlify_keeps_lowest() {
-        let mut s = CpuSet::from_indices([9, 17, 33]);
-        s.singlify();
-        assert_eq!(s.to_vec(), vec![9]);
-        let mut e = CpuSet::new();
-        e.singlify();
-        assert!(e.is_empty());
     }
 
     #[test]
@@ -415,15 +258,5 @@ mod tests {
         assert_eq!(s.to_vec(), vec![42]);
         let t: CpuSet = [1usize, 2, 3].into_iter().collect();
         assert_eq!(t.weight(), 3);
-    }
-
-    #[test]
-    fn equality_ignores_trailing_capacity() {
-        let mut a = CpuSet::new();
-        a.set(500);
-        a.clear(500);
-        a.set(1);
-        let b = CpuSet::singleton(1);
-        assert_eq!(a, b);
     }
 }

@@ -77,13 +77,12 @@ pub struct ClusterTopology {
     name: String,
     node: Topology,
     rack_of: Vec<usize>,
-    n_racks: usize,
     flat: Topology,
 }
 
 impl ClusterTopology {
     /// A single-rack cluster of `n_nodes` identical `node` machines.
-    pub fn homogeneous(name: &str, n_nodes: usize, node: Topology) -> Result<Self, ClusterError> {
+    pub(crate) fn homogeneous(name: &str, n_nodes: usize, node: Topology) -> Result<Self, ClusterError> {
         Self::with_racks(name, node, vec![0; n_nodes])
     }
 
@@ -107,12 +106,7 @@ impl ClusterTopology {
         let mut levels = vec![LevelSpec::new(ObjectType::Group, rack_of.len())];
         levels.extend_from_slice(node.level_spec());
         let flat = Topology::from_levels(name, &levels).map_err(ClusterError::Flatten)?;
-        Ok(ClusterTopology { name: name.to_string(), node, rack_of, n_racks, flat })
-    }
-
-    /// The cluster's name (also the name of the flattened topology).
-    pub fn name(&self) -> &str {
-        &self.name
+        Ok(ClusterTopology { name: name.to_string(), node, rack_of, flat })
     }
 
     /// The per-node topology template (identical for every node).
@@ -123,11 +117,6 @@ impl ClusterTopology {
     /// Number of compute nodes.
     pub fn n_nodes(&self) -> usize {
         self.rack_of.len()
-    }
-
-    /// Number of racks.
-    pub fn n_racks(&self) -> usize {
-        self.n_racks
     }
 
     /// Rack hosting node `node`.
@@ -174,17 +163,6 @@ impl ClusterTopology {
             FabricClass::SameRack
         } else {
             FabricClass::CrossRack
-        }
-    }
-
-    /// Depth of the deepest level shared by two global PUs in the flattened
-    /// tree: `0` (the cluster root) across nodes, `1 + node-local shared
-    /// level` within a node.
-    pub fn shared_level_of_pus(&self, ga: usize, gb: usize) -> usize {
-        if self.node_of_pu(ga) == self.node_of_pu(gb) {
-            1 + self.node.shared_level_of_pus(self.local_pu(ga), self.local_pu(gb))
-        } else {
-            0
         }
     }
 
@@ -305,7 +283,6 @@ mod tests {
     fn rack_layout_selects_link_classes() {
         let node = synthetic::cluster2016_subset(1).unwrap(); // 8 PUs per node
         let c = ClusterTopology::with_racks("racked", node, vec![0, 0, 1, 1]).unwrap();
-        assert_eq!(c.n_racks(), 2);
         assert_eq!(c.rack_of_node(1), 0);
         assert_eq!(c.rack_of_node(2), 1);
         assert_eq!(c.link_class(0, 7), FabricClass::SameNode); // node 0
@@ -324,7 +301,6 @@ mod tests {
             &[(0usize, 0usize), (0, 1), (0, 7), (0, 8), (0, 15), (0, 16), (15, 16), (17, 40), (32, 47)]
         {
             assert_eq!(c.hop_distance(a, b), flat.hop_distance(a, b), "PUs {a},{b}");
-            assert_eq!(c.shared_level_of_pus(a, b), flat.shared_level_of_pus(a, b), "PUs {a},{b}");
         }
     }
 
@@ -336,9 +312,6 @@ mod tests {
         assert!(c.hop_distance(0, 8) < c.hop_distance(0, 16));
         // Cross-node distance does not depend on which PUs are involved.
         assert_eq!(c.hop_distance(0, 16), c.hop_distance(15, 31));
-        // Cross-node pairs share only the cluster root.
-        assert_eq!(c.shared_level_of_pus(0, 16), 0);
-        assert!(c.shared_level_of_pus(0, 1) > 1);
     }
 
     #[test]
@@ -348,12 +321,10 @@ mod tests {
         // Losing a node from a populated rack keeps every rack.
         let s = c.without_node(0).unwrap();
         assert_eq!(s.n_nodes(), 4);
-        assert_eq!(s.n_racks(), 3);
         assert_eq!((0..4).map(|n| s.rack_of_node(n)).collect::<Vec<_>>(), vec![0, 1, 2, 2]);
         // Losing the only node of rack 1 re-densifies the ids.
         let s = c.without_node(2).unwrap();
         assert_eq!(s.n_nodes(), 4);
-        assert_eq!(s.n_racks(), 2);
         assert_eq!((0..4).map(|n| s.rack_of_node(n)).collect::<Vec<_>>(), vec![0, 0, 1, 1]);
         // The shrunk cluster flattens like any other.
         assert_eq!(s.flatten().nb_pus(), 4 * s.pus_per_node());
@@ -368,7 +339,7 @@ mod tests {
         let flat = c.flatten();
         assert_eq!(flat.nb_objects_at_depth(1), 4);
         assert!(flat.objects_at_depth(1).all(|o| o.obj_type == ObjectType::Group));
-        assert_eq!(flat.name(), c.name());
+        assert_eq!(flat.name(), "cluster2016-4node");
         flat.validate().unwrap();
         // Node subtrees own contiguous PU ranges in global order.
         for (i, group) in flat.objects_at_depth(1).enumerate() {

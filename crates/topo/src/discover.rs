@@ -24,7 +24,7 @@ pub fn discover() -> Topology {
 }
 
 /// Flat topology with one core per available hardware thread.
-pub fn fallback_flat() -> Topology {
+pub(crate) fn fallback_flat() -> Topology {
     let n = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     Topology::from_levels(
         "discovered-flat",

@@ -39,7 +39,7 @@ impl Default for LevelCosts {
 impl LevelCosts {
     /// Cost multiplier for a transfer whose deepest shared object has the
     /// given type.  `None` means the PUs only share the machine root.
-    pub fn for_shared_type(&self, ty: Option<ObjectType>) -> f64 {
+    pub(crate) fn for_shared_type(&self, ty: Option<ObjectType>) -> f64 {
         match ty {
             Some(ObjectType::Core) | Some(ObjectType::PU) => self.same_core,
             Some(ObjectType::L1Cache) | Some(ObjectType::L2Cache) => self.shared_l2,
@@ -80,48 +80,12 @@ impl DistanceMatrix {
         DistanceMatrix { n: max_os, values }
     }
 
-    /// Number of rows/columns (equal to the largest PU OS index + 1).
-    pub fn order(&self) -> usize {
-        self.n
-    }
-
     /// Relative cost of a transfer from PU `a` to PU `b`.
     pub fn cost(&self, a: usize, b: usize) -> f64 {
         if a >= self.n || b >= self.n {
             return 0.0;
         }
         self.values[a * self.n + b]
-    }
-
-    /// Largest off-diagonal cost in the matrix.
-    pub fn max_cost(&self) -> f64 {
-        self.values.iter().cloned().fold(0.0, f64::max)
-    }
-
-    /// Smallest non-zero cost in the matrix (0.0 when the matrix is all
-    /// zeros, e.g. for a uniprocessor).
-    pub fn min_nonzero_cost(&self) -> f64 {
-        self.values
-            .iter()
-            .cloned()
-            .filter(|&v| v > 0.0)
-            .fold(f64::INFINITY, f64::min)
-            .min(f64::INFINITY)
-            .pipe_finite()
-    }
-}
-
-trait PipeFinite {
-    fn pipe_finite(self) -> f64;
-}
-
-impl PipeFinite for f64 {
-    fn pipe_finite(self) -> f64 {
-        if self.is_finite() {
-            self
-        } else {
-            0.0
-        }
     }
 }
 
@@ -152,8 +116,6 @@ mod tests {
         assert!(same_socket > 0.0);
         assert!(cross_socket > same_socket);
         assert_eq!(cross_socket, LevelCosts::default().remote_numa);
-        assert_eq!(m.max_cost(), LevelCosts::default().remote_numa);
-        assert!(m.min_nonzero_cost() > 0.0);
     }
 
     #[test]
@@ -171,9 +133,7 @@ mod tests {
     fn uniprocessor_matrix_is_zero() {
         let topo = synthetic::uniprocessor();
         let m = DistanceMatrix::from_topology(&topo, &LevelCosts::default());
-        assert_eq!(m.order(), 1);
-        assert_eq!(m.max_cost(), 0.0);
-        assert_eq!(m.min_nonzero_cost(), 0.0);
+        assert_eq!(m.cost(0, 0), 0.0);
         assert_eq!(m.cost(5, 7), 0.0); // out of range is 0, not a panic
     }
 

@@ -25,8 +25,6 @@
 //! # Quick example
 //!
 //! ```
-//! use orwl_topo::prelude::*;
-//!
 //! // The machine used in the paper's evaluation: 24 sockets × 8 cores.
 //! let topo = orwl_topo::synthetic::cluster2016_smp192();
 //! assert_eq!(topo.nb_pus(), 192);
@@ -39,6 +37,10 @@
 //! assert!(topo.hop_distance(0, 1) < topo.hop_distance(0, 8));
 //! ```
 
+// `pub` means another crate (or a bin, test or example) calls it: everything
+// else is `pub(crate)` so `dead_code` can see it.  DESIGN.md, "Public surface".
+#![warn(unreachable_pub)]
+
 pub mod binding;
 pub mod bitmap;
 pub mod cluster;
@@ -47,17 +49,3 @@ pub mod distance;
 pub mod object;
 pub mod synthetic;
 pub mod topology;
-
-pub use binding::{BindError, Binder, NoopBinder, RecordingBinder};
-pub use bitmap::CpuSet;
-pub use cluster::{ClusterError, ClusterTopology, FabricClass};
-pub use object::{ObjId, ObjectType, TopoObject};
-pub use topology::{LevelSpec, Topology, TopologyError, TreeShape};
-
-/// Convenient glob import of the most commonly used items.
-pub mod prelude {
-    pub use crate::binding::{Binder, NoopBinder, RecordingBinder};
-    pub use crate::bitmap::CpuSet;
-    pub use crate::object::{ObjId, ObjectType};
-    pub use crate::topology::{LevelSpec, Topology, TreeShape};
-}

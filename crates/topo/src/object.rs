@@ -15,7 +15,7 @@ pub struct ObjId(pub(crate) u32);
 
 impl ObjId {
     /// Raw arena index.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -60,7 +60,7 @@ impl ObjectType {
     }
 
     /// True for the leaf level (PU).
-    pub fn is_leaf(self) -> bool {
+    pub(crate) fn is_leaf(self) -> bool {
         self == ObjectType::PU
     }
 
@@ -141,17 +141,17 @@ pub struct TopoObject {
 
 impl TopoObject {
     /// Number of children.
-    pub fn arity(&self) -> usize {
+    pub(crate) fn arity(&self) -> usize {
         self.children.len()
     }
 
     /// True for the leaf level (PU).
-    pub fn is_leaf(&self) -> bool {
+    pub(crate) fn is_leaf(&self) -> bool {
         self.obj_type.is_leaf()
     }
 
     /// Human-readable one-line description, e.g. `package#3 cpuset=24-31`.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         format!("{}#{} cpuset={}", self.obj_type, self.logical_index, self.cpuset)
     }
 }
@@ -210,7 +210,7 @@ mod tests {
             depth: 1,
             logical_index: 3,
             os_index: 3,
-            cpuset: CpuSet::from_range(24..32),
+            cpuset: CpuSet::from_indices(24..32),
             parent: None,
             children: vec![],
             attr: ObjectAttr::default(),

@@ -17,7 +17,7 @@ use crate::topology::{LevelSpec, Topology, TopologyError};
 /// [`ObjectType::parse`].  A trailing `pu:N` level is required (it describes
 /// hardware threads per core); if the description omits it, `pu:1` is
 /// appended automatically for convenience.
-pub fn parse_synthetic(desc: &str) -> Result<Vec<LevelSpec>, TopologyError> {
+pub(crate) fn parse_synthetic(desc: &str) -> Result<Vec<LevelSpec>, TopologyError> {
     let mut levels = Vec::new();
     for item in desc.split_whitespace() {
         let (ty, count) = item
@@ -38,21 +38,10 @@ pub fn parse_synthetic(desc: &str) -> Result<Vec<LevelSpec>, TopologyError> {
 }
 
 /// Builds a topology from a synthetic description string (see
-/// [`parse_synthetic`] for the grammar).
+/// `parse_synthetic` for the grammar).
 pub fn from_synthetic(name: &str, desc: &str) -> Result<Topology, TopologyError> {
     let levels = parse_synthetic(desc)?;
     Topology::from_levels(name, &levels)
-}
-
-/// Renders the level specification of a topology back into the synthetic
-/// string grammar, e.g. `"package:24 core:8 pu:1"`.  Returns `None` for
-/// discovered (non-synthetic) topologies.
-pub fn to_synthetic(topo: &Topology) -> Option<String> {
-    let spec = topo.level_spec();
-    if spec.is_empty() {
-        return None;
-    }
-    Some(spec.iter().map(|l| format!("{}:{}", l.obj_type, l.count)).collect::<Vec<_>>().join(" "))
 }
 
 /// The evaluation machine of the paper: an SMP system with 24 sockets of
@@ -141,9 +130,9 @@ mod tests {
     }
 
     #[test]
-    fn synthetic_roundtrip() {
+    fn from_synthetic_keeps_the_level_spec() {
         let t = from_synthetic("t", "numa:2 core:4 pu:2").unwrap();
-        assert_eq!(to_synthetic(&t).unwrap(), "numa:2 core:4 pu:2");
+        assert_eq!(t.level_spec(), parse_synthetic("numa:2 core:4 pu:2").unwrap());
         assert_eq!(t.nb_pus(), 16);
     }
 

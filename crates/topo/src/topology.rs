@@ -71,19 +71,9 @@ impl TreeShape {
         TreeShape { arities }
     }
 
-    /// Number of levels including the leaf level (i.e. `arities.len() + 1`).
-    pub fn depth(&self) -> usize {
-        self.arities.len() + 1
-    }
-
     /// Total number of leaves of the balanced tree.
     pub fn leaves(&self) -> usize {
         self.arities.iter().product()
-    }
-
-    /// Number of nodes at depth `d` (0 = root).
-    pub fn nodes_at_depth(&self, d: usize) -> usize {
-        self.arities[..d.min(self.arities.len())].iter().product()
     }
 
     /// Appends a new deepest level with the given arity, returning the
@@ -266,24 +256,14 @@ impl Topology {
         &self.objects[0]
     }
 
-    /// Total number of objects in the tree.
-    pub fn len(&self) -> usize {
-        self.objects.len()
-    }
-
-    /// True when the topology holds no objects (never the case for a
-    /// successfully built topology).
-    pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
-    }
-
     /// Access an object by id.
-    pub fn object(&self, id: ObjId) -> &TopoObject {
+    pub(crate) fn object(&self, id: ObjId) -> &TopoObject {
         &self.objects[id.index()]
     }
 
     /// Iterates over all objects in arena order.
-    pub fn objects(&self) -> impl Iterator<Item = &TopoObject> {
+    #[cfg(test)]
+    pub(crate) fn objects(&self) -> impl Iterator<Item = &TopoObject> {
         self.objects.iter()
     }
 
@@ -298,12 +278,12 @@ impl Topology {
     }
 
     /// Number of objects at the given depth.
-    pub fn nb_objects_at_depth(&self, depth: usize) -> usize {
+    pub(crate) fn nb_objects_at_depth(&self, depth: usize) -> usize {
         self.levels.get(depth).map_or(0, |l| l.len())
     }
 
     /// Depth of the first level whose objects have the given type, if any.
-    pub fn depth_of_type(&self, ty: ObjectType) -> Option<usize> {
+    pub(crate) fn depth_of_type(&self, ty: ObjectType) -> Option<usize> {
         (0..self.depth()).find(|&d| self.levels[d].first().map(|id| self.object(*id).obj_type) == Some(ty))
     }
 
@@ -345,8 +325,10 @@ impl Topology {
     }
 
     /// Walks up from `id` to the root, yielding every ancestor (excluding
-    /// `id` itself, including the root).
-    pub fn ancestors(&self, id: ObjId) -> Vec<ObjId> {
+    /// `id` itself, including the root): the reference the table lookups
+    /// are checked against.
+    #[cfg(test)]
+    pub(crate) fn ancestors(&self, id: ObjId) -> Vec<ObjId> {
         let mut v = Vec::new();
         let mut cur = self.object(id).parent;
         while let Some(p) = cur {
@@ -357,7 +339,7 @@ impl Topology {
     }
 
     /// Deepest common ancestor of two objects.
-    pub fn common_ancestor(&self, a: ObjId, b: ObjId) -> ObjId {
+    pub(crate) fn common_ancestor(&self, a: ObjId, b: ObjId) -> ObjId {
         let mut pa = Some(a);
         let mut pb = Some(b);
         // Equalise depths first.
@@ -548,10 +530,6 @@ mod tests {
         let shape = t.shape();
         assert_eq!(shape.arities, vec![24, 8, 1]);
         assert_eq!(shape.leaves(), 192);
-        assert_eq!(shape.depth(), 4);
-        assert_eq!(shape.nodes_at_depth(0), 1);
-        assert_eq!(shape.nodes_at_depth(1), 24);
-        assert_eq!(shape.nodes_at_depth(2), 192);
         let extended = shape.with_extra_level(2);
         assert_eq!(extended.leaves(), 384);
     }

@@ -81,11 +81,6 @@ impl TreeMatchMapper {
         TreeMatchMapper { config: TreeMatchConfig { control: ControlThreadSpec::with_count(0) } }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &TreeMatchConfig {
-        &self.config
-    }
-
     /// Runs Algorithm 1: computes a placement of the `m.order()` compute
     /// threads (plus the configured control threads) onto the PUs of `topo`.
     ///
@@ -212,7 +207,7 @@ pub fn tree_match_assign(shape: &TreeShape, m: &CommMatrix) -> Vec<usize> {
 /// Allocation-reusing variant of [`tree_match_assign`]: identical output,
 /// with the sparse view and the aggregated level matrix living in
 /// `scratch` instead of being reallocated at every level.
-pub fn tree_match_assign_with(
+pub(crate) fn tree_match_assign_with(
     shape: &TreeShape,
     m: &CommMatrix,
     scratch: &mut PlacementScratch,

@@ -43,7 +43,7 @@ impl ControlThreadSpec {
     /// Compute threads served by control thread `k` when there are
     /// `n_compute` compute threads: a round-robin assignment, matching how
     /// the ORWL runtime shards its event loops.
-    pub fn served_by(&self, k: usize, n_compute: usize) -> Vec<usize> {
+    pub(crate) fn served_by(&self, k: usize, n_compute: usize) -> Vec<usize> {
         if self.count == 0 {
             return Vec::new();
         }
@@ -87,7 +87,7 @@ pub fn decide_control_mode(topo: &Topology, n_compute: usize, n_control: usize) 
 /// with every compute thread it serves, weighted by `affinity_fraction` of
 /// that thread's total traffic, in both directions.  Control threads do not
 /// talk to each other.
-pub fn extend_for_control(m: &CommMatrix, spec: &ControlThreadSpec) -> CommMatrix {
+pub(crate) fn extend_for_control(m: &CommMatrix, spec: &ControlThreadSpec) -> CommMatrix {
     let n = m.order();
     if spec.count == 0 {
         return m.clone();

@@ -466,8 +466,9 @@ fn swap_gain(s: &SparseComm, ga: &[usize], gb: &[usize], a: usize, b: usize) -> 
 }
 
 /// Total intra-group volume of a grouping (the objective maximised by
-/// [`group_processes`]).  Exposed for tests and diagnostics.
-pub fn intra_volume(m: &CommMatrix, groups: &Groups) -> f64 {
+/// [`group_processes`]).
+#[cfg(test)]
+pub(crate) fn intra_volume(m: &CommMatrix, groups: &Groups) -> f64 {
     orwl_comm::aggregate::intra_group_volume(&m.symmetrized(), groups) / 2.0
 }
 
@@ -478,7 +479,7 @@ pub fn intra_volume(m: &CommMatrix, groups: &Groups) -> f64 {
 pub(crate) mod naive {
     use super::*;
 
-    pub fn group_processes(m: &CommMatrix, arity: usize) -> Groups {
+    pub(crate) fn group_processes(m: &CommMatrix, arity: usize) -> Groups {
         assert!(arity > 0, "arity must be at least 1");
         let p = m.order();
         if p == 0 {

@@ -26,7 +26,7 @@
 //! # Example
 //!
 //! ```
-//! use orwl_treematch::prelude::*;
+//! use orwl_treematch::algorithm::TreeMatchMapper;
 //! use orwl_comm::patterns;
 //! use orwl_topo::synthetic;
 //!
@@ -36,9 +36,13 @@
 //! let topo = synthetic::cluster2016_subset(4).unwrap();
 //!
 //! let placement = TreeMatchMapper::compute_only().compute_placement(&topo, &matrix);
-//! assert!(placement.is_injective());
+//! assert_eq!(placement.bound_fraction(), 1.0);
 //! assert_eq!(placement.numa_nodes_used(&topo), 4);
 //! ```
+
+// `pub` means another crate (or a bin, test or example) calls it: everything
+// else is `pub(crate)` so `dead_code` can see it.  DESIGN.md, "Public surface".
+#![warn(unreachable_pub)]
 
 pub mod algorithm;
 pub mod control;
@@ -50,19 +54,7 @@ pub mod policies;
 #[cfg(test)]
 mod sparse_identity;
 
-pub use algorithm::{
-    tree_match_assign, tree_match_assign_with, PlacementScratch, TreeMatchConfig, TreeMatchMapper,
-};
-pub use control::{ControlPlacementMode, ControlThreadSpec};
+pub use algorithm::{tree_match_assign, PlacementScratch, TreeMatchMapper};
 pub use mapping::Placement;
-pub use oversub::OversubPlan;
-pub use partition::{cut_bytes, cut_cost, partition, PartCosts, PartitionError};
+pub use partition::{partition, PartCosts};
 pub use policies::{compute_placement, Policy};
-
-/// Convenient glob import of the most commonly used items.
-pub mod prelude {
-    pub use crate::algorithm::{TreeMatchConfig, TreeMatchMapper};
-    pub use crate::control::ControlThreadSpec;
-    pub use crate::mapping::Placement;
-    pub use crate::policies::{compute_placement, Policy};
-}

@@ -57,7 +57,8 @@ impl Placement {
     }
 
     /// True when no two *bound* compute threads share a PU.
-    pub fn is_injective(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_injective(&self) -> bool {
         let mut seen = std::collections::HashSet::new();
         for pu in self.compute.iter().flatten() {
             if !seen.insert(*pu) {

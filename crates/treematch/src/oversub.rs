@@ -19,11 +19,6 @@ pub struct OversubPlan {
 }
 
 impl OversubPlan {
-    /// True when an extra virtual level was added.
-    pub fn is_oversubscribed(&self) -> bool {
-        self.factor > 1
-    }
-
     /// Maps a virtual leaf index (0-based, left-to-right over the extended
     /// tree) back to the physical leaf index it lives under.
     pub fn physical_leaf(&self, virtual_leaf: usize) -> usize {
@@ -57,7 +52,6 @@ mod tests {
         let shape = TreeShape::new(vec![2, 4]); // 8 leaves
         let plan = manage_oversubscription(&shape, 8);
         assert_eq!(plan.factor, 1);
-        assert!(!plan.is_oversubscribed());
         assert_eq!(plan.shape, shape);
         assert_eq!(plan.physical_leaf(5), 5);
 
@@ -71,7 +65,6 @@ mod tests {
                                                 // 9..16 entities need factor 2, 17..24 need factor 3.
         let plan9 = manage_oversubscription(&shape, 9);
         assert_eq!(plan9.factor, 2);
-        assert!(plan9.is_oversubscribed());
         assert_eq!(plan9.shape.leaves(), 16);
         assert_eq!(plan9.shape.arities, vec![2, 4, 2]);
 

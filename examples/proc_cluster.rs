@@ -56,7 +56,7 @@ use orwl_lab::{ScenarioFamily, ScenarioSpec};
 use orwl_obs::export::{validate_chrome_trace, validate_obs};
 use orwl_obs::merge::split_tracks;
 use orwl_obs::{ObsConfig, RunTelemetry, ToJson};
-use orwl_proc::{Fault, FaultPlan, LiveConfig, LiveEvent, RecoveryConfig};
+use orwl_proc::{Fault, FaultPlan, LiveConfig, LiveEvent};
 use orwl_repro::{ClusterBackend, ClusterMachine, Policy, ProcBackend, Session};
 use std::time::Duration;
 
@@ -200,9 +200,8 @@ fn main() {
                 .with_live(LiveConfig::new(Duration::from_millis(interval_ms)).with_on_event(live_ticker));
         }
         if let (Some((node, after_ms)), true) = (kill, observed) {
-            backend = backend
-                .with_faults(FaultPlan::new().with(Fault::Sigkill { node, after_ms }))
-                .with_recovery(RecoveryConfig::default());
+            backend =
+                backend.with_faults(FaultPlan::new().with(Fault::Sigkill { node, after_ms })).with_recovery();
         }
         let report = session(&machine, policy, backend, observed)
             .run(spec.workload())

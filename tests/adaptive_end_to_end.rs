@@ -276,5 +276,9 @@ fn overlapping_observed_sessions_record_only_their_own_events() {
     assert!(obs.count_kind("drift_decision") as u64 <= adapt.epochs);
     assert_eq!(obs.count_kind("rebind") as u64, adapt.rebinds_applied);
     assert_eq!(obs.count_kind("lock_wait") as u64, n as u64 * (phase1 + phase2) * 2);
+    // The histogram is the one source of the run's lock-wait total.
+    let waits = obs.metrics.histogram("lock_wait_ns").expect("every acquisition is observed");
+    assert_eq!(waits.count, n as u64 * (phase1 + phase2) * 2);
+    assert!(waits.sum > 0, "neighbours contend for every location, so some acquisition waited");
     assert_eq!(obs.count_kind("migration") as u64, adapt.replacements);
 }

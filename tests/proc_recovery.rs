@@ -15,7 +15,7 @@ use orwl_core::error::OrwlError;
 use orwl_core::session::Session;
 use orwl_lab::{ScenarioFamily, ScenarioSpec};
 use orwl_obs::{EventKind, ObsConfig};
-use orwl_proc::{Fault, FaultPlan, LiveConfig, ProcBackend, RecoveryConfig, WorkerPool};
+use orwl_proc::{Fault, FaultPlan, LiveConfig, ProcBackend, WorkerPool};
 use orwl_repro::{ClusterMachine, Policy};
 use std::time::{Duration, Instant};
 
@@ -64,7 +64,7 @@ fn a_killed_worker_is_survived_by_resharding_onto_the_rest() {
         4,
         backend(4)
             .with_faults(FaultPlan::new().with(Fault::Sigkill { node: 2, after_ms: 200 }))
-            .with_recovery(RecoveryConfig::default())
+            .with_recovery()
             .with_live(live),
     );
     let report = session.run(chaos_scenario().workload()).expect("the survivors must finish the run");
