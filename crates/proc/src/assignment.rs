@@ -10,6 +10,7 @@
 //! same binary, so parsing is exact: every key the writer emits is
 //! required, and a missing one is an error, not a default.
 
+use orwl_numasim::workload::PhasedWorkload;
 use orwl_obs::json::Json;
 use orwl_obs::ObsConfig;
 
@@ -106,6 +107,35 @@ pub(crate) struct PhasePlan {
     /// Every read performed per iteration, filtered to readers hosted on
     /// the receiving worker.
     pub reads: Vec<ReadEdge>,
+}
+
+/// The read schedule of a set of reader tasks, one `Vec<PhasePlan>` per
+/// node: every positive off-diagonal matrix entry `m[src][dst]` of a phase
+/// is one read of that many bytes by task `dst` from task `src`'s location
+/// per iteration, and it lands in the plan of node `home(dst)` (`None`:
+/// not a reader this schedule covers).  Reads are listed in the matrix's
+/// row-major `(src, dst)` order — the ordered-pair traversal the cluster
+/// simulator prices, which is what makes measured and predicted inter-node
+/// bytes comparable.  The initial assignments cover every task; a recovery
+/// round covers the adopted orphans.
+pub(crate) fn read_plans(
+    workload: &PhasedWorkload,
+    n_nodes: usize,
+    home: impl Fn(usize) -> Option<usize>,
+) -> Vec<Vec<PhasePlan>> {
+    let mut plans = vec![Vec::with_capacity(workload.phases.len()); n_nodes];
+    for phase in &workload.phases {
+        for plan in &mut plans {
+            plan.push(PhasePlan { iterations: phase.iterations, reads: Vec::new() });
+        }
+        phase.graph.comm_matrix().for_each_nonzero(|src, dst, bytes| {
+            if let Some(node) = home(dst).filter(|_| src != dst && bytes > 0.0) {
+                let plan = plans[node].last_mut().expect("one plan per phase was just pushed");
+                plan.reads.push(ReadEdge { reader: dst, src, bytes });
+            }
+        });
+    }
+    plans
 }
 
 /// The complete per-worker run description.

@@ -14,6 +14,7 @@
 //! kills and reaps whatever is still running and removes the rendezvous
 //! directory.
 
+use crate::control::{root_cause, ControlIo, Input};
 use crate::transport::{wait_readable, FramedStream, RecvError, PARTIAL_FRAME_WAIT};
 use crate::wire::Message;
 use std::collections::VecDeque;
@@ -129,21 +130,6 @@ impl WorkerChild {
     }
 }
 
-/// What one [`WorkerPool::poll_from_lossy`] attempt observed on a control
-/// connection.  `Lost` is the caller's to judge: a recovery-enabled
-/// coordinator re-shards, any other fails the run.
-#[derive(Debug)]
-pub(crate) enum Polled {
-    /// A whole message arrived.
-    Message(Message),
-    /// Nothing whole arrived within the slice; the worker may simply be
-    /// busy.
-    Silence,
-    /// The connection is gone (closed socket or receive error) — the
-    /// worker is lost, with the best available diagnosis attached.
-    Lost(String),
-}
-
 /// One run's worth of worker processes plus their control connections.
 pub struct WorkerPool {
     dir: PathBuf,
@@ -152,10 +138,11 @@ pub struct WorkerPool {
     controls: Vec<Option<FramedStream>>,
     hello_recv_us: Vec<u64>,
     io_timeout: Duration,
-    stray: Vec<(usize, Message)>,
     dead: Vec<bool>,
-    /// Rotates which node [`WorkerPool::poll_any`] looks at first.
+    /// Rotates which node [`ControlIo::poll`] looks at first.
     turn: usize,
+    /// Zero of the clock the control protocol runs on.
+    epoch: Instant,
 }
 
 impl WorkerPool {
@@ -212,36 +199,16 @@ impl WorkerPool {
             controls,
             hello_recv_us: vec![0; n_nodes],
             io_timeout,
-            stray: Vec::new(),
             dead: vec![false; n_nodes],
             turn: 0,
+            epoch: Instant::now(),
         })
-    }
-
-    /// True once `node` has been confirmed lost and written off — its
-    /// control connection dropped, its process reaped.  Dead nodes are
-    /// skipped by broadcasts, waits and auto-blame.
-    #[must_use]
-    pub(crate) fn is_dead(&self, node: usize) -> bool {
-        self.dead[node]
     }
 
     /// The OS process id of `node`'s worker (for signal-based tests).
     #[must_use]
     pub fn worker_pid(&self, node: usize) -> u32 {
         self.children[node].child.id()
-    }
-
-    /// Writes `node` off as lost: kills and reaps its process, joins its
-    /// stderr tail, drops its control connection and marks it dead.
-    /// Returns the exit status (when the process already exited) and the
-    /// stderr tail, for the recovery telemetry.
-    pub(crate) fn confirm_loss(&mut self, node: usize) -> (Option<std::process::ExitStatus>, String) {
-        let status = self.children[node].poll_exit();
-        let tail = self.children[node].kill_and_tail();
-        self.controls[node] = None;
-        self.dead[node] = true;
-        (status.or(self.children[node].exit), tail)
     }
 
     /// The coordinator's process clock (µs) when `node`'s `Hello` arrived
@@ -263,7 +230,7 @@ impl WorkerPool {
     /// first still-credited child that exited with a failure status, else
     /// node 0).  Nodes already written off by a completed recovery are
     /// never auto-blamed — their deaths were already accounted for.
-    pub(crate) fn fail(&mut self, node: Option<usize>, reason: impl Into<String>) -> WorkerFailure {
+    fn fail(&mut self, node: Option<usize>, reason: impl Into<String>) -> WorkerFailure {
         let statuses: Vec<Option<std::process::ExitStatus>> =
             self.children.iter_mut().map(WorkerChild::poll_exit).collect();
         let node = node
@@ -286,54 +253,6 @@ impl WorkerPool {
             detail.push_str(&format!("; stderr tail:\n{tail}"));
         }
         WorkerFailure { node, detail }
-    }
-
-    /// Like [`WorkerPool::fail`], but for failures observed on `node`
-    /// that may be collateral damage: when some *other* worker is the
-    /// likelier root cause (a dying peer tears down every connection it
-    /// serves) its stderr tail carries the original panic — blame it
-    /// instead of `node`.
-    pub(crate) fn fail_cascade(&mut self, node: usize, reason: impl Into<String>) -> WorkerFailure {
-        // A worker that exits 1 diagnosed its own failure and said so
-        // (`maybe_worker`) — most often a symptom of a peer's death; one
-        // that died any other way (a signal, a panic) diagnosed nothing
-        // and is the root cause wherever the failure was first seen.  So
-        // among the failed children a crash outranks an exit 1, and `node`
-        // outranks its peers.  A peer's cascade error can race the dying
-        // worker's reaping — a worker that exits 1 over a peer's reset
-        // connection can be reaped before the peer that crashed — so blame
-        // settles at once only on a crash; otherwise it waits, on the exit
-        // descriptors of the children still running and up to a short
-        // grace, for a crash to show up.
-        let crashed = |s: std::process::ExitStatus| s.code() != Some(1);
-        let grace = Instant::now() + CASCADE_GRACE;
-        let candidates: Vec<usize> =
-            (0..self.children.len()).filter(|&n| n == node || !self.dead[n]).collect();
-        let root = loop {
-            let root = candidates
-                .iter()
-                .filter_map(|&n| Some((n, self.children[n].poll_exit().filter(|s| !s.success())?)))
-                .min_by_key(|&(n, s)| (!crashed(s), n != node));
-            let running: Vec<usize> =
-                candidates.iter().copied().filter(|&n| self.children[n].exit.is_none()).collect();
-            if root.is_some_and(|(_, s)| crashed(s)) || running.is_empty() {
-                break root;
-            }
-            let exits: Vec<RawFd> = running.iter().map(|&n| self.children[n].exited.as_raw_fd()).collect();
-            match wait_readable(&exits, grace.saturating_duration_since(Instant::now())) {
-                Ok(Some(ready)) => {
-                    self.children[running[ready]].wait_exit(Duration::ZERO);
-                }
-                _ => break root,
-            }
-        };
-        match root.map(|(n, _)| n) {
-            Some(root) if root != node => self.fail(
-                Some(root),
-                format!("worker exited during the run (a peer then saw: {})", reason.into()),
-            ),
-            _ => self.fail(Some(node), reason),
-        }
     }
 
     /// Accepts one control connection per worker; each must open with
@@ -403,166 +322,31 @@ impl WorkerPool {
         (0..self.children.len()).find(|&k| self.children[k].poll_exit().is_some())
     }
 
-    /// Non-blocking probe: has `node`'s worker process exited?
-    #[must_use]
-    pub(crate) fn worker_exited(&mut self, node: usize) -> Option<std::process::ExitStatus> {
-        self.children.get_mut(node).and_then(WorkerChild::poll_exit)
-    }
-
-    /// Sends one message to `node`'s control connection.  The write is
-    /// deadline-bounded by the pool's io timeout, so a worker whose
-    /// socket buffer filled up (e.g. one that was SIGSTOPped mid-run)
-    /// stalls the coordinator for at most one timeout, never forever.
-    pub(crate) fn send_to(&mut self, node: usize, message: &Message) -> Result<(), WorkerFailure> {
-        let io_timeout = self.io_timeout;
-        let Some(control) = self.controls[node].as_mut() else {
-            return Err(self.fail(Some(node), "no control connection"));
-        };
-        if let Err(e) = control.send_with_deadline(message, io_timeout) {
-            return Err(self.fail(Some(node), format!("control send failed: {e}")));
-        }
-        Ok(())
-    }
-
-    /// Broadcasts one message to every live (not written-off) worker.
-    pub(crate) fn broadcast(&mut self, message: &Message) -> Result<(), WorkerFailure> {
-        for node in 0..self.children.len() {
-            if !self.dead[node] {
-                self.send_to(node, message)?;
-            }
-        }
-        Ok(())
-    }
-
     /// One receive attempt on `node`'s control connection, blocking for at
-    /// most `slice` — the building block under [`WorkerPool::poll_any`].
-    /// A vanished connection comes back as [`Polled::Lost`] instead of
-    /// tearing the run down, so a recovery-enabled coordinator can confirm
-    /// the loss and re-shard.  A worker-*reported* error is still fatal —
-    /// the worker chose to fail, and the failure would recur on any
-    /// survivor.
-    pub(crate) fn poll_from_lossy(&mut self, node: usize, slice: Duration) -> Result<Polled, WorkerFailure> {
+    /// most `slice` — the building block under [`ControlIo::poll`];
+    /// `None` when nothing whole arrived (the worker may simply be busy).
+    /// A vanished connection comes back as [`Input::Lost`] instead of
+    /// tearing the run down — whether a loss is fatal is the protocol's
+    /// call, not the transport's — and is dropped with the report, so a
+    /// loss is reported once.
+    fn poll_from_lossy(&mut self, node: usize, slice: Duration) -> Result<Option<Input>, WorkerFailure> {
         let Some(control) = self.controls[node].as_mut() else {
             return Err(self.fail(Some(node), "no control connection"));
         };
-        match control.recv(Some(slice)) {
-            Ok(Message::Error { message }) => {
-                Err(self.fail_cascade(node, format!("worker reported: {message}")))
-            }
-            Ok(message) => Ok(Polled::Message(message)),
-            Err(RecvError::Timeout) => Ok(Polled::Silence),
-            Err(RecvError::Closed) => {
-                // A crash shows up as a closed socket, and the exit status
-                // is the useful part of the report: give the reaping a
-                // moment to catch up with the hang-up.
-                Ok(Polled::Lost(match self.children[node].wait_exit(EXIT_STATUS_GRACE) {
-                    Some(status) => format!("worker exited ({status}) during the run"),
-                    None => "worker closed its control connection during the run".to_string(),
-                }))
-            }
-            Err(e) => Ok(Polled::Lost(format!("control receive failed: {e}"))),
-        }
-    }
-
-    /// Waits up to `limit` for the next whole message — or the loss — of
-    /// any node in `nodes`, and says whose it is; `None` when the time
-    /// passes in silence.  This is how the coordinator waits on several
-    /// workers at once: one readiness wait over their control connections,
-    /// so whoever speaks (or hangs up) first is served first, a frame
-    /// larger than a socket buffer is drained while its sender is still
-    /// writing it, and no node waits for another's turn.  The node looked
-    /// at first rotates from call to call, so a chatty node cannot starve
-    /// the rest.
-    pub(crate) fn poll_any(
-        &mut self,
-        nodes: &[usize],
-        limit: Duration,
-    ) -> Result<Option<(usize, Polled)>, WorkerFailure> {
-        if nodes.is_empty() {
-            return Ok(None);
-        }
-        let started = Instant::now();
-        self.turn = self.turn.wrapping_add(1);
-        let first = self.turn % nodes.len();
-        let order: Vec<usize> = nodes[first..].iter().chain(&nodes[..first]).copied().collect();
-        loop {
-            // A whole frame may already sit in a stream's reader, pulled in
-            // by the read that completed the previous one, where poll(2)
-            // cannot see it: a zero-length receive looks only there.
-            for &node in &order {
-                match self.poll_from_lossy(node, Duration::ZERO)? {
-                    Polled::Silence => {}
-                    polled => return Ok(Some((node, polled))),
-                }
-            }
-            let fds: Vec<RawFd> = order
-                .iter()
-                .map(|&node| self.controls[node].as_ref().map_or(-1, AsRawFd::as_raw_fd))
-                .collect();
-            match wait_readable(&fds, limit.saturating_sub(started.elapsed())) {
-                Ok(None) => return Ok(None),
-                Ok(Some(ready)) => {
-                    let node = order[ready];
-                    match self.poll_from_lossy(node, PARTIAL_FRAME_WAIT)? {
-                        // Part of a frame: its rest will wake the next wait.
-                        Polled::Silence => {}
-                        polled => return Ok(Some((node, polled))),
-                    }
-                }
-                Err(e) => return Err(self.fail(None, format!("control poll failed: {e}"))),
-            }
-        }
-    }
-
-    /// Heartbeats and telemetry frames that arrived while a specific
-    /// kind was awaited — [`WorkerPool::recv_all`] sets them aside
-    /// instead of failing, and the coordinator drains them here: a live
-    /// run's frames racing a protocol step, and every observed run's
-    /// final frames, which precede `Metrics`.
-    pub(crate) fn take_stray(&mut self) -> Vec<(usize, Message)> {
-        std::mem::take(&mut self.stray)
-    }
-
-    /// Waits (deadline-bounded, death-aware) for one message of kind
-    /// `expect` from every live worker and returns them in node order.
-    /// The nodes are awaited together ([`WorkerPool::poll_any`]), in
-    /// whatever order they answer; the deadline restarts with every
-    /// awaited message, so each node still gets the io timeout the
-    /// node-by-node wait used to give it.  Heartbeats and telemetry frames
-    /// may race (or, after `Shutdown`, precede) any protocol step, so they
-    /// are set aside for [`WorkerPool::take_stray`] rather than failing
-    /// the run; anything else unexpected — a worker-reported error, an
-    /// unexpected kind, a dead or silent worker — fails the whole run.
-    pub(crate) fn recv_all(&mut self, expect: &'static str) -> Result<Vec<(usize, Message)>, WorkerFailure> {
-        let mut waiting: Vec<usize> = (0..self.children.len()).filter(|&node| !self.dead[node]).collect();
-        let mut answers = Vec::with_capacity(waiting.len());
-        let mut deadline = Instant::now() + self.io_timeout;
-        while !waiting.is_empty() {
-            match self.poll_any(&waiting, deadline.saturating_duration_since(Instant::now()))? {
-                Some((node, Polled::Message(message))) if message.name() == expect => {
-                    answers.push((node, message));
-                    waiting.retain(|&n| n != node);
-                    deadline = Instant::now() + self.io_timeout;
-                }
-                Some((
-                    node,
-                    Polled::Message(message @ (Message::Heartbeat { .. } | Message::TelemetryDelta { .. })),
-                )) => {
-                    self.stray.push((node, message));
-                }
-                Some((node, Polled::Message(other))) => {
-                    return Err(self.fail(Some(node), format!("expected {expect}, got {}", other.name())));
-                }
-                Some((node, Polled::Lost(detail))) => {
-                    return Err(self.fail(Some(node), format!("{detail} (the coordinator awaited {expect})")));
-                }
-                Some((_, Polled::Silence)) | None => {
-                    return Err(self.fail(Some(waiting[0]), format!("timed out waiting for {expect}")));
-                }
-            }
-        }
-        answers.sort_unstable_by_key(|&(node, _)| node);
-        Ok(answers)
+        let detail = match control.recv(Some(slice)) {
+            Ok(message) => return Ok(Some(Input::Frame { node, message })),
+            Err(RecvError::Timeout) => return Ok(None),
+            // A crash shows up as a closed socket, and the exit status is
+            // the useful part of the report: give the reaping a moment to
+            // catch up with the hang-up.
+            Err(RecvError::Closed) => match self.children[node].wait_exit(EXIT_STATUS_GRACE) {
+                Some(status) => format!("worker exited ({status}) during the run"),
+                None => "worker closed its control connection during the run".to_string(),
+            },
+            Err(e) => format!("control receive failed: {e}"),
+        };
+        self.controls[node] = None;
+        Ok(Some(Input::Lost { node, detail }))
     }
 
     /// Waits for every live worker to exit cleanly (deadline-bounded); a
@@ -581,6 +365,144 @@ impl WorkerPool {
             }
         }
         Ok(())
+    }
+}
+
+/// The real outside world of [`control::drive`](crate::control::drive):
+/// the control connections, the children and the process clock.
+impl ControlIo for WorkerPool {
+    fn now(&self) -> Duration {
+        self.epoch.elapsed()
+    }
+
+    /// Waits up to `limit` for the next whole frame — or the loss — of any
+    /// node whose connection is open, whoever is awaited; `None` when the
+    /// time passes in silence.  This is how the coordinator waits on
+    /// several workers at once: one readiness wait over their control
+    /// connections, so whoever speaks (or hangs up) first is served first,
+    /// a frame larger than a socket buffer is drained while its sender is
+    /// still writing it, and no node waits for another's turn.  The node
+    /// looked at first rotates from call to call, so a chatty node cannot
+    /// starve the rest.
+    fn poll(&mut self, limit: Duration) -> Result<Option<Input>, WorkerFailure> {
+        let mut order: Vec<usize> =
+            (0..self.controls.len()).filter(|&n| self.controls[n].is_some()).collect();
+        if order.is_empty() {
+            return Ok(None);
+        }
+        let started = Instant::now();
+        self.turn = self.turn.wrapping_add(1);
+        let first = self.turn % order.len();
+        order.rotate_left(first);
+        loop {
+            // A whole frame may already sit in a stream's reader, pulled in
+            // by the read that completed the previous one, where poll(2)
+            // cannot see it: a zero-length receive looks only there.
+            for &node in &order {
+                if let Some(input) = self.poll_from_lossy(node, Duration::ZERO)? {
+                    return Ok(Some(input));
+                }
+            }
+            // A child that is gone by now wrote its last words before this
+            // look: if its connection then has nothing to read — not even
+            // the hang-up — it never will, and the exit is what there is to
+            // report (once: the connection goes with it).
+            let exited = order.iter().copied().find(|&node| self.children[node].poll_exit().is_some());
+            let left =
+                if exited.is_some() { Duration::ZERO } else { limit.saturating_sub(started.elapsed()) };
+            let fds: Vec<RawFd> = order
+                .iter()
+                .map(|&node| self.controls[node].as_ref().map_or(-1, AsRawFd::as_raw_fd))
+                .collect();
+            match wait_readable(&fds, left) {
+                Ok(None) => {
+                    return Ok(exited.map(|node| {
+                        self.controls[node] = None;
+                        let status =
+                            self.children[node].exit.map_or_else(String::new, |status| status.to_string());
+                        Input::Exited { node, status }
+                    }));
+                }
+                // Part of a frame: its rest will wake the next wait.
+                Ok(Some(ready)) => {
+                    if let Some(input) = self.poll_from_lossy(order[ready], PARTIAL_FRAME_WAIT)? {
+                        return Ok(Some(input));
+                    }
+                }
+                Err(e) => return Err(WorkerPool::fail(self, None, format!("control poll failed: {e}"))),
+            }
+        }
+    }
+
+    /// Sends one message to `node`'s control connection.  The write is
+    /// deadline-bounded by the pool's io timeout, so a worker whose
+    /// socket buffer filled up (e.g. one that was SIGSTOPped mid-run)
+    /// stalls the coordinator for at most one timeout, never forever.
+    fn send(&mut self, node: usize, message: &Message) -> Result<(), WorkerFailure> {
+        let io_timeout = self.io_timeout;
+        let Some(control) = self.controls[node].as_mut() else {
+            return Err(self.fail(Some(node), "no control connection"));
+        };
+        if let Err(e) = control.send_with_deadline(message, io_timeout) {
+            return Err(self.fail(Some(node), format!("control send failed: {e}")));
+        }
+        Ok(())
+    }
+
+    /// Writes `node` off as lost: kills and reaps its process, joins its
+    /// stderr tail, drops its control connection and marks it dead, so
+    /// waits and auto-blame skip it from here on.
+    fn confirm_loss(&mut self, node: usize) {
+        self.children[node].kill_and_tail();
+        self.controls[node] = None;
+        self.dead[node] = true;
+    }
+
+    /// [`WorkerPool::fail`] for `node` — or, with `cascade`, for a failure
+    /// observed on `node` that may be collateral damage: when some *other*
+    /// worker is the likelier root cause (a dying peer tears down every
+    /// connection it serves) its stderr tail carries the original panic —
+    /// blame it instead of `node`.
+    fn fail(&mut self, node: usize, reason: String, cascade: bool) -> WorkerFailure {
+        if !cascade {
+            return WorkerPool::fail(self, Some(node), reason);
+        }
+        // Which of the failed children to blame is `root_cause`'s call.  A
+        // peer's cascade error can race the dying worker's reaping — a
+        // worker that exits 1 over a peer's reset connection can be reaped
+        // before the peer that crashed — so blame settles at once only on
+        // a crash; otherwise it waits, on the exit descriptors of the
+        // children still running and up to a short grace, for a crash to
+        // show up.
+        let grace = Instant::now() + CASCADE_GRACE;
+        let candidates: Vec<usize> =
+            (0..self.children.len()).filter(|&n| n == node || !self.dead[n]).collect();
+        let root = loop {
+            let failed = candidates.iter().filter_map(|&n| {
+                let status = self.children[n].poll_exit().filter(|status| !status.success())?;
+                Some((n, status.code() != Some(1)))
+            });
+            let root = root_cause(node, failed);
+            let running: Vec<usize> =
+                candidates.iter().copied().filter(|&n| self.children[n].exit.is_none()).collect();
+            if root.is_some_and(|(_, crashed)| crashed) || running.is_empty() {
+                break root;
+            }
+            let exits: Vec<RawFd> = running.iter().map(|&n| self.children[n].exited.as_raw_fd()).collect();
+            match wait_readable(&exits, grace.saturating_duration_since(Instant::now())) {
+                Ok(Some(ready)) => {
+                    self.children[running[ready]].wait_exit(Duration::ZERO);
+                }
+                _ => break root,
+            }
+        };
+        match root {
+            Some((root, _)) if root != node => {
+                let reason = format!("worker exited during the run (a peer then saw: {reason})");
+                WorkerPool::fail(self, Some(root), reason)
+            }
+            _ => WorkerPool::fail(self, Some(node), reason),
+        }
     }
 }
 
@@ -628,6 +550,10 @@ impl Drop for PoolDirGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::{drive, Budgets, Coordinator, Finished};
+    use orwl_cluster::ClusterMachine;
+    use orwl_numasim::workload::PhasedWorkload;
+    use orwl_obs::{EventKind, ObsEvent, TelemetryDelta};
     use std::path::Path;
 
     /// Which worker the re-exec'd test binary should impersonate.
@@ -648,6 +574,46 @@ mod tests {
         control
     }
 
+    /// A fake worker's dark run up to the point where it owes its metrics:
+    /// `Ready`, (`Start`,) `Done`, (`Shutdown`).
+    fn play_until_shutdown(control: &mut FramedStream, node: usize) {
+        let wait = Some(Duration::from_secs(20));
+        control.send(&Message::Ready { node: node as u32 }).expect("ready");
+        assert_eq!(control.recv(wait).expect("start"), Message::Start);
+        control.send(&Message::Done { node: node as u32 }).expect("done");
+        assert_eq!(control.recv(wait).expect("shutdown"), Message::Shutdown);
+    }
+
+    /// A telemetry frame far larger than a socket buffer: the most events
+    /// one frame may carry, and counters padded up to 3 MiB.
+    fn big_frame() -> TelemetryDelta {
+        let event = |seq| ObsEvent {
+            ts_us: seq as f64,
+            dur_us: 0.0,
+            seq,
+            tid: 0,
+            track: 0,
+            kind: EventKind::LockGrant { rseq: seq, location: 1, wait_ns: 1 },
+        };
+        let mut frame = TelemetryDelta {
+            events: (0..orwl_obs::timeseries::MAX_FRAME_EVENTS as u64).map(event).collect(),
+            ..TelemetryDelta::default()
+        };
+        frame.metrics.counters = (0..64).map(|k| (format!("{k:04}{}", "x".repeat(4000)), k)).collect();
+        frame
+    }
+
+    /// Runs the control protocol over the pool's workers, as a dark run of
+    /// a small stencil would.
+    fn drive_dark(pool: &mut WorkerPool, n_nodes: usize) -> Result<Finished, WorkerFailure> {
+        let machine = ClusterMachine::paper(n_nodes);
+        let workload = PhasedWorkload::rotating_stencil(2, 64.0, 8.0, 16.0, 64.0, &[1]);
+        let routing: Vec<usize> = (0..workload.n_tasks()).map(|task| task % n_nodes).collect();
+        let budgets = Budgets::new(pool.io_timeout, None, false);
+        let mut coordinator = Coordinator::new(&machine, &workload, &routing, budgets, pool.now());
+        drive(pool, &mut coordinator, |_| {})
+    }
+
     /// Not a test of its own: the body of every fake worker.  In the
     /// harness's own pass the role is unset and it does nothing.
     #[test]
@@ -656,7 +622,8 @@ mod tests {
             return;
         }
         let node: usize = std::env::var(ENV_NODE).expect("node index").parse().expect("node index");
-        let metrics = Message::Metrics { node: node as u32, json: "{}".to_string() };
+        let report = crate::metrics::WorkerMetrics { node, ..Default::default() };
+        let metrics = Message::Metrics { node: node as u32, json: report.to_json().pretty() };
         // Where two fake workers of one pool meet, beside the coordinator's socket.
         let gate =
             Path::new(&std::env::var(ENV_COORD).expect("coordinator socket")).with_file_name("gate.sock");
@@ -668,7 +635,9 @@ mod tests {
             "exits_before_connecting" => std::process::exit(3),
             // Reports like a finished worker, then dies on the way out.
             "dies_after_metrics" => {
-                hello(node).send(&metrics).expect("metrics");
+                let mut control = hello(node);
+                play_until_shutdown(&mut control, node);
+                control.send(&metrics).expect("metrics");
                 std::process::exit(7);
             }
             // Node 1's report starts with a frame far larger than a socket
@@ -679,11 +648,13 @@ mod tests {
                 if node == 0 {
                     let gate = UnixListener::bind(&gate).expect("bind the gate");
                     let mut control = hello(node);
+                    play_until_shutdown(&mut control, node);
                     gate.accept().expect("node 1 at the gate");
                     control.send(&metrics).expect("metrics");
                 } else {
                     let mut control = hello(node);
-                    let delta = vec![0u8; 3 << 20];
+                    play_until_shutdown(&mut control, node);
+                    let delta = big_frame().encode();
                     control.send(&Message::TelemetryDelta { node: node as u32, delta }).expect("big frame");
                     control.send(&metrics).expect("metrics");
                     FramedStream::connect_retry(&gate, Duration::from_secs(20)).expect("open the gate");
@@ -744,8 +715,8 @@ mod tests {
     fn a_worker_that_dies_between_metrics_and_exit_is_a_typed_failure() {
         let mut pool = fake_pool(1, "dies_after_metrics", Duration::from_secs(60));
         pool.accept_controls().expect("the worker connects");
-        let answers = pool.recv_all("metrics").expect("the worker reports");
-        assert!(matches!(answers[..], [(0, Message::Metrics { .. })]), "{answers:?}");
+        let finished = drive_dark(&mut pool, 1).expect("the worker reports");
+        assert!(matches!(&finished.metrics[..], [report] if report.node == 0), "{:?}", finished.metrics);
         let failure = pool.wait_all().expect_err("exit status 7 is not a clean exit");
         assert_eq!(failure.node, 0);
         assert!(failure.detail.contains("worker exited with exit status: 7"), "{}", failure.detail);
@@ -762,7 +733,7 @@ mod tests {
     fn a_crash_reaped_after_its_symptom_still_takes_the_blame() {
         let mut pool = fake_pool(2, "crash_behind_a_symptom", Duration::from_secs(20));
         pool.accept_controls().expect("both workers connect");
-        let failure = pool.recv_all("done").expect_err("one worker crashed, the other said so");
+        let failure = drive_dark(&mut pool, 2).expect_err("one worker crashed, the other said so");
         assert_eq!(failure.node, 0, "{}", failure.detail);
         assert!(failure.detail.contains("exit status: 101"), "{}", failure.detail);
     }
@@ -771,15 +742,18 @@ mod tests {
     fn every_node_is_drained_while_any_is_awaited() {
         let mut pool = fake_pool(2, "big_frame_from_the_later_node", Duration::from_secs(20));
         pool.accept_controls().expect("both workers connect");
-        let answers = pool.recv_all("metrics").expect("both workers report");
+        let finished = drive_dark(&mut pool, 2).expect("both workers report");
         assert!(
-            matches!(answers[..], [(0, Message::Metrics { .. }), (1, Message::Metrics { .. })]),
-            "one report per node, in node order: {answers:?}"
+            matches!(&finished.metrics[..], [first, second] if (first.node, second.node) == (0, 1)),
+            "one report per node, in node order: {:?}",
+            finished.metrics
         );
-        let stray = pool.take_stray();
+        let big = big_frame();
+        let encoded = big.encode().len();
+        assert!(encoded >= 3 << 20, "the frame is {encoded} bytes");
         assert!(
-            matches!(&stray[..], [(1, Message::TelemetryDelta { delta, .. })] if delta.len() == 3 << 20),
-            "node 1's frame was set aside whole"
+            finished.frames[0].is_empty() && finished.frames[1] == [big],
+            "node 1's frame is in its store whole"
         );
         pool.wait_all().expect("both workers exit cleanly");
     }

@@ -33,6 +33,7 @@
 #![warn(unreachable_pub)]
 
 pub mod assignment;
+mod control;
 mod coordinator;
 mod corr;
 mod fault;
@@ -41,38 +42,31 @@ pub mod transport;
 pub mod wire;
 mod worker;
 
-pub(crate) use assignment::{Assignment, ReAssignment};
 pub use coordinator::WorkerPool;
-pub(crate) use coordinator::{Polled, WorkerFailure};
 pub use corr::{corr_document, deterministic_view, validate_corr, CorrRow, CORR_TOLERANCE};
 pub use fault::{Fault, FaultPlan};
-pub(crate) use metrics::WorkerMetrics;
 pub use worker::maybe_worker;
 
-use crate::assignment::{ObsSpec, PhasePlan, ReadEdge};
+use crate::assignment::{read_plans, Assignment, ObsSpec};
+use crate::control::{Budgets, ControlIo, Coordinator, Finished, Output};
+use crate::coordinator::WorkerFailure;
 use crate::wire::Message;
-use orwl_cluster::{
-    inter_node_bytes, policy_placement, reshard_after_node_loss, split_hop_bytes, ClusterMachine,
-};
+use orwl_cluster::{inter_node_bytes, policy_placement, split_hop_bytes, ClusterMachine};
 use orwl_core::error::{ConfigError, OrwlError};
 use orwl_core::placement::PlacementPlan;
 use orwl_core::runtime::AdaptReport;
 use orwl_core::session::{ClusterTraffic, ExecutionBackend, Mode, Report, RunTime, SessionConfig, Workload};
 use orwl_numasim::workload::PhasedWorkload;
-use orwl_obs::json::Json;
 use orwl_obs::merge::merge_run;
-use orwl_obs::{
-    fold_deltas, ClockKind, EventKind, FabricLane, IntervalStats, LiveAggregator, ObsConfig, Recorder,
-    TelemetryDelta, TelemetrySnapshot,
-};
+use orwl_obs::{fold_deltas, ClockKind, EventKind, FabricLane, IntervalStats, ObsConfig, Recorder};
 use orwl_treematch::mapping::Placement;
 use orwl_treematch::policies::Policy;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Configuration of live telemetry: while the run executes, every worker
 /// streams a heartbeat and a telemetry frame per `interval`, and the
-/// coordinator folds them into a [`LiveAggregator`], surfaces each
+/// coordinator folds them into an [`orwl_obs::LiveAggregator`], surfaces each
 /// arrival through `on_event`, and flags any node silent for more than
 /// `straggler_intervals` intervals as a straggler — *before* the run's
 /// recv deadline turns the silence into a hard failure.
@@ -173,161 +167,10 @@ pub enum LiveEvent {
     },
 }
 
-/// The coordinator-side live monitor: consumes streaming frames during
-/// the done-wait, rebases telemetry frames onto the coordinator clock
-/// (each carries its track's NTP-midpoint offset), aggregates them,
-/// tracks per-node liveness and keeps every frame for the post-run fold.
-struct LiveMonitor<'a> {
-    cfg: &'a LiveConfig,
-    aggregator: LiveAggregator,
-    frames: Vec<Vec<TelemetryDelta>>,
-    last_beat: Vec<Instant>,
-    flagged: Vec<bool>,
-    heartbeats: u64,
-    delta_bytes: u64,
-    stragglers_flagged: u64,
-    node_losses: u64,
-    reshards: u64,
-    tasks_migrated: u64,
-}
-
-impl<'a> LiveMonitor<'a> {
-    fn new(n_nodes: usize, cfg: &'a LiveConfig) -> LiveMonitor<'a> {
-        LiveMonitor {
-            cfg,
-            aggregator: LiveAggregator::new(),
-            frames: vec![Vec::new(); n_nodes],
-            last_beat: vec![Instant::now(); n_nodes],
-            flagged: vec![false; n_nodes],
-            heartbeats: 0,
-            delta_bytes: 0,
-            stragglers_flagged: 0,
-            node_losses: 0,
-            reshards: 0,
-            tasks_migrated: 0,
-        }
-    }
-
-    fn emit(&self, event: &LiveEvent) {
-        if let Some(observer) = &self.cfg.on_event {
-            observer(event);
-        }
-    }
-
-    fn heartbeat(&mut self, node: usize, seq: u64) {
-        self.heartbeats += 1;
-        self.last_beat[node] = Instant::now();
-        if std::mem::take(&mut self.flagged[node]) {
-            self.emit(&LiveEvent::Recovered { node });
-        }
-        self.emit(&LiveEvent::Heartbeat { node, seq });
-    }
-
-    fn delta(&mut self, node: usize, bytes: &[u8]) -> Result<(), String> {
-        let delta = decode_telemetry(bytes)?;
-        // Workers merge onto track node+1 (track 0 is the coordinator);
-        // the aggregator's tracks use the same numbering.  A repeated
-        // frame is counted there and goes no further.
-        if let Some(stats) = self.aggregator.ingest(node as u32 + 1, &delta) {
-            self.delta_bytes += bytes.len() as u64;
-            self.frames[node].push(delta);
-            self.emit(&LiveEvent::Delta { node, bytes: bytes.len(), stats });
-        }
-        Ok(())
-    }
-
-    fn done(&mut self, node: usize) {
-        self.emit(&LiveEvent::Done { node });
-    }
-
-    /// Flags any not-yet-done node whose silence exceeds the budget; a
-    /// node is flagged once per silence episode (a heartbeat clears it).
-    fn check_stragglers(&mut self, done: &[bool]) {
-        let budget = self.cfg.interval * self.cfg.straggler_intervals.max(1);
-        for (node, &node_done) in done.iter().enumerate().take(self.flagged.len()) {
-            if node_done || self.flagged[node] {
-                continue;
-            }
-            let silent_for = self.last_beat[node].elapsed();
-            if silent_for >= budget {
-                self.flagged[node] = true;
-                self.stragglers_flagged += 1;
-                let missed = (silent_for.as_secs_f64() / self.cfg.interval.as_secs_f64()) as u64;
-                self.emit(&LiveEvent::Straggler { node, silent_for, missed });
-            }
-        }
-    }
-
-    /// How long until [`LiveMonitor::check_stragglers`] could flag each
-    /// of `running` (nodes already flagged have no flag left to raise).
-    fn next_straggler_check<'s>(&'s self, running: &'s [usize]) -> impl Iterator<Item = Duration> + 's {
-        let budget = self.cfg.interval * self.cfg.straggler_intervals.max(1);
-        running
-            .iter()
-            .filter(|&&node| !self.flagged[node])
-            .map(move |&node| budget.saturating_sub(self.last_beat[node].elapsed()))
-    }
-
-    /// Streams the run summary into the coordinator recorder's metrics,
-    /// so the merged telemetry records that (and how much) the run was
-    /// watched live.
-    fn record_summary(&self, recorder: &Recorder) {
-        let metrics = recorder.metrics();
-        metrics.counter("live.heartbeats").add(self.heartbeats);
-        metrics.counter("live.deltas").add(self.frames.iter().map(|f| f.len() as u64).sum());
-        metrics.counter("live.delta_bytes").add(self.delta_bytes);
-        metrics.counter("live.stragglers_flagged").add(self.stragglers_flagged);
-        metrics.counter("live.duplicate_deltas").add(self.aggregator.duplicates());
-        // Recovery counters appear only when a loss actually happened, so
-        // a fault-free run's telemetry is identical to a build without
-        // recovery enabled.
-        if self.node_losses > 0 {
-            metrics.counter("live.node_losses").add(self.node_losses);
-            metrics.counter("live.reshards").add(self.reshards);
-            metrics.counter("live.tasks_migrated").add(self.tasks_migrated);
-        }
-    }
-}
-
-/// Heartbeat silence after which failure-driven recovery
-/// ([`ProcBackend::with_recovery`]) declares a node dead (capped by the
-/// backend's io timeout).  Process exit and socket closure are confirmed
-/// immediately; the budget only gates the silent-hang case.
-const KILL_CONFIRMATION: Duration = Duration::from_secs(10);
 /// Seed of the `NoBind` OS-spread placement model: the default of
 /// [`ClusterBackend`](orwl_cluster::ClusterBackend), so the two backends
 /// shard a `NoBind` session alike.
 const NOBIND_SEED: u64 = 0xC0FFEE;
-/// Node losses a recovering run adopts before it fails anyway.  A loss
-/// *during* recovery is always fatal, whatever the budget says.
-const MAX_NODE_LOSSES: usize = 1;
-
-fn decode_telemetry(bytes: &[u8]) -> Result<TelemetryDelta, String> {
-    TelemetryDelta::decode(bytes).map_err(|e| format!("bad telemetry frame: {e}"))
-}
-
-/// What the protocol's recovery machinery did, folded into the report's
-/// [`AdaptReport`] when any re-shard happened.  (The per-episode task
-/// counts travel as [`EventKind::Recovery`] events and `live.*` counters
-/// instead.)
-#[derive(Debug, Clone, Copy, Default)]
-struct RecoverySummary {
-    node_reshards: u64,
-}
-
-/// The coordinator's mutable recovery state across one run: the current
-/// routing table (updated by every re-shard) and the casualty list.
-struct RecoveryState {
-    node_of_task: Vec<usize>,
-    down: Vec<usize>,
-    round: u32,
-}
-
-/// What a completed control protocol hands back: the wall-clocked
-/// execution span, one metrics document per surviving worker, (observed
-/// runs only) one telemetry snapshot per node that sent any frame, and
-/// the recovery summary.
-type ProtocolOutcome = (Duration, Vec<WorkerMetrics>, Vec<(u32, TelemetrySnapshot)>, RecoverySummary);
 
 /// The multi-process cluster executor as a `Session` backend: one OS
 /// process per node of the wrapped [`ClusterMachine`], the ORWL lock
@@ -385,11 +228,11 @@ impl ProcBackend {
 
     /// Enables failure-driven recovery: when a worker is confirmed lost
     /// mid-run (its process exited, its control socket closed, or it stayed
-    /// silent for `KILL_CONFIRMATION`), the coordinator quiesces the
+    /// silent for the kill-confirmation budget), the coordinator quiesces the
     /// survivors at their next iteration boundary, re-shards the lost
     /// node's tasks onto them ([`orwl_cluster::reshard_after_node_loss`] —
-    /// only the affected shard moves) and resumes the run degraded; up to
-    /// `MAX_NODE_LOSSES` losses are adopted.
+    /// only the affected shard moves) and resumes the run degraded; one
+    /// loss is adopted, a second fails the run.
     ///
     /// Takes effect only on live observed runs ([`ProcBackend::with_live`]
     /// and `SessionConfig::observe`): loss detection rides the heartbeat
@@ -418,23 +261,30 @@ impl ProcBackend {
         self
     }
 
-    /// Builds each worker's assignment from the node sharding and the
-    /// phase schedule: every positive off-diagonal matrix entry
-    /// `m[src][dst]` becomes one read of that many bytes by task `dst`
-    /// from task `src`'s location per iteration, filtered to the readers
-    /// hosted on each node.  This is the same ordered-pair traversal the
-    /// cluster simulator prices, which is what makes measured and
-    /// predicted inter-node bytes comparable.
-    fn assignments(
+    /// Drives the coordinator side of the control protocol to completion:
+    /// the handshake and the assignments here, at the edge, where the
+    /// clocks are; everything after that is [`control::Coordinator`]'s
+    /// decision, carried out by [`control::drive`] — the synchronized
+    /// start, the wall-clocked execution span, (live runs) the stream and
+    /// its straggler flags, (recovering runs) the re-shard around a lost
+    /// node, shutdown, one metrics document per surviving worker and every
+    /// telemetry frame received.
+    fn run_protocol(
         &self,
+        mut pool: WorkerPool,
         workload: &PhasedWorkload,
         node_of_task: &[usize],
-        pool: &WorkerPool,
-        recovering: bool,
-    ) -> Vec<Assignment> {
+        observe: Option<&ObsConfig>,
+        recorder: Option<&Recorder>,
+    ) -> Result<Finished, WorkerFailure> {
+        // Live streaming needs a worker recorder to drain, so the live
+        // config takes effect only on observed runs.  Recovery in turn
+        // needs the heartbeat stream as its liveness signal, so it takes
+        // effect only on live runs.
+        let live = self.live.as_ref().filter(|_| observe.is_some());
+        let budgets = Budgets::new(self.io_timeout, live, live.is_some() && self.recovery);
         let cluster = self.machine.cluster();
         let n_nodes = cluster.n_nodes();
-        let n_tasks = workload.n_tasks();
         let node_topo = cluster.node_topology();
         let levels: Vec<(String, usize)> = node_topo
             .level_spec()
@@ -444,12 +294,14 @@ impl ProcBackend {
         let rack_of_node: Vec<usize> = (0..n_nodes).map(|k| cluster.rack_of_node(k)).collect();
         let peer_listen: Vec<String> =
             (0..n_nodes).map(|k| pool.peer_socket(k).to_string_lossy().into_owned()).collect();
-
-        (0..n_nodes)
-            .map(|node| Assignment {
+        let schedules = read_plans(workload, n_nodes, |task| Some(node_of_task[task]));
+        let interval_ms = budgets.beat_interval.map_or(0, |interval| interval.as_millis() as u64);
+        pool.accept_controls()?;
+        for (node, phases) in schedules.into_iter().enumerate() {
+            let assignment = Assignment {
                 node,
                 n_nodes,
-                n_tasks,
+                n_tasks: workload.n_tasks(),
                 io_timeout_ms: self.io_timeout.as_millis() as u64,
                 topo_name: node_topo.name().to_string(),
                 levels: levels.clone(),
@@ -457,406 +309,36 @@ impl ProcBackend {
                 node_of_task: node_of_task.to_vec(),
                 listen: peer_listen[node].clone(),
                 peer_listen: peer_listen.clone(),
-                recovery: recovering,
-                phases: workload
-                    .phases
-                    .iter()
-                    .map(|phase| {
-                        let m = phase.graph.comm_matrix();
-                        let mut reads = Vec::new();
-                        for src in 0..n_tasks {
-                            for (dst, &dst_node) in node_of_task.iter().enumerate() {
-                                let bytes = m.get(src, dst);
-                                if src != dst && bytes > 0.0 && dst_node == node {
-                                    reads.push(ReadEdge { reader: dst, src, bytes });
-                                }
-                            }
-                        }
-                        PhasePlan { iterations: phase.iterations, reads }
-                    })
-                    .collect(),
-                obs: None, // stamped per node at send time when observed
-            })
-            .collect()
-    }
-
-    /// Drives the coordinator side of the control protocol to completion:
-    /// handshake, assignments, synchronized start, the wall-clocked
-    /// execution span, shutdown, one metrics document per worker, and
-    /// (observed runs) the fold of every telemetry frame received.
-    fn run_protocol(
-        &self,
-        mut pool: WorkerPool,
-        workload: &PhasedWorkload,
-        node_of_task: &[usize],
-        observe: Option<&ObsConfig>,
-        recorder: Option<&Recorder>,
-    ) -> Result<ProtocolOutcome, WorkerFailure> {
-        // Live streaming needs a worker recorder to drain, so the live
-        // config takes effect only on observed runs.  Recovery in turn
-        // needs the heartbeat stream as its liveness signal, so it takes
-        // effect only on live runs.
-        let live = self.live.as_ref().filter(|_| observe.is_some());
-        let mut recovery = (live.is_some() && self.recovery).then(|| RecoveryState {
-            node_of_task: node_of_task.to_vec(),
-            down: Vec::new(),
-            round: 0,
-        });
-        let mut assignments = self.assignments(workload, node_of_task, &pool, recovery.is_some());
-        let n_nodes = assignments.len();
-        pool.accept_controls()?;
-        for (node, assignment) in assignments.iter_mut().enumerate() {
-            // The obs spec is stamped per node at send time: it carries
-            // the two coordinator-side handshake timestamps the worker
-            // needs for its clock-offset estimate, and the send stamp
-            // must be taken as late as possible.
-            if let Some(cfg) = observe {
-                let interval_ms = live.map_or(0, |live| (live.interval.as_millis() as u64).max(1));
-                assignment.obs = Some(ObsSpec::new(
-                    cfg,
-                    pool.hello_recv_us(node),
-                    orwl_obs::process_clock_us(),
-                    interval_ms,
-                ));
-            }
-            pool.send_to(node, &Message::Assignment { json: assignment.to_json().pretty() })?;
-        }
-        pool.recv_all("ready")?;
-        let started = Instant::now();
-        pool.broadcast(&Message::Start)?;
-        let mut monitor = live.map(|cfg| LiveMonitor::new(n_nodes, cfg));
-        match monitor.as_mut() {
-            None => {
-                pool.recv_all("done")?;
-            }
-            Some(monitor) => {
-                self.monitor_run(&mut pool, monitor, n_nodes, workload, &mut recovery, recorder)?;
-            }
-        }
-        let elapsed = started.elapsed();
-        // Once every node has reported Done, every section anywhere has
-        // been granted and released, so a worker that drains its recorder
-        // after seeing Shutdown misses no owner-side events.  (Draining
-        // at Done would race a slow peer's read storm against the drain.)
-        // Each observed worker answers Shutdown with its final telemetry
-        // frame(s) and then its Metrics, in that order on one stream.
-        pool.broadcast(&Message::Shutdown)?;
-        let mut metrics = Vec::with_capacity(n_nodes);
-        for (node, message) in pool.recv_all("metrics")? {
-            let Message::Metrics { json, .. } = message else {
-                unreachable!("recv_all returns the requested kind");
+                recovery: budgets.recovery,
+                phases,
+                // Stamped at send time: the spec carries the two
+                // coordinator-side handshake timestamps the worker needs
+                // for its clock-offset estimate, and the send stamp must
+                // be taken as late as possible.
+                obs: observe.map(|cfg| {
+                    ObsSpec::new(cfg, pool.hello_recv_us(node), orwl_obs::process_clock_us(), interval_ms)
+                }),
             };
-            let parsed = Json::parse(&json)
-                .map_err(|e| format!("metrics document is not valid JSON: {e}"))
-                .and_then(|doc| WorkerMetrics::from_json(&doc));
-            match parsed {
-                Ok(m) => metrics.push(m),
-                Err(e) => return Err(pool.fail(Some(node), format!("bad metrics report: {e}"))),
-            }
+            pool.send(node, &Message::Assignment { json: assignment.to_json().pretty() })?;
         }
-        // Telemetry frames can race any protocol step (a worker's last
-        // interval fires while its Done is in flight) and the final ones
-        // always precede Metrics; `recv_all` stashed them all instead of
-        // failing, so by now the stash completes every node's track.
-        let mut frames = vec![Vec::new(); n_nodes];
-        for (node, message) in pool.take_stray() {
-            match (message, monitor.as_mut()) {
-                (Message::Heartbeat { seq, .. }, Some(monitor)) => monitor.heartbeat(node, seq),
-                (Message::TelemetryDelta { delta, .. }, Some(monitor)) => {
-                    monitor.delta(node, &delta).map_err(|e| pool.fail(Some(node), e))?;
-                }
-                (Message::TelemetryDelta { delta, .. }, None) => {
-                    frames[node].push(decode_telemetry(&delta).map_err(|e| pool.fail(Some(node), e))?);
-                }
-                // Only a live run's workers beat, and recv_all stashes
-                // nothing else.
+        let mut coordinator = Coordinator::new(&self.machine, workload, node_of_task, budgets, pool.now());
+        let observer = live.and_then(|live| live.on_event.as_ref());
+        let finished =
+            control::drive(&mut pool, &mut coordinator, |seen| match (seen, observer, recorder) {
+                (Output::Live(event), Some(observer), _) => observer(&event),
+                (Output::Record(kind), _, Some(recorder)) => recorder.record(kind),
                 _ => {}
+            })?;
+        // The run summary goes into the coordinator recorder's metrics, so
+        // the merged telemetry records that (and how much) the run was
+        // watched live.
+        if let (Some(_), Some(recorder)) = (live, recorder) {
+            for &(name, value) in &finished.counters {
+                recorder.metrics().counter(name).add(value);
             }
         }
-        if let Some(monitor) = monitor {
-            if let Some(recorder) = recorder {
-                monitor.record_summary(recorder);
-            }
-            frames = monitor.frames;
-        }
-        // A node's telemetry is the concatenation of its frames — which
-        // also makes whatever a lost node streamed before it died a
-        // complete (if short) track of its own.
-        let telemetry = frames
-            .into_iter()
-            .enumerate()
-            .filter_map(|(node, frames)| Some((node as u32, fold_deltas(frames)?)))
-            .collect();
         pool.wait_all()?;
-        let summary = recovery
-            .map(|state| RecoverySummary { node_reshards: state.down.len() as u64 })
-            .unwrap_or_default();
-        Ok((elapsed, metrics, telemetry, summary))
-    }
-
-    /// The live done-wait: one readiness wait over the control
-    /// connections of every node still running
-    /// ([`WorkerPool::poll_any`]), dispatching heartbeats and telemetry
-    /// frames to the monitor as they stream in, until every node reports
-    /// `Done`.  The wait's timeout is the time to the next thing the clock
-    /// alone can cause — a straggler flag or a silence budget running out
-    /// — so silence on one node never parks the coordinator past a check
-    /// that is due, and a node with no control traffic for the whole io
-    /// timeout (heartbeats reset the clock) fails the run.
-    ///
-    /// With recovery enabled, a confirmed loss (socket closed + process
-    /// reaped, observed exit, or silence past the kill-confirmation
-    /// budget) triggers [`ProcBackend::recover`] instead of failing,
-    /// while the loss budget lasts.
-    fn monitor_run(
-        &self,
-        pool: &mut WorkerPool,
-        monitor: &mut LiveMonitor<'_>,
-        n_nodes: usize,
-        workload: &PhasedWorkload,
-        recovery: &mut Option<RecoveryState>,
-        recorder: Option<&Recorder>,
-    ) -> Result<(), WorkerFailure> {
-        let mut done = vec![false; n_nodes];
-        let mut last_activity = vec![Instant::now(); n_nodes];
-        loop {
-            let running: Vec<usize> = (0..n_nodes).filter(|&n| !done[n] && !pool.is_dead(n)).collect();
-            if running.is_empty() {
-                return Ok(());
-            }
-            let can_recover = recovery.as_ref().is_some_and(|s| s.down.len() < MAX_NODE_LOSSES);
-            let silence_budget =
-                if can_recover { KILL_CONFIRMATION.min(self.io_timeout) } else { self.io_timeout };
-            let next_check = running
-                .iter()
-                .map(|&node| silence_budget.saturating_sub(last_activity[node].elapsed()))
-                .chain(monitor.next_straggler_check(&running))
-                .min()
-                .unwrap_or(silence_budget);
-            let mut lost: Option<(usize, String)> = None;
-            let polled = pool.poll_any(&running, next_check)?;
-            let quiet = polled.is_none();
-            match polled {
-                Some((node, Polled::Message(message))) => {
-                    last_activity[node] = Instant::now();
-                    match message {
-                        Message::Done { .. } => {
-                            done[node] = true;
-                            monitor.done(node);
-                        }
-                        Message::Heartbeat { seq, .. } => monitor.heartbeat(node, seq),
-                        Message::TelemetryDelta { delta, .. } => {
-                            monitor.delta(node, &delta).map_err(|e| pool.fail(Some(node), e))?;
-                        }
-                        other => {
-                            return Err(pool.fail(Some(node), format!("expected done, got {}", other.name())));
-                        }
-                    }
-                }
-                Some((node, Polled::Lost(detail))) => lost = Some((node, detail)),
-                Some((_, Polled::Silence)) | None => {}
-            }
-            // Loss is confirmed three ways, cheapest signal first: the
-            // control socket closed under a read (above), the child
-            // process is observably gone — looked at only once no
-            // connection has anything left to say, so a dying worker's
-            // last words are read before its exit status — or the node
-            // stayed silent past the confirmation budget.
-            for &node in &running {
-                if lost.is_some() || done[node] {
-                    continue;
-                }
-                let exited = if quiet { pool.worker_exited(node) } else { None };
-                if let Some(status) = exited {
-                    lost =
-                        Some((node, format!("worker exited ({status}) while the coordinator awaited done")));
-                } else if last_activity[node].elapsed() >= silence_budget {
-                    if !can_recover {
-                        return Err(pool.fail(
-                            Some(node),
-                            "timed out waiting for done (no heartbeat within the io timeout)",
-                        ));
-                    }
-                    lost = Some((
-                        node,
-                        format!("no control traffic for {silence_budget:?} (the kill-confirmation budget)"),
-                    ));
-                }
-            }
-            if let Some((node, detail)) = lost {
-                if !can_recover {
-                    return Err(pool.fail_cascade(node, detail));
-                }
-                let state = recovery.as_mut().expect("can_recover implies recovery state");
-                self.recover(
-                    pool,
-                    monitor,
-                    state,
-                    workload,
-                    node,
-                    &detail,
-                    &mut done,
-                    &mut last_activity,
-                    recorder,
-                )?;
-            }
-            let settled: Vec<bool> = (0..n_nodes).map(|n| done[n] || pool.is_dead(n)).collect();
-            monitor.check_stragglers(&settled);
-        }
-    }
-
-    /// One recovery episode: confirm the loss, quiesce the survivors at
-    /// their next iteration boundary, re-shard the dead node's tasks onto
-    /// them (only the affected shard moves), ship each survivor its
-    /// [`ReAssignment`], and resume.  The quiesce/ack/ready/resume
-    /// exchange is a barrier: no survivor computes while the routing
-    /// table is inconsistent.
-    #[allow(clippy::too_many_arguments)]
-    fn recover(
-        &self,
-        pool: &mut WorkerPool,
-        monitor: &mut LiveMonitor<'_>,
-        state: &mut RecoveryState,
-        workload: &PhasedWorkload,
-        dead: usize,
-        detail: &str,
-        done: &mut [bool],
-        last_activity: &mut [Instant],
-        recorder: Option<&Recorder>,
-    ) -> Result<(), WorkerFailure> {
-        let n_nodes = done.len();
-        let tasks_lost = state.node_of_task.iter().filter(|&&n| n == dead).count();
-        // Confirm first: reap (or kill) the child and drop its control
-        // connection, so nothing below can block on the dead node.
-        let (_status, _stderr_tail) = pool.confirm_loss(dead);
-        if let Some(recorder) = recorder {
-            recorder.record(EventKind::NodeLoss { node: dead as u32, tasks_lost });
-        }
-        let alive: Vec<usize> = (0..n_nodes).filter(|&n| !pool.is_dead(n)).collect();
-        if alive.is_empty() {
-            return Err(
-                pool.fail(Some(dead), format!("node lost with no survivors to re-shard onto ({detail})"))
-            );
-        }
-        state.round += 1;
-        let round = state.round;
-        pool.broadcast(&Message::Quiesce { round })?;
-        for &node in &alive {
-            self.await_recovery_frame(pool, monitor, node, "quiesce_ack", round, done)?;
-        }
-        // The same shard-migration step the simulator and the unit tests
-        // exercise: survivors keep their tasks, orphans follow their
-        // traffic partners under the capacity bound.
-        let m = workload.phases[0].graph.comm_matrix();
-        let plan = reshard_after_node_loss(&self.machine, &m, &state.node_of_task, dead, &state.down);
-        let n_tasks = state.node_of_task.len();
-        for &node in &alive {
-            let adopted: Vec<usize> =
-                plan.migrated_tasks.iter().copied().filter(|&t| plan.node_of_task[t] == node).collect();
-            let phases = workload
-                .phases
-                .iter()
-                .map(|phase| {
-                    let pm = phase.graph.comm_matrix();
-                    let mut reads = Vec::new();
-                    for src in 0..n_tasks {
-                        for &dst in &adopted {
-                            let bytes = pm.get(src, dst);
-                            if src != dst && bytes > 0.0 {
-                                reads.push(ReadEdge { reader: dst, src, bytes });
-                            }
-                        }
-                    }
-                    PhasePlan { iterations: phase.iterations, reads }
-                })
-                .collect();
-            let reassign =
-                ReAssignment { node, round, dead, node_of_task: plan.node_of_task.clone(), adopted, phases };
-            pool.send_to(node, &Message::ReAssignment { json: reassign.to_json().pretty() })?;
-        }
-        for &node in &alive {
-            self.await_recovery_frame(pool, monitor, node, "ready", round, done)?;
-        }
-        let migrated = plan.migrated_tasks.len();
-        state.node_of_task = plan.node_of_task;
-        state.down.push(dead);
-        monitor.node_losses += 1;
-        monitor.reshards += 1;
-        monitor.tasks_migrated += migrated as u64;
-        if let Some(recorder) = recorder {
-            recorder.record(EventKind::Recovery { node: dead as u32, tasks_migrated: migrated });
-        }
-        pool.broadcast(&Message::Resume { round })?;
-        // Survivors go back to work (possibly with adopted tasks), so
-        // their done flags and silence clocks restart.
-        for &node in &alive {
-            done[node] = false;
-            last_activity[node] = Instant::now();
-        }
-        Ok(())
-    }
-
-    /// Waits for one survivor's recovery frame (`quiesce_ack` or
-    /// `ready`), dispatching the streaming frames that keep arriving in
-    /// the meantime.  A `Done` here is the quiesce racing the worker's
-    /// natural finish — recorded, not an error (the worker still acks).
-    /// Any loss during recovery is fatal: the routing table is mid-flight
-    /// and a second re-shard on top of it has no consistent base.
-    fn await_recovery_frame(
-        &self,
-        pool: &mut WorkerPool,
-        monitor: &mut LiveMonitor<'_>,
-        node: usize,
-        expect: &'static str,
-        round: u32,
-        done: &mut [bool],
-    ) -> Result<(), WorkerFailure> {
-        let deadline = Instant::now() + self.io_timeout;
-        loop {
-            match pool.poll_from_lossy(node, Duration::from_millis(50))? {
-                Polled::Message(message) => match message {
-                    Message::QuiesceAck { round: acked, .. } if expect == "quiesce_ack" => {
-                        if acked != round {
-                            return Err(pool.fail(
-                                Some(node),
-                                format!("quiesce_ack for round {acked}, expected round {round}"),
-                            ));
-                        }
-                        return Ok(());
-                    }
-                    Message::Ready { .. } if expect == "ready" => return Ok(()),
-                    Message::Done { .. } => {
-                        done[node] = true;
-                        monitor.done(node);
-                    }
-                    Message::Heartbeat { seq, .. } => monitor.heartbeat(node, seq),
-                    Message::TelemetryDelta { delta, .. } => {
-                        monitor.delta(node, &delta).map_err(|e| pool.fail(Some(node), e))?;
-                    }
-                    other => {
-                        return Err(pool.fail(
-                            Some(node),
-                            format!("expected {expect} during recovery, got {}", other.name()),
-                        ));
-                    }
-                },
-                Polled::Silence => {
-                    if pool.worker_exited(node).is_some() || Instant::now() >= deadline {
-                        return Err(pool.fail_cascade(
-                            node,
-                            format!(
-                                "worker lost while the coordinator awaited {expect} (recovery round {round})"
-                            ),
-                        ));
-                    }
-                }
-                Polled::Lost(detail) => {
-                    return Err(
-                        pool.fail_cascade(node, format!("second node loss during recovery: {detail}"))
-                    );
-                }
-            }
-        }
+        Ok(finished)
     }
 
     /// Tree hops a byte pays on each fabric lane of this machine, probed
@@ -947,9 +429,17 @@ impl ExecutionBackend for ProcBackend {
         }
         let pool = WorkerPool::spawn(cluster.n_nodes(), &self.worker_args, &worker_env, self.io_timeout)
             .map_err(|e| OrwlError::WorkerFailed { node: 0, detail: format!("spawning workers: {e}") })?;
-        let (elapsed, metrics, telemetry, recovery) = self
+        let Finished { elapsed, metrics, frames, node_reshards, .. } = self
             .run_protocol(pool, &workload, &cp.node_of_task, config.observe.as_ref(), recorder.as_deref())
             .map_err(|f| OrwlError::WorkerFailed { node: f.node, detail: f.detail })?;
+        // A node's telemetry is the concatenation of its frames — which
+        // also makes whatever a lost node streamed before it died a
+        // complete (if short) track of its own.
+        let telemetry: Vec<_> = frames
+            .into_iter()
+            .enumerate()
+            .filter_map(|(node, frames)| Some((node as u32, fold_deltas(frames)?)))
+            .collect();
 
         let mut same_rack_bytes = 0u64;
         let mut cross_rack_bytes = 0u64;
@@ -1000,8 +490,7 @@ impl ExecutionBackend for ProcBackend {
             // Present only when a loss actually re-sharded something, so
             // fault-free reports stay byte-identical to builds without
             // recovery wired in.
-            adapt: (recovery.node_reshards > 0)
-                .then(|| AdaptReport { node_reshards: recovery.node_reshards, ..AdaptReport::default() }),
+            adapt: (node_reshards > 0).then(|| AdaptReport { node_reshards, ..AdaptReport::default() }),
             thread: None,
             fabric: Some(ClusterTraffic {
                 n_nodes: self.machine.n_nodes(),

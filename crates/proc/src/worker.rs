@@ -35,7 +35,7 @@
 //! the whole request→grant→release exchange, so a connection never
 //! interleaves two sections and the server side needs no demultiplexer.
 
-use crate::assignment::{Assignment, ReAssignment};
+use crate::assignment::{Assignment, PhasePlan, ReAssignment};
 use crate::coordinator::{ENV_COORD, ENV_NODE, ENV_ROLE};
 use crate::fault::FaultPlan;
 use crate::metrics::{WorkerMetrics, MAX_WAIT_SAMPLES};
@@ -597,47 +597,26 @@ struct WorkState {
 
 impl WorkState {
     fn new(assignment: &Assignment) -> WorkState {
-        let local_tasks = assignment.local_tasks();
-        let n_phases = assignment.phases.len();
-        let mut schedules: HashMap<usize, PhaseSchedule> = HashMap::new();
-        for phase in &assignment.phases {
-            let mut per_task: HashMap<usize, Vec<(usize, f64)>> = HashMap::new();
-            for read in &phase.reads {
-                per_task.entry(read.reader).or_default().push((read.src, read.bytes));
-            }
-            for &t in &local_tasks {
-                schedules
-                    .entry(t)
-                    .or_default()
-                    .push((phase.iterations, per_task.remove(&t).unwrap_or_default()));
-            }
-        }
-        let progress = local_tasks
-            .iter()
-            .map(|&t| (t, Arc::new((0..n_phases).map(|_| AtomicUsize::new(0)).collect::<Vec<_>>())))
-            .collect();
-        WorkState { schedules, progress }
+        let mut work = WorkState { schedules: HashMap::new(), progress: HashMap::new() };
+        work.enter(&assignment.local_tasks(), &assignment.phases);
+        work
     }
 
-    /// Enters the adopted orphans into the ledger at zero progress.
-    fn adopt(&mut self, reassign: &ReAssignment) {
-        for &t in &reassign.adopted {
-            let schedule: PhaseSchedule = reassign
-                .phases
-                .iter()
-                .map(|phase| {
-                    let reads = phase
-                        .reads
-                        .iter()
-                        .filter(|read| read.reader == t)
-                        .map(|read| (read.src, read.bytes))
-                        .collect();
-                    (phase.iterations, reads)
-                })
-                .collect();
-            let n_phases = schedule.len();
-            self.schedules.insert(t, schedule);
-            self.progress.insert(t, Arc::new((0..n_phases).map(|_| AtomicUsize::new(0)).collect()));
+    /// Enters `tasks` into the ledger at zero progress, each with the
+    /// reads `phases` lists for it, in the order they are listed.  (Both
+    /// documents are validated on arrival: every read's reader is one of
+    /// the tasks the document brings.)
+    fn enter(&mut self, tasks: &[usize], phases: &[PhasePlan]) {
+        for &t in tasks {
+            self.schedules.insert(t, phases.iter().map(|phase| (phase.iterations, Vec::new())).collect());
+            self.progress.insert(t, Arc::new(phases.iter().map(|_| AtomicUsize::new(0)).collect()));
+        }
+        for (k, phase) in phases.iter().enumerate() {
+            for read in &phase.reads {
+                if let Some(schedule) = self.schedules.get_mut(&read.reader) {
+                    schedule[k].1.push((read.src, read.bytes));
+                }
+            }
         }
     }
 
@@ -943,7 +922,7 @@ fn apply_recovery(
             map.insert(t as u64, loc);
         }
     }
-    work.adopt(&reassign);
+    work.enter(&reassign.adopted, &reassign.phases);
     gateway.apply_reassignment(&reassign.node_of_task, reassign.dead);
     send_ctl(control, &Message::Ready { node })?;
     let Message::Resume { round: resumed } = recv_ctl(control, "resume", io_timeout)? else {

@@ -143,24 +143,12 @@ fn live_runs_stream_heartbeats_and_merge_to_the_plain_timeline() {
 
 #[test]
 fn a_stalled_worker_is_flagged_as_a_straggler_then_recovers() {
-    // Straggler detection measures wall-clock heartbeat gaps, so it rides
-    // on the thread scheduler; on an oversubscribed host a descheduled
-    // streamer can overshoot its interval severalfold and flag a healthy
-    // node, and a fast run can finish before the stalled streamer wakes
-    // to beat again.  Take the best of three runs — the claim under test
-    // is that the monitor separates the stalled node from the healthy
-    // one when the machine cooperates, not that the scheduler always
-    // cooperates.
-    let mut events = Vec::new();
-    for attempt in 0..3 {
-        events = one_stalled_run();
-        let spurious = events.iter().any(|e| matches!(e, LiveEvent::Straggler { node: 0, .. }));
-        let flagged = events.iter().any(|e| matches!(e, LiveEvent::Straggler { node: 1, .. }));
-        let recovered = events.iter().any(|e| matches!(e, LiveEvent::Recovered { node: 1 }));
-        if (!spurious && flagged && recovered) || attempt == 2 {
-            break;
-        }
-    }
+    // One run.  Straggler detection measures wall-clock heartbeat gaps, so
+    // what a real run can promise is about the node that was stalled on
+    // purpose; that a node which beat throughout is never flagged, however
+    // late the coordinator gets to read its beats, is checked exactly — on
+    // a virtual clock — by the control-protocol simulation in `orwl-proc`.
+    let events = one_stalled_run();
     let straggler = events
         .iter()
         .position(|e| matches!(e, LiveEvent::Straggler { node: 1, .. }))
@@ -175,12 +163,8 @@ fn a_stalled_worker_is_flagged_as_a_straggler_then_recovers() {
         }
         _ => unreachable!(),
     }
-    // The healthy node is never flagged, and the stalled one recovers
-    // once its streamer wakes up (the stall is shorter than the run).
-    assert!(
-        !events.iter().any(|e| matches!(e, LiveEvent::Straggler { node: 0, .. })),
-        "node 0 heartbeated throughout and must not be flagged"
-    );
+    // The stalled node recovers once its streamer wakes up (the stall is
+    // shorter than the run).
     assert!(
         events[straggler..].iter().any(|e| matches!(e, LiveEvent::Recovered { node: 1 })),
         "the straggler resumed beating and must be marked recovered"
