@@ -12,31 +12,178 @@
 //! Because the order is fixed at insertion time, iterative computations that
 //! re-post their requests on release obtain a periodic, deadlock-free
 //! schedule (Clauss & Gustedt, JPDC 2010).
+//!
+//! Two layers.  [`FifoCore`] is the queue as plain data and makes every
+//! grant decision; a release returns its *wake set*, the parked requests the
+//! release made grantable, already granted.  [`LockFifo`] keeps the core
+//! under one mutex, parks a blocked thread on its own entry, and unparks
+//! exactly the wake set after dropping the mutex.  The `explore` tests check
+//! the core over every schedule of small scripted programs; the exclusivity
+//! they check is what lets a location hand out its payload under the grant
+//! with no lock of its own (`location.rs`).
 
 use crate::request::{AccessMode, RequestState, RequestToken};
-use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::thread::Thread;
+
+#[cfg(test)]
+mod explore;
 
 #[derive(Debug)]
-struct Entry {
+#[cfg_attr(test, derive(Clone))]
+struct Entry<W> {
     seq: u64,
     mode: AccessMode,
     state: RequestState,
+    /// Who is parked on this request, until a release grants it.
+    waiter: Option<W>,
     /// Debug builds remember which thread posted the request, so the cycle
     /// detector can build the wait-for graph (see the `deadlock` module).
     #[cfg(debug_assertions)]
     owner: std::thread::ThreadId,
 }
 
-impl Entry {
+impl<W> Entry<W> {
     fn new(seq: u64, mode: AccessMode) -> Self {
         Entry {
             seq,
             mode,
             state: RequestState::Requested,
+            waiter: None,
             #[cfg(debug_assertions)]
             owner: std::thread::current().id(),
         }
+    }
+}
+
+/// The request queue of one location, as plain data.
+///
+/// `W` names a parked waiter: its thread in a [`LockFifo`], a task index
+/// in the schedule explorer.  Between two transitions no parked request is
+/// grantable: the transition that makes one grantable grants it and hands
+/// its waiter back.
+#[derive(Debug)]
+#[cfg_attr(test, derive(Clone))]
+struct FifoCore<W> {
+    queue: VecDeque<Entry<W>>,
+    next_seq: u64,
+}
+
+impl<W> FifoCore<W> {
+    fn new() -> Self {
+        FifoCore { queue: VecDeque::new(), next_seq: 0 }
+    }
+
+    /// Posts a request at the tail.  Nothing ahead of it changes, so an
+    /// insert never makes a parked request grantable.
+    fn insert(&mut self, mode: AccessMode) -> RequestToken {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.queue.push_back(Entry::new(seq, mode));
+        RequestToken::new(seq, mode)
+    }
+
+    fn position(&self, seq: u64) -> Option<usize> {
+        self.queue.iter().position(|e| e.seq == seq)
+    }
+
+    /// A request is grantable when every entry ahead of it is released, or —
+    /// for read requests — when everything ahead is released or is a read.
+    fn grantable(&self, idx: usize) -> bool {
+        let mode = self.queue[idx].mode;
+        self.queue.iter().take(idx).all(|e| match mode {
+            AccessMode::Write => e.state == RequestState::Released,
+            AccessMode::Read => e.state == RequestState::Released || e.mode == AccessMode::Read,
+        })
+    }
+
+    /// Grants `seq` if it is grantable now.  `None` for a token that has
+    /// left the queue, otherwise whether the request holds the grant.
+    fn try_grant(&mut self, seq: u64) -> Option<bool> {
+        let idx = self.position(seq)?;
+        let entry = &self.queue[idx];
+        if entry.state == RequestState::Requested && self.grantable(idx) {
+            self.queue[idx].state = RequestState::Allocated;
+        }
+        Some(self.queue[idx].state == RequestState::Allocated)
+    }
+
+    /// Parks `waiter` on `seq`, a request [`FifoCore::try_grant`] refused.
+    fn park(&mut self, seq: u64, waiter: W) {
+        if let Some(idx) = self.position(seq) {
+            self.queue[idx].waiter = Some(waiter);
+        }
+    }
+
+    /// True while `seq` is queued and not yet granted.
+    fn is_waiting(&self, seq: u64) -> bool {
+        self.position(seq).is_some_and(|idx| self.queue[idx].state == RequestState::Requested)
+    }
+
+    /// True while a write request holds the grant.
+    fn write_granted(&self) -> bool {
+        self.queue.iter().any(|e| e.mode == AccessMode::Write && e.state == RequestState::Allocated)
+    }
+
+    /// Releases `seq` (acquired or still pending), garbage-collects the
+    /// released prefix, and returns the wake set.
+    fn release(&mut self, seq: u64) -> Vec<W> {
+        let Some(idx) = self.position(seq) else { return Vec::new() };
+        self.queue[idx].state = RequestState::Released;
+        while self.queue.front().is_some_and(|e| e.state == RequestState::Released) {
+            self.queue.pop_front();
+        }
+        self.grant_parked()
+    }
+
+    /// Releases `token` and posts a fresh request of the same mode at the
+    /// tail in one step; returns the new token and the release's wake set.
+    fn release_and_reinsert(&mut self, token: &RequestToken) -> (RequestToken, Vec<W>) {
+        let wake = self.release(token.seq());
+        (self.insert(token.mode()), wake)
+    }
+
+    /// Grants every parked request the queue allows and returns their
+    /// waiters in queue order: a writer release wakes the leading reader
+    /// group, a reader release wakes nobody until the last reader's wakes
+    /// the writer behind it.
+    fn grant_parked(&mut self) -> Vec<W> {
+        let mut wake = Vec::new();
+        for idx in 0..self.queue.len() {
+            // A grant ahead leaves this entry's grantability as it was:
+            // only the modes and the released entries ahead count.
+            if self.queue[idx].waiter.is_some() && self.grantable(idx) {
+                let entry = &mut self.queue[idx];
+                entry.state = RequestState::Allocated;
+                wake.extend(entry.waiter.take());
+            }
+        }
+        wake
+    }
+
+    /// Owners of the entries that keep the request `seq` waiting.
+    #[cfg(debug_assertions)]
+    fn blockers(&self, seq: u64) -> Vec<std::thread::ThreadId> {
+        let Some(idx) = self.position(seq) else { return Vec::new() };
+        let mode = self.queue[idx].mode;
+        self.queue
+            .iter()
+            .take(idx)
+            .filter(|e| {
+                e.state != RequestState::Released
+                    && (mode == AccessMode::Write || e.mode == AccessMode::Write)
+            })
+            .map(|e| e.owner)
+            .collect()
+    }
+}
+
+#[cfg(debug_assertions)]
+impl FifoCore<Thread> {
+    /// Every parked thread with the owners now blocking it.
+    fn parked_blockers(&self) -> Vec<(std::thread::ThreadId, Vec<std::thread::ThreadId>)> {
+        self.queue.iter().filter_map(|e| Some((e.waiter.as_ref()?.id(), self.blockers(e.seq)))).collect()
     }
 }
 
@@ -52,10 +199,14 @@ impl Entry {
 /// In debug builds every blocking [`LockFifo::acquire`] registers the
 /// waiting thread and the owners of the entries blocking it in a global
 /// wait-for graph before parking; if that registration closes a cycle, the
-/// acquiring thread panics with the cycle instead of deadlocking.  An
-/// entry queued by a parked thread can only be released by that thread, so
-/// a cycle in this graph is a genuine deadlock, never a false positive.
-/// Release builds compile all of this out.
+/// acquiring thread panics with the cycle instead of deadlocking.  Every
+/// transition of a FIFO then keeps the graph exact for the threads parked
+/// on it: the threads it woke leave the graph, and the others' blocker
+/// sets are *replaced* by recomputed ones — a thread that no release wakes
+/// must stay in the graph, or a cycle through it would hang instead of
+/// panicking.  An entry queued by a parked thread can only be released by
+/// that thread, so a cycle in this graph is a genuine deadlock, never a
+/// false positive.  Release builds compile all of this out.
 #[cfg(debug_assertions)]
 mod deadlock {
     use std::collections::HashMap;
@@ -116,17 +267,22 @@ mod deadlock {
         false
     }
 
-    /// Removes the current thread from the wait-for graph (on grant or on
-    /// leaving `acquire` for any reason).
-    pub(super) fn unregister_waiting() {
-        unregister_thread(std::thread::current().id());
-    }
-
-    /// Removes a specific thread's registration — called by a releasing
-    /// thread for every thread parked on the released FIFO, whose wait-for
-    /// evidence just went stale.
-    pub(super) fn unregister_thread(id: ThreadId) {
-        graph().lock().unwrap_or_else(|e| e.into_inner()).remove(&id);
+    /// After a transition of one FIFO: `woken` leave the graph, and every
+    /// thread still `parked` on it gets its recomputed blocker set.  A
+    /// release only shrinks blocker sets, so no replacement closes a cycle.
+    pub(super) fn refresh(woken: Vec<ThreadId>, parked: Vec<(ThreadId, Vec<ThreadId>)>) {
+        if woken.is_empty() && parked.is_empty() {
+            return;
+        }
+        let mut g = graph().lock().unwrap_or_else(|e| e.into_inner());
+        for id in woken {
+            g.remove(&id);
+        }
+        for (id, blockers) in parked {
+            if let Some(waiter) = g.get_mut(&id) {
+                waiter.blockers = blockers;
+            }
+        }
     }
 
     fn thread_label() -> String {
@@ -135,62 +291,36 @@ mod deadlock {
     }
 }
 
-#[derive(Debug, Default)]
-struct FifoInner {
-    queue: VecDeque<Entry>,
-    next_seq: u64,
-    /// Threads currently parked in [`LockFifo::acquire`] (debug builds):
-    /// a release invalidates their wait-for registrations, because what
-    /// they are blocked on just changed (they re-register on wake if still
-    /// blocked).  Without this, a notified-but-not-yet-scheduled thread's
-    /// stale registration could close a cycle that no longer exists.
-    #[cfg(debug_assertions)]
-    parked: Vec<std::thread::ThreadId>,
-}
-
-impl FifoInner {
-    fn position(&self, seq: u64) -> Option<usize> {
-        self.queue.iter().position(|e| e.seq == seq)
-    }
-
-    /// A request is grantable when every entry ahead of it is released, or —
-    /// for read requests — when everything ahead is released or is a read.
-    fn grantable(&self, idx: usize) -> bool {
-        let mode = self.queue[idx].mode;
-        self.queue.iter().take(idx).all(|e| match mode {
-            AccessMode::Write => e.state == RequestState::Released,
-            AccessMode::Read => e.state == RequestState::Released || e.mode == AccessMode::Read,
-        })
-    }
-
-    fn pop_released_prefix(&mut self) {
-        while self.queue.front().map(|e| e.state) == Some(RequestState::Released) {
-            self.queue.pop_front();
-        }
-    }
+/// What the mutex of a [`LockFifo`] guards.
+struct Shared {
+    core: FifoCore<Thread>,
+    /// Threads at the side door ([`LockFifo::outside_order`]), waiting for
+    /// a write grant to end.
+    side: Vec<Thread>,
 }
 
 /// A FIFO of ordered read-write lock requests (one per location).
-#[derive(Debug, Default)]
 pub(crate) struct LockFifo {
-    inner: Mutex<FifoInner>,
-    cond: Condvar,
+    shared: Mutex<Shared>,
 }
 
 impl LockFifo {
     /// Creates an empty FIFO.
     pub(crate) fn new() -> Self {
-        Self::default()
+        LockFifo { shared: Mutex::new(Shared { core: FifoCore::new(), side: Vec::new() }) }
+    }
+
+    /// The FIFO's state.  What may panic under the mutex — the detector's
+    /// report, a payload's `Clone` at the side door — runs before or
+    /// without any change to the core, so a poisoned lock is taken over.
+    fn lock(&self) -> MutexGuard<'_, Shared> {
+        self.shared.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Posts a new request at the tail of the FIFO and returns its token.
     /// The request starts in the [`RequestState::Requested`] state.
     pub(crate) fn insert(&self, mode: AccessMode) -> RequestToken {
-        let mut inner = self.inner.lock();
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        inner.queue.push_back(Entry::new(seq, mode));
-        RequestToken::new(seq, mode)
+        self.lock().core.insert(mode)
     }
 
     /// Non-blocking acquisition attempt: returns `true` (and marks the
@@ -199,103 +329,43 @@ impl LockFifo {
     /// tests look at the queue with; the runtime only ever blocks.
     #[cfg(test)]
     pub(crate) fn try_acquire(&self, token: &RequestToken) -> bool {
-        let mut inner = self.inner.lock();
-        let Some(idx) = inner.position(token.seq()) else { return false };
-        match inner.queue[idx].state {
-            RequestState::Allocated => true,
-            RequestState::Released => false,
-            RequestState::Requested => {
-                if inner.grantable(idx) {
-                    inner.queue[idx].state = RequestState::Allocated;
-                    true
-                } else {
-                    false
-                }
-            }
-        }
+        self.lock().core.try_grant(token.seq()) == Some(true)
     }
 
-    /// Blocks the calling thread until the request is granted.
+    /// Blocks the calling thread until the request is granted and returns
+    /// `true`; returns `false` at once for a token that has left the queue.
     ///
     /// In debug builds, a blocking acquire that would close a circular wait
     /// among parked handles panics with the cycle instead of deadlocking
     /// (see the `deadlock` module).
-    pub(crate) fn acquire(&self, token: &RequestToken) {
-        let mut inner = self.inner.lock();
-        #[cfg(debug_assertions)]
-        let mut registered = false;
-        #[cfg(debug_assertions)]
-        macro_rules! leave {
-            ($inner:expr) => {
-                if registered {
-                    let me = std::thread::current().id();
-                    $inner.parked.retain(|&t| t != me);
-                    deadlock::unregister_waiting();
-                }
-            };
+    pub(crate) fn acquire(&self, token: &RequestToken) -> bool {
+        let seq = token.seq();
+        let mut shared = self.lock();
+        match shared.core.try_grant(seq) {
+            Some(false) => {}
+            granted => return granted.is_some(),
         }
-        #[cfg(not(debug_assertions))]
-        macro_rules! leave {
-            ($inner:expr) => {};
-        }
+        #[cfg(debug_assertions)]
+        deadlock::register_waiting(shared.core.blockers(seq));
+        shared.core.park(seq, std::thread::current());
+        drop(shared);
+        // The grant arrives with the unpark; any other return of `park` is
+        // spurious (or a stale unpark) and parks again.
         loop {
-            let Some(idx) = inner.position(token.seq()) else {
-                // Unknown/expired token: treat as granted so callers do not
-                // deadlock on a programming error; release will be a no-op.
-                leave!(inner);
-                return;
-            };
-            if inner.queue[idx].state == RequestState::Allocated {
-                leave!(inner);
-                return;
+            std::thread::park();
+            if !self.lock().core.is_waiting(seq) {
+                return true;
             }
-            if inner.queue[idx].state == RequestState::Requested && inner.grantable(idx) {
-                inner.queue[idx].state = RequestState::Allocated;
-                leave!(inner);
-                return;
-            }
-            // About to park: publish who we are waiting on, and panic with
-            // the cycle if that closes a circular wait (debug builds only).
-            #[cfg(debug_assertions)]
-            {
-                let mode = inner.queue[idx].mode;
-                let blockers: Vec<_> = inner
-                    .queue
-                    .iter()
-                    .take(idx)
-                    .filter(|e| match mode {
-                        AccessMode::Write => e.state != RequestState::Released,
-                        AccessMode::Read => e.state != RequestState::Released && e.mode != AccessMode::Read,
-                    })
-                    .map(|e| e.owner)
-                    .collect();
-                if !registered {
-                    inner.parked.push(std::thread::current().id());
-                    registered = true;
-                }
-                deadlock::register_waiting(blockers);
-            }
-            self.cond.wait(&mut inner);
         }
     }
 
-    /// Releases a request (whether it was acquired or still pending), wakes
-    /// every waiter, and garbage-collects the released prefix of the queue.
+    /// Releases a request (whether it was acquired or still pending),
+    /// garbage-collects the released prefix of the queue and wakes the
+    /// requests that became grantable.
     pub(crate) fn release(&self, token: &RequestToken) {
-        let mut inner = self.inner.lock();
-        if let Some(idx) = inner.position(token.seq()) {
-            inner.queue[idx].state = RequestState::Released;
-            inner.pop_released_prefix();
-            // What this FIFO's parked threads are blocked on just changed:
-            // their wait-for registrations are stale until they wake and
-            // re-evaluate (debug-mode cycle detector).
-            #[cfg(debug_assertions)]
-            for &t in &inner.parked {
-                deadlock::unregister_thread(t);
-            }
-        }
-        drop(inner);
-        self.cond.notify_all();
+        let mut shared = self.lock();
+        let wake = shared.core.release(token.seq());
+        Self::unpark(shared, wake);
     }
 
     /// Atomically releases `token` and posts a fresh request of the same
@@ -307,42 +377,67 @@ impl LockFifo {
     /// periodic schedule (e.g. a reader overtaking the writer it alternates
     /// with), breaking the deterministic ordering the model guarantees.
     pub(crate) fn release_and_reinsert(&self, token: &RequestToken) -> RequestToken {
-        let mut inner = self.inner.lock();
-        if let Some(idx) = inner.position(token.seq()) {
-            inner.queue[idx].state = RequestState::Released;
-            inner.pop_released_prefix();
-            // See `release`: invalidate stale wait-for registrations.
-            #[cfg(debug_assertions)]
-            for &t in &inner.parked {
-                deadlock::unregister_thread(t);
-            }
+        let mut shared = self.lock();
+        let (next, wake) = shared.core.release_and_reinsert(token);
+        Self::unpark(shared, wake);
+        next
+    }
+
+    /// Ends a release: keeps the detector's graph exact, adds the side
+    /// door's threads once no write holds the grant, and unparks them all
+    /// after dropping the mutex.
+    fn unpark(mut shared: MutexGuard<'_, Shared>, mut wake: Vec<Thread>) {
+        #[cfg(debug_assertions)]
+        deadlock::refresh(wake.iter().map(Thread::id).collect(), shared.core.parked_blockers());
+        if !shared.side.is_empty() && !shared.core.write_granted() {
+            wake.append(&mut shared.side);
         }
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        inner.queue.push_back(Entry::new(seq, token.mode()));
-        drop(inner);
-        self.cond.notify_all();
-        RequestToken::new(seq, token.mode())
+        drop(shared);
+        for thread in wake {
+            thread.unpark();
+        }
+    }
+
+    /// The side door: runs `read` once no write holds the grant, whatever
+    /// is queued, and keeps every grant back until it returns.
+    pub(crate) fn outside_order<R>(&self, read: impl FnOnce() -> R) -> R {
+        let mut shared = self.lock();
+        while shared.core.write_granted() {
+            shared.side.push(std::thread::current());
+            drop(shared);
+            std::thread::park();
+            shared = self.lock();
+        }
+        let value = read();
+        drop(shared);
+        value
     }
 
     /// Current state of a request, `None` when the token has already left
     /// the queue.
     #[cfg(test)]
     pub(crate) fn state_of(&self, token: &RequestToken) -> Option<RequestState> {
-        let inner = self.inner.lock();
-        inner.position(token.seq()).map(|i| inner.queue[i].state)
+        let shared = self.lock();
+        shared.core.position(token.seq()).map(|i| shared.core.queue[i].state)
     }
 
     /// Number of requests currently in the queue (any state).
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.inner.lock().queue.len()
+        self.lock().core.queue.len()
     }
 
     /// True when no request is queued.
     #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Threads parked on a request, plus those at the side door.
+    #[cfg(test)]
+    pub(crate) fn parked(&self) -> usize {
+        let shared = self.lock();
+        shared.core.queue.iter().filter(|e| e.waiter.is_some()).count() + shared.side.len()
     }
 }
 
@@ -458,14 +553,14 @@ mod tests {
             let order = Arc::clone(&order);
             joins.push(std::thread::spawn(move || {
                 fifo.acquire(&tok);
-                order.lock().push(i);
+                order.lock().unwrap().push(i);
                 fifo.release(&tok);
             }));
         }
         for j in joins {
             j.join().unwrap();
         }
-        assert_eq!(*order.lock(), (0..8).collect::<Vec<_>>());
+        assert_eq!(*order.lock().unwrap(), (0..8).collect::<Vec<_>>());
     }
 
     #[test]
@@ -479,5 +574,128 @@ mod tests {
         fifo.release(&t);
         fifo.acquire(&t);
         assert!(!fifo.try_acquire(&t));
+    }
+
+    #[test]
+    fn a_release_unparks_only_the_requests_it_made_grantable() {
+        // One writer ahead of three parked readers and a parked writer.
+        let fifo = Arc::new(LockFifo::new());
+        let w1 = fifo.insert(AccessMode::Write);
+        assert!(fifo.try_acquire(&w1));
+        let readers: Vec<_> = (0..3).map(|_| fifo.insert(AccessMode::Read)).collect();
+        let w2 = fifo.insert(AccessMode::Write);
+        let (granted_tx, granted) = std::sync::mpsc::channel();
+        let (released_tx, released) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let release_rx = Mutex::new(release_rx);
+        std::thread::scope(|s| {
+            for token in readers.iter().chain([&w2]) {
+                let (fifo, release_rx) = (&fifo, &release_rx);
+                let (granted_tx, released_tx) = (granted_tx.clone(), released_tx.clone());
+                s.spawn(move || {
+                    assert!(fifo.acquire(token));
+                    granted_tx.send(token.mode()).unwrap();
+                    release_rx.lock().unwrap().recv().unwrap();
+                    fifo.release(token);
+                    released_tx.send(()).unwrap();
+                });
+            }
+            while fifo.parked() < 4 {
+                std::thread::yield_now();
+            }
+            // The writer's release grants the whole reader group, not w2.
+            fifo.release(&w1);
+            let group: Vec<_> = (0..3).map(|_| granted.recv().unwrap()).collect();
+            assert_eq!(group, [AccessMode::Read; 3]);
+            assert_eq!(fifo.parked(), 1, "w2 stays parked behind the readers");
+            // Two reader releases wake nobody; the last one wakes w2.
+            for _ in 0..2 {
+                release_tx.send(()).unwrap();
+                released.recv().unwrap();
+            }
+            assert_eq!((fifo.state_of(&w2), fifo.parked()), (Some(RequestState::Requested), 1));
+            assert!(granted.try_recv().is_err());
+            release_tx.send(()).unwrap();
+            assert_eq!(granted.recv().unwrap(), AccessMode::Write);
+            release_tx.send(()).unwrap();
+        });
+        assert!(fifo.is_empty());
+    }
+
+    /// The detector stays exact when a release wakes nobody: C parks
+    /// behind A's write and B's unacquired read on X; B cancels, which
+    /// grants nothing; A then parks on Y behind C's held write.  Were C's
+    /// registration cleared by the cancel instead of replaced, A and C
+    /// would hang; the join guard turns that hang into a failure.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_cycle_through_a_thread_no_release_woke_still_panics() {
+        use std::sync::mpsc::channel;
+        use std::time::{Duration, Instant};
+        let (x, y) = (Arc::new(LockFifo::new()), Arc::new(LockFifo::new()));
+
+        // A holds W1 on X, then on its cue parks on Y.
+        let (a_holds, a_held) = channel();
+        let (go_a, a_go) = channel::<()>();
+        let (xa, ya) = (Arc::clone(&x), Arc::clone(&y));
+        let a = std::thread::Builder::new()
+            .name("task-a".into())
+            .spawn(move || {
+                let w1 = xa.insert(AccessMode::Write);
+                assert!(xa.acquire(&w1));
+                a_holds.send(w1).unwrap();
+                a_go.recv().unwrap();
+                let wa = ya.insert(AccessMode::Write);
+                ya.acquire(&wa);
+            })
+            .unwrap();
+        let w1 = a_held.recv().unwrap();
+
+        // B posts a read on X behind W1 and cancels it on its cue.
+        let (b_posted, b_post) = channel();
+        let (go_b, b_go) = channel::<()>();
+        let xb = Arc::clone(&x);
+        let b = std::thread::spawn(move || {
+            let r = xb.insert(AccessMode::Read);
+            b_posted.send(()).unwrap();
+            b_go.recv().unwrap();
+            xb.release(&r);
+        });
+        b_post.recv().unwrap();
+
+        // C holds its write on Y, then parks on W2 behind W1 and B's read.
+        let (xc, yc) = (Arc::clone(&x), Arc::clone(&y));
+        let c = std::thread::Builder::new()
+            .name("task-c".into())
+            .spawn(move || {
+                let wc = yc.insert(AccessMode::Write);
+                assert!(yc.acquire(&wc));
+                let w2 = xc.insert(AccessMode::Write);
+                assert!(xc.acquire(&w2));
+                xc.release(&w2);
+                yc.release(&wc);
+            })
+            .unwrap();
+        while x.parked() == 0 {
+            std::thread::yield_now();
+        }
+
+        go_b.send(()).unwrap();
+        b.join().unwrap();
+        go_a.send(()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !a.is_finished() {
+            assert!(Instant::now() < deadline, "A parked in a cycle with C instead of panicking");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let panic = a.join().expect_err("A closes the cycle A -> C -> A");
+        let message = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(message.contains("ORWL deadlock detected"), "{message}");
+        assert!(message.contains("task-a") && message.contains("task-c"), "{message}");
+
+        // A never releases W1: do it for A, and C runs to completion.
+        x.release(&w1);
+        c.join().unwrap();
+        assert!(x.is_empty() && y.len() == 1, "only A's unacquired Y request is left");
     }
 }

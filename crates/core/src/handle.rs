@@ -16,8 +16,6 @@
 use crate::error::OrwlError;
 use crate::location::Location;
 use crate::request::{AccessMode, RequestToken};
-use parking_lot::lock_api::{ArcRwLockReadGuard, ArcRwLockWriteGuard};
-use parking_lot::RawRwLock;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -27,6 +25,9 @@ pub struct Handle<T> {
     location: Arc<Location<T>>,
     mode: AccessMode,
     iterative: bool,
+    /// The posted request.  A token stored here is live in the location's
+    /// FIFO until `finish_release` or `cancel` takes it out and releases it:
+    /// the guard's access to the payload rests on this.
     pending: Option<RequestToken>,
 }
 
@@ -79,18 +80,16 @@ impl<T> Handle<T> {
             }
         }
         let token = self.pending.expect("request posted above");
-        let start = Instant::now();
-        self.location.fifo().acquire(&token);
-        let waited = start.elapsed();
-        if orwl_obs::enabled() {
-            orwl_obs::lock_wait(self.location.id().0, waited.as_nanos() as u64);
+        // The wait is timed only for a recorder: the clock would otherwise
+        // be a large share of an uncontended acquire.
+        let start = orwl_obs::enabled().then(Instant::now);
+        let granted = self.location.fifo().acquire(&token);
+        assert!(granted, "a handle's pending request stays queued until the handle releases it");
+        if let Some(start) = start {
+            orwl_obs::lock_wait(self.location.id().0, start.elapsed().as_nanos() as u64);
         }
         crate::monitor::on_lock_granted(self.location.id(), self.mode);
-        let data = match self.mode {
-            AccessMode::Read => GuardData::Read(self.location.data().read_arc()),
-            AccessMode::Write => GuardData::Write(self.location.data().write_arc()),
-        };
-        Ok(OrwlGuard { handle: self, data: Some(data) })
+        Ok(OrwlGuard { handle: self })
     }
 
     /// Non-blocking variant of [`Handle::acquire`]: returns `Ok(None)` when
@@ -110,11 +109,7 @@ impl<T> Handle<T> {
             return Ok(None);
         }
         crate::monitor::on_lock_granted(self.location.id(), self.mode);
-        let data = match self.mode {
-            AccessMode::Read => GuardData::Read(self.location.data().read_arc()),
-            AccessMode::Write => GuardData::Write(self.location.data().write_arc()),
-        };
-        Ok(Some(OrwlGuard { handle: self, data: Some(data) }))
+        Ok(Some(OrwlGuard { handle: self }))
     }
 
     /// Cancels the pending request, if any, without accessing the data.
@@ -146,28 +141,28 @@ impl<T> Drop for Handle<T> {
     }
 }
 
-enum GuardData<T> {
-    Read(ArcRwLockReadGuard<RawRwLock, T>),
-    Write(ArcRwLockWriteGuard<RawRwLock, T>),
-}
-
 /// RAII guard giving access to a location's data while the lock is held.
 ///
-/// Dereference it to read; `DerefMut` (which panics on read guards) writes.  Dropping the guard releases the lock
-/// and, for iterative handles, re-posts the next request.
+/// The guard is the grant: it borrows the handle whose request the FIFO
+/// granted, and the payload is reached through it with no second lock.
+/// Dereference it to read; `DerefMut` (which panics on read guards) writes.
+/// Dropping the guard releases the lock and, for iterative handles,
+/// re-posts the next request.
 pub struct OrwlGuard<'a, T> {
     handle: &'a mut Handle<T>,
-    data: Option<GuardData<T>>,
 }
 
 impl<T> std::ops::Deref for OrwlGuard<'_, T> {
     type Target = T;
 
     fn deref(&self) -> &T {
-        match self.data.as_ref().expect("guard data present until drop") {
-            GuardData::Read(g) => g,
-            GuardData::Write(g) => g,
-        }
+        // SAFETY: the guard lives while its handle's request holds the
+        // grant — the handle's pending token stays live in the FIFO until
+        // `finish_release` / `cancel` takes it, and both need the `&mut
+        // Handle` this guard borrows.  A grant is one write alone or reads
+        // together (`fifo::explore::exhaustive_small_programs`), and
+        // `snapshot` only reads, so no `&mut T` exists meanwhile.
+        unsafe { &*self.handle.location.payload() }
     }
 }
 
@@ -175,18 +170,18 @@ impl<T> std::ops::DerefMut for OrwlGuard<'_, T> {
     /// # Panics
     /// Panics when the guard was obtained through a read handle.
     fn deref_mut(&mut self) -> &mut T {
-        match self.data.as_mut().expect("guard data present until drop") {
-            GuardData::Write(g) => &mut *g,
-            GuardData::Read(_) => panic!("{}", OrwlError::WriteThroughReadGuard),
+        if self.handle.mode == AccessMode::Read {
+            panic!("{}", OrwlError::WriteThroughReadGuard);
         }
+        // SAFETY: as in `deref`, and the grant is a write's: no other
+        // request holds a grant, `snapshot` waits for this one to end, and
+        // `&mut self` keeps this guard's own `&T`s out.
+        unsafe { &mut *self.handle.location.payload() }
     }
 }
 
 impl<T> Drop for OrwlGuard<'_, T> {
     fn drop(&mut self) {
-        // Drop the data guard before touching the FIFO so a re-posted writer
-        // can immediately take the RwLock.
-        self.data = None;
         self.handle.finish_release();
     }
 }

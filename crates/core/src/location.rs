@@ -8,7 +8,8 @@
 use crate::fifo::LockFifo;
 use crate::handle::Handle;
 use crate::request::AccessMode;
-use parking_lot::RwLock;
+use std::cell::UnsafeCell;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -22,13 +23,27 @@ static NEXT_LOCATION_ID: AtomicU64 = AtomicU64::new(0);
 ///
 /// `T` is the payload type (for the LK23 benchmark: a block of the matrix or
 /// a frontier buffer).  Locations are always handled through `Arc`.
-#[derive(Debug)]
 pub struct Location<T> {
     id: LocationId,
     name: String,
     fifo: LockFifo,
-    data: Arc<RwLock<T>>,
+    /// The payload has no lock of its own: the FIFO's grant is the lock.
+    /// An `OrwlGuard` dereferences it under its grant, [`Location::snapshot`]
+    /// behind the FIFO's side door; nothing else does.
+    data: UnsafeCell<T>,
 }
+
+// SAFETY: a shared `Location` reaches the payload only through an
+// `OrwlGuard`, which exists while its handle's request holds the FIFO grant
+// (a `Handle`'s pending token is live in its FIFO until `finish_release` /
+// `cancel` takes it), or through `snapshot`, which holds the FIFO's mutex
+// while no write is granted.  A write is granted alone and reads only with
+// reads (`fifo::explore::exhaustive_small_programs` checks it on every
+// schedule), so threads either share `&T` (hence `T: Sync`) or one thread at
+// a time holds `&mut T` and may move a value out through it (hence
+// `T: Send`): the bounds under which `std::sync::RwLock<T>` is `Sync`.  The
+// other fields are `Sync` on their own.
+unsafe impl<T: Send + Sync> Sync for Location<T> {}
 
 impl<T> Location<T> {
     /// Creates a new location holding `data`.
@@ -37,7 +52,7 @@ impl<T> Location<T> {
             id: LocationId(NEXT_LOCATION_ID.fetch_add(1, Ordering::Relaxed)),
             name: name.into(),
             fifo: LockFifo::new(),
-            data: Arc::new(RwLock::new(data)),
+            data: UnsafeCell::new(data),
         })
     }
 
@@ -56,9 +71,9 @@ impl<T> Location<T> {
         &self.fifo
     }
 
-    /// The underlying storage; used by guards.
-    pub(crate) fn data(&self) -> &Arc<RwLock<T>> {
-        &self.data
+    /// The payload, for a guard to dereference under its grant.
+    pub(crate) fn payload(&self) -> *mut T {
+        self.data.get()
     }
 
     /// Creates a one-shot handle on this location.
@@ -75,17 +90,32 @@ impl<T> Location<T> {
 
     /// Reads the data outside of any ORWL ordering (initialisation and
     /// verification only — never use this during an iterative computation).
+    /// Waits while a write guard is live; queued requests do not hold it up.
     pub fn snapshot(&self) -> T
     where
         T: Clone,
     {
-        self.data.read().clone()
+        self.fifo.outside_order(|| {
+            // SAFETY: `outside_order` runs this with no write granted and
+            // with the FIFO's mutex held, so no write can be granted before
+            // it returns; read guards meanwhile hold `&T` only.
+            unsafe { &*self.data.get() }.clone()
+        })
+    }
+}
+
+/// Names the location.  The payload is not printed: reading it takes a grant.
+impl<T> fmt::Debug for Location<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Location").field("id", &self.id).field("name", &self.name).finish_non_exhaustive()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+    use std::thread;
 
     #[test]
     fn locations_get_unique_ids_and_keep_names() {
@@ -100,6 +130,44 @@ mod tests {
     fn snapshot_returns_current_contents() {
         let loc = Location::new("x", 41i32);
         assert_eq!(loc.snapshot(), 41);
+    }
+
+    #[test]
+    fn snapshot_waits_for_a_live_write_guard_but_not_for_queued_requests() {
+        let loc = Location::new("x", 1u32);
+        let mut writer = loc.handle(AccessMode::Write);
+        let mut queued = loc.handle(AccessMode::Write);
+        writer.request().unwrap();
+        queued.request().unwrap();
+        let mut guard = writer.acquire().unwrap();
+        *guard = 2;
+
+        let (tx, rx) = mpsc::channel();
+        let side = Arc::clone(&loc);
+        let reader = thread::spawn(move || tx.send(side.snapshot()).unwrap());
+        while loc.fifo().parked() == 0 {
+            thread::yield_now();
+        }
+        assert!(rx.try_recv().is_err(), "the snapshot is parked behind the write guard");
+        *guard = 3;
+        drop(guard);
+        assert_eq!(rx.recv().unwrap(), 3, "the snapshot returns once the guard drops");
+        reader.join().unwrap();
+
+        // `queued`'s write is next in the FIFO but unacquired: no wait.
+        let side = Arc::clone(&loc);
+        assert_eq!(thread::spawn(move || side.snapshot()).join().unwrap(), 3);
+        let mut guard = queued.acquire().unwrap();
+        *guard = 4;
+        drop(guard);
+        assert_eq!(loc.snapshot(), 4);
+    }
+
+    #[test]
+    fn debug_names_the_location_without_the_payload() {
+        let loc = Location::new("halo", 123_456u64);
+        let printed = format!("{loc:?}");
+        assert!(printed.contains("halo") && !printed.contains("123456"), "{printed}");
     }
 
     #[test]
