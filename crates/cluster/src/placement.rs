@@ -58,6 +58,10 @@ impl ClusterPlacement {
 /// the cut whenever they differ, and when they tie the flat mapping's
 /// globally-optimised intra-node ordering cannot be worse — so
 /// `Hierarchical` is never worse than flat TreeMatch on either metric.
+///
+/// The partition, the flat candidate and both cut comparisons read `m`
+/// through its one sparse view ([`CommMatrix::sparse`]): the first of them
+/// builds it, unless a reader of `m` already did.
 pub fn hierarchical_placement(machine: &ClusterMachine, m: &CommMatrix) -> ClusterPlacement {
     let n_tasks = m.order();
     let cluster = machine.cluster();
@@ -206,6 +210,7 @@ pub fn policy_placement(
 mod tests {
     use super::*;
     use orwl_comm::patterns;
+    use proptest::prelude::*;
 
     #[test]
     fn clustered_pattern_maps_one_group_per_node() {
@@ -288,6 +293,26 @@ mod tests {
         }
         // Deterministic: the same loss re-shards the same way.
         assert_eq!(plan, reshard_after_node_loss(&machine, &m, &p.node_of_task, dead, &[]));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        // A matrix whose sparse view is built places like a copy that never
+        // built one: partition, the per-node TreeMatch runs, the flat
+        // candidate and the two cut comparisons all read the view.
+        #[test]
+        fn a_warm_matrix_places_like_a_cold_one(
+            tasks in 2usize..40,
+            nodes in 2usize..4,
+            seed in 0u64..10_000,
+        ) {
+            let machine = ClusterMachine::paper(nodes);
+            let cold = patterns::power_law(tasks, 2, 1.0e6 / 3.0, seed).symmetrized();
+            let warm = cold.clone();
+            warm.sparse();
+            prop_assert_eq!(hierarchical_placement(&machine, &warm), hierarchical_placement(&machine, &cold));
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! the matrix is collapsed so that the next (upper) level works on the
 //! traffic *between groups*.
 
-use crate::matrix::CommMatrix;
+use crate::matrix::{CommMatrix, Entries};
 use crate::sparse::SparseComm;
 
 /// A partition of threads into groups.  `groups[g]` lists the thread
@@ -44,7 +44,8 @@ pub fn aggregate(m: &CommMatrix, groups: &Groups) -> CommMatrix {
 pub fn aggregate_into(m: &CommMatrix, groups: &Groups, scratch: &mut AggregateScratch, out: &mut CommMatrix) {
     let owner = scratch.owners(m.order(), groups);
     out.reset_to_order(groups.len());
-    m.for_each_nonzero(|i, j, v| add_entry(owner, out, i, j, v));
+    let mut cells = out.entries_mut();
+    m.for_each_nonzero(|i, j, v| add_entry(owner, &mut cells, i, j, v));
 }
 
 /// [`aggregate_into`] reading the matrix through an already-built
@@ -61,7 +62,8 @@ pub fn aggregate_sparse_into(
 ) {
     let owner = scratch.owners(m.order(), groups);
     out.reset_to_order(groups.len());
-    m.for_each_nonzero(|i, j, v| add_entry(owner, out, i, j, v));
+    let mut cells = out.entries_mut();
+    m.for_each_nonzero(|i, j, v| add_entry(owner, &mut cells, i, j, v));
 }
 
 impl AggregateScratch {
@@ -83,7 +85,7 @@ impl AggregateScratch {
 }
 
 /// Adds one `src → dst` entry to the cell of its endpoints' groups.
-fn add_entry(owner: &[usize], out: &mut CommMatrix, src: usize, dst: usize, volume: f64) {
+fn add_entry(owner: &[usize], out: &mut Entries<'_>, src: usize, dst: usize, volume: f64) {
     if owner[src] != usize::MAX && owner[dst] != usize::MAX {
         out.add(owner[src], owner[dst], volume);
     }

@@ -6,7 +6,9 @@
 //! from the handles each task holds on its neighbours' locations; in tests
 //! and benchmarks it is generated by [`crate::patterns`].
 
+use crate::sparse::SparseComm;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A dense square matrix of communication volumes between `order()` threads.
 ///
@@ -15,26 +17,63 @@ use std::fmt;
 /// to be symmetric — `i → j` and `j → i` traffic are tracked separately —
 /// but most placement algorithms work on the symmetrised sum, see
 /// [`CommMatrix::symmetrized`].
-#[derive(Clone, Default, PartialEq)]
+///
+/// A matrix keeps its [sparse view](CommMatrix::sparse) once something
+/// asked for it, until it is mutated: every reader of one unchanged matrix
+/// shares one scan of the `order²` entries.  A clone keeps a copy of it.
+#[derive(Clone, Default)]
 pub struct CommMatrix {
     order: usize,
     values: Vec<f64>,
+    /// The view of `values`, built on first use by [`CommMatrix::sparse`].
+    /// Every `&mut self` method writes through [`CommMatrix::values_mut`],
+    /// which drops it.  Boxed, so a matrix without one stays small to move.
+    view: OnceLock<Box<SparseComm>>,
+}
+
+/// Unchecked writes into the entries of a matrix that has no view: what
+/// [`CommMatrix::entries_mut`] hands out after its one check.
+pub(crate) struct Entries<'a> {
+    order: usize,
+    values: &'a mut [f64],
+}
+
+impl Entries<'_> {
+    /// Sets the volume sent from `src` to `dst`.
+    #[inline]
+    pub(crate) fn set(&mut self, src: usize, dst: usize, volume: f64) {
+        self.values[src * self.order + dst] = volume;
+    }
+
+    /// Adds `volume` to the `src → dst` entry.
+    #[inline]
+    pub(crate) fn add(&mut self, src: usize, dst: usize, volume: f64) {
+        self.values[src * self.order + dst] += volume;
+    }
 }
 
 impl CommMatrix {
     /// Creates an `order × order` matrix of zeros.
     pub fn zeros(order: usize) -> Self {
-        CommMatrix { order, values: vec![0.0; order * order] }
+        CommMatrix { order, values: vec![0.0; order * order], view: OnceLock::new() }
+    }
+
+    /// A fresh `order × order` matrix whose entries `fill` writes: no view
+    /// can exist yet, so no write checks for one.
+    pub(crate) fn filled(order: usize, fill: impl FnOnce(&mut Entries<'_>)) -> Self {
+        let mut m = CommMatrix::zeros(order);
+        fill(&mut m.entries_mut());
+        m
     }
 
     /// Builds a matrix from `(src, dst, volume)` edges; repeated edges
     /// accumulate.
     pub fn from_edges(order: usize, edges: &[(usize, usize, f64)]) -> Self {
-        let mut m = CommMatrix::zeros(order);
-        for &(s, d, v) in edges {
-            m.add(s, d, v);
-        }
-        m
+        CommMatrix::filled(order, |m| {
+            for &(s, d, v) in edges {
+                m.add(s, d, v);
+            }
+        })
     }
 
     /// Number of rows (= columns = communicating threads).
@@ -47,14 +86,45 @@ impl CommMatrix {
         self.values[src * self.order + dst]
     }
 
-    /// Sets the volume sent from `src` to `dst`.
+    /// The entries, for writing.  Every `&mut self` method comes through
+    /// here, so none can leave a stale view behind; with no view to drop
+    /// the cost is one load and a branch that is not taken.
+    #[inline]
+    fn values_mut(&mut self) -> &mut Vec<f64> {
+        if self.view.get_mut().is_some() {
+            self.drop_view();
+        }
+        &mut self.values
+    }
+
+    /// Out of line: the matrices written entry by entry are accumulators
+    /// nobody has viewed yet.
+    #[cold]
+    #[inline(never)]
+    fn drop_view(&mut self) {
+        self.view = OnceLock::new();
+    }
+
+    /// One check for a view to drop, then any number of unchecked writes.
+    #[inline]
+    pub(crate) fn entries_mut(&mut self) -> Entries<'_> {
+        let order = self.order;
+        Entries { order, values: self.values_mut() }
+    }
+
+    /// Sets the volume sent from `src` to `dst`.  The per-entry writers of
+    /// other crates (the online accumulator, task-graph and trace
+    /// matrices) call this and [`add`](Self::add) once per entry, so both
+    /// inline into them.
+    #[inline]
     pub fn set(&mut self, src: usize, dst: usize, volume: f64) {
-        self.values[src * self.order + dst] = volume;
+        self.entries_mut().set(src, dst, volume);
     }
 
     /// Adds `volume` to the `src → dst` entry.
+    #[inline]
     pub fn add(&mut self, src: usize, dst: usize, volume: f64) {
-        self.values[src * self.order + dst] += volume;
+        self.entries_mut().add(src, dst, volume);
     }
 
     /// Sum of all entries (total traffic per iteration).
@@ -72,13 +142,28 @@ impl CommMatrix {
         t
     }
 
+    /// The row-compressed view of this matrix ([`SparseComm`]): built by
+    /// one scan of the `order²` entries on first use, then kept — for every
+    /// later reader, on any thread — until a `&mut self` method changes the
+    /// matrix and drops it.  It holds the non-zeros of `M` and of `M + Mᵀ`
+    /// at 16 bytes each — 2 × nnz × 16 bytes for a symmetric matrix — plus
+    /// `O(order)`.
+    pub fn sparse(&self) -> &SparseComm {
+        self.view.get_or_init(|| Box::new(SparseComm::from_dense(self)))
+    }
+
     /// Calls `f(src, dst, volume)` for every non-zero entry, in row-major
-    /// order — the one scan every consumer of a dense matrix shares (the
-    /// locality metrics, aggregation, [`crate::sparse::SparseComm`]).  An
-    /// ordered sum over these entries equals the same sum over all `order²`
-    /// entries bit for bit: an accumulator that starts at `0.0` and only
-    /// ever adds non-negative terms is unchanged by an added `0.0`.
+    /// order — the one scan every consumer of a matrix shares (the locality
+    /// metrics, aggregation, the copy constructors, [`SparseComm`]).  It
+    /// walks the [view](CommMatrix::sparse) when one is built and the dense
+    /// entries otherwise, so a one-shot scan allocates nothing.  An ordered
+    /// sum over these entries equals the same sum over all `order²` entries
+    /// bit for bit: an accumulator that starts at `0.0` and only ever adds
+    /// non-negative terms is unchanged by an added `0.0`.
     pub fn for_each_nonzero(&self, mut f: impl FnMut(usize, usize, f64)) {
+        if let Some(view) = self.view.get() {
+            return view.for_each_nonzero(f);
+        }
         // Sparse rows are mostly runs of zeros: test a block of entries with
         // one branch-free (vectorisable) reduction and look inside only the
         // blocks that hold something.
@@ -110,14 +195,23 @@ impl CommMatrix {
 
     /// Returns the symmetrised matrix `S = M + Mᵀ` whose entry `S[i][j]` is
     /// the total volume exchanged between `i` and `j` in both directions.
+    ///
+    /// This and the other copy constructors ([`select`](Self::select),
+    /// [`permuted`](Self::permuted), [`extended`](Self::extended)) write
+    /// the non-zeros they read into a zeroed buffer, so an entry that is
+    /// `-0.0` comes out as `+0.0`: equal under `==`, different in
+    /// [`as_slice`](Self::as_slice) bytes.  No producer in this workspace
+    /// emits `-0.0` — volumes and scale factors are non-negative.  Each
+    /// cell of `S` receives at most its two terms, and IEEE addition
+    /// commutes, so every other entry is the dense `M[i][j] + M[j][i]` bit
+    /// for bit.
     pub fn symmetrized(&self) -> CommMatrix {
-        let mut s = CommMatrix::zeros(self.order);
-        for i in 0..self.order {
-            for j in 0..self.order {
-                s.set(i, j, self.get(i, j) + self.get(j, i));
-            }
-        }
-        s
+        CommMatrix::filled(self.order, |s| {
+            self.for_each_nonzero(|i, j, v| {
+                s.add(i, j, v);
+                s.add(j, i, v);
+            })
+        })
     }
 
     /// Reshapes this matrix to `order × order` zeros, reusing the existing
@@ -125,21 +219,30 @@ impl CommMatrix {
     /// counterpart of [`CommMatrix::zeros`] used by the aggregated level
     /// matrix that lives across placement levels.
     pub(crate) fn reset_to_order(&mut self, order: usize) {
+        let values = self.values_mut();
+        values.clear();
+        values.resize(order * order, 0.0);
         self.order = order;
-        self.values.clear();
-        self.values.resize(order * order, 0.0);
     }
 
     /// Returns the matrix restricted to the rows/columns listed in `keep`,
-    /// in that order.
+    /// in that order: one walk of this matrix's non-zeros.
+    ///
+    /// # Panics
+    /// Panics when `keep` lists an index twice or one out of range.
     pub fn select(&self, keep: &[usize]) -> CommMatrix {
-        let mut m = CommMatrix::zeros(keep.len());
+        let mut at = vec![usize::MAX; self.order];
         for (a, &i) in keep.iter().enumerate() {
-            for (b, &j) in keep.iter().enumerate() {
-                m.set(a, b, self.get(i, j));
-            }
+            assert!(at[i] == usize::MAX, "select() lists index {i} twice");
+            at[i] = a;
         }
-        m
+        CommMatrix::filled(keep.len(), |m| {
+            self.for_each_nonzero(|i, j, v| {
+                if at[i] != usize::MAX && at[j] != usize::MAX {
+                    m.set(at[i], at[j], v);
+                }
+            })
+        })
     }
 
     /// Returns a copy with rows and columns permuted: entry `(i, j)` of the
@@ -149,31 +252,20 @@ impl CommMatrix {
     /// Panics when `perm` is not a permutation of `0..order`.
     pub fn permuted(&self, perm: &[usize]) -> CommMatrix {
         assert_eq!(perm.len(), self.order, "permutation length must equal matrix order");
-        let mut seen = vec![false; self.order];
-        for &p in perm {
-            assert!(p < self.order && !seen[p], "not a permutation");
-            seen[p] = true;
+        // `at[p]` is the row of the result that row `p` of `self` becomes.
+        let mut at = vec![usize::MAX; self.order];
+        for (i, &p) in perm.iter().enumerate() {
+            assert!(p < self.order && at[p] == usize::MAX, "not a permutation");
+            at[p] = i;
         }
-        let mut m = CommMatrix::zeros(self.order);
-        for i in 0..self.order {
-            for j in 0..self.order {
-                m.set(i, j, self.get(perm[i], perm[j]));
-            }
-        }
-        m
+        CommMatrix::filled(self.order, |m| self.for_each_nonzero(|i, j, v| m.set(at[i], at[j], v)))
     }
 
     /// Returns a copy extended to `new_order ≥ order` with zero-filled new
     /// rows and columns.  Used when adding control-thread entries.
     pub fn extended(&self, new_order: usize) -> CommMatrix {
         assert!(new_order >= self.order, "extended() cannot shrink a matrix");
-        let mut m = CommMatrix::zeros(new_order);
-        for i in 0..self.order {
-            for j in 0..self.order {
-                m.set(i, j, self.get(i, j));
-            }
-        }
-        m
+        CommMatrix::filled(new_order, |m| self.for_each_nonzero(|i, j, v| m.set(i, j, v)))
     }
 
     /// The underlying row-major values.
@@ -183,7 +275,11 @@ impl CommMatrix {
 
     /// Returns a copy with every entry multiplied by `k`.
     pub fn scaled(&self, k: f64) -> CommMatrix {
-        CommMatrix { order: self.order, values: self.values.iter().map(|v| v * k).collect() }
+        CommMatrix {
+            order: self.order,
+            values: self.values.iter().map(|v| v * k).collect(),
+            view: OnceLock::new(),
+        }
     }
 
     /// Adds `k · other` entry-wise.  Used by the online monitoring
@@ -193,14 +289,14 @@ impl CommMatrix {
     /// Panics when the orders differ.
     pub fn add_scaled(&mut self, other: &CommMatrix, k: f64) {
         assert_eq!(self.order, other.order, "add_scaled requires equal orders");
-        for (a, b) in self.values.iter_mut().zip(&other.values) {
+        for (a, b) in self.values_mut().iter_mut().zip(&other.values) {
             *a += k * b;
         }
     }
 
     /// Resets every entry to zero, keeping the order.
     pub fn reset(&mut self) {
-        self.values.fill(0.0);
+        self.values_mut().fill(0.0);
     }
 
     /// Returns a copy scaled so the entries sum to `1.0` (no-op on the
@@ -213,6 +309,14 @@ impl CommMatrix {
             return self.clone();
         }
         self.scaled(1.0 / total)
+    }
+}
+
+/// Two matrices are equal when their entries are: whether either has built
+/// its view does not matter.
+impl PartialEq for CommMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.order == other.order && self.values == other.values
     }
 }
 

@@ -8,20 +8,9 @@
 //! reports.
 
 use crate::matrix::CommMatrix;
-use orwl_topo::distance::{DistanceMatrix, LevelCosts};
+use orwl_topo::distance::{LevelCosts, PairCosts};
 use orwl_topo::object::ObjectType;
 use orwl_topo::topology::Topology;
-
-/// Total communication cost of a mapping: `Σ m[i][j] · dist(pu_i, pu_j)`
-/// where `dist` is the relative per-byte cost from the topology-derived
-/// [`DistanceMatrix`].  Lower is better; `0` means all traffic stays on one
-/// core.
-pub(crate) fn mapping_cost(m: &CommMatrix, dist: &DistanceMatrix, mapping: &[usize]) -> f64 {
-    assert!(mapping.len() >= m.order(), "mapping must cover every thread of the matrix");
-    let mut cost = 0.0;
-    m.for_each_nonzero(|i, j, v| cost += v * dist.cost(mapping[i], mapping[j]));
-    cost
-}
 
 /// Hop-bytes metric: `Σ m[i][j] · hops(pu_i, pu_j)` where `hops` is the
 /// number of tree edges between the two PUs.  This is the metric used in
@@ -125,10 +114,16 @@ pub fn traffic_breakdown(m: &CommMatrix, topo: &Topology, mapping: &[usize]) -> 
     out
 }
 
-/// Convenience wrapper: mapping cost with the default per-level costs.
+/// Total communication cost of a mapping with the default per-level
+/// costs: `Σ m[i][j] · cost(pu_i, pu_j)`, each non-zero priced on the fly
+/// by [`PairCosts`].  Lower is better; `0` means all traffic stays on one
+/// PU.
 pub fn mapping_cost_default(m: &CommMatrix, topo: &Topology, mapping: &[usize]) -> f64 {
-    let dist = DistanceMatrix::from_topology(topo, &LevelCosts::default());
-    mapping_cost(m, &dist, mapping)
+    assert!(mapping.len() >= m.order(), "mapping must cover every thread of the matrix");
+    let costs = PairCosts::new(topo, &LevelCosts::default());
+    let mut cost = 0.0;
+    m.for_each_nonzero(|i, j, v| cost += v * costs.cost(mapping[i], mapping[j]));
+    cost
 }
 
 #[cfg(test)]

@@ -54,28 +54,27 @@ impl StencilSpec {
 ///
 /// The matrix is symmetric by construction (halos are exchanged both ways).
 pub fn stencil_2d(spec: &StencilSpec) -> CommMatrix {
-    let n = spec.tasks();
-    let mut m = CommMatrix::zeros(n);
-    for r in 0..spec.rows {
-        for c in 0..spec.cols {
-            let me = spec.task_at(r, c);
-            // Edge neighbours.
-            let edge_offsets: [(isize, isize); 4] = [(-1, 0), (1, 0), (0, -1), (0, 1)];
-            for (dr, dc) in edge_offsets {
-                if let Some(other) = neighbor(spec, r, c, dr, dc) {
-                    m.add(me, other, spec.edge_volume);
+    CommMatrix::filled(spec.tasks(), |m| {
+        for r in 0..spec.rows {
+            for c in 0..spec.cols {
+                let me = spec.task_at(r, c);
+                // Edge neighbours.
+                let edge_offsets: [(isize, isize); 4] = [(-1, 0), (1, 0), (0, -1), (0, 1)];
+                for (dr, dc) in edge_offsets {
+                    if let Some(other) = neighbor(spec, r, c, dr, dc) {
+                        m.add(me, other, spec.edge_volume);
+                    }
                 }
-            }
-            // Corner neighbours.
-            let corner_offsets: [(isize, isize); 4] = [(-1, -1), (-1, 1), (1, -1), (1, 1)];
-            for (dr, dc) in corner_offsets {
-                if let Some(other) = neighbor(spec, r, c, dr, dc) {
-                    m.add(me, other, spec.corner_volume);
+                // Corner neighbours.
+                let corner_offsets: [(isize, isize); 4] = [(-1, -1), (-1, 1), (1, -1), (1, 1)];
+                for (dr, dc) in corner_offsets {
+                    if let Some(other) = neighbor(spec, r, c, dr, dc) {
+                        m.add(me, other, spec.corner_volume);
+                    }
                 }
             }
         }
-    }
-    m
+    })
 }
 
 fn neighbor(spec: &StencilSpec, r: usize, c: usize, dr: isize, dc: isize) -> Option<usize> {
@@ -90,27 +89,27 @@ fn neighbor(spec: &StencilSpec, r: usize, c: usize, dr: isize, dc: isize) -> Opt
 
 /// A unidirectional ring: task `i` sends `volume` bytes to task `(i+1) % n`.
 pub fn ring(n: usize, volume: f64) -> CommMatrix {
-    let mut m = CommMatrix::zeros(n);
-    if n < 2 {
-        return m;
-    }
-    for i in 0..n {
-        m.add(i, (i + 1) % n, volume);
-    }
-    m
+    CommMatrix::filled(n, |m| {
+        if n < 2 {
+            return;
+        }
+        for i in 0..n {
+            m.add(i, (i + 1) % n, volume);
+        }
+    })
 }
 
 /// Every task sends `volume` bytes to every other task.
 pub fn all_to_all(n: usize, volume: f64) -> CommMatrix {
-    let mut m = CommMatrix::zeros(n);
-    for i in 0..n {
-        for j in 0..n {
-            if i != j {
-                m.set(i, j, volume);
+    CommMatrix::filled(n, |m| {
+        for i in 0..n {
+            for j in 0..n {
+                if i != j {
+                    m.set(i, j, volume);
+                }
             }
         }
-    }
-    m
+    })
 }
 
 /// `groups` clusters of `group_size` tasks each; tasks exchange
@@ -118,22 +117,21 @@ pub fn all_to_all(n: usize, volume: f64) -> CommMatrix {
 /// with every task of the next cluster (ring of clusters).  This is the
 /// classic pattern where topology-aware placement has the largest payoff.
 pub fn clustered(groups: usize, group_size: usize, intra_volume: f64, inter_volume: f64) -> CommMatrix {
-    let n = groups * group_size;
-    let mut m = CommMatrix::zeros(n);
-    for g in 0..groups {
-        for a in 0..group_size {
-            for b in 0..group_size {
-                if a != b {
-                    m.add(g * group_size + a, g * group_size + b, intra_volume);
+    CommMatrix::filled(groups * group_size, |m| {
+        for g in 0..groups {
+            for a in 0..group_size {
+                for b in 0..group_size {
+                    if a != b {
+                        m.add(g * group_size + a, g * group_size + b, intra_volume);
+                    }
+                }
+                if groups > 1 {
+                    let next = (g + 1) % groups;
+                    m.add(g * group_size + a, next * group_size + a, inter_volume);
                 }
             }
-            if groups > 1 {
-                let next = (g + 1) % groups;
-                m.add(g * group_size + a, next * group_size + a, inter_volume);
-            }
         }
-    }
-    m
+    })
 }
 
 /// A random symmetric matrix: each unordered pair gets a volume drawn
@@ -141,17 +139,17 @@ pub fn clustered(groups: usize, group_size: usize, intra_volume: f64, inter_volu
 /// generator is seeded so experiments are reproducible.
 pub fn random_symmetric(n: usize, density: f64, max_volume: f64, seed: u64) -> CommMatrix {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut m = CommMatrix::zeros(n);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if rng.gen::<f64>() < density {
-                let v = rng.gen::<f64>() * max_volume;
-                m.set(i, j, v);
-                m.set(j, i, v);
+    CommMatrix::filled(n, |m| {
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if rng.gen::<f64>() < density {
+                    let v = rng.gen::<f64>() * max_volume;
+                    m.set(i, j, v);
+                    m.set(j, i, v);
+                }
             }
         }
-    }
-    m
+    })
 }
 
 /// A *directional* stencil: east/west halos carry `horizontal` bytes per
@@ -166,26 +164,25 @@ pub fn random_symmetric(n: usize, density: f64, max_volume: f64, seed: u64) -> C
 /// the anisotropy is what makes [`stencil_2d_rotated`] a genuine phase
 /// change for the adaptive-placement evaluation.
 pub fn stencil_2d_directional(spec: &StencilSpec, horizontal: f64, vertical: f64) -> CommMatrix {
-    let n = spec.tasks();
-    let mut m = CommMatrix::zeros(n);
-    for r in 0..spec.rows {
-        for c in 0..spec.cols {
-            let me = spec.task_at(r, c);
-            for (dr, dc, volume) in
-                [(-1isize, 0isize, vertical), (1, 0, vertical), (0, -1, horizontal), (0, 1, horizontal)]
-            {
-                if let Some(other) = neighbor(spec, r, c, dr, dc) {
-                    m.add(me, other, volume);
+    CommMatrix::filled(spec.tasks(), |m| {
+        for r in 0..spec.rows {
+            for c in 0..spec.cols {
+                let me = spec.task_at(r, c);
+                for (dr, dc, volume) in
+                    [(-1isize, 0isize, vertical), (1, 0, vertical), (0, -1, horizontal), (0, 1, horizontal)]
+                {
+                    if let Some(other) = neighbor(spec, r, c, dr, dc) {
+                        m.add(me, other, volume);
+                    }
                 }
-            }
-            for (dr, dc) in [(-1isize, -1isize), (-1, 1), (1, -1), (1, 1)] {
-                if let Some(other) = neighbor(spec, r, c, dr, dc) {
-                    m.add(me, other, spec.corner_volume);
+                for (dr, dc) in [(-1isize, -1isize), (-1, 1), (1, -1), (1, 1)] {
+                    if let Some(other) = neighbor(spec, r, c, dr, dc) {
+                        m.add(me, other, spec.corner_volume);
+                    }
                 }
             }
         }
-    }
-    m
+    })
 }
 
 /// The directional stencil after a quarter (90°) rotation of the sweep
@@ -221,31 +218,31 @@ pub fn rotating_sweep_matrices(side: usize, heavy: f64, light: f64) -> (CommMatr
 /// uniformly from `(0, max_volume]`; the matrix is symmetric.
 pub fn power_law(n: usize, edges_per_task: usize, max_volume: f64, seed: u64) -> CommMatrix {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut m = CommMatrix::zeros(n);
-    if n < 2 {
-        return m;
-    }
-    let mut degree = vec![1.0f64; n]; // +1 smoothing: everyone is reachable
-    for joiner in 1..n {
-        for _ in 0..edges_per_task.max(1) {
-            // Roulette-wheel draw over the already-joined tasks.
-            let mut ticket = rng.gen::<f64>() * degree[..joiner].iter().sum::<f64>();
-            let mut partner = 0;
-            for (t, &d) in degree[..joiner].iter().enumerate() {
-                ticket -= d;
-                if ticket <= 0.0 {
-                    partner = t;
-                    break;
-                }
-            }
-            let volume = (1.0 - rng.gen::<f64>()) * max_volume; // (0, max]
-            m.add(joiner, partner, volume);
-            m.add(partner, joiner, volume);
-            degree[joiner] += 1.0;
-            degree[partner] += 1.0;
+    CommMatrix::filled(n, |m| {
+        if n < 2 {
+            return;
         }
-    }
-    m
+        let mut degree = vec![1.0f64; n]; // +1 smoothing: everyone is reachable
+        for joiner in 1..n {
+            for _ in 0..edges_per_task.max(1) {
+                // Roulette-wheel draw over the already-joined tasks.
+                let mut ticket = rng.gen::<f64>() * degree[..joiner].iter().sum::<f64>();
+                let mut partner = 0;
+                for (t, &d) in degree[..joiner].iter().enumerate() {
+                    ticket -= d;
+                    if ticket <= 0.0 {
+                        partner = t;
+                        break;
+                    }
+                }
+                let volume = (1.0 - rng.gen::<f64>()) * max_volume; // (0, max]
+                m.add(joiner, partner, volume);
+                m.add(partner, joiner, volume);
+                degree[joiner] += 1.0;
+                degree[partner] += 1.0;
+            }
+        }
+    })
 }
 
 /// An owner-skewed *hotspot* pattern: `hubs` owner tasks hold the hot data
@@ -256,26 +253,26 @@ pub fn power_law(n: usize, edges_per_task: usize, max_volume: f64, seed: u64) ->
 /// them.
 pub fn hotspot(n: usize, hubs: usize, hub_volume: f64, spoke_volume: f64, seed: u64) -> CommMatrix {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut m = CommMatrix::zeros(n);
     let hubs = hubs.clamp(1, n.max(1));
-    if n < 2 {
-        return m;
-    }
-    // Hubs are tasks 0..hubs; they gossip pairwise.
-    for a in 0..hubs {
-        for b in 0..hubs {
-            if a != b {
-                m.set(a, b, hub_volume);
+    CommMatrix::filled(n, |m| {
+        if n < 2 {
+            return;
+        }
+        // Hubs are tasks 0..hubs; they gossip pairwise.
+        for a in 0..hubs {
+            for b in 0..hubs {
+                if a != b {
+                    m.set(a, b, hub_volume);
+                }
             }
         }
-    }
-    // Every spoke picks one owner, uniformly at random (seeded).
-    for spoke in hubs..n {
-        let owner = rng.gen_index(hubs);
-        m.add(spoke, owner, spoke_volume);
-        m.add(owner, spoke, spoke_volume);
-    }
-    m
+        // Every spoke picks one owner, uniformly at random (seeded).
+        for spoke in hubs..n {
+            let owner = rng.gen_index(hubs);
+            m.add(spoke, owner, spoke_volume);
+            m.add(owner, spoke, spoke_volume);
+        }
+    })
 }
 
 /// The convex blend `(1-t)·a + t·b` of two equally-sized matrices — the
@@ -294,12 +291,12 @@ pub fn blend(a: &CommMatrix, b: &CommMatrix, t: f64) -> CommMatrix {
 
 /// A 1-D chain: task `i` exchanges `volume` bytes with `i+1` (both ways).
 pub fn chain(n: usize, volume: f64) -> CommMatrix {
-    let mut m = CommMatrix::zeros(n);
-    for i in 0..n.saturating_sub(1) {
-        m.add(i, i + 1, volume);
-        m.add(i + 1, i, volume);
-    }
-    m
+    CommMatrix::filled(n, |m| {
+        for i in 0..n.saturating_sub(1) {
+            m.add(i, i + 1, volume);
+            m.add(i + 1, i, volume);
+        }
+    })
 }
 
 #[cfg(test)]

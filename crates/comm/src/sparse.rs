@@ -3,12 +3,13 @@
 //! The matrices placement runs on are sparse — a 9-point stencil or a
 //! power-law graph at `p = 1024` has under 1 % non-zero entries — while
 //! [`CommMatrix`], the public input type, is dense.  [`SparseComm`] is the
-//! one scan of that dense input the placement pipeline pays: it keeps the
-//! non-zero entries of `M` (what aggregation and the metrics sum over) and
-//! the rows of the symmetrised matrix `S = M + Mᵀ` (what grouping and
-//! partitioning work on) as per-row `(column, volume)` lists in increasing
-//! column order, so every inner loop costs the entries it touches instead
-//! of `p`.
+//! one scan of that dense input the placement pipeline pays, kept by the
+//! matrix itself ([`CommMatrix::sparse`]) until the matrix changes: it
+//! holds the non-zero entries of `M` (what aggregation and the metrics sum
+//! over) and the rows of the symmetrised matrix `S = M + Mᵀ` (what grouping
+//! and partitioning work on) as per-row `(column, volume)` lists in
+//! increasing column order, so every inner loop costs the entries it
+//! touches instead of `p`.
 //!
 //! # Why sums over the view are bit-identical to sums over the matrix
 //!
@@ -25,21 +26,14 @@ use crate::matrix::CommMatrix;
 /// Rows of `(column, value)` pairs, columns strictly increasing per row.
 #[derive(Debug, Default, Clone)]
 struct Rows {
-    /// `start[i]..start[i + 1]` indexes row `i` in `cols` / `vals`.
+    /// `start[i]..start[i + 1]` indexes row `i` in `entries`.
     start: Vec<usize>,
-    cols: Vec<usize>,
-    vals: Vec<f64>,
+    entries: Vec<(usize, f64)>,
 }
 
 impl Rows {
-    fn row(&self, i: usize) -> (&[usize], &[f64]) {
-        let range = self.start[i]..self.start[i + 1];
-        (&self.cols[range.clone()], &self.vals[range])
-    }
-
-    fn iter_row(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let (cols, vals) = self.row(i);
-        cols.iter().copied().zip(vals.iter().copied())
+    fn row(&self, i: usize) -> &[(usize, f64)] {
+        &self.entries[self.start[i]..self.start[i + 1]]
     }
 }
 
@@ -60,10 +54,15 @@ pub struct SparseComm {
 }
 
 impl SparseComm {
-    /// Builds the view of `m`.
+    /// Builds a view of `m` to keep: the transpose used to build it is
+    /// freed and the rows are trimmed to their length.  Readers get the
+    /// matrix's own view from [`CommMatrix::sparse`].
     pub fn from_dense(m: &CommMatrix) -> Self {
         let mut view = SparseComm::default();
         view.rebuild(m);
+        view.transposed = Rows::default();
+        view.directed.entries.shrink_to_fit();
+        view.sym.entries.shrink_to_fit();
         view
     }
 
@@ -74,14 +73,12 @@ impl SparseComm {
         self.order = p;
 
         let d = &mut self.directed;
-        d.cols.clear();
-        d.vals.clear();
+        d.entries.clear();
         d.start.clear();
         d.start.resize(p + 1, 0);
         m.for_each_nonzero(|i, j, v| {
             d.start[i + 1] += 1;
-            d.cols.push(j);
-            d.vals.push(v);
+            d.entries.push((j, v));
         });
         for i in 0..p {
             d.start[i + 1] += d.start[i];
@@ -92,21 +89,18 @@ impl SparseComm {
         let t = &mut self.transposed;
         t.start.clear();
         t.start.resize(p + 1, 0);
-        for &j in &d.cols {
+        for &(j, _) in &d.entries {
             t.start[j + 1] += 1;
         }
         for j in 0..p {
             t.start[j + 1] += t.start[j];
         }
-        t.cols.clear();
-        t.cols.resize(d.cols.len(), 0);
-        t.vals.clear();
-        t.vals.resize(d.vals.len(), 0.0);
+        t.entries.clear();
+        t.entries.resize(d.entries.len(), (0, 0.0));
         for i in 0..p {
-            for (j, v) in d.iter_row(i) {
+            for &(j, v) in d.row(i) {
                 // `start[j]` doubles as row `j`'s write cursor ...
-                t.cols[t.start[j]] = i;
-                t.vals[t.start[j]] = v;
+                t.entries[t.start[j]] = (i, v);
                 t.start[j] += 1;
             }
         }
@@ -114,30 +108,30 @@ impl SparseComm {
         t.start.copy_within(0..p, 1);
         t.start[0] = 0;
 
-        // S = M + Mᵀ: merge row i of M with row i of Mᵀ.
+        // S = M + Mᵀ: merge row i of M with row i of Mᵀ.  Both together
+        // bound its length, so a fresh view allocates it once.
         let s = &mut self.sym;
-        s.cols.clear();
-        s.vals.clear();
+        s.entries.clear();
+        s.entries.reserve(2 * d.entries.len());
         s.start.clear();
+        s.start.reserve(p + 1);
         s.start.push(0);
         for i in 0..p {
-            let (out_cols, out_vals) = d.row(i);
-            let (in_cols, in_vals) = t.row(i);
+            let (out, into) = (d.row(i), t.row(i));
             let (mut a, mut b) = (0, 0);
-            while a < out_cols.len() || b < in_cols.len() {
-                let out_col = out_cols.get(a).copied().unwrap_or(usize::MAX);
-                let in_col = in_cols.get(b).copied().unwrap_or(usize::MAX);
-                let (col, val) = match out_col.cmp(&in_col) {
-                    std::cmp::Ordering::Less => (out_col, out_vals[a]),
-                    std::cmp::Ordering::Greater => (in_col, in_vals[b]),
-                    std::cmp::Ordering::Equal => (out_col, out_vals[a] + in_vals[b]),
+            while a < out.len() || b < into.len() {
+                let (out_col, out_val) = out.get(a).copied().unwrap_or((usize::MAX, 0.0));
+                let (in_col, in_val) = into.get(b).copied().unwrap_or((usize::MAX, 0.0));
+                let entry = match out_col.cmp(&in_col) {
+                    std::cmp::Ordering::Less => (out_col, out_val),
+                    std::cmp::Ordering::Greater => (in_col, in_val),
+                    std::cmp::Ordering::Equal => (out_col, out_val + in_val),
                 };
                 a += usize::from(out_col <= in_col);
                 b += usize::from(in_col <= out_col);
-                s.cols.push(col);
-                s.vals.push(val);
+                s.entries.push(entry);
             }
-            s.start.push(s.cols.len());
+            s.start.push(s.entries.len());
         }
     }
 
@@ -151,7 +145,7 @@ impl SparseComm {
     /// [`CommMatrix::for_each_nonzero`].
     pub(crate) fn for_each_nonzero(&self, mut f: impl FnMut(usize, usize, f64)) {
         for i in 0..self.order {
-            for (j, v) in self.directed.iter_row(i) {
+            for &(j, v) in self.directed.row(i) {
                 f(i, j, v);
             }
         }
@@ -161,14 +155,14 @@ impl SparseComm {
     /// increasing column order.  `S` is symmetric bit for bit (IEEE addition
     /// commutes), so this is column `i` as well.
     pub fn sym_row(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.sym.iter_row(i)
+        self.sym.row(i).iter().copied()
     }
 
     /// Entry `S[i][j]` of the symmetrised matrix (`0.0` where the view holds
     /// no entry), by binary search in row `i`.
     pub fn sym_get(&self, i: usize, j: usize) -> f64 {
-        let (cols, vals) = self.sym.row(i);
-        cols.binary_search(&j).map_or(0.0, |k| vals[k])
+        let row = self.sym.row(i);
+        row.binary_search_by_key(&j, |&(col, _)| col).map_or(0.0, |k| row[k].1)
     }
 }
 

@@ -1,10 +1,11 @@
-//! Distance matrices between processing units.
+//! Relative transfer costs between processing units.
 //!
 //! HWLOC exposes optional "distances" objects (usually the ACPI SLIT NUMA
 //! latency table).  Here distances are derived from the topology tree: the
 //! relative cost of a memory transfer between two PUs depends on the deepest
 //! level they share (same core < shared cache < same NUMA node < remote
-//! NUMA node).  The simulator and the locality metrics both consume this.
+//! NUMA node).  The locality metrics price each communicating pair on the
+//! fly from a per-depth table ([`PairCosts`]); no PU × PU table is built.
 
 use crate::object::ObjectType;
 use crate::topology::Topology;
@@ -52,40 +53,35 @@ impl LevelCosts {
     }
 }
 
-/// A dense PU × PU relative-cost matrix, indexed by PU OS index.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DistanceMatrix {
-    n: usize,
-    values: Vec<f64>,
+/// [`LevelCosts`] on one topology: the relative cost of a transfer between
+/// any two PUs, priced per pair from the type of their deepest shared
+/// object — one table entry per tree depth, nothing per PU pair.
+#[derive(Debug, Clone)]
+pub struct PairCosts<'a> {
+    topo: &'a Topology,
+    /// The cost of a pair whose deepest shared object sits at each depth.
+    by_depth: Vec<f64>,
 }
 
-impl DistanceMatrix {
-    /// Builds the matrix from a topology and per-level costs.  The diagonal
-    /// is zero (no transfer needed).
-    pub fn from_topology(topo: &Topology, costs: &LevelCosts) -> Self {
-        let pus = topo.pu_os_indices();
-        let max_os = pus.iter().copied().max().unwrap_or(0) + 1;
-        let mut values = vec![0.0; max_os * max_os];
-        for &a in &pus {
-            for &b in &pus {
-                if a == b {
-                    continue;
-                }
-                let shared_depth = topo.shared_level_of_pus(a, b);
-                // Identify the type of the object at the shared depth.
-                let ty = topo.objects_at_depth(shared_depth).next().map(|o| o.obj_type);
-                values[a * max_os + b] = costs.for_shared_type(ty);
-            }
-        }
-        DistanceMatrix { n: max_os, values }
+impl<'a> PairCosts<'a> {
+    /// Looks up the per-depth costs of `topo`.
+    pub fn new(topo: &'a Topology, costs: &LevelCosts) -> Self {
+        let by_depth = (0..topo.depth())
+            .map(|d| costs.for_shared_type(topo.objects_at_depth(d).next().map(|o| o.obj_type)))
+            .collect();
+        PairCosts { topo, by_depth }
     }
 
-    /// Relative cost of a transfer from PU `a` to PU `b`.
+    /// Relative cost of a transfer from PU `a` to PU `b` (OS indices): `0`
+    /// for the same PU (no transfer needed) and for an index that names no
+    /// PU of the topology.
     pub fn cost(&self, a: usize, b: usize) -> f64 {
-        if a >= self.n || b >= self.n {
-            return 0.0;
+        match (self.topo.pu_by_os_index(a), self.topo.pu_by_os_index(b)) {
+            (Some(x), Some(y)) if a != b => {
+                self.by_depth[self.topo.object(self.topo.common_ancestor(x.id, y.id)).depth]
+            }
+            _ => 0.0,
         }
-        self.values[a * self.n + b]
     }
 }
 
@@ -106,7 +102,7 @@ mod tests {
     #[test]
     fn matrix_for_paper_machine() {
         let topo = synthetic::cluster2016_smp192();
-        let m = DistanceMatrix::from_topology(&topo, &LevelCosts::default());
+        let m = PairCosts::new(&topo, &LevelCosts::default());
         // Diagonal is 0.
         assert_eq!(m.cost(0, 0), 0.0);
         // Cores of the same socket share an L3.
@@ -121,7 +117,7 @@ mod tests {
     #[test]
     fn matrix_for_smt_machine_distinguishes_siblings() {
         let topo = synthetic::dual_socket_smt();
-        let m = DistanceMatrix::from_topology(&topo, &LevelCosts::default());
+        let m = PairCosts::new(&topo, &LevelCosts::default());
         let siblings = m.cost(0, 1); // same core (pu:2)
         let same_socket = m.cost(0, 2); // same L3
         let cross = m.cost(0, 32); // other socket
@@ -132,9 +128,51 @@ mod tests {
     #[test]
     fn uniprocessor_matrix_is_zero() {
         let topo = synthetic::uniprocessor();
-        let m = DistanceMatrix::from_topology(&topo, &LevelCosts::default());
+        let m = PairCosts::new(&topo, &LevelCosts::default());
         assert_eq!(m.cost(0, 0), 0.0);
         assert_eq!(m.cost(5, 7), 0.0); // out of range is 0, not a panic
+    }
+
+    /// The PU × PU table the per-pair costs replaced, as it was built:
+    /// `(side, row-major costs)`, zero off the PUs.
+    fn table(topo: &Topology, costs: &LevelCosts) -> (usize, Vec<f64>) {
+        let pus = topo.pu_os_indices();
+        let max_os = pus.iter().copied().max().unwrap_or(0) + 1;
+        let mut values = vec![0.0; max_os * max_os];
+        for &a in &pus {
+            for &b in &pus {
+                if a == b {
+                    continue;
+                }
+                let shared_depth = topo.shared_level_of_pus(a, b);
+                let ty = topo.objects_at_depth(shared_depth).next().map(|o| o.obj_type);
+                values[a * max_os + b] = costs.for_shared_type(ty);
+            }
+        }
+        (max_os, values)
+    }
+
+    #[test]
+    fn pair_costs_equal_the_old_table_on_every_pair() {
+        let mut topos: Vec<Topology> =
+            synthetic::preset_names().iter().map(|name| synthetic::preset(name).unwrap()).collect();
+        topos.push(crate::cluster::paper_cluster(3).unwrap().flatten().clone());
+        topos.push(synthetic::from_synthetic("mini-cluster", "group:2 numa:2 l3:1 core:2 pu:2").unwrap());
+        let odd =
+            LevelCosts { same_core: 0.3, shared_l2: 1.7, shared_l3: 4.1, same_numa: 9.9, remote_numa: 31.0 };
+        for topo in &topos {
+            for costs in [LevelCosts::default(), odd.clone()] {
+                let (n, values) = table(topo, &costs);
+                let pairs = PairCosts::new(topo, &costs);
+                // Two indices past the last PU: out of range is 0 too.
+                for a in 0..n + 2 {
+                    for b in 0..n + 2 {
+                        let old = if a < n && b < n { values[a * n + b] } else { 0.0 };
+                        assert_eq!(pairs.cost(a, b).to_bits(), old.to_bits(), "{} ({a}, {b})", topo.name());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

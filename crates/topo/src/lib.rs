@@ -18,7 +18,8 @@
 //!   flattened single-tree view for flat policies and metrics;
 //! * [`discover`] — best-effort discovery of the host topology from Linux
 //!   sysfs, with a portable fallback;
-//! * [`distance`] — PU-to-PU relative cost matrices derived from the tree;
+//! * [`distance`] — PU-to-PU relative transfer costs derived from the tree,
+//!   priced per pair;
 //! * [`binding`] — applying thread → PU placements (`sched_setaffinity` on
 //!   Linux, recording and no-op binders everywhere).
 //!

@@ -33,13 +33,13 @@ use orwl_topo::topology::{Topology, TreeShape};
 /// drift epoch, a policy sweep, the scaling harness — holds one
 /// `PlacementScratch` and stops allocating per tree level per placement.
 ///
-/// Nothing here is `p × p`: the caller's matrix is read once into the
-/// sparse view, and the only dense intermediates are the aggregated level
-/// matrices, of order `⌈p / arity⌉` and smaller.
+/// Nothing here is `p × p`: the caller's matrix is read through its own
+/// view ([`CommMatrix::sparse`], built once per matrix), and the only dense
+/// intermediates are the aggregated level matrices, of order `⌈p / arity⌉`
+/// and smaller.
 #[derive(Debug, Default, Clone)]
 pub struct PlacementScratch {
-    /// The sparse view of the level being grouped: the caller's matrix
-    /// first, then each aggregated level.
+    /// The sparse view of the aggregated level being grouped.
     view: SparseComm,
     /// The aggregated matrix the next level will group.
     level: CommMatrix,
@@ -205,8 +205,8 @@ pub fn tree_match_assign(shape: &TreeShape, m: &CommMatrix) -> Vec<usize> {
 }
 
 /// Allocation-reusing variant of [`tree_match_assign`]: identical output,
-/// with the sparse view and the aggregated level matrix living in
-/// `scratch` instead of being reallocated at every level.
+/// with the aggregated level matrices and their views living in `scratch`
+/// instead of being reallocated at every level.
 pub(crate) fn tree_match_assign_with(
     shape: &TreeShape,
     m: &CommMatrix,
@@ -228,9 +228,10 @@ pub(crate) fn tree_match_assign_with(
 
     // Lines 4–7: group from the leaves towards the root, aggregating the
     // matrix between levels.  Each level is grouped and aggregated through
-    // its sparse view: of the caller's matrix first, then of the aggregated
-    // matrix of the level below, the only dense intermediate — no per-level
-    // allocation once the buffers are warm.
+    // its sparse view: the caller's matrix's own (built here on its first
+    // solve, kept for the next reader), then the scratch view of the
+    // aggregated matrix of the level below, the only dense intermediate —
+    // no per-level allocation once the buffers are warm.
     let mut partitions: Vec<Groups> = Vec::with_capacity(levels);
     // Per-phase timing accumulates across levels into one `group` and one
     // `coarsen` span per solve; the clock is only read when recording is on.
@@ -239,13 +240,18 @@ pub(crate) fn tree_match_assign_with(
     let mut coarsen_ns = 0u64;
     for l in (0..levels).rev() {
         let t0 = observing.then(std::time::Instant::now);
-        scratch.view.rebuild(if partitions.is_empty() { m } else { &scratch.level });
+        let view = if partitions.is_empty() {
+            m.sparse()
+        } else {
+            scratch.view.rebuild(&scratch.level);
+            &scratch.view
+        };
         let t1 = observing.then(std::time::Instant::now);
-        let groups = group_processes_sparse(&scratch.view, arities[l], &mut scratch.grouping);
+        let groups = group_processes_sparse(view, arities[l], &mut scratch.grouping);
         let t2 = observing.then(std::time::Instant::now);
         // The root level's groups are final: nothing reads their aggregate.
         if l > 0 {
-            aggregate_sparse_into(&scratch.view, &groups, &mut scratch.agg, &mut scratch.level);
+            aggregate_sparse_into(view, &groups, &mut scratch.agg, &mut scratch.level);
         }
         if let (Some(t0), Some(t1), Some(t2)) = (t0, t1, t2) {
             group_ns += (t2 - t1).as_nanos() as u64;

@@ -96,7 +96,7 @@ pub(crate) struct GroupingScratch {
 /// # Panics
 /// Panics when `arity == 0`.
 pub fn group_processes(m: &CommMatrix, arity: usize) -> Groups {
-    group_processes_sparse(&SparseComm::from_dense(m), arity, &mut GroupingScratch::default())
+    group_processes_sparse(m.sparse(), arity, &mut GroupingScratch::default())
 }
 
 /// [`group_processes`] on an already-built view, with shared scratch

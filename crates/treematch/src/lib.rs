@@ -53,6 +53,8 @@ pub mod partition;
 pub mod policies;
 #[cfg(test)]
 mod sparse_identity;
+#[cfg(test)]
+mod warm_view;
 
 pub use algorithm::{tree_match_assign, PlacementScratch, TreeMatchMapper};
 pub use mapping::Placement;

@@ -169,7 +169,8 @@ const SCREEN_EPS: f64 = 1e-9;
 /// callers forwarding user input (the lab sweep grid) surface it.
 ///
 /// Like [`crate::grouping::group_processes`], every inner loop walks the
-/// non-zero rows of the symmetrised matrix ([`SparseComm`]).  The
+/// non-zero rows of the symmetrised matrix, through the matrix's own view
+/// ([`CommMatrix::sparse`]: built here unless a reader built it before).  The
 /// quantities decisions are taken on — a candidate's connectivity to the
 /// growing part, an entity's external cost in a part — are kept as tables
 /// of the *naive ordered sums themselves*, recomputed by a row walk (in
@@ -190,7 +191,7 @@ pub fn partition(m: &CommMatrix, costs: &PartCosts, capacity: usize) -> Result<V
     if k * capacity < p {
         return Err(PartitionError::InsufficientCapacity { parts: k, capacity, entities: p });
     }
-    let s = SparseComm::from_dense(m);
+    let s = m.sparse();
 
     // --- Greedy construction ------------------------------------------------
     // Aim for balanced parts (⌈p/k⌉) during construction so the refinement
@@ -198,7 +199,7 @@ pub fn partition(m: &CommMatrix, costs: &PartCosts, capacity: usize) -> Result<V
     // when p does not divide evenly.
     let target = p.div_ceil(k).min(capacity);
     // Precomputed seed-sort keys.
-    let traffic: Vec<f64> = (0..p).map(|i| crate::grouping::symmetric_traffic_of(&s, i)).collect();
+    let traffic: Vec<f64> = (0..p).map(|i| crate::grouping::symmetric_traffic_of(s, i)).collect();
     let mut order: Vec<usize> = (0..p).collect();
     order.sort_by(|&a, &b| {
         traffic[b].partial_cmp(&traffic[a]).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
@@ -214,7 +215,7 @@ pub fn partition(m: &CommMatrix, costs: &PartCosts, capacity: usize) -> Result<V
         // fall through to the affinity rule below.
         let part = match (0..k).find(|&q| parts.members[q].is_empty()) {
             Some(q) => q,
-            None => best_part(&s, &parts, seed, costs, target, capacity),
+            None => best_part(s, &parts, seed, costs, target, capacity),
         };
         parts.place(seed, part);
         // Grow the part around the seed up to the balanced target.  Only an
@@ -222,13 +223,13 @@ pub fn partition(m: &CommMatrix, costs: &PartCosts, capacity: usize) -> Result<V
         // those form the frontier, and their connectivities are re-summed
         // when a neighbour joins the part.
         for &member in &parts.members[part] {
-            frontier.reach_from(&s, &parts.assignment, member, part);
+            frontier.reach_from(s, &parts.assignment, member, part);
         }
         while parts.members[part].len() < target {
             match frontier.best(&parts.assignment) {
                 Some((cand, conn)) if conn > 0.0 => {
                     parts.place(cand, part);
-                    frontier.reach_from(&s, &parts.assignment, cand, part);
+                    frontier.reach_from(s, &parts.assignment, cand, part);
                 }
                 // No connected candidate left: stop growing, let the
                 // remaining entities pick their own seeds / best parts.
@@ -241,12 +242,12 @@ pub fn partition(m: &CommMatrix, costs: &PartCosts, capacity: usize) -> Result<V
     // cheapest part with room.
     for e in 0..p {
         if parts.assignment[e] == usize::MAX {
-            let part = best_part(&s, &parts, e, costs, target, capacity);
+            let part = best_part(s, &parts, e, costs, target, capacity);
             parts.place(e, part);
         }
     }
 
-    refine(&s, &mut parts, costs, capacity);
+    refine(s, &mut parts, costs, capacity);
     Ok(parts.assignment)
 }
 
