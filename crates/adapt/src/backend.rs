@@ -57,8 +57,7 @@ impl PhasedModel for SimMachine {
             ExecutionScenario::orwl_nobind(self, graph.n_tasks(), run.nobind_seed)
         } else {
             ExecutionScenario::bound(self, mapping_of(self, placement))
-        }
-        .with_label(run.policy.name());
+        };
         let report = simulate_monitored(self, graph, &scenario, iterations, monitor);
         let chunk_bytes = iterations as f64 * hop_bytes(matrix, self.topology(), &scenario.task_pu);
         run.time += report.total_time;

@@ -1,13 +1,15 @@
-//! The multi-node discrete-event execution engine.
+//! The multi-node cost model.
 //!
 //! [`simulate_cluster`] plays an iterative task graph on a
-//! [`ClusterMachine`]: every node behaves like the single-node NUMA model
-//! of `orwl_numasim::exec` (compute + bandwidth-shared working-set
-//! accesses + PU serialisation), and node-crossing halo edges become
+//! [`ClusterMachine`] with numasim's iteration loop
+//! (`orwl_numasim::exec::play`, PU serialisation included): this file only
+//! prices a placement as `StepCosts`.  Tasks pay compute plus
+//! bandwidth-shared working-set accesses, as on one NUMA node; halo edges
+//! inside a node pay the node's link cost, and node-crossing ones become
 //! **fabric messages** — a remote lock grant plus the location transfer —
-//! paying the fabric's per-message latency and per-byte cost, with the sum
-//! of all fabric bytes per iteration bounded by the fabric's aggregate
-//! bandwidth.
+//! paying the fabric's per-message latency and per-byte cost.  The sum of
+//! all fabric bytes per iteration is bounded by the fabric's aggregate
+//! bandwidth, and each node's socket-interconnect bytes by its backplane.
 //!
 //! Data follows the first-touch-by-owner rule of the bound scenarios: a
 //! task's working set lives on the node (and NUMA domain) of the PU it is
@@ -15,7 +17,7 @@
 //! guarantees (see `tests/proptests.rs`).
 
 use crate::machine::ClusterMachine;
-use orwl_numasim::exec::SimMonitor;
+use orwl_numasim::exec::{play, SimMonitor, StepCosts};
 use orwl_numasim::taskgraph::TaskGraph;
 
 /// Result of a cluster simulation run.
@@ -31,8 +33,6 @@ pub struct ClusterSimReport {
     pub inter_node_bytes: f64,
     /// Fabric messages per iteration (remote lock grants / transfers).
     pub fabric_messages: usize,
-    /// Label for reports.
-    pub label: String,
 }
 
 /// Simulates `iterations` iterations of `graph` with every task pinned to
@@ -115,58 +115,14 @@ pub fn simulate_cluster(
         node_backplane_bytes.iter().map(|b| b / params.interconnect_bandwidth).fold(0.0f64, f64::max);
     let iteration_floor = fabric_floor.max(node_floor);
 
-    // Per-task incoming edge indices (to pair each edge with its time).
-    let mut in_edges = vec![Vec::new(); n];
-    for (k, e) in graph.edges().iter().enumerate() {
-        in_edges[e.dst].push(k);
-    }
-
-    // --- Event-driven iteration loop ---------------------------------------
-    let mut finish_prev = vec![0.0f64; n];
-    let mut finish_cur = vec![0.0f64; n];
-    let mut pu_free: std::collections::HashMap<usize, f64> = std::collections::HashMap::new();
-    let mut iteration_times = Vec::with_capacity(iterations);
-    let mut clock = 0.0f64;
-
-    for iter in 0..iterations {
-        let mut ready: Vec<(f64, usize)> = (0..n)
-            .map(|t| {
-                let mut r: f64 = clock;
-                for &k in &in_edges[t] {
-                    let e = &graph.edges()[k];
-                    monitor.on_transfer(iter, e.src, e.dst, e.bytes);
-                    r = r.max(finish_prev[e.src] + edge_time[k]);
-                }
-                (r, t)
-            })
-            .collect();
-        ready.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-
-        let mut iter_end = clock;
-        for (ready_time, t) in ready {
-            let pu = task_pu[t];
-            let free = pu_free.get(&pu).copied().unwrap_or(0.0);
-            let start = ready_time.max(free);
-            let finish = start + task_duration[t];
-            pu_free.insert(pu, finish);
-            finish_cur[t] = finish;
-            iter_end = iter_end.max(finish);
-        }
-        iter_end = iter_end.max(clock + iteration_floor);
-
-        iteration_times.push(iter_end - clock);
-        monitor.on_iteration_end(iter, iter_end - clock);
-        clock = iter_end;
-        std::mem::swap(&mut finish_prev, &mut finish_cur);
-    }
-
+    let costs = StepCosts::new(task_pu, task_duration, edge_time, iteration_floor, None);
+    let played = play(graph, &costs, iterations, monitor);
     ClusterSimReport {
-        total_time: clock,
-        iteration_times,
+        total_time: played.total_time,
+        iteration_times: played.iteration_times,
         intra_node_bytes,
         inter_node_bytes,
         fabric_messages,
-        label: String::new(),
     }
 }
 
@@ -256,6 +212,70 @@ mod tests {
         let mut c = Count(0);
         simulate_cluster(&m, &g, &[0, 16], 7, &mut c);
         assert_eq!(c.0, 2 * 7);
+    }
+
+    /// Every callback a simulation makes, in order, floats as bits.
+    #[derive(Debug, Default, PartialEq)]
+    struct Recording {
+        transfers: Vec<(usize, usize, usize, u64)>,
+        iteration_ends: Vec<(usize, u64)>,
+    }
+
+    impl SimMonitor for Recording {
+        fn on_transfer(&mut self, iteration: usize, src: usize, dst: usize, bytes: f64) {
+            self.transfers.push((iteration, src, dst, bytes.to_bits()));
+        }
+
+        fn on_iteration_end(&mut self, iteration: usize, elapsed: f64) {
+            self.iteration_ends.push((iteration, elapsed.to_bits()));
+        }
+    }
+
+    /// A one-node cluster is its node's `SimMachine` under the bound
+    /// scenario, term by term:
+    /// * task duration — the bound run's migration factor is `1.0` and its
+    ///   data is local, so both pay `elements × sec_per_element` plus
+    ///   `max(bytes × local_byte_cost, bytes × sharers / node_bandwidth)`,
+    ///   with sharers counted per NUMA domain either way;
+    /// * edge time — no edge leaves the node, so every halo pays
+    ///   `bytes × link_byte_cost` on the node's own PUs and no latency;
+    /// * floor — no fabric bytes, and `node_backplane[0] /
+    ///   interconnect_bandwidth` sums the same NUMA-crossing edges in the
+    ///   same edge order as the bound run's `cross_bytes` (which has no
+    ///   remote working set to add);
+    /// * barrier — neither has one.
+    ///
+    /// So the two runs agree bit for bit, callbacks included.
+    #[test]
+    fn one_node_cluster_is_the_bound_numa_run() {
+        use orwl_comm::patterns::{all_to_all, power_law, StencilSpec};
+        use orwl_numasim::exec::simulate_monitored;
+        use orwl_numasim::scenario::ExecutionScenario;
+
+        let m = ClusterMachine::paper(1);
+        let node = m.node_machine();
+        let graphs = [
+            // Oversubscribed memory controllers: the sharers term binds.
+            TaskGraph::stencil(&StencilSpec::nine_point_blocks(6, 64, 8), 64.0 * 64.0, 8.0),
+            TaskGraph::from_matrix(&power_law(40, 3, 1.0e5, 7), 16384.0, 131072.0),
+            // Hundreds of socket-crossing halos and no work: the floor binds.
+            TaskGraph::from_matrix(&all_to_all(24, 1.0e6), 1.0, 0.0),
+        ];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for g in &graphs {
+            // Oversubscribed and spread over both sockets of the node.
+            let mapping: Vec<usize> = (0..g.n_tasks()).map(|t| t * 5 % m.n_pus()).collect();
+            let (mut numa_calls, mut cluster_calls) = (Recording::default(), Recording::default());
+            let bound = ExecutionScenario::bound(node, mapping.clone());
+            let numa = simulate_monitored(node, g, &bound, 6, &mut numa_calls);
+            let cluster = simulate_cluster(&m, g, &mapping, 6, &mut cluster_calls);
+            assert_eq!(cluster.total_time.to_bits(), numa.total_time.to_bits());
+            assert_eq!(bits(&cluster.iteration_times), bits(&numa.iteration_times));
+            assert_eq!(cluster_calls, numa_calls);
+            assert_eq!(numa_calls.transfers.len(), 6 * g.edges().len());
+            assert!(numa.cross_node_bytes > 0.0, "some halos cross sockets, so the floor is non-zero");
+            assert_eq!(cluster.inter_node_bytes, 0.0);
+        }
     }
 
     #[test]

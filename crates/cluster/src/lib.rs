@@ -16,8 +16,8 @@
 //!    ([`mod@orwl_treematch::partition`]), then runs the paper's TreeMatch
 //!    *inside* each node; surfaced through the unified `Session` API as
 //!    [`Policy::Hierarchical`](orwl_treematch::policies::Policy).
-//! 3. **Execution** — [`exec::simulate_cluster`], a
-//!    discrete-event multi-node simulator (per-node NUMA machines coupled
+//! 3. **Execution** — [`exec::simulate_cluster`], a multi-node cost model
+//!    run by numasim's discrete-event loop (per-node NUMA machines coupled
 //!    by fabric messages for remote lock grants and location transfers),
 //!    plugged in as the third `ExecutionBackend`: [`ClusterBackend`].
 //!    Reports carry the inter-node vs intra-node traffic split

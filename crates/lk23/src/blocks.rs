@@ -442,6 +442,9 @@ mod tests {
         let spec = orwl_comm::patterns::StencilSpec::nine_point_blocks(4, 16, 8);
         let expected = orwl_comm::patterns::stencil_2d(&spec);
         assert_eq!(m, expected);
+        // No block is its own neighbour: the task graph's diagonal filter
+        // drops nothing.
+        assert!((0..d.n_blocks()).all(|b| m.get(b, b) == 0.0));
     }
 
     #[test]

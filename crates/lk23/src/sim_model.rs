@@ -85,17 +85,7 @@ impl Lk23Workload {
                 orwl_numasim::taskgraph::SimTask { elements, private_bytes: elements * SIM_BYTES_PER_POINT }
             })
             .collect();
-        let m = self.comm_matrix();
-        let mut edges = Vec::new();
-        for src in 0..m.order() {
-            for dst in 0..m.order() {
-                let bytes = m.get(src, dst);
-                if bytes > 0.0 {
-                    edges.push(orwl_numasim::taskgraph::SimEdge { src, dst, bytes });
-                }
-            }
-        }
-        TaskGraph::new(tasks, edges)
+        TaskGraph::from_tasks_and_matrix(tasks, &self.comm_matrix())
     }
 }
 

@@ -1,8 +1,10 @@
-//! The discrete-event execution engine.
+//! The discrete-event execution engine: one iteration loop, [`play`], run
+//! at the [`StepCosts`] a machine model prices a placement at.  The two
+//! models are [`simulate`] here and the multi-node engine of `orwl-cluster`.
 //!
 //! [`simulate`] plays an iterative [`TaskGraph`] on a [`SimMachine`] under a
 //! given [`ExecutionScenario`] and returns the simulated wall-clock time
-//! together with a breakdown of where the time went.  The engine models:
+//! together with a breakdown of where the time went.  Its cost model prices:
 //!
 //! * **compute** — `elements × sec_per_element`, inflated by the migration
 //!   penalty when threads are not pinned;
@@ -151,38 +153,105 @@ pub fn simulate_monitored(
             cross_bytes += graph.task(t).private_bytes;
         }
     }
+    // A halo takes its bytes at the producer → consumer link cost.
+    let mut edge_time = Vec::with_capacity(graph.edges().len());
     for e in graph.edges() {
-        let a = machine.node_of_pu(scenario.task_pu[e.src]);
-        let b = machine.node_of_pu(scenario.task_pu[e.dst]);
-        if a != b {
+        let (a, b) = (scenario.task_pu[e.src], scenario.task_pu[e.dst]);
+        if machine.node_of_pu(a) != machine.node_of_pu(b) {
             cross_bytes += e.bytes;
         }
+        edge_time.push(e.bytes * machine.link_byte_cost(a, b));
     }
+    // The node-crossing traffic of an iteration cannot beat the backplane,
+    // whatever the per-task overlap looked like.
     let interconnect_floor = cross_bytes / params.interconnect_bandwidth;
 
     // Barrier overhead per iteration (fork-join runtimes only).
-    let barrier_cost =
-        if scenario.fork_join_barrier { params.barrier_cost_per_thread * n as f64 } else { 0.0 };
+    let barrier = scenario.fork_join_barrier.then_some(params.barrier_cost_per_thread * n as f64);
 
-    // --- Event-driven iteration loop ---------------------------------------
+    let costs = StepCosts::new(&scenario.task_pu, task_duration, edge_time, interconnect_floor, barrier);
+    let played = play(graph, &costs, iterations, monitor);
+    let (compute, memory) = (sum_compute * iterations as f64, sum_memory * iterations as f64);
+    SimReport {
+        breakdown: TimeBreakdown { compute, memory, ..played.breakdown },
+        cross_node_bytes: cross_bytes,
+        label: scenario.label.clone(),
+        ..played
+    }
+}
+
+/// The static costs of one placement, priced once by a machine model:
+/// everything [`play`] reads.
+#[derive(Debug)]
+pub struct StepCosts {
+    /// Seconds of compute and working-set streaming per task and iteration.
+    duration: Vec<f64>,
+    /// Each task's PU as a dense slot in `0..n_slots`, so that no PU
+    /// number sizes anything.
+    slot: Vec<usize>,
+    n_slots: usize,
+    /// Seconds each edge's halo takes, in edge order.
+    edge_time: Vec<f64>,
+    /// No iteration is shorter than this (the backplane or fabric bound).
+    floor: f64,
+    /// The fork-join barrier closing every iteration, if there is one.
+    barrier: Option<f64>,
+}
+
+impl StepCosts {
+    /// Costs of running task `t` on PU `task_pu[t]` for `t < duration.len()`;
+    /// `edge_time` follows the graph's edge order.
+    pub fn new(
+        task_pu: &[usize],
+        duration: Vec<f64>,
+        edge_time: Vec<f64>,
+        floor: f64,
+        barrier: Option<f64>,
+    ) -> Self {
+        let task_pu = &task_pu[..duration.len()];
+        let mut pus = task_pu.to_vec();
+        pus.sort_unstable();
+        pus.dedup();
+        let slot = task_pu.iter().map(|pu| pus.binary_search(pu).expect("every PU is listed")).collect();
+        StepCosts { duration, slot, n_slots: pus.len(), edge_time, floor, barrier }
+    }
+}
+
+/// Runs `iterations` iterations of `graph` at `costs` — the one iteration
+/// loop of both simulators.  The report holds the times and the halo and
+/// barrier sums; the caller's cost model fills in the rest.
+///
+/// Each iteration walks the tasks in index order and each task's in-edges
+/// in edge order, reporting every edge to `monitor` and adding its time to
+/// the halo sum; a task is ready once every producer's previous iteration
+/// plus the edge's time has passed.  Tasks then run in ready order (a
+/// stable sort: ties keep index order), one at a time per PU.  The
+/// iteration lasts at least the floor, then pays the barrier, which also
+/// re-synchronises every task and PU.  This order is part of the contract:
+/// a monitor's online matrix sums in it.
+pub fn play(
+    graph: &TaskGraph,
+    costs: &StepCosts,
+    iterations: usize,
+    monitor: &mut dyn SimMonitor,
+) -> SimReport {
+    let n = graph.n_tasks();
     let mut finish_prev = vec![0.0f64; n];
     let mut finish_cur = vec![0.0f64; n];
-    let mut pu_free: std::collections::HashMap<usize, f64> = std::collections::HashMap::new();
+    let mut pu_free = vec![0.0f64; costs.n_slots];
     let mut iteration_times = Vec::with_capacity(iterations);
-    let mut clock_start_of_iter = 0.0f64;
-    let mut sum_halo = 0.0;
-    let mut sum_barrier = 0.0;
+    let mut clock = 0.0f64;
+    let (mut halo, mut barrier) = (0.0, 0.0);
 
     for iter in 0..iterations {
         // Order tasks by the time their dependencies are satisfied so that
         // PU serialisation favours the task that becomes ready first.
         let mut ready: Vec<(f64, usize)> = (0..n)
             .map(|t| {
-                let mut r: f64 = clock_start_of_iter;
-                for e in graph.in_edges(t) {
-                    let link = machine.link_byte_cost(scenario.task_pu[e.src], scenario.task_pu[e.dst]);
-                    let halo_time = e.bytes * link;
-                    sum_halo += halo_time;
+                let mut r: f64 = clock;
+                for (k, e) in graph.in_edges(t) {
+                    let halo_time = costs.edge_time[k];
+                    halo += halo_time;
                     monitor.on_transfer(iter, e.src, e.dst, e.bytes);
                     r = r.max(finish_prev[e.src] + halo_time);
                 }
@@ -191,50 +260,35 @@ pub fn simulate_monitored(
             .collect();
         ready.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
 
-        let mut iter_end = clock_start_of_iter;
+        let mut iter_end = clock;
         for (ready_time, t) in ready {
-            let pu = scenario.task_pu[t];
-            let free = pu_free.get(&pu).copied().unwrap_or(0.0);
-            let start = ready_time.max(free);
-            let finish = start + task_duration[t];
-            pu_free.insert(pu, finish);
+            let free = &mut pu_free[costs.slot[t]];
+            let finish = ready_time.max(*free) + costs.duration[t];
+            *free = finish;
             finish_cur[t] = finish;
             iter_end = iter_end.max(finish);
         }
-
-        // The node-crossing traffic of this iteration cannot beat the
-        // backplane, whatever the per-task overlap looked like.
-        iter_end = iter_end.max(clock_start_of_iter + interconnect_floor);
+        iter_end = iter_end.max(clock + costs.floor);
 
         // Fork-join runtimes re-synchronise every iteration.
-        if scenario.fork_join_barrier {
-            iter_end += barrier_cost;
-            sum_barrier += barrier_cost;
-            for f in finish_cur.iter_mut() {
-                *f = iter_end;
-            }
-            for f in pu_free.values_mut() {
-                *f = iter_end;
-            }
+        if let Some(cost) = costs.barrier {
+            iter_end += cost;
+            barrier += cost;
+            finish_cur.fill(iter_end);
+            pu_free.fill(iter_end);
         }
 
-        iteration_times.push(iter_end - clock_start_of_iter);
-        monitor.on_iteration_end(iter, iter_end - clock_start_of_iter);
-        clock_start_of_iter = iter_end;
+        iteration_times.push(iter_end - clock);
+        monitor.on_iteration_end(iter, iter_end - clock);
+        clock = iter_end;
         std::mem::swap(&mut finish_prev, &mut finish_cur);
     }
-
     SimReport {
-        total_time: clock_start_of_iter,
+        total_time: clock,
         iteration_times,
-        breakdown: TimeBreakdown {
-            compute: sum_compute * iterations as f64,
-            memory: sum_memory * iterations as f64,
-            halo: sum_halo,
-            barrier: sum_barrier,
-        },
-        cross_node_bytes: cross_bytes,
-        label: scenario.label.clone(),
+        breakdown: TimeBreakdown { halo, barrier, ..TimeBreakdown::default() },
+        cross_node_bytes: 0.0,
+        label: String::new(),
     }
 }
 
@@ -324,6 +378,18 @@ mod tests {
         let rs = simulate(&m, &g, &stacked, 3);
         let rp = simulate(&m, &g, &spread, 3);
         assert!(rs.total_time > rp.total_time * 4.0, "stacked {} spread {}", rs.total_time, rp.total_time);
+    }
+
+    #[test]
+    fn pus_past_the_machine_serialise_without_sizing_anything() {
+        // The machine prices a PU number past its last PU as remote on
+        // node 0; the loop must serialise on it like any other PU, not
+        // allocate up to it.
+        let m = small_machine();
+        let g = TaskGraph::new(vec![SimTask { elements: 1000.0, private_bytes: 0.0 }; 2], vec![]);
+        let stacked = simulate(&m, &g, &ExecutionScenario::bound(&m, vec![usize::MAX; 2]), 2).total_time;
+        let spread = simulate(&m, &g, &ExecutionScenario::bound(&m, vec![usize::MAX, 0]), 2).total_time;
+        assert!(stacked > 1.5 * spread, "stacked {stacked} vs spread {spread}");
     }
 
     #[test]

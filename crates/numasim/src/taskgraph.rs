@@ -72,9 +72,10 @@ impl TaskGraph {
         &self.edges
     }
 
-    /// Incoming edges of task `t`.
-    pub(crate) fn in_edges(&self, t: usize) -> impl Iterator<Item = &SimEdge> {
-        self.in_edges[t].iter().map(move |&i| &self.edges[i])
+    /// Incoming edges of task `t` with their indices into
+    /// [`edges`](Self::edges), in increasing index order.
+    pub(crate) fn in_edges(&self, t: usize) -> impl Iterator<Item = (usize, &SimEdge)> {
+        self.in_edges[t].iter().map(move |&i| (i, &self.edges[i]))
     }
 
     /// The task × task communication matrix of the graph — exactly the
@@ -94,17 +95,25 @@ impl TaskGraph {
     /// Used by the adaptive evaluation to turn phase-specific matrices
     /// (e.g. [`orwl_comm::patterns::stencil_2d_rotated`]) into workloads.
     pub fn from_matrix(m: &CommMatrix, elements_per_task: f64, private_bytes_per_task: f64) -> TaskGraph {
-        let n = m.order();
-        let tasks = vec![SimTask { elements: elements_per_task, private_bytes: private_bytes_per_task }; n];
+        let task = SimTask { elements: elements_per_task, private_bytes: private_bytes_per_task };
+        TaskGraph::from_tasks_and_matrix(vec![task; m.order()], m)
+    }
+
+    /// Builds a task graph from its tasks and a communication matrix, one
+    /// edge per positive off-diagonal entry in row-major order (the order
+    /// [`CommMatrix::for_each_nonzero`] visits them).  This is the one
+    /// place a matrix becomes edges: [`from_matrix`](Self::from_matrix),
+    /// [`stencil`](Self::stencil) and the LK23 block graph all call it.
+    ///
+    /// # Panics
+    /// Panics when a positive entry names a task past the end of `tasks`.
+    pub fn from_tasks_and_matrix(tasks: Vec<SimTask>, m: &CommMatrix) -> TaskGraph {
         let mut edges = Vec::new();
-        for src in 0..n {
-            for dst in 0..n {
-                let bytes = m.get(src, dst);
-                if src != dst && bytes > 0.0 {
-                    edges.push(SimEdge { src, dst, bytes });
-                }
+        m.for_each_nonzero(|src, dst, bytes| {
+            if src != dst && bytes > 0.0 {
+                edges.push(SimEdge { src, dst, bytes });
             }
-        }
+        });
         TaskGraph::new(tasks, edges)
     }
 
@@ -114,19 +123,8 @@ impl TaskGraph {
     /// exchanging edge/corner halos with its neighbours as described by
     /// `spec`.
     pub fn stencil(spec: &StencilSpec, block_elements: f64, elem_bytes: f64) -> TaskGraph {
-        let n = spec.tasks();
-        let tasks = vec![SimTask { elements: block_elements, private_bytes: block_elements * elem_bytes }; n];
         let m = orwl_comm::patterns::stencil_2d(spec);
-        let mut edges = Vec::new();
-        for src in 0..n {
-            for dst in 0..n {
-                let bytes = m.get(src, dst);
-                if bytes > 0.0 {
-                    edges.push(SimEdge { src, dst, bytes });
-                }
-            }
-        }
-        TaskGraph::new(tasks, edges)
+        TaskGraph::from_matrix(&m, block_elements, block_elements * elem_bytes)
     }
 }
 
@@ -168,6 +166,9 @@ mod tests {
         // The graph's communication matrix equals the pattern generator's.
         let expected = orwl_comm::patterns::stencil_2d(&spec);
         assert_eq!(g.comm_matrix(), expected);
+        // No block is its own neighbour, so the edge builder's diagonal
+        // filter drops nothing.
+        assert!((0..16).all(|t| expected.get(t, t) == 0.0));
         // Interior task has 8 incoming halos.
         assert_eq!(g.in_edges(5).count(), 8);
         // Corner task has 3.
