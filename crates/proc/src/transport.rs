@@ -1,8 +1,10 @@
 //! Framed message transport over a stream socket.
 //!
 //! [`FramedStream`] wraps a connected [`UnixStream`] with the wire codec
-//! from [`crate::wire`]: `send` writes one whole frame, `recv` blocks (up
-//! to a deadline) until one whole message decoded.  The framing is pure
+//! from [`crate::wire`]: `send` writes one whole frame (the encoder's head
+//! and the tail it lends out of the message, in vectored writes), `recv`
+//! blocks (up to a deadline) until one whole message decoded from bytes
+//! read straight into the stream's `FrameReader`.  The framing is pure
 //! length-prefixed bytes, so the same code works over TCP for inter-host
 //! deployment — only the connect/accept calls differ.
 //!
@@ -18,8 +20,8 @@
 //! [`UnixStream::pair`]: nothing is ever written to it, and dropping the
 //! other end makes it readable for good.
 
-use crate::wire::{FrameReader, Message, WireError};
-use std::io::{ErrorKind, Read, Write};
+use crate::wire::{Frame, FrameReader, Message, WireError};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::time::{Duration, Instant};
@@ -144,8 +146,13 @@ impl std::error::Error for RecvError {}
 /// A connected stream speaking whole [`Message`]s.
 pub struct FramedStream {
     stream: UnixStream,
+    /// Arriving bytes, read from the socket straight into its buffer.
     reader: FrameReader,
-    read_buf: [u8; 64 * 1024],
+    /// The header and fixed fields of the frame being sent, reused.
+    head: Vec<u8>,
+    /// The read timeout last set on the socket: an unchanged tick costs
+    /// no system call.
+    read_timeout: Option<Duration>,
     frames_sent: u64,
     frames_received: u64,
     bytes_sent: u64,
@@ -169,7 +176,8 @@ impl FramedStream {
         FramedStream {
             stream,
             reader: FrameReader::new(),
-            read_buf: [0; 64 * 1024],
+            head: Vec::new(),
+            read_timeout: None,
             frames_sent: 0,
             frames_received: 0,
             bytes_sent: 0,
@@ -245,57 +253,73 @@ impl FramedStream {
 
     /// Writes one message as a single frame.
     pub fn send(&mut self, message: &Message) -> std::io::Result<()> {
-        let frame = message.encode();
-        self.stream.write_all(&frame)?;
-        self.frames_sent += 1;
-        self.bytes_sent += frame.len() as u64;
-        Ok(())
+        self.write_frame(message, None)
     }
 
     /// Writes one message as a single frame, bounded by `deadline`.
     ///
-    /// A plain `write_all` against a peer that stopped reading blocks
-    /// until the kernel buffer drains — potentially forever.  Control
-    /// frames (quiesce, re-assignment, shutdown) must instead fail
-    /// within the io budget so the coordinator can blame the wedged
-    /// node.  Short write timeouts are retried until the deadline; a
-    /// partial frame past the deadline is a hard `TimedOut` (the stream
-    /// is unusable after that — framing is broken).
+    /// A plain write against a peer that stopped reading blocks until the
+    /// kernel buffer drains — potentially forever.  Control frames
+    /// (quiesce, re-assignment, shutdown) must instead fail within the io
+    /// budget so the coordinator can blame the wedged node.  Short write
+    /// timeouts are retried until the deadline; a partial frame past the
+    /// deadline is a hard `TimedOut` (the stream is unusable after that —
+    /// framing is broken).
     pub(crate) fn send_with_deadline(
         &mut self,
         message: &Message,
         deadline: Duration,
     ) -> std::io::Result<()> {
-        let frame = message.encode();
-        let start = Instant::now();
+        self.write_frame(message, Some(deadline))
+    }
+
+    /// The one frame writer: the head the encoder wrote into the reused
+    /// buffer and the tail it lent out of `message` go to the socket
+    /// together, by vectored writes until both are out.  With a
+    /// `deadline`, each write waits at most 100 ms and the whole frame at
+    /// most `deadline`.
+    fn write_frame(&mut self, message: &Message, deadline: Option<Duration>) -> std::io::Result<()> {
+        let tail = message.encode_head(&mut self.head);
+        let len = self.head.len() + tail.len();
+        let mut slices = [IoSlice::new(&self.head), IoSlice::new(tail)];
+        let mut unsent = &mut slices[..];
+        let deadline = deadline.map(|limit| (Instant::now(), limit));
         let mut written = 0usize;
-        while written < frame.len() {
-            let left = deadline.saturating_sub(start.elapsed());
-            if left.is_zero() {
-                self.stream.set_write_timeout(None)?;
-                return Err(std::io::Error::new(
-                    ErrorKind::TimedOut,
-                    format!("send of {} stalled at {written}/{} bytes", message.name(), frame.len()),
-                ));
+        let outcome = loop {
+            if unsent.is_empty() {
+                break Ok(());
             }
-            self.stream.set_write_timeout(Some(left.min(Duration::from_millis(100))))?;
-            match self.stream.write(&frame[written..]) {
-                Ok(0) => {
-                    self.stream.set_write_timeout(None)?;
-                    return Err(std::io::Error::new(ErrorKind::WriteZero, "peer closed mid-frame"));
+            if let Some((start, limit)) = deadline {
+                let left = limit.saturating_sub(start.elapsed());
+                if left.is_zero() {
+                    break Err(std::io::Error::new(
+                        ErrorKind::TimedOut,
+                        format!("send of {} stalled at {written}/{len} bytes", message.name()),
+                    ));
                 }
-                Ok(n) => written += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
+                if let Err(e) = self.stream.set_write_timeout(Some(left.min(Duration::from_millis(100)))) {
+                    break Err(e);
+                }
+            }
+            match self.stream.write_vectored(unsent) {
+                Ok(0) => break Err(std::io::Error::new(ErrorKind::WriteZero, "peer closed mid-frame")),
+                Ok(n) => {
+                    written += n;
+                    IoSlice::advance_slices(&mut unsent, n);
+                }
+                Err(e)
+                    if deadline.is_some()
+                        && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => {
-                    self.stream.set_write_timeout(None)?;
-                    return Err(e);
-                }
+                Err(e) => break Err(e),
             }
+        };
+        if deadline.is_some() {
+            self.stream.set_write_timeout(None)?;
         }
-        self.stream.set_write_timeout(None)?;
+        outcome?;
         self.frames_sent += 1;
-        self.bytes_sent += frame.len() as u64;
+        self.bytes_sent += len as u64;
         Ok(())
     }
 
@@ -305,11 +329,16 @@ impl FramedStream {
     /// peer can never park the caller forever; a `None` deadline still
     /// polls but never gives up (the coordinator always passes `Some`).
     pub fn recv(&mut self, deadline: Option<Duration>) -> Result<Message, RecvError> {
+        self.recv_frame(deadline)?.decode().map_err(RecvError::Wire)
+    }
+
+    /// [`FramedStream::recv`] without the decode: the next whole frame,
+    /// its payload borrowed from the buffer the socket was read into.
+    pub(crate) fn recv_frame(&mut self, deadline: Option<Duration>) -> Result<Frame<'_>, RecvError> {
         let start = Instant::now();
-        loop {
-            if let Some(message) = self.reader.try_next().map_err(RecvError::Wire)? {
-                self.frames_received += 1;
-                return Ok(message);
+        let span = loop {
+            if let Some(span) = self.reader.whole_frame().map_err(RecvError::Wire)? {
+                break span;
             }
             // One socket wait never overshoots the caller's deadline by
             // more than a millisecond, so a short deadline makes `recv` a
@@ -325,18 +354,23 @@ impl FramedStream {
                 }
                 tick = tick.min(limit - elapsed).max(Duration::from_millis(1));
             }
-            self.stream.set_read_timeout(Some(tick)).map_err(RecvError::Io)?;
-            match self.stream.read(&mut self.read_buf) {
+            if self.read_timeout != Some(tick) {
+                self.stream.set_read_timeout(Some(tick)).map_err(RecvError::Io)?;
+                self.read_timeout = Some(tick);
+            }
+            match self.stream.read(self.reader.read_space()) {
                 Ok(0) => return Err(RecvError::Closed),
                 Ok(n) => {
                     self.bytes_received += n as u64;
-                    self.reader.push(&self.read_buf[..n]);
+                    self.reader.filled(n);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(RecvError::Io(e)),
             }
-        }
+        };
+        self.frames_received += 1;
+        Ok(self.reader.take(span))
     }
 }
 
@@ -420,6 +454,13 @@ mod tests {
         assert_eq!(wait_readable(&[b.as_raw_fd()], Duration::ZERO).unwrap(), None);
         assert_eq!(b.recv(Some(Duration::ZERO)).unwrap(), Message::Shutdown);
         assert!(matches!(b.recv(Some(Duration::ZERO)), Err(RecvError::Timeout)));
+    }
+
+    #[test]
+    fn a_stream_keeps_no_read_buffer_inline() {
+        // Arriving bytes are read into the reader's heap buffer; an inline
+        // array would be zeroed by every `new` and copied by every move.
+        assert!(std::mem::size_of::<FramedStream>() <= 1024, "{} bytes", std::mem::size_of::<FramedStream>());
     }
 
     #[test]

@@ -28,9 +28,23 @@
 //! source and a frame stamped with any other `VERSION` is a typed
 //! [`WireError::BadVersion`], never a compatibility case to decode.
 //!
-//! [`FrameReader`] decodes incrementally: push whatever bytes arrived,
-//! take out whole messages — partial headers, split payloads and multiple
-//! frames per read all work, which the proptests pin.
+//! A grant's payload is copied only by the kernel on its way from owner to
+//! reader.  There is one encoder, `Message::encode_head`: it writes the
+//! header and the kind's fixed fields into a head buffer the sender
+//! reuses, and hands back the variable tail (grant data, JSON text,
+//! telemetry delta) *borrowed* from the message, so the transport writes
+//! head and tail in one vectored write.  [`Message::encode`] is that head
+//! plus that tail in one `Vec`, for callers that want the frame as bytes.
+//!
+//! [`FrameReader`] decodes incrementally: push whatever bytes arrived (or
+//! let the transport read into the reader's own buffer), take out whole
+//! frames — partial headers, split payloads and multiple frames per read
+//! all work, which the proptests pin.  One header check serves both ways
+//! out: `next_frame` yields a frame's kind and its payload *in place*, and
+//! [`FrameReader::try_next`] is `next_frame` plus the owned decode.  A
+//! reader takes its grant in place (`Frame::grant`, the same field parser
+//! the owned decode uses), so the location bytes it only counts are never
+//! copied out of the buffer they were read into.
 
 use std::fmt;
 
@@ -279,71 +293,91 @@ impl Message {
         }
     }
 
-    /// Encodes the message as one complete frame.
+    /// Encodes the message as one complete frame: the one encoder's head
+    /// followed by its tail (`Message::encode_head`).
+    ///
+    /// # Panics
+    /// If the payload would exceed its kind's cap (`MAX_PAYLOAD`, or
+    /// `MAX_DELTA` + fixed fields for a telemetry frame).
+    #[must_use]
+    pub fn encode(&self) -> Vec<u8> {
+        let mut frame = Vec::new();
+        let tail = self.encode_head(&mut frame);
+        frame.extend_from_slice(tail);
+        frame
+    }
+
+    /// The one encoder: writes the frame header and the kind's fixed
+    /// fields into `head` (cleared first) and returns the variable tail —
+    /// grant data, JSON text or telemetry delta — borrowed from the
+    /// message.  The frame is `head` followed by the tail, so a sender can
+    /// hand both to one vectored write and never copy the tail.
     ///
     /// # Panics
     /// If the payload would exceed its kind's cap (`MAX_PAYLOAD`, or
     /// `MAX_DELTA` + fixed fields for a telemetry frame); callers cap
     /// grant data at `MAX_DATA` and telemetry frames at `MAX_DELTA`.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        match self {
+    pub(crate) fn encode_head<'m>(&'m self, head: &mut Vec<u8>) -> &'m [u8] {
+        head.clear();
+        head.extend_from_slice(&MAGIC);
+        head.extend_from_slice(&VERSION.to_le_bytes());
+        head.push(self.kind());
+        head.extend_from_slice(&[0; 4]); // the payload length, known below
+        let tail: &[u8] = match self {
             Message::Hello { node } | Message::Ready { node } | Message::Done { node } => {
-                payload.extend_from_slice(&node.to_le_bytes());
+                head.extend_from_slice(&node.to_le_bytes());
+                &[]
             }
-            Message::Assignment { json } | Message::Error { message: json } => {
-                payload.extend_from_slice(json.as_bytes());
-            }
-            Message::Start | Message::Shutdown => {}
+            Message::Assignment { json }
+            | Message::Error { message: json }
+            | Message::ReAssignment { json } => json.as_bytes(),
+            Message::Start | Message::Shutdown => &[],
             Message::LockRequest { seq, location, access, bytes } => {
-                payload.extend_from_slice(&seq.to_le_bytes());
-                payload.extend_from_slice(&location.to_le_bytes());
-                payload.push(access.code());
-                payload.extend_from_slice(&bytes.to_le_bytes());
+                head.extend_from_slice(&seq.to_le_bytes());
+                head.extend_from_slice(&location.to_le_bytes());
+                head.push(access.code());
+                head.extend_from_slice(&bytes.to_le_bytes());
+                &[]
             }
             Message::LockGrant { seq, location, data } => {
                 assert!(data.len() <= MAX_DATA, "grant data over MAX_DATA");
-                payload.extend_from_slice(&seq.to_le_bytes());
-                payload.extend_from_slice(&location.to_le_bytes());
-                payload.extend_from_slice(data);
+                head.extend_from_slice(&seq.to_le_bytes());
+                head.extend_from_slice(&location.to_le_bytes());
+                data
             }
             Message::Release { seq, location } => {
-                payload.extend_from_slice(&seq.to_le_bytes());
-                payload.extend_from_slice(&location.to_le_bytes());
+                head.extend_from_slice(&seq.to_le_bytes());
+                head.extend_from_slice(&location.to_le_bytes());
+                &[]
             }
             Message::Metrics { node, json } => {
-                payload.extend_from_slice(&node.to_le_bytes());
-                payload.extend_from_slice(json.as_bytes());
+                head.extend_from_slice(&node.to_le_bytes());
+                json.as_bytes()
             }
             Message::Heartbeat { node, seq } => {
-                payload.extend_from_slice(&node.to_le_bytes());
-                payload.extend_from_slice(&seq.to_le_bytes());
+                head.extend_from_slice(&node.to_le_bytes());
+                head.extend_from_slice(&seq.to_le_bytes());
+                &[]
             }
             Message::TelemetryDelta { node, delta } => {
                 assert!(delta.len() <= MAX_DELTA, "delta over MAX_DELTA");
-                payload.extend_from_slice(&node.to_le_bytes());
-                payload.extend_from_slice(delta);
+                head.extend_from_slice(&node.to_le_bytes());
+                delta
             }
             Message::Quiesce { round } | Message::Resume { round } => {
-                payload.extend_from_slice(&round.to_le_bytes());
+                head.extend_from_slice(&round.to_le_bytes());
+                &[]
             }
             Message::QuiesceAck { node, round } => {
-                payload.extend_from_slice(&node.to_le_bytes());
-                payload.extend_from_slice(&round.to_le_bytes());
+                head.extend_from_slice(&node.to_le_bytes());
+                head.extend_from_slice(&round.to_le_bytes());
+                &[]
             }
-            Message::ReAssignment { json } => {
-                payload.extend_from_slice(json.as_bytes());
-            }
-        }
-        assert!(payload.len() <= Message::max_payload_of(self.kind()), "payload over its kind's cap");
-        let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
-        frame.extend_from_slice(&MAGIC);
-        frame.extend_from_slice(&VERSION.to_le_bytes());
-        frame.push(self.kind());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame
+        };
+        let len = head.len() - HEADER_LEN + tail.len();
+        assert!(len <= Message::max_payload_of(self.kind()), "payload over its kind's cap");
+        head[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
+        tail
     }
 }
 
@@ -431,6 +465,16 @@ fn take_string(payload: &[u8], at: usize, kind: u8) -> Result<String, WireError>
     String::from_utf8(tail.to_vec()).map_err(|_| WireError::BadUtf8 { kind })
 }
 
+/// A `LockGrant`'s `(seq, location, data)`, the data borrowed.
+pub(crate) type GrantFields<'a> = (u64, u64, &'a [u8]);
+
+/// The one grant parser, behind both the owned decode and [`Frame::grant`].
+fn grant_fields(payload: &[u8]) -> Result<GrantFields<'_>, WireError> {
+    let kind = KIND_LOCK_GRANT;
+    let data = payload.get(16..).ok_or(WireError::Truncated { kind })?;
+    Ok((take_u64(payload, 0, kind)?, take_u64(payload, 8, kind)?, data))
+}
+
 fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, WireError> {
     Ok(match kind {
         KIND_HELLO => Message::Hello { node: take_u32(payload, 0, kind)? },
@@ -446,11 +490,10 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, WireError> {
                 bytes: take_u64(payload, 17, kind)?,
             }
         }
-        KIND_LOCK_GRANT => Message::LockGrant {
-            seq: take_u64(payload, 0, kind)?,
-            location: take_u64(payload, 8, kind)?,
-            data: payload.get(16..).ok_or(WireError::Truncated { kind })?.to_vec(),
-        },
+        KIND_LOCK_GRANT => {
+            let (seq, location, data) = grant_fields(payload)?;
+            Message::LockGrant { seq, location, data: data.to_vec() }
+        }
         KIND_RELEASE => {
             Message::Release { seq: take_u64(payload, 0, kind)?, location: take_u64(payload, 8, kind)? }
         }
@@ -477,13 +520,54 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, WireError> {
     })
 }
 
-/// Incremental frame decoder: push arriving bytes, take whole messages.
+/// One whole frame, its payload borrowed from the reader that holds it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Frame<'a> {
+    kind: u8,
+    payload: &'a [u8],
+}
+
+impl<'a> Frame<'a> {
+    /// The owned message.
+    pub(crate) fn decode(self) -> Result<Message, WireError> {
+        decode_payload(self.kind, self.payload)
+    }
+
+    /// A `LockGrant`'s `(seq, location, data)` with the data left where
+    /// it was read; `None` for every other kind.
+    pub(crate) fn grant(self) -> Option<Result<GrantFields<'a>, WireError>> {
+        (self.kind == KIND_LOCK_GRANT).then(|| grant_fields(self.payload))
+    }
+}
+
+/// Where a whole frame sits in a [`FrameReader`]: what
+/// [`FrameReader::whole_frame`] found and [`FrameReader::take`] consumes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FrameSpan {
+    kind: u8,
+    total: usize,
+}
+
+/// The least room a read from the transport is given: a small frame
+/// never costs a read of its own when more are queued behind it.
+const MIN_READ: usize = 4 << 10;
+
+/// Incremental frame decoder: push arriving bytes (or read them straight
+/// into the reader's own buffer), take whole messages.
 ///
 /// Survives partial headers, split payloads and several frames per push —
-/// whatever chunking the socket produces.
+/// whatever chunking the socket produces.  The buffer is initialised
+/// storage with a cursor pair over the unread bytes: taking a frame moves
+/// the start cursor, an emptied buffer rewinds for free, and the unread
+/// bytes are moved to the front only when a read would not fit behind
+/// them.  Only if it still would not fit does the buffer grow, to exactly
+/// what the read needs (a whole frame, once its header is in), and
+/// zero-fill what it adds.
 #[derive(Debug, Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
+    start: usize,
+    end: usize,
 }
 
 impl FrameReader {
@@ -495,50 +579,115 @@ impl FrameReader {
 
     /// Appends bytes read from the transport.
     pub fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        self.room(bytes.len())[..bytes.len()].copy_from_slice(bytes);
+        self.end += bytes.len();
+    }
+
+    /// Room behind the unread bytes to read the transport into: at least
+    /// the rest of a frame whose header has arrived, else at least
+    /// `MIN_READ` bytes.  Report what landed with [`FrameReader::filled`].
+    pub(crate) fn read_space(&mut self) -> &mut [u8] {
+        let want = match self.header() {
+            Ok(Some(span)) => span.total.saturating_sub(self.end - self.start).max(1),
+            _ => MIN_READ,
+        };
+        self.room(want)
+    }
+
+    /// Counts `n` bytes written into [`FrameReader::read_space`] as arrived.
+    pub(crate) fn filled(&mut self, n: usize) {
+        assert!(self.end + n <= self.buf.len(), "filled past the read space");
+        self.end += n;
+    }
+
+    /// At least `want` writable bytes behind the unread ones, made by the
+    /// cheapest step that suffices.
+    fn room(&mut self, want: usize) -> &mut [u8] {
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        }
+        if self.buf.len() - self.end < want && self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.buf.len() - self.end < want {
+            self.buf.resize(self.end + want, 0);
+        }
+        &mut self.buf[self.end..]
     }
 
     /// Bytes buffered but not yet decoded.
     #[cfg(test)]
     pub(crate) fn pending(&self) -> usize {
+        self.end - self.start
+    }
+
+    /// The buffer's size, moved cursors and all.
+    #[cfg(test)]
+    pub(crate) fn buffer_len(&self) -> usize {
         self.buf.len()
     }
 
-    /// Decodes the next complete message, if one is buffered.  A decode
-    /// error is fatal for the stream: the reader makes no attempt to
-    /// resynchronise.
-    pub fn try_next(&mut self) -> Result<Option<Message>, WireError> {
-        if self.buf.len() < HEADER_LEN {
+    /// The one header check: `Ok(None)` until the next frame's header
+    /// has arrived, then its kind and total length.
+    fn header(&self) -> Result<Option<FrameSpan>, WireError> {
+        let head = &self.buf[self.start..self.end];
+        if head.len() < HEADER_LEN {
             return Ok(None);
         }
-        let magic: [u8; 4] = self.buf[0..4].try_into().unwrap();
+        let magic: [u8; 4] = head[0..4].try_into().unwrap();
         if magic != MAGIC {
             return Err(WireError::BadMagic { got: magic });
         }
-        let version = u16::from_le_bytes(self.buf[4..6].try_into().unwrap());
+        let version = u16::from_le_bytes(head[4..6].try_into().unwrap());
         if version != VERSION {
             return Err(WireError::BadVersion { got: version });
         }
-        let kind = self.buf[6];
-        let len = u32::from_le_bytes(self.buf[7..11].try_into().unwrap());
+        let kind = head[6];
+        let len = u32::from_le_bytes(head[7..11].try_into().unwrap());
         let cap = Message::max_payload_of(kind);
         if len as usize > cap {
             return Err(WireError::PayloadTooLarge { len, cap });
         }
-        let total = HEADER_LEN + len as usize;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        let message = decode_payload(kind, &self.buf[HEADER_LEN..total])?;
-        self.buf.drain(..total);
-        Ok(Some(message))
+        Ok(Some(FrameSpan { kind, total: HEADER_LEN + len as usize }))
+    }
+
+    /// The next frame's span once all of it has arrived.  A header error
+    /// is fatal for the stream: the reader makes no attempt to
+    /// resynchronise.
+    pub(crate) fn whole_frame(&self) -> Result<Option<FrameSpan>, WireError> {
+        Ok(self.header()?.filter(|span| self.end - self.start >= span.total))
+    }
+
+    /// Consumes the frame [`FrameReader::whole_frame`] just found and
+    /// lends out its payload.
+    pub(crate) fn take(&mut self, span: FrameSpan) -> Frame<'_> {
+        let at = self.start;
+        self.start += span.total;
+        Frame { kind: span.kind, payload: &self.buf[at + HEADER_LEN..at + span.total] }
+    }
+
+    /// The next whole frame, if one is buffered, its payload borrowed.
+    fn next_frame(&mut self) -> Result<Option<Frame<'_>>, WireError> {
+        Ok(self.whole_frame()?.map(|span| self.take(span)))
+    }
+
+    /// Decodes the next complete message, if one is buffered.  A decode
+    /// error is fatal for the stream.
+    pub fn try_next(&mut self) -> Result<Option<Message>, WireError> {
+        self.next_frame()?.map(Frame::decode).transpose()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::FramedStream;
     use proptest::prelude::*;
+    use std::io::Read;
+    use std::os::unix::net::UnixStream;
 
     /// Decodes exactly one message from a complete frame.
     fn decode_frame(frame: &[u8]) -> Result<Message, WireError> {
@@ -765,6 +914,117 @@ mod tests {
         assert_eq!(reader.pending(), 0);
     }
 
+    /// The raw bytes `FramedStream::send` puts on one end of a socket pair.
+    fn sent_bytes(message: &Message) -> Vec<u8> {
+        let (near, mut far) = UnixStream::pair().unwrap();
+        std::thread::scope(|s| {
+            s.spawn(move || FramedStream::new(near).send(message).unwrap());
+            let mut bytes = Vec::new();
+            far.read_to_end(&mut bytes).unwrap();
+            bytes
+        })
+    }
+
+    #[test]
+    fn the_largest_frames_go_out_byte_for_byte() {
+        for message in [
+            Message::LockGrant {
+                seq: 3,
+                location: 9,
+                data: (0..MAX_DATA).map(|i| (i % 253) as u8).collect(),
+            },
+            Message::TelemetryDelta { node: 1, delta: (0..MAX_DELTA).map(|i| (i % 241) as u8).collect() },
+        ] {
+            assert!(sent_bytes(&message) == message.encode(), "{} differs on the wire", message.name());
+        }
+    }
+
+    /// Small frames, a `MAX_DATA` grant bigger than the reader's buffer,
+    /// small frames again.
+    fn mixed_stream() -> Vec<Message> {
+        let small = |i: u64| {
+            [
+                Message::Hello { node: i as u32 },
+                Message::LockRequest { seq: i, location: 2, access: WireAccess::Read, bytes: 64 },
+                Message::Metrics { node: 1, json: "{\"k\":1}".repeat(i as usize + 1) },
+            ]
+        };
+        let big = Message::LockGrant {
+            seq: 7,
+            location: 2,
+            data: (0..MAX_DATA).map(|i| (i % 251) as u8).collect(),
+        };
+        small(0).into_iter().chain(small(1)).chain([big]).chain(small(2)).chain(small(3)).collect()
+    }
+
+    #[test]
+    fn the_reader_reads_a_socket_in_place_byte_at_a_time_and_in_chunks() {
+        let messages = mixed_stream();
+        for chunk in [1, 64 << 10] {
+            let (near, mut far) = UnixStream::pair().unwrap();
+            let decoded = std::thread::scope(|s| {
+                s.spawn(|| {
+                    let mut writer = FramedStream::new(near);
+                    for message in &messages {
+                        writer.send(message).unwrap();
+                    }
+                });
+                let mut reader = FrameReader::new();
+                let mut decoded = Vec::new();
+                loop {
+                    let space = reader.read_space();
+                    let limit = chunk.min(space.len());
+                    let n = far.read(&mut space[..limit]).unwrap();
+                    if n == 0 {
+                        break;
+                    }
+                    reader.filled(n);
+                    while let Some(message) = reader.try_next().unwrap() {
+                        decoded.push(message);
+                    }
+                }
+                assert_eq!(reader.pending(), 0, "chunk {chunk}");
+                // Grown once, to exactly the largest frame.
+                assert_eq!(reader.buffer_len(), HEADER_LEN + 16 + MAX_DATA, "chunk {chunk}");
+                decoded
+            });
+            assert!(decoded == messages, "chunk {chunk}: the stream decodes to what was sent");
+        }
+    }
+
+    #[test]
+    fn the_reader_moves_unread_bytes_only_when_a_frame_would_not_fit() {
+        let messages = mixed_stream();
+        let frames: Vec<Vec<u8>> = messages.iter().map(Message::encode).collect();
+        let (before, big) = (&frames[..6], &frames[6]);
+        let mut reader = FrameReader::new();
+        // Six small frames and the big grant's first kilobyte in one push:
+        // taking the small frames moves the start cursor, nothing else.
+        let mut first: Vec<u8> = before.concat();
+        first.extend_from_slice(&big[..1024]);
+        reader.push(&first);
+        for message in &messages[..6] {
+            assert_eq!(reader.try_next().unwrap().as_ref(), Some(message));
+        }
+        assert_eq!(reader.pending(), 1024);
+        assert_eq!(reader.buffer_len(), first.len(), "a push grows the buffer to what it needs");
+        // The rest of the grant does not fit behind the unread kilobyte:
+        // the kilobyte moves to the front and the buffer grows to exactly
+        // the frame, which it could not without the move.
+        reader.push(&big[1024..]);
+        assert_eq!(reader.buffer_len(), big.len());
+        assert_eq!(reader.try_next().unwrap().as_ref(), Some(&messages[6]));
+        // Emptied, the reader rewinds and the next frames fit as they are.
+        for frame in &frames[7..] {
+            reader.push(frame);
+        }
+        assert_eq!(reader.buffer_len(), big.len());
+        for message in &messages[7..] {
+            assert_eq!(reader.try_next().unwrap().as_ref(), Some(message));
+        }
+        assert_eq!(reader.pending(), 0);
+    }
+
     /// A strategy-driven arbitrary message: kind selector plus generously
     /// sized field material.
     fn build_message(
@@ -817,6 +1077,19 @@ mod tests {
             let message = build_message(selector, a, b, small, text, data);
             let frame = message.encode();
             prop_assert_eq!(decode_frame(&frame).unwrap(), message);
+        }
+
+        #[test]
+        fn send_writes_exactly_the_encoded_frame(
+            selector in 0usize..17,
+            a in 0u64..u64::MAX,
+            b in 0u64..u64::MAX,
+            small in 0u8..255,
+            text in proptest::collection::vec(0u8..255, 0..200),
+            data in proptest::collection::vec(0u8..255, 0..2048),
+        ) {
+            let message = build_message(selector, a, b, small, text, data);
+            prop_assert_eq!(sent_bytes(&message), message.encode());
         }
 
         #[test]

@@ -299,13 +299,19 @@ impl PeerGateway {
             .send(&Message::LockRequest { seq, location, access: WireAccess::Read, bytes: want })
             .map_err(|e| format!("lock request to peer {owner}: {e}"))?;
         let requested = Instant::now();
-        let granted = match stream.recv(Some(self.io_timeout)) {
-            Ok(Message::LockGrant { seq: s, location: l, data }) if s == seq && l == location => data,
-            Ok(Message::Error { message }) => return Err(format!("peer {owner}: {message}")),
-            Ok(other) => {
-                return Err(format!("peer {owner}: expected lock_grant, got {}", other.name()));
+        // The grant is read in place: only its length is wanted here.
+        let frame = stream
+            .recv_frame(Some(self.io_timeout))
+            .map_err(|e| format!("peer {owner}: waiting for grant: {e}"))?;
+        let granted = match frame.grant() {
+            Some(Ok((s, l, data))) if s == seq && l == location => data.len(),
+            _ => {
+                return Err(match frame.decode() {
+                    Ok(Message::Error { message }) => format!("peer {owner}: {message}"),
+                    Ok(other) => format!("peer {owner}: expected lock_grant, got {}", other.name()),
+                    Err(e) => format!("peer {owner}: waiting for grant: protocol error: {e}"),
+                });
             }
-            Err(e) => return Err(format!("peer {owner}: waiting for grant: {e}")),
         };
         let wait_ns = requested.elapsed().as_nanos() as u64;
         let granted_at = Instant::now();
@@ -324,7 +330,7 @@ impl PeerGateway {
         } else {
             &self.tallies.cross_rack_payload_bytes
         };
-        lane.fetch_add(granted.len() as u64, Ordering::Relaxed);
+        lane.fetch_add(granted as u64, Ordering::Relaxed);
         self.tallies.remote_reads.fetch_add(1, Ordering::Relaxed);
         self.tallies.lock_wait_count.fetch_add(1, Ordering::Relaxed);
         self.tallies.lock_wait_total_ns.fetch_add(wait_ns, Ordering::Relaxed);
@@ -346,12 +352,18 @@ impl PeerGateway {
 /// Serves one inbound peer connection: each `LockRequest` runs a one-shot
 /// handle through the owned location's ORWL FIFO, the grant ships the
 /// buffer, and the section stays open until the peer's `Release`.
+///
+/// Every grant of the connection ships the same `Vec`, moved into the
+/// message and taken back after the send.  Only its first eight bytes (the
+/// location's value) are ever written and `resize` zero-fills what it adds,
+/// so every byte past them is still zero, and a grant costs no fill.
 fn serve_connection(
     mut stream: FramedStream,
     locations: SharedLocations,
     shutdown: Arc<AtomicBool>,
     io_timeout: Duration,
 ) -> (u64, u64, u64, u64) {
+    let mut data = Vec::new();
     loop {
         match stream.recv(Some(Duration::from_millis(200))) {
             Ok(Message::LockRequest { seq, location, access, bytes }) => {
@@ -382,7 +394,7 @@ fn serve_connection(
                     }
                 };
                 let len = (bytes.min(MAX_DATA as u64)) as usize;
-                let mut data = vec![0u8; len];
+                data.resize(len, 0);
                 let value = (*guard).to_le_bytes();
                 let head = len.min(value.len());
                 data[..head].copy_from_slice(&value[..head]);
@@ -391,7 +403,12 @@ fn serve_connection(
                     location,
                     wait_ns: entered_fifo.elapsed().as_nanos() as u64,
                 });
-                if stream.send(&Message::LockGrant { seq, location, data }).is_err() {
+                let grant = Message::LockGrant { seq, location, data: std::mem::take(&mut data) };
+                let sent = stream.send(&grant);
+                if let Message::LockGrant { data: shipped, .. } = grant {
+                    data = shipped;
+                }
+                if sent.is_err() {
                     break;
                 }
                 match stream.recv(Some(io_timeout)) {
@@ -1231,6 +1248,38 @@ mod tests {
         let (frames_sent, frames_received, _, _) = server.join().unwrap();
         assert_eq!((frames_sent, frames_received), (1, 2), "a grant out; a request and a release in");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_connection_reuses_its_grant_buffer_without_leaking_stale_bytes() {
+        // Shrinking, growing past the value, zero length and a size just
+        // past the value: a reused buffer that kept a stale byte anywhere
+        // would show it in one of these grants.
+        let locations: SharedLocations =
+            Arc::new(RwLock::new(HashMap::from([(7, Location::new("loc-7".to_string(), 41u64))])));
+        let (near, far) = UnixStream::pair().unwrap();
+        let owner = std::thread::spawn(move || {
+            serve_connection(FramedStream::new(far), locations, Arc::new(AtomicBool::new(false)), WAIT)
+        });
+        let mut peer = FramedStream::new(near);
+        for (seq, len) in [64usize, 4, 16, 0, 9].into_iter().enumerate() {
+            let seq = seq as u64;
+            let request =
+                Message::LockRequest { seq, location: 7, access: WireAccess::Read, bytes: len as u64 };
+            peer.send(&request).unwrap();
+            let mut want = 41u64.to_le_bytes()[..len.min(8)].to_vec();
+            want.resize(len, 0);
+            match peer.recv(Some(WAIT)) {
+                Ok(Message::LockGrant { seq: s, location: 7, data }) if s == seq => {
+                    assert_eq!(data, want, "grant of {len} bytes");
+                }
+                other => panic!("expected grant {seq}, got {other:?}"),
+            }
+            peer.send(&Message::Release { seq, location: 7 }).unwrap();
+        }
+        drop(peer);
+        let (frames_sent, frames_received, _, _) = owner.join().unwrap();
+        assert_eq!((frames_sent, frames_received), (5, 10), "five grants out; five requests and releases in");
     }
 
     #[test]
