@@ -97,7 +97,10 @@ pub struct ContentionRow {
 #[derive(Debug, Clone, PartialEq)]
 pub struct GrantStage {
     /// Stage name (`request_to_grant`, `owner_fifo_wait`,
-    /// `grant_to_release`).
+    /// `grant_to_release`).  `grant_to_release` is the reader's local hold
+    /// after its grant arrives (each `LockRelease`'s `held_ns`), not an
+    /// open section on the owner: the owner's section ends when it copies
+    /// the value into the grant.
     pub stage: &'static str,
     /// Samples in the stage.
     pub count: u64,

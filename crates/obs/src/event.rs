@@ -243,15 +243,16 @@ pub enum EventKind {
         /// before the section could be granted.
         wait_ns: u64,
     },
-    /// A remote section released by the reader (emitted on the *reader's*
-    /// track when the release frame is sent).
+    /// A remote read finished by the reader (emitted on the *reader's*
+    /// track once it is done with the grant; no frame goes back, since the
+    /// owner's section ended at the copy into the grant).
     LockRelease {
         /// The request's wire sequence number.
         rseq: u64,
         /// Global location id (the owning task's index).
         location: u64,
-        /// Nanoseconds the reader held the section (grant receipt to
-        /// release).
+        /// Nanoseconds the reader held the grant's copy (grant receipt to
+        /// this event).
         held_ns: u64,
     },
     /// A node was confirmed dead mid-run (emitted on the coordinator's

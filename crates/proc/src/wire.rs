@@ -13,11 +13,14 @@
 //! (assignment/metrics JSON, grant data) occupy the remainder of the
 //! frame, so no field needs its own length prefix.
 //!
-//! The lock protocol proper is three kinds: [`Message::LockRequest`]
-//! enters the owner's FIFO for a location, [`Message::LockGrant`] answers
-//! once the FIFO grants the section *and carries the location buffer as
-//! its payload*, and [`Message::Release`] closes the section.  The
-//! remaining kinds run the coordinator↔worker lifecycle (hello,
+//! The lock protocol proper is two frames per read:
+//! [`Message::LockRequest`] enters the owner's FIFO for a location, and
+//! [`Message::LockGrant`] answers once the FIFO grants the section *and
+//! carries a copy of the location buffer as its payload*.  The owner
+//! closes the section when it takes that copy, so the reader sends
+//! nothing back.  A [`Message::Release`] stays in the codec, but a
+//! worker's owner answers one with an error.  The remaining kinds run the
+//! coordinator↔worker lifecycle (hello,
 //! assignment, ready/start barrier, done, shutdown, metrics), liveness and
 //! telemetry ([`Message::Heartbeat`], [`Message::TelemetryDelta`]),
 //! node-loss recovery (quiesce/ack/re-assignment/resume) and error
@@ -54,7 +57,7 @@ pub(crate) const MAGIC: [u8; 4] = *b"ORWL";
 /// Protocol version carried in, and required of, every frame header.  It
 /// names the whole layout — the kind numbering and every payload — and
 /// changes whenever any of it does.
-pub(crate) const VERSION: u16 = 5;
+pub(crate) const VERSION: u16 = 6;
 
 /// Frame header length in bytes (magic + version + kind + payload len).
 pub(crate) const HEADER_LEN: usize = 11;
@@ -160,7 +163,9 @@ pub enum Message {
         /// The location buffer.
         data: Vec<u8>,
     },
-    /// Peer → owner: close the granted section.
+    /// Peer → owner: close the granted section.  No worker sends it: a
+    /// grant closes its section on the owner, which answers a `Release`
+    /// with an [`Message::Error`].
     Release {
         /// Echo of the grant's `seq`.
         seq: u64,
@@ -737,10 +742,16 @@ mod tests {
     /// The exact bytes of one frame per payload shape, pinned so the
     /// layout can never drift silently: magic, version LE, kind, payload
     /// length LE, then the kind's fields.
+    ///
+    /// Version 6 changed no byte below but the version's own: it changed
+    /// the protocol.  A read is request → grant, the owner's section ends
+    /// at the copy into the grant, and an owner refuses a `Release` — so
+    /// a version-5 reader, which sends one after every grant, must not
+    /// meet a version-6 owner.
     #[test]
     fn frame_bytes_are_pinned() {
         let header = |kind: u8, len: u8| -> Vec<u8> {
-            vec![b'O', b'R', b'W', b'L', 0x05, 0x00, kind, len, 0x00, 0x00, 0x00]
+            vec![b'O', b'R', b'W', b'L', 0x06, 0x00, kind, len, 0x00, 0x00, 0x00]
         };
         let pinned = |message: Message, kind: u8, payload: &[u8]| {
             let mut want = header(kind, payload.len() as u8);

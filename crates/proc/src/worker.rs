@@ -27,13 +27,15 @@
 //! malformed plan fails the worker at startup rather than silently
 //! running a different experiment.
 //!
-//! Remote sections run the ORWL FIFO discipline over the wire: the
-//! reader's `LockRequest` enters the owner's local FIFO (a one-shot read
-//! handle on the owned location), the `LockGrant` carries the location
-//! buffer back, and the reader's `Release` closes the section.  Each
+//! Remote sections run the ORWL FIFO discipline over the wire, in two
+//! frames: the reader's `LockRequest` enters the owner's local FIFO (a
+//! one-shot read handle on the owned location), and the `LockGrant`
+//! carries back a copy of the location's value, taken under the grant.
+//! The owner's section ends with that copy, before the grant is sent; the
+//! reader only ever sees the copy, so it owes no `Release`.  Each
 //! (reader, owner) pair shares one connection and the reader holds it for
-//! the whole request→grant→release exchange, so a connection never
-//! interleaves two sections and the server side needs no demultiplexer.
+//! the whole request→grant exchange, so a connection never interleaves
+//! two sections and the server side needs no demultiplexer.
 
 use crate::assignment::{Assignment, PhasePlan, ReAssignment};
 use crate::coordinator::{ENV_COORD, ENV_NODE, ENV_ROLE};
@@ -272,7 +274,9 @@ impl PeerGateway {
         }
     }
 
-    /// One remote read section: request → grant (with payload) → release.
+    /// One remote read: request → grant (with payload).  The owner closed
+    /// its section when it copied the value into the grant, so nothing
+    /// goes back; the `LockRelease` event records this side's hold.
     fn remote_read(&self, src: usize, bytes: f64) -> Result<(), String> {
         let owner = self
             .routing
@@ -315,9 +319,6 @@ impl PeerGateway {
         };
         let wait_ns = requested.elapsed().as_nanos() as u64;
         let granted_at = Instant::now();
-        stream
-            .send(&Message::Release { seq, location })
-            .map_err(|e| format!("release to peer {owner}: {e}"))?;
         orwl_obs::emit(EventKind::LockRelease {
             rseq: seq,
             location,
@@ -349,9 +350,11 @@ impl PeerGateway {
     }
 }
 
-/// Serves one inbound peer connection: each `LockRequest` runs a one-shot
-/// handle through the owned location's ORWL FIFO, the grant ships the
-/// buffer, and the section stays open until the peer's `Release`.
+/// Serves one inbound peer connection: each read `LockRequest` copies the
+/// location's value under a read grant ([`copy_under_grant`]) and ships
+/// the copy.  Anything else — a write request, a `Release` — gets an
+/// `Error` and ends the connection: a section that closes at the copy can
+/// grant no remote writer, and leaves nothing to release.
 ///
 /// Every grant of the connection ships the same `Vec`, moved into the
 /// message and taken back after the send.  Only its first eight bytes (the
@@ -361,73 +364,63 @@ fn serve_connection(
     mut stream: FramedStream,
     locations: SharedLocations,
     shutdown: Arc<AtomicBool>,
-    io_timeout: Duration,
 ) -> (u64, u64, u64, u64) {
     let mut data = Vec::new();
-    loop {
-        match stream.recv(Some(Duration::from_millis(200))) {
-            Ok(Message::LockRequest { seq, location, access, bytes }) => {
-                // Clone the Arc out and release the map guard before any
-                // FIFO work: a blocked acquire must not hold the map
-                // against the recovery path's adoption write.
-                let loc = locations.read().ok().and_then(|map| map.get(&location).cloned());
-                let Some(loc) = loc else {
-                    let _ = stream
-                        .send(&Message::Error { message: format!("location {location} is not hosted here") });
-                    break;
-                };
-                let mode = match access {
-                    WireAccess::Read => AccessMode::Read,
-                    WireAccess::Write => AccessMode::Write,
-                };
-                let mut handle = loc.handle(mode);
-                let entered_fifo = Instant::now();
-                if let Err(e) = handle.request() {
-                    let _ = stream.send(&Message::Error { message: format!("lock request: {e}") });
-                    break;
-                }
-                let guard = match handle.acquire() {
-                    Ok(guard) => guard,
-                    Err(e) => {
-                        let _ = stream.send(&Message::Error { message: format!("lock acquisition: {e}") });
-                        break;
-                    }
-                };
-                let len = (bytes.min(MAX_DATA as u64)) as usize;
-                data.resize(len, 0);
-                let value = (*guard).to_le_bytes();
-                let head = len.min(value.len());
-                data[..head].copy_from_slice(&value[..head]);
-                orwl_obs::emit(EventKind::LockGrant {
-                    rseq: seq,
-                    location,
-                    wait_ns: entered_fifo.elapsed().as_nanos() as u64,
-                });
-                let grant = Message::LockGrant { seq, location, data: std::mem::take(&mut data) };
-                let sent = stream.send(&grant);
-                if let Message::LockGrant { data: shipped, .. } = grant {
-                    data = shipped;
-                }
-                if sent.is_err() {
-                    break;
-                }
-                match stream.recv(Some(io_timeout)) {
-                    Ok(Message::Release { seq: s, location: l }) if s == seq && l == location => {
-                        drop(guard);
-                    }
-                    _ => break, // broken section: the guard drops with the loop
-                }
+    let refusal = loop {
+        let (seq, location, bytes) = match stream.recv(Some(Duration::from_millis(200))) {
+            Ok(Message::LockRequest { seq, location, access: WireAccess::Read, bytes }) => {
+                (seq, location, bytes)
             }
-            Ok(_) => break,
-            Err(RecvError::Timeout) => {
-                if shutdown.load(Ordering::Relaxed) {
-                    break;
-                }
+            Ok(Message::LockRequest { access: WireAccess::Write, .. }) => {
+                break Some("remote writes are not served".into())
             }
-            Err(_) => break,
+            Ok(other) => break Some(format!("a peer sends only read requests, not {}", other.name())),
+            Err(RecvError::Timeout) if !shutdown.load(Ordering::Relaxed) => continue,
+            Err(_) => break None,
+        };
+        let entered_fifo = Instant::now();
+        let value = match copy_under_grant(&locations, location) {
+            Ok(value) => value,
+            Err(refusal) => break Some(refusal),
+        };
+        let len = (bytes.min(MAX_DATA as u64)) as usize;
+        data.resize(len, 0);
+        let head = len.min(value.len());
+        data[..head].copy_from_slice(&value[..head]);
+        orwl_obs::emit(EventKind::LockGrant {
+            rseq: seq,
+            location,
+            wait_ns: entered_fifo.elapsed().as_nanos() as u64,
+        });
+        let grant = Message::LockGrant { seq, location, data: std::mem::take(&mut data) };
+        let sent = stream.send(&grant);
+        if let Message::LockGrant { data: shipped, .. } = grant {
+            data = shipped;
         }
+        if sent.is_err() {
+            break None;
+        }
+    };
+    if let Some(message) = refusal {
+        let _ = stream.send(&Message::Error { message });
     }
     (stream.frames_sent(), stream.frames_received(), stream.bytes_sent(), stream.bytes_received())
+}
+
+/// One remote read section on an owned location: its value's bytes,
+/// copied under a one-shot read grant in the location's ORWL FIFO.  The
+/// guard drops with the copy, before any grant is sent, so no later section
+/// on the location waits on a socket.
+fn copy_under_grant(locations: &SharedLocations, location: u64) -> Result<[u8; 8], String> {
+    // Clone the Arc out and release the map guard before any FIFO work: a
+    // blocked acquire must not hold the map against the recovery path's
+    // adoption write.
+    let loc = locations.read().ok().and_then(|map| map.get(&location).cloned());
+    let mut handle =
+        loc.ok_or_else(|| format!("location {location} is not hosted here"))?.handle(AccessMode::Read);
+    handle.request().map_err(|e| format!("lock request: {e}"))?;
+    let value = handle.acquire().map_err(|e| format!("lock acquisition: {e}"))?.to_le_bytes();
+    Ok(value)
 }
 
 /// The accept loop: hands every inbound connection to its own serving
@@ -443,7 +436,6 @@ fn accept_loop(
     wake: UnixStream,
     locations: SharedLocations,
     shutdown: Arc<AtomicBool>,
-    io_timeout: Duration,
 ) -> (u64, u64, u64, u64) {
     let mut handlers = Vec::new();
     // The worker's telemetry scope: this thread took it from the main
@@ -462,7 +454,7 @@ fn accept_loop(
                     let obs = obs.clone();
                     handlers.push(std::thread::spawn(move || {
                         let _obs_scope = obs.as_ref().map(orwl_obs::install);
-                        serve_connection(FramedStream::new(stream), locations, shutdown, io_timeout)
+                        serve_connection(FramedStream::new(stream), locations, shutdown)
                     }));
                 }
                 // The dialer gave up between the wake-up and the accept.
@@ -705,7 +697,7 @@ fn run_worker(
         let obs = orwl_obs::current();
         std::thread::spawn(move || {
             let _obs_scope = obs.as_ref().map(orwl_obs::install);
-            accept_loop(listener, server_woken, locations, shutdown, io_timeout)
+            accept_loop(listener, server_woken, locations, shutdown)
         })
     };
 
@@ -1228,26 +1220,39 @@ mod tests {
         let (wake, woken) = UnixStream::pair().unwrap();
         let server = {
             let shutdown = Arc::new(AtomicBool::new(false));
-            std::thread::spawn(move || accept_loop(listener, woken, locations, shutdown, WAIT))
+            std::thread::spawn(move || accept_loop(listener, woken, locations, shutdown))
         };
 
-        // One whole remote section against an idle server.
+        // One whole remote read against an idle server: two frames.
         let mut peer = FramedStream::connect(&dir.join("peer.sock")).unwrap();
         peer.send(&Message::LockRequest { seq: 1, location: 7, access: WireAccess::Read, bytes: 8 }).unwrap();
         match peer.recv(Some(WAIT)) {
             Ok(Message::LockGrant { seq: 1, location: 7, data }) => assert_eq!(data, 41u64.to_le_bytes()),
             other => panic!("expected the grant, got {other:?}"),
         }
-        peer.send(&Message::Release { seq: 1, location: 7 }).unwrap();
         drop(peer);
 
         // The shutdown flag is never raised: hanging up the wake
         // descriptor is what ends the accept loop, and the join returns
-        // with the served section's counters.
+        // with the served read's counters.
         drop(wake);
         let (frames_sent, frames_received, _, _) = server.join().unwrap();
-        assert_eq!((frames_sent, frames_received), (1, 2), "a grant out; a request and a release in");
+        assert_eq!((frames_sent, frames_received), (1, 1), "a grant out; a request in");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The location, the peer's end and the owner's serving thread.
+    type Served = (Arc<Location<u64>>, FramedStream, std::thread::JoinHandle<(u64, u64, u64, u64)>);
+
+    /// Location 7, holding 41, served over one end of a socket pair.
+    fn served_location() -> Served {
+        let loc = Location::new("loc-7".to_string(), 41u64);
+        let locations: SharedLocations = Arc::new(RwLock::new(HashMap::from([(7, Arc::clone(&loc))])));
+        let (near, far) = UnixStream::pair().unwrap();
+        let owner = std::thread::spawn(move || {
+            serve_connection(FramedStream::new(far), locations, Arc::new(AtomicBool::new(false)))
+        });
+        (loc, FramedStream::new(near), owner)
     }
 
     #[test]
@@ -1255,13 +1260,7 @@ mod tests {
         // Shrinking, growing past the value, zero length and a size just
         // past the value: a reused buffer that kept a stale byte anywhere
         // would show it in one of these grants.
-        let locations: SharedLocations =
-            Arc::new(RwLock::new(HashMap::from([(7, Location::new("loc-7".to_string(), 41u64))])));
-        let (near, far) = UnixStream::pair().unwrap();
-        let owner = std::thread::spawn(move || {
-            serve_connection(FramedStream::new(far), locations, Arc::new(AtomicBool::new(false)), WAIT)
-        });
-        let mut peer = FramedStream::new(near);
+        let (_, mut peer, owner) = served_location();
         for (seq, len) in [64usize, 4, 16, 0, 9].into_iter().enumerate() {
             let seq = seq as u64;
             let request =
@@ -1275,11 +1274,69 @@ mod tests {
                 }
                 other => panic!("expected grant {seq}, got {other:?}"),
             }
-            peer.send(&Message::Release { seq, location: 7 }).unwrap();
         }
         drop(peer);
         let (frames_sent, frames_received, _, _) = owner.join().unwrap();
-        assert_eq!((frames_sent, frames_received), (5, 10), "five grants out; five requests and releases in");
+        assert_eq!((frames_sent, frames_received), (5, 5), "five grants out; five requests in");
+    }
+
+    #[test]
+    fn a_local_writer_is_not_held_by_a_reader_that_never_reads_its_grant() {
+        let (loc, mut peer, owner) = served_location();
+        peer.send(&Message::LockRequest { seq: 1, location: 7, access: WireAccess::Read, bytes: 8 }).unwrap();
+        // The grant is on the wire once the peer's end turns readable; the
+        // peer leaves it there.
+        assert_eq!(wait_readable(&[peer.as_raw_fd()], WAIT).unwrap(), Some(0));
+        let (acquired, took) = std::sync::mpsc::channel();
+        let writer = std::thread::spawn(move || {
+            let mut write = loc.handle(AccessMode::Write);
+            write.request().unwrap();
+            *write.acquire().unwrap() = 42;
+            let _ = acquired.send(());
+        });
+        assert!(took.recv_timeout(WAIT / 10).is_ok(), "the local writer waited on an unread grant");
+        writer.join().unwrap();
+        // The grant still carries the value at the reader's place in the
+        // FIFO, not the writer's.
+        match peer.recv(Some(WAIT)) {
+            Ok(Message::LockGrant { seq: 1, location: 7, data }) => assert_eq!(data, 41u64.to_le_bytes()),
+            other => panic!("expected the grant, got {other:?}"),
+        }
+        drop(peer);
+        let (frames_sent, frames_received, _, _) = owner.join().unwrap();
+        assert_eq!((frames_sent, frames_received), (1, 1), "a grant out; a request in");
+    }
+
+    #[test]
+    fn a_remote_write_request_is_refused_and_ends_the_connection() {
+        let (_, mut peer, owner) = served_location();
+        peer.send(&Message::LockRequest { seq: 1, location: 7, access: WireAccess::Write, bytes: 8 })
+            .unwrap();
+        let refusal = Message::Error { message: "remote writes are not served".to_string() };
+        assert_eq!(peer.recv(Some(WAIT)).unwrap(), refusal);
+        assert!(matches!(peer.recv(Some(WAIT)), Err(RecvError::Closed)), "the owner hung up");
+        let (frames_sent, frames_received, _, _) = owner.join().unwrap();
+        assert_eq!((frames_sent, frames_received), (1, 1), "an error out; a request in");
+    }
+
+    #[test]
+    fn a_release_is_a_protocol_error_and_ends_the_connection() {
+        // The grant closed the section, so a release names nothing open.
+        let (_, mut peer, owner) = served_location();
+        peer.send(&Message::LockRequest { seq: 1, location: 7, access: WireAccess::Read, bytes: 8 }).unwrap();
+        assert!(matches!(peer.recv(Some(WAIT)), Ok(Message::LockGrant { seq: 1, location: 7, .. })));
+        peer.send(&Message::Release { seq: 1, location: 7 }).unwrap();
+        match peer.recv(Some(WAIT)) {
+            Ok(Message::Error { message }) => assert!(message.contains("release"), "{message}"),
+            other => panic!("expected an error, got {other:?}"),
+        }
+        assert!(matches!(peer.recv(Some(WAIT)), Err(RecvError::Closed)), "the owner hung up");
+        let (frames_sent, frames_received, _, _) = owner.join().unwrap();
+        assert_eq!(
+            (frames_sent, frames_received),
+            (2, 2),
+            "a grant and an error out; a request and a release in"
+        );
     }
 
     #[test]
