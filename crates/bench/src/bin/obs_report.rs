@@ -9,7 +9,9 @@
 //! ```
 //!
 //! Prints the per-track, per-location contention table and the
-//! request→grant→release latency breakdown (see `orwl_obs::analyze`);
+//! cross-node latency breakdown — request→grant, the owner's FIFO wait,
+//! and the reader's local hold after the grant arrives (see
+//! `orwl_obs::analyze`);
 //! `--json` additionally writes the `orwl-obs-report/v1` document.
 //! `--validate` checks a previously written report document instead.
 //!

@@ -4,15 +4,18 @@
 //! timeline) and answers *where waiting happens*:
 //!
 //! * a per-track, per-lock-location contention table — wait counts, total
-//!   wait, p50/p99 — built from [`EventKind::LockWait`] events (local FIFO
-//!   waits) plus the owner-side FIFO wait each [`EventKind::LockGrant`]
-//!   carries for a remote section.  Both measure time spent queueing on
-//!   the lock itself; wire transport time is deliberately excluded, so the
-//!   table ranks *contention*, not network distance;
-//! * a request→grant→release breakdown for cross-node grants: wire+queue
+//!   wait, p50/p99 — built from [`EventKind::LockWait`] events.  A remote
+//!   read's owner-side FIFO wait is among them: the owner's serving thread
+//!   queues through the same acquire as a local section, so its wait is
+//!   counted once, past the same recorder threshold, and the grant's own
+//!   `wait_ns` feeds only the stage breakdown.  Wire transport time is
+//!   deliberately excluded, so the table ranks *contention*, not network
+//!   distance;
+//! * a latency breakdown for cross-node grants: request→grant wire+queue
 //!   latency from matched event pairs, the owner-side FIFO wait carried by
-//!   the grant event, and the reader-side hold time carried by the
-//!   release.
+//!   the grant event, and the reader's local hold after its grant arrives,
+//!   carried by the `LockRelease` event (the owner's section already ended
+//!   at the copy into the grant; no release goes over the wire).
 //!
 //! Percentiles come from the same log2 bucketing as the metrics
 //! histograms: cheap, resolution-of-a-factor-two, plenty to tell a 5 µs
@@ -164,13 +167,8 @@ pub fn analyze(t: &RunTelemetry, top_k: usize) -> ObsReport {
             EventKind::LockWait { location, wait_ns } => {
                 per_location.entry((ev.track, location)).or_default().observe(wait_ns);
             }
-            EventKind::LockGrant { rseq, location, wait_ns } => {
+            EventKind::LockGrant { rseq, wait_ns, .. } => {
                 owner_fifo.observe(wait_ns);
-                // The grant's FIFO wait is the lock-queueing component of
-                // a remote section: attribute it to the location on the
-                // owner's track.  The end-to-end request→grant latency
-                // (mostly wire transport) stays in the stage breakdown.
-                per_location.entry((ev.track, location)).or_default().observe(wait_ns);
                 match request_of.get(&rseq) {
                     Some(req) => {
                         if req.track != ev.track {
@@ -405,11 +403,15 @@ mod tests {
                 event(3.0, 2, 2, EventKind::LockWait { location: 5, wait_ns: 50_000 }),
                 // A matched cross-node section on location 0: request from
                 // node1 at 10 µs, grant from node0 at 210 µs (200 µs wait).
+                // node0's serving thread queued 120 µs of it in the FIFO,
+                // which its acquire records as a `LockWait` too.
                 event(10.0, 3, 2, EventKind::LockRequest { rseq, location: 0, owner: 0 }),
-                event(210.0, 4, 1, EventKind::LockGrant { rseq, location: 0, wait_ns: 120_000 }),
-                event(260.0, 5, 2, EventKind::LockRelease { rseq, location: 0, held_ns: 40_000 }),
-                // An unmatched grant (its request was dropped).
-                event(300.0, 6, 1, EventKind::LockGrant { rseq: rseq2, location: 0, wait_ns: 1_000 }),
+                event(209.0, 4, 1, EventKind::LockWait { location: 0, wait_ns: 120_000 }),
+                event(210.0, 5, 1, EventKind::LockGrant { rseq, location: 0, wait_ns: 120_000 }),
+                event(260.0, 6, 2, EventKind::LockRelease { rseq, location: 0, held_ns: 40_000 }),
+                // An unmatched grant (its request was dropped), its 1 µs
+                // FIFO wait under the recorder's threshold: no `LockWait`.
+                event(300.0, 7, 1, EventKind::LockGrant { rseq: rseq2, location: 0, wait_ns: 1_000 }),
             ],
             dropped: 0,
             metrics: MetricsSnapshot::default(),
@@ -425,18 +427,20 @@ mod tests {
     fn contention_table_attributes_waits_per_track_and_location() {
         let report = analyze(&merged_doc(), usize::MAX);
         // node0's row on location 0: two local FIFO waits (1.0 ms) plus
-        // the FIFO wait of each grant it served (120 µs matched + 1 µs
-        // unmatched).  The 200 µs request→grant latency is transport, not
-        // contention, and stays out of the table.
+        // its serving thread's 120 µs wait for the matched grant, counted
+        // once — the grants' own `wait_ns` stay out of the table, so the
+        // unmatched grant's sub-threshold 1 µs adds nothing.  The 200 µs
+        // request→grant latency is transport, not contention, and stays
+        // out of the table too.
         let node0 = report.rows.iter().find(|r| r.label == "node0" && r.location == 0).unwrap();
-        assert_eq!(node0.waits, 4);
-        assert_eq!(node0.total_wait_ns, 1_000_000 + 120_000 + 1_000);
+        assert_eq!(node0.waits, 3);
+        assert_eq!(node0.total_wait_ns, 1_000_000 + 120_000);
         assert_eq!(node0.max_wait_ns, 900_000);
         // node1's remote read of location 0 contributes no row of its own.
         assert!(!report.rows.iter().any(|r| r.label == "node1" && r.location == 0));
         // Rows sort by total wait; the top row is node0's.
         assert_eq!(report.rows[0].label, "node0");
-        assert_eq!(report.total_wait_ns, 1_121_000 + 50_000);
+        assert_eq!(report.total_wait_ns, 1_120_000 + 50_000);
         // Location 0 dominates.
         assert!(report.location_share(0) > 0.95);
         assert_eq!(report.cross_node_grants, 1);

@@ -378,20 +378,15 @@ fn serve_connection(
             Err(RecvError::Timeout) if !shutdown.load(Ordering::Relaxed) => continue,
             Err(_) => break None,
         };
-        let entered_fifo = Instant::now();
-        let value = match copy_under_grant(&locations, location) {
-            Ok(value) => value,
+        let (value, wait_ns) = match copy_under_grant(&locations, location) {
+            Ok(copied) => copied,
             Err(refusal) => break Some(refusal),
         };
         let len = (bytes.min(MAX_DATA as u64)) as usize;
         data.resize(len, 0);
         let head = len.min(value.len());
         data[..head].copy_from_slice(&value[..head]);
-        orwl_obs::emit(EventKind::LockGrant {
-            rseq: seq,
-            location,
-            wait_ns: entered_fifo.elapsed().as_nanos() as u64,
-        });
+        orwl_obs::emit(EventKind::LockGrant { rseq: seq, location, wait_ns });
         let grant = Message::LockGrant { seq, location, data: std::mem::take(&mut data) };
         let sent = stream.send(&grant);
         if let Message::LockGrant { data: shipped, .. } = grant {
@@ -408,19 +403,22 @@ fn serve_connection(
 }
 
 /// One remote read section on an owned location: its value's bytes,
-/// copied under a one-shot read grant in the location's ORWL FIFO.  The
-/// guard drops with the copy, before any grant is sent, so no later section
-/// on the location waits on a socket.
-fn copy_under_grant(locations: &SharedLocations, location: u64) -> Result<[u8; 8], String> {
+/// copied under a one-shot read grant in the location's ORWL FIFO, and the
+/// nanoseconds from entering the FIFO to the grant.  The guard drops with
+/// the copy, before any grant is sent, so no later section on the location
+/// waits on a socket.
+fn copy_under_grant(locations: &SharedLocations, location: u64) -> Result<([u8; 8], u64), String> {
     // Clone the Arc out and release the map guard before any FIFO work: a
     // blocked acquire must not hold the map against the recovery path's
     // adoption write.
     let loc = locations.read().ok().and_then(|map| map.get(&location).cloned());
     let mut handle =
         loc.ok_or_else(|| format!("location {location} is not hosted here"))?.handle(AccessMode::Read);
+    let entered_fifo = Instant::now();
     handle.request().map_err(|e| format!("lock request: {e}"))?;
-    let value = handle.acquire().map_err(|e| format!("lock acquisition: {e}"))?.to_le_bytes();
-    Ok(value)
+    let guard = handle.acquire().map_err(|e| format!("lock acquisition: {e}"))?;
+    let wait_ns = entered_fifo.elapsed().as_nanos() as u64;
+    Ok(((*guard).to_le_bytes(), wait_ns))
 }
 
 /// The accept loop: hands every inbound connection to its own serving
@@ -1337,6 +1335,60 @@ mod tests {
             (2, 2),
             "a grant and an error out; a request and a release in"
         );
+    }
+
+    #[test]
+    fn a_queued_remote_read_records_its_owner_wait_as_one_lock_wait() {
+        // The contention table counts the owner's FIFO wait of a remote
+        // read through the serving thread's `LockWait`; the grant carries
+        // the same wait for the stage breakdown only.
+        let recorder = Recorder::new(
+            ClockKind::Wall,
+            ObsConfig { lock_wait_threshold_ns: 1_000, ..ObsConfig::default() },
+        );
+        let loc = Location::new("loc-7".to_string(), 41u64);
+        let locations: SharedLocations = Arc::new(RwLock::new(HashMap::from([(7, Arc::clone(&loc))])));
+        let (near, far) = UnixStream::pair().unwrap();
+        let owner = {
+            let recorder = Arc::clone(&recorder);
+            std::thread::spawn(move || {
+                let _obs_scope = orwl_obs::install(&recorder);
+                serve_connection(FramedStream::new(far), locations, Arc::new(AtomicBool::new(false)))
+            })
+        };
+        let mut peer = FramedStream::new(near);
+        let mut write = loc.handle(AccessMode::Write);
+        write.request().unwrap();
+        let guard = write.acquire().unwrap();
+        peer.send(&Message::LockRequest { seq: 1, location: 7, access: WireAccess::Read, bytes: 8 }).unwrap();
+        let held = Duration::from_millis(20);
+        assert_eq!(wait_readable(&[peer.as_raw_fd()], held).unwrap(), None, "granted past a held writer");
+        drop(guard);
+        assert!(matches!(peer.recv(Some(WAIT)), Ok(Message::LockGrant { seq: 1, location: 7, .. })));
+        drop(peer);
+        owner.join().unwrap();
+
+        let events = recorder.finish("proc").events;
+        let waits: Vec<(u64, u64)> = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::LockWait { location, wait_ns } => Some((location, wait_ns)),
+                _ => None,
+            })
+            .collect();
+        let grants: Vec<u64> = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::LockGrant { wait_ns, .. } => Some(wait_ns),
+                _ => None,
+            })
+            .collect();
+        let held_ns = held.as_nanos() as u64;
+        assert_eq!(waits.len(), 1, "{waits:?}");
+        assert_eq!(waits[0].0, loc.id().0, "the wait names the owned location");
+        assert!(waits[0].1 >= held_ns, "{waits:?}");
+        assert_eq!(grants.len(), 1, "{grants:?}");
+        assert!(grants[0] >= waits[0].1, "the grant's wait spans the acquire: {grants:?} {waits:?}");
     }
 
     #[test]

@@ -239,23 +239,20 @@ fn obs_report_attributes_hotspot_contention_to_the_hub() {
     // spreads FIFO waiting across every location; to give the analyzer an
     // unambiguous ground truth, keep only the spokes→hub direction, so
     // the far node's spokes storm the hub's location over the wire while
-    // the near node's spokes queue on it in-process.  One backedge stays
-    // as the hub's pacing probe: a cross-node read of a far spoke keeps
-    // the hub's own loop as slow as a far spoke's, so its writes
+    // the near node's spokes queue on it in-process.  Two backedges stay
+    // as the hub's pacing probes: cross-node reads of two far spokes keep
+    // the hub's own loop as slow as the read storm, so its writes
     // genuinely interleave with the spokes' reads instead of finishing
-    // before they connect.  The probed spoke stops reading the hub so its
-    // own location stays close to idle.  Only one: each remote grant books
-    // a few microseconds of serving as FIFO wait, even on an idle
-    // location.  A grant closes its section on the owner, so a calm run
-    // waits only 4–7 ms in all, and a second probe's floor could take
-    // more than a fifth of that.
+    // before they connect.  The probed spokes stop reading the hub so
+    // their own locations stay close to idle.
     let mut m = ScenarioSpec::new(ScenarioFamily::Hotspot, 15, 1).phase_matrices().remove(0);
     for spoke in 1..m.order() {
         m.set(spoke, 0, 0.0); // drop the hub-reads-spoke backedges ...
     }
-    let probe = 2;
-    m.set(probe, 0, 1024.0); // ... except the pacing probe
-    m.set(0, probe, 0.0);
+    for probe in [2, 6] {
+        m.set(probe, 0, 1024.0); // ... except the two pacing probes
+        m.set(0, probe, 0.0);
+    }
     let workload = PhasedWorkload {
         phases: vec![Phase {
             graph: TaskGraph::from_matrix(
