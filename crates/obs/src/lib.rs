@@ -22,7 +22,11 @@
 //! Clocks: a recorder is created with a [`ClockKind`].  Thread backends
 //! stamp monotonic wall time; simulator backends advance the virtual clock
 //! with [`Recorder::set_sim_now`] as simulated seconds accumulate, so one
-//! timeline viewer works for all execution paths.
+//! timeline viewer works for all execution paths.  Wall time is the host's
+//! `CLOCK_MONOTONIC`, which every process on the host (in one time
+//! namespace) reads alike, so the recorders of cooperating processes
+//! share one clock and differ only in their origins
+//! ([`Recorder::origin_us`]).
 
 // `pub` means another crate (or a bin, test or example) calls it: everything
 // else is `pub(crate)` so `dead_code` can see it.  DESIGN.md, "Public surface".
@@ -46,7 +50,7 @@ use metrics::{MetricsRegistry, MetricsSnapshot};
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Tuning of a [`Recorder`].
@@ -111,10 +115,8 @@ pub struct Recorder {
     id: u64,
     clock: ClockKind,
     config: ObsConfig,
-    origin: Instant,
-    /// [`process_clock_us`] at creation: locates this recorder's time zero
-    /// on the process-wide clock so cross-process merges can rebase.
-    origin_us: u64,
+    /// `CLOCK_MONOTONIC` (ns) at creation: this recorder's time zero.
+    origin_ns: u64,
     /// Simulated "now" in microseconds, as `f64` bits.
     sim_now_us: AtomicU64,
     seq: AtomicU64,
@@ -137,8 +139,7 @@ impl Recorder {
             id: NEXT_RECORDER_ID.fetch_add(1, Ordering::Relaxed),
             clock,
             config,
-            origin: Instant::now(),
-            origin_us: process_clock_us(),
+            origin_ns: monotonic_ns(),
             sim_now_us: AtomicU64::new(0f64.to_bits()),
             seq: AtomicU64::new(0),
             next_tid: AtomicU64::new(0),
@@ -147,11 +148,12 @@ impl Recorder {
         })
     }
 
-    /// [`process_clock_us`] at the moment this recorder was created (its
-    /// event time zero on the process-wide clock).
+    /// This recorder's event time zero on the host's `CLOCK_MONOTONIC`, in
+    /// microseconds: two recorders' timelines, in this process or another
+    /// on the same host, align by the difference of their origins.
     #[must_use]
-    pub fn origin_us(&self) -> u64 {
-        self.origin_us
+    pub fn origin_us(&self) -> f64 {
+        self.origin_ns as f64 / 1.0e3
     }
 
     /// The metrics registry of this run.
@@ -169,7 +171,7 @@ impl Recorder {
     #[must_use]
     pub(crate) fn now_us(&self) -> f64 {
         match self.clock {
-            ClockKind::Wall => self.origin.elapsed().as_nanos() as f64 / 1.0e3,
+            ClockKind::Wall => monotonic_ns().saturating_sub(self.origin_ns) as f64 / 1.0e3,
             ClockKind::Simulated => f64::from_bits(self.sim_now_us.load(Ordering::Relaxed)),
         }
     }
@@ -365,19 +367,26 @@ impl RunTelemetry {
     }
 }
 
-/// Microseconds on a process-wide monotonic clock (anchored the first
-/// time any code in this process asks).
-///
-/// Two cooperating processes each report times on their own anchor; the
-/// anchors differ by an unknown offset that `orwl-proc` estimates from its
-/// Hello/Assignment handshake (both anchors tick the same underlying
-/// monotonic clock, so the *rates* agree).  [`Recorder::origin_us`] pins a
-/// recorder's event time zero to this clock.
-#[must_use]
-pub fn process_clock_us() -> u64 {
-    static ANCHOR: OnceLock<Instant> = OnceLock::new();
-    let anchor = *ANCHOR.get_or_init(Instant::now);
-    anchor.elapsed().as_micros() as u64
+/// The host's `CLOCK_MONOTONIC` in nanoseconds: one clock for every
+/// process on the host that shares its time namespace.
+fn monotonic_ns() -> u64 {
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: std::ffi::c_long,
+        tv_nsec: std::ffi::c_long,
+    }
+    extern "C" {
+        fn clock_gettime(clock: std::ffi::c_int, now: *mut Timespec) -> std::ffi::c_int;
+    }
+    const CLOCK_MONOTONIC: std::ffi::c_int = 1;
+    let mut now = Timespec { tv_sec: 0, tv_nsec: 0 };
+    // SAFETY: `clock_gettime` is the C library's (std links it), declared
+    // with Linux's `struct timespec` layout; it writes only through `now`,
+    // a live, exclusively borrowed `Timespec`, and `CLOCK_MONOTONIC` is a
+    // clock every Linux kernel has, so the call cannot fail.
+    let rc = unsafe { clock_gettime(CLOCK_MONOTONIC, &mut now) };
+    debug_assert_eq!(rc, 0, "clock_gettime(CLOCK_MONOTONIC) failed");
+    now.tv_sec as u64 * 1_000_000_000 + now.tv_nsec as u64
 }
 
 // --- The per-thread scope -------------------------------------------------

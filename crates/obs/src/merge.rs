@@ -1,43 +1,32 @@
-//! Merging per-process telemetry into one clock-aligned timeline.
+//! Merging per-process telemetry into one timeline.
 //!
 //! The coordinator of a multi-process run holds its own recorder plus one
-//! [`TelemetrySnapshot`] per worker.  Each snapshot's events are stamped on
-//! the *worker's* clock; its `origin_us`/`clock_offset_us` metadata locate
-//! that clock relative to the coordinator's, so [`merge_run`] can rebase
-//! every worker event into coordinator time:
+//! [`TelemetrySnapshot`] per worker.  Workers are children on the
+//! coordinator's host, in its time namespace, so every recorder stamps the
+//! same `CLOCK_MONOTONIC` and differs from the others only in its origin
+//! (the clock reading at its creation).  [`merge_run`] therefore moves a
+//! worker event into coordinator time by a pure shift:
 //!
 //! ```text
-//! coordinator_ts = worker_ts + worker_origin + offset − coordinator_origin
+//! coordinator_ts = worker_ts + worker_origin − coordinator_origin
 //! ```
 //!
-//! The offset is an *estimate* (half the handshake round-trip is its error
-//! bar), so rebased timestamps can violate the one ordering the protocol
-//! guarantees: a grant is sent only after its request arrived, and a
-//! release only after its grant.  [`merge_run`] therefore runs a causality
-//! clamp — grants are nudged after their requests, releases after their
-//! grants, and each track is re-monotonised in emission order — and counts
-//! every nudge in the `causality_clamps` counter so analyzers can see how
-//! hard the clocks disagreed.  Only timestamps move; no event is dropped
-//! or reordered within its own track.
+//! No timestamp is estimated or repaired, so the merged timeline shows the
+//! order the protocol fixes — a grant after its request, a release after
+//! its grant — only because that is the order the clock saw.  The proc
+//! test suites check it on every cross-node section.
 
 use crate::metrics::MetricsSnapshot;
-use crate::{EventKind, ObsEvent, RunTelemetry, TrackInfo};
-use std::collections::BTreeMap;
+use crate::{ObsEvent, RunTelemetry, TrackInfo};
 
-/// One worker's whole-run telemetry plus the clock metadata the
-/// coordinator needs to rebase it: where the recorder's time zero sits on
-/// the worker's process clock, and the estimated offset between the two
-/// process clocks.  Built from the worker's telemetry frames by
+/// One worker's whole-run telemetry plus where its recorder's time zero
+/// sits on the shared clock.  Built from the worker's telemetry frames by
 /// [`fold_deltas`](crate::timeseries::fold_deltas).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetrySnapshot {
-    /// The recorder's time zero on the worker's process clock
+    /// The recorder's time zero on the shared clock
     /// (`Recorder::origin_us`).
     pub origin_us: f64,
-    /// Estimated `coordinator_clock − worker_clock` in microseconds
-    /// (midpoint method over the handshake); adding it to a worker-clock
-    /// time yields a coordinator-clock time.
-    pub clock_offset_us: f64,
     /// The worker's events.
     pub events: Vec<ObsEvent>,
     /// Events lost to ring overwrites.
@@ -46,10 +35,6 @@ pub struct TelemetrySnapshot {
     pub metrics: MetricsSnapshot,
 }
 
-/// Minimum gap (µs) enforced between a clamped cause/effect pair, so the
-/// merged sort keeps the effect strictly after its cause.
-const CLAMP_GAP_US: f64 = 1.0e-3;
-
 /// Merges worker snapshots into the coordinator's telemetry.
 ///
 /// `base` is the coordinator recorder's drained telemetry and
@@ -57,7 +42,8 @@ const CLAMP_GAP_US: f64 = 1.0e-3;
 /// pair becomes track `node + 1` (the coordinator is track 0); worker
 /// metrics are namespaced `node<k>.<name>`.  The result is one
 /// `(ts, track, seq)`-sorted timeline with globally reassigned sequence
-/// numbers.
+/// numbers; `ts` leads because two threads of one recorder can read the
+/// clock and take their sequence number in opposite orders.
 #[must_use]
 pub fn merge_run(
     base: RunTelemetry,
@@ -75,7 +61,7 @@ pub fn merge_run(
     for (node, snap) in workers {
         let track = node + 1;
         tracks.push(TrackInfo { track, label: format!("node{node}") });
-        let shift = snap.origin_us + snap.clock_offset_us - base_origin_us;
+        let shift = snap.origin_us - base_origin_us;
         for ev in &snap.events {
             events.push(ObsEvent { ts_us: ev.ts_us + shift, track, ..*ev });
         }
@@ -92,8 +78,6 @@ pub fn merge_run(
         }
     }
 
-    let clamps = enforce_causality(&mut events);
-    metrics.counters.push(("causality_clamps".to_string(), clamps));
     metrics.counters.sort_by(|a, b| a.0.cmp(&b.0));
     metrics.gauges.sort_by(|a, b| a.0.cmp(&b.0));
     metrics.histograms.sort_by(|a, b| a.0.cmp(&b.0));
@@ -110,84 +94,6 @@ pub fn merge_run(
     }
 
     RunTelemetry { backend: base.backend, clock: base.clock, events, dropped, metrics, tracks }
-}
-
-/// Repairs orderings the protocol guarantees but clock estimation can
-/// break; returns how many timestamps had to move.
-///
-/// Two invariants are enforced, by raising timestamps only (a bounded
-/// lattice walk, so the alternation below converges):
-///
-/// 1. cross-track happens-before per `rseq`: request ≤ grant ≤ release;
-/// 2. per-track monotonicity in emission (`seq`) order.
-fn enforce_causality(events: &mut [ObsEvent]) -> u64 {
-    // Index events by (what they are, rseq), remembering positions.
-    // BTreeMaps keep the clamp count deterministic across runs.
-    let mut requests: BTreeMap<u64, usize> = BTreeMap::new();
-    let mut grants: BTreeMap<u64, usize> = BTreeMap::new();
-    let mut releases: BTreeMap<u64, usize> = BTreeMap::new();
-    for (i, ev) in events.iter().enumerate() {
-        match ev.kind {
-            EventKind::LockRequest { rseq, .. } => {
-                requests.insert(rseq, i);
-            }
-            EventKind::LockGrant { rseq, .. } => {
-                grants.insert(rseq, i);
-            }
-            EventKind::LockRelease { rseq, .. } => {
-                releases.insert(rseq, i);
-            }
-            _ => {}
-        }
-    }
-    // Per-track emission order (original recorder seq).
-    let mut by_track: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-    for (i, ev) in events.iter().enumerate() {
-        by_track.entry(ev.track).or_default().push(i);
-    }
-    for order in by_track.values_mut() {
-        order.sort_by_key(|&i| events[i].seq);
-    }
-
-    let mut clamps = 0u64;
-    // Alternate the two raises until a fixed point; each pass only raises
-    // timestamps toward a finite bound, so a handful of rounds suffice.
-    for _ in 0..8 {
-        let mut moved = false;
-        for (rseq, &g) in &grants {
-            if let Some(&q) = requests.get(rseq) {
-                if events[g].ts_us < events[q].ts_us + CLAMP_GAP_US {
-                    events[g].ts_us = events[q].ts_us + CLAMP_GAP_US;
-                    clamps += 1;
-                    moved = true;
-                }
-            }
-        }
-        for (rseq, &r) in &releases {
-            if let Some(&g) = grants.get(rseq) {
-                if events[r].ts_us < events[g].ts_us + CLAMP_GAP_US {
-                    events[r].ts_us = events[g].ts_us + CLAMP_GAP_US;
-                    clamps += 1;
-                    moved = true;
-                }
-            }
-        }
-        for order in by_track.values() {
-            let mut high = f64::NEG_INFINITY;
-            for &i in order {
-                if events[i].ts_us < high {
-                    events[i].ts_us = high;
-                    clamps += 1;
-                    moved = true;
-                }
-                high = events[i].ts_us;
-            }
-        }
-        if !moved {
-            break;
-        }
-    }
-    clamps
 }
 
 /// Splits a merged document back into one single-track telemetry per
@@ -244,7 +150,8 @@ pub fn split_tracks(merged: &RunTelemetry) -> Vec<(TrackInfo, RunTelemetry)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ClockKind;
+    use crate::{fold_deltas, ClockKind, DeltaSampler, EventKind, ObsConfig, Recorder};
+    use std::sync::Arc;
 
     fn event(ts_us: f64, seq: u64, kind: EventKind) -> ObsEvent {
         ObsEvent { ts_us, dur_us: 0.0, seq, tid: 0, track: 0, kind }
@@ -261,24 +168,17 @@ mod tests {
         }
     }
 
-    fn snapshot(events: Vec<ObsEvent>, origin_us: f64, offset_us: f64) -> TelemetrySnapshot {
-        TelemetrySnapshot {
-            origin_us,
-            clock_offset_us: offset_us,
-            events,
-            dropped: 0,
-            metrics: MetricsSnapshot::default(),
-        }
+    fn snapshot(events: Vec<ObsEvent>, origin_us: f64) -> TelemetrySnapshot {
+        TelemetrySnapshot { origin_us, events, dropped: 0, metrics: MetricsSnapshot::default() }
     }
 
     #[test]
     fn rebasing_uses_origin_and_offset() {
-        // Coordinator origin at 1000 on its own clock.  The worker's
-        // recorder origin sits at 400 on the worker clock, which runs 700
-        // behind the coordinator's: a worker event at +100 should land at
-        // 400 + 700 + 100 − 1000 = 200 in coordinator-relative time.
+        // Coordinator origin at 1000 on the shared clock, the worker's
+        // recorder origin at 1100: a worker event at +100 lands at
+        // 1100 + 100 − 1000 = 200 in coordinator-relative time.
         let coord = base(vec![event(150.0, 0, EventKind::Epoch { epoch: 1, bytes: 0.0 })]);
-        let snap = snapshot(vec![event(100.0, 0, EventKind::Epoch { epoch: 2, bytes: 0.0 })], 400.0, 700.0);
+        let snap = snapshot(vec![event(100.0, 0, EventKind::Epoch { epoch: 2, bytes: 0.0 })], 1100.0);
         let merged = merge_run(coord, 1000.0, &[(0, snap)]);
         assert_eq!(merged.tracks.len(), 2);
         assert_eq!(merged.tracks[1].label, "node0");
@@ -289,14 +189,37 @@ mod tests {
         assert_eq!(merged.events[0].ts_us, 150.0);
         // Sequence numbers are reassigned globally.
         assert_eq!(merged.events.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![0, 1]);
-        assert_eq!(merged.metrics.counter("causality_clamps"), Some(0));
+    }
+
+    #[test]
+    fn two_recorders_merge_in_emission_order() {
+        // Two recorders created at different instants stamp one clock:
+        // events emitted A, B, A merge in that order, whatever the
+        // origins are.
+        let a = Recorder::new(ClockKind::Wall, ObsConfig::default());
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let b = Recorder::new(ClockKind::Wall, ObsConfig::default());
+        a.record(EventKind::Epoch { epoch: 1, bytes: 0.0 });
+        b.record(EventKind::Epoch { epoch: 2, bytes: 0.0 });
+        a.record(EventKind::Epoch { epoch: 3, bytes: 0.0 });
+        let worker = fold_deltas(DeltaSampler::new(Arc::clone(&b)).sample()).unwrap();
+        let merged = merge_run(a.finish("proc"), a.origin_us(), &[(0, worker)]);
+        let order: Vec<(u32, u64)> = merged
+            .events
+            .iter()
+            .map(|e| match e.kind {
+                EventKind::Epoch { epoch, .. } => (e.track, epoch),
+                _ => unreachable!("only epochs were recorded"),
+            })
+            .collect();
+        assert_eq!(order, [(0, 1), (1, 2), (0, 3)]);
     }
 
     #[test]
     fn worker_metrics_are_namespaced() {
         let mut m = MetricsSnapshot::default();
         m.counters.push(("remote_requests".to_string(), 5));
-        let mut snap = snapshot(vec![], 0.0, 0.0);
+        let mut snap = snapshot(vec![], 0.0);
         snap.metrics = m;
         let mut coord = base(vec![]);
         coord.metrics.counters.push(("epochs".to_string(), 2));
@@ -308,78 +231,10 @@ mod tests {
     }
 
     #[test]
-    fn skewed_offsets_still_yield_request_before_grant() {
-        // Node 0 requests at its local 100; node 1 grants at its local 50.
-        // Node 1's offset estimate is so wrong that the grant rebases 150
-        // *before* the request: the clamp must pull it after, and both
-        // tracks must stay monotone.
-        let rseq = (1_u64 << 32) | 1;
-        let reader = snapshot(
-            vec![
-                event(100.0, 0, EventKind::LockRequest { rseq, location: 3, owner: 1 }),
-                event(300.0, 1, EventKind::LockRelease { rseq, location: 3, held_ns: 1000 }),
-            ],
-            0.0,
-            0.0,
-        );
-        let owner = snapshot(
-            vec![
-                event(10.0, 0, EventKind::Epoch { epoch: 1, bytes: 0.0 }),
-                event(50.0, 1, EventKind::LockGrant { rseq, location: 3, wait_ns: 500 }),
-            ],
-            0.0,
-            -100.0, // rebases the grant to −50
-        );
-        let merged = merge_run(base(vec![]), 0.0, &[(0, reader), (1, owner)]);
-        let find = |name: &str| merged.events.iter().find(|e| e.kind.name() == name).unwrap();
-        let (req, grant, release) = (find("lock_request"), find("lock_grant"), find("lock_release"));
-        assert!(req.ts_us < grant.ts_us, "request {} must precede grant {}", req.ts_us, grant.ts_us);
-        assert!(grant.ts_us < release.ts_us);
-        // The merged order mirrors the repaired timestamps.
-        let names: Vec<&str> = merged
-            .events
-            .iter()
-            .filter(|e| e.kind.name().starts_with("lock_"))
-            .map(|e| e.kind.name())
-            .collect();
-        assert_eq!(names, vec!["lock_request", "lock_grant", "lock_release"]);
-        // Per-track monotone in final order.
-        for track in [1, 2] {
-            let ts: Vec<f64> = merged.events.iter().filter(|e| e.track == track).map(|e| e.ts_us).collect();
-            assert!(ts.windows(2).all(|w| w[0] <= w[1]), "track {track} not monotone: {ts:?}");
-        }
-        let clamps = merged.metrics.counter("causality_clamps").unwrap();
-        assert!(clamps >= 1, "the grant must have been clamped");
-    }
-
-    #[test]
-    fn clamping_one_event_remonotonises_its_track() {
-        // The grant is followed on the owner track by a later local event;
-        // after the grant is pushed forward the follower must move too.
-        let rseq = (1_u64 << 32) | 9;
-        let reader =
-            snapshot(vec![event(500.0, 0, EventKind::LockRequest { rseq, location: 0, owner: 1 })], 0.0, 0.0);
-        let owner = snapshot(
-            vec![
-                event(100.0, 0, EventKind::LockGrant { rseq, location: 0, wait_ns: 1 }),
-                event(101.0, 1, EventKind::Epoch { epoch: 1, bytes: 0.0 }),
-            ],
-            0.0,
-            0.0,
-        );
-        let merged = merge_run(base(vec![]), 0.0, &[(0, reader), (1, owner)]);
-        let owner_ts: Vec<f64> = merged.events.iter().filter(|e| e.track == 2).map(|e| e.ts_us).collect();
-        assert!(owner_ts[0] > 500.0);
-        assert!(owner_ts.windows(2).all(|w| w[0] <= w[1]), "owner track regressed: {owner_ts:?}");
-        // The epoch event kept its emission position relative to the grant.
-        assert_eq!(merged.events.iter().filter(|e| e.track == 2).count(), 2);
-    }
-
-    #[test]
     fn split_tracks_partitions_events_and_metrics() {
         let mut coord = base(vec![event(1.0, 0, EventKind::Epoch { epoch: 1, bytes: 0.0 })]);
         coord.metrics.counters.push(("epochs".to_string(), 1));
-        let mut snap = snapshot(vec![event(2.0, 0, EventKind::Epoch { epoch: 2, bytes: 0.0 })], 0.0, 0.0);
+        let mut snap = snapshot(vec![event(2.0, 0, EventKind::Epoch { epoch: 2, bytes: 0.0 })], 0.0);
         snap.metrics.counters.push(("epochs".to_string(), 1));
         let merged = merge_run(coord, 0.0, &[(0, snap)]);
         let parts = split_tracks(&merged);
@@ -388,7 +243,7 @@ mod tests {
         assert_eq!(info0.label, "coordinator");
         assert_eq!(t0.events.len(), 1);
         assert_eq!(t0.metrics.counter("epochs"), Some(1));
-        // The coordinator keeps the clamp counter, not the node metrics.
+        // The coordinator keeps none of the node metrics.
         assert!(t0.metrics.counter("node0.epochs").is_none());
         let (info1, t1) = &parts[1];
         assert_eq!(info1.label, "node0");

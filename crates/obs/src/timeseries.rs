@@ -19,7 +19,7 @@
 //!
 //! ```text
 //! | magic "ODLT" (4) | version u16 | seq u64 | origin_us f64 |
-//! | clock_offset_us f64 | t_end_us f64 | dropped u64 |
+//! | t_end_us f64 | dropped u64 |
 //! | events u32 × event | counters u32 × (str, u64) |
 //! | gauges u32 × (str, f64) | histograms u32 × (str, count, sum, buckets) |
 //! ```
@@ -47,7 +47,7 @@ use std::sync::Arc;
 pub(crate) const DELTA_MAGIC: &[u8; 4] = b"ODLT";
 
 /// Current frame format version.
-pub(crate) const DELTA_VERSION: u16 = 2;
+pub(crate) const DELTA_VERSION: u16 = 3;
 
 /// The event cap of one frame: [`DeltaSampler::sample`] splits a larger
 /// drain over several frames and [`TelemetryDelta::decode`] rejects a
@@ -107,19 +107,15 @@ impl std::error::Error for FrameError {}
 /// Everything a recorder produced between two samples, plus its
 /// cumulative metric values at the second.
 ///
-/// `origin_us`/`clock_offset_us` let a consumer on another process rebase
-/// the frame onto its own clock: `origin_us` is the recorder's time zero
-/// on the producer's process clock, and adding `clock_offset_us` to a
-/// producer-clock time yields a consumer-clock time.
+/// `origin_us` lets a consumer in another process on the same host rebase
+/// the frame onto its own recorder: both stamp `CLOCK_MONOTONIC`, so the
+/// difference of the two origins is the whole shift.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetryDelta {
     /// Sampler-assigned frame sequence number (0, 1, 2, ... per run).
     pub seq: u64,
-    /// The recorder's time zero on the producer's process clock.
+    /// The recorder's time zero on the shared clock.
     pub origin_us: f64,
-    /// Estimated `consumer_clock − producer_clock` microseconds (the
-    /// handshake midpoint estimate, see [`crate::merge`]).
-    pub clock_offset_us: f64,
     /// Sample instant in microseconds on the producing recorder's clock.
     pub t_end_us: f64,
     /// Ring overwrites since the previous frame (drain resets the
@@ -151,7 +147,6 @@ impl TelemetryDelta {
         out.extend_from_slice(&DELTA_VERSION.to_le_bytes());
         out.extend_from_slice(&self.seq.to_le_bytes());
         out.extend_from_slice(&self.origin_us.to_le_bytes());
-        out.extend_from_slice(&self.clock_offset_us.to_le_bytes());
         out.extend_from_slice(&self.t_end_us.to_le_bytes());
         out.extend_from_slice(&self.dropped.to_le_bytes());
         out.extend_from_slice(&(self.events.len() as u32).to_le_bytes());
@@ -194,7 +189,6 @@ impl TelemetryDelta {
         }
         let seq = r.u64()?;
         let origin_us = r.finite_f64("origin_us")?;
-        let clock_offset_us = r.finite_f64("clock_offset_us")?;
         let t_end_us = r.finite_f64("t_end_us")?;
         let dropped = r.u64()?;
         let n_events = r.len_prefix(MAX_FRAME_EVENTS as u32, "events")?;
@@ -229,7 +223,7 @@ impl TelemetryDelta {
         if r.at != r.buf.len() {
             return Err(FrameError::TrailingBytes);
         }
-        Ok(TelemetryDelta { seq, origin_us, clock_offset_us, t_end_us, dropped, events, metrics })
+        Ok(TelemetryDelta { seq, origin_us, t_end_us, dropped, events, metrics })
     }
 }
 
@@ -451,16 +445,14 @@ impl<'b> Reader<'b> {
 #[derive(Debug)]
 pub struct DeltaSampler {
     recorder: Arc<Recorder>,
-    clock_offset_us: f64,
     next_seq: u64,
 }
 
 impl DeltaSampler {
-    /// A sampler over `recorder`, stamping every frame with the given
-    /// consumer-clock offset (0 when producer and consumer share a clock).
+    /// A sampler over `recorder`.
     #[must_use]
-    pub fn new(recorder: Arc<Recorder>, clock_offset_us: f64) -> DeltaSampler {
-        DeltaSampler { recorder, clock_offset_us, next_seq: 0 }
+    pub fn new(recorder: Arc<Recorder>) -> DeltaSampler {
+        DeltaSampler { recorder, next_seq: 0 }
     }
 
     /// Drains everything recorded since the previous sample into fresh
@@ -473,7 +465,7 @@ impl DeltaSampler {
         let t_end_us = self.recorder.now_us();
         let (events, dropped) = self.recorder.drain_rings();
         let metrics = self.recorder.metrics().snapshot();
-        let origin_us = self.recorder.origin_us() as f64;
+        let origin_us = self.recorder.origin_us();
         let n_frames = events.len().div_ceil(MAX_FRAME_EVENTS).max(1) as u64;
         let first_seq = self.next_seq;
         self.next_seq += n_frames;
@@ -482,7 +474,6 @@ impl DeltaSampler {
             .map(|k| TelemetryDelta {
                 seq: first_seq + k,
                 origin_us,
-                clock_offset_us: self.clock_offset_us,
                 t_end_us,
                 dropped: if k == 0 { dropped } else { 0 },
                 events: chunks.next().unwrap_or_default().to_vec(),
@@ -574,8 +565,8 @@ impl LiveAggregator {
 }
 
 /// Concatenates one producer's frames into the snapshot the post-run
-/// merge consumes: events in frame-`seq` order, drop counts summed, clock
-/// metadata and metrics from the last frame (cumulative values subsume
+/// merge consumes: events in frame-`seq` order, drop counts summed, origin
+/// and metrics from the last frame (cumulative values subsume
 /// every earlier one).  `None` when the producer sent no frame at all.
 #[must_use]
 pub fn fold_deltas(mut frames: Vec<TelemetryDelta>) -> Option<TelemetrySnapshot> {
@@ -589,13 +580,7 @@ pub fn fold_deltas(mut frames: Vec<TelemetryDelta>) -> Option<TelemetrySnapshot>
         events.extend(frame.events);
     }
     events.extend(last.events);
-    Some(TelemetrySnapshot {
-        origin_us: last.origin_us,
-        clock_offset_us: last.clock_offset_us,
-        events,
-        dropped,
-        metrics: last.metrics,
-    })
+    Some(TelemetrySnapshot { origin_us: last.origin_us, events, dropped, metrics: last.metrics })
 }
 
 #[cfg(test)]
@@ -611,7 +596,7 @@ mod tests {
     /// One frame holding every event kind plus all three instrument types.
     fn sample_frame() -> TelemetryDelta {
         let rec = Recorder::new(ClockKind::Wall, ObsConfig::default());
-        let mut sampler = DeltaSampler::new(Arc::clone(&rec), -123.5);
+        let mut sampler = DeltaSampler::new(Arc::clone(&rec));
         rec.record(EventKind::Epoch { epoch: 1, bytes: 4096.0 });
         rec.record(EventKind::PlacementSolve { phase: SolvePhase::Total, wall_ns: 1_500_000 });
         rec.record(EventKind::DriftDecision { outcome: DriftOutcome::Quiet, delta: 0.01 });
@@ -633,7 +618,6 @@ mod tests {
         let back = TelemetryDelta::decode(&frame.encode()).unwrap();
         assert_eq!(back, frame);
         assert_eq!(back.events.len(), 12);
-        assert_eq!(back.clock_offset_us, -123.5);
         assert_eq!(back.metrics.counter("remote_grants"), Some(1));
         assert!(back.metrics.gauge("drift_delta_last").is_some());
         assert!(!back.metrics.histogram("lock_wait_ns").unwrap().buckets.is_empty());
@@ -642,7 +626,7 @@ mod tests {
     #[test]
     fn an_idle_recorder_still_yields_one_round_tripping_frame() {
         let rec = recorder(1 << 10);
-        let frames = DeltaSampler::new(rec, 0.0).sample();
+        let frames = DeltaSampler::new(rec).sample();
         assert_eq!(frames.len(), 1);
         assert!(frames[0].is_empty());
         assert_eq!(TelemetryDelta::decode(&frames[0].encode()).unwrap(), frames[0]);
@@ -652,7 +636,7 @@ mod tests {
     fn consecutive_samples_are_disjoint_and_account_drops_exactly() {
         // Forced overflow: a 4-slot ring fed 10 events keeps 4 and drops 6.
         let rec = recorder(4);
-        let mut sampler = DeltaSampler::new(Arc::clone(&rec), 0.0);
+        let mut sampler = DeltaSampler::new(Arc::clone(&rec));
         rec.set_sim_now(0.010);
         for epoch in 0..10 {
             rec.record(EventKind::Epoch { epoch, bytes: 0.0 });
@@ -687,7 +671,7 @@ mod tests {
     fn an_oversized_drain_is_split_over_frames_not_truncated() {
         let n = 2 * MAX_FRAME_EVENTS + 1;
         let rec = recorder(n);
-        let mut sampler = DeltaSampler::new(Arc::clone(&rec), 0.0);
+        let mut sampler = DeltaSampler::new(Arc::clone(&rec));
         for epoch in 0..n as u64 {
             rec.record(EventKind::Epoch { epoch, bytes: 0.0 });
         }
@@ -714,9 +698,12 @@ mod tests {
         let good = sample_frame().encode();
 
         assert_eq!(TelemetryDelta::decode(b"JUNK"), Err(FrameError::BadMagic));
-        let mut wrong_version = good.clone();
-        wrong_version[4] = 9;
-        assert_eq!(TelemetryDelta::decode(&wrong_version), Err(FrameError::BadVersion { got: 9 }));
+        // Version 2 is the layout that still carried a clock offset.
+        for got in [2u16, 9] {
+            let mut wrong_version = good.clone();
+            wrong_version[4..6].copy_from_slice(&got.to_le_bytes());
+            assert_eq!(TelemetryDelta::decode(&wrong_version), Err(FrameError::BadVersion { got }));
+        }
 
         // Truncation at any prefix length never panics and fails typed.
         for cut in 0..good.len() {
@@ -742,9 +729,9 @@ mod tests {
         assert_eq!(TelemetryDelta::decode(&nan_origin), Err(FrameError::BadField("origin_us")));
 
         // An unknown event tag: the first event's tag byte sits after the
-        // 50-byte frame header and the event's 36 fixed bytes.
+        // 42-byte frame header and the event's 36 fixed bytes.
         let mut bad_tag = good;
-        bad_tag[50 + 36] = 200;
+        bad_tag[42 + 36] = 200;
         assert_eq!(
             TelemetryDelta::decode(&bad_tag),
             Err(FrameError::BadCode { field: "event tag", got: 200 })
@@ -756,7 +743,7 @@ mod tests {
         // A header, zero events, then a counter table claiming one entry
         // whose name is 4 GiB long: must be BadField, not an allocation.
         let mut buf = TelemetryDelta::default().encode();
-        buf.truncate(50); // keep the header and the zero event count
+        buf.truncate(42); // keep the header and the zero event count
         let mut huge_name = buf.clone();
         huge_name.extend_from_slice(&1u32.to_le_bytes());
         huge_name.extend_from_slice(&u32::MAX.to_le_bytes());
@@ -805,7 +792,7 @@ mod tests {
         // every event exactly once with exact drop accounting, whatever
         // order the frames are handed over in.
         let rec = recorder(4);
-        let mut sampler = DeltaSampler::new(Arc::clone(&rec), 7.0);
+        let mut sampler = DeltaSampler::new(Arc::clone(&rec));
         for epoch in 0..10 {
             rec.record(EventKind::Epoch { epoch, bytes: 0.0 });
         }
@@ -821,7 +808,7 @@ mod tests {
         let snap = fold_deltas(vec![d2.clone(), d0, d1]).unwrap();
         assert_eq!(snap.events.len(), 8);
         assert_eq!(snap.dropped, 6);
-        assert_eq!(snap.clock_offset_us, 7.0);
+        assert_eq!(snap.origin_us, rec.origin_us());
         assert!(snap.events.windows(2).all(|w| w[0].seq < w[1].seq), "every event once, in order");
         // The last frame's cumulative metrics are the run's.
         assert_eq!(snap.metrics, d2.metrics);

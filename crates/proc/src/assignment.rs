@@ -22,19 +22,16 @@ pub(crate) const ASSIGN_SCHEMA: &str = "orwl-proc-assign/v1";
 pub(crate) const REASSIGN_SCHEMA: &str = "orwl-proc-reassign/v1";
 
 /// The observation request riding along in an assignment: the worker's
-/// recorder configuration plus the coordinator-side handshake timestamps
-/// the worker needs to estimate its clock offset (midpoint method — see
-/// `orwl_obs::merge`).  An unobserved run's assignment carries none.
+/// recorder configuration and streaming interval.  It carries no clock
+/// data: a worker shares the coordinator's host and time namespace, so
+/// both recorders stamp the same monotonic clock (see `orwl_obs::merge`).
+/// An unobserved run's assignment carries none.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ObsSpec {
     /// Recorder ring capacity (events per thread).
     pub ring_capacity: usize,
     /// Lock-wait event threshold, nanoseconds.
     pub lock_wait_threshold_ns: u64,
-    /// Coordinator clock (µs) when this worker's `Hello` arrived.
-    pub hello_recv_us: u64,
-    /// Coordinator clock (µs) when this assignment was sent.
-    pub assign_send_us: u64,
     /// Live-streaming interval in milliseconds: every interval the worker
     /// sends a heartbeat and a telemetry frame to the coordinator.  `0`
     /// disables streaming — the worker sends only its final frame.
@@ -42,20 +39,13 @@ pub(crate) struct ObsSpec {
 }
 
 impl ObsSpec {
-    /// Builds the spec from a recorder config, the two coordinator-side
-    /// handshake timestamps and the streaming interval (`0` = none).
+    /// Builds the spec from a recorder config and the streaming interval
+    /// (`0` = none).
     #[must_use]
-    pub(crate) fn new(
-        cfg: &ObsConfig,
-        hello_recv_us: u64,
-        assign_send_us: u64,
-        stream_interval_ms: u64,
-    ) -> Self {
+    pub(crate) fn new(cfg: &ObsConfig, stream_interval_ms: u64) -> Self {
         ObsSpec {
             ring_capacity: cfg.ring_capacity,
             lock_wait_threshold_ns: cfg.lock_wait_threshold_ns,
-            hello_recv_us,
-            assign_send_us,
             stream_interval_ms,
         }
     }
@@ -70,8 +60,6 @@ impl ObsSpec {
         let mut obs = Json::obj();
         obs.push("ring_capacity", self.ring_capacity)
             .push("lock_wait_threshold_ns", self.lock_wait_threshold_ns)
-            .push("hello_recv_us", self.hello_recv_us)
-            .push("assign_send_us", self.assign_send_us)
             .push("stream_interval_ms", self.stream_interval_ms);
         obs
     }
@@ -80,8 +68,6 @@ impl ObsSpec {
         Ok(ObsSpec {
             ring_capacity: req_usize(doc, "ring_capacity")?,
             lock_wait_threshold_ns: req_usize(doc, "lock_wait_threshold_ns")? as u64,
-            hello_recv_us: req_usize(doc, "hello_recv_us")? as u64,
-            assign_send_us: req_usize(doc, "assign_send_us")? as u64,
             stream_interval_ms: req_usize(doc, "stream_interval_ms")? as u64,
         })
     }
@@ -548,22 +534,17 @@ mod tests {
     #[test]
     fn obs_spec_roundtrips_and_every_key_is_required() {
         // An unobserved assignment (no "obs") parses to None — covered by
-        // json_roundtrip_is_lossless; here the observed variant
-        // round-trips including the handshake timestamps.
+        // json_roundtrip_is_lossless; here the observed variant does.
         let mut a = sample();
-        a.obs = Some(ObsSpec::new(&ObsConfig::default(), 1234, 5678, 0));
+        a.obs = Some(ObsSpec::new(&ObsConfig::default(), 0));
         let parsed = Assignment::from_json(&Json::parse(&a.to_json().pretty()).unwrap()).unwrap();
         assert_eq!(parsed, a);
-        let spec = parsed.obs.unwrap();
-        assert_eq!(spec.hello_recv_us, 1234);
-        assert_eq!(spec.assign_send_us, 5678);
         // The round-tripped config matches what the coordinator asked for.
-        let cfg = spec.config();
-        assert_eq!(cfg, ObsConfig::default());
+        assert_eq!(parsed.obs.unwrap().config(), ObsConfig::default());
 
         // The streaming interval rides along when requested...
         let mut live = sample();
-        live.obs = Some(ObsSpec::new(&ObsConfig::default(), 1, 2, 250));
+        live.obs = Some(ObsSpec::new(&ObsConfig::default(), 250));
         let parsed = Assignment::from_json(&Json::parse(&live.to_json().pretty()).unwrap()).unwrap();
         assert_eq!(parsed.obs.unwrap().stream_interval_ms, 250);
 

@@ -136,7 +136,6 @@ pub struct WorkerPool {
     listener: UnixListener,
     children: Vec<WorkerChild>,
     controls: Vec<Option<FramedStream>>,
-    hello_recv_us: Vec<u64>,
     io_timeout: Duration,
     dead: Vec<bool>,
     /// Rotates which node [`ControlIo::poll`] looks at first.
@@ -197,7 +196,6 @@ impl WorkerPool {
             listener,
             children,
             controls,
-            hello_recv_us: vec![0; n_nodes],
             io_timeout,
             dead: vec![false; n_nodes],
             turn: 0,
@@ -209,14 +207,6 @@ impl WorkerPool {
     #[must_use]
     pub fn worker_pid(&self, node: usize) -> u32 {
         self.children[node].child.id()
-    }
-
-    /// The coordinator's process clock (µs) when `node`'s `Hello` arrived
-    /// — one side of the clock-offset handshake (see `orwl_obs::merge`);
-    /// `0` until [`WorkerPool::accept_controls`] has seen that node.
-    #[must_use]
-    pub(crate) fn hello_recv_us(&self, node: usize) -> u64 {
-        self.hello_recv_us[node]
     }
 
     /// Path of the peer listener socket assigned to `node`.
@@ -269,7 +259,6 @@ impl WorkerPool {
                     let mut control = FramedStream::new(stream);
                     match control.recv(Some(self.io_timeout)) {
                         Ok(Message::Hello { node }) => {
-                            let hello_us = orwl_obs::process_clock_us();
                             let node = node as usize;
                             if node >= self.children.len() {
                                 return Err(self.fail(None, format!("hello from unknown node {node}")));
@@ -278,7 +267,6 @@ impl WorkerPool {
                                 return Err(self.fail(Some(node), "duplicate hello"));
                             }
                             self.controls[node] = Some(control);
-                            self.hello_recv_us[node] = hello_us;
                             accepted += 1;
                         }
                         Ok(other) => {

@@ -311,13 +311,7 @@ impl ProcBackend {
                 peer_listen: peer_listen.clone(),
                 recovery: budgets.recovery,
                 phases,
-                // Stamped at send time: the spec carries the two
-                // coordinator-side handshake timestamps the worker needs
-                // for its clock-offset estimate, and the send stamp must
-                // be taken as late as possible.
-                obs: observe.map(|cfg| {
-                    ObsSpec::new(cfg, pool.hello_recv_us(node), orwl_obs::process_clock_us(), interval_ms)
-                }),
+                obs: observe.map(|cfg| ObsSpec::new(cfg, interval_ms)),
             };
             pool.send(node, &Message::Assignment { json: assignment.to_json().pretty() })?;
         }
@@ -385,9 +379,9 @@ impl ExecutionBackend for ProcBackend {
             .into());
         }
 
-        // The coordinator's recorder anchors the merged timeline's clock:
-        // created before any worker spawns so every handshake and worker
-        // event lands after its origin.
+        // The coordinator's recorder is the merged timeline's origin:
+        // created before any worker spawns, so every worker event lands
+        // after it.
         let recorder = config.observe.map(|cfg| Recorder::new(ClockKind::Wall, cfg));
 
         // The same sharding step as the cluster simulator, from the same
@@ -499,10 +493,7 @@ impl ExecutionBackend for ProcBackend {
                     + cross_rack_bytes as f64 * hops_cross_rack,
                 inter_node_bytes: measured_inter_bytes,
             }),
-            obs: recorder.map(|r| {
-                let origin_us = r.origin_us() as f64;
-                merge_run(r.finish(self.name()), origin_us, &telemetry)
-            }),
+            obs: recorder.map(|r| merge_run(r.finish(self.name()), r.origin_us(), &telemetry)),
         })
     }
 }

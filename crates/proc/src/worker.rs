@@ -107,22 +107,16 @@ fn worker_main() -> Result<(), String> {
         FramedStream::connect_retry(std::path::Path::new(&coord), Duration::from_secs(10))
             .map_err(|e| format!("connecting to coordinator: {e}"))?,
     ));
-    // The two worker-side timestamps of the clock-offset handshake: the
-    // coordinator stamps the matching receive/send instants into the
-    // assignment's obs spec, and the midpoint of the two one-way legs
-    // estimates this process's clock offset (see `orwl_obs::merge`).
-    let hello_send_us = orwl_obs::process_clock_us();
     send_ctl(&control, &Message::Hello { node: node as u32 }).map_err(|e| format!("sending hello: {e}"))?;
     let Message::Assignment { json } = recv_ctl(&control, "assignment", Duration::from_secs(30))? else {
         unreachable!("recv_ctl returns the expected kind");
     };
-    let assign_recv_us = orwl_obs::process_clock_us();
     let doc = Json::parse(&json).map_err(|e| format!("assignment is not valid JSON: {e}"))?;
     let assignment = Assignment::from_json(&doc).map_err(|e| format!("bad assignment: {e}"))?;
     if assignment.node != node {
         return Err(format!("assignment for node {} delivered to node {node}", assignment.node));
     }
-    match run_worker(&control, &assignment, hello_send_us, assign_recv_us) {
+    match run_worker(&control, &assignment) {
         Ok(()) => Ok(()),
         Err(e) => {
             let _ = send_ctl(&control, &Message::Error { message: e.clone() });
@@ -645,12 +639,7 @@ impl WorkState {
 }
 
 #[allow(clippy::too_many_lines)]
-fn run_worker(
-    control: &Arc<Mutex<FramedStream>>,
-    assignment: &Assignment,
-    hello_send_us: u64,
-    assign_recv_us: u64,
-) -> Result<(), String> {
+fn run_worker(control: &Arc<Mutex<FramedStream>>, assignment: &Assignment) -> Result<(), String> {
     let io_timeout = Duration::from_millis(assignment.io_timeout_ms);
     let faults = FaultPlan::from_env().map_err(|e| format!("fault plan: {e}"))?;
     let local_tasks = assignment.local_tasks();
@@ -659,17 +648,14 @@ fn run_worker(
     // becomes this thread's scope, inherited by the peer server's threads
     // and by every round's session threads: the core session's lock-wait
     // hooks, the gateway's request/release events and the serving threads'
-    // grant events all land in it.  The offset estimate is the NTP midpoint of
-    // the Hello→Assignment handshake's two one-way legs, in coordinator
-    // clock minus worker clock.  One sampler over that recorder produces
-    // every telemetry frame of the run.
+    // grant events all land in it.  It stamps the host's monotonic clock,
+    // as the coordinator's recorder does, so the coordinator merges its
+    // events by the two recorders' origins alone.  One sampler over that
+    // recorder produces every telemetry frame of the run.
     let obs = assignment.obs.as_ref().map(|spec| {
-        let offset_us = ((spec.hello_recv_us as f64 - hello_send_us as f64)
-            + (spec.assign_send_us as f64 - assign_recv_us as f64))
-            / 2.0;
         let recorder = Recorder::new(ClockKind::Wall, spec.config());
         let registration = orwl_obs::install(&recorder);
-        (DeltaSampler::new(recorder, offset_us), registration)
+        (DeltaSampler::new(recorder), registration)
     });
     let (mut sampler, registration) = obs.unzip();
 
@@ -1414,7 +1400,7 @@ mod tests {
     fn the_streamer_beats_on_its_interval_and_stops_without_waiting_one_out() {
         let (control, mut coordinator) = control_pair();
         let link = TelemetryLink { control, global_of: Arc::new(RwLock::new(HashMap::new())), node: 4 };
-        let sampler = || DeltaSampler::new(Recorder::new(ClockKind::Wall, ObsConfig::default()), 0.0);
+        let sampler = || DeltaSampler::new(Recorder::new(ClockKind::Wall, ObsConfig::default()));
 
         let beating =
             Streamer::spawn(link.clone(), sampler(), Duration::from_millis(1), Duration::ZERO, 0).unwrap();

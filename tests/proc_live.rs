@@ -10,6 +10,8 @@
 //! [`proc_worker_entry`] so the re-exec'd test binary runs only the
 //! worker hook.
 
+mod common;
+
 use orwl_core::error::OrwlError;
 use orwl_core::session::Session;
 use orwl_lab::{ScenarioFamily, ScenarioSpec};
@@ -103,6 +105,10 @@ fn live_runs_stream_heartbeats_and_merge_to_the_plain_timeline() {
     }
     let deltas = *deltas.lock().unwrap();
     assert!(deltas > 0, "no interval delta arrived over the whole run");
+
+    // Streamed frames merge onto the shared clock: every section reads
+    // request ≤ grant ≤ release.
+    assert!(common::assert_sections_in_protocol_order(&live_obs) > 0, "a 2-node run must cross nodes");
 
     // The merged document records how much the run was watched live, and
     // the monitor saw every heartbeat the callback saw.

@@ -11,6 +11,8 @@
 //! [`proc_worker_entry`] so the re-exec'd test binary runs only the
 //! worker hook.
 
+mod common;
+
 use orwl_core::error::OrwlError;
 use orwl_core::session::Session;
 use orwl_lab::{ScenarioFamily, ScenarioSpec};
@@ -98,6 +100,10 @@ fn a_killed_worker_is_survived_by_resharding_onto_the_rest() {
     assert!(loss.0 <= recovery.0, "loss at {} must precede recovery at {}", loss.0, recovery.0);
     assert!(loss.2 >= 1, "the dead node hosted tasks");
     assert_eq!(loss.2, recovery.2, "every lost task must be migrated, no more, no fewer");
+
+    // Sections keep protocol order on the shared clock, the dead node's
+    // included.
+    assert!(common::assert_sections_in_protocol_order(&obs) > 0, "survivors must cross nodes");
 
     // What node 2 streamed before it died survives as its own track.
     let node2 = obs.tracks.iter().find(|t| t.label == "node2").expect("the lost node keeps its track");
