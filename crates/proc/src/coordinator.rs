@@ -503,6 +503,7 @@ impl Drop for WorkerPool {
         // a bounded grace, so teardown always completes.
         for child in &mut self.children {
             if child.poll_exit().is_none() {
+                // SAFETY: kill(2) touches no memory of ours; the unreaped pid still names the child.
                 unsafe {
                     libc::kill(child.child.id() as libc::pid_t, libc::SIGTERM);
                 }

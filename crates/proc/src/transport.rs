@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 /// How long a receive on a descriptor [`wait_readable`] reported ready may
 /// block: what has arrived is read at once, and a frame whose rest is
 /// still in flight is left for the next wake-up rather than waited out
-/// while other descriptors (or a shared lock) wait.
+/// while the coordinator's other control connections wait.
 pub(crate) const PARTIAL_FRAME_WAIT: Duration = Duration::from_millis(1);
 
 /// Blocks until one of `fds` is readable or `timeout` has passed, and
@@ -185,6 +185,13 @@ impl FramedStream {
         }
     }
 
+    /// A second stream over the same socket, with its own empty reader and
+    /// counters: one thread can block in `recv` on one while another
+    /// sends on the other.
+    pub(crate) fn try_clone(&self) -> std::io::Result<Self> {
+        self.stream.try_clone().map(FramedStream::new)
+    }
+
     /// Connects to a Unix-domain listener at `path`.
     #[cfg(test)]
     pub(crate) fn connect(path: &std::path::Path) -> std::io::Result<Self> {
@@ -327,7 +334,7 @@ impl FramedStream {
     ///
     /// The wait is implemented with short socket read timeouts so a hung
     /// peer can never park the caller forever; a `None` deadline still
-    /// polls but never gives up (the coordinator always passes `Some`).
+    /// polls but never gives up (the worker's control thread passes it when not streaming).
     pub fn recv(&mut self, deadline: Option<Duration>) -> Result<Message, RecvError> {
         self.recv_frame(deadline)?.decode().map_err(RecvError::Wire)
     }
@@ -344,8 +351,7 @@ impl FramedStream {
             // more than a millisecond, so a short deadline makes `recv` a
             // bounded look: zero reads only the reader's buffer, a
             // millisecond takes what a readable socket holds, and the
-            // worker's main thread shares its control stream with the
-            // streamer in 50 ms slices.
+            // worker's control thread wakes for its next heartbeat on time.
             let mut tick = Duration::from_millis(100);
             if let Some(limit) = deadline {
                 let elapsed = start.elapsed();

@@ -14,6 +14,12 @@
 //! `Shutdown` → send the final telemetry frame (observed runs) → report
 //! [`WorkerMetrics`] → exit.
 //!
+//! From the assignment until `Shutdown` the connection has one reader, a
+//! control thread: it hands every coordinator frame to the main thread in
+//! order, raises the round's interrupt the moment a `Quiesce` lands, and
+//! on live runs sends the heartbeats and telemetry frames between
+//! receives.  Both threads write through a second handle on the socket.
+//!
 //! On recovery-enabled runs the execution span is a *loop of rounds*: a
 //! coordinator `Quiesce` (a peer died) interrupts the running round at
 //! the next iteration boundary, the worker acks, adopts whatever orphans
@@ -41,7 +47,7 @@ use crate::assignment::{Assignment, PhasePlan, ReAssignment};
 use crate::coordinator::{ENV_COORD, ENV_NODE, ENV_ROLE};
 use crate::fault::FaultPlan;
 use crate::metrics::{WorkerMetrics, MAX_WAIT_SAMPLES};
-use crate::transport::{wait_readable, FramedStream, RecvError, PARTIAL_FRAME_WAIT};
+use crate::transport::{wait_readable, FramedStream, RecvError};
 use crate::wire::{Message, WireAccess, MAX_DATA};
 use orwl_core::location::Location;
 use orwl_core::request::AccessMode;
@@ -56,7 +62,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 /// The owned-locations map, shared by the serving threads, the task
@@ -96,83 +102,52 @@ fn env_usize(key: &str) -> Result<usize, String> {
 fn worker_main() -> Result<(), String> {
     let node = env_usize(ENV_NODE)?;
     let coord = std::env::var(ENV_COORD).map_err(|_| format!("{ENV_COORD} is not set"))?;
-    // The control stream is shared between the main protocol thread and
-    // (on live runs) the telemetry streamer, so it lives behind a mutex
-    // from the start; every receive takes the lock in short slices so a
-    // blocked wait never starves the streamer's sends.  The connect
-    // retries under a bounded budget: the coordinator binds the
-    // rendezvous socket before spawning, but a loaded machine can still
-    // delay the listener's backlog.
-    let control = Arc::new(Mutex::new(
-        FramedStream::connect_retry(std::path::Path::new(&coord), Duration::from_secs(10))
-            .map_err(|e| format!("connecting to coordinator: {e}"))?,
-    ));
-    send_ctl(&control, &Message::Hello { node: node as u32 }).map_err(|e| format!("sending hello: {e}"))?;
-    let Message::Assignment { json } = recv_ctl(&control, "assignment", Duration::from_secs(30))? else {
-        unreachable!("recv_ctl returns the expected kind");
+    // The connect retries under a bounded budget: the coordinator binds
+    // the rendezvous socket before spawning, but a loaded machine can
+    // still delay the listener's backlog.  `Hello` and the assignment go
+    // over the stream itself; from then on it is the control thread's
+    // reader, and every write goes through the clone.
+    let mut stream = FramedStream::connect_retry(std::path::Path::new(&coord), Duration::from_secs(10))
+        .map_err(|e| format!("connecting to coordinator: {e}"))?;
+    let sender =
+        Arc::new(Mutex::new(stream.try_clone().map_err(|e| format!("cloning the control stream: {e}"))?));
+    stream.send(&Message::Hello { node: node as u32 }).map_err(|e| format!("sending hello: {e}"))?;
+    let received = stream.recv(Some(Duration::from_secs(30)));
+    let Message::Assignment { json } = expect_kind(&["assignment"], received)? else {
+        unreachable!("expect_kind returns the expected kind");
     };
     let doc = Json::parse(&json).map_err(|e| format!("assignment is not valid JSON: {e}"))?;
     let assignment = Assignment::from_json(&doc).map_err(|e| format!("bad assignment: {e}"))?;
     if assignment.node != node {
         return Err(format!("assignment for node {} delivered to node {node}", assignment.node));
     }
-    match run_worker(&control, &assignment) {
+    match run_worker(stream, &sender, &assignment) {
         Ok(()) => Ok(()),
         Err(e) => {
-            let _ = send_ctl(&control, &Message::Error { message: e.clone() });
+            // The control thread is not joined: it may be blocked in a
+            // read, and the process exits right after this send.
+            let _ = send_ctl(&sender, &Message::Error { message: e.clone() });
             Err(e)
         }
     }
 }
 
-/// Sends one control message under the shared-stream lock.
-fn send_ctl(control: &Arc<Mutex<FramedStream>>, message: &Message) -> Result<(), String> {
-    control
-        .lock()
-        .map_err(|_| "control stream poisoned".to_string())?
-        .send(message)
-        .map_err(|e| e.to_string())
+/// Sends one control message under the send handle's lock.
+fn send_ctl(sender: &Mutex<FramedStream>, message: &Message) -> Result<(), String> {
+    sender.lock().map_err(|_| "control stream poisoned".to_string())?.send(message).map_err(|e| e.to_string())
 }
 
-/// Receives one frame of the expected kind from the shared control stream
-/// (anything else — including a peer-reported [`Message::Error`] — becomes a
-/// descriptive error string), holding the lock only in 50 ms slices so the streamer thread can interleave its sends while
-/// the main thread waits out a long protocol step.
-fn recv_ctl(
-    control: &Arc<Mutex<FramedStream>>,
-    expect: &'static str,
-    deadline: Duration,
-) -> Result<Message, String> {
-    recv_ctl_any(control, &[expect], deadline)
-}
-
-/// [`recv_ctl`] accepting any of several kinds — the post-`Done` wait can
-/// legitimately see either `Shutdown` (run over) or `Quiesce` (a peer
-/// died and this worker is being pulled into a recovery round).
-fn recv_ctl_any(
-    control: &Arc<Mutex<FramedStream>>,
-    expect: &[&'static str],
-    deadline: Duration,
-) -> Result<Message, String> {
-    let start = Instant::now();
-    loop {
-        let outcome = control
-            .lock()
-            .map_err(|_| "control stream poisoned".to_string())?
-            .recv(Some(Duration::from_millis(50)));
-        match outcome {
-            Ok(message) if expect.contains(&message.name()) => return Ok(message),
-            Ok(Message::Error { message }) => return Err(format!("peer reported: {message}")),
-            Ok(other) => {
-                return Err(format!("expected {}, got {}", expect.join(" or "), other.name()));
-            }
-            Err(RecvError::Timeout) => {
-                if start.elapsed() >= deadline {
-                    return Err(format!("while waiting for {}: timed out", expect.join(" or ")));
-                }
-            }
-            Err(e) => return Err(format!("while waiting for {}: {e}", expect.join(" or "))),
-        }
+/// One control receive checked against the kinds the protocol step
+/// expects: anything else — including a peer-reported [`Message::Error`]
+/// — becomes a descriptive error string.
+fn expect_kind(kinds: &[&'static str], received: Result<Message, RecvError>) -> Result<Message, String> {
+    let waiting = || kinds.join(" or ");
+    match received {
+        Ok(message) if kinds.contains(&message.name()) => Ok(message),
+        Ok(Message::Error { message }) => Err(format!("peer reported: {message}")),
+        Ok(other) => Err(format!("expected {}, got {}", waiting(), other.name())),
+        Err(RecvError::Timeout) => Err(format!("while waiting for {}: timed out", waiting())),
+        Err(e) => Err(format!("while waiting for {}: {e}", waiting())),
     }
 }
 
@@ -474,9 +449,9 @@ enum IterError {
 }
 
 /// The park-on-peer-failure switch shared by every task body of a round.
-/// On recovery-enabled runs a remote failure (or a coordinator `Quiesce`
-/// relayed by the watcher) flips it, and every task breaks out at its
-/// next iteration boundary instead of failing the worker.
+/// On recovery-enabled runs a remote failure or a coordinator `Quiesce`
+/// flips it, and every task breaks out at its next iteration boundary
+/// instead of failing the worker.
 struct Interrupt {
     enabled: bool,
     quiesce: AtomicBool,
@@ -521,60 +496,112 @@ impl Interrupt {
     }
 }
 
-/// Listens for the coordinator's `Quiesce` while a round runs, so a
-/// worker whose own tasks never touch the dead node still parks promptly.
-/// The main thread joins the watcher *before* its next control receive,
-/// so the two never contend for a frame.
-struct QuiesceWatcher {
-    /// Dropping this end of the wake descriptor stops the watcher.
-    stop: UnixStream,
-    handle: std::thread::JoinHandle<Option<u32>>,
+/// The worker's side of the control connection after the assignment: the
+/// send handle, shared with the control thread, and the frames that
+/// thread reads, in arrival order.
+struct Control {
+    sender: Arc<Mutex<FramedStream>>,
+    frames: mpsc::Receiver<Result<Message, RecvError>>,
+    thread: std::thread::JoinHandle<Option<DeltaSampler>>,
 }
 
-impl QuiesceWatcher {
+impl Control {
+    /// Spawns the control thread over `reader`, the connection's read side.
     fn spawn(
-        control: Arc<Mutex<FramedStream>>,
+        reader: FramedStream,
+        sender: Arc<Mutex<FramedStream>>,
         interrupt: Arc<Interrupt>,
-    ) -> std::io::Result<QuiesceWatcher> {
-        let (stop, stopped) = UnixStream::pair()?;
-        let handle = std::thread::spawn(move || {
-            // The descriptor is the same for as long as the stream lives,
-            // and the watcher's own `Arc` keeps it alive.
-            let control_fd = control.lock().ok()?.as_raw_fd();
-            loop {
-                // The stream is locked only to read what has arrived (or
-                // was left in its reader by the main thread's last
-                // receive), never while idle: the telemetry streamer
-                // shares it and sends once per interval.
-                let outcome = control.lock().ok()?.recv(Some(PARTIAL_FRAME_WAIT));
-                match outcome {
-                    Ok(Message::Quiesce { round }) => {
-                        interrupt.interrupt();
-                        return Some(round);
-                    }
-                    // Mid-round the coordinator sends nothing else; an
-                    // unexpected frame is left to the main thread's own
-                    // post-round receive to diagnose.
-                    Ok(_) => continue,
-                    Err(RecvError::Timeout) => {}
-                    Err(_) => return None,
-                }
-                // Idle, unlocked: until the coordinator speaks or the
-                // main thread hangs up the wake descriptor.
-                match wait_readable(&[control_fd, stopped.as_raw_fd()], Duration::MAX) {
-                    Ok(Some(0) | None) => {}
-                    _ => return None,
-                }
-            }
-        });
-        Ok(QuiesceWatcher { stop, handle })
+        beats: Option<Beats>,
+    ) -> Control {
+        let (forward, frames) = mpsc::channel();
+        let thread = std::thread::spawn(move || control_loop(reader, &forward, &interrupt, beats));
+        Control { sender, frames, thread }
     }
 
-    /// Joins the watcher; `Some(round)` if it consumed a `Quiesce`.
-    fn stop(self) -> Option<u32> {
-        drop(self.stop);
-        self.handle.join().unwrap_or(None)
+    fn send(&self, message: &Message) -> Result<(), String> {
+        send_ctl(&self.sender, message)
     }
+
+    /// The next frame, which must be one of `kinds`, within `deadline`.
+    fn recv(&self, kinds: &[&'static str], deadline: Duration) -> Result<Message, String> {
+        let received = match self.frames.recv_timeout(deadline) {
+            Ok(received) => received,
+            Err(mpsc::RecvTimeoutError::Timeout) => Err(RecvError::Timeout),
+            // The thread hangs up only after forwarding `Shutdown` or the
+            // error that ended its reads.
+            Err(mpsc::RecvTimeoutError::Disconnected) => Err(RecvError::Closed),
+        };
+        expect_kind(kinds, received)
+    }
+
+    /// Joins the control thread once it has forwarded `Shutdown`, and
+    /// takes back the sampler a live run lent it.
+    fn finish(self) -> Result<Option<DeltaSampler>, String> {
+        self.thread.join().map_err(|_| "control thread panicked".to_string())
+    }
+}
+
+/// A live run's heartbeat schedule: from `Start`, after an injected
+/// initial `stall` (straggler tests only; zero in production runs), one
+/// `Heartbeat` and the interval's telemetry frames every `interval`.
+struct Beats {
+    link: TelemetryLink,
+    sampler: DeltaSampler,
+    interval: Duration,
+    stall: Duration,
+    /// The heartbeat-drop fault swallows the first `drop_first` beats (the
+    /// seq keeps counting, frames keep flowing) — the minimal signal loss
+    /// that trips straggler detection.
+    drop_first: u64,
+}
+
+/// The control thread: the connection's one reader from the assignment
+/// until `Shutdown`.  Every frame goes to the main thread in order, and a
+/// `Quiesce` first raises the interrupt, so the round's tasks park at
+/// their next iteration boundary while the main thread still waits on
+/// the round.  On live runs a receive times out when the next beat is
+/// due.  Returns the lent sampler.
+fn control_loop(
+    mut reader: FramedStream,
+    forward: &mpsc::Sender<Result<Message, RecvError>>,
+    interrupt: &Interrupt,
+    mut beats: Option<Beats>,
+) -> Option<DeltaSampler> {
+    let mut next_beat: Option<Instant> = None;
+    let mut seq = 0u64;
+    loop {
+        match reader.recv(next_beat.map(|at| at.saturating_duration_since(Instant::now()))) {
+            Err(RecvError::Timeout) => {
+                if let Some(b) = beats.as_mut() {
+                    let beat = Message::Heartbeat { node: b.link.node, seq };
+                    let sent = (seq < b.drop_first || send_ctl(&b.link.control, &beat).is_ok())
+                        && b.link.send(b.sampler.sample(), true).is_ok();
+                    seq += 1;
+                    // A failed send means the coordinator is gone: stop
+                    // beating, and let the next read report it.
+                    next_beat = sent.then(|| Instant::now() + b.interval);
+                }
+            }
+            Ok(message) => {
+                match message {
+                    Message::Quiesce { .. } => interrupt.interrupt(),
+                    Message::Start => {
+                        next_beat = beats.as_ref().map(|b| Instant::now() + b.stall + b.interval)
+                    }
+                    _ => {}
+                }
+                let shutdown = matches!(message, Message::Shutdown);
+                if forward.send(Ok(message)).is_err() || shutdown {
+                    break;
+                }
+            }
+            Err(e) => {
+                let _ = forward.send(Err(e));
+                break;
+            }
+        }
+    }
+    beats.map(|b| b.sampler)
 }
 
 /// One task's plan: per phase, `(iterations, reads as (src, bytes))`.
@@ -639,7 +666,11 @@ impl WorkState {
 }
 
 #[allow(clippy::too_many_lines)]
-fn run_worker(control: &Arc<Mutex<FramedStream>>, assignment: &Assignment) -> Result<(), String> {
+fn run_worker(
+    reader: FramedStream,
+    sender: &Arc<Mutex<FramedStream>>,
+    assignment: &Assignment,
+) -> Result<(), String> {
     let io_timeout = Duration::from_millis(assignment.io_timeout_ms);
     let faults = FaultPlan::from_env().map_err(|e| format!("fault plan: {e}"))?;
     let local_tasks = assignment.local_tasks();
@@ -685,8 +716,37 @@ fn run_worker(control: &Arc<Mutex<FramedStream>>, assignment: &Assignment) -> Re
         })
     };
 
-    send_ctl(control, &Message::Ready { node: assignment.node as u32 })?;
-    recv_ctl(control, "start", io_timeout)?;
+    // Maps the process-local `LocationId` of every owned location to its
+    // global task index — every telemetry frame must speak the global
+    // location namespace.
+    let global_of: SharedGlobals = Arc::new(RwLock::new(
+        locations
+            .read()
+            .map_err(|_| "location map poisoned".to_string())?
+            .iter()
+            .map(|(&task, loc)| (loc.id().0, task))
+            .collect(),
+    ));
+
+    // Live runs lend the sampler to the control thread — one heartbeat
+    // (and, when anything happened, one frame) per configured interval
+    // from `Start` until `Shutdown` — and take it back for the final
+    // frame; other observed runs only ever send that final frame.
+    let node = assignment.node as u32;
+    let telemetry = TelemetryLink { control: Arc::clone(sender), global_of: Arc::clone(&global_of), node };
+    let interval_ms = assignment.obs.as_ref().map_or(0, |spec| spec.stream_interval_ms);
+    let beats = sampler.take_if(|_| interval_ms > 0).map(|sampler| Beats {
+        link: telemetry.clone(),
+        sampler,
+        interval: Duration::from_millis(interval_ms),
+        stall: Duration::from_millis(faults.stall_ms(assignment.node).unwrap_or(0)),
+        drop_first: faults.drop_heartbeats(assignment.node),
+    });
+    let interrupt = Arc::new(Interrupt::new(assignment.recovery));
+    let control = Control::spawn(reader, Arc::clone(sender), Arc::clone(&interrupt), beats);
+
+    control.send(&Message::Ready { node })?;
+    control.recv(&["start"], io_timeout)?;
 
     if faults.panics_after_start(assignment.node) {
         panic!("injected failure on node {} (for robustness tests)", assignment.node);
@@ -705,130 +765,38 @@ fn run_worker(control: &Arc<Mutex<FramedStream>>, assignment: &Assignment) -> Re
         });
     }
 
-    // Maps the process-local `LocationId` of every owned location to its
-    // global task index — every telemetry frame must speak the global
-    // location namespace.
-    let global_of: SharedGlobals = Arc::new(RwLock::new(
-        locations
-            .read()
-            .map_err(|_| "location map poisoned".to_string())?
-            .iter()
-            .map(|(&task, loc)| (loc.id().0, task))
-            .collect(),
-    ));
-
     let gateway = Arc::new(PeerGateway::connect(assignment, &faults)?);
-
-    // Live runs lend the sampler to a streamer from `Start` until
-    // `Shutdown` — one heartbeat (and, when anything happened, one frame)
-    // per configured interval, interleaved on the shared control stream —
-    // and take it back for the final frame; other observed runs only ever
-    // send that final frame.
-    let telemetry = TelemetryLink {
-        control: Arc::clone(control),
-        global_of: Arc::clone(&global_of),
-        node: assignment.node as u32,
-    };
-    let interval_ms = assignment.obs.as_ref().map_or(0, |spec| spec.stream_interval_ms);
-    let streamer = if interval_ms > 0 {
-        sampler
-            .take()
-            .map(|sampler| {
-                Streamer::spawn(
-                    telemetry.clone(),
-                    sampler,
-                    Duration::from_millis(interval_ms),
-                    Duration::from_millis(faults.stall_ms(assignment.node).unwrap_or(0)),
-                    faults.drop_heartbeats(assignment.node),
-                )
-            })
-            .transpose()
-            .map_err(|e| format!("starting the telemetry streamer: {e}"))?
-    } else {
-        None
-    };
-
     let mut work = WorkState::new(assignment);
-    let interrupt = Arc::new(Interrupt::new(assignment.recovery));
     let mut wall_seconds = 0.0;
 
     // The execution span: one round on a fault-free run; on recovery
-    // rounds, quiesce → ack → adopt → resume and go again until the
+    // runs, quiesce → ack → adopt → resume and go again until the
     // coordinator is satisfied and sends Shutdown.
-    let run_outcome = (|| -> Result<(), String> {
-        loop {
-            let watcher = assignment
-                .recovery
-                .then(|| QuiesceWatcher::spawn(Arc::clone(control), Arc::clone(&interrupt)))
-                .transpose()
-                .map_err(|e| format!("starting the quiesce watcher: {e}"))?;
-            let started = Instant::now();
-            let round_outcome = run_round(assignment, &work, &locations, &gateway, &interrupt);
-            wall_seconds += started.elapsed().as_secs_f64();
-            // Join before any receive: the watcher and the main thread
-            // must never race for a control frame.
-            let quiesce_round = watcher.and_then(QuiesceWatcher::stop);
-            round_outcome?;
-            if interrupt.parked() {
-                // Parked on a peer failure (or the watcher's quiesce).
-                // The coordinator's Quiesce is either already consumed by
-                // the watcher or still in flight.
-                let round = match quiesce_round {
-                    Some(round) => round,
-                    None => {
-                        let message =
-                            recv_ctl(control, "quiesce", io_timeout).map_err(|e| {
-                                match interrupt.parked_reason() {
-                                    Some(cause) => {
-                                        format!(
-                                        "parked on a peer failure ({cause}) but recovery never arrived: {e}"
-                                    )
-                                    }
-                                    None => e,
-                                }
-                            })?;
-                        let Message::Quiesce { round } = message else {
-                            unreachable!("recv_ctl returns the expected kind");
-                        };
-                        round
-                    }
-                };
-                apply_recovery(
-                    control, assignment, round, io_timeout, &mut work, &locations, &global_of, &gateway,
-                )?;
-                interrupt.clear();
-                continue;
-            }
-            send_ctl(control, &Message::Done { node: assignment.node as u32 })?;
-            if let Some(round) = quiesce_round {
-                // The quiesce raced our natural finish: the Done above is
-                // tolerated by the coordinator, and we still join the
-                // recovery round (we may adopt orphans).
-                apply_recovery(
-                    control, assignment, round, io_timeout, &mut work, &locations, &global_of, &gateway,
-                )?;
-                interrupt.clear();
-                continue;
-            }
-            match recv_ctl_any(control, &["shutdown", "quiesce"], io_timeout)? {
-                Message::Quiesce { round } => {
-                    apply_recovery(
-                        control, assignment, round, io_timeout, &mut work, &locations, &global_of, &gateway,
-                    )?;
-                    interrupt.clear();
-                }
-                _ => break, // shutdown
-            }
+    loop {
+        let started = Instant::now();
+        run_round(assignment, &work, &locations, &gateway, &interrupt)?;
+        wall_seconds += started.elapsed().as_secs_f64();
+        // A parked round is unfinished, and only the quiesce may follow.
+        // A finished one reports Done, and a quiesce may still race it:
+        // the coordinator tolerates that Done, and this node joins the
+        // recovery round (it may adopt orphans).
+        let parked = interrupt.parked();
+        if !parked {
+            control.send(&Message::Done { node })?;
         }
-        Ok(())
-    })();
-
-    // The streamer holds the sampler, so the join happens before the
-    // final frame — and before bailing on a failed run.
-    if let Some(streamer) = streamer {
-        sampler = Some(streamer.stop()?);
+        let kinds: &[&'static str] = if parked { &["quiesce"] } else { &["shutdown", "quiesce"] };
+        let next = control.recv(kinds, io_timeout).map_err(|e| match interrupt.parked_reason() {
+            Some(cause) => format!("parked on a peer failure ({cause}) but recovery never arrived: {e}"),
+            None => e,
+        })?;
+        let Message::Quiesce { round } = next else {
+            break; // shutdown
+        };
+        apply_recovery(
+            &control, assignment, round, io_timeout, &mut work, &locations, &global_of, &gateway, &interrupt,
+        )?;
     }
-    run_outcome?;
+    let sampler = sampler.or(control.finish()?);
 
     // Order matters: every task body has returned by now (the session run
     // joined them), so the gateway Arc is unique again; closing its
@@ -868,18 +836,19 @@ fn run_worker(control: &Arc<Mutex<FramedStream>>, assignment: &Assignment) -> Re
     }
 
     let metrics = compose_metrics(assignment, wall_seconds, &tallies, gateway_counters, server_counters);
-    send_ctl(control, &Message::Metrics { node: assignment.node as u32, json: metrics.to_json().pretty() })?;
+    send_ctl(sender, &Message::Metrics { node, json: metrics.to_json().pretty() })?;
     Ok(())
 }
 
 /// One recovery exchange, entered after the round stopped (parked or
 /// finished): ack the quiesce, receive and validate this node's
 /// [`ReAssignment`], adopt the orphans routed here (fresh locations at
-/// zero progress), swap the gateway's routing table, signal `Ready` and
-/// wait out the `Resume` barrier.
+/// zero progress), swap the gateway's routing table, clear the interrupt,
+/// signal `Ready` and wait out the `Resume` barrier.  The coordinator sends
+/// no next `Quiesce` before that `Resume`, so the clear loses none.
 #[allow(clippy::too_many_arguments)]
 fn apply_recovery(
-    control: &Arc<Mutex<FramedStream>>,
+    control: &Control,
     assignment: &Assignment,
     round: u32,
     io_timeout: Duration,
@@ -887,11 +856,12 @@ fn apply_recovery(
     locations: &SharedLocations,
     global_of: &SharedGlobals,
     gateway: &PeerGateway,
+    interrupt: &Interrupt,
 ) -> Result<(), String> {
     let node = assignment.node as u32;
-    send_ctl(control, &Message::QuiesceAck { node, round })?;
-    let Message::ReAssignment { json } = recv_ctl(control, "reassignment", io_timeout)? else {
-        unreachable!("recv_ctl returns the expected kind");
+    control.send(&Message::QuiesceAck { node, round })?;
+    let Message::ReAssignment { json } = control.recv(&["reassignment"], io_timeout)? else {
+        unreachable!("Control::recv returns the expected kind");
     };
     let doc = Json::parse(&json).map_err(|e| format!("re-assignment is not valid JSON: {e}"))?;
     let reassign = ReAssignment::from_json(&doc).map_err(|e| format!("bad re-assignment: {e}"))?;
@@ -905,7 +875,7 @@ fn apply_recovery(
         return Err(format!("re-assignment answers round {}, quiesce was round {round}", reassign.round));
     }
     // Adopt the orphans: fresh locations (the dead node's state is gone)
-    // entering the same maps the serving threads and the streamer read.
+    // entering the same maps the serving threads and the telemetry read.
     {
         let mut map = locations.write().map_err(|_| "location map poisoned".to_string())?;
         let mut globals = global_of.write().map_err(|_| "location namespace map poisoned".to_string())?;
@@ -917,9 +887,10 @@ fn apply_recovery(
     }
     work.enter(&reassign.adopted, &reassign.phases);
     gateway.apply_reassignment(&reassign.node_of_task, reassign.dead);
-    send_ctl(control, &Message::Ready { node })?;
-    let Message::Resume { round: resumed } = recv_ctl(control, "resume", io_timeout)? else {
-        unreachable!("recv_ctl returns the expected kind");
+    interrupt.clear();
+    control.send(&Message::Ready { node })?;
+    let Message::Resume { round: resumed } = control.recv(&["resume"], io_timeout)? else {
+        unreachable!("Control::recv returns the expected kind");
     };
     if resumed != round {
         return Err(format!("resume for round {resumed}, expected round {round}"));
@@ -927,8 +898,8 @@ fn apply_recovery(
     Ok(())
 }
 
-/// Where telemetry frames go: the shared control stream, plus what a
-/// frame needs on its way out.
+/// Where telemetry frames go: the control connection's send handle, plus
+/// what a frame needs on its way out.
 #[derive(Clone)]
 struct TelemetryLink {
     control: Arc<Mutex<FramedStream>>,
@@ -938,7 +909,7 @@ struct TelemetryLink {
 
 impl TelemetryLink {
     /// Sends `frames` as `TelemetryDelta` messages under one hold of the
-    /// control-stream lock, after rewriting core-emitted `LockWait`
+    /// send handle's lock, after rewriting core-emitted `LockWait`
     /// locations from the process-local `LocationId` to the global task
     /// index so merged timelines speak one location namespace (the
     /// wire-level request/grant/release events already carry global
@@ -962,61 +933,6 @@ impl TelemetryLink {
                 .map_err(|e| e.to_string())?;
         }
         Ok(())
-    }
-}
-
-/// The worker's live-telemetry streamer: one background thread sampling
-/// the recorder into frames and interleaving `Heartbeat` /
-/// `TelemetryDelta` messages on the shared control stream, from `Start`
-/// until [`Streamer::stop`].
-struct Streamer {
-    /// Dropping this end of the wake descriptor stops the streamer.
-    stop: UnixStream,
-    handle: std::thread::JoinHandle<DeltaSampler>,
-}
-
-impl Streamer {
-    fn spawn(
-        link: TelemetryLink,
-        mut sampler: DeltaSampler,
-        interval: Duration,
-        stall: Duration,
-        drop_first: u64,
-    ) -> std::io::Result<Streamer> {
-        let (stop, stopped) = UnixStream::pair()?;
-        let handle = std::thread::spawn(move || {
-            // Every pause is a wait on the wake descriptor with the pause
-            // as its timeout: it runs its full length unless the main
-            // thread hangs up, and then it ends at once.
-            let pause = |length: Duration| matches!(wait_readable(&[stopped.as_raw_fd()], length), Ok(None));
-            // Injected initial silence (straggler tests only; zero in
-            // production runs).
-            if !stall.is_zero() && !pause(stall) {
-                return sampler;
-            }
-            let mut seq = 0u64;
-            while pause(interval) {
-                // The heartbeat-drop fault swallows the first `drop_first`
-                // beats (the seq keeps counting, frames keep flowing) —
-                // the minimal signal loss that trips straggler detection.
-                let beat = Message::Heartbeat { node: link.node, seq };
-                if (seq >= drop_first && send_ctl(&link.control, &beat).is_err())
-                    || link.send(sampler.sample(), true).is_err()
-                {
-                    break; // coordinator gone: the main thread will fail too
-                }
-                seq += 1;
-            }
-            sampler
-        });
-        Ok(Streamer { stop, handle })
-    }
-
-    /// Signals the streaming thread, joins it and hands the sampler back
-    /// for the final frame.
-    fn stop(self) -> Result<DeltaSampler, String> {
-        drop(self.stop);
-        self.handle.join().map_err(|_| "telemetry streamer panicked".to_string())
     }
 }
 
@@ -1188,9 +1104,27 @@ mod tests {
 
     const WAIT: Duration = Duration::from_secs(10);
 
-    fn control_pair() -> (Arc<Mutex<FramedStream>>, FramedStream) {
+    /// A control thread over one end of a socket pair, beating on live
+    /// runs at `(interval, stall)`, and the coordinator's end.
+    fn control_pair(
+        interrupt: &Arc<Interrupt>,
+        live: Option<(Duration, Duration)>,
+    ) -> (Control, FramedStream) {
         let (worker_end, coordinator_end) = UnixStream::pair().unwrap();
-        (Arc::new(Mutex::new(FramedStream::new(worker_end))), FramedStream::new(coordinator_end))
+        let reader = FramedStream::new(worker_end);
+        let sender = Arc::new(Mutex::new(reader.try_clone().unwrap()));
+        let beats = live.map(|(interval, stall)| Beats {
+            link: TelemetryLink {
+                control: Arc::clone(&sender),
+                global_of: Arc::new(RwLock::new(HashMap::new())),
+                node: 4,
+            },
+            sampler: DeltaSampler::new(Recorder::new(ClockKind::Wall, ObsConfig::default())),
+            interval,
+            stall,
+            drop_first: 0,
+        });
+        (Control::spawn(reader, sender, Arc::clone(interrupt), beats), FramedStream::new(coordinator_end))
     }
 
     #[test]
@@ -1378,39 +1312,55 @@ mod tests {
     }
 
     #[test]
-    fn the_quiesce_watcher_relays_a_quiesce_and_stops_idle_on_request() {
-        let (control, mut coordinator) = control_pair();
+    fn the_control_thread_hands_frames_over_in_order_and_raises_the_interrupt_first() {
         let interrupt = Arc::new(Interrupt::new(true));
-        let watcher = QuiesceWatcher::spawn(Arc::clone(&control), Arc::clone(&interrupt)).unwrap();
-        // Idle, the watcher leaves the shared stream unlocked for the
-        // streamer's sends.
-        send_ctl(&control, &Message::Heartbeat { node: 0, seq: 0 }).unwrap();
-        assert_eq!(coordinator.recv(Some(WAIT)).unwrap(), Message::Heartbeat { node: 0, seq: 0 });
-        assert_eq!(watcher.stop(), None, "nothing arrived");
-        assert!(!interrupt.parked());
+        let (control, mut coordinator) = control_pair(&interrupt, None);
+        assert_eq!(
+            control.recv(&["start"], Duration::from_millis(1)).unwrap_err(),
+            "while waiting for start: timed out"
+        );
+        coordinator.send(&Message::Start).unwrap();
+        assert_eq!(control.recv(&["start"], WAIT).unwrap(), Message::Start);
+        // Between frames the control thread waits in a receive with no
+        // deadline; a send goes through the other handle and never waits
+        // for it.
+        control.send(&Message::Done { node: 4 }).unwrap();
+        assert_eq!(coordinator.recv(Some(WAIT)).unwrap(), Message::Done { node: 4 });
 
-        // A quiesce already on the wire wins over a simultaneous stop.
-        let watcher = QuiesceWatcher::spawn(Arc::clone(&control), Arc::clone(&interrupt)).unwrap();
-        coordinator.send(&Message::Quiesce { round: 3 }).unwrap();
-        assert_eq!(watcher.stop(), Some(3));
-        assert!(interrupt.parked());
+        for message in [Message::Quiesce { round: 3 }, Message::Resume { round: 3 }, Message::Shutdown] {
+            coordinator.send(&message).unwrap();
+        }
+        assert_eq!(control.recv(&["shutdown", "quiesce"], WAIT).unwrap(), Message::Quiesce { round: 3 });
+        assert!(interrupt.parked(), "the interrupt is raised before the quiesce is handed over");
+        assert_eq!(control.recv(&["reassignment"], WAIT).unwrap_err(), "expected reassignment, got resume");
+        assert_eq!(control.recv(&["shutdown"], WAIT).unwrap(), Message::Shutdown);
+        assert!(control.finish().unwrap().is_none(), "no sampler was lent");
     }
 
     #[test]
-    fn the_streamer_beats_on_its_interval_and_stops_without_waiting_one_out() {
-        let (control, mut coordinator) = control_pair();
-        let link = TelemetryLink { control, global_of: Arc::new(RwLock::new(HashMap::new())), node: 4 };
-        let sampler = || DeltaSampler::new(Recorder::new(ClockKind::Wall, ObsConfig::default()));
-
-        let beating =
-            Streamer::spawn(link.clone(), sampler(), Duration::from_millis(1), Duration::ZERO, 0).unwrap();
+    fn the_control_thread_beats_from_start_and_hands_its_sampler_back_at_shutdown() {
+        let interrupt = Arc::new(Interrupt::new(false));
+        let (control, mut coordinator) =
+            control_pair(&interrupt, Some((Duration::from_millis(1), Duration::ZERO)));
+        let quiet = coordinator.recv(Some(Duration::from_millis(20)));
+        assert!(matches!(quiet, Err(RecvError::Timeout)), "no beat before start: {quiet:?}");
+        coordinator.send(&Message::Start).unwrap();
         assert_eq!(coordinator.recv(Some(WAIT)).unwrap(), Message::Heartbeat { node: 4, seq: 0 });
-        beating.stop().unwrap();
+        coordinator.send(&Message::Shutdown).unwrap();
+        assert_eq!(control.recv(&["start"], WAIT).unwrap(), Message::Start);
+        assert_eq!(control.recv(&["shutdown"], WAIT).unwrap(), Message::Shutdown);
+        assert!(control.finish().unwrap().is_some());
 
-        // An interval (or an injected stall) that would outlast the test
-        // run is cut short by the stop.
+        // An interval, or an injected stall, that would outlast the test
+        // run is cut short by the shutdown.
         let hour = Duration::from_secs(3600);
-        Streamer::spawn(link.clone(), sampler(), hour, Duration::ZERO, 0).unwrap().stop().unwrap();
-        Streamer::spawn(link, sampler(), Duration::from_millis(1), hour, 0).unwrap().stop().unwrap();
+        for (interval, stall) in [(hour, Duration::ZERO), (Duration::from_millis(1), hour)] {
+            let (control, mut coordinator) = control_pair(&interrupt, Some((interval, stall)));
+            coordinator.send(&Message::Start).unwrap();
+            coordinator.send(&Message::Shutdown).unwrap();
+            assert_eq!(control.recv(&["start"], WAIT).unwrap(), Message::Start);
+            assert_eq!(control.recv(&["shutdown"], WAIT).unwrap(), Message::Shutdown);
+            assert!(control.finish().unwrap().is_some());
+        }
     }
 }
