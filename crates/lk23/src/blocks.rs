@@ -7,9 +7,10 @@
 //! the per-pair communication volumes, and [`BlockView`] — a block's local
 //! storage with a one-cell ghost ring used by the ORWL implementation.
 
-use crate::kernel::{coeff, Grid, RELAXATION};
+use crate::kernel::{relax_row, Coefficients, Grid};
 use orwl_comm::matrix::CommMatrix;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// The eight neighbour directions of a block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -195,7 +196,8 @@ fn split_range(total: usize, parts: usize, idx: usize) -> Range<usize> {
 }
 
 /// A block's local storage: the interior cells plus a one-cell ghost ring
-/// holding the neighbours' frontier data.
+/// holding the neighbours' frontier data, and the block's coefficient
+/// fields (built once, shared by every clone — the task's double buffers).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockView {
     /// Global row of the first interior cell.
@@ -208,6 +210,8 @@ pub struct BlockView {
     pub cols: usize,
     /// `(rows + 2) × (cols + 2)` storage including the ghost ring.
     data: Vec<f64>,
+    /// The coefficient fields of the `rows × cols` interior.
+    coeffs: Arc<Coefficients>,
 }
 
 impl BlockView {
@@ -221,6 +225,7 @@ impl BlockView {
             rows,
             cols,
             data: vec![0.0; (rows + 2) * (cols + 2)],
+            coeffs: Arc::new(Coefficients::new(row_range.clone(), col_range.clone())),
         };
         for (lr, gr) in row_range.clone().enumerate() {
             for (lc, gc) in col_range.clone().enumerate() {
@@ -253,15 +258,24 @@ impl BlockView {
     /// row/column order.  This is what the block *exports* to its
     /// neighbours.
     pub(crate) fn edge(&self, dir: Direction) -> Vec<f64> {
+        let mut out = Vec::new();
+        self.edge_into(dir, &mut out);
+        out
+    }
+
+    /// [`edge`](Self::edge) written into `out`, reusing its allocation.
+    pub(crate) fn edge_into(&self, dir: Direction, out: &mut Vec<f64>) {
+        let (last_r, last_c) = (self.rows - 1, self.cols - 1);
+        out.clear();
         match dir {
-            Direction::North => (0..self.cols).map(|c| self.interior(0, c)).collect(),
-            Direction::South => (0..self.cols).map(|c| self.interior(self.rows - 1, c)).collect(),
-            Direction::West => (0..self.rows).map(|r| self.interior(r, 0)).collect(),
-            Direction::East => (0..self.rows).map(|r| self.interior(r, self.cols - 1)).collect(),
-            Direction::NorthWest => vec![self.interior(0, 0)],
-            Direction::NorthEast => vec![self.interior(0, self.cols - 1)],
-            Direction::SouthWest => vec![self.interior(self.rows - 1, 0)],
-            Direction::SouthEast => vec![self.interior(self.rows - 1, self.cols - 1)],
+            Direction::North => out.extend((0..self.cols).map(|c| self.interior(0, c))),
+            Direction::South => out.extend((0..self.cols).map(|c| self.interior(last_r, c))),
+            Direction::West => out.extend((0..self.rows).map(|r| self.interior(r, 0))),
+            Direction::East => out.extend((0..self.rows).map(|r| self.interior(r, last_c))),
+            Direction::NorthWest => out.push(self.interior(0, 0)),
+            Direction::NorthEast => out.push(self.interior(0, last_c)),
+            Direction::SouthWest => out.push(self.interior(last_r, 0)),
+            Direction::SouthEast => out.push(self.interior(last_r, last_c)),
         }
     }
 
@@ -324,35 +338,35 @@ impl BlockView {
         }
     }
 
-    /// Padded-coordinate read used by the update (ghost ring included).
-    #[inline]
-    fn padded(&self, pr: usize, pc: usize) -> f64 {
-        self.data[self.idx(pr, pc)]
-    }
-
     /// Computes one Jacobi LK23 update of this block into `dst`, using the
     /// ghost ring for out-of-block neighbours.  Cells on the *global* grid
     /// boundary keep their value (same rule as the sequential reference).
     pub fn update_into(&self, dst: &mut BlockView, grid_rows: usize, grid_cols: usize) {
         assert_eq!(self.rows, dst.rows);
         assert_eq!(self.cols, dst.cols);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                let gr = self.row0 + r;
-                let gc = self.col0 + c;
-                if gr == 0 || gc == 0 || gr == grid_rows - 1 || gc == grid_cols - 1 {
-                    dst.set_interior(r, c, self.interior(r, c));
-                    continue;
-                }
-                let (pr, pc) = (r + 1, c + 1);
-                let qa = self.padded(pr, pc + 1) * coeff(0, gr, gc)
-                    + self.padded(pr, pc - 1) * coeff(1, gr, gc)
-                    + self.padded(pr + 1, pc) * coeff(2, gr, gc)
-                    + self.padded(pr - 1, pc) * coeff(3, gr, gc)
-                    + coeff(4, gr, gc);
-                let za = self.interior(r, c);
-                dst.set_interior(r, c, za + RELAXATION * (qa - za));
+        let w = self.cols + 2;
+        // Padded columns `lo..hi` of a row are off the global boundary.
+        let lo = 1 + usize::from(self.col0 == 0);
+        let hi = (1 + self.cols - usize::from(self.col0 + self.cols >= grid_cols)).max(lo);
+        for r in 1..=self.rows {
+            let here = &self.data[r * w..(r + 1) * w];
+            let out = &mut dst.data[r * w..(r + 1) * w];
+            let global_row = self.row0 + r - 1;
+            if global_row == 0 || global_row + 1 >= grid_rows {
+                out[1..=self.cols].copy_from_slice(&here[1..=self.cols]);
+                continue;
             }
+            out[1..lo].copy_from_slice(&here[1..lo]);
+            out[hi..=self.cols].copy_from_slice(&here[hi..=self.cols]);
+            let north = &self.data[(r - 1) * w + lo..];
+            let south = &self.data[(r + 1) * w + lo..];
+            relax_row(
+                &mut out[lo..hi],
+                north,
+                &here[lo - 1..],
+                south,
+                self.coeffs.row(r - 1, lo - 1..hi - 1),
+            );
         }
     }
 
@@ -367,7 +381,12 @@ impl BlockView {
 
     /// Bytes of one edge exchange in a direction (`f64` elements).
     pub(crate) fn edge_bytes(&self, dir: Direction) -> f64 {
-        (self.edge(dir).len() * std::mem::size_of::<f64>()) as f64
+        let len = match dir {
+            Direction::North | Direction::South => self.cols,
+            Direction::East | Direction::West => self.rows,
+            _ => 1,
+        };
+        (len * std::mem::size_of::<f64>()) as f64
     }
 }
 
@@ -473,7 +492,7 @@ mod tests {
         // The south edge of the top block becomes the north ghost of the
         // bottom block.
         other.set_ghost(Direction::North, &view.edge(Direction::South));
-        assert_eq!(other.padded(0, 1), view.interior(3, 0));
+        assert_eq!(other.data[1], view.interior(3, 0));
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //! contiguous band of rows of the destination buffer, joins them (the
 //! barrier), and swaps the buffers.
 //!
-//! The update is the same Jacobi sweep as the sequential reference, so the
-//! result is verified to be *identical* to `reference_jacobi`.
+//! Each worker runs the sequential reference's own sweep over its band,
+//! reading the one coefficient store of the run, so the result is verified
+//! to be *identical* to `reference_jacobi`.
 
-use crate::kernel::{update_point, Grid};
+use crate::kernel::{sweep_jacobi, Coefficients, Grid};
 
 /// Runs `iterations` LK23 sweeps over `initial` using `n_threads` fork-join
 /// workers and returns the final grid.
@@ -22,6 +23,7 @@ pub fn run_openmp_like(initial: &Grid, iterations: usize, n_threads: usize) -> G
     assert!(n_threads > 0, "at least one worker thread is required");
     let rows = initial.rows();
     let cols = initial.cols();
+    let k = Coefficients::new(0..rows, 0..cols);
     let mut src = initial.clone();
     let mut dst = Grid::zeros(rows, cols);
 
@@ -29,13 +31,11 @@ pub fn run_openmp_like(initial: &Grid, iterations: usize, n_threads: usize) -> G
         {
             // Split the destination into contiguous row bands, one per
             // worker (OpenMP static scheduling).
-            let src_ref = &src;
+            let (src_ref, k) = (&src, &k);
             let bands = split_rows_mut(dst.as_mut_slice(), rows, cols, n_threads);
             std::thread::scope(|scope| {
                 for (row_start, band) in bands {
-                    scope.spawn(move || {
-                        compute_band(src_ref, band, row_start, cols);
-                    });
+                    scope.spawn(move || sweep_jacobi(src_ref, band, row_start, k));
                 }
             });
             // Implicit barrier: `scope` joins every worker before returning.
@@ -62,24 +62,6 @@ fn split_rows_mut(data: &mut [f64], rows: usize, cols: usize, parts: usize) -> V
         rest = tail;
     }
     out
-}
-
-/// Computes the Jacobi update of the rows `[row_start, row_start + band_rows)`
-/// into `band`, reading the previous iterate from `src`.
-fn compute_band(src: &Grid, band: &mut [f64], row_start: usize, cols: usize) {
-    let rows = src.rows();
-    let band_rows = band.len() / cols;
-    for lr in 0..band_rows {
-        let r = row_start + lr;
-        for c in 0..cols {
-            let v = if r == 0 || c == 0 || r == rows - 1 || c == cols - 1 {
-                src.get(r, c)
-            } else {
-                update_point(src, r, c)
-            };
-            band[lr * cols + c] = v;
-        }
-    }
 }
 
 #[cfg(test)]

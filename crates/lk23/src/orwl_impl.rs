@@ -141,7 +141,7 @@ fn run_block_task(
         // 1. Export the current frontiers (state of this iteration).
         for (&dir, handle) in write_handles.iter_mut() {
             let mut guard = handle.acquire().expect("iterative write handle always has a request");
-            *guard = cur.edge(dir);
+            cur.edge_into(dir, &mut guard);
         }
         // 2. Import the neighbours' frontiers into the ghost ring.
         for (&dir, handle) in read_handles.iter_mut() {

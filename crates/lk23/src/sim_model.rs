@@ -73,9 +73,9 @@ impl Lk23Workload {
     /// The per-iteration task graph fed to the simulator.
     ///
     /// Each grid point streams `SIM_BYTES_PER_POINT` bytes per sweep: the
-    /// old and new `ZA` values plus the five coefficient fields of the
-    /// original kernel (7 × 8 bytes), which is what the real memory system
-    /// would move even though the Rust kernel recomputes the coefficients.
+    /// old and new `ZA` values plus the five coefficient fields (7 × 8
+    /// bytes), which the original kernel and the Rust one both read from
+    /// arrays.
     pub fn task_graph(&self) -> TaskGraph {
         let d = self.decomposition();
         let tasks = (0..d.n_blocks())

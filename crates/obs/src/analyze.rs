@@ -17,59 +17,47 @@
 //!   carried by the `LockRelease` event (the owner's section already ended
 //!   at the copy into the grant; no release goes over the wire).
 //!
-//! Percentiles come from the same log2 bucketing as the metrics
-//! histograms: cheap, resolution-of-a-factor-two, plenty to tell a 5 µs
-//! wait from a 5 ms one.  The report renders as a terminal table and as an
-//! `orwl-obs-report/v1` JSON document.
+//! Percentiles are exact nearest-rank values over the events' samples (the
+//! online metrics histograms keep their log2 buckets).  The report renders
+//! as a terminal table and as an `orwl-obs-report/v1` JSON document.
 
 use crate::json::Json;
-use crate::metrics::HISTOGRAM_BUCKETS;
 use crate::{EventKind, RunTelemetry};
 use std::collections::BTreeMap;
 
 /// Schema tag of the analyzer's JSON artifact.
 pub(crate) const REPORT_SCHEMA: &str = "orwl-obs-report/v1";
 
-/// A log2-bucketed sample set with exact count/sum (the analyzer's local
-/// mirror of the metrics histogram, built from events).
-#[derive(Debug, Clone)]
+/// One wait distribution, its samples kept whole so percentiles are exact.
+#[derive(Debug, Clone, Default)]
 struct WaitDist {
-    buckets: [u64; HISTOGRAM_BUCKETS],
-    count: u64,
+    samples: Vec<u64>,
     sum: u64,
-    max: u64,
-}
-
-impl Default for WaitDist {
-    fn default() -> Self {
-        WaitDist { buckets: [0; HISTOGRAM_BUCKETS], count: 0, sum: 0, max: 0 }
-    }
 }
 
 impl WaitDist {
     fn observe(&mut self, ns: u64) {
-        self.buckets[crate::metrics::Histogram::bucket_of(ns)] += 1;
-        self.count += 1;
+        self.samples.push(ns);
         self.sum += ns;
-        self.max = self.max.max(ns);
     }
 
-    /// Percentile estimate: the geometric-ish midpoint of the bucket where
-    /// the cumulative count crosses `q` (`1` for bucket 0, else
-    /// `3 · 2^(b−1)`).
-    fn percentile_ns(&self, q: f64) -> u64 {
-        if self.count == 0 {
+    fn count(&self) -> u64 {
+        self.samples.len() as u64
+    }
+
+    fn max(&self) -> u64 {
+        self.samples.iter().copied().max().unwrap_or(0)
+    }
+
+    /// Nearest-rank percentile: the `⌈q·n⌉`-th smallest sample (the
+    /// smallest for `q = 0`; 0 when there are none).
+    fn percentile_ns(&mut self, q: f64) -> u64 {
+        let n = self.samples.len();
+        if n == 0 {
             return 0;
         }
-        let rank = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (b, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return if b == 0 { 1 } else { 3 << (b - 1) };
-            }
-        }
-        self.max
+        let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
+        *self.samples.select_nth_unstable(rank - 1).1
     }
 }
 
@@ -90,9 +78,9 @@ pub struct ContentionRow {
     pub total_wait_ns: u64,
     /// Largest single wait.
     pub max_wait_ns: u64,
-    /// Median wait (log2-bucket estimate).
+    /// Median wait (nearest rank).
     pub p50_ns: u64,
-    /// 99th-percentile wait (log2-bucket estimate).
+    /// 99th-percentile wait (nearest rank).
     pub p99_ns: u64,
 }
 
@@ -109,9 +97,9 @@ pub struct GrantStage {
     pub count: u64,
     /// Total nanoseconds across samples.
     pub total_ns: u64,
-    /// Median (log2-bucket estimate).
+    /// Median (nearest rank).
     pub p50_ns: u64,
-    /// 99th percentile (log2-bucket estimate).
+    /// 99th percentile (nearest rank).
     pub p99_ns: u64,
 }
 
@@ -189,13 +177,13 @@ pub fn analyze(t: &RunTelemetry, top_k: usize) -> ObsReport {
 
     let mut rows: Vec<ContentionRow> = per_location
         .into_iter()
-        .map(|((track, location), dist)| ContentionRow {
+        .map(|((track, location), mut dist)| ContentionRow {
             track,
             label: label_of(track),
             location,
-            waits: dist.count,
+            waits: dist.count(),
             total_wait_ns: dist.sum,
-            max_wait_ns: dist.max,
+            max_wait_ns: dist.max(),
             p50_ns: dist.percentile_ns(0.50),
             p99_ns: dist.percentile_ns(0.99),
         })
@@ -207,9 +195,9 @@ pub fn analyze(t: &RunTelemetry, top_k: usize) -> ObsReport {
     let truncated_rows = rows.len().saturating_sub(top_k);
     rows.truncate(top_k);
 
-    let stage = |name: &'static str, d: &WaitDist| GrantStage {
+    let stage = |name: &'static str, mut d: WaitDist| GrantStage {
         stage: name,
-        count: d.count,
+        count: d.count(),
         total_ns: d.sum,
         p50_ns: d.percentile_ns(0.50),
         p99_ns: d.percentile_ns(0.99),
@@ -220,9 +208,9 @@ pub fn analyze(t: &RunTelemetry, top_k: usize) -> ObsReport {
         truncated_rows,
         total_wait_ns,
         stages: vec![
-            stage("request_to_grant", &request_to_grant),
-            stage("owner_fifo_wait", &owner_fifo),
-            stage("grant_to_release", &grant_to_release),
+            stage("request_to_grant", request_to_grant),
+            stage("owner_fifo_wait", owner_fifo),
+            stage("grant_to_release", grant_to_release),
         ],
         cross_node_grants,
         unmatched_grants,
@@ -472,17 +460,44 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_come_from_log2_buckets() {
+    fn percentiles_are_exact_nearest_rank_samples() {
         let mut d = WaitDist::default();
         for _ in 0..99 {
-            d.observe(1_000); // bucket 9 (512..1024)
+            d.observe(1_000);
         }
-        d.observe(1_000_000); // bucket 19
-        let p50 = d.percentile_ns(0.50);
-        assert!((512..2048).contains(&p50), "p50 {p50}");
-        let p99 = d.percentile_ns(0.99);
-        assert!(p99 < 1_000_000, "p99 {p99} should still sit in the low bucket");
-        assert!(d.percentile_ns(1.0) >= 512_000, "p100 reaches the top bucket");
+        d.observe(1_000_000);
+        assert_eq!(d.percentile_ns(0.50), 1_000);
+        assert_eq!(d.percentile_ns(0.99), 1_000, "rank 99 of 100 is still the low sample");
+        assert_eq!(d.percentile_ns(1.0), 1_000_000);
+        assert_eq!(d.max(), 1_000_000);
+        assert_eq!(WaitDist::default().percentile_ns(0.5), 0);
+    }
+
+    /// Property, over seeded random sample sets: the selection equals the
+    /// nearest rank read off a sorted copy, whatever the order of queries.
+    #[test]
+    fn percentile_equals_sorted_nearest_rank() {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            // xorshift64*
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        };
+        for case in 0..500 {
+            let n = (next() % 64) as usize;
+            // Small ranges give ties, large ones distinct values.
+            let range = if case % 2 == 0 { 8 } else { 1 << 40 };
+            let mut d = WaitDist::default();
+            (0..n).for_each(|_| d.observe(next() % range));
+            let mut sorted = d.samples.clone();
+            sorted.sort_unstable();
+            for q in [0.99, 0.0, 0.5, 0.25, 1.0, 0.9, (next() % 1001) as f64 / 1000.0] {
+                let want = if n == 0 { 0 } else { sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1] };
+                assert_eq!(d.percentile_ns(q), want, "case {case}: q {q} over {sorted:?}");
+            }
+        }
     }
 
     #[test]

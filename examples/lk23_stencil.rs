@@ -35,11 +35,12 @@ fn main() {
     let t0 = std::time::Instant::now();
     let openmp = run_openmp_like(&initial, iterations, topo.nb_pus());
     let openmp_time = t0.elapsed();
-    println!(
-        "openmp-like  : {:>10.3?}  max|diff| vs reference = {:.3e}",
-        openmp_time,
-        openmp.max_abs_diff(&reference)
-    );
+    let mut mismatched = Vec::new();
+    let diff = openmp.max_abs_diff(&reference);
+    if diff != 0.0 {
+        mismatched.push("openmp-like");
+    }
+    println!("openmp-like  : {openmp_time:>10.3?}  max|diff| vs reference = {diff:.3e}");
 
     for (label, policy) in [("orwl-nobind", Policy::NoBind), ("orwl-bind   ", Policy::TreeMatch)] {
         let session = Session::builder()
@@ -51,14 +52,21 @@ fn main() {
         let t0 = std::time::Instant::now();
         let (result, report) = run_orwl(&initial, decomp, iterations, &session).expect("orwl run");
         let elapsed = t0.elapsed();
+        let diff = result.max_abs_diff(&reference);
+        if diff != 0.0 {
+            mismatched.push(label.trim_end());
+        }
         println!(
-            "{label}: {:>10.3?}  max|diff| vs reference = {:.3e}  bound = {:>3.0}%  NUMA-local traffic = {:>5.1}%",
+            "{label}: {:>10.3?}  max|diff| vs reference = {diff:.3e}  bound = {:>3.0}%  NUMA-local traffic = {:>5.1}%",
             elapsed,
-            result.max_abs_diff(&reference),
             100.0 * report.plan.placement.bound_fraction(),
             100.0 * report.breakdown.local_fraction(),
         );
     }
 
+    if !mismatched.is_empty() {
+        eprintln!("\nnot equal to the sequential Jacobi reference: {}", mismatched.join(", "));
+        std::process::exit(1);
+    }
     println!("\nAll implementations verified against the sequential Jacobi reference.");
 }
