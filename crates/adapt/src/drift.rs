@@ -161,7 +161,8 @@ impl DriftStep {
         }
     }
 
-    /// The accumulator, for monitors that look before they record.
+    /// The accumulator, for tests that look at what was recorded.
+    #[cfg(test)]
     pub(crate) fn online(&self) -> &OnlineCommMatrix {
         &self.online
     }

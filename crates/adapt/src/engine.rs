@@ -6,25 +6,19 @@
 //!
 //! 1. calls [`AdaptiveController::on_run_start`] with the program's task
 //!    specs and the initial TreeMatch plan (the *baseline*);
-//! 2. registers the engine's [`AccessSink`]: every ORWL lock grant reports
-//!    `(task, location, mode)`, from which the engine reconstructs actual
-//!    transfers — a read of location `L` by task `t` moves the declared
-//!    per-iteration volume from `L`'s last writer to `t` — and feeds the
-//!    step's [`OnlineCommMatrix`](crate::online::OnlineCommMatrix);
+//! 2. calls [`AdaptiveController::on_flow`] from its task threads: a read
+//!    of location `L` by task `t` moves the declared per-iteration volume
+//!    from `L`'s last writer to `t` into the step's
+//!    [`OnlineCommMatrix`](crate::online::OnlineCommMatrix);
 //! 3. calls [`AdaptiveController::on_epoch`] every epoch: the engine closes
 //!    the epoch on its `DriftStep` (the same step the simulator driver
 //!    runs on), and on a fire asks the [`Replacer`] whether migrating pays;
 //!    an accepted migration is adopted by the step and the new placement
 //!    returned for the runtime to publish to its task threads.
-//!
-//! Location ids are process-unique, so the engine ignores accesses to
-//! locations outside its program and concurrent runtimes can monitor
-//! side by side.
 
 use crate::drift::{DriftConfig, DriftStep};
 use crate::replace::{Decision, Replacer, ReplacerConfig};
 use orwl_comm::matrix::CommMatrix;
-use orwl_core::monitor::AccessSink;
 use orwl_core::placement::PlacementPlan;
 use orwl_core::request::AccessMode;
 use orwl_core::runtime::AdaptiveController;
@@ -100,8 +94,6 @@ struct EngineState {
     /// drifted is reading locations it never declared, and those transfers
     /// are exactly the ones the monitor must not drop.
     default_read: HashMap<LocationId, f64>,
-    /// Last task that wrote each location.
-    last_writer: HashMap<LocationId, TaskId>,
     /// The online matrix, the detector and the baseline `placement` was
     /// computed from.
     step: DriftStep,
@@ -129,7 +121,6 @@ impl AdaptiveEngine {
                 n_control: 0,
                 read_bytes: HashMap::new(),
                 default_read: HashMap::new(),
-                last_writer: HashMap::new(),
                 step: DriftStep::new(0, config.decay, config.drift, CommMatrix::zeros(0)),
                 placement: Placement::unbound(0, 0),
                 scratch: PlacementScratch::new(),
@@ -154,45 +145,14 @@ impl AdaptiveEngine {
     }
 }
 
-impl AccessSink for AdaptiveEngine {
-    fn on_access(&self, task: TaskId, location: LocationId, mode: AccessMode) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if !state.default_read.contains_key(&location) {
-            return; // another runtime's location
-        }
-        match mode {
-            AccessMode::Write => {
-                state.last_writer.insert(location, task);
-            }
-            AccessMode::Read => {
-                if let Some(&writer) = state.last_writer.get(&location) {
-                    if writer != task && task.0 < state.step.online().order() {
-                        let bytes = state
-                            .read_bytes
-                            .get(&(location, task))
-                            .or_else(|| state.default_read.get(&location))
-                            .copied()
-                            .unwrap_or(0.0);
-                        if bytes > 0.0 {
-                            state.step.record(writer.0, task.0, bytes);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl AdaptiveEngine {
-    /// Initialises the engine from the program about to run; called by the
-    /// runtime through [`AdaptiveController::on_run_start`].
-    pub(crate) fn on_run_start(&self, specs: &[TaskSpec], plan: &PlacementPlan, topo: &Topology) {
+impl AdaptiveController for AdaptiveEngine {
+    /// Initialises the engine from the program about to run.
+    fn on_run_start(&self, specs: &[TaskSpec], plan: &PlacementPlan, topo: &Topology) {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         state.topo = Some(topo.clone());
         state.n_control = plan.placement.n_control();
         state.read_bytes.clear();
         state.default_read.clear();
-        state.last_writer.clear();
         let mut read_sum: HashMap<LocationId, (f64, usize)> = HashMap::new();
         for (t, spec) in specs.iter().enumerate() {
             for link in &spec.links {
@@ -214,9 +174,26 @@ impl AdaptiveEngine {
         state.timeline.clear();
     }
 
-    /// Rolls the monitoring epoch and decides on drift / migration; called
-    /// by the runtime through [`AdaptiveController::on_epoch`].
-    pub(crate) fn on_epoch(&self, epoch: u64) -> Option<Placement> {
+    /// Records a read's declared volume; a write moves no read volume, and
+    /// neither does a location the program never declared.
+    fn on_flow(&self, from: TaskId, to: TaskId, location: LocationId, mode: AccessMode) {
+        if mode == AccessMode::Write {
+            return;
+        }
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let bytes = state
+            .read_bytes
+            .get(&(location, to))
+            .or_else(|| state.default_read.get(&location))
+            .copied()
+            .unwrap_or(0.0);
+        if bytes > 0.0 {
+            state.step.record(from.0, to.0, bytes);
+        }
+    }
+
+    /// Rolls the monitoring epoch and decides on drift / migration.
+    fn on_epoch(&self, epoch: u64) -> Option<Placement> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         let topo = state.topo.clone().expect("on_run_start ran before on_epoch");
         let mapping = state.placement.compute_mapping_or_zero();
@@ -232,7 +209,7 @@ impl AdaptiveEngine {
             });
             if observation.fired {
                 // Run the (comparatively expensive) TreeMatch re-placement
-                // WITHOUT the state lock: `on_access` runs inside every task
+                // WITHOUT the state lock: `on_flow` runs inside every task
                 // thread's lock grant, and stalling all of them for the
                 // length of a placement computation would pause the whole
                 // application.  Only the monitor thread calls `on_epoch`, so
@@ -270,25 +247,6 @@ impl AdaptiveEngine {
     }
 }
 
-/// `Arc`-aware wrapper used by [`adaptive_session_spec`]: implements the
-/// controller by delegating to the inner engine and can hand out the sink
-/// handle the runtime needs.
-struct ArcEngine(Arc<AdaptiveEngine>);
-
-impl AdaptiveController for ArcEngine {
-    fn sink(&self) -> Arc<dyn AccessSink> {
-        Arc::clone(&self.0) as Arc<dyn AccessSink>
-    }
-
-    fn on_run_start(&self, specs: &[TaskSpec], plan: &PlacementPlan, topo: &Topology) {
-        self.0.on_run_start(specs, plan, topo);
-    }
-
-    fn on_epoch(&self, epoch: u64) -> Option<Placement> {
-        self.0.on_epoch(epoch)
-    }
-}
-
 /// Builds the [`AdaptiveSpec`](orwl_core::runtime::AdaptiveSpec) that plugs
 /// `engine` into a `Session`: hand the result to
 /// [`SessionBuilder::adaptive`](orwl_core::session::SessionBuilder::adaptive)
@@ -298,7 +256,7 @@ pub fn adaptive_session_spec(
     engine: Arc<AdaptiveEngine>,
     epoch: std::time::Duration,
 ) -> orwl_core::runtime::AdaptiveSpec {
-    orwl_core::runtime::AdaptiveSpec::with_controller(Arc::new(ArcEngine(engine)), epoch)
+    orwl_core::runtime::AdaptiveSpec::with_controller(engine, epoch)
 }
 
 #[cfg(test)]
@@ -333,15 +291,10 @@ mod tests {
         let plan = plan_placement(&program, &topo, Policy::TreeMatch, 0);
         engine.on_run_start(program.specs(), &plan, &topo);
 
-        // Task 0 writes its frontier; task 1 reads it → transfer 0 → 1.
-        engine.on_access(TaskId(0), locs[0].id(), AccessMode::Write);
-        engine.on_access(TaskId(1), locs[0].id(), AccessMode::Read);
-        // A read with no recorded writer is dropped.
-        engine.on_access(TaskId(2), locs[1].id(), AccessMode::Read);
-        // A foreign location is ignored entirely.
-        let foreign = Location::new("foreign", 0u64);
-        engine.on_access(TaskId(0), foreign.id(), AccessMode::Write);
-        engine.on_access(TaskId(1), foreign.id(), AccessMode::Read);
+        // Task 1 reads the frontier task 0 wrote: its declared volume.
+        engine.on_flow(TaskId(0), TaskId(1), locs[0].id(), AccessMode::Read);
+        // A write moves no read volume.
+        engine.on_flow(TaskId(0), TaskId(2), locs[0].id(), AccessMode::Write);
 
         engine.on_epoch(1);
         let state = engine.state.lock().unwrap();
@@ -359,11 +312,9 @@ mod tests {
 
         for epoch in 1..=6 {
             // Replay exactly the declared ring pattern.
-            for (t, loc) in locs.iter().enumerate() {
-                engine.on_access(TaskId(t), loc.id(), AccessMode::Write);
-            }
             for t in 0..locs.len() {
-                engine.on_access(TaskId(t), locs[(t + 7) % 8].id(), AccessMode::Read);
+                let from = (t + 7) % 8;
+                engine.on_flow(TaskId(from), TaskId(t), locs[from].id(), AccessMode::Read);
             }
             assert_eq!(engine.on_epoch(epoch), None);
         }
@@ -406,12 +357,9 @@ mod tests {
             // Shifted pairing: t exchanges with (t+1) mod 16 for even t+1...
             // i.e. partner' = (partner + 2) % 16, which crosses the old
             // pair boundaries.
-            for (t, loc) in locs.iter().enumerate() {
-                engine.on_access(TaskId(t), loc.id(), AccessMode::Write);
-            }
             for t in 0..locs.len() {
                 let partner = if t % 2 == 0 { (t + 3) % 16 } else { (t + 1) % 16 };
-                engine.on_access(TaskId(t), locs[partner].id(), AccessMode::Read);
+                engine.on_flow(TaskId(partner), TaskId(t), locs[partner].id(), AccessMode::Read);
             }
             if engine.on_epoch(epoch).is_some() {
                 migrated_at = Some(epoch);

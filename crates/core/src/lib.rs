@@ -69,7 +69,7 @@ mod fifo;
 mod handle;
 pub mod json;
 pub mod location;
-pub mod monitor;
+mod monitor;
 pub mod placement;
 pub mod request;
 pub mod runtime;
@@ -79,7 +79,6 @@ pub mod task;
 
 pub use handle::Handle;
 pub use location::{Location, LocationId};
-pub use monitor::AccessSink;
 pub use request::AccessMode;
 pub use task::TaskId;
 

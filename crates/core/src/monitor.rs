@@ -1,77 +1,55 @@
 //! Online monitoring hooks: the runtime-side half of the `orwl-adapt`
 //! subsystem.
 //!
-//! The ORWL model gives the runtime a natural observation point: every data
-//! access goes through [`Handle::acquire`](crate::handle::Handle::acquire),
-//! so the lock layer can report *which task touched which location in which
-//! mode* with a single thread-local read plus an atomic check on the fast
-//! path.  Three pieces live here:
+//! Under ORWL every data access is a lock grant
+//! ([`Handle::acquire`](crate::handle::Handle::acquire)), and a grant of a
+//! location to task *t* moves the location's bytes from its **last writer**
+//! to *t*.  An adaptive thread run gives each of its task threads one
+//! thread-local scope ([`enter_task`]): the task id, the last epoch the
+//! thread saw, and the run's [`AdaptiveRun`] — its controller, its
+//! [`RebindPlan`] and one last-writer map.  [`on_lock_granted`] reads only
+//! that scope, so a static run's grant path is one thread-local read.  On
+//! an adaptive run's grant it
 //!
-//! * **task identity** — the runtime tags each computation thread with its
-//!   [`TaskId`] (`enter_task`); untagged threads (user code outside a
-//!   runtime, control threads) emit nothing;
-//! * **access sinks** — observers ([`AccessSink`]) registered for the
-//!   duration of a run ([`register_sink`]).  The registry is global because
-//!   handles are reachable from arbitrary user closures, but sinks are
-//!   expected to filter by [`LocationId`] (ids are process-unique), so
-//!   concurrent runtimes do not corrupt each other's measurements;
-//! * **cooperative re-binding** — a `RebindPlan` holding the current
-//!   epoch's thread→PU assignment.  Threads cannot be re-bound from the
-//!   outside (`sched_setaffinity` binds the *calling* thread), so each task
-//!   thread checks the plan's epoch counter at every lock acquisition — a
-//!   relaxed atomic load when nothing changed — and re-binds itself at that
-//!   natural quiescent point when the placement moved.
+//! * **re-binds cooperatively** — threads cannot be re-bound from the
+//!   outside (`sched_setaffinity` binds the *calling* thread), so the task
+//!   thread compares the plan's epoch counter with the last one it saw —
+//!   one atomic load when nothing changed — and re-binds itself at this
+//!   natural quiescent point when the placement moved;
+//! * **applies the last-writer rule**, the one place it is written: the
+//!   controller hears [`on_flow`](AdaptiveController::on_flow) for a grant
+//!   whose location was last written by another task of the same run.
 
 use crate::location::LocationId;
 use crate::request::AccessMode;
+use crate::runtime::AdaptiveController;
 use crate::task::TaskId;
 use orwl_topo::binding::Binder;
 use orwl_topo::bitmap::CpuSet;
-use std::cell::Cell;
-use std::fmt;
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
-/// Observer of per-task location accesses.
-///
-/// Implementations must be cheap and non-blocking: `on_access` runs inside
-/// every lock acquisition of every monitored task thread.
-pub trait AccessSink: Send + Sync {
-    /// Called when `task` is granted `location` in `mode`.
-    fn on_access(&self, task: TaskId, location: LocationId, mode: AccessMode);
+/// What one adaptive thread run shares with its task threads.
+pub(crate) struct AdaptiveRun {
+    /// Observes the run's flows and decides its re-placements.
+    pub(crate) controller: Arc<dyn AdaptiveController>,
+    /// The assignment the task threads re-bind from.
+    pub(crate) plan: RebindPlan,
+    /// The task that last wrote each location granted in this run.
+    last_writer: Mutex<HashMap<LocationId, TaskId>>,
 }
 
-type SinkEntry = (u64, Arc<dyn AccessSink>);
-
-fn sink_registry() -> &'static RwLock<Vec<SinkEntry>> {
-    static SINKS: OnceLock<RwLock<Vec<SinkEntry>>> = OnceLock::new();
-    SINKS.get_or_init(|| RwLock::new(Vec::new()))
-}
-
-static NEXT_SINK_ID: AtomicU64 = AtomicU64::new(0);
-/// Fast-path gate: number of registered sinks (avoid taking the registry
-/// lock when monitoring is off, which is the common case).
-static ACTIVE_SINKS: AtomicU64 = AtomicU64::new(0);
-
-/// RAII registration of an [`AccessSink`]; dropping it unregisters.
-pub struct SinkRegistration {
-    id: u64,
-}
-
-/// Registers `sink` to observe all monitored accesses until the returned
-/// registration is dropped.
-pub fn register_sink(sink: Arc<dyn AccessSink>) -> SinkRegistration {
-    let id = NEXT_SINK_ID.fetch_add(1, Ordering::Relaxed);
-    sink_registry().write().unwrap_or_else(|e| e.into_inner()).push((id, sink));
-    ACTIVE_SINKS.fetch_add(1, Ordering::SeqCst);
-    SinkRegistration { id }
-}
-
-impl Drop for SinkRegistration {
-    fn drop(&mut self) {
-        let mut sinks = sink_registry().write().unwrap_or_else(|e| e.into_inner());
-        sinks.retain(|(id, _)| *id != self.id);
-        ACTIVE_SINKS.fetch_sub(1, Ordering::SeqCst);
+impl AdaptiveRun {
+    /// A run of `n_tasks` task threads observed by `controller`.
+    pub(crate) fn new(
+        controller: Arc<dyn AdaptiveController>,
+        n_tasks: usize,
+        binder: Arc<dyn Binder>,
+    ) -> Arc<Self> {
+        let plan = RebindPlan::new(n_tasks, binder);
+        Arc::new(AdaptiveRun { controller, plan, last_writer: Mutex::default() })
     }
 }
 
@@ -88,25 +66,15 @@ pub(crate) struct RebindPlan {
     rebinds_applied: AtomicU64,
 }
 
-impl fmt::Debug for RebindPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RebindPlan")
-            .field("epoch", &self.epoch())
-            .field("rebinds_applied", &self.rebinds_applied())
-            .field("binder", &self.binder.name())
-            .finish()
-    }
-}
-
 impl RebindPlan {
     /// Creates a plan for `n_tasks` threads with no pending re-binding.
-    pub(crate) fn new(n_tasks: usize, binder: Arc<dyn Binder>) -> Arc<Self> {
-        Arc::new(RebindPlan {
+    fn new(n_tasks: usize, binder: Arc<dyn Binder>) -> Self {
+        RebindPlan {
             epoch: AtomicU64::new(0),
             assignments: RwLock::new(vec![None; n_tasks]),
             binder,
             rebinds_applied: AtomicU64::new(0),
-        })
+        }
     }
 
     /// Publishes a new assignment and advances the epoch so task threads
@@ -117,7 +85,7 @@ impl RebindPlan {
     }
 
     /// The current epoch number (0 = initial placement, nothing published).
-    pub(crate) fn epoch(&self) -> u64 {
+    fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
 
@@ -140,139 +108,146 @@ impl RebindPlan {
     }
 }
 
-thread_local! {
-    static CURRENT_TASK: Cell<Option<TaskId>> = const { Cell::new(None) };
-    static SEEN_EPOCH: Cell<u64> = const { Cell::new(0) };
+/// A task thread's view of its adaptive run.
+struct TaskScope {
+    task: TaskId,
+    seen_epoch: u64,
+    run: Arc<AdaptiveRun>,
 }
 
-// The rebind plan is behind a thread-local `Cell<Option<Arc<..>>>`-style
-// slot; `RefCell` is avoided on the hot path by only touching the slot when
-// the epoch counter moved.
 thread_local! {
-    static REBIND_PLAN: std::cell::RefCell<Option<Arc<RebindPlan>>> = const { std::cell::RefCell::new(None) };
+    static SCOPE: RefCell<Option<TaskScope>> = const { RefCell::new(None) };
 }
 
-/// RAII tag marking the current thread as executing `task`; created by the
-/// runtime when it spawns a computation thread.
+/// RAII scope marking the current thread as `task` of an adaptive run;
+/// dropping it clears the scope.
 pub(crate) struct TaskGuard {
     _priv: (),
 }
 
-/// Tags the calling thread as executing `task`, optionally attaching the
-/// runtime's [`RebindPlan`].  Dropping the guard clears the tag.
+/// Installs the calling thread's scope as `task` of `run`.
 ///
 /// The last-seen epoch starts at 0 (the plan's initial epoch), NOT at the
 /// plan's current epoch: a re-placement published before this thread got
 /// here must be applied at its first lock grant, since the thread bound
 /// itself from the by-then-stale initial placement.
-pub(crate) fn enter_task(task: TaskId, plan: Option<Arc<RebindPlan>>) -> TaskGuard {
-    CURRENT_TASK.with(|c| c.set(Some(task)));
-    SEEN_EPOCH.with(|c| c.set(0));
-    REBIND_PLAN.with(|c| *c.borrow_mut() = plan);
+pub(crate) fn enter_task(task: TaskId, run: Arc<AdaptiveRun>) -> TaskGuard {
+    SCOPE.set(Some(TaskScope { task, seen_epoch: 0, run }));
     TaskGuard { _priv: () }
 }
 
 impl Drop for TaskGuard {
     fn drop(&mut self) {
-        CURRENT_TASK.with(|c| c.set(None));
-        REBIND_PLAN.with(|c| *c.borrow_mut() = None);
+        SCOPE.set(None);
     }
 }
 
-/// The task id the calling thread is tagged with, if any.
-#[cfg(test)]
-pub(crate) fn current_task() -> Option<TaskId> {
-    CURRENT_TASK.with(|c| c.get())
-}
-
-/// The lock layer's hook: called by `Handle::acquire` after
-/// a grant.  No-op on untagged threads; on tagged threads it applies any
-/// pending re-binding and notifies the registered sinks.
+/// The lock layer's hook: called by `Handle::acquire` after a grant.
+/// No-op outside an adaptive run's task thread.
 pub(crate) fn on_lock_granted(location: LocationId, mode: AccessMode) {
-    let Some(task) = CURRENT_TASK.with(|c| c.get()) else { return };
-
-    // Cooperative re-binding: one relaxed atomic load when idle.
-    REBIND_PLAN.with(|slot| {
-        if let Some(plan) = slot.borrow().as_ref() {
-            let epoch = plan.epoch();
-            if SEEN_EPOCH.with(|c| c.get()) != epoch {
-                SEEN_EPOCH.with(|c| c.set(epoch));
-                plan.apply_for(task);
+    SCOPE.with_borrow_mut(|scope| {
+        let Some(TaskScope { task, seen_epoch, run }) = scope else { return };
+        let epoch = run.plan.epoch();
+        if *seen_epoch != epoch {
+            *seen_epoch = epoch;
+            run.plan.apply_for(*task);
+        }
+        let from = {
+            let mut writers = run.last_writer.lock().unwrap_or_else(|e| e.into_inner());
+            match mode {
+                AccessMode::Write => writers.insert(location, *task),
+                AccessMode::Read => writers.get(&location).copied(),
             }
+        };
+        if let Some(from) = from.filter(|from| from != task) {
+            run.controller.on_flow(from, *task, location, mode);
         }
     });
-
-    if ACTIVE_SINKS.load(Ordering::SeqCst) == 0 {
-        return;
-    }
-    let sinks = sink_registry().read().unwrap_or_else(|e| e.into_inner());
-    for (_, sink) in sinks.iter() {
-        sink.on_access(task, location, mode);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::placement::PlacementPlan;
+    use crate::task::TaskSpec;
     use orwl_topo::binding::RecordingBinder;
-    use std::sync::Mutex;
+    use orwl_topo::topology::Topology;
+    use orwl_treematch::mapping::Placement;
 
-    /// Test sink filtering on one location id — tests in this binary run
-    /// concurrently and the registry is global, so each test observes only
-    /// its own (unique) location, exactly like production sinks do.
-    struct CountingSink {
-        only: LocationId,
-        events: Mutex<Vec<(TaskId, AccessMode)>>,
-    }
+    /// A controller that records every flow it hears.
+    #[derive(Default)]
+    struct FlowLog(Mutex<Vec<(usize, usize, AccessMode)>>);
 
-    impl CountingSink {
-        fn new(only: LocationId) -> Arc<Self> {
-            Arc::new(CountingSink { only, events: Mutex::new(Vec::new()) })
+    impl AdaptiveController for FlowLog {
+        fn on_run_start(&self, _: &[TaskSpec], _: &PlacementPlan, _: &Topology) {}
+        fn on_flow(&self, from: TaskId, to: TaskId, _: LocationId, mode: AccessMode) {
+            self.0.lock().unwrap().push((from.0, to.0, mode));
+        }
+        fn on_epoch(&self, _: u64) -> Option<Placement> {
+            None
         }
     }
 
-    impl AccessSink for CountingSink {
-        fn on_access(&self, task: TaskId, location: LocationId, mode: AccessMode) {
-            if location == self.only {
-                self.events.lock().unwrap().push((task, mode));
-            }
-        }
+    fn run_of(n_tasks: usize, binder: Arc<RecordingBinder>) -> (Arc<FlowLog>, Arc<AdaptiveRun>) {
+        let log = Arc::new(FlowLog::default());
+        let run = AdaptiveRun::new(Arc::clone(&log) as Arc<dyn AdaptiveController>, n_tasks, binder);
+        (log, run)
+    }
+
+    /// One grant of `location` to `task` of `run`, from this thread.
+    fn grant(run: &Arc<AdaptiveRun>, task: usize, location: LocationId, mode: AccessMode) {
+        let _scope = enter_task(TaskId(task), Arc::clone(run));
+        on_lock_granted(location, mode);
     }
 
     #[test]
     fn untagged_threads_emit_nothing() {
-        let sink = CountingSink::new(LocationId(u64::MAX - 1));
-        let _reg = register_sink(sink.clone());
-        on_lock_granted(LocationId(u64::MAX - 1), AccessMode::Read);
-        assert!(sink.events.lock().unwrap().is_empty());
+        let (log, run) = run_of(2, Arc::new(RecordingBinder::new()));
+        // A write outside any scope is nobody's: the read after it has no
+        // last writer to move bytes from.
+        on_lock_granted(LocationId(1), AccessMode::Write);
+        grant(&run, 1, LocationId(1), AccessMode::Read);
+        assert!(log.0.lock().unwrap().is_empty());
     }
 
     #[test]
     fn tagged_threads_emit_and_clear_on_drop() {
-        let loc = LocationId(u64::MAX - 2);
-        let sink = CountingSink::new(loc);
-        let reg = register_sink(sink.clone());
-        {
-            let _guard = enter_task(TaskId(3), None);
-            assert_eq!(current_task(), Some(TaskId(3)));
-            on_lock_granted(loc, AccessMode::Write);
-        }
-        assert_eq!(current_task(), None);
-        on_lock_granted(loc, AccessMode::Write);
-        let events = sink.events.lock().unwrap().clone();
-        assert_eq!(events, vec![(TaskId(3), AccessMode::Write)]);
-        drop(reg);
-        // Unregistered sinks receive nothing further.
-        let _guard = enter_task(TaskId(3), None);
-        on_lock_granted(loc, AccessMode::Write);
-        assert_eq!(sink.events.lock().unwrap().len(), 1);
+        let (log, run) = run_of(2, Arc::new(RecordingBinder::new()));
+        grant(&run, 0, LocationId(1), AccessMode::Write);
+        assert!(SCOPE.with_borrow(Option::is_none));
+        on_lock_granted(LocationId(1), AccessMode::Write);
+        grant(&run, 1, LocationId(1), AccessMode::Read);
+        assert_eq!(*log.0.lock().unwrap(), vec![(0, 1, AccessMode::Read)]);
+    }
+
+    #[test]
+    fn a_grant_moves_bytes_from_the_last_writer() {
+        let (log, run) = run_of(3, Arc::new(RecordingBinder::new()));
+        let loc = LocationId(77);
+        grant(&run, 0, loc, AccessMode::Write); // no writer yet: nothing
+        grant(&run, 1, loc, AccessMode::Read); // 0 -> 1
+        grant(&run, 2, loc, AccessMode::Read); // 0 -> 2
+        grant(&run, 2, loc, AccessMode::Write); // 0 -> 2, 2 now writes last
+        grant(&run, 2, loc, AccessMode::Read); // its own write: nothing
+        grant(&run, 0, loc, AccessMode::Read); // 2 -> 0
+        let flows = log.0.lock().unwrap().clone();
+        assert_eq!(
+            flows,
+            vec![
+                (0, 1, AccessMode::Read),
+                (0, 2, AccessMode::Read),
+                (0, 2, AccessMode::Write),
+                (2, 0, AccessMode::Read)
+            ]
+        );
     }
 
     #[test]
     fn rebind_plan_applies_once_per_epoch() {
         let binder = Arc::new(RecordingBinder::new());
-        let plan = RebindPlan::new(2, binder.clone());
-        let _guard = enter_task(TaskId(1), Some(Arc::clone(&plan)));
+        let (_, run) = run_of(2, Arc::clone(&binder));
+        let _scope = enter_task(TaskId(1), Arc::clone(&run));
+        let plan = &run.plan;
 
         // Epoch 0: nothing published, nothing applied.
         on_lock_granted(LocationId(90001), AccessMode::Read);

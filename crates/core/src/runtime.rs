@@ -17,31 +17,37 @@
 //! and no other.
 
 use crate::error::{ConfigError, OrwlError};
-use crate::monitor::{self, AccessSink, RebindPlan};
+use crate::location::LocationId;
+use crate::monitor::{self, AdaptiveRun};
 use crate::placement::{plan_placement, PlacementPlan};
+use crate::request::AccessMode;
 use crate::session::{SessionConfig, ThreadDetails};
 use crate::stats::RuntimeStats;
 use crate::task::{OrwlProgram, TaskContext, TaskId, TaskSpec};
-use crossbeam::channel;
 use orwl_topo::topology::Topology;
 use orwl_treematch::mapping::Placement;
-use std::sync::Arc;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// The brain of an adaptive run, implemented by `orwl_adapt::AdaptiveEngine`
 /// (kept as a trait here so `orwl-core` does not depend on `orwl-adapt`).
 ///
-/// The runtime drives it: `on_run_start` once with the initial plan, then
+/// The runtime drives it: `on_run_start` once with the initial plan,
+/// `on_flow` from the task threads whenever a lock grant moves bytes, and
 /// `on_epoch` at every epoch boundary from the monitor thread.  Returning a
 /// new [`Placement`] from `on_epoch` publishes it to the task threads, which
 /// re-bind cooperatively at their next lock acquisition.
 pub trait AdaptiveController: Send + Sync {
-    /// The access sink to register for the duration of the run.
-    fn sink(&self) -> Arc<dyn AccessSink>;
-
     /// Called once before threads start, with the program's task specs, the
     /// initial placement plan and the machine topology.
     fn on_run_start(&self, specs: &[TaskSpec], plan: &PlacementPlan, topo: &Topology);
+
+    /// Called inside the grant of `location` to task `to` in `mode` when
+    /// task `from` (never `to`) wrote it last: the grant moves the
+    /// location's bytes from `from` to `to`.  It runs on every such grant
+    /// of the run, so it must be cheap and must not block.
+    fn on_flow(&self, from: TaskId, to: TaskId, location: LocationId, mode: AccessMode);
 
     /// Called at every epoch boundary; `epoch` counts from 1.  Returns a
     /// replacement [`Placement`] when the controller decides to migrate.
@@ -166,74 +172,46 @@ pub(crate) fn run(
     let control_cpusets = plan.placement.control_cpusets();
 
     let stats = Arc::new(RuntimeStats::new());
-    let (event_tx, event_rx) = channel::unbounded::<ControlEvent>();
+    let (event_tx, event_rx) = mpsc::channel::<ControlEvent>();
+    let event_rx = Arc::new(Mutex::new(event_rx));
 
-    // 1b. Adaptive mode: hand the controller the initial plan, register
-    //     its access sink for the duration of the run, and start the
-    //     epoch monitor thread.  Task threads pick re-placements up
-    //     cooperatively through the shared RebindPlan.
-    let rebind_plan =
-        adaptive.as_ref().map(|_| RebindPlan::new(program.n_tasks(), Arc::clone(&config.binder)));
-    let mut sink_registration = None;
-    let mut monitor_thread = None;
-    let monitor_stop = Arc::new(std::sync::Mutex::new(false));
-    let monitor_cv = Arc::new(std::sync::Condvar::new());
-    let epochs = Arc::new(std::sync::atomic::AtomicU64::new(0));
-    let replacements = Arc::new(std::sync::atomic::AtomicU64::new(0));
     // The run's telemetry scope, for the threads that emit on its behalf.
     let obs = orwl_obs::current();
-    if let Some((controller, epoch_len)) = adaptive {
+
+    // 1b. Adaptive mode: hand the controller the initial plan and start the
+    //     epoch monitor thread, which runs until its stop channel closes.
+    //     Task threads observe through the run's scope and pick
+    //     re-placements up cooperatively from its plan.
+    let adaptive = adaptive.map(|(controller, epoch_len)| {
         controller.on_run_start(program.specs(), &plan, &config.topology);
-        sink_registration = Some(monitor::register_sink(controller.sink()));
-        let plan_handle = Arc::clone(rebind_plan.as_ref().expect("rebind plan exists in adaptive mode"));
-        let stop = Arc::clone(&monitor_stop);
-        let cv = Arc::clone(&monitor_cv);
-        let epochs = Arc::clone(&epochs);
-        let replacements = Arc::clone(&replacements);
+        let run = AdaptiveRun::new(controller, program.n_tasks(), Arc::clone(&config.binder));
+        let (stop_tx, stop_rx) = mpsc::channel::<()>();
+        let monitor_run = Arc::clone(&run);
         let obs = obs.clone();
-        monitor_thread = Some(
-            std::thread::Builder::new()
-                .name("orwl-adapt-monitor".to_string())
-                .spawn(move || {
-                    let _obs_scope = obs.as_ref().map(orwl_obs::install);
-                    let mut epoch_no = 0u64;
-                    'epochs: loop {
-                        // Sleep out the full epoch: a spurious condvar
-                        // wakeup re-waits on the remaining deadline
-                        // instead of being miscounted as a boundary.
-                        let deadline = Instant::now() + epoch_len;
-                        let mut guard = stop.lock().unwrap_or_else(|e| e.into_inner());
-                        loop {
-                            if *guard {
-                                break 'epochs;
-                            }
-                            let now = Instant::now();
-                            if now >= deadline {
-                                break;
-                            }
-                            let (g, _) =
-                                cv.wait_timeout(guard, deadline - now).unwrap_or_else(|e| e.into_inner());
-                            guard = g;
-                        }
-                        drop(guard);
-                        epoch_no += 1;
-                        epochs.store(epoch_no, std::sync::atomic::Ordering::Relaxed);
-                        orwl_obs::emit(orwl_obs::EventKind::Epoch { epoch: epoch_no, bytes: 0.0 });
-                        if let Some(placement) = controller.on_epoch(epoch_no) {
-                            replacements.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            plan_handle.publish(placement.compute);
-                        }
+        let monitor = std::thread::Builder::new()
+            .name("orwl-adapt-monitor".to_string())
+            .spawn(move || {
+                let _obs_scope = obs.as_ref().map(orwl_obs::install);
+                let (mut epochs, mut replacements) = (0u64, 0u64);
+                while let Err(RecvTimeoutError::Timeout) = stop_rx.recv_timeout(epoch_len) {
+                    epochs += 1;
+                    orwl_obs::emit(orwl_obs::EventKind::Epoch { epoch: epochs, bytes: 0.0 });
+                    if let Some(placement) = monitor_run.controller.on_epoch(epochs) {
+                        replacements += 1;
+                        monitor_run.plan.publish(placement.compute);
                     }
-                })
-                .expect("spawning the adapt monitor thread cannot fail"),
-        );
-    }
+                }
+                (epochs, replacements)
+            })
+            .expect("spawning the adapt monitor thread cannot fail");
+        (run, stop_tx, monitor)
+    });
 
     // 2. Control threads: bind them per the placement and let them drain
     //    the event channel until every sender is gone.
     let mut control_joins = Vec::new();
     for k in 0..config.control_threads {
-        let rx = event_rx.clone();
+        let rx = Arc::clone(&event_rx);
         let stats = Arc::clone(&stats);
         let binder = Arc::clone(&config.binder);
         let cpuset = control_cpusets.get(k).cloned().flatten();
@@ -247,7 +225,7 @@ pub(crate) fn run(
                         // describes for the unmappable case.
                         let _ = binder.bind_current_thread(&cs);
                     }
-                    while rx.recv().is_ok() {
+                    while rx.lock().unwrap_or_else(|e| e.into_inner()).recv().is_ok() {
                         stats.record_control_event();
                     }
                 })
@@ -265,7 +243,7 @@ pub(crate) fn run(
         let stats = Arc::clone(&stats);
         let tx = event_tx.clone();
         let task_id = TaskId(idx);
-        let task_rebind = rebind_plan.clone();
+        let task_run = adaptive.as_ref().map(|(run, ..)| Arc::clone(run));
         let obs = obs.clone();
         let join = std::thread::Builder::new()
             .name(format!("orwl-task-{}", spec.name))
@@ -274,7 +252,7 @@ pub(crate) fn run(
                 if let Some(cs) = &cpuset {
                     binder.bind_current_thread(cs).map_err(|e| OrwlError::Binding(e.to_string()))?;
                 }
-                let _monitor_tag = monitor::enter_task(task_id, task_rebind);
+                let _task_scope = task_run.map(|run| monitor::enter_task(task_id, run));
                 let ctx = TaskContext { task_id, bound_to: cpuset, stats: Arc::clone(&stats) };
                 let _ = tx.send(ControlEvent::TaskStarted(task_id));
                 stats.record_task_started();
@@ -312,21 +290,23 @@ pub(crate) fn run(
         let _ = join.join();
     }
 
-    // 6. Stop the adaptive machinery: wake the monitor thread, join it,
-    //    and unregister the access sink.
-    let adapt = monitor_thread.map(|join| {
-        *monitor_stop.lock().unwrap_or_else(|e| e.into_inner()) = true;
-        monitor_cv.notify_all();
-        let _ = join.join();
+    // 6. Stop the adaptive machinery: close the monitor's stop channel and
+    //    join it.  A controller that panicked in `on_epoch` fails the run
+    //    like a panicking task.
+    let adapt = adaptive.map(|(run, stop, monitor)| {
+        drop(stop);
+        let (epochs, replacements) = monitor.join().unwrap_or_else(|_| {
+            first_error.get_or_insert(OrwlError::TaskPanicked("orwl-adapt-monitor".to_string()));
+            (0, 0)
+        });
         AdaptReport {
-            epochs: epochs.load(std::sync::atomic::Ordering::Relaxed),
-            replacements: replacements.load(std::sync::atomic::Ordering::Relaxed),
-            rebinds_applied: rebind_plan.as_ref().map(|p| p.rebinds_applied()).unwrap_or(0),
+            epochs,
+            replacements,
+            rebinds_applied: run.plan.rebinds_applied(),
             node_reshards: 0,
             drift_deltas: Vec::new(),
         }
     });
-    drop(sink_registration);
 
     if let Some(e) = first_error {
         return Err(e);
@@ -471,6 +451,33 @@ mod tests {
         let session = threads_on(synthetic::laptop(), Policy::NoBind).build().unwrap();
         match session.run(program) {
             Err(OrwlError::TaskPanicked(name)) => assert_eq!(name, "boom"),
+            other => panic!("expected TaskPanicked, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_controller_panic_fails_the_run() {
+        struct PanicsAtFirstEpoch(std::sync::Mutex<std::sync::mpsc::Sender<()>>);
+        impl AdaptiveController for PanicsAtFirstEpoch {
+            fn on_run_start(&self, _: &[TaskSpec], _: &PlacementPlan, _: &Topology) {}
+            fn on_flow(&self, _: TaskId, _: TaskId, _: LocationId, _: AccessMode) {}
+            fn on_epoch(&self, _: u64) -> Option<Placement> {
+                self.0.lock().unwrap().send(()).unwrap();
+                panic!("controller bug");
+            }
+        }
+        let (epoch_reached, wait_epoch) = std::sync::mpsc::channel();
+        let controller = Arc::new(PanicsAtFirstEpoch(std::sync::Mutex::new(epoch_reached)));
+        let session = threads_on(synthetic::laptop(), Policy::NoBind)
+            .adaptive(AdaptiveSpec::with_controller(controller, Duration::from_millis(1)))
+            .build()
+            .unwrap();
+        let wait_epoch = std::sync::Mutex::new(wait_epoch);
+        let mut program = OrwlProgram::new();
+        // The task outlives the first epoch, so the monitor panics mid-run.
+        program.add_task(TaskSpec::new("waits", vec![]), move |_| wait_epoch.lock().unwrap().recv().unwrap());
+        match session.run(program) {
+            Err(OrwlError::TaskPanicked(name)) => assert_eq!(name, "orwl-adapt-monitor"),
             other => panic!("expected TaskPanicked, got {other:?}"),
         }
     }

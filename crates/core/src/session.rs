@@ -554,7 +554,7 @@ impl ExecutionBackend for ThreadBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::location::Location;
+    use crate::location::{Location, LocationId};
     use crate::request::AccessMode;
     use crate::runtime::AdaptiveController;
     use crate::task::{LocationLink, TaskSpec};
@@ -735,14 +735,9 @@ mod tests {
     #[test]
     fn adaptive_thread_session_drives_the_controller() {
         struct CountingController(std::sync::atomic::AtomicU64);
-        impl crate::monitor::AccessSink for CountingController {
-            fn on_access(&self, _: crate::task::TaskId, _: crate::location::LocationId, _: AccessMode) {}
-        }
         impl AdaptiveController for CountingController {
-            fn sink(&self) -> Arc<dyn crate::monitor::AccessSink> {
-                Arc::new(CountingController(std::sync::atomic::AtomicU64::new(0)))
-            }
             fn on_run_start(&self, _: &[TaskSpec], _: &PlacementPlan, _: &orwl_topo::topology::Topology) {}
+            fn on_flow(&self, _: crate::task::TaskId, _: crate::task::TaskId, _: LocationId, _: AccessMode) {}
             fn on_epoch(&self, _epoch: u64) -> Option<orwl_treematch::mapping::Placement> {
                 self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 None

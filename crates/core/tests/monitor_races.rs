@@ -1,102 +1,106 @@
-//! Race tests for the monitor's global access-sink list, which the runtime
-//! hangs off its hot path, plus the lock-free `RuntimeStats` counters tasks
-//! and control threads update side by side.
-//!
-//! These tests churn registrations from many threads *while runs are
-//! executing* — the scenario the RAII registration design must survive:
-//! no lost unregistration, no observation after drop, no torn counters.
+//! Isolation and race tests for what task threads share: an adaptive
+//! run's flows reach its own controller and no other, even while another
+//! run grants locks at the same time, and the lock-free `RuntimeStats`
+//! counters tasks and control threads update side by side lose nothing.
 
+use orwl_core::placement::PlacementPlan;
 use orwl_core::prelude::*;
+use orwl_core::runtime::AdaptiveController;
 use orwl_core::stats::{RuntimeStats, StatsSnapshot};
-use orwl_core::{AccessSink, LocationId, TaskId};
+use orwl_core::{LocationId, TaskId};
+use orwl_topo::topology::Topology;
+use orwl_treematch::mapping::Placement;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Barrier, Mutex};
+use std::time::Duration;
 
-struct CountingSink(AtomicU64);
+/// Iterations of the writer → reader pair.
+const N: u64 = 200;
 
-impl AccessSink for CountingSink {
-    fn on_access(&self, _task: TaskId, _location: LocationId, _mode: AccessMode) {
+/// Counts the flows of the run it controls.
+#[derive(Default)]
+struct CountingController(AtomicU64);
+
+impl AdaptiveController for CountingController {
+    fn on_run_start(&self, _: &[TaskSpec], _: &PlacementPlan, _: &Topology) {}
+    fn on_flow(&self, _: TaskId, _: TaskId, _: LocationId, _: AccessMode) {
         self.0.fetch_add(1, Ordering::Relaxed);
     }
-}
-
-fn hammer_program(tasks: usize, iterations: usize) -> (Arc<Location<u64>>, OrwlProgram) {
-    let counter = Location::new("race-counter", 0u64);
-    let mut program = OrwlProgram::new();
-    for t in 0..tasks {
-        let loc = Arc::clone(&counter);
-        program.add_task(
-            TaskSpec::new(format!("w{t}"), vec![LocationLink::write(counter.id(), 8.0)]),
-            move |_| {
-                let mut h = loc.iterative_handle(AccessMode::Write);
-                for _ in 0..iterations {
-                    *h.acquire().unwrap() += 1;
-                }
-            },
-        );
+    fn on_epoch(&self, _: u64) -> Option<Placement> {
+        None
     }
-    (counter, program)
 }
 
-fn run(program: OrwlProgram) -> Report {
-    Session::builder()
+/// A writer → reader pair over `N` iterations of one location.  The writer
+/// posts its request before the reader posts its own (the fence), so the
+/// grants alternate write, read, write, … and every read is one flow.
+/// Both task bodies meet at `overlap` before their first grant and after
+/// their last.
+fn pair_program(overlap: &Arc<Barrier>) -> OrwlProgram {
+    let cell = Location::new("isolation-cell", 0u64);
+    let (posted, wait_posted) = mpsc::channel::<()>();
+    let wait_posted = Mutex::new(wait_posted);
+    let mut program = OrwlProgram::new();
+    let (writer, at) = (Arc::clone(&cell), Arc::clone(overlap));
+    program.add_task(TaskSpec::new("writer", vec![LocationLink::write(cell.id(), 8.0)]), move |_| {
+        let mut h = writer.iterative_handle(AccessMode::Write);
+        h.request().unwrap();
+        posted.send(()).unwrap();
+        at.wait();
+        for i in 0..N {
+            *h.acquire().unwrap() = i;
+        }
+        at.wait();
+    });
+    let (reader, at) = (Arc::clone(&cell), Arc::clone(overlap));
+    program.add_task(TaskSpec::new("reader", vec![LocationLink::read(cell.id(), 8.0)]), move |_| {
+        wait_posted.lock().unwrap().recv().unwrap();
+        let mut h = reader.iterative_handle(AccessMode::Read);
+        h.request().unwrap();
+        at.wait();
+        for i in 0..N {
+            assert_eq!(*h.acquire().unwrap(), i);
+        }
+        at.wait();
+    });
+    program
+}
+
+/// Runs `program` adaptively on the thread backend, `controller` observing
+/// (one epoch per minute: the run closes none).
+fn run_observed(program: OrwlProgram, controller: &Arc<CountingController>) {
+    let controller = Arc::clone(controller) as Arc<dyn AdaptiveController>;
+    let _report = Session::builder()
         .topology(orwl_topo::synthetic::laptop())
         .policy(Policy::TreeMatch)
         .binder(Arc::new(orwl_topo::binding::RecordingBinder::new()))
+        .adaptive(AdaptiveSpec::with_controller(controller, Duration::from_secs(60)))
         .backend(ThreadBackend)
         .build()
         .unwrap()
         .run(program)
-        .unwrap()
+        .unwrap();
 }
 
 #[test]
-fn sink_churn_during_active_runs_neither_crashes_nor_leaks_observations() {
-    // Churn threads register and immediately drop counting sinks while the
-    // runtime is mid-run granting locks on every acquisition.
-    let stop = Arc::new(AtomicU64::new(0));
-    let churned = Arc::new(CountingSink(AtomicU64::new(0)));
-    let mut churners = Vec::new();
-    for _ in 0..4 {
-        let stop = Arc::clone(&stop);
-        let sink = Arc::clone(&churned);
-        churners.push(std::thread::spawn(move || {
-            let mut cycles = 0u64;
-            while stop.load(Ordering::Relaxed) == 0 {
-                let registration =
-                    orwl_core::monitor::register_sink(Arc::clone(&sink) as Arc<dyn AccessSink>);
-                std::thread::yield_now();
-                drop(registration);
-                cycles += 1;
-            }
-            cycles
-        }));
+fn overlapping_adaptive_runs_each_see_only_their_own_flows() {
+    let alone = Arc::new(CountingController::default());
+    run_observed(pair_program(&Arc::new(Barrier::new(2))), &alone);
+    assert_eq!(alone.0.load(Ordering::Relaxed), N, "the pair alone moves one flow per read");
+
+    // Both runs' four task threads meet at one barrier before their first
+    // grant and after their last, so the two runs grant side by side.
+    let overlap = Arc::new(Barrier::new(4));
+    let controllers = [Arc::new(CountingController::default()), Arc::new(CountingController::default())];
+    std::thread::scope(|s| {
+        for controller in &controllers {
+            let program = pair_program(&overlap);
+            s.spawn(move || run_observed(program, controller));
+        }
+    });
+    for (k, controller) in controllers.iter().enumerate() {
+        assert_eq!(controller.0.load(Ordering::Relaxed), N, "run {k} heard another run's flows");
     }
-
-    for _ in 0..3 {
-        let (counter, program) = hammer_program(4, 50);
-        let _ = run(program);
-        assert_eq!(counter.snapshot(), 4 * 50);
-    }
-
-    stop.store(1, Ordering::Relaxed);
-    let cycles: u64 = churners.into_iter().map(|j| j.join().unwrap()).sum();
-    assert!(cycles > 0, "churn threads must have cycled at least once");
-    let observed_during_churn = churned.0.load(Ordering::Relaxed);
-
-    // Every churned registration was dropped: a run after the churn must
-    // not reach the churned sink at all...
-    let (_, program) = hammer_program(2, 20);
-    let _ = run(program);
-    assert_eq!(churned.0.load(Ordering::Relaxed), observed_during_churn, "a dropped sink kept observing");
-
-    // ...while the registry itself remains fully functional.
-    let probe = Arc::new(CountingSink(AtomicU64::new(0)));
-    let registration = orwl_core::monitor::register_sink(Arc::clone(&probe) as Arc<dyn AccessSink>);
-    let (_, program) = hammer_program(2, 20);
-    let _ = run(program);
-    drop(registration);
-    assert_eq!(probe.0.load(Ordering::Relaxed), 2 * 20, "a live sink must see every grant");
 }
 
 #[test]

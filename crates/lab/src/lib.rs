@@ -11,9 +11,9 @@
 //!    simulator backends or an [`OrwlProgram`] for the thread backend;
 //! 2. **[`trace`]** — trace capture and replay: per-epoch communication
 //!    matrices recorded from monitored runs (the simulator's `SimMonitor`
-//!    transfer hooks or the thread runtime's `AccessSink` lock-grant
-//!    hooks) into a [`Trace`] that replays as a first-class workload and
-//!    round-trips through JSON — adaptive policies can be evaluated
+//!    transfer hooks or the lock-grant flows a thread run reports to its
+//!    controller) into a [`Trace`] that replays as a first-class workload
+//!    and round-trips through JSON — adaptive policies can be evaluated
 //!    against *captured* rather than synthetic drift;
 //! 3. **[`sweep`] + [`report`]** — the grid runner and the JSON reporter:
 //!    cross products of scenario × backend (threads / NUMA sim / 2-to-8

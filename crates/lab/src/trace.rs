@@ -5,7 +5,8 @@
 //! captured drift is the real thing.  This module records the per-epoch
 //! communication matrices a monitored execution actually produced — from
 //! the simulator's [`SimMonitor`] transfer hooks, or from the thread
-//! runtime's [`AccessSink`] lock-grant hooks — into a [`Trace`]:
+//! runtime's [`AdaptiveController::on_flow`] lock-grant flows — into a
+//! [`Trace`]:
 //!
 //! * a trace **replays** as a [`PhasedWorkload`] (one phase per epoch), so
 //!   adaptive policies can be evaluated against captured rather than
@@ -22,13 +23,17 @@ use orwl_adapt::SimBackend;
 use orwl_cluster::ClusterBackend;
 use orwl_comm::matrix::CommMatrix;
 use orwl_core::json::Json;
-use orwl_core::monitor::AccessSink;
+use orwl_core::placement::PlacementPlan;
+use orwl_core::runtime::AdaptiveController;
 use orwl_core::session::Mode;
+use orwl_core::task::TaskSpec;
 use orwl_core::{AccessMode, LocationId, TaskId};
 use orwl_numasim::exec::SimMonitor;
 use orwl_numasim::machine::SimMachine;
 use orwl_numasim::taskgraph::TaskGraph;
 use orwl_numasim::workload::{Phase, PhasedWorkload};
+use orwl_topo::topology::Topology;
+use orwl_treematch::mapping::Placement;
 use orwl_treematch::policies::Policy;
 use std::sync::Mutex;
 
@@ -259,94 +264,54 @@ pub fn capture_cluster_trace(
     capture(&ClusterBackend::new(machine.clone()), policy, workload, epoch_iterations, "cluster")
 }
 
-/// An [`AccessSink`] that records the thread runtime's lock grants into
-/// trace epochs, attributing traffic with the ORWL data-flow rule: a grant
-/// of a location to task *t* moves that location's bytes from its **last
-/// writer** to *t*.
+/// An [`AdaptiveController`] that records a thread run's flows into trace
+/// epochs: every flow the runtime reports (a grant of a location to task
+/// *t* moves its bytes from its last writer to *t*) charges a fixed
+/// `bytes_per_access` to the pair, rows and columns numbered by program
+/// task id.  Each epoch boundary of the run closes a trace epoch; nothing
+/// is ever re-placed.
 ///
-/// The recorder observes whatever the runtime monitor emits — register it
-/// with [`orwl_core::monitor::register_sink`] around a `Session` run, then
-/// [`finish`](AccessTraceRecorder::finish) it into a one-epoch trace.
+/// Hand it to a `Session` through
+/// [`AdaptiveSpec::with_controller`](orwl_core::runtime::AdaptiveSpec::with_controller),
+/// then [`finish`](AccessTraceRecorder::finish) it into a trace.
 pub struct AccessTraceRecorder {
-    inner: Mutex<AccessState>,
+    recorder: Mutex<TraceRecorder>,
     bytes_per_access: f64,
 }
 
-struct AccessState {
-    task_index: Vec<TaskId>,
-    last_writer: Vec<Option<TaskId>>,
-    location_index: Vec<LocationId>,
-    recorder: TraceRecorder,
-}
-
 impl AccessTraceRecorder {
-    /// A recorder for `n_tasks` tasks, charging `bytes_per_access` per
-    /// observed grant (the runtime reports grants, not byte counts).
+    /// A recorder charging `bytes_per_access` per observed flow (the
+    /// runtime reports grants, not byte counts).
     #[must_use]
-    pub fn new(n_tasks: usize, bytes_per_access: f64) -> Self {
-        AccessTraceRecorder {
-            inner: Mutex::new(AccessState {
-                task_index: Vec::new(),
-                last_writer: Vec::new(),
-                location_index: Vec::new(),
-                recorder: TraceRecorder::new(n_tasks),
-            }),
-            bytes_per_access,
-        }
+    pub fn new(bytes_per_access: f64) -> Self {
+        AccessTraceRecorder { recorder: Mutex::new(TraceRecorder::new(0)), bytes_per_access }
     }
 
-    /// Closes the current epoch (recorded with `iterations == 1`: the
-    /// thread runtime has no iteration counter, so an epoch is the unit).
-    #[cfg(test)]
-    pub(crate) fn roll_epoch(&self) {
-        self.inner.lock().expect("access recorder poisoned").recorder.roll_epoch();
+    fn recorder(&self) -> std::sync::MutexGuard<'_, TraceRecorder> {
+        self.recorder.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Finishes the recording into a [`Trace`] labelled `source`.
+    /// Finishes the recording of the last run into a [`Trace`] labelled
+    /// `source` (epochs are recorded with `iterations == 1`: the thread
+    /// runtime has no iteration counter, so an epoch is the unit).
     #[must_use]
-    pub fn finish(self, source: impl Into<String>) -> Trace {
-        self.inner.into_inner().expect("access recorder poisoned").recorder.finish(source)
+    pub fn finish(&self, source: impl Into<String>) -> Trace {
+        std::mem::replace(&mut *self.recorder(), TraceRecorder::new(0)).finish(source)
     }
 }
 
-impl AccessState {
-    /// Dense index of `task` in arrival order (task ids are opaque).
-    fn index_of(&mut self, task: TaskId) -> usize {
-        if let Some(i) = self.task_index.iter().position(|&t| t == task) {
-            return i;
-        }
-        self.task_index.push(task);
-        self.task_index.len() - 1
+impl AdaptiveController for AccessTraceRecorder {
+    fn on_run_start(&self, specs: &[TaskSpec], _: &PlacementPlan, _: &Topology) {
+        *self.recorder() = TraceRecorder::new(specs.len());
     }
 
-    fn location_slot(&mut self, location: LocationId) -> usize {
-        if let Some(i) = self.location_index.iter().position(|&l| l == location) {
-            return i;
-        }
-        self.location_index.push(location);
-        self.last_writer.push(None);
-        self.location_index.len() - 1
+    fn on_flow(&self, from: TaskId, to: TaskId, _: LocationId, _: AccessMode) {
+        self.recorder().current.add(from.0, to.0, self.bytes_per_access);
     }
-}
 
-impl AccessSink for AccessTraceRecorder {
-    fn on_access(&self, task: TaskId, location: LocationId, mode: AccessMode) {
-        let mut state = self.inner.lock().expect("access recorder poisoned");
-        let slot = state.location_slot(location);
-        let previous = state.last_writer[slot];
-        let t = state.index_of(task);
-        if t >= state.recorder.current.order() {
-            return; // more tasks than declared: ignore the stragglers
-        }
-        if let Some(writer) = previous {
-            let w = state.index_of(writer);
-            if w != t && w < state.recorder.current.order() {
-                state.recorder.current.add(w, t, self.bytes_per_access);
-            }
-        }
-        if mode == AccessMode::Write {
-            state.last_writer[slot] = Some(task);
-        }
+    fn on_epoch(&self, _: u64) -> Option<Placement> {
+        self.recorder().roll_epoch();
+        None
     }
 }
 
@@ -429,25 +394,5 @@ mod tests {
                        "epochs":[{"iterations":1,"entries":[[5,0,1.0]]}]}"#;
         let err = Trace::from_json(&Json::parse(text).unwrap()).unwrap_err();
         assert!(err.contains("outside"), "{err}");
-    }
-
-    #[test]
-    fn access_recorder_attributes_reader_traffic_to_the_last_writer() {
-        let recorder = AccessTraceRecorder::new(3, 64.0);
-        let (t0, t1, t2) = (TaskId(0), TaskId(1), TaskId(2));
-        let loc = LocationId(77);
-        recorder.on_access(t0, loc, AccessMode::Write); // no writer yet: nothing
-        recorder.on_access(t1, loc, AccessMode::Read); // t0 -> t1
-        recorder.on_access(t2, loc, AccessMode::Read); // t0 -> t2
-        recorder.on_access(t2, loc, AccessMode::Write); // t0 -> t2, t2 now owns
-        recorder.roll_epoch();
-        recorder.on_access(t0, loc, AccessMode::Read); // t2 -> t0, next epoch
-        let trace = recorder.finish("unit");
-        assert_eq!(trace.epochs.len(), 2);
-        let first = &trace.epochs[0].matrix;
-        assert_eq!(first.get(0, 1), 64.0);
-        assert_eq!(first.get(0, 2), 128.0);
-        assert_eq!(trace.epochs[1].matrix.get(2, 0), 64.0);
-        assert_eq!(trace.n_tasks, 3);
     }
 }

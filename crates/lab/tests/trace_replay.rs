@@ -89,6 +89,21 @@ fn replayed_trace_preserves_the_drift_for_adaptive_evaluation() {
     );
 }
 
+/// A thread session on the laptop preset that reports every flow to
+/// `recorder` (one epoch per minute: these runs close a single epoch).
+fn recorded_thread_session(recorder: &std::sync::Arc<orwl_lab::trace::AccessTraceRecorder>) -> Session {
+    use orwl_core::runtime::{AdaptiveController, AdaptiveSpec};
+    let controller = std::sync::Arc::clone(recorder) as std::sync::Arc<dyn AdaptiveController>;
+    Session::builder()
+        .topology(orwl_topo::synthetic::laptop())
+        .policy(Policy::TreeMatch)
+        .binder(std::sync::Arc::new(orwl_topo::binding::RecordingBinder::new()))
+        .adaptive(AdaptiveSpec::with_controller(controller, std::time::Duration::from_secs(60)))
+        .backend(orwl_core::session::ThreadBackend)
+        .build()
+        .unwrap()
+}
+
 #[test]
 fn thread_runtime_lock_grants_capture_into_a_trace() {
     use orwl_core::prelude::*;
@@ -96,7 +111,7 @@ fn thread_runtime_lock_grants_capture_into_a_trace() {
     use std::sync::Arc;
 
     // Three tasks hammer one shared location; every grant goes through the
-    // runtime monitor, which the lab recorder is registered on.
+    // runtime monitor, which reports the run's flows to the recorder.
     let counter = Location::new("lab-capture-counter", 0u64);
     let mut program = OrwlProgram::new();
     for t in 0..3 {
@@ -112,20 +127,10 @@ fn thread_runtime_lock_grants_capture_into_a_trace() {
         );
     }
 
-    let recorder = Arc::new(AccessTraceRecorder::new(3, 8.0));
-    let registration =
-        orwl_core::monitor::register_sink(Arc::clone(&recorder) as Arc<dyn orwl_core::AccessSink>);
-    let session = Session::builder()
-        .topology(orwl_topo::synthetic::laptop())
-        .policy(Policy::TreeMatch)
-        .binder(Arc::new(orwl_topo::binding::RecordingBinder::new()))
-        .backend(ThreadBackend)
-        .build()
-        .unwrap();
-    let _report = session.run(program).unwrap();
-    drop(registration);
+    let recorder = Arc::new(AccessTraceRecorder::new(8.0));
+    let _report = recorded_thread_session(&recorder).run(program).unwrap();
 
-    let trace = Arc::into_inner(recorder).expect("registration dropped").finish("threads:laptop");
+    let trace = recorder.finish("threads:laptop");
     assert_eq!(counter.snapshot(), 15);
     assert_eq!(trace.n_tasks, 3);
     // 15 grants on one location, handed between three writers: the
@@ -136,6 +141,46 @@ fn thread_runtime_lock_grants_capture_into_a_trace() {
     // The captured trace replays like any other workload.
     let replay = trace.to_workload();
     assert_eq!(replay.n_tasks(), 3);
+}
+
+#[test]
+fn captured_rows_are_program_task_ids_not_arrival_order() {
+    use orwl_core::prelude::*;
+    use orwl_lab::trace::AccessTraceRecorder;
+    use std::sync::{mpsc, Arc, Mutex};
+
+    // Task 2 is granted first (it writes), task 0 reads after it, task 1
+    // touches nothing: the one flow is 2 -> 0, whatever order the grants
+    // arrived in.
+    let cell = Location::new("lab-first-writer", 0u64);
+    let (written, wait_written) = mpsc::channel::<()>();
+    let wait_written = Mutex::new(wait_written);
+    let mut program = OrwlProgram::new();
+    let reader = Arc::clone(&cell);
+    program.add_task(TaskSpec::new("reader", vec![LocationLink::read(cell.id(), 8.0)]), move |_| {
+        wait_written.lock().unwrap().recv().unwrap();
+        let mut h = reader.handle(AccessMode::Read);
+        h.request().unwrap();
+        assert_eq!(*h.acquire().unwrap(), 7);
+    });
+    program.add_task(TaskSpec::new("idle", vec![]), |_| {});
+    let writer = Arc::clone(&cell);
+    program.add_task(TaskSpec::new("writer", vec![LocationLink::write(cell.id(), 8.0)]), move |_| {
+        let mut h = writer.handle(AccessMode::Write);
+        h.request().unwrap();
+        *h.acquire().unwrap() = 7;
+        written.send(()).unwrap();
+    });
+
+    let recorder = Arc::new(AccessTraceRecorder::new(8.0));
+    let _report = recorded_thread_session(&recorder).run(program).unwrap();
+    let trace = recorder.finish("threads:first-writer");
+
+    assert_eq!(trace.n_tasks, 3);
+    assert_eq!(trace.epochs.len(), 1);
+    let matrix = &trace.epochs[0].matrix;
+    assert_eq!(matrix.get(2, 0), 8.0, "the flow belongs at (writer 2, reader 0)");
+    assert_eq!(matrix.total_volume(), 8.0);
 }
 
 #[test]

@@ -24,8 +24,8 @@ use crate::scenario::ExecutionScenario;
 use crate::taskgraph::TaskGraph;
 
 /// Observer of the simulated execution, the simulator-side analogue of
-/// `orwl_core::monitor::AccessSink`.  `orwl-adapt` feeds its online
-/// communication matrix from these callbacks.
+/// `orwl_core::runtime::AdaptiveController::on_flow`.  `orwl-adapt` feeds
+/// its online communication matrix from these callbacks.
 pub trait SimMonitor {
     /// Called once per halo edge per iteration: `src` sent `bytes` to `dst`.
     fn on_transfer(&mut self, iteration: usize, src: usize, dst: usize, bytes: f64);

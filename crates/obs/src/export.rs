@@ -301,78 +301,11 @@ fn require_str(obj: &Json, key: &str, at: &str) -> Result<(), String> {
     }
 }
 
-/// Validates an `orwl-obs/v1` document: schema tag, clock name, the
-/// per-kind required fields of every event, and the metrics shape.
+/// Validates an `orwl-obs/v1` document: it parses into a
+/// [`RunTelemetry`] (schema tag, clock name, every event's kind and fields,
+/// the metrics shape).
 pub fn validate_obs(doc: &Json) -> Result<(), String> {
-    match doc.get("schema").and_then(Json::as_str) {
-        Some(OBS_SCHEMA) => {}
-        Some(other) => return Err(format!("unexpected schema {other:?}")),
-        None => return Err("missing schema tag".to_string()),
-    }
-    require_str(doc, "backend", "document")?;
-    match doc.get("clock").and_then(Json::as_str) {
-        Some("wall" | "simulated") => {}
-        Some(other) => return Err(format!("unknown clock {other:?}")),
-        None => return Err("missing clock".to_string()),
-    }
-    require_num(doc, "dropped", "document")?;
-    if let Some(tracks) = doc.get("tracks") {
-        let tracks = tracks.as_arr().ok_or_else(|| "tracks is not an array".to_string())?;
-        for (i, t) in tracks.iter().enumerate() {
-            let at = format!("tracks[{i}]");
-            require_num(t, "track", &at)?;
-            require_str(t, "label", &at)?;
-        }
-    }
-    let events =
-        doc.get("events").and_then(Json::as_arr).ok_or_else(|| "missing events array".to_string())?;
-    for (i, ev) in events.iter().enumerate() {
-        let at = format!("events[{i}]");
-        for key in ["ts_us", "dur_us", "seq", "tid"] {
-            require_num(ev, key, &at)?;
-        }
-        if ev.get("track").is_some() {
-            require_num(ev, "track", &at)?;
-        }
-        let kind = ev.get("kind").and_then(Json::as_str).ok_or_else(|| format!("{at}: missing kind"))?;
-        let required: &[&str] = match kind {
-            "epoch" => &["epoch", "bytes"],
-            "placement_solve" => &["phase", "wall_ns"],
-            "drift_decision" => &["outcome", "delta"],
-            "lock_wait" => &["location", "wait_ns"],
-            "fabric_transfer" => &["lane", "bytes"],
-            "rebind" => &["task", "pu"],
-            "migration" => &["tasks_moved", "bytes", "cross_node"],
-            "lock_request" => &["rseq", "location", "owner"],
-            "lock_grant" => &["rseq", "location", "wait_ns"],
-            "lock_release" => &["rseq", "location", "held_ns"],
-            "node_loss" => &["node", "tasks_lost"],
-            "recovery" => &["node", "tasks_migrated"],
-            other => return Err(format!("{at}: unknown kind {other:?}")),
-        };
-        for key in required {
-            if ev.get(key).is_none() {
-                return Err(format!("{at}: kind {kind:?} missing field {key:?}"));
-            }
-        }
-    }
-    let metrics = doc.get("metrics").ok_or_else(|| "missing metrics object".to_string())?;
-    for table in ["counters", "gauges", "histograms"] {
-        if !matches!(metrics.get(table), Some(Json::Obj(_))) {
-            return Err(format!("metrics.{table} missing or not an object"));
-        }
-    }
-    if let Some(Json::Obj(pairs)) = metrics.get("histograms") {
-        for (name, h) in pairs {
-            let at = format!("metrics.histograms.{name}");
-            require_num(h, "count", &at)?;
-            require_num(h, "sum", &at)?;
-            if h.get("buckets").and_then(Json::as_arr).is_none() {
-                return Err(format!("{at}: missing buckets array"));
-            }
-        }
-    }
-    Ok(())
+    RunTelemetry::from_json(doc).map(drop)
 }
 
 /// Validates a Chrome trace-event document: a `traceEvents` array whose
@@ -463,7 +396,10 @@ fn event_from_json(ev: &Json, at: &str) -> Result<ObsEvent, String> {
         "migration" => EventKind::Migration {
             tasks_moved: field_u64(ev, "tasks_moved", at)? as usize,
             bytes: field_f64(ev, "bytes", at)?,
-            cross_node: matches!(ev.get("cross_node"), Some(Json::Bool(true))),
+            cross_node: match ev.get("cross_node") {
+                Some(Json::Bool(cross)) => *cross,
+                _ => return Err(format!("{at}: missing bool \"cross_node\"")),
+            },
         },
         "lock_request" => EventKind::LockRequest {
             rseq: field_u64(ev, "rseq", at)?,
@@ -495,68 +431,66 @@ fn event_from_json(ev: &Json, at: &str) -> Result<ObsEvent, String> {
         dur_us: field_f64(ev, "dur_us", at)?,
         seq: field_u64(ev, "seq", at)?,
         tid: field_u64(ev, "tid", at)?,
-        track: ev.get("track").and_then(Json::as_f64).map_or(0, |t| t as u32),
+        track: if ev.get("track").is_some() { field_u64(ev, "track", at)? as u32 } else { 0 },
         kind,
     })
 }
 
 fn metrics_from_json(doc: &Json) -> Result<MetricsSnapshot, String> {
     let metrics = doc.get("metrics").ok_or_else(|| "missing metrics object".to_string())?;
+    let table = |name: &str| match metrics.get(name) {
+        Some(Json::Obj(pairs)) => Ok(pairs),
+        _ => Err(format!("metrics.{name} missing or not an object")),
+    };
     let mut snap = MetricsSnapshot::default();
-    if let Some(Json::Obj(pairs)) = metrics.get("counters") {
-        for (name, v) in pairs {
-            let x = v.as_f64().ok_or_else(|| format!("counters.{name}: not a number"))?;
-            if x < 0.0 || x.fract() != 0.0 {
-                return Err(format!("counters.{name}: not a non-negative integer"));
-            }
-            snap.counters.push((name.clone(), x as u64));
+    for (name, v) in table("counters")? {
+        let x = v.as_f64().ok_or_else(|| format!("counters.{name}: not a number"))?;
+        if x < 0.0 || x.fract() != 0.0 {
+            return Err(format!("counters.{name}: not a non-negative integer"));
         }
+        snap.counters.push((name.clone(), x as u64));
     }
-    if let Some(Json::Obj(pairs)) = metrics.get("gauges") {
-        for (name, v) in pairs {
-            let x = v.as_f64().ok_or_else(|| format!("gauges.{name}: not a number"))?;
-            snap.gauges.push((name.clone(), x));
-        }
+    for (name, v) in table("gauges")? {
+        let x = v.as_f64().ok_or_else(|| format!("gauges.{name}: not a number"))?;
+        snap.gauges.push((name.clone(), x));
     }
-    if let Some(Json::Obj(pairs)) = metrics.get("histograms") {
-        for (name, h) in pairs {
-            let at = format!("histograms.{name}");
-            let mut buckets = Vec::new();
-            for (i, b) in h.get("buckets").and_then(Json::as_arr).unwrap_or(&[]).iter().enumerate() {
-                let pair = b.as_arr().ok_or_else(|| format!("{at}.buckets[{i}]: not a pair"))?;
-                if pair.len() != 2 {
-                    return Err(format!("{at}.buckets[{i}]: not a pair"));
-                }
-                let log2 = pair[0].as_f64().ok_or_else(|| format!("{at}.buckets[{i}]: bad bucket"))?;
-                let n = pair[1].as_f64().ok_or_else(|| format!("{at}.buckets[{i}]: bad count"))?;
-                buckets.push((log2 as u32, n as u64));
-            }
-            snap.histograms.push((
-                name.clone(),
-                HistogramSnapshot {
-                    count: field_u64(h, "count", &at)?,
-                    sum: field_u64(h, "sum", &at)?,
-                    buckets,
-                },
-            ));
+    for (name, h) in table("histograms")? {
+        let at = format!("histograms.{name}");
+        let buckets_json =
+            h.get("buckets").and_then(Json::as_arr).ok_or_else(|| format!("{at}: missing buckets array"))?;
+        let mut buckets = Vec::new();
+        for (i, b) in buckets_json.iter().enumerate() {
+            let Some([log2, n]) = b.as_arr() else {
+                return Err(format!("{at}.buckets[{i}]: not a pair"));
+            };
+            let log2 = log2.as_f64().ok_or_else(|| format!("{at}.buckets[{i}]: bad bucket"))?;
+            let n = n.as_f64().ok_or_else(|| format!("{at}.buckets[{i}]: bad count"))?;
+            buckets.push((log2 as u32, n as u64));
         }
+        let (count, sum) = (field_u64(h, "count", &at)?, field_u64(h, "sum", &at)?);
+        snap.histograms.push((name.clone(), HistogramSnapshot { count, sum, buckets }));
     }
     Ok(snap)
 }
 
 impl RunTelemetry {
     /// Parses an `orwl-obs/v1` document back into telemetry (the inverse
-    /// of [`ToJson::to_json`]); validates first so shape errors are
-    /// precise.
+    /// of [`ToJson::to_json`]); a document that does not parse says where.
     pub fn from_json(doc: &Json) -> Result<RunTelemetry, String> {
-        validate_obs(doc)?;
+        match doc.get("schema").and_then(Json::as_str) {
+            Some(OBS_SCHEMA) => {}
+            Some(other) => return Err(format!("unexpected schema {other:?}")),
+            None => return Err("missing schema tag".to_string()),
+        }
         let backend = field_str(doc, "backend", "document")?.to_string();
-        let clock = ClockKind::parse(field_str(doc, "clock", "document")?)
-            .ok_or_else(|| "unknown clock".to_string())?;
+        let clock = match doc.get("clock").and_then(Json::as_str) {
+            Some(name) => ClockKind::parse(name).ok_or_else(|| format!("unknown clock {name:?}"))?,
+            None => return Err("missing clock".to_string()),
+        };
         let dropped = field_u64(doc, "dropped", "document")?;
         let mut tracks = Vec::new();
-        if let Some(arr) = doc.get("tracks").and_then(Json::as_arr) {
-            for (i, t) in arr.iter().enumerate() {
+        if let Some(arr) = doc.get("tracks") {
+            for (i, t) in arr.as_arr().ok_or("tracks is not an array")?.iter().enumerate() {
                 let at = format!("tracks[{i}]");
                 tracks.push(TrackInfo {
                     track: field_u64(t, "track", &at)? as u32,
@@ -564,10 +498,14 @@ impl RunTelemetry {
                 });
             }
         }
-        let mut events = Vec::new();
-        for (i, ev) in doc.get("events").and_then(Json::as_arr).unwrap_or(&[]).iter().enumerate() {
-            events.push(event_from_json(ev, &format!("events[{i}]"))?);
-        }
+        let events = doc
+            .get("events")
+            .and_then(Json::as_arr)
+            .ok_or("missing events array")?
+            .iter()
+            .enumerate()
+            .map(|(i, ev)| event_from_json(ev, &format!("events[{i}]")))
+            .collect::<Result<_, _>>()?;
         Ok(RunTelemetry { backend, clock, events, dropped, metrics: metrics_from_json(doc)?, tracks })
     }
 }
