@@ -19,12 +19,10 @@
 
 use crate::assignment::{read_plans, ReAssignment};
 use crate::coordinator::WorkerFailure;
-use crate::metrics::WorkerMetrics;
 use crate::wire::Message;
 use crate::{LiveConfig, LiveEvent};
 use orwl_cluster::{reshard_after_node_loss, ClusterMachine};
 use orwl_numasim::workload::PhasedWorkload;
-use orwl_obs::json::Json;
 use orwl_obs::{EventKind, LiveAggregator, TelemetryDelta};
 use std::time::Duration;
 
@@ -107,8 +105,9 @@ pub(crate) enum Output {
 pub(crate) struct Finished {
     /// `Start` broadcast to last `Done`.
     pub elapsed: Duration,
-    /// One report per surviving node, in node order.
-    pub metrics: Vec<WorkerMetrics>,
+    /// One `(node, same_rack, cross_rack)` grant-byte report per surviving
+    /// node, in node order.
+    pub lane_bytes: Vec<(usize, u64, u64)>,
     /// Per node, every telemetry frame it sent (a lost node's included),
     /// each exactly once.
     pub frames: Vec<Vec<TelemetryDelta>>,
@@ -154,7 +153,8 @@ struct Node {
     beat: Duration,
     flagged: bool,
     frames: Vec<TelemetryDelta>,
-    metrics: Option<WorkerMetrics>,
+    /// Its `Metrics` report: `(same_rack, cross_rack)` bytes.
+    lane_bytes: Option<(u64, u64)>,
 }
 
 /// The coordinator side of one run, from the first `Ready` to the last
@@ -305,17 +305,9 @@ impl<'a> Coordinator<'a> {
                     );
                 }
             }
-            (Phase::Draining, Message::Metrics { json, .. }) if owes => {
-                let parsed = Json::parse(&json)
-                    .map_err(|e| format!("metrics document is not valid JSON: {e}"))
-                    .and_then(|doc| WorkerMetrics::from_json(&doc));
-                match parsed {
-                    Ok(metrics) => {
-                        self.nodes[node].metrics = Some(metrics);
-                        self.answered(now, node, out);
-                    }
-                    Err(e) => self.fail(node, format!("bad metrics report: {e}"), false, out),
-                }
+            (Phase::Draining, Message::Metrics { same_rack_bytes, cross_rack_bytes, .. }) if owes => {
+                self.nodes[node].lane_bytes = Some((same_rack_bytes, cross_rack_bytes));
+                self.answered(now, node, out);
             }
             (phase, other) => {
                 self.fail(node, format!("expected {}, got {}", phase.awaits(), other.name()), false, out);
@@ -389,7 +381,7 @@ impl<'a> Coordinator<'a> {
     /// silent past the kill-confirmation budget.
     fn lose(&mut self, now: Duration, node: usize, detail: &str, out: &mut Vec<Output>) {
         // A worker leaves by hanging up once its last frame is in.
-        if self.nodes[node].metrics.is_some() {
+        if self.nodes[node].lane_bytes.is_some() {
             return;
         }
         match self.phase {
@@ -483,7 +475,12 @@ impl<'a> Coordinator<'a> {
         }
         Finished {
             elapsed: self.elapsed,
-            metrics: self.nodes.iter_mut().filter_map(|node| node.metrics.take()).collect(),
+            lane_bytes: self
+                .nodes
+                .iter()
+                .enumerate()
+                .filter_map(|(n, node)| node.lane_bytes.map(|(same, cross)| (n, same, cross)))
+                .collect(),
             frames,
             counters,
             node_reshards,
@@ -583,6 +580,7 @@ mod tests {
     //! half of the control protocol.
 
     use super::*;
+    use orwl_obs::json::Json;
     use std::collections::VecDeque;
     use std::sync::OnceLock;
 
@@ -986,8 +984,8 @@ mod tests {
                             self.telemetry(node);
                         }
                     }
-                    let report = WorkerMetrics { node, ..WorkerMetrics::default() };
-                    self.say(node, Message::Metrics { node: node as u32, json: report.to_json().pretty() });
+                    let (_, same_rack_bytes, cross_rack_bytes) = report_of(node);
+                    self.say(node, Message::Metrics { node: node as u32, same_rack_bytes, cross_rack_bytes });
                     self.exit(node, self.peers[node].script.exit_code);
                 }
                 other => panic!("seed {}: node {node} was sent {}", self.setup.seed, other.name()),
@@ -1175,6 +1173,12 @@ mod tests {
         }
     }
 
+    /// The `Metrics` report of a scripted peer as the machine keeps it:
+    /// grant bytes per lane, nonzero and different on every node.
+    fn report_of(node: usize) -> (usize, u64, u64) {
+        (node, 1_000 * (node as u64 + 1), 7 + node as u64)
+    }
+
     /// The cluster machines and the workload every schedule runs on,
     /// built once: 12 tasks, two phases.
     fn machine(n_nodes: usize) -> &'static ClusterMachine {
@@ -1249,10 +1253,10 @@ mod tests {
             let seed = self.seed();
             let survivors: Vec<usize> =
                 (0..self.world.peers.len()).filter(|n| !self.world.confirmed.contains(n)).collect();
-            let reported: Vec<usize> = finished.metrics.iter().map(|m| m.node).collect();
+            let reports: Vec<(usize, u64, u64)> = survivors.iter().copied().map(report_of).collect();
             assert_eq!(
-                reported, survivors,
-                "seed {seed}: one metrics report per surviving node, in node order"
+                finished.lane_bytes, reports,
+                "seed {seed}: one metrics report per surviving node, in node order, its lane bytes kept"
             );
             for (node, peer) in self.world.peers.iter().enumerate() {
                 let stored: Vec<u64> = finished.frames[node].iter().map(|frame| frame.seq).collect();
@@ -1677,7 +1681,7 @@ mod tests {
         let script = Script { exit_code: 7, ..Script::healthy(20 * MS) };
         let outcome = run(vec![script], Setup::new(5));
         let finished = outcome.result.as_ref().expect("the worker reported");
-        assert_eq!(finished.metrics.len(), 1);
+        assert_eq!(finished.lane_bytes.len(), 1);
         outcome.check_accounting(finished);
     }
 

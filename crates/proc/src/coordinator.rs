@@ -603,6 +603,12 @@ mod tests {
         drive(pool, &mut coordinator, |_| {})
     }
 
+    /// A fake worker's lane bytes as the coordinator keeps them: nonzero,
+    /// and different on every node.
+    fn report_of(node: usize) -> (usize, u64, u64) {
+        (node, 4_096 * (node as u64 + 1), 3 + node as u64)
+    }
+
     /// Not a test of its own: the body of every fake worker.  In the
     /// harness's own pass the role is unset and it does nothing.
     #[test]
@@ -611,8 +617,8 @@ mod tests {
             return;
         }
         let node: usize = std::env::var(ENV_NODE).expect("node index").parse().expect("node index");
-        let report = crate::metrics::WorkerMetrics { node, ..Default::default() };
-        let metrics = Message::Metrics { node: node as u32, json: report.to_json().pretty() };
+        let (_, same_rack_bytes, cross_rack_bytes) = report_of(node);
+        let metrics = Message::Metrics { node: node as u32, same_rack_bytes, cross_rack_bytes };
         // Where two fake workers of one pool meet, beside the coordinator's socket.
         let gate =
             Path::new(&std::env::var(ENV_COORD).expect("coordinator socket")).with_file_name("gate.sock");
@@ -705,7 +711,7 @@ mod tests {
         let mut pool = fake_pool(1, "dies_after_metrics", Duration::from_secs(60));
         pool.accept_controls().expect("the worker connects");
         let finished = drive_dark(&mut pool, 1).expect("the worker reports");
-        assert!(matches!(&finished.metrics[..], [report] if report.node == 0), "{:?}", finished.metrics);
+        assert_eq!(finished.lane_bytes, [report_of(0)]);
         let failure = pool.wait_all().expect_err("exit status 7 is not a clean exit");
         assert_eq!(failure.node, 0);
         assert!(failure.detail.contains("worker exited with exit status: 7"), "{}", failure.detail);
@@ -732,11 +738,7 @@ mod tests {
         let mut pool = fake_pool(2, "big_frame_from_the_later_node", Duration::from_secs(20));
         pool.accept_controls().expect("both workers connect");
         let finished = drive_dark(&mut pool, 2).expect("both workers report");
-        assert!(
-            matches!(&finished.metrics[..], [first, second] if (first.node, second.node) == (0, 1)),
-            "one report per node, in node order: {:?}",
-            finished.metrics
-        );
+        assert_eq!(finished.lane_bytes, [report_of(0), report_of(1)], "one report per node, in node order");
         let big = big_frame();
         let encoded = big.encode().len();
         assert!(encoded >= 3 << 20, "the frame is {encoded} bytes");

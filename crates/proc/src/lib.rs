@@ -19,9 +19,9 @@
 //! carry wall time, the plan's hop-bytes (identical to `ThreadBackend`
 //! on the same communication matrix), and a
 //! [`ClusterTraffic`] split whose inter-node component is *measured*
-//! from transport accounting rather than modelled — the committed
-//! `BENCH_proc_corr.json` artifact pins measured against predicted per
-//! lab scenario family (see `corr`).
+//! from the grant bytes the workers count rather than modelled — the
+//! committed `BENCH_proc_corr.json` artifact pins measured against
+//! predicted per lab scenario family (see `corr`).
 //!
 //! Any binary or test harness that drives [`ProcBackend`] must call
 //! [`maybe_worker`] as the first statement of `main` (or expose a test
@@ -37,7 +37,6 @@ mod control;
 mod coordinator;
 mod corr;
 mod fault;
-mod metrics;
 pub mod transport;
 pub mod wire;
 mod worker;
@@ -267,8 +266,8 @@ impl ProcBackend {
     /// decision, carried out by [`control::drive`] — the synchronized
     /// start, the wall-clocked execution span, (live runs) the stream and
     /// its straggler flags, (recovering runs) the re-shard around a lost
-    /// node, shutdown, one metrics document per surviving worker and every
-    /// telemetry frame received.
+    /// node, shutdown, the lane byte counters of every surviving worker and
+    /// every telemetry frame received.
     fn run_protocol(
         &self,
         mut pool: WorkerPool,
@@ -423,7 +422,7 @@ impl ExecutionBackend for ProcBackend {
         }
         let pool = WorkerPool::spawn(cluster.n_nodes(), &self.worker_args, &worker_env, self.io_timeout)
             .map_err(|e| OrwlError::WorkerFailed { node: 0, detail: format!("spawning workers: {e}") })?;
-        let Finished { elapsed, metrics, frames, node_reshards, .. } = self
+        let Finished { elapsed, lane_bytes, frames, node_reshards, .. } = self
             .run_protocol(pool, &workload, &cp.node_of_task, config.observe.as_ref(), recorder.as_deref())
             .map_err(|f| OrwlError::WorkerFailed { node: f.node, detail: f.detail })?;
         // A node's telemetry is the concatenation of its frames — which
@@ -435,12 +434,8 @@ impl ExecutionBackend for ProcBackend {
             .filter_map(|(node, frames)| Some((node as u32, fold_deltas(frames)?)))
             .collect();
 
-        let mut same_rack_bytes = 0u64;
-        let mut cross_rack_bytes = 0u64;
-        for m in &metrics {
-            same_rack_bytes += m.same_rack_payload_bytes;
-            cross_rack_bytes += m.cross_rack_payload_bytes;
-        }
+        let same_rack_bytes: u64 = lane_bytes.iter().map(|&(_, same, _)| same).sum();
+        let cross_rack_bytes: u64 = lane_bytes.iter().map(|&(_, _, cross)| cross).sum();
         let measured_inter_bytes = (same_rack_bytes + cross_rack_bytes) as f64;
         let (hops_same_rack, hops_cross_rack) = self.lane_hops();
 

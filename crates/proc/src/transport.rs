@@ -8,10 +8,6 @@
 //! length-prefixed bytes, so the same code works over TCP for inter-host
 //! deployment — only the connect/accept calls differ.
 //!
-//! Every stream counts frames and payload bytes in both directions; the
-//! worker folds these tallies into its metrics report, which is where the
-//! backend's *measured* hop-bytes come from.
-//!
 //! `wait_readable` is the crate's one readiness wait: everything that
 //! waits on more than one descriptor — a listener and a wake descriptor,
 //! several control connections, a child's exit descriptor — blocks in one
@@ -153,10 +149,6 @@ pub struct FramedStream {
     /// The read timeout last set on the socket: an unchanged tick costs
     /// no system call.
     read_timeout: Option<Duration>,
-    frames_sent: u64,
-    frames_received: u64,
-    bytes_sent: u64,
-    bytes_received: u64,
 }
 
 impl AsRawFd for FramedStream {
@@ -173,21 +165,12 @@ impl FramedStream {
     /// Wraps a connected socket.
     #[must_use]
     pub fn new(stream: UnixStream) -> Self {
-        FramedStream {
-            stream,
-            reader: FrameReader::new(),
-            head: Vec::new(),
-            read_timeout: None,
-            frames_sent: 0,
-            frames_received: 0,
-            bytes_sent: 0,
-            bytes_received: 0,
-        }
+        FramedStream { stream, reader: FrameReader::new(), head: Vec::new(), read_timeout: None }
     }
 
-    /// A second stream over the same socket, with its own empty reader and
-    /// counters: one thread can block in `recv` on one while another
-    /// sends on the other.
+    /// A second stream over the same socket, with its own empty reader:
+    /// one thread can block in `recv` on one while another sends on the
+    /// other.
     pub(crate) fn try_clone(&self) -> std::io::Result<Self> {
         self.stream.try_clone().map(FramedStream::new)
     }
@@ -232,30 +215,6 @@ impl FramedStream {
             let left = budget.saturating_sub(start.elapsed());
             std::thread::sleep(pause.min(left).max(Duration::from_millis(1))); // sleep-ok: back-off
         }
-    }
-
-    /// Frames written so far.
-    #[must_use]
-    pub(crate) fn frames_sent(&self) -> u64 {
-        self.frames_sent
-    }
-
-    /// Frames decoded so far.
-    #[must_use]
-    pub(crate) fn frames_received(&self) -> u64 {
-        self.frames_received
-    }
-
-    /// Total bytes written (headers included).
-    #[must_use]
-    pub(crate) fn bytes_sent(&self) -> u64 {
-        self.bytes_sent
-    }
-
-    /// Total bytes read (headers included).
-    #[must_use]
-    pub(crate) fn bytes_received(&self) -> u64 {
-        self.bytes_received
     }
 
     /// Writes one message as a single frame.
@@ -324,10 +283,7 @@ impl FramedStream {
         if deadline.is_some() {
             self.stream.set_write_timeout(None)?;
         }
-        outcome?;
-        self.frames_sent += 1;
-        self.bytes_sent += len as u64;
-        Ok(())
+        outcome
     }
 
     /// Blocks until one whole message arrives, up to `deadline` from now.
@@ -366,16 +322,12 @@ impl FramedStream {
             }
             match self.stream.read(self.reader.read_space()) {
                 Ok(0) => return Err(RecvError::Closed),
-                Ok(n) => {
-                    self.bytes_received += n as u64;
-                    self.reader.filled(n);
-                }
+                Ok(n) => self.reader.filled(n),
                 Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(RecvError::Io(e)),
             }
         };
-        self.frames_received += 1;
         Ok(self.reader.take(span))
     }
 }
@@ -470,17 +422,13 @@ mod tests {
     }
 
     #[test]
-    fn send_recv_roundtrip_with_counters() {
+    fn send_recv_roundtrip() {
         let (mut a, mut b) = pair();
         let msg =
             Message::LockRequest { seq: 1, location: 9, access: crate::wire::WireAccess::Read, bytes: 4096 };
         a.send(&msg).unwrap();
         let got = b.recv(Some(Duration::from_secs(5))).unwrap();
         assert_eq!(got, msg);
-        assert_eq!(a.frames_sent(), 1);
-        assert_eq!(b.frames_received(), 1);
-        assert_eq!(a.bytes_sent(), b.bytes_received());
-        assert!(a.bytes_sent() > 0);
     }
 
     #[test]
@@ -585,6 +533,5 @@ mod tests {
         let msg = Message::QuiesceAck { node: 3, round: 1 };
         a.send_with_deadline(&msg, Duration::from_secs(5)).unwrap();
         assert_eq!(b.recv(Some(Duration::from_secs(5))).unwrap(), msg);
-        assert_eq!(a.frames_sent(), 1);
     }
 }

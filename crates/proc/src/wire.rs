@@ -10,7 +10,7 @@
 //! Unix-domain sockets today, and the same length-prefixed frames work
 //! over TCP for inter-host deployment later.  Payload fields are
 //! little-endian and fixed-layout per kind; variable-length tails
-//! (assignment/metrics JSON, grant data) occupy the remainder of the
+//! (assignment JSON, grant data, telemetry) occupy the remainder of the
 //! frame, so no field needs its own length prefix.
 //!
 //! The lock protocol proper is two frames per read:
@@ -20,11 +20,12 @@
 //! closes the section when it takes that copy, so the reader sends
 //! nothing back.  A [`Message::Release`] stays in the codec, but a
 //! worker's owner answers one with an error.  The remaining kinds run the
-//! coordinator↔worker lifecycle (hello,
-//! assignment, ready/start barrier, done, shutdown, metrics), liveness and
-//! telemetry ([`Message::Heartbeat`], [`Message::TelemetryDelta`]),
-//! node-loss recovery (quiesce/ack/re-assignment/resume) and error
-//! reporting — seventeen kinds in all.
+//! coordinator↔worker lifecycle (hello, assignment, ready/start barrier,
+//! done, shutdown, and [`Message::Metrics`], the two lane byte counters a
+//! worker reports last), liveness and telemetry ([`Message::Heartbeat`],
+//! [`Message::TelemetryDelta`]), node-loss recovery
+//! (quiesce/ack/re-assignment/resume) and error reporting — seventeen
+//! kinds in all.
 //!
 //! The version check is exact: workers are the coordinator's own binary
 //! re-exec'd, so both ends of every connection were compiled from the same
@@ -57,7 +58,7 @@ pub(crate) const MAGIC: [u8; 4] = *b"ORWL";
 /// Protocol version carried in, and required of, every frame header.  It
 /// names the whole layout — the kind numbering and every payload — and
 /// changes whenever any of it does.
-pub(crate) const VERSION: u16 = 6;
+pub(crate) const VERSION: u16 = 7;
 
 /// Frame header length in bytes (magic + version + kind + payload len).
 pub(crate) const HEADER_LEN: usize = 11;
@@ -177,13 +178,15 @@ pub enum Message {
         /// The worker's node index.
         node: u32,
     },
-    /// Worker → coordinator: transport and lock-wait accounting (an
-    /// `orwl-proc-metrics/v1` JSON document), the worker's last frame.
+    /// Worker → coordinator: the grant payload bytes this worker received
+    /// as a reader, per fabric lane — the worker's last frame.
     Metrics {
         /// The worker's node index.
         node: u32,
-        /// The metrics document text.
-        json: String,
+        /// Bytes received from owners in this worker's rack.
+        same_rack_bytes: u64,
+        /// Bytes received from owners in other racks.
+        cross_rack_bytes: u64,
     },
     /// Either direction: a fatal failure, with a human-readable reason.
     Error {
@@ -355,9 +358,11 @@ impl Message {
                 head.extend_from_slice(&location.to_le_bytes());
                 &[]
             }
-            Message::Metrics { node, json } => {
+            Message::Metrics { node, same_rack_bytes, cross_rack_bytes } => {
                 head.extend_from_slice(&node.to_le_bytes());
-                json.as_bytes()
+                head.extend_from_slice(&same_rack_bytes.to_le_bytes());
+                head.extend_from_slice(&cross_rack_bytes.to_le_bytes());
+                &[]
             }
             Message::Heartbeat { node, seq } => {
                 head.extend_from_slice(&node.to_le_bytes());
@@ -503,9 +508,11 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, WireError> {
             Message::Release { seq: take_u64(payload, 0, kind)?, location: take_u64(payload, 8, kind)? }
         }
         KIND_DONE => Message::Done { node: take_u32(payload, 0, kind)? },
-        KIND_METRICS => {
-            Message::Metrics { node: take_u32(payload, 0, kind)?, json: take_string(payload, 4, kind)? }
-        }
+        KIND_METRICS => Message::Metrics {
+            node: take_u32(payload, 0, kind)?,
+            same_rack_bytes: take_u64(payload, 4, kind)?,
+            cross_rack_bytes: take_u64(payload, 12, kind)?,
+        },
         KIND_ERROR => Message::Error { message: take_string(payload, 0, kind)? },
         KIND_SHUTDOWN => Message::Shutdown,
         KIND_HEARTBEAT => {
@@ -722,7 +729,7 @@ mod tests {
             Message::LockGrant { seq: 0, location: 0, data: Vec::new() },
             Message::Release { seq: 9, location: 4 },
             Message::Done { node: 3 },
-            Message::Metrics { node: 3, json: "{\"node\":3}".to_string() },
+            Message::Metrics { node: 3, same_rack_bytes: 1 << 20, cross_rack_bytes: u64::MAX },
             Message::Error { message: "worker 2 panicked".to_string() },
             Message::Shutdown,
             Message::Heartbeat { node: 2, seq: 0 },
@@ -748,10 +755,13 @@ mod tests {
     /// at the copy into the grant, and an owner refuses a `Release` — so
     /// a version-5 reader, which sends one after every grant, must not
     /// meet a version-6 owner.
+    ///
+    /// Version 7 changed `Metrics`: a fixed payload of the node and the
+    /// two lane byte counters replaces the JSON document after the node.
     #[test]
     fn frame_bytes_are_pinned() {
         let header = |kind: u8, len: u8| -> Vec<u8> {
-            vec![b'O', b'R', b'W', b'L', 0x06, 0x00, kind, len, 0x00, 0x00, 0x00]
+            vec![b'O', b'R', b'W', b'L', 0x07, 0x00, kind, len, 0x00, 0x00, 0x00]
         };
         let pinned = |message: Message, kind: u8, payload: &[u8]| {
             let mut want = header(kind, payload.len() as u8);
@@ -775,7 +785,11 @@ mod tests {
             6,
             &[7, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0],
         );
-        pinned(Message::Metrics { node: 1, json: "{}".to_string() }, 8, &[1, 0, 0, 0, b'{', b'}']);
+        pinned(
+            Message::Metrics { node: 1, same_rack_bytes: 0x0102, cross_rack_bytes: 5 },
+            8,
+            &[1, 0, 0, 0, 2, 1, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0],
+        );
         pinned(Message::Heartbeat { node: 2, seq: 7 }, 11, &[2, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0]);
         pinned(
             Message::TelemetryDelta { node: 1, delta: vec![0xCC, 0xDD, 0xEE] },
@@ -957,7 +971,7 @@ mod tests {
             [
                 Message::Hello { node: i as u32 },
                 Message::LockRequest { seq: i, location: 2, access: WireAccess::Read, bytes: 64 },
-                Message::Metrics { node: 1, json: "{\"k\":1}".repeat(i as usize + 1) },
+                Message::Metrics { node: 1, same_rack_bytes: i, cross_rack_bytes: i << 40 },
             ]
         };
         let big = Message::LockGrant {
@@ -1061,7 +1075,7 @@ mod tests {
             5 => Message::LockGrant { seq: a, location: b, data },
             6 => Message::Release { seq: a, location: b },
             7 => Message::Done { node: a as u32 },
-            8 => Message::Metrics { node: b as u32, json: text },
+            8 => Message::Metrics { node: b as u32, same_rack_bytes: a, cross_rack_bytes: a ^ b },
             9 => Message::Error { message: text },
             10 => Message::Shutdown,
             11 => Message::Heartbeat { node: a as u32, seq: b },

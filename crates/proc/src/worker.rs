@@ -12,7 +12,7 @@
 //! `orwl_core` session (one-shot ORWL handles for local sections, the
 //! wire protocol for remote ones) → `Done` → keep serving peers until
 //! `Shutdown` → send the final telemetry frame (observed runs) → report
-//! [`WorkerMetrics`] → exit.
+//! the grant payload bytes received per fabric lane (`Metrics`) → exit.
 //!
 //! From the assignment until `Shutdown` the connection has one reader, a
 //! control thread: it hands every coordinator frame to the main thread in
@@ -41,12 +41,14 @@
 //! reader only ever sees the copy, so it owes no `Release`.  Each
 //! (reader, owner) pair shares one connection and the reader holds it for
 //! the whole request→grant exchange, so a connection never interleaves
-//! two sections and the server side needs no demultiplexer.
+//! two sections and the server side needs no demultiplexer.  A round
+//! resolves every read against the routing table before its session
+//! runs, dials each owner it names once, and hangs up on them when it
+//! ends: routing changes only between rounds.
 
 use crate::assignment::{Assignment, PhasePlan, ReAssignment};
 use crate::coordinator::{ENV_COORD, ENV_NODE, ENV_ROLE};
 use crate::fault::FaultPlan;
-use crate::metrics::{WorkerMetrics, MAX_WAIT_SAMPLES};
 use crate::transport::{wait_readable, FramedStream, RecvError};
 use crate::wire::{Message, WireAccess, MAX_DATA};
 use orwl_core::location::Location;
@@ -151,130 +153,83 @@ fn expect_kind(kinds: &[&'static str], received: Result<Message, RecvError>) -> 
     }
 }
 
-/// Shared tallies of the reader side (remote sections this worker opened).
-#[derive(Default)]
-struct ReaderTallies {
-    same_rack_payload_bytes: AtomicU64,
-    cross_rack_payload_bytes: AtomicU64,
-    remote_reads: AtomicU64,
-    lock_wait_count: AtomicU64,
-    lock_wait_total_ns: AtomicU64,
-    lock_wait_samples: Mutex<Vec<(u64, u64)>>,
-}
-
-/// The reader-side gateway: one serialized connection per owner peer.
-/// Recovery rewrites the routing table and drops the dead peer's
-/// connection between rounds; connections to new owners open lazily on
-/// first use.
-struct PeerGateway {
-    conns: RwLock<BTreeMap<usize, Arc<Mutex<FramedStream>>>>,
-    routing: RwLock<Vec<usize>>,
+/// The reader side of the data plane across rounds: where the owners
+/// listen and which rack each is in, the request ids, and the grant
+/// payload bytes received per fabric lane — the two numbers the worker
+/// reports last.
+struct Reader {
     peer_listen: Vec<String>,
     rack_of_node: Vec<usize>,
-    my_node: usize,
     my_rack: usize,
     io_timeout: Duration,
     wire_delay: Duration,
+    /// Request ids, namespaced by node (high 32 bits) and never reset, so
+    /// an id is unique across every reader process and every round of the
+    /// run — the merged timeline matches requests to grants by this id.
     seq: AtomicU64,
-    tallies: ReaderTallies,
+    same_rack_bytes: AtomicU64,
+    cross_rack_bytes: AtomicU64,
 }
 
-impl PeerGateway {
-    fn connect(assignment: &Assignment, faults: &FaultPlan) -> Result<PeerGateway, String> {
-        let gateway = PeerGateway {
-            conns: RwLock::new(BTreeMap::new()),
-            routing: RwLock::new(assignment.node_of_task.clone()),
+impl Reader {
+    fn new(assignment: &Assignment, faults: &FaultPlan) -> Reader {
+        Reader {
             peer_listen: assignment.peer_listen.clone(),
             rack_of_node: assignment.rack_of_node.clone(),
-            my_node: assignment.node,
             my_rack: assignment.rack_of_node[assignment.node],
             io_timeout: Duration::from_millis(assignment.io_timeout_ms),
             wire_delay: Duration::from_millis(faults.wire_delay_ms(assignment.node).unwrap_or(0)),
-            // Seqs are namespaced by node (high 32 bits) so a request id
-            // is unique across every reader process of the run — the
-            // merged timeline matches requests to grants by this id.
             seq: AtomicU64::new((assignment.node as u64) << 32),
-            tallies: ReaderTallies::default(),
-        };
-        // Eagerly dial every owner the initial schedule names; peers
-        // adopted into the routing later connect lazily on first read.
-        let mut peers = BTreeSet::new();
-        for phase in &assignment.phases {
-            for read in &phase.reads {
-                let owner = assignment.node_of_task[read.src];
-                if owner != assignment.node {
-                    peers.insert(owner);
-                }
-            }
-        }
-        for peer in peers {
-            gateway.conn_for(peer)?;
-        }
-        Ok(gateway)
-    }
-
-    /// The serialized connection to `owner`, dialling it (bounded retry:
-    /// peers bind their listeners concurrently) on first use.
-    fn conn_for(&self, owner: usize) -> Result<Arc<Mutex<FramedStream>>, String> {
-        if let Some(conn) = self.conns.read().ok().and_then(|map| map.get(&owner).cloned()) {
-            return Ok(conn);
-        }
-        let mut map = self.conns.write().map_err(|_| "gateway connection map poisoned".to_string())?;
-        if let Some(conn) = map.get(&owner) {
-            return Ok(Arc::clone(conn));
-        }
-        let path = std::path::Path::new(&self.peer_listen[owner]);
-        let stream = FramedStream::connect_retry(path, self.io_timeout)
-            .map_err(|e| format!("connecting to peer {owner}: {e}"))?;
-        let conn = Arc::new(Mutex::new(stream));
-        map.insert(owner, Arc::clone(&conn));
-        Ok(conn)
-    }
-
-    /// Swaps in the post-loss routing table and hangs up on the dead
-    /// peer.  Runs between rounds only (the quiesce barrier guarantees no
-    /// section is in flight).
-    fn apply_reassignment(&self, node_of_task: &[usize], dead: usize) {
-        if let Ok(mut routing) = self.routing.write() {
-            node_of_task.clone_into(&mut routing);
-        }
-        if let Ok(mut conns) = self.conns.write() {
-            conns.remove(&dead);
+            same_rack_bytes: AtomicU64::new(0),
+            cross_rack_bytes: AtomicU64::new(0),
         }
     }
+}
 
-    /// One remote read: request → grant (with payload).  The owner closed
+/// One round's gateway: a serialized connection to every owner the
+/// round's reads name, dialled before the round's session runs.  Dropping
+/// it when the round ends hangs up on those peers.
+struct PeerGateway {
+    reader: Arc<Reader>,
+    conns: BTreeMap<usize, Mutex<FramedStream>>,
+}
+
+impl PeerGateway {
+    /// Dials every one of `owners` (bounded retry: peers bind their
+    /// listeners concurrently).
+    fn dial(reader: &Arc<Reader>, owners: BTreeSet<usize>) -> Result<PeerGateway, String> {
+        let mut conns = BTreeMap::new();
+        for owner in owners {
+            let path = std::path::Path::new(&reader.peer_listen[owner]);
+            let stream = FramedStream::connect_retry(path, reader.io_timeout)
+                .map_err(|e| format!("connecting to peer {owner}: {e}"))?;
+            conns.insert(owner, Mutex::new(stream));
+        }
+        Ok(PeerGateway { reader: Arc::clone(reader), conns })
+    }
+
+    /// One remote read of `src`'s location from `owner`, an owner this
+    /// gateway dialled: request → grant (with payload).  The owner closed
     /// its section when it copied the value into the grant, so nothing
     /// goes back; the `LockRelease` event records this side's hold.
-    fn remote_read(&self, src: usize, bytes: f64) -> Result<(), String> {
-        let owner = self
-            .routing
-            .read()
-            .map_err(|_| "gateway routing table poisoned".to_string())?
-            .get(src)
-            .copied()
-            .ok_or_else(|| format!("task {src} is not in the routing table"))?;
-        if owner == self.my_node {
-            return Err(format!("task {src} is routed here but its location is absent"));
-        }
-        let conn = self.conn_for(owner)?;
-        if !self.wire_delay.is_zero() {
+    fn remote_read(&self, owner: usize, src: usize, bytes: f64) -> Result<(), String> {
+        let reader = &self.reader;
+        if !reader.wire_delay.is_zero() {
             // Injected link latency (fault plans only; zero in production
             // runs), paid before the section opens.
-            std::thread::sleep(self.wire_delay); // sleep-ok: injected fault
+            std::thread::sleep(reader.wire_delay); // sleep-ok: injected fault
         }
-        let mut stream = conn.lock().map_err(|_| "gateway connection poisoned".to_string())?;
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        let mut stream = self.conns[&owner].lock().map_err(|_| "gateway connection poisoned".to_string())?;
+        let seq = reader.seq.fetch_add(1, Ordering::Relaxed);
         let want = (bytes.round().max(0.0) as u64).min(MAX_DATA as u64);
         let location = src as u64;
         orwl_obs::emit(EventKind::LockRequest { rseq: seq, location, owner: owner as u32 });
         stream
             .send(&Message::LockRequest { seq, location, access: WireAccess::Read, bytes: want })
             .map_err(|e| format!("lock request to peer {owner}: {e}"))?;
-        let requested = Instant::now();
         // The grant is read in place: only its length is wanted here.
         let frame = stream
-            .recv_frame(Some(self.io_timeout))
+            .recv_frame(Some(reader.io_timeout))
             .map_err(|e| format!("peer {owner}: waiting for grant: {e}"))?;
         let granted = match frame.grant() {
             Some(Ok((s, l, data))) if s == seq && l == location => data.len(),
@@ -286,7 +241,6 @@ impl PeerGateway {
                 });
             }
         };
-        let wait_ns = requested.elapsed().as_nanos() as u64;
         let granted_at = Instant::now();
         orwl_obs::emit(EventKind::LockRelease {
             rseq: seq,
@@ -295,27 +249,13 @@ impl PeerGateway {
         });
         drop(stream);
 
-        let lane = if self.rack_of_node[owner] == self.my_rack {
-            &self.tallies.same_rack_payload_bytes
+        let lane = if reader.rack_of_node[owner] == reader.my_rack {
+            &reader.same_rack_bytes
         } else {
-            &self.tallies.cross_rack_payload_bytes
+            &reader.cross_rack_bytes
         };
         lane.fetch_add(granted as u64, Ordering::Relaxed);
-        self.tallies.remote_reads.fetch_add(1, Ordering::Relaxed);
-        self.tallies.lock_wait_count.fetch_add(1, Ordering::Relaxed);
-        self.tallies.lock_wait_total_ns.fetch_add(wait_ns, Ordering::Relaxed);
-        if let Ok(mut samples) = self.tallies.lock_wait_samples.lock() {
-            if samples.len() < MAX_WAIT_SAMPLES {
-                samples.push((location, wait_ns));
-            }
-        }
         Ok(())
-    }
-
-    /// Tears the gateway apart for the teardown accounting.
-    fn into_parts(self) -> (BTreeMap<usize, Arc<Mutex<FramedStream>>>, ReaderTallies) {
-        let conns = self.conns.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
-        (conns, self.tallies)
     }
 }
 
@@ -329,11 +269,7 @@ impl PeerGateway {
 /// message and taken back after the send.  Only its first eight bytes (the
 /// location's value) are ever written and `resize` zero-fills what it adds,
 /// so every byte past them is still zero, and a grant costs no fill.
-fn serve_connection(
-    mut stream: FramedStream,
-    locations: SharedLocations,
-    shutdown: Arc<AtomicBool>,
-) -> (u64, u64, u64, u64) {
+fn serve_connection(mut stream: FramedStream, locations: SharedLocations, shutdown: Arc<AtomicBool>) {
     let mut data = Vec::new();
     let refusal = loop {
         let (seq, location, bytes) = match stream.recv(Some(Duration::from_millis(200))) {
@@ -368,7 +304,6 @@ fn serve_connection(
     if let Some(message) = refusal {
         let _ = stream.send(&Message::Error { message });
     }
-    (stream.frames_sent(), stream.frames_received(), stream.bytes_sent(), stream.bytes_received())
 }
 
 /// One remote read section on an owned location: its value's bytes,
@@ -391,8 +326,7 @@ fn copy_under_grant(locations: &SharedLocations, location: u64) -> Result<([u8; 
 }
 
 /// The accept loop: hands every inbound connection to its own serving
-/// thread and, once shut down, joins them and returns the summed socket
-/// counters as `(frames_sent, frames_received, bytes_sent, bytes_received)`.
+/// thread and, once shut down, joins them.
 ///
 /// It waits on the listener and on `wake`, a wake descriptor whose other
 /// end the main thread drops when the run is over: a peer's connection is
@@ -403,7 +337,7 @@ fn accept_loop(
     wake: UnixStream,
     locations: SharedLocations,
     shutdown: Arc<AtomicBool>,
-) -> (u64, u64, u64, u64) {
+) {
     let mut handlers = Vec::new();
     // The worker's telemetry scope: this thread took it from the main
     // thread, and each serving thread takes it from here, so the grant
@@ -432,13 +366,9 @@ fn accept_loop(
             None => {}
         }
     }
-    let mut totals = (0, 0, 0, 0);
     for handler in handlers {
-        if let Ok((fs, fr, bs, br)) = handler.join() {
-            totals = (totals.0 + fs, totals.1 + fr, totals.2 + bs, totals.3 + br);
-        }
+        let _ = handler.join();
     }
-    totals
 }
 
 /// Why one iteration failed: a broken peer exchange (the worker-side
@@ -448,51 +378,60 @@ enum IterError {
     Local(String),
 }
 
-/// The park-on-peer-failure switch shared by every task body of a round.
-/// On recovery-enabled runs a remote failure or a coordinator `Quiesce`
-/// flips it, and every task breaks out at its next iteration boundary
-/// instead of failing the worker.
+/// The round's one stop flag, shared by every task body, which checks it
+/// at each iteration boundary.  A coordinator `Quiesce` raises it, and so
+/// does a failed iteration, after recording its cause.  A cause is fatal
+/// unless it is a broken peer exchange on a recovery-enabled run: the
+/// worker-side symptom of a node loss, which parks the round until the
+/// coordinator's quiesce instead of failing the worker.
 struct Interrupt {
-    enabled: bool,
-    quiesce: AtomicBool,
-    reason: Mutex<Option<String>>,
+    recovery: bool,
+    raised: AtomicBool,
+    /// The first cause recorded, and whether it is fatal; a fatal cause
+    /// replaces a parking one.
+    cause: Mutex<Option<(String, bool)>>,
 }
 
 impl Interrupt {
-    fn new(enabled: bool) -> Interrupt {
-        Interrupt { enabled, quiesce: AtomicBool::new(false), reason: Mutex::new(None) }
+    fn new(recovery: bool) -> Interrupt {
+        Interrupt { recovery, raised: AtomicBool::new(false), cause: Mutex::new(None) }
     }
 
-    fn enabled(&self) -> bool {
-        self.enabled
-    }
-
+    /// The flag is up: the round's tasks stop at their next iteration
+    /// boundary, and a round without a fatal cause ends parked.
     fn parked(&self) -> bool {
-        self.enabled && self.quiesce.load(Ordering::Relaxed)
-    }
-
-    /// A task hit a broken peer: remember the first cause and park.
-    fn park(&self, reason: String) {
-        if let Ok(mut slot) = self.reason.lock() {
-            slot.get_or_insert(reason);
-        }
-        self.quiesce.store(true, Ordering::Relaxed);
+        self.raised.load(Ordering::Relaxed)
     }
 
     /// The coordinator asked for a quiesce (no local symptom needed).
     fn interrupt(&self) {
-        self.quiesce.store(true, Ordering::Relaxed);
+        self.raised.store(true, Ordering::Relaxed);
+    }
+
+    /// An iteration of `task` failed: record why, and raise the flag.
+    fn stop(&self, task: usize, error: IterError) {
+        let (cause, fatal) = match error {
+            IterError::Remote(e) => (e, !self.recovery),
+            IterError::Local(e) => (e, true),
+        };
+        if let Ok(mut slot) = self.cause.lock() {
+            if slot.as_ref().is_none_or(|&(_, was_fatal)| fatal && !was_fatal) {
+                *slot = Some((format!("task {task}: {cause}"), fatal));
+            }
+        }
+        self.interrupt();
     }
 
     fn clear(&self) {
-        self.quiesce.store(false, Ordering::Relaxed);
-        if let Ok(mut slot) = self.reason.lock() {
+        self.raised.store(false, Ordering::Relaxed);
+        if let Ok(mut slot) = self.cause.lock() {
             *slot = None;
         }
     }
 
-    fn parked_reason(&self) -> Option<String> {
-        self.reason.lock().ok().and_then(|slot| slot.clone())
+    /// The recorded cause, fatal or not.
+    fn cause(&self) -> Option<(String, bool)> {
+        self.cause.lock().ok().and_then(|slot| slot.clone())
     }
 }
 
@@ -607,25 +546,39 @@ fn control_loop(
 /// One task's plan: per phase, `(iterations, reads as (src, bytes))`.
 type PhaseSchedule = Vec<(usize, Vec<(usize, f64)>)>;
 
-/// A [`PhaseSchedule`] with each read's locality resolved for the
-/// current round: `Some(location)` when the source lives on this node.
-type ResolvedSchedule = Vec<(usize, Vec<(usize, f64, Option<Arc<Location<u64>>>)>)>;
+/// Where one read of a round is served: the shared FIFO of a location
+/// this node owns, or the owner node, through the round's gateway.
+enum Source {
+    Local(Arc<Location<u64>>),
+    Remote(usize),
+}
+
+/// A [`PhaseSchedule`] with each read's source resolved for the current
+/// round, as `(src, bytes, source)`.
+type ResolvedSchedule = Vec<(usize, Vec<(usize, f64, Source)>)>;
 
 /// The worker's mutable work ledger across rounds: per-task phase
-/// schedules and completed-iteration progress.  Surviving tasks carry
-/// their progress into the next round; adopted tasks enter at zero (the
-/// run is checkpoint-free — the dead node's progress died with it).
+/// schedules, completed-iteration progress and the routing table.
+/// Surviving tasks carry their progress into the next round; adopted tasks
+/// enter at zero (the run is checkpoint-free — the dead node's progress
+/// died with it).
 struct WorkState {
     /// Per task: for each phase, `(iterations, reads as (src, bytes))`.
     schedules: HashMap<usize, PhaseSchedule>,
     /// Per task: completed iterations per phase, shared with the round's
     /// task closure.
     progress: HashMap<usize, Arc<Vec<AtomicUsize>>>,
+    /// The node hosting each task, replaced by every re-assignment.
+    routing: Vec<usize>,
 }
 
 impl WorkState {
     fn new(assignment: &Assignment) -> WorkState {
-        let mut work = WorkState { schedules: HashMap::new(), progress: HashMap::new() };
+        let mut work = WorkState {
+            schedules: HashMap::new(),
+            progress: HashMap::new(),
+            routing: assignment.node_of_task.clone(),
+        };
         work.enter(&assignment.local_tasks(), &assignment.phases);
         work
     }
@@ -765,17 +718,14 @@ fn run_worker(
         });
     }
 
-    let gateway = Arc::new(PeerGateway::connect(assignment, &faults)?);
+    let reader = Arc::new(Reader::new(assignment, &faults));
     let mut work = WorkState::new(assignment);
-    let mut wall_seconds = 0.0;
 
     // The execution span: one round on a fault-free run; on recovery
     // runs, quiesce → ack → adopt → resume and go again until the
     // coordinator is satisfied and sends Shutdown.
     loop {
-        let started = Instant::now();
-        run_round(assignment, &work, &locations, &gateway, &interrupt)?;
-        wall_seconds += started.elapsed().as_secs_f64();
+        run_round(assignment, &work, &locations, &reader, &interrupt)?;
         // A parked round is unfinished, and only the quiesce may follow.
         // A finished one reports Done, and a quiesce may still race it:
         // the coordinator tolerates that Done, and this node joins the
@@ -785,39 +735,25 @@ fn run_worker(
             control.send(&Message::Done { node })?;
         }
         let kinds: &[&'static str] = if parked { &["quiesce"] } else { &["shutdown", "quiesce"] };
-        let next = control.recv(kinds, io_timeout).map_err(|e| match interrupt.parked_reason() {
-            Some(cause) => format!("parked on a peer failure ({cause}) but recovery never arrived: {e}"),
+        let next = control.recv(kinds, io_timeout).map_err(|e| match interrupt.cause() {
+            Some((cause, _)) => format!("parked on a peer failure ({cause}) but recovery never arrived: {e}"),
             None => e,
         })?;
         let Message::Quiesce { round } = next else {
             break; // shutdown
         };
         apply_recovery(
-            &control, assignment, round, io_timeout, &mut work, &locations, &global_of, &gateway, &interrupt,
+            &control, assignment, round, io_timeout, &mut work, &locations, &global_of, &interrupt,
         )?;
     }
     let sampler = sampler.or(control.finish()?);
 
-    // Order matters: every task body has returned by now (the session run
-    // joined them), so the gateway Arc is unique again; closing its
-    // connections makes every peer's serving thread observe the hangup,
-    // and only then is joining our own server deadlock-free (peers close
-    // their gateways at the same protocol step).
-    let gateway = Arc::try_unwrap(gateway).map_err(|_| "gateway still shared after the run".to_string())?;
-    let (conns, tallies) = gateway.into_parts();
-    let mut gateway_counters = (0u64, 0u64, 0u64, 0u64);
-    for conn in conns.values() {
-        if let Ok(stream) = conn.lock() {
-            gateway_counters.0 += stream.frames_sent();
-            gateway_counters.1 += stream.frames_received();
-            gateway_counters.2 += stream.bytes_sent();
-            gateway_counters.3 += stream.bytes_received();
-        }
-    }
-    drop(conns); // hang up on every owner peer
+    // Every round hung up on its peers when it ended, and so did every
+    // peer's last round, before the `Done` this `Shutdown` waited for: no
+    // serving thread here waits on a peer, and the join is deadlock-free.
     shutdown.store(true, Ordering::Relaxed);
     drop(server_wake); // wakes the accept loop, which joins the serving threads
-    let server_counters = server.join().unwrap_or_default();
+    let _ = server.join();
 
     // The final frame goes out after the Shutdown barrier: the
     // coordinator only broadcasts it once *every* node has reported Done,
@@ -835,15 +771,15 @@ fn run_worker(
         telemetry.send(sampler.sample(), false).map_err(|e| format!("sending final telemetry: {e}"))?;
     }
 
-    let metrics = compose_metrics(assignment, wall_seconds, &tallies, gateway_counters, server_counters);
-    send_ctl(sender, &Message::Metrics { node, json: metrics.to_json().pretty() })?;
-    Ok(())
+    let (same_rack_bytes, cross_rack_bytes) =
+        (reader.same_rack_bytes.load(Ordering::Relaxed), reader.cross_rack_bytes.load(Ordering::Relaxed));
+    send_ctl(sender, &Message::Metrics { node, same_rack_bytes, cross_rack_bytes })
 }
 
 /// One recovery exchange, entered after the round stopped (parked or
 /// finished): ack the quiesce, receive and validate this node's
 /// [`ReAssignment`], adopt the orphans routed here (fresh locations at
-/// zero progress), swap the gateway's routing table, clear the interrupt,
+/// zero progress), replace the routing table, clear the interrupt,
 /// signal `Ready` and wait out the `Resume` barrier.  The coordinator sends
 /// no next `Quiesce` before that `Resume`, so the clear loses none.
 #[allow(clippy::too_many_arguments)]
@@ -855,7 +791,6 @@ fn apply_recovery(
     work: &mut WorkState,
     locations: &SharedLocations,
     global_of: &SharedGlobals,
-    gateway: &PeerGateway,
     interrupt: &Interrupt,
 ) -> Result<(), String> {
     let node = assignment.node as u32;
@@ -886,7 +821,7 @@ fn apply_recovery(
         }
     }
     work.enter(&reassign.adopted, &reassign.phases);
-    gateway.apply_reassignment(&reassign.node_of_task, reassign.dead);
+    work.routing = reassign.node_of_task;
     interrupt.clear();
     control.send(&Message::Ready { node })?;
     let Message::Resume { round: resumed } = control.recv(&["resume"], io_timeout)? else {
@@ -936,44 +871,22 @@ impl TelemetryLink {
     }
 }
 
-fn compose_metrics(
-    assignment: &Assignment,
-    wall_seconds: f64,
-    t: &ReaderTallies,
-    gateway_counters: (u64, u64, u64, u64),
-    server_counters: (u64, u64, u64, u64),
-) -> WorkerMetrics {
-    WorkerMetrics {
-        node: assignment.node,
-        wall_seconds,
-        same_rack_payload_bytes: t.same_rack_payload_bytes.load(Ordering::Relaxed),
-        cross_rack_payload_bytes: t.cross_rack_payload_bytes.load(Ordering::Relaxed),
-        frames_sent: gateway_counters.0 + server_counters.0,
-        frames_received: gateway_counters.1 + server_counters.1,
-        bytes_sent: gateway_counters.2 + server_counters.2,
-        bytes_received: gateway_counters.3 + server_counters.3,
-        remote_reads: t.remote_reads.load(Ordering::Relaxed),
-        lock_wait_count: t.lock_wait_count.load(Ordering::Relaxed),
-        lock_wait_total_ns: t.lock_wait_total_ns.load(Ordering::Relaxed),
-        lock_wait_samples: t.lock_wait_samples.lock().map(|samples| samples.clone()).unwrap_or_default(),
-    }
-}
-
 /// Runs one round of this worker's unfinished tasks through a real
 /// `orwl_core` session on the reconstructed node topology.  Each
 /// iteration of each task writes its own location under a one-shot write
 /// section, then reads its in-edges one section at a time — locally
-/// through the shared FIFO, remotely through the gateway.  At most one
-/// lock is ever held, so the schedule cannot deadlock whatever the
-/// interleaving across processes.  Locality is resolved against the
-/// location map at round start: it only changes at the quiesce barrier,
-/// where a re-shard can adopt a source here and turn its reads local.
+/// through the shared FIFO, remotely through the round's gateway.  At most
+/// one lock is ever held, so the schedule cannot deadlock whatever the
+/// interleaving across processes.  Every read is resolved against the
+/// routing table before the session runs: it only changes at the quiesce
+/// barrier, where a re-shard can adopt a source here and turn its reads
+/// local.  Returns the fatal cause, if a task recorded one.
 #[allow(clippy::too_many_lines)]
 fn run_round(
     assignment: &Assignment,
     work: &WorkState,
     locations: &SharedLocations,
-    gateway: &Arc<PeerGateway>,
+    reader: &Arc<Reader>,
     interrupt: &Arc<Interrupt>,
 ) -> Result<(), String> {
     let tasks = work.tasks_with_work();
@@ -988,32 +901,44 @@ fn run_round(
     let topology = Topology::from_levels(&assignment.topo_name, &levels)
         .map_err(|e| format!("reconstructing the node topology: {e}"))?;
 
-    let failure: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
-    let mut program = OrwlProgram::new();
-    for &t in &tasks {
-        let map = locations.read().map_err(|_| "location map poisoned".to_string())?;
-        let own = map
-            .get(&(t as u64))
+    let map = locations.read().map_err(|_| "location map poisoned".to_string())?;
+    let hosted = |task: usize| {
+        map.get(&(task as u64))
             .cloned()
-            .ok_or_else(|| format!("task {t} is scheduled here but owns no location"))?;
-        // Resolve each read's locality for this round and build the
-        // session's link structure from the local ones.
-        let schedule: ResolvedSchedule = work.schedules[&t]
-            .iter()
-            .map(|(iterations, reads)| {
-                let reads =
-                    reads.iter().map(|&(src, bytes)| (src, bytes, map.get(&(src as u64)).cloned())).collect();
-                (*iterations, reads)
-            })
-            .collect();
-        drop(map);
+            .ok_or_else(|| format!("task {task} is routed here but owns no location"))
+    };
+    let mut owners = BTreeSet::new();
+    let mut resolved = Vec::with_capacity(tasks.len());
+    for &t in &tasks {
+        let mut schedule: ResolvedSchedule = Vec::new();
+        for (iterations, reads) in &work.schedules[&t] {
+            let mut sources = Vec::with_capacity(reads.len());
+            for &(src, bytes) in reads {
+                let source = match work.routing[src] {
+                    owner if owner == assignment.node => Source::Local(hosted(src)?),
+                    owner => {
+                        owners.insert(owner);
+                        Source::Remote(owner)
+                    }
+                };
+                sources.push((src, bytes, source));
+            }
+            schedule.push((*iterations, sources));
+        }
+        resolved.push((t, hosted(t)?, schedule));
+    }
+    drop(map);
+    let gateway = Arc::new(PeerGateway::dial(reader, owners)?);
+
+    let mut program = OrwlProgram::new();
+    for (t, own, schedule) in resolved {
+        // The session's link structure comes from the local reads.
         let mut links = vec![LocationLink::write(own.id(), 8.0)];
-        let mut local_read_bytes: BTreeMap<usize, (f64, Arc<Location<u64>>)> = BTreeMap::new();
+        let mut local_read_bytes: BTreeMap<usize, (f64, &Arc<Location<u64>>)> = BTreeMap::new();
         for (_, reads) in &schedule {
-            for (src, bytes, loc) in reads {
-                if let Some(loc) = loc {
-                    let entry = local_read_bytes.entry(*src).or_insert_with(|| (0.0, Arc::clone(loc)));
-                    entry.0 += bytes;
+            for (src, bytes, source) in reads {
+                if let Source::Local(loc) = source {
+                    local_read_bytes.entry(*src).or_insert((0.0, loc)).0 += bytes;
                 }
             }
         }
@@ -1022,14 +947,13 @@ fn run_round(
         }
 
         let progress = Arc::clone(&work.progress[&t]);
-        let gateway = Arc::clone(gateway);
-        let failure = Arc::clone(&failure);
+        let gateway = Arc::clone(&gateway);
         let interrupt = Arc::clone(interrupt);
         program.add_task(TaskSpec::new(format!("task-{t}"), links), move |ctx| {
             let mut acquisitions = 0u64;
             'phases: for (k, (iterations, reads)) in schedule.iter().enumerate() {
                 while progress[k].load(Ordering::Relaxed) < *iterations {
-                    if interrupt.parked() || failure.lock().map(|f| f.is_some()).unwrap_or(true) {
+                    if interrupt.parked() {
                         break 'phases;
                     }
                     let outcome = (|| -> Result<(), IterError> {
@@ -1038,9 +962,9 @@ fn run_round(
                         *write.acquire().map_err(|e| IterError::Local(e.to_string()))? += 1;
                         drop(write);
                         acquisitions += 1;
-                        for (src, bytes, loc) in reads {
-                            match loc {
-                                Some(src_loc) => {
+                        for (src, bytes, source) in reads {
+                            match source {
+                                Source::Local(src_loc) => {
                                     let mut read = src_loc.handle(AccessMode::Read);
                                     read.request().map_err(|e| IterError::Local(e.to_string()))?;
                                     let guard =
@@ -1048,8 +972,8 @@ fn run_round(
                                     std::hint::black_box(*guard);
                                     drop(guard);
                                 }
-                                None => {
-                                    gateway.remote_read(*src, *bytes).map_err(IterError::Remote)?;
+                                Source::Remote(owner) => {
+                                    gateway.remote_read(*owner, *src, *bytes).map_err(IterError::Remote)?;
                                 }
                             }
                             acquisitions += 1;
@@ -1060,18 +984,8 @@ fn run_round(
                         Ok(()) => {
                             progress[k].fetch_add(1, Ordering::Relaxed);
                         }
-                        Err(IterError::Remote(e)) if interrupt.enabled() => {
-                            // A broken peer exchange is the worker-side
-                            // symptom of a node loss: park and wait for
-                            // the coordinator's quiesce instead of
-                            // failing the whole worker.
-                            interrupt.park(format!("task {t}: {e}"));
-                            break 'phases;
-                        }
-                        Err(IterError::Remote(e) | IterError::Local(e)) => {
-                            if let Ok(mut slot) = failure.lock() {
-                                slot.get_or_insert(format!("task {t}: {e}"));
-                            }
+                        Err(error) => {
+                            interrupt.stop(t, error);
                             break 'phases;
                         }
                     }
@@ -1089,11 +1003,10 @@ fn run_round(
         .build()
         .map_err(|e| format!("building the worker session: {e}"))?;
     let _report = session.run(program).map_err(|e| format!("worker session run: {e}"))?;
-
-    let mut slot = failure.lock().map_err(|_| "failure flag poisoned".to_string())?;
-    match slot.take() {
-        Some(e) => Err(e),
-        None => Ok(()),
+    drop(gateway); // the tasks' handles went with their bodies: hang up on the round's peers
+    match interrupt.cause() {
+        Some((cause, true)) => Err(cause),
+        _ => Ok(()),
     }
 }
 
@@ -1142,25 +1055,25 @@ mod tests {
         };
 
         // One whole remote read against an idle server: two frames.
-        let mut peer = FramedStream::connect(&dir.join("peer.sock")).unwrap();
+        let socket = UnixStream::connect(dir.join("peer.sock")).unwrap();
+        let mut peer = FramedStream::new(socket.try_clone().unwrap());
         peer.send(&Message::LockRequest { seq: 1, location: 7, access: WireAccess::Read, bytes: 8 }).unwrap();
         match peer.recv(Some(WAIT)) {
             Ok(Message::LockGrant { seq: 1, location: 7, data }) => assert_eq!(data, 41u64.to_le_bytes()),
             other => panic!("expected the grant, got {other:?}"),
         }
-        drop(peer);
+        nothing_more_out(&mut peer, &socket);
 
         // The shutdown flag is never raised: hanging up the wake
-        // descriptor is what ends the accept loop, and the join returns
-        // with the served read's counters.
+        // descriptor is what ends the accept loop.
         drop(wake);
-        let (frames_sent, frames_received, _, _) = server.join().unwrap();
-        assert_eq!((frames_sent, frames_received), (1, 1), "a grant out; a request in");
+        server.join().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The location, the peer's end and the owner's serving thread.
-    type Served = (Arc<Location<u64>>, FramedStream, std::thread::JoinHandle<(u64, u64, u64, u64)>);
+    /// The location, the peer's end, a second handle on that socket (to
+    /// shut its writes down) and the owner's serving thread.
+    type Served = (Arc<Location<u64>>, FramedStream, UnixStream, std::thread::JoinHandle<()>);
 
     /// Location 7, holding 41, served over one end of a socket pair.
     fn served_location() -> Served {
@@ -1170,7 +1083,15 @@ mod tests {
         let owner = std::thread::spawn(move || {
             serve_connection(FramedStream::new(far), locations, Arc::new(AtomicBool::new(false)))
         });
-        (loc, FramedStream::new(near), owner)
+        (loc, FramedStream::new(near.try_clone().unwrap()), near, owner)
+    }
+
+    /// The peer is done asking: its writes end, and the owner, having read
+    /// to the end, hangs up without another frame.
+    fn nothing_more_out(peer: &mut FramedStream, socket: &UnixStream) {
+        socket.shutdown(std::net::Shutdown::Write).unwrap();
+        let next = peer.recv(Some(WAIT));
+        assert!(matches!(next, Err(RecvError::Closed)), "nothing more out: {next:?}");
     }
 
     #[test]
@@ -1178,7 +1099,7 @@ mod tests {
         // Shrinking, growing past the value, zero length and a size just
         // past the value: a reused buffer that kept a stale byte anywhere
         // would show it in one of these grants.
-        let (_, mut peer, owner) = served_location();
+        let (_, mut peer, socket, owner) = served_location();
         for (seq, len) in [64usize, 4, 16, 0, 9].into_iter().enumerate() {
             let seq = seq as u64;
             let request =
@@ -1193,14 +1114,13 @@ mod tests {
                 other => panic!("expected grant {seq}, got {other:?}"),
             }
         }
-        drop(peer);
-        let (frames_sent, frames_received, _, _) = owner.join().unwrap();
-        assert_eq!((frames_sent, frames_received), (5, 5), "five grants out; five requests in");
+        nothing_more_out(&mut peer, &socket);
+        owner.join().unwrap();
     }
 
     #[test]
     fn a_local_writer_is_not_held_by_a_reader_that_never_reads_its_grant() {
-        let (loc, mut peer, owner) = served_location();
+        let (loc, mut peer, socket, owner) = served_location();
         peer.send(&Message::LockRequest { seq: 1, location: 7, access: WireAccess::Read, bytes: 8 }).unwrap();
         // The grant is on the wire once the peer's end turns readable; the
         // peer leaves it there.
@@ -1220,27 +1140,25 @@ mod tests {
             Ok(Message::LockGrant { seq: 1, location: 7, data }) => assert_eq!(data, 41u64.to_le_bytes()),
             other => panic!("expected the grant, got {other:?}"),
         }
-        drop(peer);
-        let (frames_sent, frames_received, _, _) = owner.join().unwrap();
-        assert_eq!((frames_sent, frames_received), (1, 1), "a grant out; a request in");
+        nothing_more_out(&mut peer, &socket);
+        owner.join().unwrap();
     }
 
     #[test]
     fn a_remote_write_request_is_refused_and_ends_the_connection() {
-        let (_, mut peer, owner) = served_location();
+        let (_, mut peer, _, owner) = served_location();
         peer.send(&Message::LockRequest { seq: 1, location: 7, access: WireAccess::Write, bytes: 8 })
             .unwrap();
         let refusal = Message::Error { message: "remote writes are not served".to_string() };
         assert_eq!(peer.recv(Some(WAIT)).unwrap(), refusal);
         assert!(matches!(peer.recv(Some(WAIT)), Err(RecvError::Closed)), "the owner hung up");
-        let (frames_sent, frames_received, _, _) = owner.join().unwrap();
-        assert_eq!((frames_sent, frames_received), (1, 1), "an error out; a request in");
+        owner.join().unwrap();
     }
 
     #[test]
     fn a_release_is_a_protocol_error_and_ends_the_connection() {
         // The grant closed the section, so a release names nothing open.
-        let (_, mut peer, owner) = served_location();
+        let (_, mut peer, _, owner) = served_location();
         peer.send(&Message::LockRequest { seq: 1, location: 7, access: WireAccess::Read, bytes: 8 }).unwrap();
         assert!(matches!(peer.recv(Some(WAIT)), Ok(Message::LockGrant { seq: 1, location: 7, .. })));
         peer.send(&Message::Release { seq: 1, location: 7 }).unwrap();
@@ -1249,12 +1167,7 @@ mod tests {
             other => panic!("expected an error, got {other:?}"),
         }
         assert!(matches!(peer.recv(Some(WAIT)), Err(RecvError::Closed)), "the owner hung up");
-        let (frames_sent, frames_received, _, _) = owner.join().unwrap();
-        assert_eq!(
-            (frames_sent, frames_received),
-            (2, 2),
-            "a grant and an error out; a request and a release in"
-        );
+        owner.join().unwrap();
     }
 
     #[test]
