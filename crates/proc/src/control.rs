@@ -2,20 +2,20 @@
 //! (DESIGN.md, "Process backend & wire protocol", has its phase × input
 //! table).
 //!
-//! Everything the coordinator decides between the handshake and the
-//! workers' exit is decided by [`Coordinator::step`]: a function of the
+//! Everything the coordinator decides from the first `Hello` to the last
+//! worker's exit is decided by [`Coordinator::step`]: a function of the
 //! machine's state, one [`Input`] and the caller's `now` that appends its
 //! decisions to a list of [`Output`]s.  It reads no clock, owns no socket
 //! and spawns nothing, so the same code runs against real worker processes
 //! and against the scripted peers of this module's tests, where a seeded
 //! scheduler picks every arrival order and clock jump.
 //!
-//! A run walks `AwaitReady → Running → (Quiescing → Reassigning →
-//! Running)* → Draining → Finished`; a failure is absorbing.  In every
-//! phase each live node either still *owes* the phase's answer or has
-//! given it, and the phase advances when nobody owes.  A dark run, an
-//! observed run, a live run and a recovering run are this one walk with
-//! fewer things enabled.
+//! A run walks `AwaitHello → AwaitReady → Running → (Quiescing →
+//! Reassigning → Running)* → Draining → Exiting → Finished`; a failure is
+//! absorbing.  In every phase each live node either still *owes* the
+//! phase's answer or has given it, and the phase advances when nobody
+//! owes.  A dark run, an observed run, a live run and a recovering run are
+//! this one walk with fewer things enabled.
 
 use crate::assignment::{read_plans, ReAssignment};
 use crate::coordinator::WorkerFailure;
@@ -69,13 +69,14 @@ impl Budgets {
 /// What the world did, as the driver observed it.
 #[derive(Debug)]
 pub(crate) enum Input {
-    /// A whole frame arrived on `node`'s control connection.
+    /// A whole frame arrived on `node`'s control connection; a new
+    /// connection's first is the `Hello` that names its node.
     Frame { node: usize, message: Message },
     /// `node`'s control connection is gone; reported once.
     Lost { node: usize, detail: String },
-    /// `node`'s process exited with its connection still open and silent;
-    /// reported once.
-    Exited { node: usize, status: String },
+    /// `node`'s process exited, with `status`, and nothing is left to read
+    /// from its connection; reported once.
+    Exited { node: usize, status: String, clean: bool },
     /// Nothing else is readable: compare the clocks.
     Tick,
 }
@@ -119,11 +120,13 @@ pub(crate) struct Finished {
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Phase {
+    AwaitHello,
     AwaitReady,
     Running,
     Quiescing { round: u32, dead: usize },
     Reassigning { round: u32, dead: usize, migrated: usize },
     Draining,
+    Exiting,
     Finished,
     Failed,
 }
@@ -132,10 +135,12 @@ impl Phase {
     /// The answer every live node owes in this phase.
     fn awaits(self) -> &'static str {
         match self {
+            Phase::AwaitHello => "hello",
             Phase::AwaitReady | Phase::Reassigning { .. } => "ready",
             Phase::Running => "done",
             Phase::Quiescing { .. } => "quiesce_ack",
             Phase::Draining => "metrics",
+            Phase::Exiting => "exit",
             Phase::Finished | Phase::Failed => "nothing",
         }
     }
@@ -155,14 +160,18 @@ struct Node {
     frames: Vec<TelemetryDelta>,
     /// Its `Metrics` report: `(same_rack, cross_rack)` bytes.
     lane_bytes: Option<(u64, u64)>,
+    /// Left with a clean exit after its `Metrics`.
+    exited: bool,
 }
 
-/// The coordinator side of one run, from the first `Ready` to the last
-/// `Metrics`.
+/// The coordinator side of one run, from the first `Hello` to the last
+/// worker's exit.
 pub(crate) struct Coordinator<'a> {
     budgets: Budgets,
     machine: &'a ClusterMachine,
     workload: &'a PhasedWorkload,
+    /// Each node's `Assignment` document, sent when the last `Hello` is in.
+    assignments: Vec<String>,
     phase: Phase,
     nodes: Vec<Node>,
     /// The current routing table, rewritten by every re-shard.
@@ -180,12 +189,12 @@ pub(crate) struct Coordinator<'a> {
 }
 
 impl<'a> Coordinator<'a> {
-    /// A machine whose workers have all said `Hello` and been sent their
-    /// assignments at `now`.
+    /// A machine whose workers were spawned by `now` and owe their `Hello`.
     pub(crate) fn new(
         machine: &'a ClusterMachine,
         workload: &'a PhasedWorkload,
         node_of_task: &[usize],
+        assignments: Vec<String>,
         budgets: Budgets,
         now: Duration,
     ) -> Self {
@@ -193,7 +202,8 @@ impl<'a> Coordinator<'a> {
             budgets,
             machine,
             workload,
-            phase: Phase::AwaitReady,
+            assignments,
+            phase: Phase::AwaitHello,
             nodes: (0..machine.n_nodes()).map(|_| Node::default()).collect(),
             routing: node_of_task.to_vec(),
             down: Vec::new(),
@@ -206,7 +216,7 @@ impl<'a> Coordinator<'a> {
             stragglers_flagged: 0,
             tasks_migrated: 0,
         };
-        coordinator.enter(Phase::AwaitReady, now);
+        coordinator.enter(Phase::AwaitHello, now);
         coordinator
     }
 
@@ -244,7 +254,9 @@ impl<'a> Coordinator<'a> {
                 self.frame(now, node, message, out);
             }
             Input::Lost { node, detail } => self.lose(now, node, &detail, out),
-            Input::Exited { node, status } => self.lose(now, node, &format!("worker exited ({status})"), out),
+            // A written-off node's exit is not a second loss.
+            Input::Exited { node, .. } if self.nodes[node].dead => {}
+            Input::Exited { node, status, clean } => self.exited(now, node, &status, clean, out),
             Input::Tick => self.tick(now, out),
         }
     }
@@ -280,7 +292,10 @@ impl<'a> Coordinator<'a> {
             (_, Message::Error { message }) => {
                 self.fail(node, format!("worker reported: {message}"), true, out);
             }
-            (Phase::AwaitReady | Phase::Reassigning { .. }, Message::Ready { .. }) if owes => {
+            (Phase::AwaitHello, Message::Hello { .. })
+            | (Phase::AwaitReady | Phase::Reassigning { .. }, Message::Ready { .. })
+                if owes =>
+            {
                 self.answered(now, node, out);
             }
             // In a recovery phase this is the worker's natural finish
@@ -322,6 +337,12 @@ impl<'a> Coordinator<'a> {
             return;
         }
         match self.phase {
+            Phase::AwaitHello => {
+                for (node, json) in std::mem::take(&mut self.assignments).into_iter().enumerate() {
+                    out.push(Output::Send(node, Message::Assignment { json }));
+                }
+                self.enter(Phase::AwaitReady, now);
+            }
             Phase::AwaitReady => {
                 self.started = now;
                 self.nodes.iter_mut().for_each(|node| node.beat = now);
@@ -348,10 +369,14 @@ impl<'a> Coordinator<'a> {
                 // Survivors go back to work, possibly with adopted tasks.
                 self.enter(Phase::Running, now);
             }
+            // A worker that left before the last report owes no exit.
             Phase::Draining => {
-                self.phase = Phase::Finished;
-                out.push(Output::Finished(self.finish()));
+                self.enter(Phase::Exiting, now);
+                if self.owing().next().is_none() {
+                    self.finish(out);
+                }
             }
+            Phase::Exiting => self.finish(out),
             Phase::Finished | Phase::Failed => {}
         }
     }
@@ -377,6 +402,21 @@ impl<'a> Coordinator<'a> {
         plan.migrated_tasks.len()
     }
 
+    /// `node`'s process is gone: a loss before its `Metrics`; after, a clean
+    /// exit is how it leaves and any other fails the run.
+    fn exited(&mut self, now: Duration, node: usize, status: &str, clean: bool, out: &mut Vec<Output>) {
+        if self.nodes[node].lane_bytes.is_none() {
+            return self.lose(now, node, &format!("worker exited ({status})"), out);
+        }
+        if !clean {
+            return self.fail(node, format!("worker exited with {status} after its metrics"), false, out);
+        }
+        self.nodes[node].exited = true;
+        if self.nodes[node].owes {
+            self.answered(now, node, out);
+        }
+    }
+
     /// `node` is gone — its socket closed, its process exited, or it kept
     /// silent past the kill-confirmation budget.
     fn lose(&mut self, now: Duration, node: usize, detail: &str, out: &mut Vec<Output>) {
@@ -388,6 +428,8 @@ impl<'a> Coordinator<'a> {
             Phase::Running if self.can_recover() => {
                 let tasks_lost = self.routing.iter().filter(|&&home| home == node).count();
                 self.nodes[node].dead = true;
+                // Nothing still queued in this batch goes to a lost node.
+                out.retain(|output| !matches!(output, Output::Send(to, _) if *to == node));
                 out.push(Output::ConfirmLoss(node));
                 out.push(Output::Record(EventKind::NodeLoss { node: node as u32, tasks_lost }));
                 if self.nodes.iter().all(|node| node.dead) {
@@ -441,7 +483,7 @@ impl<'a> Coordinator<'a> {
     fn enter(&mut self, phase: Phase, now: Duration) {
         self.phase = phase;
         for node in self.nodes.iter_mut().filter(|node| !node.dead) {
-            node.owes = true;
+            node.owes = !node.exited;
             node.heard = now;
         }
     }
@@ -449,10 +491,13 @@ impl<'a> Coordinator<'a> {
     fn fail(&mut self, node: usize, detail: String, cascade: bool, out: &mut Vec<Output>) {
         self.phase = Phase::Failed;
         self.nodes.iter_mut().for_each(|node| node.owes = false);
+        // A failed run sends nothing more, not even what this batch queued.
+        out.retain(|output| !matches!(output, Output::Send(..)));
         out.push(Output::Fail { node, detail, cascade });
     }
 
-    fn finish(&mut self) -> Finished {
+    fn finish(&mut self, out: &mut Vec<Output>) {
+        self.phase = Phase::Finished;
         let frames: Vec<Vec<TelemetryDelta>> =
             self.nodes.iter_mut().map(|node| std::mem::take(&mut node.frames)).collect();
         let mut counters = vec![
@@ -473,7 +518,7 @@ impl<'a> Coordinator<'a> {
                 ("live.tasks_migrated", self.tasks_migrated),
             ]);
         }
-        Finished {
+        out.push(Output::Finished(Finished {
             elapsed: self.elapsed,
             lane_bytes: self
                 .nodes
@@ -484,7 +529,7 @@ impl<'a> Coordinator<'a> {
             frames,
             counters,
             node_reshards,
-        }
+        }));
     }
 
     /// The live nodes that still owe the phase's answer.
@@ -624,8 +669,12 @@ mod tests {
     /// Where in its lifecycle a peer is when a fault strikes.
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Step {
-        /// Connected, before `Ready`.
+        /// Started, before `Hello`.
+        Connect,
+        /// Assigned, before `Ready`.
         Boot,
+        /// Right after `Ready`.
+        Ready,
         /// Halfway through a round's work.
         Work,
         /// Right after `Done`.
@@ -636,6 +685,8 @@ mod tests {
         Reassign,
         /// On receiving `Shutdown`, before any final frame.
         Shutdown,
+        /// Right after `Metrics`, instead of the exit.
+        Leave,
     }
 
     /// How a peer stops playing along (`fault.rs`'s faults, and the fake
@@ -645,8 +696,8 @@ mod tests {
         /// Dies without a goodbye (a panic, a SIGKILL): the socket closes
         /// and the exit status is a crash.
         Crash,
-        /// Stops (a SIGSTOP, a deadlock): nothing more is ever sent and the
-        /// socket stays open.
+        /// Stops (a SIGSTOP, a deadlock): nothing more is ever sent, the
+        /// socket stays open and the process never exits.
         Hang,
         /// Diagnoses its own failure: an `Error` frame, then exit 1.
         ErrorExit,
@@ -677,7 +728,8 @@ mod tests {
 
     impl Script {
         /// The worker half of the protocol, as the coordinator may rely on
-        /// it: `Ready` once set up; after `Start`, one `Heartbeat` per
+        /// it: `Hello` once connected; `Ready` once its `Assignment` is in
+        /// and it is set up; after `Start`, one `Heartbeat` per
         /// interval (live runs) and a `TelemetryDelta` when anything
         /// happened, until `Shutdown`; `Done` when the round's work is
         /// finished; `Quiesce{r}` answered by `QuiesceAck{r}` from wherever
@@ -705,6 +757,7 @@ mod tests {
 
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Timer {
+        Hello,
         Ready,
         Done,
         Die(Death),
@@ -722,10 +775,13 @@ mod tests {
         remaining: Duration,
         /// Dead, hung or exited: takes no further part.
         gone: bool,
+        /// Said `Hello`: the coordinator holds its connection.
+        connected: bool,
         /// Once the socket is closed, a send to it breaks.
         socket_closed: bool,
         /// When its exit status becomes reapable, and the status.
         exit: Option<(Duration, i32)>,
+        exit_reported: bool,
         received: Vec<Message>,
         beats_sent: u64,
         frames_sent: Vec<u64>,
@@ -805,15 +861,17 @@ mod tests {
                 .into_iter()
                 .map(|script| Peer {
                     remaining: script.work,
-                    timer: Some((rng.micros(5_000), Timer::Ready)),
+                    timer: Some((rng.micros(5_000), Timer::Hello)),
                     script,
                     mailbox: VecDeque::new(),
                     next_beat: None,
                     beat_seq: 0,
                     frame_seq: 0,
                     gone: false,
+                    connected: false,
                     socket_closed: false,
                     exit: None,
+                    exit_reported: false,
                     received: Vec::new(),
                     beats_sent: 0,
                     frames_sent: Vec::new(),
@@ -850,14 +908,16 @@ mod tests {
             self.emit(node, Input::Frame { node, message });
         }
 
-        /// The process ends: the kernel closes its socket, the status
-        /// becomes reapable a moment later.
+        /// The process ends: the kernel closes its socket, if it had one,
+        /// and the status becomes reapable a moment later.
         fn exit(&mut self, node: usize, code: i32) {
             let reapable = self.now + self.rng.micros(10_000);
             let peer = &mut self.peers[node];
             (peer.gone, peer.socket_closed, peer.exit) = (true, true, Some((reapable, code)));
-            let detail = format!("worker exited (exit status: {code}) during the run");
-            self.emit(node, Input::Lost { node, detail });
+            if peer.connected {
+                let detail = format!("worker exited (exit status: {code}) during the run");
+                self.emit(node, Input::Lost { node, detail });
+            }
         }
 
         fn die(&mut self, node: usize, step: Step, death: Death) {
@@ -880,7 +940,12 @@ mod tests {
                     }
                 }
                 Death::Hang => self.peers[node].gone = true,
+                // A worker that gives up before its assignment has said
+                // `Hello` already.
                 Death::ErrorExit => {
+                    if !std::mem::replace(&mut self.peers[node].connected, true) {
+                        self.say(node, Message::Hello { node: node as u32 });
+                    }
                     self.say(node, Message::Error { message: "injected failure".to_string() });
                     self.exit(node, 1);
                 }
@@ -939,6 +1004,10 @@ mod tests {
         fn receive(&mut self, node: usize, message: Message) {
             self.peers[node].received.push(message.clone());
             match message {
+                Message::Assignment { json } => {
+                    assert_eq!(json, assignment_of(node), "an assignment reaches the node it names");
+                    self.peers[node].timer = Some((self.now + self.rng.micros(2_000), Timer::Ready));
+                }
                 Message::Start => {
                     self.work(node);
                     let stall = self.peers[node].script.stall;
@@ -986,7 +1055,9 @@ mod tests {
                     }
                     let (_, same_rack_bytes, cross_rack_bytes) = report_of(node);
                     self.say(node, Message::Metrics { node: node as u32, same_rack_bytes, cross_rack_bytes });
-                    self.exit(node, self.peers[node].script.exit_code);
+                    if !self.dies_at(node, Step::Leave) {
+                        self.exit(node, self.peers[node].script.exit_code);
+                    }
                 }
                 other => panic!("seed {}: node {node} was sent {}", self.setup.seed, other.name()),
             }
@@ -1009,8 +1080,16 @@ mod tests {
             if let Some((_, timer)) = self.peers[node].timer.filter(|(due, _)| *due == at) {
                 self.peers[node].timer = None;
                 return match timer {
+                    Timer::Hello if self.dies_at(node, Step::Connect) => {}
+                    Timer::Hello => {
+                        self.peers[node].connected = true;
+                        self.say(node, Message::Hello { node: node as u32 });
+                    }
                     Timer::Ready if self.dies_at(node, Step::Boot) => {}
-                    Timer::Ready => self.say(node, Message::Ready { node: node as u32 }),
+                    Timer::Ready => {
+                        self.say(node, Message::Ready { node: node as u32 });
+                        self.dies_at(node, Step::Ready);
+                    }
                     Timer::Done => {
                         self.peers[node].remaining = Duration::ZERO;
                         self.say(node, Message::Done { node: node as u32 });
@@ -1033,13 +1112,21 @@ mod tests {
             self.peers[node].next_beat = Some(at + interval + jitter);
         }
 
-        /// An exit the coordinator can observe on a connection with nothing
-        /// (left) to say.
-        fn silent_exit(&self) -> Option<usize> {
+        /// An exit the coordinator can observe: the process is reapable,
+        /// nothing is left to read from its connection, and it was not
+        /// written off (a written-off process is killed and reaped unseen).
+        fn reportable_exit(&self) -> Option<usize> {
             (0..self.peers.len()).find(|&node| {
                 let reapable = self.peers[node].exit.is_some_and(|(at, _)| at <= self.now);
-                self.open[node] && reapable && !self.peers[node].socket_closed && self.wire[node].is_empty()
+                let seen = self.peers[node].exit_reported || self.confirmed.contains(&node);
+                reapable && !seen && self.wire[node].is_empty()
             })
+        }
+
+        /// When an exit that is not reapable yet will be.
+        fn next_exit(&self) -> Option<Duration> {
+            let pending = self.peers.iter().filter(|peer| !peer.exit_reported).filter_map(|peer| peer.exit);
+            pending.map(|(at, _)| at).filter(|at| *at > self.now).min()
         }
 
         /// Lets the world run until `until`: peers act, frames land.
@@ -1063,10 +1150,10 @@ mod tests {
                 .filter(|&n| self.open[n] && self.wire[n].front().is_some_and(|(at, _)| *at <= self.now))
                 .collect();
             let input = if readable.is_empty() {
-                let node = self.silent_exit()?;
-                self.open[node] = false;
-                let status = self.peers[node].exit.map_or(0, |(_, code)| code);
-                Input::Exited { node, status: format!("exit status: {status}") }
+                let node = self.reportable_exit()?;
+                (self.open[node], self.peers[node].exit_reported) = (false, true);
+                let code = self.peers[node].exit.map_or(0, |(_, code)| code);
+                Input::Exited { node, status: format!("exit status: {code}"), clean: code == 0 }
             } else {
                 let node = readable[self.rng.below(readable.len() as u64) as usize];
                 let (_, input) = self.wire[node].pop_front().expect("just looked at");
@@ -1106,10 +1193,10 @@ mod tests {
             let wake = self.now + limit;
             loop {
                 let ready =
-                    self.next_readable().is_some_and(|at| at <= self.now) || self.silent_exit().is_some();
+                    self.next_readable().is_some_and(|at| at <= self.now) || self.reportable_exit().is_some();
                 let peer = (0..self.peers.len()).filter_map(|n| self.peer_event(n)).min();
-                let next =
-                    [peer, self.next_readable().filter(|at| *at > self.now)].into_iter().flatten().min();
+                let readable = self.next_readable().filter(|at| *at > self.now);
+                let next = [peer, readable, self.next_exit()].into_iter().flatten().min();
                 match next.filter(|at| *at <= wake) {
                     _ if ready => break,
                     Some(at) => self.run_until(at),
@@ -1133,7 +1220,13 @@ mod tests {
         }
 
         fn send(&mut self, node: usize, message: &Message) -> Result<(), WorkerFailure> {
-            if !self.open[node] || self.peers[node].socket_closed {
+            let seed = self.setup.seed;
+            assert!(
+                self.open[node],
+                "seed {seed}: {} sent to node {node} after its end was seen",
+                message.name()
+            );
+            if self.peers[node].socket_closed {
                 return Err(ControlIo::fail(
                     self,
                     node,
@@ -1171,6 +1264,11 @@ mod tests {
                 _ => WorkerFailure { node, detail },
             }
         }
+    }
+
+    /// The `Assignment` document the machine is handed for `node`.
+    fn assignment_of(node: usize) -> String {
+        format!("{{\"node\":{node}}}")
     }
 
     /// The `Metrics` report of a scripted peer as the machine keeps it:
@@ -1220,8 +1318,15 @@ mod tests {
         let n_nodes = scripts.len();
         let budgets = setup.budgets();
         let mut world = World::new(scripts, setup);
-        let mut coordinator =
-            Coordinator::new(machine(n_nodes), workload(), &routing(n_nodes), budgets, world.now());
+        let assignments = (0..n_nodes).map(assignment_of).collect();
+        let mut coordinator = Coordinator::new(
+            machine(n_nodes),
+            workload(),
+            &routing(n_nodes),
+            assignments,
+            budgets,
+            world.now(),
+        );
         let (mut live, mut recorded) = (Vec::new(), Vec::new());
         let result = drive(&mut world, &mut coordinator, |seen| match seen {
             Output::Live(event) => live.push(event),
@@ -1258,6 +1363,13 @@ mod tests {
                 finished.lane_bytes, reports,
                 "seed {seed}: one metrics report per surviving node, in node order, its lane bytes kept"
             );
+            for &node in &survivors {
+                let peer = &self.world.peers[node];
+                assert!(
+                    peer.exit_reported && matches!(peer.exit, Some((_, 0))),
+                    "seed {seed}: survivor {node} was seen leaving with exit 0"
+                );
+            }
             for (node, peer) in self.world.peers.iter().enumerate() {
                 let stored: Vec<u64> = finished.frames[node].iter().map(|frame| frame.seq).collect();
                 assert_eq!(
@@ -1315,15 +1427,15 @@ mod tests {
                 let heard: Vec<&str> = peer.received.iter().map(Message::name).collect();
                 assert_eq!(
                     heard,
-                    ["start", "quiesce", "reassignment", "resume", "shutdown"],
+                    ["assignment", "start", "quiesce", "reassignment", "resume", "shutdown"],
                     "seed {seed}: what survivor {survivor} was told"
                 );
                 assert!(
-                    matches!(peer.received[1], Message::Quiesce { round: 1 })
-                        && matches!(peer.received[3], Message::Resume { round: 1 }),
+                    matches!(peer.received[2], Message::Quiesce { round: 1 })
+                        && matches!(peer.received[4], Message::Resume { round: 1 }),
                     "seed {seed}: one round, numbered 1"
                 );
-                let Message::ReAssignment { json } = &peer.received[2] else { unreachable!() };
+                let Message::ReAssignment { json } = &peer.received[3] else { unreachable!() };
                 let document = ReAssignment::from_json(&Json::parse(json).unwrap()).unwrap();
                 assert_eq!((document.round, document.dead), (1, dead), "seed {seed}");
                 assert_eq!(document.node_of_task, plan.node_of_task, "seed {seed}");
@@ -1369,10 +1481,7 @@ mod tests {
                     }
                 }
                 Err(failure) => {
-                    assert!(
-                        !struck.is_empty() || !self.world.wrong_acks.is_empty(),
-                        "seed {seed}: a healthy run failed: {failure:?}"
-                    );
+                    assert!(!faulty.is_empty(), "seed {seed}: a healthy run failed: {failure:?}");
                     assert!(
                         faulty.contains(&failure.node),
                         "seed {seed}: blamed node {}, faults struck {faulty:?}: {}",
@@ -1419,14 +1528,17 @@ mod tests {
         for _ in 0..[0, 0, 1, 1, 1, 2][rng.below(6) as usize] {
             let script = &mut scripts[rng.below(n_nodes as u64) as usize];
             let step = [
+                Step::Connect,
                 Step::Boot,
+                Step::Ready,
                 Step::Work,
                 Step::Work,
                 Step::Idle,
                 Step::Quiesce,
                 Step::Reassign,
                 Step::Shutdown,
-            ][rng.below(7) as usize];
+                Step::Leave,
+            ][rng.below(10) as usize];
             let death = [Death::Crash, Death::Crash, Death::Hang, Death::ErrorExit, Death::ExitSilently]
                 [rng.below(5) as usize];
             match rng.below(8) {
@@ -1448,10 +1560,28 @@ mod tests {
     fn the_battery_every_schedule_ends_accounted_for_and_blames_the_node_that_failed() {
         const SCHEDULES: u64 = 3_000;
         let (mut finished, mut failed, mut recovered, mut inputs) = (0, 0, 0, 0);
+        // Death before `Hello`, hang before `Hello`, a non-zero exit after
+        // `Metrics`, a worker that lingers after `Metrics`.
+        let mut at_the_ends = [0; 4];
         for seed in 0..SCHEDULES {
             let (scripts, setup) = schedule(seed);
             let outcome = run(scripts.clone(), setup);
             outcome.check();
+            let struck = |step, deaths: &[Death]| {
+                outcome.world.struck.iter().any(|&(_, s, death, _)| s == step && deaths.contains(&death))
+            };
+            let left_failing = outcome.world.peers.iter().any(|peer| {
+                peer.received.contains(&Message::Shutdown) && peer.exit.is_some_and(|(_, code)| code != 0)
+            });
+            let ends = [
+                struck(Step::Connect, &[Death::Crash, Death::ExitSilently]),
+                struck(Step::Connect, &[Death::Hang]),
+                left_failing,
+                struck(Step::Leave, &[Death::Hang]),
+            ];
+            for (count, hit) in at_the_ends.iter_mut().zip(ends) {
+                *count += u32::from(hit);
+            }
             // (e) A node that beat throughout is never flagged, however
             // late the coordinator gets to look.
             for (node, _) in scripts.iter().enumerate().filter(|(_, script)| beats_throughout(script)) {
@@ -1466,7 +1596,11 @@ mod tests {
         }
         // The battery is only worth its time if it reaches every ending.
         assert!(finished > 500 && failed > 300 && recovered > 100, "{finished} / {failed} / {recovered}");
-        eprintln!("battery: {finished} finished / {failed} failed / {recovered} recovered, {inputs} inputs");
+        assert!(at_the_ends.iter().all(|&n| n > 20), "faults at the handshake and the exit: {at_the_ends:?}");
+        eprintln!(
+            "battery: {finished} finished / {failed} failed / {recovered} recovered, {inputs} inputs; \
+             {at_the_ends:?} died / hung before hello, left failing / lingered after metrics"
+        );
         assert!(inputs > 50_000, "{inputs} inputs stepped");
     }
 
@@ -1676,13 +1810,44 @@ mod tests {
     }
 
     #[test]
-    fn a_worker_that_dies_after_its_metrics_has_said_all_the_protocol_asks() {
-        // `dies_after_metrics`: the exit status is `wait_all`'s to judge.
+    fn a_worker_that_dies_after_its_metrics_fails_the_run_with_its_status() {
+        // `dies_after_metrics`: the report is in, the exit is still owed.
         let script = Script { exit_code: 7, ..Script::healthy(20 * MS) };
         let outcome = run(vec![script], Setup::new(5));
-        let finished = outcome.result.as_ref().expect("the worker reported");
-        assert_eq!(finished.lane_bytes.len(), 1);
-        outcome.check_accounting(finished);
+        let failure = outcome.result.as_ref().expect_err("exit status 7 is not a clean exit");
+        assert_eq!(failure.node, 0);
+        assert!(
+            failure.detail.contains("worker exited with exit status: 7 after its metrics"),
+            "{}",
+            failure.detail
+        );
+        assert!(outcome.world.delivered.ends_with(&[(0, "metrics"), (0, "lost"), (0, "exited")]));
+    }
+
+    #[test]
+    fn the_handshake_and_the_exit_are_owed_like_any_answer() {
+        // A worker that never says `Hello`, or never leaves after its
+        // `Metrics`, is silent past the budget; one that dies before its
+        // `Hello` is a loss, seen as soon as its exit is.
+        for (step, death, awaited) in [
+            (Step::Connect, Death::Hang, "timed out waiting for hello"),
+            (Step::Connect, Death::Crash, "worker exited (exit status: 101) (the coordinator awaited hello)"),
+            (Step::Leave, Death::Hang, "timed out waiting for exit"),
+        ] {
+            let scripts = vec![Script::healthy(20 * MS), Script::dying(20 * MS, step, death)];
+            let outcome = run(scripts, Setup::new(8));
+            let failure = outcome.result.as_ref().expect_err("node 1 never finished its part");
+            assert_eq!(failure.node, 1, "{step:?}: {}", failure.detail);
+            assert!(failure.detail.contains(awaited), "{step:?}: {}", failure.detail);
+            let silent = death == Death::Hang;
+            let bound = if silent { IO_TIMEOUT + 100 * MS } else { 20 * MS };
+            assert!(
+                outcome.world.now < bound + outcome.world.struck[0].3,
+                "{step:?}: {:?}",
+                outcome.world.now
+            );
+            assert!(!silent || outcome.world.now >= IO_TIMEOUT, "{step:?}: the budget ran out");
+        }
     }
 
     #[test]

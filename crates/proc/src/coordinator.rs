@@ -3,16 +3,16 @@
 //!
 //! The pool owns the run's rendezvous directory (under the system temp
 //! dir), the control listener, one [`Child`] per node and one bounded
-//! stderr-tail collector per child.  Every blocking wait is one
-//! [`wait_readable`] over the descriptors that can end it — the listener,
-//! the live control connections, the children's exit descriptors — with
-//! the step's deadline as its timeout: the coordinator wakes when a worker
-//! connects, speaks, hangs up or dies, and otherwise when the deadline
-//! passes, and never sleeps to look again.  So a worker that crashes,
-//! hangs or exits early surfaces as a typed [`WorkerFailure`] carrying the
-//! worker's stderr tail — never as a hung coordinator.  Dropping the pool
-//! kills and reaps whatever is still running and removes the rendezvous
-//! directory.
+//! stderr-tail collector per child.  The protocol waits in one place,
+//! [`ControlIo::poll`]: one [`wait_readable`] over the control
+//! connections, the listener and the running children's exit descriptors,
+//! with the machine's deadline as its timeout — the coordinator wakes when
+//! a worker connects, speaks, hangs up or dies, and otherwise when the
+//! deadline passes, and never sleeps to look again.  So a worker that
+//! crashes, hangs or exits early surfaces as a typed [`WorkerFailure`]
+//! carrying the worker's stderr tail — never as a hung coordinator.
+//! Dropping the pool kills and reaps whatever is still running and removes
+//! the rendezvous directory.
 
 use crate::control::{root_cause, ControlIo, Input};
 use crate::transport::{wait_readable, FramedStream, RecvError, PARTIAL_FRAME_WAIT};
@@ -86,6 +86,8 @@ struct WorkerChild {
     /// worker's descriptors — the process is on its way out.
     exited: UnixStream,
     exit: Option<std::process::ExitStatus>,
+    /// Its exit went to the machine, or it was written off.
+    reported: bool,
 }
 
 impl WorkerChild {
@@ -130,15 +132,22 @@ impl WorkerChild {
     }
 }
 
+/// A control connection, and the node its first frame, the `Hello`, named.
+struct Control {
+    node: Option<usize>,
+    stream: FramedStream,
+}
+
 /// One run's worth of worker processes plus their control connections.
 pub struct WorkerPool {
     dir: PathBuf,
     listener: UnixListener,
     children: Vec<WorkerChild>,
-    controls: Vec<Option<FramedStream>>,
+    /// Every open control connection, in the order they were accepted.
+    controls: Vec<Control>,
     io_timeout: Duration,
     dead: Vec<bool>,
-    /// Rotates which node [`ControlIo::poll`] looks at first.
+    /// Rotates which connection [`ControlIo::poll`] looks at first.
     turn: usize,
     /// Zero of the clock the control protocol runs on.
     epoch: Instant,
@@ -186,16 +195,15 @@ impl WorkerPool {
             }
             let mut child = command.spawn()?;
             let tail = child.stderr.take().map(tail_collector);
-            pool_guard.children.push(WorkerChild { child, tail, exited, exit: None });
+            pool_guard.children.push(WorkerChild { child, tail, exited, exit: None, reported: false });
         }
         pool_guard.dir = None; // spawns succeeded: the pool takes ownership
         drop(pool_guard);
-        let controls = (0..n_nodes).map(|_| None).collect();
         Ok(WorkerPool {
             dir,
             listener,
             children,
-            controls,
+            controls: Vec::new(),
             io_timeout,
             dead: vec![false; n_nodes],
             turn: 0,
@@ -245,114 +253,66 @@ impl WorkerPool {
         WorkerFailure { node, detail }
     }
 
-    /// Accepts one control connection per worker; each must open with
-    /// [`Message::Hello`].  The wait is on the listener *and* every
-    /// child's exit descriptor, so a connection is accepted the moment it
-    /// lands and a worker that dies before connecting fails the run
-    /// immediately.
-    pub(crate) fn accept_controls(&mut self) -> Result<(), WorkerFailure> {
-        let deadline = Instant::now() + self.io_timeout;
-        let mut accepted = 0;
-        while accepted < self.children.len() {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let mut control = FramedStream::new(stream);
-                    match control.recv(Some(self.io_timeout)) {
-                        Ok(Message::Hello { node }) => {
-                            let node = node as usize;
-                            if node >= self.children.len() {
-                                return Err(self.fail(None, format!("hello from unknown node {node}")));
-                            }
-                            if self.controls[node].is_some() {
-                                return Err(self.fail(Some(node), "duplicate hello"));
-                            }
-                            self.controls[node] = Some(control);
-                            accepted += 1;
-                        }
-                        Ok(other) => {
-                            return Err(self.fail(None, format!("expected hello, got {}", other.name())));
-                        }
-                        Err(e) => {
-                            return Err(self.fail(None, format!("control handshake failed: {e}")));
-                        }
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    if let Some(node) = self.first_dead_child() {
-                        return Err(
-                            self.fail(Some(node), "worker exited before connecting to the coordinator")
-                        );
-                    }
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        return Err(self.fail(None, "timed out waiting for workers to connect"));
-                    }
-                    let mut wake = vec![self.listener.as_raw_fd()];
-                    wake.extend(self.children.iter().map(|child| child.exited.as_raw_fd()));
-                    match wait_readable(&wake, left) {
-                        // A child is on its way out: reap it, and the
-                        // next pass reports it (after one more look at
-                        // the listener, in case it connected first).
-                        Ok(Some(ready)) if ready > 0 => {
-                            self.children[ready - 1].wait_exit(Duration::ZERO);
-                        }
-                        Ok(_) => {}
-                        Err(e) => return Err(self.fail(None, format!("control accept failed: {e}"))),
-                    }
-                }
-                Err(e) => return Err(self.fail(None, format!("control accept failed: {e}"))),
-            }
-        }
-        Ok(())
-    }
-
-    fn first_dead_child(&mut self) -> Option<usize> {
-        (0..self.children.len()).find(|&k| self.children[k].poll_exit().is_some())
-    }
-
-    /// One receive attempt on `node`'s control connection, blocking for at
-    /// most `slice` — the building block under [`ControlIo::poll`];
+    /// One receive attempt on the `k`th control connection, blocking for
+    /// at most `slice` — the building block under [`ControlIo::poll`];
     /// `None` when nothing whole arrived (the worker may simply be busy).
-    /// A vanished connection comes back as [`Input::Lost`] instead of
-    /// tearing the run down — whether a loss is fatal is the protocol's
-    /// call, not the transport's — and is dropped with the report, so a
-    /// loss is reported once.
-    fn poll_from_lossy(&mut self, node: usize, slice: Duration) -> Result<Option<Input>, WorkerFailure> {
-        let Some(control) = self.controls[node].as_mut() else {
-            return Err(self.fail(Some(node), "no control connection"));
-        };
-        let detail = match control.recv(Some(slice)) {
-            Ok(message) => return Ok(Some(Input::Frame { node, message })),
-            Err(RecvError::Timeout) => return Ok(None),
+    /// The first frame must be the `Hello` of a node of this run, and names
+    /// the connection; one that hangs up unnamed is dropped, and its
+    /// worker's exit is what the machine hears of it.  A named connection
+    /// that vanishes comes back as [`Input::Lost`] instead of tearing the
+    /// run down — whether a loss is fatal is the protocol's call, not the
+    /// transport's — and is dropped with the report, so a loss is reported
+    /// once.
+    fn receive(&mut self, k: usize, slice: Duration) -> Result<Option<Input>, WorkerFailure> {
+        let control = &mut self.controls[k];
+        let detail = match (control.node, control.stream.recv(Some(slice))) {
+            (_, Err(RecvError::Timeout)) => return Ok(None),
+            (Some(node), Ok(message)) => return Ok(Some(Input::Frame { node, message })),
+            (None, Ok(message @ Message::Hello { node })) if (node as usize) < self.children.len() => {
+                control.node = Some(node as usize);
+                return Ok(Some(Input::Frame { node: node as usize, message }));
+            }
+            (None, Err(RecvError::Closed)) => {
+                self.controls.swap_remove(k);
+                return Ok(None);
+            }
+            (None, Ok(Message::Hello { node })) => format!("hello from unknown node {node}"),
+            (None, Ok(other)) => format!("expected hello, got {}", other.name()),
+            (None, Err(e)) => format!("control handshake failed: {e}"),
             // A crash shows up as a closed socket, and the exit status is
             // the useful part of the report: give the reaping a moment to
             // catch up with the hang-up.
-            Err(RecvError::Closed) => match self.children[node].wait_exit(EXIT_STATUS_GRACE) {
+            (Some(node), Err(RecvError::Closed)) => match self.children[node].wait_exit(EXIT_STATUS_GRACE) {
                 Some(status) => format!("worker exited ({status}) during the run"),
                 None => "worker closed its control connection during the run".to_string(),
             },
-            Err(e) => format!("control receive failed: {e}"),
+            (Some(_), Err(e)) => format!("control receive failed: {e}"),
         };
-        self.controls[node] = None;
-        Ok(Some(Input::Lost { node, detail }))
+        match self.controls.swap_remove(k).node {
+            Some(node) => Ok(Some(Input::Lost { node, detail })),
+            None => Err(self.fail(None, detail)),
+        }
     }
 
-    /// Waits for every live worker to exit cleanly (deadline-bounded); a
-    /// non-zero exit or an overdue worker fails the run.  Nodes written
-    /// off by recovery were already reaped and are skipped.
-    pub(crate) fn wait_all(&mut self) -> Result<(), WorkerFailure> {
-        let deadline = Instant::now() + self.io_timeout;
-        for node in 0..self.children.len() {
-            if self.dead[node] {
-                continue;
-            }
-            match self.children[node].wait_exit(deadline.saturating_duration_since(Instant::now())) {
-                Some(status) if status.success() => {}
-                Some(status) => return Err(self.fail(Some(node), format!("worker exited with {status}"))),
-                None => return Err(self.fail(Some(node), "worker did not exit after shutdown")),
-            }
+    /// Takes every connection waiting on the listener.
+    fn accept(&mut self) -> Result<(), WorkerFailure> {
+        loop {
+            let stream = match self.listener.accept() {
+                Ok((stream, _)) => FramedStream::new(stream),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
+                Err(e) => return Err(self.fail(None, format!("control accept failed: {e}"))),
+            };
+            self.controls.push(Control { node: None, stream });
         }
-        Ok(())
+    }
+
+    /// `node`'s reaped exit, for the machine: reported once, and its
+    /// connection, with nothing left to read, goes with it.
+    fn report_exit(&mut self, node: usize) -> Input {
+        self.children[node].reported = true;
+        self.controls.retain(|control| control.node != Some(node));
+        let status = self.children[node].exit.expect("only a reaped child's exit is reported");
+        Input::Exited { node, status: status.to_string(), clean: status.success() }
     }
 }
 
@@ -363,59 +323,52 @@ impl ControlIo for WorkerPool {
         self.epoch.elapsed()
     }
 
-    /// Waits up to `limit` for the next whole frame — or the loss — of any
-    /// node whose connection is open, whoever is awaited; `None` when the
-    /// time passes in silence.  This is how the coordinator waits on
-    /// several workers at once: one readiness wait over their control
-    /// connections, so whoever speaks (or hangs up) first is served first,
-    /// a frame larger than a socket buffer is drained while its sender is
-    /// still writing it, and no node waits for another's turn.  The node
-    /// looked at first rotates from call to call, so a chatty node cannot
-    /// starve the rest.
+    /// Waits up to `limit` for the next thing a worker did — a frame, a
+    /// hang-up, an exit — whoever is awaited; `None` when the time passes
+    /// in silence.  This is the pool's one protocol wait: one readiness
+    /// wait over every control connection, the listener and every running
+    /// child's exit descriptor, so whoever connects, speaks, hangs up or
+    /// dies first is served first, a frame larger than a socket buffer is
+    /// drained while its sender is still writing it, and no node waits for
+    /// another's turn.  The connection looked at first rotates from call
+    /// to call, so a chatty node cannot starve the rest.
     fn poll(&mut self, limit: Duration) -> Result<Option<Input>, WorkerFailure> {
-        let mut order: Vec<usize> =
-            (0..self.controls.len()).filter(|&n| self.controls[n].is_some()).collect();
-        if order.is_empty() {
-            return Ok(None);
-        }
         let started = Instant::now();
         self.turn = self.turn.wrapping_add(1);
-        let first = self.turn % order.len();
-        order.rotate_left(first);
         loop {
+            let n = self.controls.len();
+            let order: Vec<usize> = (0..n).map(|i| (self.turn + i) % n).collect();
             // A whole frame may already sit in a stream's reader, pulled in
             // by the read that completed the previous one, where poll(2)
             // cannot see it: a zero-length receive looks only there.
-            for &node in &order {
-                if let Some(input) = self.poll_from_lossy(node, Duration::ZERO)? {
+            for &k in &order {
+                if let Some(input) = self.receive(k, Duration::ZERO)? {
                     return Ok(Some(input));
                 }
             }
             // A child that is gone by now wrote its last words before this
-            // look: if its connection then has nothing to read — not even
-            // the hang-up — it never will, and the exit is what there is to
-            // report (once: the connection goes with it).
-            let exited = order.iter().copied().find(|&node| self.children[node].poll_exit().is_some());
+            // look: once nothing is readable — not even its hang-up — its
+            // exit is what there is to report.
+            let exited = (0..self.children.len())
+                .find(|&node| !self.children[node].reported && self.children[node].poll_exit().is_some());
             let left =
                 if exited.is_some() { Duration::ZERO } else { limit.saturating_sub(started.elapsed()) };
-            let fds: Vec<RawFd> = order
-                .iter()
-                .map(|&node| self.controls[node].as_ref().map_or(-1, AsRawFd::as_raw_fd))
-                .collect();
+            let mut fds: Vec<RawFd> = order.iter().map(|&k| self.controls[k].stream.as_raw_fd()).collect();
+            fds.push(self.listener.as_raw_fd());
+            fds.extend(self.children.iter().map(|child| child.exit.map_or(child.exited.as_raw_fd(), |_| -1)));
             match wait_readable(&fds, left) {
-                Ok(None) => {
-                    return Ok(exited.map(|node| {
-                        self.controls[node] = None;
-                        let status =
-                            self.children[node].exit.map_or_else(String::new, |status| status.to_string());
-                        Input::Exited { node, status }
-                    }));
-                }
+                Ok(None) => return Ok(exited.map(|node| self.report_exit(node))),
                 // Part of a frame: its rest will wake the next wait.
-                Ok(Some(ready)) => {
-                    if let Some(input) = self.poll_from_lossy(order[ready], PARTIAL_FRAME_WAIT)? {
+                Ok(Some(ready)) if ready < n => {
+                    if let Some(input) = self.receive(order[ready], PARTIAL_FRAME_WAIT)? {
                         return Ok(Some(input));
                     }
+                }
+                Ok(Some(ready)) if ready == n => self.accept()?,
+                // A child is on its way out: reap it, and a later pass
+                // reports it.
+                Ok(Some(ready)) => {
+                    self.children[ready - n - 1].wait_exit(Duration::ZERO);
                 }
                 Err(e) => return Err(WorkerPool::fail(self, None, format!("control poll failed: {e}"))),
             }
@@ -428,13 +381,11 @@ impl ControlIo for WorkerPool {
     /// stalls the coordinator for at most one timeout, never forever.
     fn send(&mut self, node: usize, message: &Message) -> Result<(), WorkerFailure> {
         let io_timeout = self.io_timeout;
-        let Some(control) = self.controls[node].as_mut() else {
-            return Err(self.fail(Some(node), "no control connection"));
+        let sent = match self.controls.iter_mut().find(|control| control.node == Some(node)) {
+            Some(control) => control.stream.send_with_deadline(message, io_timeout),
+            None => return Err(self.fail(Some(node), "no control connection")),
         };
-        if let Err(e) = control.send_with_deadline(message, io_timeout) {
-            return Err(self.fail(Some(node), format!("control send failed: {e}")));
-        }
-        Ok(())
+        sent.map_err(|e| self.fail(Some(node), format!("control send failed: {e}")))
     }
 
     /// Writes `node` off as lost: kills and reaps its process, joins its
@@ -442,7 +393,8 @@ impl ControlIo for WorkerPool {
     /// waits and auto-blame skip it from here on.
     fn confirm_loss(&mut self, node: usize) {
         self.children[node].kill_and_tail();
-        self.controls[node] = None;
+        self.children[node].reported = true;
+        self.controls.retain(|control| control.node != Some(node));
         self.dead[node] = true;
     }
 
@@ -564,9 +516,10 @@ mod tests {
     }
 
     /// A fake worker's dark run up to the point where it owes its metrics:
-    /// `Ready`, (`Start`,) `Done`, (`Shutdown`).
+    /// (`Assignment`,) `Ready`, (`Start`,) `Done`, (`Shutdown`).
     fn play_until_shutdown(control: &mut FramedStream, node: usize) {
         let wait = Some(Duration::from_secs(20));
+        assert!(matches!(control.recv(wait), Ok(Message::Assignment { .. })), "the assignment comes first");
         control.send(&Message::Ready { node: node as u32 }).expect("ready");
         assert_eq!(control.recv(wait).expect("start"), Message::Start);
         control.send(&Message::Done { node: node as u32 }).expect("done");
@@ -592,14 +545,17 @@ mod tests {
         frame
     }
 
-    /// Runs the control protocol over the pool's workers, as a dark run of
-    /// a small stencil would.
+    /// Runs the control protocol over the pool's workers, from their
+    /// `Hello` to their exit, as a dark run of a small stencil would.  The
+    /// assignments are empty: the fakes take theirs unread.
     fn drive_dark(pool: &mut WorkerPool, n_nodes: usize) -> Result<Finished, WorkerFailure> {
         let machine = ClusterMachine::paper(n_nodes);
         let workload = PhasedWorkload::rotating_stencil(2, 64.0, 8.0, 16.0, 64.0, &[1]);
         let routing: Vec<usize> = (0..workload.n_tasks()).map(|task| task % n_nodes).collect();
         let budgets = Budgets::new(pool.io_timeout, None, false);
-        let mut coordinator = Coordinator::new(&machine, &workload, &routing, budgets, pool.now());
+        let assignments = vec![String::new(); n_nodes];
+        let mut coordinator =
+            Coordinator::new(&machine, &workload, &routing, assignments, budgets, pool.now());
         drive(pool, &mut coordinator, |_| {})
     }
 
@@ -628,12 +584,36 @@ mod tests {
                 std::thread::park();
             },
             "exits_before_connecting" => std::process::exit(3),
+            // Node 0 connects and never says `Hello`; node 1 exits 3 once
+            // node 0 is connected.
+            "silent_beside_an_exit" => {
+                if node == 0 {
+                    let coord = std::env::var(ENV_COORD).expect("coordinator socket");
+                    let _control = FramedStream::connect(Path::new(&coord)).expect("connect");
+                    let gate = UnixListener::bind(&gate).expect("bind the gate");
+                    let _held = gate.accept().expect("node 1 at the gate");
+                    loop {
+                        std::thread::park();
+                    }
+                }
+                let _held = FramedStream::connect_retry(&gate, Duration::from_secs(20)).expect("the gate");
+                std::process::exit(3);
+            }
             // Reports like a finished worker, then dies on the way out.
             "dies_after_metrics" => {
                 let mut control = hello(node);
                 play_until_shutdown(&mut control, node);
                 control.send(&metrics).expect("metrics");
                 std::process::exit(7);
+            }
+            // Reports like a finished worker, then never leaves.
+            "lingers_after_metrics" => {
+                let mut control = hello(node);
+                play_until_shutdown(&mut control, node);
+                control.send(&metrics).expect("metrics");
+                loop {
+                    std::thread::park();
+                }
             }
             // Node 1's report starts with a frame far larger than a socket
             // buffer, and node 0 reports only once node 1 got all of its
@@ -685,8 +665,9 @@ mod tests {
     fn workers_that_never_connect_time_out_at_the_deadline() {
         let mut pool = fake_pool(2, "never_connects", Duration::from_millis(300));
         let started = Instant::now();
-        let failure = pool.accept_controls().expect_err("nobody connected");
-        assert!(failure.detail.contains("timed out waiting for workers to connect"), "{}", failure.detail);
+        let failure = drive_dark(&mut pool, 2).expect_err("nobody connected");
+        assert_eq!(failure.node, 0);
+        assert!(failure.detail.contains("timed out waiting for hello"), "{}", failure.detail);
         assert!(started.elapsed() >= Duration::from_millis(300), "gave up after {:?}", started.elapsed());
     }
 
@@ -695,39 +676,53 @@ mod tests {
         let io_timeout = Duration::from_secs(60);
         let mut pool = fake_pool(1, "exits_before_connecting", io_timeout);
         let started = Instant::now();
-        let failure = pool.accept_controls().expect_err("the worker is gone");
+        let failure = drive_dark(&mut pool, 1).expect_err("the worker is gone");
         assert_eq!(failure.node, 0);
-        assert!(
-            failure.detail.contains("worker exited before connecting to the coordinator"),
-            "{}",
-            failure.detail
-        );
+        assert!(failure.detail.contains("(the coordinator awaited hello)"), "{}", failure.detail);
         assert!(failure.detail.contains("exit status: 3"), "{}", failure.detail);
         assert!(started.elapsed() < io_timeout, "the exit itself ended the wait");
     }
 
     #[test]
+    fn a_worker_that_stalls_before_its_hello_holds_nobody_past_a_peers_exit() {
+        // The handshake used to block on each accepted connection for a
+        // full io timeout: node 1's exit was reported only after node 0's
+        // `Hello` was given up on.
+        let io_timeout = Duration::from_secs(10);
+        let mut pool = fake_pool(2, "silent_beside_an_exit", io_timeout);
+        let started = Instant::now();
+        let failure = drive_dark(&mut pool, 2).expect_err("node 1 is gone");
+        assert_eq!(failure.node, 1, "{}", failure.detail);
+        assert!(failure.detail.contains("exit status: 3"), "{}", failure.detail);
+        assert!(started.elapsed() < io_timeout / 4, "failed after {:?}", started.elapsed());
+    }
+
+    #[test]
     fn a_worker_that_dies_between_metrics_and_exit_is_a_typed_failure() {
         let mut pool = fake_pool(1, "dies_after_metrics", Duration::from_secs(60));
-        pool.accept_controls().expect("the worker connects");
-        let finished = drive_dark(&mut pool, 1).expect("the worker reports");
-        assert_eq!(finished.lane_bytes, [report_of(0)]);
-        let failure = pool.wait_all().expect_err("exit status 7 is not a clean exit");
+        let failure = drive_dark(&mut pool, 1).expect_err("exit status 7 is not a clean exit");
         assert_eq!(failure.node, 0);
-        assert!(failure.detail.contains("worker exited with exit status: 7"), "{}", failure.detail);
+        assert!(
+            failure.detail.contains("worker exited with exit status: 7 after its metrics"),
+            "{}",
+            failure.detail
+        );
     }
 
     #[test]
     fn a_worker_that_outlives_shutdown_is_overdue_at_the_deadline() {
-        let mut pool = fake_pool(1, "never_connects", Duration::from_millis(200));
-        let failure = pool.wait_all().expect_err("the worker is still running");
-        assert!(failure.detail.contains("worker did not exit after shutdown"), "{}", failure.detail);
+        let io_timeout = Duration::from_millis(200);
+        let mut pool = fake_pool(1, "lingers_after_metrics", io_timeout);
+        let started = Instant::now();
+        let failure = drive_dark(&mut pool, 1).expect_err("the worker is still running");
+        assert_eq!(failure.node, 0);
+        assert!(failure.detail.contains("timed out waiting for exit"), "{}", failure.detail);
+        assert!(started.elapsed() >= io_timeout, "gave up after {:?}", started.elapsed());
     }
 
     #[test]
     fn a_crash_reaped_after_its_symptom_still_takes_the_blame() {
         let mut pool = fake_pool(2, "crash_behind_a_symptom", Duration::from_secs(20));
-        pool.accept_controls().expect("both workers connect");
         let failure = drive_dark(&mut pool, 2).expect_err("one worker crashed, the other said so");
         assert_eq!(failure.node, 0, "{}", failure.detail);
         assert!(failure.detail.contains("exit status: 101"), "{}", failure.detail);
@@ -736,8 +731,7 @@ mod tests {
     #[test]
     fn every_node_is_drained_while_any_is_awaited() {
         let mut pool = fake_pool(2, "big_frame_from_the_later_node", Duration::from_secs(20));
-        pool.accept_controls().expect("both workers connect");
-        let finished = drive_dark(&mut pool, 2).expect("both workers report");
+        let finished = drive_dark(&mut pool, 2).expect("both workers report and exit cleanly");
         assert_eq!(finished.lane_bytes, [report_of(0), report_of(1)], "one report per node, in node order");
         let big = big_frame();
         let encoded = big.encode().len();
@@ -746,6 +740,5 @@ mod tests {
             finished.frames[0].is_empty() && finished.frames[1] == [big],
             "node 1's frame is in its store whole"
         );
-        pool.wait_all().expect("both workers exit cleanly");
     }
 }

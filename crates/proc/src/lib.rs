@@ -5,11 +5,11 @@
 //! (discrete-event simulation).  This crate runs an ORWL program as
 //! actual operating-system processes: a coordinator spawns one worker per
 //! simulated cluster node, workers rendezvous over Unix-domain sockets,
-//! and every remote ORWL section — request, FIFO grant, data payload,
-//! release — travels as a versioned frame of the [`wire`] codec.  The
-//! framing is plain length-prefixed bytes, so the same protocol runs over
-//! TCP between real hosts; only the connect calls are socket-family
-//! specific.
+//! and every remote ORWL read travels as two versioned frames of the
+//! [`wire`] codec: the request, and the FIFO grant carrying the data (the
+//! owner closes the section as it copies the value out, so no release
+//! crosses the wire).  All processes run on one host by design: they share
+//! its monotonic clock, and their telemetry merges by a shift of origin.
 //!
 //! The backend reuses the whole placement stack: node sharding comes from
 //! [`orwl_cluster::policy_placement`] — the exact
@@ -49,7 +49,6 @@ pub use worker::maybe_worker;
 use crate::assignment::{read_plans, Assignment, ObsSpec};
 use crate::control::{Budgets, ControlIo, Coordinator, Finished, Output};
 use crate::coordinator::WorkerFailure;
-use crate::wire::Message;
 use orwl_cluster::{inter_node_bytes, policy_placement, split_hop_bytes, ClusterMachine};
 use orwl_core::error::{ConfigError, OrwlError};
 use orwl_core::placement::PlacementPlan;
@@ -260,14 +259,14 @@ impl ProcBackend {
         self
     }
 
-    /// Drives the coordinator side of the control protocol to completion:
-    /// the handshake and the assignments here, at the edge, where the
-    /// clocks are; everything after that is [`control::Coordinator`]'s
-    /// decision, carried out by [`control::drive`] — the synchronized
-    /// start, the wall-clocked execution span, (live runs) the stream and
-    /// its straggler flags, (recovering runs) the re-shard around a lost
-    /// node, shutdown, the lane byte counters of every surviving worker and
-    /// every telemetry frame received.
+    /// Drives the coordinator side of the control protocol to completion.
+    /// The assignment documents are built here, where the socket paths
+    /// are; every decision from the first `Hello` to the last exit is
+    /// [`control::Coordinator`]'s, carried out by [`control::drive`] — the
+    /// assignments, the synchronized start, the wall-clocked execution span,
+    /// (live runs) the stream and its straggler flags, (recovering runs) the
+    /// re-shard around a lost node, shutdown, the lane byte counters of every
+    /// survivor, every telemetry frame received and the survivors' exits.
     fn run_protocol(
         &self,
         mut pool: WorkerPool,
@@ -295,7 +294,7 @@ impl ProcBackend {
             (0..n_nodes).map(|k| pool.peer_socket(k).to_string_lossy().into_owned()).collect();
         let schedules = read_plans(workload, n_nodes, |task| Some(node_of_task[task]));
         let interval_ms = budgets.beat_interval.map_or(0, |interval| interval.as_millis() as u64);
-        pool.accept_controls()?;
+        let mut assignments = Vec::with_capacity(n_nodes);
         for (node, phases) in schedules.into_iter().enumerate() {
             let assignment = Assignment {
                 node,
@@ -312,9 +311,11 @@ impl ProcBackend {
                 phases,
                 obs: observe.map(|cfg| ObsSpec::new(cfg, interval_ms)),
             };
-            pool.send(node, &Message::Assignment { json: assignment.to_json().pretty() })?;
+            assignments.push(assignment.to_json().pretty());
         }
-        let mut coordinator = Coordinator::new(&self.machine, workload, node_of_task, budgets, pool.now());
+        let now = pool.now();
+        let mut coordinator =
+            Coordinator::new(&self.machine, workload, node_of_task, assignments, budgets, now);
         let observer = live.and_then(|live| live.on_event.as_ref());
         let finished =
             control::drive(&mut pool, &mut coordinator, |seen| match (seen, observer, recorder) {
@@ -330,7 +331,6 @@ impl ProcBackend {
                 recorder.metrics().counter(name).add(value);
             }
         }
-        pool.wait_all()?;
         Ok(finished)
     }
 

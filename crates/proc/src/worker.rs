@@ -1193,7 +1193,17 @@ mod tests {
         let mut write = loc.handle(AccessMode::Write);
         write.request().unwrap();
         let guard = write.acquire().unwrap();
+        let unread = Arc::strong_count(&loc);
         peer.send(&Message::LockRequest { seq: 1, location: 7, access: WireAccess::Read, bytes: 8 }).unwrap();
+        // The hold is timed from the moment the serving thread has taken
+        // the location out of its map for this request — a few statements
+        // before its FIFO wait starts — not from the send, which the
+        // serving thread may read late.
+        let read_by = Instant::now() + WAIT;
+        while Arc::strong_count(&loc) == unread {
+            assert!(Instant::now() < read_by, "the owner never read the request");
+            std::thread::yield_now();
+        }
         let held = Duration::from_millis(20);
         assert_eq!(wait_readable(&[peer.as_raw_fd()], held).unwrap(), None, "granted past a held writer");
         drop(guard);
