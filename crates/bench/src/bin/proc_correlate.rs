@@ -8,10 +8,9 @@
 //! ```
 //!
 //! `--check` regenerates the battery and requires the committed artifact
-//! to validate against the schema *and* match the regenerated document on
-//! its deterministic view — every column except `wall_seconds` (which the
-//! document declares nondeterministic) is a pure function of the matrices
-//! and the placement, so any divergence there is a real behaviour change.
+//! to validate against the schema *and* match the regenerated document
+//! byte for byte — every column is a pure function of the matrices and
+//! the placement, so any divergence is a real behaviour change.
 //! Exit status: `0` ok, `1` drift, `2` usage or runtime errors.
 //!
 //! The binary re-execs itself as the worker processes, so `main` opens
@@ -19,7 +18,7 @@
 
 use orwl_bench::proc_corr::proc_correlation;
 use orwl_obs::json::Json;
-use orwl_proc::{deterministic_view, validate_corr};
+use orwl_proc::validate_corr;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: proc_correlate [--out PATH | --check PATH]";
@@ -78,22 +77,18 @@ fn main() -> ExitCode {
                 eprintln!("proc_correlate: {path}: {e}");
                 return ExitCode::FAILURE;
             }
-            let regenerated = match proc_correlation(&[]) {
-                Ok(doc) => doc,
+            let regenerated = match generate() {
+                Ok(text) => text,
                 Err(e) => {
                     eprintln!("proc_correlate: {e}");
                     return ExitCode::from(2);
                 }
             };
-            // wall_seconds is declared nondeterministic; everything else
-            // must regenerate byte-identically.
-            if deterministic_view(&regenerated).pretty() != deterministic_view(&doc).pretty() {
+            if regenerated != committed {
                 eprintln!("proc_correlate: {path} does not match the regenerated battery");
                 return ExitCode::FAILURE;
             }
-            println!(
-                "proc_correlate: {path} validates and regenerates byte-identically (modulo wall_seconds)"
-            );
+            println!("proc_correlate: {path} validates and regenerates byte-identically");
             ExitCode::SUCCESS
         }
         _ => {

@@ -12,11 +12,7 @@
 //! [`CORR_TOLERANCE`](orwl_proc::CORR_TOLERANCE) is the backend's
 //! acceptance gate.  The document is byte-deterministic: payload sizes
 //! are a pure function of the matrices and the placement, never of
-//! timing.  The one timing column, `wall_seconds`, is the median wall
-//! clock over `CORR_REPEATS` measured-backend runs; the document
-//! declares it nondeterministic so the byte-identity gate compares
-//! [`deterministic_view`](orwl_proc::deterministic_view)s instead of raw
-//! bytes.
+//! timing, so the gate compares the whole document byte for byte.
 
 use orwl_cluster::ClusterBackend;
 use orwl_core::session::Session;
@@ -26,9 +22,8 @@ use orwl_proc::{corr_document, CorrRow, ProcBackend};
 use orwl_treematch::policies::Policy;
 
 /// Node counts of the correlation sweep: every (scenario, policy) cell
-/// is measured at each cluster size, so the artifact records how the
-/// measured wall clock scales with the number of worker processes while
-/// the byte columns stay exactly predictable at every size.
+/// is measured at each cluster size, so the artifact shows the byte
+/// columns exactly predictable at every number of worker processes.
 pub(crate) const CORR_NODE_SWEEP: [usize; 3] = [2, 4, 8];
 /// Tasks in every correlation run (beyond the 32 PUs of the two-node
 /// machine, so placement must oversubscribe and split every family across
@@ -37,8 +32,7 @@ pub(crate) const CORR_TASKS: usize = 36;
 /// Iterations per phase (schedules keep each family's phase *count*).
 pub(crate) const CORR_ITERATIONS: usize = 2;
 /// Measured-backend repetitions per row: the byte figures must agree
-/// across all repeats (they are deterministic), `wall_seconds` is their
-/// median.
+/// across all repeats (they are deterministic).
 pub(crate) const CORR_REPEATS: usize = 3;
 
 /// The scenario battery: one spec per family, phase schedules shortened
@@ -66,7 +60,7 @@ fn run_backend(
     policy: Policy,
     backend: impl orwl_core::session::ExecutionBackend + 'static,
     topology: orwl_topo::topology::Topology,
-) -> Result<(f64, f64), String> {
+) -> Result<f64, String> {
     let report = Session::builder()
         .topology(topology)
         .policy(policy)
@@ -76,10 +70,9 @@ fn run_backend(
         .map_err(|e| format!("{} ({policy:?}): {e}", spec.name()))?
         .run(spec.workload())
         .map_err(|e| format!("{} ({policy:?}): {e}", spec.name()))?;
-    let wall_seconds = report.time.seconds();
     report
         .fabric
-        .map(|f| (f.inter_node_bytes, wall_seconds))
+        .map(|f| f.inter_node_bytes)
         .ok_or_else(|| format!("{} ({policy:?}): report carries no fabric split", spec.name()))
 }
 
@@ -95,16 +88,15 @@ pub fn proc_correlation(worker_args: &[String]) -> Result<Json, String> {
         for policy in [Policy::Hierarchical, Policy::Scatter] {
             for n_nodes in CORR_NODE_SWEEP {
                 let machine = orwl_cluster::ClusterMachine::paper(n_nodes);
-                let (predicted, _) = run_backend(
+                let predicted = run_backend(
                     &spec,
                     policy,
                     ClusterBackend::new(machine.clone()),
                     machine.topology().clone(),
                 )?;
                 let mut measured = None;
-                let mut walls = Vec::with_capacity(CORR_REPEATS);
                 for _ in 0..CORR_REPEATS {
-                    let (bytes, seconds) = run_backend(
+                    let bytes = run_backend(
                         &spec,
                         policy,
                         ProcBackend::new(machine.clone()).with_worker_args(worker_args.to_vec()),
@@ -120,9 +112,7 @@ pub fn proc_correlation(worker_args: &[String]) -> Result<Json, String> {
                         }
                         Some(_) => {}
                     }
-                    walls.push(seconds);
                 }
-                walls.sort_by(f64::total_cmp);
                 rows.push(CorrRow {
                     scenario: spec.name(),
                     policy: format!("{policy:?}").to_lowercase(),
@@ -130,7 +120,6 @@ pub fn proc_correlation(worker_args: &[String]) -> Result<Json, String> {
                     tasks: spec.n_tasks(),
                     predicted_inter_node_bytes: predicted,
                     measured_inter_node_bytes: measured.expect("at least one repeat ran"),
-                    wall_seconds: walls[walls.len() / 2],
                 });
             }
         }

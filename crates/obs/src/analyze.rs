@@ -88,10 +88,14 @@ pub struct ContentionRow {
 #[derive(Debug, Clone, PartialEq)]
 pub struct GrantStage {
     /// Stage name (`request_to_grant`, `owner_fifo_wait`,
-    /// `grant_to_release`).  `grant_to_release` is the reader's local hold
-    /// after its grant arrives (each `LockRelease`'s `held_ns`), not an
-    /// open section on the owner: the owner's section ends when it copies
-    /// the value into the grant.
+    /// `grant_to_release`).  `request_to_grant` runs from the reader's
+    /// request event to the owner's grant event.  A reader sends all of a
+    /// task's requests to one owner in one iteration together and the
+    /// owner serves them in order, so the stage includes the wait behind
+    /// the earlier grants of the same batch.  `grant_to_release` is the
+    /// reader's local hold after its grant arrives (each `LockRelease`'s
+    /// `held_ns`), not an open section on the owner: the owner's section
+    /// ends when it copies the value into the grant.
     pub stage: &'static str,
     /// Samples in the stage.
     pub count: u64,

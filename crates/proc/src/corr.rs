@@ -11,27 +11,20 @@
 //! backend.  Generation lives in `orwl_bench` (it needs the lab scenario
 //! catalog); this module owns the schema so workers of both sides agree.
 //!
-//! Every byte figure is a pure function of the matrices and the
-//! placement, so the regenerated document must match the committed one
-//! byte for byte — except the [`CORR_NONDETERMINISTIC`] columns
-//! (`wall_seconds`, the median wall clock of the measured runs), which
-//! the document itself declares and [`deterministic_view`] strips before
-//! the comparison.
+//! Every column is a pure function of the matrices and the placement, so
+//! the regenerated document must match the committed one byte for byte.
+//! It carries no wall clock: the benchmark's proc workloads time the
+//! backend, with a spread.
 
 use orwl_obs::json::Json;
 
 /// Schema identifier of the correlation artifact.
-pub(crate) const CORR_SCHEMA: &str = "orwl-proc-corr/v1";
+pub(crate) const CORR_SCHEMA: &str = "orwl-proc-corr/v2";
 
 /// Maximum relative |measured − predicted| / max(predicted, 1) any row may
 /// show.  Covers the one deliberate divergence between the two pipelines:
 /// grant payloads are whole bytes, predictions are exact `f64` sums.
 pub const CORR_TOLERANCE: f64 = 0.02;
-
-/// Row fields whose values legitimately vary run to run (wall-clock
-/// timing).  The document lists them under `nondeterministic` and the
-/// byte-comparison gate strips them via [`deterministic_view`].
-pub(crate) const CORR_NONDETERMINISTIC: &[&str] = &["wall_seconds"];
 
 /// One (scenario, policy) correlation row.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,10 +41,6 @@ pub struct CorrRow {
     pub predicted_inter_node_bytes: f64,
     /// The multi-process backend's measured inter-node bytes.
     pub measured_inter_node_bytes: f64,
-    /// Median wall-clock seconds across the measured backend's repeats.
-    /// The one timing-dependent column: declared nondeterministic in the
-    /// document and excluded from the byte-identity gate.
-    pub wall_seconds: f64,
 }
 
 impl CorrRow {
@@ -71,7 +60,6 @@ impl CorrRow {
         row.push("predicted_inter_node_bytes", self.predicted_inter_node_bytes);
         row.push("measured_inter_node_bytes", self.measured_inter_node_bytes);
         row.push("relative_error", self.relative_error());
-        row.push("wall_seconds", self.wall_seconds);
         row
     }
 }
@@ -82,36 +70,8 @@ pub fn corr_document(rows: &[CorrRow]) -> Json {
     let mut doc = Json::obj();
     doc.push("schema", CORR_SCHEMA);
     doc.push("tolerance", CORR_TOLERANCE);
-    doc.push(
-        "nondeterministic",
-        Json::Arr(CORR_NONDETERMINISTIC.iter().map(|f| Json::Str((*f).to_string())).collect()),
-    );
     doc.push("rows", Json::Arr(rows.iter().map(CorrRow::to_json).collect()));
     doc
-}
-
-/// The document with every field the document itself declares
-/// nondeterministic stripped from every row.  Two captures of the same
-/// battery must agree on this view byte for byte; `wall_seconds` may
-/// differ.
-#[must_use]
-pub fn deterministic_view(doc: &Json) -> Json {
-    let strip: Vec<String> = doc
-        .get("nondeterministic")
-        .and_then(Json::as_arr)
-        .map(|fields| fields.iter().filter_map(|f| f.as_str().map(str::to_string)).collect())
-        .unwrap_or_default();
-    let mut view = doc.clone();
-    if let Json::Obj(pairs) = &mut view {
-        if let Some((_, Json::Arr(rows))) = pairs.iter_mut().find(|(key, _)| key == "rows") {
-            for row in rows {
-                if let Json::Obj(fields) = row {
-                    fields.retain(|(key, _)| !strip.iter().any(|s| s == key));
-                }
-            }
-        }
-    }
-    view
 }
 
 /// Validates an artifact document: schema, row structure, and every row
@@ -123,16 +83,6 @@ pub fn validate_corr(doc: &Json) -> Result<(), String> {
         return Err(format!("schema is {schema:?}, expected {CORR_SCHEMA:?}"));
     }
     let tolerance = doc.get("tolerance").and_then(Json::as_f64).ok_or("missing numeric tolerance")?;
-    let declared: Vec<&str> = doc
-        .get("nondeterministic")
-        .and_then(Json::as_arr)
-        .ok_or("missing nondeterministic array")?
-        .iter()
-        .filter_map(Json::as_str)
-        .collect();
-    if declared != CORR_NONDETERMINISTIC {
-        return Err(format!("nondeterministic columns are {declared:?}, expected {CORR_NONDETERMINISTIC:?}"));
-    }
     let rows = doc.get("rows").and_then(Json::as_arr).ok_or("missing rows array")?;
     if rows.is_empty() {
         return Err("rows array is empty".to_string());
@@ -152,13 +102,6 @@ pub fn validate_corr(doc: &Json) -> Result<(), String> {
             if !value.is_finite() || value < 0.0 {
                 return Err(format!("row {k}: field {field:?} is {value}, not a valid magnitude"));
             }
-        }
-        match row.get("wall_seconds").and_then(Json::as_f64) {
-            Some(wall) if wall.is_finite() && wall > 0.0 => {}
-            Some(wall) => {
-                return Err(format!("row {k}: wall_seconds is {wall}, expected a positive duration"));
-            }
-            None => return Err(format!("row {k}: missing numeric field \"wall_seconds\"")),
         }
         let relative = row.get("relative_error").and_then(Json::as_f64).unwrap_or(f64::INFINITY);
         if relative > tolerance {
@@ -184,7 +127,6 @@ mod tests {
             tasks: 36,
             predicted_inter_node_bytes: predicted,
             measured_inter_node_bytes: measured,
-            wall_seconds: 0.125,
         }
     }
 
@@ -214,34 +156,6 @@ mod tests {
             pairs[0].1 = Json::Str("bogus/v0".to_string());
         }
         assert!(validate_corr(&doc).unwrap_err().contains("expected"));
-    }
-
-    #[test]
-    fn wall_seconds_must_be_a_positive_duration() {
-        let mut bad = row(1.0, 1.0);
-        bad.wall_seconds = 0.0;
-        let err = validate_corr(&corr_document(&[bad])).unwrap_err();
-        assert!(err.contains("wall_seconds"), "{err}");
-        let mut doc = corr_document(&[row(1.0, 1.0)]);
-        if let Json::Obj(pairs) = &mut doc {
-            pairs.retain(|(key, _)| key != "nondeterministic");
-        }
-        assert!(validate_corr(&doc).unwrap_err().contains("nondeterministic"));
-    }
-
-    #[test]
-    fn deterministic_view_strips_only_the_declared_columns() {
-        let mut fast = row(100_000.0, 100_100.0);
-        let mut slow = fast.clone();
-        fast.wall_seconds = 0.050;
-        slow.wall_seconds = 1.700;
-        let (fast_doc, slow_doc) = (corr_document(&[fast]), corr_document(&[slow]));
-        assert_ne!(fast_doc.pretty(), slow_doc.pretty());
-        let view = deterministic_view(&fast_doc);
-        assert_eq!(view.pretty(), deterministic_view(&slow_doc).pretty());
-        let rows = view.get("rows").and_then(Json::as_arr).unwrap();
-        assert!(rows[0].get("wall_seconds").is_none(), "the timing column must be stripped");
-        assert!(rows[0].get("measured_inter_node_bytes").is_some(), "byte columns must survive");
     }
 
     #[test]

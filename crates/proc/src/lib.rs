@@ -42,7 +42,7 @@ pub mod wire;
 mod worker;
 
 pub use coordinator::WorkerPool;
-pub use corr::{corr_document, deterministic_view, validate_corr, CorrRow, CORR_TOLERANCE};
+pub use corr::{corr_document, validate_corr, CorrRow, CORR_TOLERANCE};
 pub use fault::{Fault, FaultPlan};
 pub use worker::maybe_worker;
 

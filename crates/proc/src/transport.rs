@@ -1,12 +1,13 @@
 //! Framed message transport over a stream socket.
 //!
 //! [`FramedStream`] wraps a connected [`UnixStream`] with the wire codec
-//! from [`crate::wire`]: `send` writes one whole frame (the encoder's head
-//! and the tail it lends out of the message, in vectored writes), `recv`
-//! blocks (up to a deadline) until one whole message decoded from bytes
-//! read straight into the stream's `FrameReader`.  The framing is pure
-//! length-prefixed bytes, so the same code works over TCP for inter-host
-//! deployment — only the connect/accept calls differ.
+//! from [`crate::wire`]: `send` writes one whole frame and `send_all`
+//! several (the encoder's heads and the tails it lends out of the
+//! messages, in vectored writes), `recv` blocks (up to a deadline) until
+//! one whole message decoded from bytes read straight into the stream's
+//! `FrameReader`.  The framing is pure length-prefixed bytes, so the same
+//! code works over TCP for inter-host deployment — only the
+//! connect/accept calls differ.
 //!
 //! `wait_readable` is the crate's one readiness wait: everything that
 //! waits on more than one descriptor — a listener and a wake descriptor,
@@ -219,7 +220,13 @@ impl FramedStream {
 
     /// Writes one message as a single frame.
     pub fn send(&mut self, message: &Message) -> std::io::Result<()> {
-        self.write_frame(message, None)
+        self.write_frames(std::slice::from_ref(message), None)
+    }
+
+    /// Writes `messages` as consecutive frames, in as few vectored writes
+    /// as the socket takes them in.
+    pub(crate) fn send_all(&mut self, messages: &[Message]) -> std::io::Result<()> {
+        self.write_frames(messages, None)
     }
 
     /// Writes one message as a single frame, bounded by `deadline`.
@@ -236,18 +243,35 @@ impl FramedStream {
         message: &Message,
         deadline: Duration,
     ) -> std::io::Result<()> {
-        self.write_frame(message, Some(deadline))
+        self.write_frames(std::slice::from_ref(message), Some(deadline))
     }
 
-    /// The one frame writer: the head the encoder wrote into the reused
-    /// buffer and the tail it lent out of `message` go to the socket
-    /// together, by vectored writes until both are out.  With a
-    /// `deadline`, each write waits at most 100 ms and the whole frame at
-    /// most `deadline`.
-    fn write_frame(&mut self, message: &Message, deadline: Option<Duration>) -> std::io::Result<()> {
-        let tail = message.encode_head(&mut self.head);
-        let len = self.head.len() + tail.len();
-        let mut slices = [IoSlice::new(&self.head), IoSlice::new(tail)];
+    /// The one frame writer: the heads the encoder appended to the reused
+    /// buffer, back to back, and the tails it lent out of `messages` go to
+    /// the socket together, by vectored writes until all are out.  Heads
+    /// with no tail between them are one slice.  With a `deadline`, each
+    /// write waits at most 100 ms and the whole batch at most `deadline`.
+    fn write_frames(&mut self, messages: &[Message], deadline: Option<Duration>) -> std::io::Result<()> {
+        self.head.clear();
+        let tails: Vec<(usize, &[u8])> = messages
+            .iter()
+            .map(|message| {
+                let tail = message.encode_head(&mut self.head);
+                (self.head.len(), tail)
+            })
+            .collect();
+        let mut slices = Vec::with_capacity(2 * tails.len());
+        let mut from = 0;
+        for (head_end, tail) in tails {
+            if !tail.is_empty() {
+                slices.extend([IoSlice::new(&self.head[from..head_end]), IoSlice::new(tail)]);
+                from = head_end;
+            }
+        }
+        if from < self.head.len() {
+            slices.push(IoSlice::new(&self.head[from..]));
+        }
+        let len: usize = slices.iter().map(|slice| slice.len()).sum();
         let mut unsent = &mut slices[..];
         let deadline = deadline.map(|limit| (Instant::now(), limit));
         let mut written = 0usize;
@@ -258,9 +282,10 @@ impl FramedStream {
             if let Some((start, limit)) = deadline {
                 let left = limit.saturating_sub(start.elapsed());
                 if left.is_zero() {
+                    let what = messages.iter().map(Message::name).collect::<Vec<_>>().join(", ");
                     break Err(std::io::Error::new(
                         ErrorKind::TimedOut,
-                        format!("send of {} stalled at {written}/{len} bytes", message.name()),
+                        format!("send of {what} stalled at {written}/{len} bytes"),
                     ));
                 }
                 if let Err(e) = self.stream.set_write_timeout(Some(left.min(Duration::from_millis(100)))) {
@@ -442,6 +467,31 @@ mod tests {
         let got = b.recv(Some(Duration::from_secs(10))).unwrap();
         let (_a, msg) = writer.join().unwrap();
         assert_eq!(got, msg);
+    }
+
+    #[test]
+    fn one_write_of_several_frames_arrives_intact_and_in_order() {
+        // 3 MiB of grants outgrow the socket buffer, so the write is cut
+        // short many times, and the cuts fall inside and across frames.
+        let (mut a, mut b) = pair();
+        let request =
+            |seq| Message::LockRequest { seq, location: 9, access: crate::wire::WireAccess::Read, bytes: 8 };
+        let grant = |seq, data| Message::LockGrant { seq, location: 3, data };
+        let batch = vec![
+            request(1),
+            grant(2, vec![0xA1; MAX_DATA]),
+            request(3),
+            grant(4, vec![0xB2; MAX_DATA]),
+            grant(5, (0..MAX_DATA).map(|i| (i % 251) as u8).collect()),
+        ];
+        let want = batch.clone();
+        let peer = std::thread::spawn(move || {
+            (0..5).map(|_| b.recv(Some(Duration::from_secs(10)))).collect::<Vec<_>>()
+        });
+        a.send_all(&batch).unwrap();
+        for (k, (got, want)) in peer.join().unwrap().into_iter().zip(want).enumerate() {
+            assert!(got.as_ref().is_ok_and(|got| *got == want), "frame {k}: {:?}", got.map(|m| m.name()));
+        }
     }
 
     #[test]

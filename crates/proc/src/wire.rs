@@ -18,8 +18,12 @@
 //! [`Message::LockGrant`] answers once the FIFO grants the section *and
 //! carries a copy of the location buffer as its payload*.  The owner
 //! closes the section when it takes that copy, so the reader sends
-//! nothing back.  A [`Message::Release`] stays in the codec, but a
-//! worker's owner answers one with an error.  The remaining kinds run the
+//! nothing back.  A reader sends all the requests one task has for one
+//! owner in one iteration as one write of several frames, and takes the
+//! grants in request order: the owner serves a connection's requests one
+//! after the other, and decodes the ones that arrived together from its
+//! reader's buffer without another read.  A [`Message::Release`] stays in
+//! the codec, but a worker's owner answers one with an error.  The remaining kinds run the
 //! coordinator↔worker lifecycle (hello, assignment, ready/start barrier,
 //! done, shutdown, and [`Message::Metrics`], the two lane byte counters a
 //! worker reports last), liveness and telemetry ([`Message::Heartbeat`],
@@ -33,11 +37,11 @@
 //! [`WireError::BadVersion`], never a compatibility case to decode.
 //!
 //! A grant's payload is copied only by the kernel on its way from owner to
-//! reader.  There is one encoder, `Message::encode_head`: it writes the
-//! header and the kind's fixed fields into a head buffer the sender
+//! reader.  There is one encoder, `Message::encode_head`: it appends the
+//! header and the kind's fixed fields to a head buffer the sender
 //! reuses, and hands back the variable tail (grant data, JSON text,
 //! telemetry delta) *borrowed* from the message, so the transport writes
-//! head and tail in one vectored write.  [`Message::encode`] is that head
+//! the heads and tails of one or more frames in one vectored write.  [`Message::encode`] is that head
 //! plus that tail in one `Vec`, for callers that want the frame as bytes.
 //!
 //! [`FrameReader`] decodes incrementally: push whatever bytes arrived (or
@@ -315,18 +319,19 @@ impl Message {
         frame
     }
 
-    /// The one encoder: writes the frame header and the kind's fixed
-    /// fields into `head` (cleared first) and returns the variable tail —
-    /// grant data, JSON text or telemetry delta — borrowed from the
-    /// message.  The frame is `head` followed by the tail, so a sender can
-    /// hand both to one vectored write and never copy the tail.
+    /// The one encoder: appends the frame header and the kind's fixed
+    /// fields to `head` and returns the variable tail — grant data, JSON
+    /// text or telemetry delta — borrowed from the message.  The frame is
+    /// what this call appended followed by the tail, so a sender can put
+    /// the heads of several frames in one buffer, hand them and the tails
+    /// to one vectored write, and never copy a tail.
     ///
     /// # Panics
     /// If the payload would exceed its kind's cap (`MAX_PAYLOAD`, or
     /// `MAX_DELTA` + fixed fields for a telemetry frame); callers cap
     /// grant data at `MAX_DATA` and telemetry frames at `MAX_DELTA`.
     pub(crate) fn encode_head<'m>(&'m self, head: &mut Vec<u8>) -> &'m [u8] {
-        head.clear();
+        let start = head.len();
         head.extend_from_slice(&MAGIC);
         head.extend_from_slice(&VERSION.to_le_bytes());
         head.push(self.kind());
@@ -384,9 +389,9 @@ impl Message {
                 &[]
             }
         };
-        let len = head.len() - HEADER_LEN + tail.len();
+        let len = head.len() - start - HEADER_LEN + tail.len();
         assert!(len <= Message::max_payload_of(self.kind()), "payload over its kind's cap");
-        head[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
+        head[start + HEADER_LEN - 4..start + HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
         tail
     }
 }

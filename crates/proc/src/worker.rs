@@ -38,10 +38,12 @@
 //! one-shot read handle on the owned location), and the `LockGrant`
 //! carries back a copy of the location's value, taken under the grant.
 //! The owner's section ends with that copy, before the grant is sent; the
-//! reader only ever sees the copy, so it owes no `Release`.  Each
-//! (reader, owner) pair shares one connection and the reader holds it for
-//! the whole request→grant exchange, so a connection never interleaves
-//! two sections and the server side needs no demultiplexer.  A round
+//! reader only ever sees the copy, so it owes no `Release`.  A task's
+//! remote reads of one iteration go out as one batch per owner: every
+//! request in one write, then the grants in request order, as the owner
+//! serves them.  Each (reader, owner) pair shares one connection and the
+//! reader holds it for the whole batch, so a connection never interleaves
+//! two batches and neither side needs a demultiplexer.  A round
 //! resolves every read against the routing table before its session
 //! runs, dials each owner it names once, and hangs up on them when it
 //! ends: routing changes only between rounds.
@@ -208,53 +210,66 @@ impl PeerGateway {
         Ok(PeerGateway { reader: Arc::clone(reader), conns })
     }
 
-    /// One remote read of `src`'s location from `owner`, an owner this
-    /// gateway dialled: request → grant (with payload).  The owner closed
-    /// its section when it copied the value into the grant, so nothing
-    /// goes back; the `LockRelease` event records this side's hold.
-    fn remote_read(&self, owner: usize, src: usize, bytes: f64) -> Result<(), String> {
+    /// The remote reads `batch` (as `(src, bytes)`) of one task's
+    /// iteration from `owner`, an owner this gateway dialled, under one
+    /// hold of the connection: every request in one write, then each
+    /// grant (with payload) in request order.  The owner closed each
+    /// section when it copied the value into the grant, so nothing goes
+    /// back; the `LockRelease` events record this side's holds.
+    fn remote_reads(&self, owner: usize, batch: &[(usize, f64)]) -> Result<(), String> {
         let reader = &self.reader;
         if !reader.wire_delay.is_zero() {
             // Injected link latency (fault plans only; zero in production
-            // runs), paid before the section opens.
-            std::thread::sleep(reader.wire_delay); // sleep-ok: injected fault
+            // runs): each read's delay, paid before the batch is sent.
+            let reads = u32::try_from(batch.len()).unwrap_or(u32::MAX);
+            std::thread::sleep(reader.wire_delay.saturating_mul(reads)); // sleep-ok: injected fault
         }
         let mut stream = self.conns[&owner].lock().map_err(|_| "gateway connection poisoned".to_string())?;
-        let seq = reader.seq.fetch_add(1, Ordering::Relaxed);
-        let want = (bytes.round().max(0.0) as u64).min(MAX_DATA as u64);
-        let location = src as u64;
-        orwl_obs::emit(EventKind::LockRequest { rseq: seq, location, owner: owner as u32 });
-        stream
-            .send(&Message::LockRequest { seq, location, access: WireAccess::Read, bytes: want })
-            .map_err(|e| format!("lock request to peer {owner}: {e}"))?;
-        // The grant is read in place: only its length is wanted here.
-        let frame = stream
-            .recv_frame(Some(reader.io_timeout))
-            .map_err(|e| format!("peer {owner}: waiting for grant: {e}"))?;
-        let granted = match frame.grant() {
-            Some(Ok((s, l, data))) if s == seq && l == location => data.len(),
-            _ => {
-                return Err(match frame.decode() {
-                    Ok(Message::Error { message }) => format!("peer {owner}: {message}"),
-                    Ok(other) => format!("peer {owner}: expected lock_grant, got {}", other.name()),
-                    Err(e) => format!("peer {owner}: waiting for grant: protocol error: {e}"),
-                });
-            }
-        };
-        let granted_at = Instant::now();
-        orwl_obs::emit(EventKind::LockRelease {
-            rseq: seq,
-            location,
-            held_ns: granted_at.elapsed().as_nanos() as u64,
-        });
-        drop(stream);
-
+        let first = reader.seq.fetch_add(batch.len() as u64, Ordering::Relaxed);
+        let requests: Vec<Message> = (first..)
+            .zip(batch)
+            .map(|(seq, &(src, bytes))| {
+                let location = src as u64;
+                orwl_obs::emit(EventKind::LockRequest { rseq: seq, location, owner: owner as u32 });
+                let want = (bytes.round().max(0.0) as u64).min(MAX_DATA as u64);
+                Message::LockRequest { seq, location, access: WireAccess::Read, bytes: want }
+            })
+            .collect();
+        stream.send_all(&requests).map_err(|e| format!("lock requests to peer {owner}: {e}"))?;
         let lane = if reader.rack_of_node[owner] == reader.my_rack {
             &reader.same_rack_bytes
         } else {
             &reader.cross_rack_bytes
         };
-        lane.fetch_add(granted as u64, Ordering::Relaxed);
+        for (seq, &(src, _)) in (first..).zip(batch) {
+            let location = src as u64;
+            // The grant is read in place: only its length is wanted here.
+            let frame = stream
+                .recv_frame(Some(reader.io_timeout))
+                .map_err(|e| format!("peer {owner}: waiting for grant: {e}"))?;
+            let granted = match frame.grant() {
+                Some(Ok((s, l, data))) if s == seq && l == location => data.len(),
+                Some(Ok((s, l, _))) => {
+                    return Err(format!(
+                        "peer {owner}: grant {s} of location {l} arrived where grant {seq} of location {location} was due"
+                    ));
+                }
+                _ => {
+                    return Err(match frame.decode() {
+                        Ok(Message::Error { message }) => format!("peer {owner}: {message}"),
+                        Ok(other) => format!("peer {owner}: expected lock_grant, got {}", other.name()),
+                        Err(e) => format!("peer {owner}: waiting for grant: protocol error: {e}"),
+                    });
+                }
+            };
+            let granted_at = Instant::now();
+            orwl_obs::emit(EventKind::LockRelease {
+                rseq: seq,
+                location,
+                held_ns: granted_at.elapsed().as_nanos() as u64,
+            });
+            lane.fetch_add(granted as u64, Ordering::Relaxed);
+        }
         Ok(())
     }
 }
@@ -546,16 +561,15 @@ fn control_loop(
 /// One task's plan: per phase, `(iterations, reads as (src, bytes))`.
 type PhaseSchedule = Vec<(usize, Vec<(usize, f64)>)>;
 
-/// Where one read of a round is served: the shared FIFO of a location
-/// this node owns, or the owner node, through the round's gateway.
-enum Source {
-    Local(Arc<Location<u64>>),
-    Remote(usize),
+/// One phase of a task's plan, resolved for the current round: its
+/// iterations, the reads served from this node's FIFOs as
+/// `(src, bytes, location)`, and the remote reads as one batch of
+/// `(src, bytes)` per owner, sent through the round's gateway.
+struct ResolvedPhase {
+    iterations: usize,
+    local: Vec<(usize, f64, Arc<Location<u64>>)>,
+    remote: BTreeMap<usize, Vec<(usize, f64)>>,
 }
-
-/// A [`PhaseSchedule`] with each read's source resolved for the current
-/// round, as `(src, bytes, source)`.
-type ResolvedSchedule = Vec<(usize, Vec<(usize, f64, Source)>)>;
 
 /// The worker's mutable work ledger across rounds: per-task phase
 /// schedules, completed-iteration progress and the routing table.
@@ -874,13 +888,14 @@ impl TelemetryLink {
 /// Runs one round of this worker's unfinished tasks through a real
 /// `orwl_core` session on the reconstructed node topology.  Each
 /// iteration of each task writes its own location under a one-shot write
-/// section, then reads its in-edges one section at a time — locally
-/// through the shared FIFO, remotely through the round's gateway.  At most
-/// one lock is ever held, so the schedule cannot deadlock whatever the
-/// interleaving across processes.  Every read is resolved against the
-/// routing table before the session runs: it only changes at the quiesce
-/// barrier, where a re-shard can adopt a source here and turn its reads
-/// local.  Returns the fatal cause, if a task recorded one.
+/// section, then reads its in-edges: the local ones one section at a time
+/// through the shared FIFO, then the remote ones in one batch per owner
+/// through the round's gateway, which the owner serves one section at a
+/// time.  At most one lock is ever held, so the schedule cannot deadlock
+/// whatever the interleaving across processes.  Every read is resolved
+/// against the routing table before the session runs: it only changes at
+/// the quiesce barrier, where a re-shard can adopt a source here and turn
+/// its reads local.  Returns the fatal cause, if a task recorded one.
 #[allow(clippy::too_many_lines)]
 fn run_round(
     assignment: &Assignment,
@@ -910,20 +925,20 @@ fn run_round(
     let mut owners = BTreeSet::new();
     let mut resolved = Vec::with_capacity(tasks.len());
     for &t in &tasks {
-        let mut schedule: ResolvedSchedule = Vec::new();
+        let mut schedule = Vec::new();
         for (iterations, reads) in &work.schedules[&t] {
-            let mut sources = Vec::with_capacity(reads.len());
+            let mut phase =
+                ResolvedPhase { iterations: *iterations, local: Vec::new(), remote: BTreeMap::new() };
             for &(src, bytes) in reads {
-                let source = match work.routing[src] {
-                    owner if owner == assignment.node => Source::Local(hosted(src)?),
+                match work.routing[src] {
+                    owner if owner == assignment.node => phase.local.push((src, bytes, hosted(src)?)),
                     owner => {
                         owners.insert(owner);
-                        Source::Remote(owner)
+                        phase.remote.entry(owner).or_default().push((src, bytes));
                     }
-                };
-                sources.push((src, bytes, source));
+                }
             }
-            schedule.push((*iterations, sources));
+            schedule.push(phase);
         }
         resolved.push((t, hosted(t)?, schedule));
     }
@@ -935,11 +950,9 @@ fn run_round(
         // The session's link structure comes from the local reads.
         let mut links = vec![LocationLink::write(own.id(), 8.0)];
         let mut local_read_bytes: BTreeMap<usize, (f64, &Arc<Location<u64>>)> = BTreeMap::new();
-        for (_, reads) in &schedule {
-            for (src, bytes, source) in reads {
-                if let Source::Local(loc) = source {
-                    local_read_bytes.entry(*src).or_insert((0.0, loc)).0 += bytes;
-                }
+        for phase in &schedule {
+            for (src, bytes, loc) in &phase.local {
+                local_read_bytes.entry(*src).or_insert((0.0, loc)).0 += bytes;
             }
         }
         for (_, (bytes, loc)) in local_read_bytes {
@@ -951,8 +964,8 @@ fn run_round(
         let interrupt = Arc::clone(interrupt);
         program.add_task(TaskSpec::new(format!("task-{t}"), links), move |ctx| {
             let mut acquisitions = 0u64;
-            'phases: for (k, (iterations, reads)) in schedule.iter().enumerate() {
-                while progress[k].load(Ordering::Relaxed) < *iterations {
+            'phases: for (k, phase) in schedule.iter().enumerate() {
+                while progress[k].load(Ordering::Relaxed) < phase.iterations {
                     if interrupt.parked() {
                         break 'phases;
                     }
@@ -962,21 +975,17 @@ fn run_round(
                         *write.acquire().map_err(|e| IterError::Local(e.to_string()))? += 1;
                         drop(write);
                         acquisitions += 1;
-                        for (src, bytes, source) in reads {
-                            match source {
-                                Source::Local(src_loc) => {
-                                    let mut read = src_loc.handle(AccessMode::Read);
-                                    read.request().map_err(|e| IterError::Local(e.to_string()))?;
-                                    let guard =
-                                        read.acquire().map_err(|e| IterError::Local(e.to_string()))?;
-                                    std::hint::black_box(*guard);
-                                    drop(guard);
-                                }
-                                Source::Remote(owner) => {
-                                    gateway.remote_read(*owner, *src, *bytes).map_err(IterError::Remote)?;
-                                }
-                            }
+                        for (_, _, src_loc) in &phase.local {
+                            let mut read = src_loc.handle(AccessMode::Read);
+                            read.request().map_err(|e| IterError::Local(e.to_string()))?;
+                            let guard = read.acquire().map_err(|e| IterError::Local(e.to_string()))?;
+                            std::hint::black_box(*guard);
+                            drop(guard);
                             acquisitions += 1;
+                        }
+                        for (owner, batch) in &phase.remote {
+                            gateway.remote_reads(*owner, batch).map_err(IterError::Remote)?;
+                            acquisitions += batch.len() as u64;
                         }
                         Ok(())
                     })();
@@ -1075,10 +1084,14 @@ mod tests {
     /// shut its writes down) and the owner's serving thread.
     type Served = (Arc<Location<u64>>, FramedStream, UnixStream, std::thread::JoinHandle<()>);
 
-    /// Location 7, holding 41, served over one end of a socket pair.
+    /// Location 7, holding 41, served over one end of a socket pair, with
+    /// location 9, holding 43, beside it.
     fn served_location() -> Served {
         let loc = Location::new("loc-7".to_string(), 41u64);
-        let locations: SharedLocations = Arc::new(RwLock::new(HashMap::from([(7, Arc::clone(&loc))])));
+        let locations: SharedLocations = Arc::new(RwLock::new(HashMap::from([
+            (7, Arc::clone(&loc)),
+            (9, Location::new("loc-9".to_string(), 43u64)),
+        ])));
         let (near, far) = UnixStream::pair().unwrap();
         let owner = std::thread::spawn(move || {
             serve_connection(FramedStream::new(far), locations, Arc::new(AtomicBool::new(false)))
@@ -1092,6 +1105,93 @@ mod tests {
         socket.shutdown(std::net::Shutdown::Write).unwrap();
         let next = peer.recv(Some(WAIT));
         assert!(matches!(next, Err(RecvError::Closed)), "nothing more out: {next:?}");
+    }
+
+    /// A gateway to owner 1, in this node's rack, over `stream`; request
+    /// ids start at 1.
+    fn gateway_over(stream: FramedStream, wire_delay: Duration) -> PeerGateway {
+        let reader = Reader {
+            peer_listen: Vec::new(),
+            rack_of_node: vec![0, 0],
+            my_rack: 0,
+            io_timeout: WAIT,
+            wire_delay,
+            seq: AtomicU64::new(1),
+            same_rack_bytes: AtomicU64::new(0),
+            cross_rack_bytes: AtomicU64::new(0),
+        };
+        PeerGateway { reader: Arc::new(reader), conns: BTreeMap::from([(1, Mutex::new(stream))]) }
+    }
+
+    #[test]
+    fn a_batch_of_requests_is_granted_in_request_order() {
+        // Two locations, one named twice: the three requests arrive in one
+        // write and the owner answers each, in order, with its length.
+        let (_, mut peer, socket, owner) = served_location();
+        let asks = [(7u64, 8usize, 41u64), (9, 1_024, 43), (7, 65_536, 41)];
+        let requests: Vec<Message> = (0..)
+            .zip(asks)
+            .map(|(seq, (location, len, _))| Message::LockRequest {
+                seq,
+                location,
+                access: WireAccess::Read,
+                bytes: len as u64,
+            })
+            .collect();
+        peer.send_all(&requests).unwrap();
+        for (seq, (location, len, value)) in (0..).zip(asks) {
+            let mut want = value.to_le_bytes().to_vec();
+            want.resize(len, 0);
+            match peer.recv(Some(WAIT)) {
+                Ok(Message::LockGrant { seq: s, location: l, data }) if (s, l) == (seq, location) => {
+                    assert_eq!(data, want, "grant {seq} of {len} bytes");
+                }
+                other => panic!("expected grant {seq} of location {location}, got {other:?}"),
+            }
+        }
+        nothing_more_out(&mut peer, &socket);
+        owner.join().unwrap();
+    }
+
+    #[test]
+    fn a_grant_out_of_request_order_fails_the_batch_and_names_the_peer() {
+        let (near, far) = UnixStream::pair().unwrap();
+        let gateway = gateway_over(FramedStream::new(near), Duration::ZERO);
+        // A fake owner that answers the batch's second request first.
+        let fake = std::thread::spawn(move || {
+            let mut owner = FramedStream::new(far);
+            let mut asked = Vec::new();
+            while asked.len() < 2 {
+                match owner.recv(Some(WAIT)) {
+                    Ok(Message::LockRequest { seq, location, bytes, .. }) => {
+                        asked.push((seq, location, bytes))
+                    }
+                    other => panic!("expected a lock request, got {other:?}"),
+                }
+            }
+            for (seq, location, bytes) in asked.into_iter().rev() {
+                let _ = owner.send(&Message::LockGrant { seq, location, data: vec![0; bytes as usize] });
+            }
+            owner
+        });
+        // Both requests name one location, so only the request ids tell
+        // the grants apart.
+        let err = gateway.remote_reads(1, &[(7, 8.0), (7, 16.0)]).unwrap_err();
+        assert!(err.starts_with("peer 1: grant 2 "), "{err}");
+        assert_eq!(gateway.reader.same_rack_bytes.load(Ordering::Relaxed), 0, "no grant was taken");
+        drop(fake.join().unwrap());
+    }
+
+    #[test]
+    fn a_wire_delay_is_paid_once_per_read_of_a_batch() {
+        let (_, peer, socket, owner) = served_location();
+        let gateway = gateway_over(peer, Duration::from_millis(5));
+        let started = Instant::now();
+        gateway.remote_reads(1, &[(7, 8.0), (9, 8.0), (7, 8.0)]).unwrap();
+        assert!(started.elapsed() >= Duration::from_millis(15), "paid {:?}", started.elapsed());
+        assert_eq!(gateway.reader.same_rack_bytes.load(Ordering::Relaxed), 24);
+        nothing_more_out(&mut gateway.conns[&1].lock().unwrap(), &socket);
+        owner.join().unwrap();
     }
 
     #[test]
