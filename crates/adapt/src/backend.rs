@@ -3,8 +3,9 @@
 //! paper's 192-core testbed.
 //!
 //! `SimMachine` is the single-node [`PhasedModel`]: placements come from the
-//! session's policy, `NoBind` runs under the OS-placement scenario, a chunk
-//! is one `simulate_monitored` call priced in hop-bytes, and a re-placement
+//! session's policy, `NoBind` runs under the OS-placement scenario, a
+//! placement is priced once per phase (its `exec::price` and per-iteration
+//! hop-bytes), a chunk is one play of that price, and a re-placement
 //! is a TreeMatch run through the [`Replacer`].  Pinned against golden
 //! values (captured from the bit-for-bit-equivalent original harness) by
 //! the `session_equivalence` integration test.
@@ -13,7 +14,7 @@ use crate::driver::{Backend, Move, PhasedModel, Run};
 use crate::replace::{Decision, Replacer};
 use orwl_comm::matrix::CommMatrix;
 use orwl_comm::metrics::hop_bytes;
-use orwl_numasim::exec::{simulate_monitored, SimMonitor};
+use orwl_numasim::exec::{price, Priced, SimMonitor};
 use orwl_numasim::machine::SimMachine;
 use orwl_numasim::scenario::ExecutionScenario;
 use orwl_numasim::taskgraph::TaskGraph;
@@ -32,9 +33,19 @@ fn mapping_of(machine: &SimMachine, placement: &Placement) -> Vec<usize> {
     placement.compute_mapping_with(|t| pus[t % pus.len()])
 }
 
+/// A placement priced for one phase on the NUMA machine: the scenario's
+/// costs, the PU every task runs on and the hop-bytes of one iteration.
+#[derive(Debug)]
+pub struct SimPriced {
+    costs: Priced,
+    task_pu: Vec<usize>,
+    hop_bytes: f64,
+}
+
 impl PhasedModel for SimMachine {
     const NAME: &'static str = "numasim";
     type Placement = Placement;
+    type Priced = SimPriced;
 
     fn topology(&self) -> &Topology {
         self.topology()
@@ -44,25 +55,34 @@ impl PhasedModel for SimMachine {
         compute_placement(run.policy, self.topology(), matrix, run.control_threads)
     }
 
-    fn simulate(
-        &self,
-        run: &mut Run,
-        placement: &Placement,
-        graph: &TaskGraph,
-        matrix: &CommMatrix,
-        iterations: usize,
-        monitor: &mut dyn SimMonitor,
-    ) -> (f64, Vec<usize>) {
+    fn price(&self, run: &Run, placement: &Placement, graph: &TaskGraph, matrix: &CommMatrix) -> SimPriced {
         let scenario = if run.policy == Policy::NoBind {
             ExecutionScenario::orwl_nobind(self, graph.n_tasks(), run.nobind_seed)
         } else {
             ExecutionScenario::bound(self, mapping_of(self, placement))
         };
-        let report = simulate_monitored(self, graph, &scenario, iterations, monitor);
-        let chunk_bytes = iterations as f64 * hop_bytes(matrix, self.topology(), &scenario.task_pu);
+        SimPriced {
+            costs: price(self, graph, &scenario),
+            hop_bytes: hop_bytes(matrix, self.topology(), &scenario.task_pu),
+            task_pu: scenario.task_pu,
+        }
+    }
+
+    fn task_pu(priced: &SimPriced) -> &[usize] {
+        &priced.task_pu
+    }
+
+    fn simulate(
+        &self,
+        run: &mut Run,
+        priced: &SimPriced,
+        graph: &TaskGraph,
+        iterations: usize,
+        monitor: &mut dyn SimMonitor,
+    ) {
+        let report = priced.costs.play(graph, iterations, monitor);
         run.time += report.total_time;
-        run.hop_bytes += chunk_bytes;
-        (chunk_bytes, scenario.task_pu)
+        run.hop_bytes += iterations as f64 * priced.hop_bytes;
     }
 
     fn replace(

@@ -74,6 +74,11 @@ impl DriftObservation {
     }
 }
 
+/// The cost of `matrix`, volume-normalised, under `mapping` on `topo`.
+fn normalized_cost(matrix: &CommMatrix, topo: &Topology, mapping: &[usize]) -> f64 {
+    mapping_cost_default(&matrix.volume_normalized(), topo, mapping)
+}
+
 /// Stateful drift detector (see the module docs for the decision rule).
 #[derive(Debug, Clone)]
 pub struct DriftDetector {
@@ -99,8 +104,13 @@ impl DriftDetector {
         baseline: &CommMatrix,
         live: &CommMatrix,
     ) -> DriftObservation {
-        let baseline_cost = mapping_cost_default(&baseline.volume_normalized(), topo, mapping);
-        let live_cost = mapping_cost_default(&live.volume_normalized(), topo, mapping);
+        let baseline_cost = normalized_cost(baseline, topo, mapping);
+        self.decide(baseline_cost, normalized_cost(live, topo, mapping))
+    }
+
+    /// [`observe`](DriftDetector::observe) from the two matrices' costs
+    /// under the mapping.
+    fn decide(&mut self, baseline_cost: f64, live_cost: f64) -> DriftObservation {
         // Relative to the larger of the two costs: symmetric in the inputs,
         // bounded by 1, and well-defined when the baseline cost is zero
         // (perfectly local placement drifting to non-local traffic).
@@ -142,12 +152,17 @@ impl DriftDetector {
 /// measures the drift; [`adopt`](DriftStep::adopt) accepts a re-placement.
 /// What happens between the two (price, pay, publish) is the caller's: the
 /// simulator [driver](crate::driver) or the thread runtime's
-/// [`AdaptiveEngine`](crate::engine::AdaptiveEngine).
+/// [`AdaptiveEngine`](crate::engine::AdaptiveEngine).  The baseline's cost
+/// under the mapping of the last observed epoch is kept: it is re-computed
+/// only when `adopt` replaces the baseline or an epoch is observed under a
+/// different mapping.
 #[derive(Debug, Clone)]
 pub(crate) struct DriftStep {
     online: OnlineCommMatrix,
     detector: DriftDetector,
     baseline: CommMatrix,
+    /// The mapping the baseline was last costed under, and that cost.
+    baseline_cost: Option<(Vec<usize>, f64)>,
 }
 
 impl DriftStep {
@@ -158,6 +173,7 @@ impl DriftStep {
             online: OnlineCommMatrix::new(n_tasks, decay),
             detector: DriftDetector::new(drift),
             baseline,
+            baseline_cost: None,
         }
     }
 
@@ -188,7 +204,15 @@ impl DriftStep {
             return (records, None);
         }
         let live = self.online.smoothed_symmetric();
-        let observation = self.detector.observe(topo, mapping, &self.baseline, &live);
+        let baseline_cost = match &self.baseline_cost {
+            Some((costed, cost)) if costed.as_slice() == mapping => *cost,
+            _ => {
+                let cost = normalized_cost(&self.baseline, topo, mapping);
+                self.baseline_cost = Some((mapping.to_vec(), cost));
+                cost
+            }
+        };
+        let observation = self.detector.decide(baseline_cost, normalized_cost(&live, topo, mapping));
         (records, Some((observation, live)))
     }
 
@@ -196,6 +220,7 @@ impl DriftStep {
     /// baseline, and the detector holds off for its cooldown.
     pub(crate) fn adopt(&mut self, live: CommMatrix) {
         self.baseline = live;
+        self.baseline_cost = None;
         self.detector.arm_cooldown();
     }
 }
@@ -330,6 +355,42 @@ mod tests {
         assert!(!epoch_of(&mut step, &topo, &mapping, &baseline).unwrap().0.over_threshold);
         assert!(!epoch_of(&mut step, &topo, &mapping, &rotated()).unwrap().0.fired);
         assert!(epoch_of(&mut step, &topo, &mapping, &rotated()).unwrap().0.fired);
+    }
+
+    #[test]
+    fn a_step_observes_what_the_detector_observes() {
+        // The step keeps the baseline's cost between epochs; a detector
+        // handed both matrices every epoch is the reference.  Two epochs
+        // under one mapping, one under another, then an adopt and two more
+        // under the first: a cost kept across the adopt, or across the
+        // mapping change, shows as a different observation.
+        let (topo, baseline, mapping) = setup();
+        let other: Vec<usize> = mapping.iter().rev().copied().collect();
+        let config = DriftConfig { threshold: 0.15, patience: 1, cooldown: 1 };
+        let mut step = DriftStep::new(16, 0.5, config, baseline.symmetrized());
+        let mut reference = DriftDetector::new(config);
+        let mut anchor = baseline.symmetrized();
+        let schedule = [
+            (&mapping, rotated(), false),
+            (&mapping, rotated(), false),
+            (&other, baseline.clone(), false),
+            (&mapping, rotated(), true),
+            (&mapping, baseline.clone(), false),
+            (&mapping, baseline.clone(), false),
+        ];
+        for (k, (on, pattern, adopt)) in schedule.into_iter().enumerate() {
+            let (observed, live) = epoch_of(&mut step, &topo, on, &pattern).expect("warmed up");
+            let want = reference.observe(&topo, on, &anchor, &live);
+            let as_bits =
+                |o: &DriftObservation| (o.baseline_cost.to_bits(), o.live_cost.to_bits(), o.delta.to_bits());
+            assert_eq!(as_bits(&observed), as_bits(&want), "epoch {k}");
+            assert_eq!(observed, want, "epoch {k}");
+            if adopt {
+                step.adopt(live.clone());
+                reference.arm_cooldown();
+                anchor = live;
+            }
+        }
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! phase); **oracle** — at a phase boundary, a free re-placement from the
 //! phase's own matrix; **adaptive** — an epoch of the `DriftStep` the
 //! executor's transfer hooks feed, and on a fire a re-placement the model
-//! prices, the run pays and the step adopts.  What differs between the two
-//! machines is behind [`PhasedModel`]; the driver never asks which it serves.
+//! weighs, the run pays and the step adopts.  A placement is priced once
+//! per phase and after each accepted re-placement, never per chunk.  What
+//! differs between the two machines is behind [`PhasedModel`]; the driver
+//! never asks which it serves.
 
 use crate::drift::DriftStep;
 use crate::engine::AdaptConfig;
@@ -71,6 +73,11 @@ pub struct Move<P> {
 /// A simulated machine the driver can run phased workloads on: `SimMachine`
 /// (in [`backend`](crate::backend)) and `orwl_cluster::ClusterMachine`.  Each
 /// owns its float accumulations, so their operand order never changes.
+///
+/// A placement is [`price`](PhasedModel::price)d once per phase it runs in
+/// and [`simulate`](PhasedModel::simulate)d chunk by chunk from that price:
+/// the driver prices at each phase start and after each accepted [`Move`],
+/// never per chunk.
 pub trait PhasedModel: Send + Sync {
     /// The backend name, for reports, errors and telemetry.
     const NAME: &'static str;
@@ -79,25 +86,41 @@ pub trait PhasedModel: Send + Sync {
     /// (the cluster's node assignment).
     type Placement: Clone;
 
+    /// A placement priced for one phase: everything a chunk reads that
+    /// depends only on (placement, phase) — the `StepCosts`, the task → PU
+    /// mapping and the per-iteration hop-bytes (and fabric split).
+    type Priced;
+
     /// The modelled machine's topology (flattened, for a cluster).
     fn topology(&self) -> &Topology;
 
     /// Places the tasks of the (symmetrised) `matrix`.
     fn place(&self, run: &Run, matrix: &CommMatrix) -> Self::Placement;
 
-    /// Simulates `iterations` of `graph` (raw matrix `matrix`) under
-    /// `placement`, reports every transfer to `monitor` and folds time and
-    /// traffic into `run`.  Returns the hop-bytes the chunk added and the PU
-    /// every task ran on — what drift is measured under.
-    fn simulate(
+    /// Prices `placement` for the phase `graph` (raw matrix `matrix`).
+    fn price(
         &self,
-        run: &mut Run,
+        run: &Run,
         placement: &Self::Placement,
         graph: &TaskGraph,
         matrix: &CommMatrix,
+    ) -> Self::Priced;
+
+    /// The PU every task of `priced` runs on: what drift is measured under
+    /// and what a re-placement moves tasks from.
+    fn task_pu(priced: &Self::Priced) -> &[usize];
+
+    /// Simulates `iterations` of `graph`, the phase `priced` was priced
+    /// for, reports every transfer to `monitor` and folds `iterations ×`
+    /// the priced time and traffic into `run`.
+    fn simulate(
+        &self,
+        run: &mut Run,
+        priced: &Self::Priced,
+        graph: &TaskGraph,
         iterations: usize,
         monitor: &mut dyn SimMonitor,
-    ) -> (f64, Vec<usize>);
+    );
 
     /// Prices a re-placement computed from `live` against `current` (running
     /// on `task_pu`) through [`ReplacerConfig::weigh`], in the model's own
@@ -115,16 +138,19 @@ pub trait PhasedModel: Send + Sync {
     fn plan_placement(&self, run: &Run, initial: Self::Placement) -> Placement;
 }
 
-/// The one [`SimMonitor`] that feeds an online matrix: the adaptive mode's
-/// monitor, tallying the open epoch's bytes on the way.
+/// The tally of every chunk, monitoring beside the caller's monitor: it
+/// sums the bytes the chunk's epoch reports and feeds the adaptive mode's
+/// drift step.
 struct Feed<'a> {
-    step: &'a mut DriftStep,
+    step: Option<&'a mut DriftStep>,
     bytes: f64,
 }
 
 impl SimMonitor for Feed<'_> {
     fn on_transfer(&mut self, _iteration: usize, src: usize, dst: usize, bytes: f64) {
-        self.step.record(src, dst, bytes);
+        if let Some(step) = self.step.as_deref_mut() {
+            step.record(src, dst, bytes);
+        }
         self.bytes += bytes;
     }
 }
@@ -173,10 +199,9 @@ impl<M: PhasedModel> Backend<M> {
 
     /// Runs `workload` in `mode` in chunks of at most `chunk_iterations`
     /// (`Session` runs: the epoch length when adaptive, whole phases
-    /// otherwise).  `monitor` observes the fixed schedules (an adaptive run
-    /// is monitored by its drift step) and gets `chunk_end` after each chunk.
-    /// Returns the initial placement and, when adaptive, the counters; the
-    /// totals are in `run`.
+    /// otherwise).  `monitor` observes every transfer and gets `chunk_end`
+    /// after each chunk.  Returns the initial placement and, when adaptive,
+    /// the counters; the totals are in `run`.
     ///
     /// # Panics
     /// Panics when the workload has no phase or `chunk_iterations` is zero.
@@ -203,21 +228,15 @@ impl<M: PhasedModel> Backend<M> {
                 placement = model.place(run, &phase.graph.comm_matrix().symmetrized());
             }
             let matrix = phase.graph.comm_matrix();
+            let mut priced = model.price(run, &placement, &phase.graph, &matrix);
             let mut done = 0usize;
             while done < phase.iterations {
                 let iterations = chunk_iterations.min(phase.iterations - done);
-                // Adaptive runs are monitored by the drift step and their
-                // epochs carry the bytes it saw; the fixed schedules are
-                // monitored by the caller and carry the chunk's hop-bytes.
-                let (epoch_bytes, task_pu) = match step.as_mut() {
-                    Some(step) => {
-                        let mut feed = Feed { step, bytes: 0.0 };
-                        let (_, task_pu) =
-                            model.simulate(run, &placement, &phase.graph, &matrix, iterations, &mut feed);
-                        (feed.bytes, task_pu)
-                    }
-                    None => model.simulate(run, &placement, &phase.graph, &matrix, iterations, monitor),
-                };
+                // Every epoch carries the bytes its chunk's transfers
+                // reported; an adaptive run's drift step sees them too.
+                let mut feed = (Feed { step: step.as_mut(), bytes: 0.0 }, &mut *monitor);
+                model.simulate(run, &priced, &phase.graph, iterations, &mut feed);
+                let epoch_bytes = feed.0.bytes;
                 chunk_end(monitor);
                 done += iterations;
 
@@ -227,7 +246,8 @@ impl<M: PhasedModel> Backend<M> {
                     obs.record(EventKind::Epoch { epoch: adapt.epochs, bytes: epoch_bytes });
                 }
                 let Some(step) = step.as_mut() else { continue };
-                let (_, Some((observation, live))) = step.epoch(model.topology(), &task_pu) else { continue };
+                let task_pu = M::task_pu(&priced);
+                let (_, Some((observation, live))) = step.epoch(model.topology(), task_pu) else { continue };
                 adapt.drift_deltas.push(observation.delta);
                 if let Some(obs) = run.obs {
                     let (outcome, delta) = (observation.outcome(), observation.delta);
@@ -237,7 +257,7 @@ impl<M: PhasedModel> Backend<M> {
                     continue;
                 }
                 let Some(Move { placement: next, tasks_moved, cross_node }) =
-                    model.replace(run, &live, &placement, &task_pu, chunk_iterations)
+                    model.replace(run, &live, &placement, task_pu, chunk_iterations)
                 else {
                     continue;
                 };
@@ -247,6 +267,7 @@ impl<M: PhasedModel> Backend<M> {
                     obs.record(EventKind::Migration { tasks_moved, bytes, cross_node });
                 }
                 placement = next;
+                priced = model.price(run, &placement, &phase.graph, &matrix);
                 step.adopt(live);
                 adapt.replacements += 1;
                 adapt.node_reshards += u64::from(cross_node);

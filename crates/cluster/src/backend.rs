@@ -10,13 +10,15 @@
 //! * **placement** is two-level ([`Policy::Hierarchical`]; flat policies
 //!   run on the flattened tree, `NoBind` is a seeded OS spread) and carries
 //!   the node assignment with the thread → PU map;
-//! * **a chunk** is one [`simulate_cluster`] call, its hop-bytes split at
-//!   the machine boundary, with one `FabricTransfer` record per lane;
+//! * **a placement is priced once per phase** — the `StepCosts` of
+//!   `simulate_cluster`, the hop-bytes split at the machine boundary and
+//!   the fabric cut — and **a chunk** plays that price, with one
+//!   `FabricTransfer` record per lane;
 //! * **a re-placement** is a fresh *two-level* computation priced in fabric
 //!   seconds, so drift can trigger **node-level re-sharding** as well as
 //!   intra-node re-binding (`AdaptReport::node_reshards` vs `replacements`).
 
-use crate::exec::simulate_cluster;
+use crate::exec::{price_cluster, PricedCluster};
 use crate::machine::ClusterMachine;
 use crate::metrics::{cluster_cost, inter_node_bytes, split_hop_bytes};
 use crate::placement::{hierarchical_placement, policy_placement, ClusterPlacement};
@@ -42,9 +44,23 @@ fn lane_of(class: FabricClass) -> FabricLane {
 /// The multi-node discrete-event simulator as a `Session` backend.
 pub type ClusterBackend = Backend<ClusterMachine>;
 
+/// A placement priced for one phase on the cluster: the mapping's costs,
+/// the global PU of every task, and one iteration's hop-bytes split at the
+/// machine boundary, fabric cut and (observed runs only) lane entries.
+#[derive(Debug)]
+pub struct ClusterPriced {
+    costs: PricedCluster,
+    mapping: Vec<usize>,
+    intra: f64,
+    inter: f64,
+    inter_node_bytes: f64,
+    lanes: Vec<(FabricLane, f64)>,
+}
+
 impl PhasedModel for ClusterMachine {
     const NAME: &'static str = "cluster";
     type Placement = ClusterPlacement;
+    type Priced = ClusterPriced;
 
     fn topology(&self) -> &Topology {
         self.topology()
@@ -59,38 +75,66 @@ impl PhasedModel for ClusterMachine {
         policy_placement(self, run.policy, run.control_threads, run.nobind_seed, matrix)
     }
 
-    fn simulate(
+    /// The mapping's costs, its per-iteration fabric split and, when the
+    /// run is observed, each off-diagonal entry's lane in the matrix's
+    /// entry order.
+    fn price(
         &self,
-        run: &mut Run,
+        run: &Run,
         placement: &ClusterPlacement,
         graph: &TaskGraph,
         matrix: &CommMatrix,
-        iterations: usize,
-        monitor: &mut dyn SimMonitor,
-    ) -> (f64, Vec<usize>) {
+    ) -> ClusterPriced {
         let cluster = self.cluster();
         let mapping = placement.global_mapping(self);
-        let report = simulate_cluster(self, graph, &mapping, iterations, monitor);
         let (intra, inter) = split_hop_bytes(cluster, matrix, &mapping);
+        let mut lanes = Vec::new();
+        if run.obs.is_some() {
+            matrix.for_each_nonzero(|src, dst, volume| {
+                if src != dst {
+                    lanes.push((lane_of(cluster.link_class(mapping[src], mapping[dst])), volume));
+                }
+            });
+        }
+        ClusterPriced {
+            costs: price_cluster(self, graph, &mapping),
+            intra,
+            inter,
+            inter_node_bytes: inter_node_bytes(cluster, matrix, &mapping),
+            lanes,
+            mapping,
+        }
+    }
+
+    fn task_pu(priced: &ClusterPriced) -> &[usize] {
+        &priced.mapping
+    }
+
+    fn simulate(
+        &self,
+        run: &mut Run,
+        priced: &ClusterPriced,
+        graph: &TaskGraph,
+        iterations: usize,
+        monitor: &mut dyn SimMonitor,
+    ) {
+        let report = priced.costs.play(graph, iterations, monitor);
+        let (intra, inter) = (priced.intra, priced.inter);
         let iters = iterations as f64;
-        let before = run.hop_bytes;
         let fabric =
             run.fabric.get_or_insert(ClusterTraffic { n_nodes: self.n_nodes(), ..ClusterTraffic::default() });
         run.time += report.total_time;
         run.hop_bytes += iters * (intra + inter);
         fabric.intra_node_hop_bytes += iters * intra;
         fabric.inter_node_hop_bytes += iters * inter;
-        fabric.inter_node_bytes += iters * inter_node_bytes(cluster, matrix, &mapping);
+        fabric.inter_node_bytes += iters * priced.inter_node_bytes;
         if let Some(obs) = run.obs {
             // One aggregate transfer event per fabric lane per chunk: the
             // timeline stays proportional to chunks, not to matrix entries.
             let mut by_lane = [0.0f64; 3];
-            matrix.for_each_nonzero(|src, dst, volume| {
-                if src != dst {
-                    by_lane[lane_of(cluster.link_class(mapping[src], mapping[dst])) as usize] +=
-                        iters * volume;
-                }
-            });
+            for &(lane, volume) in &priced.lanes {
+                by_lane[lane as usize] += iters * volume;
+            }
             obs.set_sim_now(run.time);
             for (lane, &bytes) in
                 [FabricLane::SameNode, FabricLane::SameRack, FabricLane::CrossRack].iter().zip(&by_lane)
@@ -100,7 +144,6 @@ impl PhasedModel for ClusterMachine {
                 }
             }
         }
-        (run.hop_bytes - before, mapping)
     }
 
     /// A fresh two-level computation, so node assignment and intra-node

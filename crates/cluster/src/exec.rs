@@ -37,7 +37,8 @@ pub struct ClusterSimReport {
 
 /// Simulates `iterations` iterations of `graph` with every task pinned to
 /// the *global* PU `task_pu[t]`, reporting every halo transfer to
-/// `monitor` (task indices, like the single-node executor).
+/// `monitor` (task indices, like the single-node executor).  One
+/// [`price_cluster`] and one [`PricedCluster::play`].
 ///
 /// # Panics
 /// Panics when `task_pu` does not cover every task of the graph or names a
@@ -49,6 +50,26 @@ pub fn simulate_cluster(
     iterations: usize,
     monitor: &mut dyn SimMonitor,
 ) -> ClusterSimReport {
+    price_cluster(machine, graph, task_pu).play(graph, iterations, monitor)
+}
+
+/// A mapping priced once on one cluster and graph: the `StepCosts` `play`
+/// runs at and the per-iteration traffic split.  Playing it `k` times gives
+/// the bits of `k` [`simulate_cluster`] calls.
+#[derive(Debug)]
+pub struct PricedCluster {
+    costs: StepCosts,
+    intra_node_bytes: f64,
+    inter_node_bytes: f64,
+    fabric_messages: usize,
+}
+
+/// Prices the mapping `task_pu` for `graph` on `machine`: everything a run
+/// of it reads that does not depend on the iteration count.
+///
+/// # Panics
+/// As [`simulate_cluster`].
+pub fn price_cluster(machine: &ClusterMachine, graph: &TaskGraph, task_pu: &[usize]) -> PricedCluster {
     let n = graph.n_tasks();
     assert!(task_pu.len() >= n, "mapping covers {} tasks but the graph has {n}", task_pu.len());
     let cluster = machine.cluster();
@@ -56,7 +77,6 @@ pub fn simulate_cluster(
     let params = node_sim.params();
     let fabric = machine.fabric();
 
-    // --- Static per-placement quantities -----------------------------------
     // Working sets are first-touched by their pinned owner: the data's NUMA
     // domain is the executing PU's, and accessors sharing one memory
     // controller split its bandwidth.  Controllers are per (node, NUMA
@@ -115,14 +135,31 @@ pub fn simulate_cluster(
         node_backplane_bytes.iter().map(|b| b / params.interconnect_bandwidth).fold(0.0f64, f64::max);
     let iteration_floor = fabric_floor.max(node_floor);
 
-    let costs = StepCosts::new(task_pu, task_duration, edge_time, iteration_floor, None);
-    let played = play(graph, &costs, iterations, monitor);
-    ClusterSimReport {
-        total_time: played.total_time,
-        iteration_times: played.iteration_times,
+    PricedCluster {
+        costs: StepCosts::new(task_pu, task_duration, edge_time, iteration_floor, None),
         intra_node_bytes,
         inter_node_bytes,
         fabric_messages,
+    }
+}
+
+impl PricedCluster {
+    /// Runs `iterations` iterations of `graph`, the graph this was priced
+    /// for, reporting to `monitor`.
+    pub fn play(
+        &self,
+        graph: &TaskGraph,
+        iterations: usize,
+        monitor: &mut dyn SimMonitor,
+    ) -> ClusterSimReport {
+        let played = play(graph, &self.costs, iterations, monitor);
+        ClusterSimReport {
+            total_time: played.total_time,
+            iteration_times: played.iteration_times,
+            intra_node_bytes: self.intra_node_bytes,
+            inter_node_bytes: self.inter_node_bytes,
+            fabric_messages: self.fabric_messages,
+        }
     }
 }
 

@@ -16,7 +16,8 @@
 //!    ([`mod@orwl_treematch::partition`]), then runs the paper's TreeMatch
 //!    *inside* each node; surfaced through the unified `Session` API as
 //!    [`Policy::Hierarchical`](orwl_treematch::policies::Policy).
-//! 3. **Execution** — [`exec::simulate_cluster`], a multi-node cost model
+//! 3. **Execution** — [`exec::simulate_cluster`] (one [`price_cluster`],
+//!    one [`PricedCluster::play`]), a multi-node cost model
 //!    run by numasim's discrete-event loop (per-node NUMA machines coupled
 //!    by fabric messages for remote lock grants and location transfers),
 //!    plugged in as the third `ExecutionBackend`: [`ClusterBackend`].
@@ -57,7 +58,7 @@ mod metrics;
 mod placement;
 
 pub use backend::ClusterBackend;
-pub use exec::simulate_cluster;
+pub use exec::{price_cluster, simulate_cluster, PricedCluster};
 pub use machine::ClusterMachine;
 pub use metrics::{inter_node_bytes, split_hop_bytes};
 pub use placement::{hierarchical_placement, policy_placement, reshard_after_node_loss};

@@ -1,23 +1,33 @@
 //! What the shared phased driver promises, checked once and instantiated
 //! for both models behind it — the single-node NUMA simulator
 //! (`SimBackend`) and the cluster simulator (`ClusterBackend`): the
-//! configuration errors, the mode invariants on a hand-picked workload, and
-//! the same invariants over generated lab scenarios × seeds.
+//! configuration errors, the mode invariants on a hand-picked workload, the
+//! same invariants over generated lab scenarios × seeds, how often a run
+//! prices its placement, and that one price played `k` times is `k`
+//! one-shot simulations.
 
+use orwl_adapt::driver::{Backend, Move, PhasedModel, Run};
 use orwl_adapt::engine::{adaptive_session_spec, AdaptConfig, AdaptiveEngine};
 use orwl_adapt::SimBackend;
-use orwl_cluster::{ClusterBackend, ClusterMachine};
+use orwl_cluster::{price_cluster, simulate_cluster, ClusterBackend, ClusterMachine};
+use orwl_comm::matrix::CommMatrix;
 use orwl_core::error::{ConfigError, OrwlError};
 use orwl_core::runtime::AdaptiveSpec;
 use orwl_core::session::{ExecutionBackend, Mode, Report, Session, SessionBuilder};
 use orwl_core::task::{OrwlProgram, TaskSpec};
 use orwl_lab::scenario::{ScenarioFamily, ScenarioSpec};
 use orwl_numasim::costmodel::CostParams;
+use orwl_numasim::exec::{price, simulate_monitored, SimMonitor};
 use orwl_numasim::machine::SimMachine;
+use orwl_numasim::scenario::ExecutionScenario;
+use orwl_numasim::taskgraph::TaskGraph;
 use orwl_numasim::workload::PhasedWorkload;
-use orwl_obs::ObsConfig;
+use orwl_obs::{EventKind, ObsConfig};
 use orwl_topo::topology::Topology;
+use orwl_treematch::mapping::Placement;
 use orwl_treematch::policies::Policy;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// One model behind the driver, as the tests need it.
 trait Rig {
@@ -28,9 +38,11 @@ trait Rig {
     /// Rows × rows tasks of the hand-picked rotating stencil.
     const STENCIL_ROWS: usize;
     type Backend: ExecutionBackend + 'static;
+    type Machine: PhasedModel + 'static;
 
     fn topology() -> Topology;
     fn backend() -> Self::Backend;
+    fn machine() -> Self::Machine;
 }
 
 struct Numasim;
@@ -40,14 +52,18 @@ impl Rig for Numasim {
     const POLICY: Policy = Policy::TreeMatch;
     const STENCIL_ROWS: usize = 4;
     type Backend = SimBackend;
+    type Machine = SimMachine;
 
     fn topology() -> Topology {
         orwl_topo::synthetic::cluster2016_subset(2).unwrap()
     }
 
     fn backend() -> SimBackend {
-        SimBackend::new(SimMachine::new(Self::topology(), CostParams::cluster2016()))
-            .with_adapt_config(AdaptConfig::evaluation())
+        SimBackend::new(Self::machine()).with_adapt_config(AdaptConfig::evaluation())
+    }
+
+    fn machine() -> SimMachine {
+        SimMachine::new(Self::topology(), CostParams::cluster2016())
     }
 }
 
@@ -58,13 +74,18 @@ impl Rig for Cluster {
     const POLICY: Policy = Policy::Hierarchical;
     const STENCIL_ROWS: usize = 8;
     type Backend = ClusterBackend;
+    type Machine = ClusterMachine;
 
     fn topology() -> Topology {
         ClusterMachine::paper(4).topology().clone()
     }
 
     fn backend() -> ClusterBackend {
-        ClusterBackend::new(ClusterMachine::paper(4)).with_adapt_config(AdaptConfig::evaluation())
+        ClusterBackend::new(Self::machine()).with_adapt_config(AdaptConfig::evaluation())
+    }
+
+    fn machine() -> ClusterMachine {
+        ClusterMachine::paper(4)
     }
 }
 
@@ -199,6 +220,208 @@ fn generated_scenarios_keep_the_mode_invariants<R: Rig>() {
     }
 }
 
+/// A model that counts how often the driver prices a placement.
+struct Counting<M> {
+    model: M,
+    prices: Arc<AtomicUsize>,
+}
+
+impl<M: PhasedModel> PhasedModel for Counting<M> {
+    const NAME: &'static str = M::NAME;
+    type Placement = M::Placement;
+    type Priced = M::Priced;
+
+    fn topology(&self) -> &Topology {
+        self.model.topology()
+    }
+
+    fn place(&self, run: &Run, matrix: &CommMatrix) -> M::Placement {
+        self.model.place(run, matrix)
+    }
+
+    fn price(
+        &self,
+        run: &Run,
+        placement: &M::Placement,
+        graph: &TaskGraph,
+        matrix: &CommMatrix,
+    ) -> M::Priced {
+        self.prices.fetch_add(1, Ordering::Relaxed);
+        self.model.price(run, placement, graph, matrix)
+    }
+
+    fn task_pu(priced: &M::Priced) -> &[usize] {
+        M::task_pu(priced)
+    }
+
+    fn simulate(
+        &self,
+        run: &mut Run,
+        priced: &M::Priced,
+        graph: &TaskGraph,
+        iterations: usize,
+        monitor: &mut dyn SimMonitor,
+    ) {
+        self.model.simulate(run, priced, graph, iterations, monitor);
+    }
+
+    fn replace(
+        &self,
+        run: &mut Run,
+        live: &CommMatrix,
+        current: &M::Placement,
+        task_pu: &[usize],
+        epoch_iterations: usize,
+    ) -> Option<Move<M::Placement>> {
+        self.model.replace(run, live, current, task_pu, epoch_iterations)
+    }
+
+    fn plan_placement(&self, run: &Run, initial: M::Placement) -> Placement {
+        self.model.plan_placement(run, initial)
+    }
+}
+
+/// A placement is priced at each phase start (oracle re-placements
+/// included) and after each accepted move: never once per epoch.  The
+/// counting model's run is the plain model's run.
+fn placements_are_priced_per_phase_and_move_not_per_epoch<R: Rig>() {
+    let workload = stencil::<R>(&[12, 60]);
+    let phases = workload.phases.len();
+    for mode in [Mode::Static, Mode::Oracle, adaptive(4)] {
+        let prices = Arc::new(AtomicUsize::new(0));
+        let counting = Counting { model: R::machine(), prices: Arc::clone(&prices) };
+        let backend = Backend::new(counting).with_adapt_config(AdaptConfig::evaluation());
+        let report = Session::builder()
+            .topology(R::topology())
+            .policy(R::POLICY)
+            .control_threads(0)
+            .mode(mode.clone())
+            .backend(backend)
+            .build()
+            .unwrap()
+            .run(workload.clone())
+            .unwrap();
+        assert_eq!(
+            format!("{report:?}"),
+            format!("{:?}", run::<R>(mode.clone(), &workload)),
+            "{}",
+            mode.name()
+        );
+        let prices = prices.load(Ordering::Relaxed);
+        match &report.adapt {
+            Some(adapt) => {
+                assert!(adapt.replacements >= 1, "the rotation moves the placement: {adapt:?}");
+                assert_eq!(prices, phases + adapt.replacements as usize, "{adapt:?}");
+                assert!(adapt.epochs > prices as u64, "{} epochs, {prices} prices", adapt.epochs);
+            }
+            None => assert_eq!(prices, phases, "{}", mode.name()),
+        }
+    }
+}
+
+/// Every mode's epochs carry the bytes the monitor saw: over the run, the
+/// graph's edge bytes once per iteration of each phase.
+fn epochs_carry_the_bytes_the_monitor_saw<R: Rig>() {
+    let workload = stencil::<R>(&[12, 60]);
+    let want: f64 = workload
+        .phases
+        .iter()
+        .map(|p| p.iterations as f64 * p.graph.edges().iter().map(|e| e.bytes).sum::<f64>())
+        .sum();
+    for mode in [Mode::Static, Mode::Oracle, adaptive(4)] {
+        let report = builder::<R>()
+            .mode(mode.clone())
+            .observe(ObsConfig::default())
+            .build()
+            .unwrap()
+            .run(workload.clone())
+            .unwrap();
+        let telemetry = report.obs.expect("observed runs carry telemetry");
+        let epochs: Vec<f64> = telemetry
+            .events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Epoch { bytes, .. } => Some(bytes),
+                _ => None,
+            })
+            .collect();
+        let seen: f64 = epochs.iter().sum();
+        assert!(epochs.iter().all(|&b| b > 0.0), "{}: {epochs:?}", mode.name());
+        assert!(
+            (seen - want).abs() <= 1e-12 * want,
+            "{}: epochs saw {seen}, the graphs move {want}",
+            mode.name()
+        );
+    }
+}
+
+/// Every callback a simulation makes, in order, floats as bits (as in
+/// `orwl-cluster`'s one-node test).
+#[derive(Debug, Default, PartialEq)]
+struct Recording {
+    transfers: Vec<(usize, usize, usize, u64)>,
+    iteration_ends: Vec<(usize, u64)>,
+}
+
+impl SimMonitor for Recording {
+    fn on_transfer(&mut self, iteration: usize, src: usize, dst: usize, bytes: f64) {
+        self.transfers.push((iteration, src, dst, bytes.to_bits()));
+    }
+
+    fn on_iteration_end(&mut self, iteration: usize, elapsed: f64) {
+        self.iteration_ends.push((iteration, elapsed.to_bits()));
+    }
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// One price played chunk by chunk is a fresh one-shot simulation per
+/// chunk, bit for bit and callback for callback: numasim under the bound
+/// and the OS-placement scenarios, and a two-node cluster, over every
+/// scenario family's phase graphs.
+#[test]
+fn one_price_played_k_times_is_k_fresh_simulations() {
+    let numa = Numasim::machine();
+    let cluster = ClusterMachine::paper(2);
+    let chunks = [4, 7, 1];
+    for spec in ScenarioSpec::catalog(16, 7) {
+        for (k, phase) in spec.workload().phases.iter().enumerate() {
+            let g = &phase.graph;
+            let label = format!("{} phase {k}", spec.name());
+            let n = g.n_tasks();
+            let spread: Vec<usize> = (0..n).map(|t| t * 5 % cluster.n_pus()).collect();
+            for scenario in [
+                ExecutionScenario::bound(&numa, (0..n).map(|t| t * 5 % numa.n_pus()).collect()),
+                ExecutionScenario::orwl_nobind(&numa, n, 7),
+            ] {
+                let priced = price(&numa, g, &scenario);
+                for iterations in chunks {
+                    let (mut played, mut fresh) = (Recording::default(), Recording::default());
+                    let a = priced.play(g, iterations, &mut played);
+                    let b = simulate_monitored(&numa, g, &scenario, iterations, &mut fresh);
+                    assert_eq!(a.total_time.to_bits(), b.total_time.to_bits(), "{label} {}", scenario.label);
+                    assert_eq!(bits(&a.iteration_times), bits(&b.iteration_times), "{label}");
+                    assert_eq!(a, b, "{label} {}", scenario.label);
+                    assert_eq!(played, fresh, "{label} {}", scenario.label);
+                    assert_eq!(played.transfers.len(), iterations * g.edges().len());
+                }
+            }
+            let priced = price_cluster(&cluster, g, &spread);
+            for iterations in chunks {
+                let (mut played, mut fresh) = (Recording::default(), Recording::default());
+                let a = priced.play(g, iterations, &mut played);
+                let b = simulate_cluster(&cluster, g, &spread, iterations, &mut fresh);
+                assert_eq!(a.total_time.to_bits(), b.total_time.to_bits(), "{label} cluster");
+                assert_eq!(bits(&a.iteration_times), bits(&b.iteration_times), "{label} cluster");
+                assert_eq!(a, b, "{label} cluster");
+                assert_eq!(played, fresh, "{label} cluster");
+            }
+        }
+    }
+}
+
 macro_rules! for_both_models {
     ($($check:ident),* $(,)?) => {
         mod numasim {
@@ -216,4 +439,6 @@ for_both_models!(
     controller_bearing_specs_are_rejected,
     the_hand_picked_stencil_keeps_the_mode_invariants,
     generated_scenarios_keep_the_mode_invariants,
+    placements_are_priced_per_phase_and_move_not_per_epoch,
+    epochs_carry_the_bytes_the_monitor_saw,
 );

@@ -1,6 +1,7 @@
 //! The discrete-event execution engine: one iteration loop, [`play`], run
 //! at the [`StepCosts`] a machine model prices a placement at.  The two
-//! models are [`simulate`] here and the multi-node engine of `orwl-cluster`.
+//! models are [`price`] here and the multi-node engine of `orwl-cluster`;
+//! a placement is priced once and played as many times as its run needs.
 //!
 //! [`simulate`] plays an iterative [`TaskGraph`] on a [`SimMachine`] under a
 //! given [`ExecutionScenario`] and returns the simulated wall-clock time
@@ -33,6 +34,30 @@ pub trait SimMonitor {
     /// Called when an iteration's simulated execution completes.
     fn on_iteration_end(&mut self, iteration: usize, elapsed: f64) {
         let _ = (iteration, elapsed);
+    }
+}
+
+/// A borrowed monitor observes for its owner.
+impl<M: SimMonitor + ?Sized> SimMonitor for &mut M {
+    fn on_transfer(&mut self, iteration: usize, src: usize, dst: usize, bytes: f64) {
+        (**self).on_transfer(iteration, src, dst, bytes);
+    }
+
+    fn on_iteration_end(&mut self, iteration: usize, elapsed: f64) {
+        (**self).on_iteration_end(iteration, elapsed);
+    }
+}
+
+/// Two monitors as one: each callback goes to the first, then the second.
+impl<A: SimMonitor, B: SimMonitor> SimMonitor for (A, B) {
+    fn on_transfer(&mut self, iteration: usize, src: usize, dst: usize, bytes: f64) {
+        self.0.on_transfer(iteration, src, dst, bytes);
+        self.1.on_transfer(iteration, src, dst, bytes);
+    }
+
+    fn on_iteration_end(&mut self, iteration: usize, elapsed: f64) {
+        self.0.on_iteration_end(iteration, elapsed);
+        self.1.on_iteration_end(iteration, elapsed);
     }
 }
 
@@ -96,7 +121,7 @@ pub fn simulate(
 
 /// [`simulate`] with a [`SimMonitor`] observing every halo transfer and
 /// iteration boundary — the hook `orwl-adapt` uses to monitor the simulated
-/// executor online.
+/// executor online.  One [`price`] and one [`Priced::play`].
 pub fn simulate_monitored(
     machine: &SimMachine,
     graph: &TaskGraph,
@@ -104,6 +129,29 @@ pub fn simulate_monitored(
     iterations: usize,
     monitor: &mut dyn SimMonitor,
 ) -> SimReport {
+    price(machine, graph, scenario).play(graph, iterations, monitor)
+}
+
+/// A scenario priced once on one machine and graph: the [`StepCosts`]
+/// [`play`] runs at and the per-iteration sums the report scales.  Playing
+/// it `k` times gives the bits of `k` [`simulate_monitored`] calls.
+#[derive(Debug)]
+pub struct Priced {
+    costs: StepCosts,
+    /// Compute and working-set seconds of one iteration, summed over tasks.
+    compute: f64,
+    memory: f64,
+    /// Bytes crossing NUMA nodes per iteration.
+    cross_node_bytes: f64,
+    label: String,
+}
+
+/// Prices `scenario` for `graph` on `machine`: everything a run of it
+/// reads that does not depend on the iteration count.
+///
+/// # Panics
+/// Panics when the scenario does not cover every task of the graph.
+pub fn price(machine: &SimMachine, graph: &TaskGraph, scenario: &ExecutionScenario) -> Priced {
     let n = graph.n_tasks();
     assert!(
         scenario.task_pu.len() >= n && scenario.data_node.len() >= n,
@@ -112,7 +160,6 @@ pub fn simulate_monitored(
     );
     let params = machine.params();
 
-    // --- Static per-placement quantities -----------------------------------
     // Number of tasks whose working set lives on each node: they share that
     // node's memory controller every iteration.
     let mut sharers_per_node = vec![0usize; machine.n_nodes()];
@@ -169,19 +216,33 @@ pub fn simulate_monitored(
     // Barrier overhead per iteration (fork-join runtimes only).
     let barrier = scenario.fork_join_barrier.then_some(params.barrier_cost_per_thread * n as f64);
 
-    let costs = StepCosts::new(&scenario.task_pu, task_duration, edge_time, interconnect_floor, barrier);
-    let played = play(graph, &costs, iterations, monitor);
-    let (compute, memory) = (sum_compute * iterations as f64, sum_memory * iterations as f64);
-    SimReport {
-        breakdown: TimeBreakdown { compute, memory, ..played.breakdown },
+    Priced {
+        costs: StepCosts::new(&scenario.task_pu, task_duration, edge_time, interconnect_floor, barrier),
+        compute: sum_compute,
+        memory: sum_memory,
         cross_node_bytes: cross_bytes,
         label: scenario.label.clone(),
-        ..played
+    }
+}
+
+impl Priced {
+    /// Runs `iterations` iterations of `graph`, the graph this was priced
+    /// for, reporting to `monitor`.
+    pub fn play(&self, graph: &TaskGraph, iterations: usize, monitor: &mut dyn SimMonitor) -> SimReport {
+        let played = play(graph, &self.costs, iterations, monitor);
+        let (compute, memory) = (self.compute * iterations as f64, self.memory * iterations as f64);
+        SimReport {
+            breakdown: TimeBreakdown { compute, memory, ..played.breakdown },
+            cross_node_bytes: self.cross_node_bytes,
+            label: self.label.clone(),
+            ..played
+        }
     }
 }
 
 /// The static costs of one placement, priced once by a machine model:
-/// everything [`play`] reads.
+/// everything [`play`] reads, and nothing that depends on how many
+/// iterations are played.
 #[derive(Debug)]
 pub struct StepCosts {
     /// Seconds of compute and working-set streaming per task and iteration.

@@ -93,9 +93,11 @@ pub struct GrantStage {
     /// task's requests to one owner in one iteration together and the
     /// owner serves them in order, so the stage includes the wait behind
     /// the earlier grants of the same batch.  `grant_to_release` is the
-    /// reader's local hold after its grant arrives (each `LockRelease`'s
-    /// `held_ns`), not an open section on the owner: the owner's section
-    /// ends when it copies the value into the grant.
+    /// reader's hold of each grant (its `LockRelease`'s `held_ns`): from
+    /// the grant's arrival to the end of its batch, when the task goes on,
+    /// so the batch's earlier grants are held longer.  It is not an open
+    /// section on the owner: the owner's section ends when it copies the
+    /// value into the grant.
     pub stage: &'static str,
     /// Samples in the stage.
     pub count: u64,

@@ -215,7 +215,9 @@ impl PeerGateway {
     /// hold of the connection: every request in one write, then each
     /// grant (with payload) in request order.  The owner closed each
     /// section when it copied the value into the grant, so nothing goes
-    /// back; the `LockRelease` events record this side's holds.
+    /// back; the `LockRelease` events, emitted after the batch's last
+    /// grant, record this side's holds: each grant's from its arrival to
+    /// the end of the batch.
     fn remote_reads(&self, owner: usize, batch: &[(usize, f64)]) -> Result<(), String> {
         let reader = &self.reader;
         if !reader.wire_delay.is_zero() {
@@ -241,6 +243,11 @@ impl PeerGateway {
         } else {
             &reader.cross_rack_bytes
         };
+        // Each grant is held from its arrival until the batch's last grant
+        // is in and the task goes on; its arrival is kept for the
+        // `LockRelease` only when someone records it.
+        let observed = orwl_obs::enabled();
+        let mut arrivals = Vec::new();
         for (seq, &(src, _)) in (first..).zip(batch) {
             let location = src as u64;
             // The grant is read in place: only its length is wanted here.
@@ -262,13 +269,17 @@ impl PeerGateway {
                     });
                 }
             };
-            let granted_at = Instant::now();
-            orwl_obs::emit(EventKind::LockRelease {
-                rseq: seq,
-                location,
-                held_ns: granted_at.elapsed().as_nanos() as u64,
-            });
+            if observed {
+                arrivals.push((seq, location, Instant::now()));
+            }
             lane.fetch_add(granted as u64, Ordering::Relaxed);
+        }
+        if observed {
+            let released = Instant::now();
+            for (rseq, location, arrived) in arrivals {
+                let held_ns = released.duration_since(arrived).as_nanos() as u64;
+                orwl_obs::emit(EventKind::LockRelease { rseq, location, held_ns });
+            }
         }
         Ok(())
     }
@@ -1180,6 +1191,67 @@ mod tests {
         assert!(err.starts_with("peer 1: grant 2 "), "{err}");
         assert_eq!(gateway.reader.same_rack_bytes.load(Ordering::Relaxed), 0, "no grant was taken");
         drop(fake.join().unwrap());
+    }
+
+    #[test]
+    fn a_batch_releases_each_grant_after_its_last_one_arrives() {
+        let (_, peer, socket, owner) = served_location();
+        let gateway = gateway_over(peer, Duration::ZERO);
+        let recorder = Recorder::new(ClockKind::Wall, ObsConfig::default());
+        {
+            let _obs_scope = orwl_obs::install(&recorder);
+            gateway.remote_reads(1, &[(7, 8.0), (9, 1_024.0), (7, 65_536.0)]).unwrap();
+        }
+        nothing_more_out(&mut gateway.conns[&1].lock().unwrap(), &socket);
+        owner.join().unwrap();
+
+        // The releases come in request order, and an earlier grant was
+        // held at least as long as a later one.
+        let releases = releases_of(&recorder);
+        let order: Vec<(u64, u64)> = releases.iter().map(|&(rseq, location, _)| (rseq, location)).collect();
+        assert_eq!(order, [(1, 7), (2, 9), (3, 7)], "{releases:?}");
+        assert!(releases.windows(2).all(|w| w[0].2 >= w[1].2), "holds increase: {releases:?}");
+
+        // An owner that is slow with the last grant: the earlier two are
+        // held while the task waits for it.
+        let (near, far) = UnixStream::pair().unwrap();
+        let gateway = gateway_over(FramedStream::new(near), Duration::ZERO);
+        let slow = Duration::from_millis(5);
+        let owner = std::thread::spawn(move || {
+            let mut owner = FramedStream::new(far);
+            for k in 0..3 {
+                let Ok(Message::LockRequest { seq, location, bytes, .. }) = owner.recv(Some(WAIT)) else {
+                    panic!("expected request {k}");
+                };
+                if k == 2 {
+                    std::thread::sleep(slow); // sleep-ok: the owner under test is slow
+                }
+                owner.send(&Message::LockGrant { seq, location, data: vec![0; bytes as usize] }).unwrap();
+            }
+            owner
+        });
+        let recorder = Recorder::new(ClockKind::Wall, ObsConfig::default());
+        {
+            let _obs_scope = orwl_obs::install(&recorder);
+            gateway.remote_reads(1, &[(7, 8.0), (9, 8.0), (7, 8.0)]).unwrap();
+        }
+        drop(owner.join().unwrap());
+        let held: Vec<u64> = releases_of(&recorder).iter().map(|r| r.2).collect();
+        let slow_ns = slow.as_nanos() as u64;
+        assert!(held.len() == 3 && held[0] >= slow_ns && held[1] >= slow_ns && held[2] < slow_ns, "{held:?}");
+    }
+
+    /// The `LockRelease`s `recorder` holds: request id, location and hold.
+    fn releases_of(recorder: &Arc<Recorder>) -> Vec<(u64, u64, u64)> {
+        recorder
+            .finish("proc")
+            .events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::LockRelease { rseq, location, held_ns } => Some((rseq, location, held_ns)),
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
