@@ -315,6 +315,27 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the entries as little-endian `u32`s (the benchmark's
+    /// output hash).
+    fn fnv1a(entries: &[usize]) -> u64 {
+        let bytes = entries.iter().flat_map(|&x| (x as u32).to_le_bytes());
+        bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    /// Regression pin, taken before the refinement's screens were reworked:
+    /// the benchmark-shaped partition (the `placement_solve` graph, the
+    /// rack costs of eight nodes, 64 tasks each) and the placement built
+    /// on it.
+    #[test]
+    fn benchmark_shaped_partition_and_placement_are_pinned() {
+        let machine = ClusterMachine::paper(8);
+        let m = patterns::power_law(512, 4, 1.0e6, 2016).symmetrized();
+        let costs = PartCosts::from_fn(8, |a, b| machine.relative_node_cost(a, b));
+        assert_eq!(fnv1a(&partition(&m, &costs, 64).unwrap()), 0x079f_aafe_8f57_1af5);
+        let placement = hierarchical_placement(&machine, &m);
+        assert_eq!(fnv1a(&placement.global_mapping(&machine)), 0xac22_317f_7e3e_f315);
+    }
+
     #[test]
     fn global_mapping_defaults_unbound_tasks_to_their_node() {
         let machine = ClusterMachine::paper(2);

@@ -76,10 +76,8 @@ impl<'a> PairCosts<'a> {
     /// for the same PU (no transfer needed) and for an index that names no
     /// PU of the topology.
     pub fn cost(&self, a: usize, b: usize) -> f64 {
-        match (self.topo.pu_by_os_index(a), self.topo.pu_by_os_index(b)) {
-            (Some(x), Some(y)) if a != b => {
-                self.by_depth[self.topo.object(self.topo.common_ancestor(x.id, y.id)).depth]
-            }
+        match self.topo.shared_depth(a, b) {
+            Some(depth) if a != b => self.by_depth[depth],
             _ => 0.0,
         }
     }

@@ -100,6 +100,13 @@ pub struct Topology {
     /// once with the levels, so per-pair distance queries neither scan nor
     /// allocate.
     pu_of_os: Vec<Option<ObjId>>,
+    /// Root-to-PU ancestor paths, one row of `path_len` objects per OS
+    /// index (`row[d]` is the PU's ancestor at depth `d`, the PU itself
+    /// last); the row of an index that names no PU is never read.  Two PUs
+    /// share exactly the depths where their rows agree.
+    pu_paths: Vec<ObjId>,
+    /// Length of a `pu_paths` row: the PU level's depth plus one.
+    path_len: usize,
     /// Levels used to build this topology when it was synthetic.
     spec: Vec<LevelSpec>,
     name: String,
@@ -133,6 +140,8 @@ impl Topology {
             objects: Vec::new(),
             levels: Vec::new(),
             pu_of_os: Vec::new(),
+            pu_paths: Vec::new(),
+            path_len: 0,
             spec: levels.to_vec(),
             name: name.to_string(),
         };
@@ -218,11 +227,25 @@ impl Topology {
         // `validate` is about to reject for duplicate OS indices still
         // answers lookups the way a scan of `pus()` would.
         let pus = self.pus();
+        let path_len = pus.first().map_or(0, |pu| pu.depth + 1);
         let mut table = vec![None; pus.iter().map(|pu| pu.os_index + 1).max().unwrap_or(0)];
         for pu in pus {
             table[pu.os_index].get_or_insert(pu.id);
         }
+        // Each listed PU's ancestor path, filled from the PU upwards (a
+        // broken parent link `validate` is about to reject ends the walk).
+        let mut paths = vec![ObjId(0); table.len() * path_len];
+        for (os, pu) in table.iter().enumerate() {
+            let mut cur = *pu;
+            for slot in paths[os * path_len..(os + 1) * path_len].iter_mut().rev() {
+                let Some(id) = cur else { break };
+                *slot = id;
+                cur = self.objects.get(id.index()).and_then(|o| o.parent);
+            }
+        }
         self.pu_of_os = table;
+        self.pu_paths = paths;
+        self.path_len = path_len;
     }
 
     /// Constructs a topology directly from pre-built objects.  Used by the
@@ -232,6 +255,8 @@ impl Topology {
             objects,
             levels: Vec::new(),
             pu_of_os: Vec::new(),
+            pu_paths: Vec::new(),
+            path_len: 0,
             spec: Vec::new(),
             name: name.to_string(),
         };
@@ -338,7 +363,9 @@ impl Topology {
         v
     }
 
-    /// Deepest common ancestor of two objects.
+    /// Deepest common ancestor of two objects, by a parent walk: the
+    /// reference the ancestor-path table is checked against.
+    #[cfg(test)]
     pub(crate) fn common_ancestor(&self, a: ObjId, b: ObjId) -> ObjId {
         let mut pa = Some(a);
         let mut pb = Some(b);
@@ -362,13 +389,22 @@ impl Topology {
     /// Depth of the deepest common ancestor of two PUs given by OS index.
     /// The larger the value, the "closer" the PUs are in the hierarchy
     /// (higher values mean a more deeply shared resource, e.g. an L2 cache).
+    /// An index that names no PU shares only the root (depth 0).
     pub fn shared_level_of_pus(&self, pu_a: usize, pu_b: usize) -> usize {
-        let a = self.pu_by_os_index(pu_a).map(|o| o.id);
-        let b = self.pu_by_os_index(pu_b).map(|o| o.id);
-        match (a, b) {
-            (Some(a), Some(b)) => self.object(self.common_ancestor(a, b)).depth,
-            _ => 0,
-        }
+        self.shared_depth(pu_a, pu_b).unwrap_or(0)
+    }
+
+    /// Depth of the deepest common ancestor of two PUs given by OS index,
+    /// `None` when either index names no PU: the length of the common
+    /// prefix of their ancestor paths, minus one.
+    pub(crate) fn shared_depth(&self, pu_a: usize, pu_b: usize) -> Option<usize> {
+        let path = |os: usize| {
+            self.pu_of_os.get(os).copied().flatten()?;
+            Some(&self.pu_paths[os * self.path_len..(os + 1) * self.path_len])
+        };
+        let (a, b) = (path(pu_a)?, path(pu_b)?);
+        // Both rows start at the root, so the common prefix is never empty.
+        Some(a.iter().zip(b).take_while(|(x, y)| x == y).count() - 1)
     }
 
     /// Hop distance between two PUs: the number of tree edges on the path
@@ -617,13 +653,18 @@ mod tests {
         assert!(t.pu_by_os_index(99).is_none());
     }
 
-    /// The answers the OS-index table gives are those of the scan and the
-    /// ancestor walk it replaced, on every PU pair and on absent indices.
+    /// The answers the OS-index and ancestor-path tables give are those of
+    /// the scan and the ancestor walks they replaced, on every PU pair and
+    /// on absent indices, of trees built every way.
     #[test]
     fn table_lookups_equal_the_scan_and_the_ancestor_walk() {
-        for t in
-            [crate::synthetic::cluster2016_smp192(), crate::synthetic::laptop(), crate::discover::discover()]
-        {
+        for t in [
+            crate::synthetic::cluster2016_smp192(),
+            crate::synthetic::laptop(),
+            crate::cluster::paper_cluster(8).unwrap().flatten().clone(),
+            irregular(),
+            crate::discover::discover(),
+        ] {
             let pus = t.pus();
             let leaf_depth = t.depth() - 1;
             let max_os = pus.iter().map(|pu| pu.os_index).max().unwrap();
@@ -631,29 +672,74 @@ mod tests {
                 let scanned = pus.iter().find(|pu| pu.os_index == os).map(|pu| pu.id);
                 assert_eq!(t.pu_by_os_index(os).map(|pu| pu.id), scanned, "{}: os index {os}", t.name());
             }
-            for a in &pus {
-                // Ancestors of `a`, root last.
-                let up_a = t.ancestors(a.id);
-                for b in &pus {
-                    let shared = if a.id == b.id {
-                        leaf_depth
-                    } else {
-                        let up_b = t.ancestors(b.id);
-                        let common = up_a.iter().find(|x| up_b.contains(x)).unwrap();
-                        t.object(*common).depth
+            for a in 0..=max_os + 1 {
+                for b in 0..=max_os + 1 {
+                    let shared = match (t.pu_by_os_index(a), t.pu_by_os_index(b)) {
+                        (Some(x), Some(y)) => {
+                            // Ancestors of `x`, root last.
+                            let (up_x, up_y) = (t.ancestors(x.id), t.ancestors(y.id));
+                            let first_common = up_x.iter().find(|o| up_y.contains(o)).unwrap();
+                            let common = if x.id == y.id { x.id } else { *first_common };
+                            assert_eq!(t.common_ancestor(x.id, y.id), common, "{}: PUs {a},{b}", t.name());
+                            t.object(common).depth
+                        }
+                        _ => 0,
                     };
-                    let (oa, ob) = (a.os_index, b.os_index);
-                    assert_eq!(t.shared_level_of_pus(oa, ob), shared, "{}: PUs {oa},{ob}", t.name());
-                    assert_eq!(
-                        t.hop_distance(oa, ob),
-                        2 * (leaf_depth - shared),
-                        "{}: PUs {oa},{ob}",
-                        t.name()
-                    );
+                    assert_eq!(t.shared_level_of_pus(a, b), shared, "{}: PUs {a},{b}", t.name());
+                    let hops = if a == b { 0 } else { 2 * (leaf_depth - shared) };
+                    assert_eq!(t.hop_distance(a, b), hops, "{}: PUs {a},{b}", t.name());
                 }
             }
-            assert_eq!(t.shared_level_of_pus(0, max_os + 1), 0, "an absent PU shares only the root");
         }
+        let t = irregular();
+        assert!(t.pu_by_os_index(6).is_none());
+        assert_eq!(t.shared_level_of_pus(5, 2), 2, "siblings of one core");
+        assert_eq!(t.shared_level_of_pus(5, 0), 1, "cores of one package");
+        assert_eq!(t.shared_level_of_pus(0, 3), 0, "two packages");
+    }
+
+    /// A tree only `from_objects` can build: uneven arities, PU OS indices
+    /// out of left-to-right order, and no PU with OS index 6.
+    fn irregular() -> Topology {
+        let mut objects: Vec<TopoObject> = Vec::new();
+        let mut add = |ty: ObjectType, parent: Option<usize>, os: usize| {
+            let depth = parent.map_or(0, |p| objects[p].depth + 1);
+            let id = ObjId(objects.len() as u32);
+            let logical_index = objects.iter().filter(|o| o.depth == depth).count();
+            let cpuset = if ty == ObjectType::PU { CpuSet::singleton(os) } else { CpuSet::new() };
+            let parent_id = parent.map(|p| objects[p].id);
+            objects.push(TopoObject {
+                id,
+                obj_type: ty,
+                depth,
+                logical_index,
+                os_index: if ty == ObjectType::PU { os } else { logical_index },
+                cpuset,
+                parent: parent_id,
+                children: Vec::new(),
+                attr: ObjectAttr::default(),
+            });
+            if let Some(p) = parent {
+                objects[p].children.push(id);
+            }
+            id.index()
+        };
+        let root = add(ObjectType::Machine, None, 0);
+        for pus_per_core in [&[5, 2][..], &[0], &[3], &[1, 4, 7]].chunks(2) {
+            let package = add(ObjectType::Package, Some(root), 0);
+            for pus in pus_per_core {
+                let core = add(ObjectType::Core, Some(package), 0);
+                for &os in *pus {
+                    add(ObjectType::PU, Some(core), os);
+                }
+            }
+        }
+        // Children follow their parents in the arena: fold cpusets upwards.
+        for i in (1..objects.len()).rev() {
+            let (set, parent) = (objects[i].cpuset.clone(), objects[i].parent.unwrap());
+            objects[parent.index()].cpuset.or_assign(&set);
+        }
+        Topology::from_objects("irregular", objects).unwrap()
     }
 
     #[test]

@@ -247,7 +247,10 @@ pub fn partition(m: &CommMatrix, costs: &PartCosts, capacity: usize) -> Result<V
         }
     }
 
-    refine(s, &mut parts, costs, capacity);
+    // Each entity's traffic bounds the sum over its row of the symmetrised
+    // matrix, which bounds its refinement table row over the largest cost.
+    let max_traffic = traffic.iter().copied().fold(0.0, f64::max);
+    refine(s, &mut parts, costs, capacity, max_traffic);
     Ok(parts.assignment)
 }
 
@@ -368,15 +371,22 @@ fn best_part(
 /// does not enter its row).  Every gain is then the naive expression over
 /// table entries.
 ///
-/// The `O(p²)` pair scan is pruned per (entity, destination part): a swap
-/// of `a` with any `b` of part `Q` gains at most `a`'s move gain towards
-/// `Q` plus the best move gain of `Q`'s entities towards `a`'s part (the
-/// pair's own link only lowers it).  When that bound, plus its rounding
-/// slack, cannot beat the best gain found so far, none of `Q`'s entities
-/// is looked at.  The best action is the one the full scan finds: the
-/// largest gain, first in scan order (entity `a` ascending, its moves
+/// The `O(p²)` pair scan is pruned by one bound at three grains: a swap of
+/// `a` with `b` gains at most `a`'s move gain towards `b`'s part plus
+/// `b`'s move gain towards `a`'s (the pair's own link only lowers it).
+/// Per entity, the bound takes `a`'s largest move gain and the best
+/// arrival into `a`'s part; per destination part `Q`, `a`'s move gain
+/// towards `Q` and the best move gain of `Q`'s entities towards `a`'s
+/// part; per pair, `b`'s own move gain, before the pair's link is looked
+/// up.  A grain whose bound plus its rounding slack cannot beat the best
+/// gain found so far is skipped whole.  One sweep of the table per pass
+/// builds the first two bounds, each part's room is read once per
+/// pass, and the slack is sized once per run from an upper bound of every
+/// table entry (largest row traffic × largest part cost: a larger slack
+/// only prunes less).  The best action is the one the full scan finds:
+/// the largest gain, first in scan order (entity `a` ascending, its moves
 /// before its swaps, swap partners ascending) among equals.
-fn refine(s: &SparseComm, parts: &mut Parts, costs: &PartCosts, capacity: usize) {
+fn refine(s: &SparseComm, parts: &mut Parts, costs: &PartCosts, capacity: usize, max_traffic: f64) {
     let p = s.order();
     let k = parts.members.len();
     let mut exact = vec![0.0f64; p * k];
@@ -396,22 +406,41 @@ fn refine(s: &SparseComm, parts: &mut Parts, costs: &PartCosts, capacity: usize)
     for e in 0..p {
         cost_in_row(&mut exact, &parts.assignment, e);
     }
+    // No table entry exceeds (row traffic) × (largest part cost).
+    let max_cost = (0..k * k).map(|i| costs.cost(i / k, i % k)).fold(0.0, f64::max);
+    let slack = SCREEN_EPS * 6.0 * max_traffic * max_cost;
     // best_arrival[q · k + r]: the largest move gain towards part `r` among
-    // the entities of part `q` (−∞ for an empty part).
+    // the entities of part `q` (−∞ for an empty part and on the diagonal);
+    // into[r]: its largest over the source parts `q`.
     let mut best_arrival = vec![f64::NEG_INFINITY; k * k];
+    let mut into = vec![f64::NEG_INFINITY; k];
+    // Of every entity: its largest move gain to another part.
+    let mut best_move = vec![f64::NEG_INFINITY; p];
+    let mut room = vec![false; k];
 
     for _pass in 0..2 * p.max(4) {
-        let mut largest = 0.0f64;
         best_arrival.fill(f64::NEG_INFINITY);
-        for (e, row) in exact.chunks_exact(k).enumerate() {
-            let q = parts.assignment[e];
-            for (r, &c) in row.iter().enumerate() {
-                largest = largest.max(c);
-                let arrival = &mut best_arrival[q * k + r];
-                *arrival = arrival.max(row[q] - c);
+        for ((row, &q), largest_out) in exact.chunks_exact(k).zip(&parts.assignment).zip(&mut best_move) {
+            let here = row[q];
+            let arrival = &mut best_arrival[q * k..(q + 1) * k];
+            let mut largest = f64::NEG_INFINITY;
+            for (r, (&c, best)) in row.iter().zip(arrival).enumerate() {
+                if r == q {
+                    continue;
+                }
+                let gain = here - c;
+                *best = best.max(gain);
+                largest = largest.max(gain);
             }
+            *largest_out = largest;
         }
-        let slack = SCREEN_EPS * 6.0 * largest;
+        for (r, into_r) in into.iter_mut().enumerate() {
+            *into_r = (0..k).map(|q| best_arrival[q * k + r]).fold(f64::NEG_INFINITY, f64::max);
+        }
+        for (q, has_room) in room.iter_mut().enumerate() {
+            *has_room = parts.members[q].len() < capacity;
+        }
+        let any_room = room.contains(&true);
 
         let mut best_gain = GAIN_THRESHOLD;
         let mut best_action: Option<(usize, Option<usize>, usize)> = None; // (a, Some(b)=swap / None=move, dest)
@@ -420,23 +449,34 @@ fn refine(s: &SparseComm, parts: &mut Parts, costs: &PartCosts, capacity: usize)
             let row_a = &exact[a * k..(a + 1) * k];
             let here = row_a[pa];
             // Single moves to any part with room.
-            for (q, &there) in row_a.iter().enumerate() {
-                if q == pa || parts.members[q].len() >= capacity {
-                    continue;
-                }
-                let gain = here - there;
-                if gain > best_gain {
-                    best_gain = gain;
-                    best_action = Some((a, None, q));
+            if any_room {
+                for (q, &there) in row_a.iter().enumerate() {
+                    if q == pa || !room[q] {
+                        continue;
+                    }
+                    let gain = here - there;
+                    if gain > best_gain {
+                        best_gain = gain;
+                        best_action = Some((a, None, q));
+                    }
                 }
             }
-            // Pairwise swaps, part by part.
+            // Pairwise swaps, part by part, unless none of them can win.
+            if best_move[a] + into[pa] + slack <= best_gain {
+                continue;
+            }
             for pb in 0..k {
-                if pb == pa || (here - row_a[pb]) + best_arrival[pb * k + pa] + slack <= best_gain {
+                let leave = here - row_a[pb];
+                if pb == pa || leave + best_arrival[pb * k + pa] + slack <= best_gain {
                     continue;
                 }
                 for &b in parts.members[pb].iter().filter(|&&b| b > a) {
                     let row_b = &exact[b * k..(b + 1) * k];
+                    // The same bound with `b`'s own move gain: past it, the
+                    // pair's link need not be looked up.
+                    if leave + (row_b[pb] - row_b[pa]) + slack <= best_gain {
+                        continue;
+                    }
                     let before = here + row_b[pb];
                     // The table is evaluated against the *unswapped*
                     // assignment, where the a↔b term vanishes (each sees the
