@@ -21,8 +21,17 @@
 //! the core over every schedule of small scripted programs; the exclusivity
 //! they check is what lets a location hand out its payload under the grant
 //! with no lock of its own (`location.rs`).
+//!
+//! A parked entry also records its thread's *home*, the one PU the runtime
+//! bound the thread to ([`read_home`]).  Every grant is decided before any
+//! unpark, so the home changes nothing but the order of the `unpark` calls
+//! ([`wake_order`]): a releaser wakes the waiters on other PUs first and
+//! the ones on its own PU last, so a same-PU wakee cannot preempt the
+//! releaser before the other PU has its work.
 
 use crate::request::{AccessMode, RequestState, RequestToken};
+use orwl_topo::binding::Binder;
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread::Thread;
@@ -180,10 +189,13 @@ impl<W> FifoCore<W> {
 }
 
 #[cfg(debug_assertions)]
-impl FifoCore<Thread> {
+impl FifoCore<Parked> {
     /// Every parked thread with the owners now blocking it.
     fn parked_blockers(&self) -> Vec<(std::thread::ThreadId, Vec<std::thread::ThreadId>)> {
-        self.queue.iter().filter_map(|e| Some((e.waiter.as_ref()?.id(), self.blockers(e.seq)))).collect()
+        self.queue
+            .iter()
+            .filter_map(|e| Some((e.waiter.as_ref()?.thread.id(), self.blockers(e.seq))))
+            .collect()
     }
 }
 
@@ -291,9 +303,83 @@ mod deadlock {
     }
 }
 
+thread_local! {
+    /// The one PU the calling thread is bound to, as [`read_home`] last
+    /// read it; `None` on a thread the runtime did not bind to one PU.
+    static HOME: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// Reads the calling thread's home back from `binder`, right after the
+/// runtime bound the thread: the one PU of its affinity, or `None` when
+/// the binder reports no affinity (`RecordingBinder`, `NoopBinder`) or one
+/// of more than one PU.
+pub(crate) fn read_home(binder: &dyn Binder) {
+    HOME.set(binder.current_affinity().filter(|pus| pus.weight() == 1).and_then(|pus| pus.first()));
+}
+
+/// The calling thread's home (see [`read_home`]).
+pub(crate) fn home() -> Option<usize> {
+    HOME.get()
+}
+
+/// The order a release unparks its wake set in, as indices into the
+/// waiters' `homes` (queue order): first every waiter not known to share
+/// the releaser's home, then the waiters on the releaser's PU, each pass in
+/// queue order.  A releaser with no home keeps queue order.
+fn wake_order(
+    releaser: Option<usize>,
+    homes: impl Iterator<Item = Option<usize>> + Clone,
+) -> impl Iterator<Item = usize> {
+    let pass = move |on_releasers_pu: bool| {
+        homes
+            .clone()
+            .enumerate()
+            .filter(move |&(_, home)| (releaser.is_some() && home == releaser) == on_releasers_pu)
+            .map(|(i, _)| i)
+    };
+    pass(false).chain(pass(true))
+}
+
+/// A binder for tests that records each thread's binding and reports it
+/// back as the thread's affinity, without calling the OS: homes get set on
+/// any host.
+#[cfg(test)]
+pub(crate) mod reporting {
+    use orwl_topo::binding::{BindError, Binder};
+    use orwl_topo::bitmap::CpuSet;
+    use std::cell::RefCell;
+
+    thread_local! {
+        static BOUND: RefCell<Option<CpuSet>> = const { RefCell::new(None) };
+    }
+
+    pub(crate) struct ReportingBinder;
+
+    impl Binder for ReportingBinder {
+        fn bind_current_thread(&self, cpuset: &CpuSet) -> Result<(), BindError> {
+            BOUND.set(Some(cpuset.clone()));
+            Ok(())
+        }
+
+        fn current_affinity(&self) -> Option<CpuSet> {
+            BOUND.with_borrow(Clone::clone)
+        }
+
+        fn name(&self) -> &'static str {
+            "reporting"
+        }
+    }
+}
+
+/// A thread parked on a request, with its home when it parked.
+struct Parked {
+    thread: Thread,
+    home: Option<usize>,
+}
+
 /// What the mutex of a [`LockFifo`] guards.
 struct Shared {
-    core: FifoCore<Thread>,
+    core: FifoCore<Parked>,
     /// Threads at the side door ([`LockFifo::outside_order`]), waiting for
     /// a write grant to end.
     side: Vec<Thread>,
@@ -347,7 +433,7 @@ impl LockFifo {
         }
         #[cfg(debug_assertions)]
         deadlock::register_waiting(shared.core.blockers(seq));
-        shared.core.park(seq, std::thread::current());
+        shared.core.park(seq, Parked { thread: std::thread::current(), home: home() });
         drop(shared);
         // The grant arrives with the unpark; any other return of `park` is
         // spurious (or a stale unpark) and parks again.
@@ -383,17 +469,24 @@ impl LockFifo {
         next
     }
 
-    /// Ends a release: keeps the detector's graph exact, adds the side
+    /// Ends a release: keeps the detector's graph exact, takes the side
     /// door's threads once no write holds the grant, and unparks them all
-    /// after dropping the mutex.
-    fn unpark(mut shared: MutexGuard<'_, Shared>, mut wake: Vec<Thread>) {
+    /// after dropping the mutex.  Every grant is already decided; only the
+    /// order of the unparks is left: the wake set in [`wake_order`] from
+    /// the releaser's home, the side door's threads last.
+    fn unpark(mut shared: MutexGuard<'_, Shared>, wake: Vec<Parked>) {
         #[cfg(debug_assertions)]
-        deadlock::refresh(wake.iter().map(Thread::id).collect(), shared.core.parked_blockers());
-        if !shared.side.is_empty() && !shared.core.write_granted() {
-            wake.append(&mut shared.side);
-        }
+        deadlock::refresh(wake.iter().map(|p| p.thread.id()).collect(), shared.core.parked_blockers());
+        let side = if !shared.side.is_empty() && !shared.core.write_granted() {
+            std::mem::take(&mut shared.side)
+        } else {
+            Vec::new()
+        };
         drop(shared);
-        for thread in wake {
+        for i in wake_order(home(), wake.iter().map(|p| p.home)) {
+            wake[i].thread.unpark();
+        }
+        for thread in side {
             thread.unpark();
         }
     }
@@ -574,6 +667,21 @@ mod tests {
         fifo.release(&t);
         fifo.acquire(&t);
         assert!(!fifo.try_acquire(&t));
+    }
+
+    #[test]
+    fn a_release_wakes_the_other_pus_first_then_its_own_in_queue_order() {
+        let order = |releaser, homes: &[Option<usize>]| -> Vec<usize> {
+            wake_order(releaser, homes.iter().copied()).collect()
+        };
+        let homes = [Some(0), Some(1), None, Some(0), Some(1)];
+        assert_eq!(order(Some(0), &homes), [1, 2, 4, 0, 3]);
+        assert_eq!(order(Some(1), &homes), [0, 2, 3, 1, 4]);
+        // No home, or nobody elsewhere: queue order.
+        assert_eq!(order(None, &homes), [0, 1, 2, 3, 4]);
+        assert_eq!(order(Some(0), &[Some(0); 4]), [0, 1, 2, 3]);
+        assert_eq!(order(Some(0), &[None; 3]), [0, 1, 2]);
+        assert_eq!(order(Some(0), &[]), [] as [usize; 0]);
     }
 
     #[test]

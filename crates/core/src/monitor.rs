@@ -101,6 +101,7 @@ impl RebindPlan {
             // A failed re-bind is not fatal: the thread keeps its previous
             // affinity, exactly like the unmappable case of Algorithm 1.
             if self.binder.bind_current_thread(&CpuSet::singleton(pu)).is_ok() {
+                crate::fifo::read_home(&*self.binder);
                 self.rebinds_applied.fetch_add(1, Ordering::Relaxed);
                 orwl_obs::emit(orwl_obs::EventKind::Rebind { task: task.0, pu });
             }
@@ -240,6 +241,31 @@ mod tests {
                 (2, 0, AccessMode::Read)
             ]
         );
+    }
+
+    #[test]
+    fn an_adaptive_rebind_moves_the_home_to_the_new_pu() {
+        use crate::fifo::reporting::ReportingBinder;
+        use crate::fifo::{home, read_home};
+        // A fresh thread: the home is this thread's, not the test harness's.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let binder = Arc::new(ReportingBinder);
+                let run = AdaptiveRun::new(Arc::new(FlowLog::default()), 2, binder.clone());
+                assert_eq!(home(), None);
+                binder.bind_current_thread(&CpuSet::from_indices(0..2)).unwrap();
+                read_home(&*binder);
+                assert_eq!(home(), None, "a binding over two PUs is no home");
+                binder.bind_current_thread(&CpuSet::singleton(3)).unwrap();
+                read_home(&*binder);
+                assert_eq!(home(), Some(3));
+
+                let _scope = enter_task(TaskId(1), Arc::clone(&run));
+                run.plan.publish(vec![None, Some(5)]);
+                on_lock_granted(LocationId(90002), AccessMode::Read);
+                assert_eq!((run.plan.rebinds_applied(), home()), (1, Some(5)));
+            });
+        });
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! and no other.
 
 use crate::error::{ConfigError, OrwlError};
+use crate::fifo;
 use crate::location::LocationId;
 use crate::monitor::{self, AdaptiveRun};
 use crate::placement::{plan_placement, PlacementPlan};
@@ -251,6 +252,7 @@ pub(crate) fn run(
                 let _obs_scope = obs.as_ref().map(orwl_obs::install);
                 if let Some(cs) = &cpuset {
                     binder.bind_current_thread(cs).map_err(|e| OrwlError::Binding(e.to_string()))?;
+                    fifo::read_home(&*binder);
                 }
                 let _task_scope = task_run.map(|run| monitor::enter_task(task_id, run));
                 let ctx = TaskContext { task_id, bound_to: cpuset, stats: Arc::clone(&stats) };
@@ -318,11 +320,13 @@ pub(crate) fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fifo::reporting::ReportingBinder;
     use crate::location::Location;
     use crate::request::AccessMode;
-    use crate::session::{ExecutionBackend, Session, SessionBuilder, ThreadBackend, Workload};
+    use crate::session::{ExecutionBackend, Report, Session, SessionBuilder, ThreadBackend, Workload};
     use crate::task::{LocationLink, TaskSpec};
-    use orwl_topo::binding::{NoopBinder, RecordingBinder};
+    use orwl_topo::binding::{Binder, NoopBinder, RecordingBinder};
+    use orwl_topo::bitmap::CpuSet;
     use orwl_topo::synthetic;
     use orwl_treematch::policies::Policy;
 
@@ -353,6 +357,111 @@ mod tests {
             );
         }
         (program, counter)
+    }
+
+    /// One package of two single-PU cores.
+    fn two_pus() -> Topology {
+        synthetic::from_synthetic("two-pus", "package:1 core:2 pu:1").unwrap()
+    }
+
+    /// `n` tasks, each writing its own location, that report the home
+    /// their thread parks with; the homes come back in task order.
+    fn homes_of(builder: SessionBuilder, n: usize) -> (Report, Vec<Option<usize>>) {
+        let homes = Arc::new(Mutex::new(vec![None; n]));
+        let mut program = OrwlProgram::new();
+        for t in 0..n {
+            let own = Location::new(format!("own-{t}"), 0u8);
+            let homes = Arc::clone(&homes);
+            program.add_task(
+                TaskSpec::new(format!("home-{t}"), vec![LocationLink::write(own.id(), 1.0)]),
+                move |ctx| homes.lock().unwrap()[ctx.task_id.0] = fifo::home(),
+            );
+        }
+        let report = builder.build().unwrap().run(program).unwrap();
+        let homes = homes.lock().unwrap().clone();
+        (report, homes)
+    }
+
+    #[test]
+    fn binders_that_report_no_affinity_give_no_home() {
+        for binder in [Arc::new(RecordingBinder::new()) as Arc<dyn Binder>, Arc::new(NoopBinder)] {
+            let name = binder.name();
+            let (report, homes) = homes_of(threads_on(two_pus(), Policy::TreeMatch).binder(binder), 4);
+            assert!(report.plan.placement.bound_fraction() > 0.99, "{name}: every task was bound");
+            assert_eq!(homes, [None; 4], "{name}");
+        }
+    }
+
+    #[test]
+    fn a_reporting_binder_gives_each_task_thread_its_planned_pu() {
+        let builder = threads_on(synthetic::laptop(), Policy::TreeMatch).binder(Arc::new(ReportingBinder));
+        let (report, homes) = homes_of(builder, 6);
+        let planned: Vec<Option<usize>> = report
+            .plan
+            .placement
+            .compute_cpusets()
+            .iter()
+            .map(|pus| pus.as_ref().and_then(CpuSet::first))
+            .collect();
+        assert!(planned.iter().all(Option::is_some), "{planned:?}");
+        assert_eq!(homes, planned);
+    }
+
+    /// The `hub_fanout` shape with homes: one writer and seven readers on
+    /// one location, every iterative request posted in the fenced init,
+    /// the eight task threads homed four and four on two PUs.  A release
+    /// whose wake order dropped a waiter would leave it parked for good;
+    /// the deadline turns that hang into a failure.
+    #[test]
+    fn a_broadcast_homed_on_two_pus_delivers_every_value_to_every_reader() {
+        const READERS: usize = 7;
+        const ITERATIONS: u64 = 500;
+        let start = 41u64;
+        let hub = Location::new("hub", start);
+        let homes = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let mut program = OrwlProgram::new();
+        let mut writer = hub.iterative_handle(AccessMode::Write);
+        writer.request().unwrap();
+        let writer_homes = Arc::clone(&homes);
+        program.add_task(TaskSpec::new("hub-writer", vec![LocationLink::write(hub.id(), 8.0)]), move |_| {
+            writer_homes.lock().unwrap().push(fifo::home());
+            for _ in 0..ITERATIONS {
+                *writer.acquire().unwrap() += 1;
+            }
+        });
+        for r in 0..READERS {
+            let mut reader = hub.iterative_handle(AccessMode::Read);
+            reader.request().unwrap();
+            let (homes, seen) = (Arc::clone(&homes), Arc::clone(&seen));
+            program.add_task(
+                TaskSpec::new(format!("hub-reader-{r}"), vec![LocationLink::read(hub.id(), 8.0)]),
+                move |_| {
+                    homes.lock().unwrap().push(fifo::home());
+                    let (mut increasing, mut last) = (true, start);
+                    for _ in 0..ITERATIONS {
+                        let value = *reader.acquire().unwrap();
+                        increasing &= value > last;
+                        last = value;
+                    }
+                    seen.lock().unwrap().push((increasing, last));
+                },
+            );
+        }
+        let session =
+            threads_on(two_pus(), Policy::TreeMatch).binder(Arc::new(ReportingBinder)).build().unwrap();
+        let (done_tx, done) = mpsc::channel();
+        let runner = std::thread::spawn(move || done_tx.send(session.run(program).map(drop)).unwrap());
+        let outcome = done
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the broadcast hung: a release left one of its wake set parked");
+        runner.join().unwrap();
+        outcome.unwrap();
+        let mut homes = homes.lock().unwrap().clone();
+        homes.sort_unstable();
+        assert_eq!(homes, [[Some(0); 4], [Some(1); 4]].concat(), "homes split four and four");
+        assert_eq!(hub.snapshot(), start + ITERATIONS);
+        assert_eq!(*seen.lock().unwrap(), [(true, start + ITERATIONS); READERS]);
     }
 
     #[test]
