@@ -27,7 +27,9 @@
 //! unpark, so the home changes nothing but the order of the `unpark` calls
 //! ([`wake_order`]): a releaser wakes the waiters on other PUs first and
 //! the ones on its own PU last, so a same-PU wakee cannot preempt the
-//! releaser before the other PU has its work.
+//! releaser before the other PU has its work.  Once a packed run (`pack`)
+//! has moved its task threads, they share one home, so its releases
+//! unpark in plain queue order; the two passes serve every spread plan.
 
 use crate::request::{AccessMode, RequestState, RequestToken};
 use orwl_topo::binding::Binder;

@@ -80,6 +80,7 @@ impl<T> Handle<T> {
             }
         }
         let token = self.pending.expect("request posted above");
+        crate::pack::lock_call(false);
         // The wait is timed only for a recorder: the clock would otherwise
         // be a large share of an uncontended acquire.
         let start = orwl_obs::enabled().then(Instant::now);
@@ -89,6 +90,7 @@ impl<T> Handle<T> {
             orwl_obs::lock_wait(self.location.id().0, start.elapsed().as_nanos() as u64);
         }
         crate::monitor::on_lock_granted(self.location.id(), self.mode);
+        crate::pack::lock_call_done();
         Ok(OrwlGuard { handle: self })
     }
 
@@ -121,6 +123,7 @@ impl<T> Handle<T> {
 
     /// Called by the guard on drop.
     fn finish_release(&mut self) {
+        crate::pack::lock_call(true);
         if let Some(token) = self.pending.take() {
             if self.iterative {
                 // Atomically release and re-post so no other handle can slip
@@ -132,6 +135,7 @@ impl<T> Handle<T> {
         } else if self.iterative {
             self.pending = Some(self.location.fifo().insert(self.mode));
         }
+        crate::pack::lock_call_done();
     }
 }
 

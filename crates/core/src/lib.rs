@@ -70,6 +70,7 @@ mod handle;
 pub mod json;
 pub mod location;
 mod monitor;
+mod pack;
 pub mod placement;
 pub mod request;
 pub mod runtime;

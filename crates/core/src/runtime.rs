@@ -10,6 +10,10 @@
 //! threads are deliberately real threads doing real work because the
 //! paper's Algorithm 1 places them alongside the computation threads.
 //!
+//! A static TreeMatch run binds TreeMatch's plan, and moves every task
+//! thread to the PU TreeMatch gave task 0 when a play of the program's lock
+//! handoffs and measured compute prices that cheaper (`pack`).
+//!
 //! Telemetry travels with the threads: the task threads and the adaptive
 //! monitor thread install the caller's `orwl_obs` scope first thing, so
 //! whatever they emit (lock waits, rebinds, epochs, the controller's drift
@@ -20,6 +24,7 @@ use crate::error::{ConfigError, OrwlError};
 use crate::fifo;
 use crate::location::LocationId;
 use crate::monitor::{self, AdaptiveRun};
+use crate::pack;
 use crate::placement::{plan_placement, PlacementPlan};
 use crate::request::AccessMode;
 use crate::session::{SessionConfig, ThreadDetails};
@@ -27,6 +32,7 @@ use crate::stats::RuntimeStats;
 use crate::task::{OrwlProgram, TaskContext, TaskId, TaskSpec};
 use orwl_topo::topology::Topology;
 use orwl_treematch::mapping::Placement;
+use orwl_treematch::policies::Policy;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -167,8 +173,14 @@ pub(crate) fn run(
     };
     let started = Instant::now();
 
-    // 1. Placement: extract the communication matrix and map threads.
-    let plan = plan_placement(&program, &config.topology, config.policy, config.control_threads);
+    // 1. Placement: extract the communication matrix and map threads.  A
+    //    static TreeMatch run whose declared lock handoffs price one PU
+    //    cheaper gets a probe: its task threads measure their compute and
+    //    re-bind to task 0's PU if that is still cheaper (`pack`).
+    let mut plan = plan_placement(&program, &config.topology, config.policy, config.control_threads);
+    let probe = (config.policy == Policy::TreeMatch && adaptive.is_none())
+        .then(|| pack::Probe::screen(program.specs(), &plan.placement, Arc::clone(&config.binder)))
+        .flatten();
     let compute_cpusets = plan.placement.compute_cpusets();
     let control_cpusets = plan.placement.control_cpusets();
 
@@ -245,6 +257,7 @@ pub(crate) fn run(
         let tx = event_tx.clone();
         let task_id = TaskId(idx);
         let task_run = adaptive.as_ref().map(|(run, ..)| Arc::clone(run));
+        let task_probe = probe.clone();
         let obs = obs.clone();
         let join = std::thread::Builder::new()
             .name(format!("orwl-task-{}", spec.name))
@@ -255,6 +268,7 @@ pub(crate) fn run(
                     fifo::read_home(&*binder);
                 }
                 let _task_scope = task_run.map(|run| monitor::enter_task(task_id, run));
+                let _probe_scope = task_probe.map(|probe| pack::enter_task(idx, probe));
                 let ctx = TaskContext { task_id, bound_to: cpuset, stats: Arc::clone(&stats) };
                 let _ = tx.send(ControlEvent::TaskStarted(task_id));
                 stats.record_task_started();
@@ -313,6 +327,9 @@ pub(crate) fn run(
     if let Some(e) = first_error {
         return Err(e);
     }
+    if probe.is_some_and(|probe| probe.packed()) {
+        plan.placement = pack::packed(&plan.placement);
+    }
     let details = ThreadDetails { per_task_time, stats: stats.snapshot() };
     Ok(ThreadRun { wall_time: started.elapsed(), plan, details, adapt })
 }
@@ -328,7 +345,7 @@ mod tests {
     use orwl_topo::binding::{Binder, NoopBinder, RecordingBinder};
     use orwl_topo::bitmap::CpuSet;
     use orwl_topo::synthetic;
-    use orwl_treematch::policies::Policy;
+    use orwl_treematch::policies::compute_placement;
 
     /// The thread runtime on `topology` with a binder that binds nothing.
     fn threads_on(topology: Topology, policy: Policy) -> SessionBuilder {
@@ -409,13 +426,17 @@ mod tests {
 
     /// The `hub_fanout` shape with homes: one writer and seven readers on
     /// one location, every iterative request posted in the fenced init,
-    /// the eight task threads homed four and four on two PUs.  A release
-    /// whose wake order dropped a waiter would leave it parked for good;
-    /// the deadline turns that hang into a failure.
-    #[test]
-    fn a_broadcast_homed_on_two_pus_delivers_every_value_to_every_reader() {
+    /// each reader computing for `reader_busy` after each read.  Runs it
+    /// for `ITERATIONS` under `builder` with a `ReportingBinder` and
+    /// returns the eight threads' homes at their end, sorted, after
+    /// checking that every reader saw every value.  A release whose wake
+    /// order dropped a waiter would leave it parked for good; the deadline
+    /// turns that hang into a failure.
+    fn broadcast_homes<const ITERATIONS: u64>(
+        builder: SessionBuilder,
+        reader_busy: Duration,
+    ) -> (Report, Vec<Option<usize>>) {
         const READERS: usize = 7;
-        const ITERATIONS: u64 = 500;
         let start = 41u64;
         let hub = Location::new("hub", start);
         let homes = Arc::new(Mutex::new(Vec::new()));
@@ -425,10 +446,10 @@ mod tests {
         writer.request().unwrap();
         let writer_homes = Arc::clone(&homes);
         program.add_task(TaskSpec::new("hub-writer", vec![LocationLink::write(hub.id(), 8.0)]), move |_| {
-            writer_homes.lock().unwrap().push(fifo::home());
             for _ in 0..ITERATIONS {
                 *writer.acquire().unwrap() += 1;
             }
+            writer_homes.lock().unwrap().push(fifo::home());
         });
         for r in 0..READERS {
             let mut reader = hub.iterative_handle(AccessMode::Read);
@@ -437,31 +458,99 @@ mod tests {
             program.add_task(
                 TaskSpec::new(format!("hub-reader-{r}"), vec![LocationLink::read(hub.id(), 8.0)]),
                 move |_| {
-                    homes.lock().unwrap().push(fifo::home());
                     let (mut increasing, mut last) = (true, start);
                     for _ in 0..ITERATIONS {
                         let value = *reader.acquire().unwrap();
                         increasing &= value > last;
                         last = value;
+                        let busy = Instant::now();
+                        while busy.elapsed() < reader_busy {
+                            std::hint::spin_loop();
+                        }
                     }
+                    homes.lock().unwrap().push(fifo::home());
                     seen.lock().unwrap().push((increasing, last));
                 },
             );
         }
-        let session =
-            threads_on(two_pus(), Policy::TreeMatch).binder(Arc::new(ReportingBinder)).build().unwrap();
+        let session = builder.binder(Arc::new(ReportingBinder)).build().unwrap();
         let (done_tx, done) = mpsc::channel();
-        let runner = std::thread::spawn(move || done_tx.send(session.run(program).map(drop)).unwrap());
+        let runner = std::thread::spawn(move || done_tx.send(session.run(program)).unwrap());
         let outcome = done
             .recv_timeout(Duration::from_secs(30))
             .expect("the broadcast hung: a release left one of its wake set parked");
         runner.join().unwrap();
-        outcome.unwrap();
+        let report = outcome.unwrap();
         let mut homes = homes.lock().unwrap().clone();
         homes.sort_unstable();
-        assert_eq!(homes, [[Some(0); 4], [Some(1); 4]].concat(), "homes split four and four");
         assert_eq!(hub.snapshot(), start + ITERATIONS);
         assert_eq!(*seen.lock().unwrap(), [(true, start + ITERATIONS); READERS]);
+        (report, homes)
+    }
+
+    /// Scatter's round-robin homes the hub's eight threads four and four,
+    /// so every release wakes readers on both PUs.
+    #[test]
+    fn a_broadcast_homed_on_two_pus_delivers_every_value_to_every_reader() {
+        let (_, homes) = broadcast_homes::<500>(threads_on(two_pus(), Policy::Scatter), Duration::ZERO);
+        assert_eq!(homes, [[Some(0); 4], [Some(1); 4]].concat(), "homes split four and four");
+    }
+
+    /// TreeMatch splits the hub four and four too, but its handoffs price
+    /// cheaper on one PU and its readers compute nothing: after measuring
+    /// that, every task thread moves to task 0's PU.
+    #[test]
+    fn a_static_treematch_broadcast_is_packed_onto_one_pu() {
+        let (report, homes) =
+            broadcast_homes::<500>(threads_on(two_pus(), Policy::TreeMatch), Duration::ZERO);
+        let home = homes[0];
+        assert!(home.is_some());
+        assert_eq!(homes, [home; 8], "every task thread on one PU");
+        assert_eq!(report.plan.placement.pus_used(), 1, "the report carries the bound plan");
+    }
+
+    /// The same hub with readers that compute 100 µs after each read: the
+    /// readers run in parallel only when spread, so TreeMatch's plan stays.
+    #[test]
+    fn a_static_treematch_broadcast_whose_readers_compute_stays_spread() {
+        let builder = threads_on(two_pus(), Policy::TreeMatch);
+        let (report, homes) = broadcast_homes::<40>(builder, Duration::from_micros(100));
+        assert_eq!(homes, [[Some(0); 4], [Some(1); 4]].concat(), "homes split four and four");
+        assert_eq!(report.plan.placement.pus_used(), 2);
+    }
+
+    /// The adaptive controller owns an adaptive run's placement: the hub
+    /// keeps TreeMatch's four-and-four split.
+    #[test]
+    fn an_adaptive_broadcast_is_not_packed() {
+        struct Keeps;
+        impl AdaptiveController for Keeps {
+            fn on_run_start(&self, _: &[TaskSpec], _: &PlacementPlan, _: &Topology) {}
+            fn on_flow(&self, _: TaskId, _: TaskId, _: LocationId, _: AccessMode) {}
+            fn on_epoch(&self, _: u64) -> Option<Placement> {
+                None
+            }
+        }
+        let spec = AdaptiveSpec::with_controller(Arc::new(Keeps), Duration::from_millis(5));
+        let builder = threads_on(two_pus(), Policy::TreeMatch).adaptive(spec);
+        let (report, homes) = broadcast_homes::<500>(builder, Duration::ZERO);
+        assert_eq!(homes, [[Some(0); 4], [Some(1); 4]].concat(), "homes split four and four");
+        assert_eq!(report.plan.placement.pus_used(), 2);
+    }
+
+    /// Tasks that share no location gain nothing from one PU: TreeMatch's
+    /// plan is bound as it is.
+    #[test]
+    fn independent_tasks_stay_spread() {
+        let builder = threads_on(two_pus(), Policy::TreeMatch).binder(Arc::new(ReportingBinder));
+        let (report, mut homes) = homes_of(builder, 4);
+        homes.sort_unstable();
+        homes.dedup();
+        assert_eq!(homes, [Some(0), Some(1)]);
+        assert_eq!(
+            report.plan.placement,
+            compute_placement(Policy::TreeMatch, &two_pus(), &report.plan.matrix, 1)
+        );
     }
 
     #[test]

@@ -233,6 +233,37 @@ mod tests {
         assert!(!binder.anonymous_bindings().is_empty());
     }
 
+    /// The benchmark's `lk23_fine` program, 64² in 4×4 blocks, on two PUs:
+    /// its declared 8-neighbour links alone, played with no compute, price
+    /// the spread cheaper, so a static TreeMatch run binds TreeMatch's plan
+    /// as it is, over both PUs, and measures nothing; the result stays
+    /// bit-identical to the sequential reference.
+    #[test]
+    fn a_static_treematch_run_on_two_pus_keeps_treematch_s_plan() {
+        let g = initial(64);
+        let d = BlockDecomposition::new(64, 64, 4, 4).unwrap();
+        let topo = synthetic::from_synthetic("two-pus", "package:1 core:2 pu:1").unwrap();
+        let session = Session::builder()
+            .topology(topo.clone())
+            .policy(Policy::TreeMatch)
+            .control_threads(1)
+            .binder(Arc::new(orwl_topo::binding::RecordingBinder::new()))
+            .backend(ThreadBackend)
+            .build()
+            .unwrap();
+        let planned = orwl_core::placement::plan_placement(
+            &build_program(&g, d, 0).program,
+            &topo,
+            Policy::TreeMatch,
+            1,
+        );
+        let (result, report) = run_orwl(&g, d, 20, &session).unwrap();
+        assert_eq!(report.plan.placement, planned.placement);
+        assert_eq!(report.plan.placement.pus_used(), 2);
+        let bits = |grid: &Grid| grid.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&result), bits(&reference_jacobi(&g, 20)));
+    }
+
     #[test]
     fn single_block_degenerates_to_sequential() {
         let g = initial(12);

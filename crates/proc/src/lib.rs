@@ -17,7 +17,8 @@
 //! the same tasks on the same nodes in both worlds — and each worker
 //! drives its local tasks through a real `orwl_core` session.  Reports
 //! carry wall time, the plan's hop-bytes (identical to `ThreadBackend`
-//! on the same communication matrix), and a
+//! on the same communication matrix, except for a static TreeMatch program
+//! the thread runtime packs onto one PU: DESIGN.md, "Pack or spread"), and a
 //! [`ClusterTraffic`] split whose inter-node component is *measured*
 //! from the grant bytes the workers count rather than modelled — the
 //! committed `BENCH_proc_corr.json` artifact pins measured against
@@ -456,7 +457,9 @@ impl ExecutionBackend for ProcBackend {
 
         // The plan mirrors `ThreadBackend`'s: raw first-phase matrix plus
         // the policy's compute placement, so `report.hop_bytes` is
-        // directly comparable across the two executors on one program.
+        // directly comparable across the two executors on one program.  A
+        // static TreeMatch thread run that packs its task threads onto one
+        // PU reports the packed placement instead; this one never packs.
         let matrix = workload.phases[0].graph.comm_matrix();
         let placement = match config.policy {
             Policy::NoBind => Placement::unbound(matrix.order(), config.control_threads),

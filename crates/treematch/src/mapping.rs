@@ -56,6 +56,14 @@ impl Placement {
         self.compute.iter().filter(|p| p.is_some()).count() as f64 / self.compute.len() as f64
     }
 
+    /// Number of distinct PUs the bound compute threads use.
+    pub fn pus_used(&self) -> usize {
+        let mut pus: Vec<usize> = self.compute.iter().flatten().copied().collect();
+        pus.sort_unstable();
+        pus.dedup();
+        pus.len()
+    }
+
     /// True when no two *bound* compute threads share a PU.
     #[cfg(test)]
     pub(crate) fn is_injective(&self) -> bool {
@@ -174,6 +182,13 @@ mod tests {
         assert!(ok.is_injective());
         let bad = Placement { compute: vec![Some(0), Some(0)], control: vec![] };
         assert!(!bad.is_injective());
+    }
+
+    #[test]
+    fn pus_used_counts_distinct_bound_pus() {
+        let p = Placement { compute: vec![Some(4), None, Some(1), Some(4)], control: vec![Some(7)] };
+        assert_eq!(p.pus_used(), 2, "unbound compute threads and control threads do not count");
+        assert_eq!(Placement::unbound(3, 1).pus_used(), 0);
     }
 
     #[test]

@@ -57,9 +57,10 @@ fn main() {
             mismatched.push(label.trim_end());
         }
         println!(
-            "{label}: {:>10.3?}  max|diff| vs reference = {diff:.3e}  bound = {:>3.0}%  NUMA-local traffic = {:>5.1}%",
+            "{label}: {:>10.3?}  max|diff| vs reference = {diff:.3e}  bound = {:>3.0}% on {} PU(s)  NUMA-local traffic = {:>5.1}%",
             elapsed,
             100.0 * report.plan.placement.bound_fraction(),
+            report.plan.placement.pus_used(),
             100.0 * report.breakdown.local_fraction(),
         );
     }

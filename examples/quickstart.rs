@@ -79,6 +79,7 @@ fn run_with(label: &str, topo: orwl_topo::topology::Topology, policy: Policy) {
     println!("lock acquisitions    : {}", thread.stats.lock_acquisitions);
     println!("control events       : {}", thread.stats.control_events);
     println!("bound compute threads: {:.0}%", 100.0 * report.plan.placement.bound_fraction());
+    println!("PUs bound to         : {}", report.plan.placement.pus_used());
     println!("communication matrix : order {}", report.plan.matrix.order());
     println!("NUMA-local traffic   : {:.1}%", 100.0 * report.breakdown.local_fraction());
     println!("placement:\n{}", report.plan.placement);
