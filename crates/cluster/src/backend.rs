@@ -10,22 +10,22 @@
 //! * **placement** is two-level ([`Policy::Hierarchical`]; flat policies
 //!   run on the flattened tree, `NoBind` is a seeded OS spread) and carries
 //!   the node assignment with the thread → PU map;
-//! * **a placement is priced once per phase** — the `StepCosts` of
-//!   `simulate_cluster`, the hop-bytes split at the machine boundary and
-//!   the fabric cut — and **a chunk** plays that price, with one
-//!   `FabricTransfer` record per lane;
+//! * **a placement is priced once per phase** — numasim's `price` of its
+//!   bound scenario on the cluster, the hop-bytes split at the machine
+//!   boundary and the fabric cut — and **a chunk** plays that price, with
+//!   one `FabricTransfer` record per lane;
 //! * **a re-placement** is a fresh *two-level* computation priced in fabric
 //!   seconds, so drift can trigger **node-level re-sharding** as well as
 //!   intra-node re-binding (`AdaptReport::node_reshards` vs `replacements`).
 
-use crate::exec::{price_cluster, PricedCluster};
 use crate::machine::ClusterMachine;
 use crate::metrics::{cluster_cost, inter_node_bytes, split_hop_bytes};
 use crate::placement::{hierarchical_placement, policy_placement, ClusterPlacement};
 use orwl_adapt::driver::{Backend, Move, PhasedModel, Run};
 use orwl_comm::matrix::CommMatrix;
 use orwl_core::session::ClusterTraffic;
-use orwl_numasim::exec::SimMonitor;
+use orwl_numasim::exec::{price, MachineCosts, Priced, SimMonitor};
+use orwl_numasim::scenario::ExecutionScenario;
 use orwl_numasim::taskgraph::TaskGraph;
 use orwl_obs::{EventKind, FabricLane};
 use orwl_topo::cluster::FabricClass;
@@ -49,7 +49,7 @@ pub type ClusterBackend = Backend<ClusterMachine>;
 /// machine boundary, fabric cut and (observed runs only) lane entries.
 #[derive(Debug)]
 pub struct ClusterPriced {
-    costs: PricedCluster,
+    costs: Priced,
     mapping: Vec<usize>,
     intra: f64,
     inter: f64,
@@ -97,7 +97,7 @@ impl PhasedModel for ClusterMachine {
             });
         }
         ClusterPriced {
-            costs: price_cluster(self, graph, &mapping),
+            costs: price(self, graph, &ExecutionScenario::bound(self, mapping.clone())),
             intra,
             inter,
             inter_node_bytes: inter_node_bytes(cluster, matrix, &mapping),
@@ -174,8 +174,7 @@ impl PhasedModel for ClusterMachine {
                 continue;
             }
             tasks_moved += 1;
-            seconds +=
-                self.message_latency(old_pu, new_pu) + state_bytes * self.link_byte_cost(old_pu, new_pu);
+            seconds += self.halo_time(old_pu, new_pu, state_bytes);
             let hop_bytes = state_bytes * flat.hop_distance(old_pu, new_pu) as f64;
             if candidate.node_of_task[t] != current.node_of_task[t] {
                 cross_node = true;

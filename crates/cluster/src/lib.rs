@@ -16,10 +16,11 @@
 //!    ([`mod@orwl_treematch::partition`]), then runs the paper's TreeMatch
 //!    *inside* each node; surfaced through the unified `Session` API as
 //!    [`Policy::Hierarchical`](orwl_treematch::policies::Policy).
-//! 3. **Execution** — [`exec::simulate_cluster`] (one [`price_cluster`],
-//!    one [`PricedCluster::play`]), a multi-node cost model
-//!    run by numasim's discrete-event loop (per-node NUMA machines coupled
-//!    by fabric messages for remote lock grants and location transfers),
+//! 3. **Execution** — [`simulate_cluster`]: the cluster described to
+//!    numasim's one pricer as a machine
+//!    ([`MachineCosts`](orwl_numasim::exec::MachineCosts): per-node NUMA
+//!    domains coupled by fabric messages for remote lock grants and
+//!    location transfers), run by numasim's discrete-event loop and
 //!    plugged in as the third `ExecutionBackend`: [`ClusterBackend`].
 //!    Reports carry the inter-node vs intra-node traffic split
 //!    (`Report::fabric`, `TrafficBreakdown::cross_node`), and adaptive
@@ -58,7 +59,7 @@ mod metrics;
 mod placement;
 
 pub use backend::ClusterBackend;
-pub use exec::{price_cluster, simulate_cluster, PricedCluster};
+pub use exec::simulate_cluster;
 pub use machine::ClusterMachine;
 pub use metrics::{inter_node_bytes, split_hop_bytes};
 pub use placement::{hierarchical_placement, policy_placement, reshard_after_node_loss};

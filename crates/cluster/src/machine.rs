@@ -1,7 +1,9 @@
 //! The simulated cluster: a hierarchical topology, a per-node cost model
-//! and an inter-node fabric cost model.
+//! and an inter-node fabric cost model, described to numasim's pricer as
+//! one machine ([`MachineCosts`]).
 
 use orwl_numasim::costmodel::{CostParams, FabricParams};
+use orwl_numasim::exec::MachineCosts;
 use orwl_numasim::machine::SimMachine;
 use orwl_topo::cluster::{paper_cluster, ClusterTopology, FabricClass};
 use orwl_topo::topology::Topology;
@@ -50,11 +52,6 @@ impl ClusterMachine {
         self.cluster.flatten()
     }
 
-    /// The single-node machine model.
-    pub(crate) fn node_machine(&self) -> &SimMachine {
-        &self.node
-    }
-
     /// The fabric cost model.
     pub fn fabric(&self) -> &FabricParams {
         &self.fabric
@@ -81,12 +78,6 @@ impl ClusterMachine {
         }
     }
 
-    /// One-way message latency between two global PUs (`0` within a node —
-    /// intra-node grants are priced by the link costs alone).
-    pub(crate) fn message_latency(&self, ga: usize, gb: usize) -> f64 {
-        self.fabric.latency(self.cluster.link_class(ga, gb))
-    }
-
     /// Relative per-byte fabric cost between two *nodes*, normalised so
     /// that the cheapest fabric class costs `1.0` (used to weight the
     /// partitioning stage's cut).  Zero for the same node.
@@ -97,6 +88,33 @@ impl ClusterMachine {
         let class =
             self.cluster.link_class(self.cluster.global_pu(node_a, 0), self.cluster.global_pu(node_b, 0));
         self.fabric.per_byte(class) / self.fabric.per_byte(FabricClass::SameRack)
+    }
+}
+
+/// The cluster as numasim prices it: a memory domain is a (node, NUMA
+/// domain) pair, a node is a host of the fabric, and a halo across nodes
+/// is one fabric message.
+impl MachineCosts for ClusterMachine {
+    fn params(&self) -> &CostParams {
+        self.node.params()
+    }
+
+    fn domain_of_pu(&self, g: usize) -> usize {
+        self.cluster.node_of_pu(g) * self.node.n_nodes() + self.node.node_of_pu(self.cluster.local_pu(g))
+    }
+
+    fn host_of_pu(&self, g: usize) -> usize {
+        self.cluster.node_of_pu(g)
+    }
+
+    /// The remote lock grant's latency plus the location transfer; within
+    /// a node the latency is `0` and the node's link cost prices the bytes.
+    fn halo_time(&self, ga: usize, gb: usize, bytes: f64) -> f64 {
+        self.fabric.latency(self.cluster.link_class(ga, gb)) + bytes * self.link_byte_cost(ga, gb)
+    }
+
+    fn fabric_bandwidth(&self) -> f64 {
+        self.fabric.aggregate_bandwidth
     }
 }
 
@@ -112,7 +130,7 @@ mod tests {
         assert_eq!(m.n_nodes(), 4);
         assert_eq!(m.n_pus(), 64);
         assert_eq!(m.topology().nb_pus(), 64);
-        assert_eq!(m.node_machine().n_pus(), 16);
+        assert_eq!(m.cluster().node_topology().nb_pus(), 16);
     }
 
     #[test]
@@ -128,10 +146,13 @@ mod tests {
         assert!(same_socket < cross_socket);
         assert!(cross_socket < same_rack);
         assert!(same_rack < cross_rack);
-        // Latency only applies across nodes.
-        assert_eq!(m.message_latency(0, 8), 0.0);
-        assert!(m.message_latency(0, 16) > 0.0);
-        assert!(m.message_latency(0, 16) < m.message_latency(0, 32));
+        // A halo pays latency only across nodes: within a node its time is
+        // the bytes at the link cost, bit for bit.
+        assert_eq!(m.halo_time(0, 8, 0.0), 0.0);
+        assert_eq!(m.halo_time(0, 8, 4096.0).to_bits(), (4096.0 * cross_socket).to_bits());
+        assert!(m.halo_time(0, 16, 0.0) > 0.0);
+        assert!(m.halo_time(0, 16, 0.0) < m.halo_time(0, 32, 0.0));
+        assert_eq!(m.halo_time(0, 16, 4096.0), m.halo_time(0, 16, 0.0) + 4096.0 * same_rack);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use orwl_adapt::driver::{Backend, Move, PhasedModel, Run};
 use orwl_adapt::engine::{adaptive_session_spec, AdaptConfig, AdaptiveEngine};
 use orwl_adapt::SimBackend;
-use orwl_cluster::{price_cluster, simulate_cluster, ClusterBackend, ClusterMachine};
+use orwl_cluster::{simulate_cluster, ClusterBackend, ClusterMachine};
 use orwl_comm::matrix::CommMatrix;
 use orwl_core::error::{ConfigError, OrwlError};
 use orwl_core::runtime::AdaptiveSpec;
@@ -17,7 +17,7 @@ use orwl_core::session::{ExecutionBackend, Mode, Report, Session, SessionBuilder
 use orwl_core::task::{OrwlProgram, TaskSpec};
 use orwl_lab::scenario::{ScenarioFamily, ScenarioSpec};
 use orwl_numasim::costmodel::CostParams;
-use orwl_numasim::exec::{price, simulate_monitored, SimMonitor};
+use orwl_numasim::exec::{price, simulate_monitored, MachineCosts, SimMonitor};
 use orwl_numasim::machine::SimMachine;
 use orwl_numasim::scenario::ExecutionScenario;
 use orwl_numasim::taskgraph::TaskGraph;
@@ -355,8 +355,7 @@ fn epochs_carry_the_bytes_the_monitor_saw<R: Rig>() {
     }
 }
 
-/// Every callback a simulation makes, in order, floats as bits (as in
-/// `orwl-cluster`'s one-node test).
+/// Every callback a simulation makes, in order, floats as bits.
 #[derive(Debug, Default, PartialEq)]
 struct Recording {
     transfers: Vec<(usize, usize, usize, u64)>,
@@ -408,7 +407,7 @@ fn one_price_played_k_times_is_k_fresh_simulations() {
                     assert_eq!(played.transfers.len(), iterations * g.edges().len());
                 }
             }
-            let priced = price_cluster(&cluster, g, &spread);
+            let priced = price(&cluster, g, &ExecutionScenario::bound(&cluster, spread.clone()));
             for iterations in chunks {
                 let (mut played, mut fresh) = (Recording::default(), Recording::default());
                 let a = priced.play(g, iterations, &mut played);
@@ -420,6 +419,41 @@ fn one_price_played_k_times_is_k_fresh_simulations() {
             }
         }
     }
+}
+
+/// A one-node cluster is its node's `SimMachine` under the bound scenario:
+/// its memory domains are the node's NUMA nodes, no halo pays the fabric,
+/// and its floor is the node's backplane floor.  So the two agree bit for
+/// bit, callbacks included, on every scenario family's phase graphs, with
+/// one task per PU over both sockets and with four PUs oversubscribed.
+#[test]
+fn one_node_cluster_is_the_bound_numa_run() {
+    let cluster = ClusterMachine::paper(1);
+    let node = SimMachine::new(cluster.cluster().node_topology().clone(), *MachineCosts::params(&cluster));
+    let mut floored = 0;
+    for spec in ScenarioSpec::catalog(16, 7) {
+        for (k, phase) in spec.workload().phases.iter().enumerate() {
+            let g = &phase.graph;
+            let n = g.n_tasks();
+            let spread: Vec<usize> = (0..n).map(|t| t * 5 % cluster.n_pus()).collect();
+            let oversubscribed: Vec<usize> = (0..n).map(|t| t % 4 * 5).collect();
+            for mapping in [spread, oversubscribed] {
+                let label = format!("{} phase {k} on {mapping:?}", spec.name());
+                let (mut numa_calls, mut cluster_calls) = (Recording::default(), Recording::default());
+                let bound = ExecutionScenario::bound(&node, mapping.clone());
+                let numa = simulate_monitored(&node, g, &bound, 6, &mut numa_calls);
+                let one = simulate_cluster(&cluster, g, &mapping, 6, &mut cluster_calls);
+                assert_eq!(one.total_time.to_bits(), numa.total_time.to_bits(), "{label}");
+                assert_eq!(bits(&one.iteration_times), bits(&numa.iteration_times), "{label}");
+                assert_eq!(one, numa, "{label}");
+                assert_eq!(cluster_calls, numa_calls, "{label}");
+                assert_eq!(numa_calls.transfers.len(), 6 * g.edges().len());
+                assert_eq!(one.inter_node_bytes, 0.0);
+                floored += usize::from(numa.cross_node_bytes > 0.0);
+            }
+        }
+    }
+    assert!(floored > 0, "some halos cross sockets, so some floor is non-zero");
 }
 
 macro_rules! for_both_models {

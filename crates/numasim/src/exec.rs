@@ -1,7 +1,8 @@
-//! The discrete-event execution engine: one iteration loop, [`play`], run
-//! at the [`StepCosts`] a machine model prices a placement at.  The two
-//! models are [`price`] here and the multi-node engine of `orwl-cluster`;
-//! a placement is priced once and played as many times as its run needs.
+//! The discrete-event execution engine: one pricer, [`price`], and one
+//! iteration loop, `play`, run at the costs it prices.  [`price`] reads a
+//! machine through [`MachineCosts`]: a [`SimMachine`] is one node, and
+//! `orwl-cluster`'s `ClusterMachine` is several nodes joined by a fabric.
+//! A placement is priced once and played as many times as its run needs.
 //!
 //! [`simulate`] plays an iterative [`TaskGraph`] on a [`SimMachine`] under a
 //! given [`ExecutionScenario`] and returns the simulated wall-clock time
@@ -10,16 +11,20 @@
 //! * **compute** — `elements × sec_per_element`, inflated by the migration
 //!   penalty when threads are not pinned;
 //! * **working-set accesses** — `private_bytes × per-byte cost`, where the
-//!   per-byte cost depends on whether the data is NUMA-local and on how many
-//!   tasks share the target node's memory controller (bandwidth sharing);
-//! * **halo transfers** — per-edge `bytes × link cost` between the producer
-//!   and consumer PUs, paid before the consumer can start its iteration;
-//! * **interconnect saturation** — the sum of all node-crossing bytes of an
-//!   iteration cannot move faster than the global backplane allows;
+//!   per-byte cost depends on whether the data is in the executing PU's
+//!   memory domain and on how many tasks share that domain's memory
+//!   controller (bandwidth sharing);
+//! * **halo transfers** — per edge, the machine's halo time between the
+//!   producer and consumer PUs (a fabric message across nodes), paid
+//!   before the consumer can start its iteration;
+//! * **interconnect saturation** — the bytes crossing a node's socket
+//!   interconnect in an iteration cannot move faster than its backplane
+//!   allows, nor the bytes crossing the fabric faster than the fabric;
 //! * **PU serialisation** — tasks mapped to the same PU run one after the
 //!   other (oversubscription);
 //! * **fork-join barriers** — optional per-iteration synchronisation.
 
+use crate::costmodel::CostParams;
 use crate::machine::SimMachine;
 use crate::scenario::ExecutionScenario;
 use crate::taskgraph::TaskGraph;
@@ -100,10 +105,64 @@ pub struct SimReport {
     /// Aggregated task-time breakdown (helps explain *why* a scenario is
     /// slow; the components overlap in wall-clock time).
     pub breakdown: TimeBreakdown,
-    /// Bytes crossing NUMA nodes per iteration (working set + halos).
+    /// Bytes crossing memory domains per iteration (working set + halos).
     pub cross_node_bytes: f64,
+    /// Halo bytes per iteration staying inside a node (every halo of a
+    /// [`SimMachine`]).
+    pub intra_node_bytes: f64,
+    /// Halo bytes per iteration crossing the fabric between nodes.
+    pub inter_node_bytes: f64,
+    /// Fabric messages per iteration (remote lock grants / transfers).
+    pub fabric_messages: usize,
     /// Label copied from the scenario.
     pub label: String,
+}
+
+/// What [`price`] reads of a machine: its calibration, which memory
+/// domain and which node each PU belongs to, what a halo between two PUs
+/// takes, and the fabric joining the nodes.  A memory domain is one memory
+/// controller (a NUMA node); a node is one shared-memory machine, and its
+/// domains share its socket interconnect.  [`SimMachine`] is one node.
+pub trait MachineCosts {
+    /// The calibration constants.
+    fn params(&self) -> &CostParams;
+
+    /// Memory domain of PU `pu`, numbered over all nodes.
+    fn domain_of_pu(&self, pu: usize) -> usize;
+
+    /// Node hosting PU `pu`.
+    fn host_of_pu(&self, pu: usize) -> usize;
+
+    /// Seconds a halo of `bytes` takes from `src_pu` to `dst_pu`: the
+    /// fabric latency (`0` within a node) plus `bytes ×` the link's
+    /// per-byte cost.
+    fn halo_time(&self, src_pu: usize, dst_pu: usize, bytes: f64) -> f64;
+
+    /// Aggregate bandwidth of the fabric between nodes, in bytes/second.
+    fn fabric_bandwidth(&self) -> f64;
+}
+
+/// One node with no fabric: a domain is a NUMA node.
+impl MachineCosts for SimMachine {
+    fn params(&self) -> &CostParams {
+        SimMachine::params(self)
+    }
+
+    fn domain_of_pu(&self, pu: usize) -> usize {
+        self.node_of_pu(pu)
+    }
+
+    fn host_of_pu(&self, _pu: usize) -> usize {
+        0
+    }
+
+    fn halo_time(&self, src_pu: usize, dst_pu: usize, bytes: f64) -> f64 {
+        bytes * self.link_byte_cost(src_pu, dst_pu)
+    }
+
+    fn fabric_bandwidth(&self) -> f64 {
+        f64::INFINITY
+    }
 }
 
 /// Simulates `iterations` iterations of `graph` under `scenario`.
@@ -119,11 +178,11 @@ pub fn simulate(
     simulate_monitored(machine, graph, scenario, iterations, &mut NoopSimMonitor)
 }
 
-/// [`simulate`] with a [`SimMonitor`] observing every halo transfer and
-/// iteration boundary — the hook `orwl-adapt` uses to monitor the simulated
-/// executor online.  One [`price`] and one [`Priced::play`].
-pub fn simulate_monitored(
-    machine: &SimMachine,
+/// [`simulate`] on any machine, with a [`SimMonitor`] observing every halo
+/// transfer and iteration boundary — the hook `orwl-adapt` uses to monitor
+/// the simulated executor online.  One [`price`] and one [`Priced::play`].
+pub fn simulate_monitored<M: MachineCosts + ?Sized>(
+    machine: &M,
     graph: &TaskGraph,
     scenario: &ExecutionScenario,
     iterations: usize,
@@ -132,18 +191,17 @@ pub fn simulate_monitored(
     price(machine, graph, scenario).play(graph, iterations, monitor)
 }
 
-/// A scenario priced once on one machine and graph: the [`StepCosts`]
-/// [`play`] runs at and the per-iteration sums the report scales.  Playing
-/// it `k` times gives the bits of `k` [`simulate_monitored`] calls.
+/// A scenario priced once on one machine and graph: the `StepCosts`
+/// `play` runs at and the per-iteration sums the report scales or copies.
+/// Playing it `k` times gives the bits of `k` [`simulate_monitored`] calls.
 #[derive(Debug)]
 pub struct Priced {
     costs: StepCosts,
     /// Compute and working-set seconds of one iteration, summed over tasks.
     compute: f64,
     memory: f64,
-    /// Bytes crossing NUMA nodes per iteration.
-    cross_node_bytes: f64,
-    label: String,
+    /// The report of no iterations: the traffic and label every play copies.
+    empty: SimReport,
 }
 
 /// Prices `scenario` for `graph` on `machine`: everything a run of it
@@ -151,7 +209,11 @@ pub struct Priced {
 ///
 /// # Panics
 /// Panics when the scenario does not cover every task of the graph.
-pub fn price(machine: &SimMachine, graph: &TaskGraph, scenario: &ExecutionScenario) -> Priced {
+pub fn price<M: MachineCosts + ?Sized>(
+    machine: &M,
+    graph: &TaskGraph,
+    scenario: &ExecutionScenario,
+) -> Priced {
     let n = graph.n_tasks();
     assert!(
         scenario.task_pu.len() >= n && scenario.data_node.len() >= n,
@@ -159,12 +221,16 @@ pub fn price(machine: &SimMachine, graph: &TaskGraph, scenario: &ExecutionScenar
         scenario.task_pu.len()
     );
     let params = machine.params();
+    // Each task's memory domain and node, read off its PU once.
+    let task_pu = &scenario.task_pu[..n];
+    let domain: Vec<usize> = task_pu.iter().map(|&pu| machine.domain_of_pu(pu)).collect();
+    let host: Vec<usize> = task_pu.iter().map(|&pu| machine.host_of_pu(pu)).collect();
 
-    // Number of tasks whose working set lives on each node: they share that
-    // node's memory controller every iteration.
-    let mut sharers_per_node = vec![0usize; machine.n_nodes()];
+    // Number of tasks whose working set lives in each memory domain: they
+    // share that domain's memory controller every iteration.
+    let mut sharers_per_domain = vec![0usize; scenario.data_node[..n].iter().max().map_or(0, |d| d + 1)];
     for t in 0..n {
-        sharers_per_node[scenario.data_node[t]] += 1;
+        sharers_per_domain[scenario.data_node[t]] += 1;
     }
 
     // Per-task duration of one iteration (compute + working-set accesses).
@@ -175,14 +241,17 @@ pub fn price(machine: &SimMachine, graph: &TaskGraph, scenario: &ExecutionScenar
     for (t, duration) in task_duration.iter_mut().enumerate() {
         let task = graph.task(t);
         let compute = task.elements * params.sec_per_element * migration;
-        let exec_node = machine.node_of_pu(scenario.task_pu[t]);
-        let data_node = scenario.data_node[t];
+        let data_domain = scenario.data_node[t];
         // Per-byte cost including the NUMA factor...
-        let byte_cost = machine.access_byte_cost(exec_node, data_node);
+        let byte_cost = if domain[t] == data_domain {
+            params.local_byte_cost
+        } else {
+            params.local_byte_cost * params.remote_access_factor
+        };
         // ...and bandwidth sharing on the target memory controller: the
         // controller can stream `node_bandwidth` bytes/s in total, so with
         // `s` concurrent streams each sees `node_bandwidth / s`.
-        let sharers = sharers_per_node[data_node].max(1) as f64;
+        let sharers = sharers_per_domain[data_domain].max(1) as f64;
         let controller_limited = task.private_bytes * sharers / params.node_bandwidth;
         let latency_limited = task.private_bytes * byte_cost;
         let memory = latency_limited.max(controller_limited);
@@ -191,37 +260,60 @@ pub fn price(machine: &SimMachine, graph: &TaskGraph, scenario: &ExecutionScenar
         sum_memory += memory;
     }
 
-    // Bytes that cross NUMA nodes every iteration (working sets fetched from
-    // remote nodes plus node-crossing halos): bounded by the backplane.
+    // Bytes crossing memory domains every iteration (working sets fetched
+    // from another domain, plus domain-crossing halos), and the share of
+    // them each node's socket interconnect carries: its own crossings plus
+    // every fabric byte entering or leaving it.
     let mut cross_bytes = 0.0;
+    let mut backplane_bytes = vec![0.0f64; host.iter().max().map_or(0, |h| h + 1)];
     for t in 0..n {
-        let exec_node = machine.node_of_pu(scenario.task_pu[t]);
-        if exec_node != scenario.data_node[t] {
+        if domain[t] != scenario.data_node[t] {
             cross_bytes += graph.task(t).private_bytes;
+            backplane_bytes[host[t]] += graph.task(t).private_bytes;
         }
     }
-    // A halo takes its bytes at the producer → consumer link cost.
+    let (mut intra_node_bytes, mut inter_node_bytes, mut fabric_messages) = (0.0, 0.0, 0usize);
     let mut edge_time = Vec::with_capacity(graph.edges().len());
     for e in graph.edges() {
-        let (a, b) = (scenario.task_pu[e.src], scenario.task_pu[e.dst]);
-        if machine.node_of_pu(a) != machine.node_of_pu(b) {
+        let (host_a, host_b) = (host[e.src], host[e.dst]);
+        if domain[e.src] != domain[e.dst] {
             cross_bytes += e.bytes;
+            backplane_bytes[host_a] += e.bytes;
         }
-        edge_time.push(e.bytes * machine.link_byte_cost(a, b));
+        if host_a == host_b {
+            intra_node_bytes += e.bytes;
+        } else {
+            // One fabric message per halo per iteration: the remote lock
+            // grant plus the location transfer.
+            inter_node_bytes += e.bytes;
+            fabric_messages += 1;
+            backplane_bytes[host_b] += e.bytes;
+        }
+        edge_time.push(machine.halo_time(task_pu[e.src], task_pu[e.dst], e.bytes));
     }
-    // The node-crossing traffic of an iteration cannot beat the backplane,
-    // whatever the per-task overlap looked like.
-    let interconnect_floor = cross_bytes / params.interconnect_bandwidth;
+    // An iteration's traffic cannot beat the fabric's aggregate bandwidth
+    // nor any node's backplane, whatever the per-task overlap looked like.
+    let fabric_floor = inter_node_bytes / machine.fabric_bandwidth();
+    let backplane_floor =
+        backplane_bytes.iter().map(|b| b / params.interconnect_bandwidth).fold(0.0f64, f64::max);
 
     // Barrier overhead per iteration (fork-join runtimes only).
     let barrier = scenario.fork_join_barrier.then_some(params.barrier_cost_per_thread * n as f64);
 
     Priced {
-        costs: StepCosts::new(&scenario.task_pu, task_duration, edge_time, interconnect_floor, barrier),
+        costs: StepCosts::new(task_pu, task_duration, edge_time, fabric_floor.max(backplane_floor), barrier),
         compute: sum_compute,
         memory: sum_memory,
-        cross_node_bytes: cross_bytes,
-        label: scenario.label.clone(),
+        empty: SimReport {
+            total_time: 0.0,
+            iteration_times: Vec::new(),
+            breakdown: TimeBreakdown::default(),
+            cross_node_bytes: cross_bytes,
+            intra_node_bytes,
+            inter_node_bytes,
+            fabric_messages,
+            label: scenario.label.clone(),
+        },
     }
 }
 
@@ -229,22 +321,18 @@ impl Priced {
     /// Runs `iterations` iterations of `graph`, the graph this was priced
     /// for, reporting to `monitor`.
     pub fn play(&self, graph: &TaskGraph, iterations: usize, monitor: &mut dyn SimMonitor) -> SimReport {
-        let played = play(graph, &self.costs, iterations, monitor);
+        let (total_time, iteration_times, halo, barrier) = play(graph, &self.costs, iterations, monitor);
         let (compute, memory) = (self.compute * iterations as f64, self.memory * iterations as f64);
-        SimReport {
-            breakdown: TimeBreakdown { compute, memory, ..played.breakdown },
-            cross_node_bytes: self.cross_node_bytes,
-            label: self.label.clone(),
-            ..played
-        }
+        let breakdown = TimeBreakdown { compute, memory, halo, barrier };
+        SimReport { total_time, iteration_times, breakdown, ..self.empty.clone() }
     }
 }
 
-/// The static costs of one placement, priced once by a machine model:
-/// everything [`play`] reads, and nothing that depends on how many
+/// The static costs of one placement, priced once by [`price`]:
+/// everything `play` reads, and nothing that depends on how many
 /// iterations are played.
 #[derive(Debug)]
-pub struct StepCosts {
+struct StepCosts {
     /// Seconds of compute and working-set streaming per task and iteration.
     duration: Vec<f64>,
     /// Each task's PU as a dense slot in `0..n_slots`, so that no PU
@@ -262,7 +350,7 @@ pub struct StepCosts {
 impl StepCosts {
     /// Costs of running task `t` on PU `task_pu[t]` for `t < duration.len()`;
     /// `edge_time` follows the graph's edge order.
-    pub fn new(
+    fn new(
         task_pu: &[usize],
         duration: Vec<f64>,
         edge_time: Vec<f64>,
@@ -279,8 +367,8 @@ impl StepCosts {
 }
 
 /// Runs `iterations` iterations of `graph` at `costs` — the one iteration
-/// loop of both simulators.  The report holds the times and the halo and
-/// barrier sums; the caller's cost model fills in the rest.
+/// loop of every simulator — and returns the total and per-iteration times
+/// and the halo and barrier sums.
 ///
 /// Each iteration walks the tasks in index order and each task's in-edges
 /// in edge order, reporting every edge to `monitor` and adding its time to
@@ -290,12 +378,12 @@ impl StepCosts {
 /// iteration lasts at least the floor, then pays the barrier, which also
 /// re-synchronises every task and PU.  This order is part of the contract:
 /// a monitor's online matrix sums in it.
-pub fn play(
+fn play(
     graph: &TaskGraph,
     costs: &StepCosts,
     iterations: usize,
     monitor: &mut dyn SimMonitor,
-) -> SimReport {
+) -> (f64, Vec<f64>, f64, f64) {
     let n = graph.n_tasks();
     let mut finish_prev = vec![0.0f64; n];
     let mut finish_cur = vec![0.0f64; n];
@@ -344,13 +432,7 @@ pub fn play(
         clock = iter_end;
         std::mem::swap(&mut finish_prev, &mut finish_cur);
     }
-    SimReport {
-        total_time: clock,
-        iteration_times,
-        breakdown: TimeBreakdown { halo, barrier, ..TimeBreakdown::default() },
-        cross_node_bytes: 0.0,
-        label: String::new(),
-    }
+    (clock, iteration_times, halo, barrier)
 }
 
 #[cfg(test)]
@@ -472,6 +554,27 @@ mod tests {
         let floor = 8.0e9 / m.params().interconnect_bandwidth;
         assert!(r.total_time >= floor);
         assert_eq!(r.cross_node_bytes, 8.0e9);
+    }
+
+    #[test]
+    fn remote_working_sets_pay_the_remote_access_factor() {
+        // One task, no compute and no halo: its iteration is its working set.
+        let m = small_machine();
+        let p = m.params();
+        let g = TaskGraph::new(vec![SimTask { elements: 0.0, private_bytes: 1.0e6 }], vec![]);
+        let data_on = |node: usize| ExecutionScenario {
+            task_pu: vec![0],
+            data_node: vec![node],
+            migrating: false,
+            fork_join_barrier: false,
+            label: String::new(),
+        };
+        let local = simulate(&m, &g, &data_on(0), 1).breakdown.memory;
+        let remote = simulate(&m, &g, &data_on(1), 1).breakdown.memory;
+        let controller = 1.0e6 / p.node_bandwidth;
+        assert_eq!(local, (1.0e6 * p.local_byte_cost).max(controller));
+        assert_eq!(remote, (1.0e6 * p.local_byte_cost * p.remote_access_factor).max(controller));
+        assert!(remote > local, "remote {remote} vs local {local}");
     }
 
     #[test]

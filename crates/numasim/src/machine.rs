@@ -107,17 +107,6 @@ impl SimMachine {
         }
         self.link_cost[src_pu * self.n_pus + dst_pu]
     }
-
-    /// Per-byte cost of a working-set access issued by a core of
-    /// `access_node` to data resident on `data_node` (before bandwidth
-    /// sharing is applied).
-    pub(crate) fn access_byte_cost(&self, access_node: usize, data_node: usize) -> f64 {
-        if access_node == data_node {
-            self.params.local_byte_cost
-        } else {
-            self.params.local_byte_cost * self.params.remote_access_factor
-        }
-    }
 }
 
 #[cfg(test)]
@@ -150,20 +139,10 @@ mod tests {
     }
 
     #[test]
-    fn access_costs_distinguish_local_and_remote() {
-        let m = SimMachine::cluster2016();
-        let local = m.access_byte_cost(3, 3);
-        let remote = m.access_byte_cost(3, 4);
-        assert_eq!(local, m.params().local_byte_cost);
-        assert!((remote / local - m.params().remote_access_factor).abs() < 1e-12);
-    }
-
-    #[test]
     fn machine_without_numa_level_has_one_node() {
         let m = SimMachine::new(synthetic::laptop(), CostParams::test_exaggerated());
         assert_eq!(m.n_nodes(), 1);
         assert_eq!(m.node_of_pu(5), 0);
-        assert_eq!(m.access_byte_cost(0, 0), m.params().local_byte_cost);
     }
 
     #[test]

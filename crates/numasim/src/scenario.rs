@@ -7,6 +7,7 @@
 //! the master thread).  An [`ExecutionScenario`] captures both, plus whether
 //! the implementation synchronises with a fork-join barrier every iteration.
 
+use crate::exec::MachineCosts;
 use crate::machine::SimMachine;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -17,7 +18,8 @@ use rand::{Rng, SeedableRng};
 pub struct ExecutionScenario {
     /// PU (OS index) on which each task executes.
     pub task_pu: Vec<usize>,
-    /// NUMA node on which each task's working set resides (first-touch).
+    /// Memory domain (NUMA node) in which each task's working set resides
+    /// (first-touch); see [`MachineCosts::domain_of_pu`].
     pub data_node: Vec<usize>,
     /// True when threads are not pinned: the OS may migrate them, costing
     /// cache refills (modelled by `CostParams::migration_penalty`).
@@ -32,10 +34,10 @@ pub struct ExecutionScenario {
 impl ExecutionScenario {
     /// The paper's **ORWL Bind** configuration: tasks pinned according to a
     /// placement (typically produced by the TreeMatch mapper), data
-    /// first-touched by the pinned owner, so it is local to the node the
-    /// task runs on.
-    pub fn bound(machine: &SimMachine, task_pu: Vec<usize>) -> Self {
-        let data_node = task_pu.iter().map(|&pu| machine.node_of_pu(pu)).collect();
+    /// first-touched by the pinned owner, so it is local to the memory
+    /// domain the task runs in.  On a cluster `task_pu` holds global PUs.
+    pub fn bound<M: MachineCosts + ?Sized>(machine: &M, task_pu: Vec<usize>) -> Self {
+        let data_node = task_pu.iter().map(|&pu| machine.domain_of_pu(pu)).collect();
         ExecutionScenario {
             task_pu,
             data_node,

@@ -1,12 +1,13 @@
 //! The run assignment a coordinator ships to each worker.
 //!
 //! An `Assignment` is everything a freshly-exec'd worker process needs
-//! to reconstruct its slice of the run: the cluster shape (node topology
-//! levels, rack layout), the task → node sharding the placement policy
-//! chose, the socket rendezvous points, and the per-phase read schedule
-//! filtered to the tasks this worker hosts.  It travels as the JSON
-//! payload of [`Message::Assignment`](crate::wire::Message::Assignment)
-//! under the `orwl-proc-assign/v1` schema.  Coordinator and worker are the
+//! to reconstruct its slice of the run: the cluster shape (rack layout),
+//! the task → node sharding the placement policy chose, the socket
+//! rendezvous points, and the per-phase read schedule filtered to the
+//! tasks this worker hosts.  It travels as the JSON payload of
+//! [`Message::Assignment`](crate::wire::Message::Assignment) under the
+//! `orwl-proc-assign/v2` schema (v1 also carried the node topology, for a
+//! worker-side placement nothing applied).  Coordinator and worker are the
 //! same binary, so parsing is exact: every key the writer emits is
 //! required, and a missing one is an error, not a default.
 
@@ -15,7 +16,7 @@ use orwl_obs::json::Json;
 use orwl_obs::ObsConfig;
 
 /// Schema identifier of the assignment document.
-pub(crate) const ASSIGN_SCHEMA: &str = "orwl-proc-assign/v1";
+pub(crate) const ASSIGN_SCHEMA: &str = "orwl-proc-assign/v2";
 
 /// Schema identifier of the re-assignment document shipped after a node
 /// loss ([`Message::ReAssignment`](crate::wire::Message::ReAssignment)).
@@ -135,10 +136,6 @@ pub(crate) struct Assignment {
     pub n_tasks: usize,
     /// Deadline applied to every blocking socket read, in milliseconds.
     pub io_timeout_ms: u64,
-    /// Name of the per-node topology (for the worker's local session).
-    pub topo_name: String,
-    /// The per-node topology as `(object short name, count)` levels.
-    pub levels: Vec<(String, usize)>,
     /// Rack index of each node (fabric lane classification).
     pub rack_of_node: Vec<usize>,
     /// Node hosting each task — the placement policy's sharding.
@@ -165,7 +162,7 @@ impl Assignment {
         (0..self.n_tasks).filter(|&t| self.node_of_task[t] == self.node).collect()
     }
 
-    /// Serialises under the `orwl-proc-assign/v1` schema.
+    /// Serialises under the `orwl-proc-assign/v2` schema.
     #[must_use]
     pub(crate) fn to_json(&self) -> Json {
         let mut doc = Json::obj();
@@ -174,16 +171,6 @@ impl Assignment {
         doc.push("n_nodes", self.n_nodes);
         doc.push("n_tasks", self.n_tasks);
         doc.push("io_timeout_ms", self.io_timeout_ms);
-        doc.push("topo_name", self.topo_name.as_str());
-        doc.push(
-            "levels",
-            Json::Arr(
-                self.levels
-                    .iter()
-                    .map(|(name, count)| Json::Arr(vec![Json::Str(name.clone()), Json::from(*count)]))
-                    .collect(),
-            ),
-        );
         doc.push("rack_of_node", usize_arr(&self.rack_of_node));
         doc.push("node_of_task", usize_arr(&self.node_of_task));
         doc.push("listen", self.listen.as_str());
@@ -207,20 +194,6 @@ impl Assignment {
             n_nodes: req_usize(doc, "n_nodes")?,
             n_tasks: req_usize(doc, "n_tasks")?,
             io_timeout_ms: req_usize(doc, "io_timeout_ms")? as u64,
-            topo_name: req_str(doc, "topo_name")?.to_string(),
-            levels: req_arr(doc, "levels")?
-                .iter()
-                .map(|level| {
-                    let pair = level.as_arr().ok_or("levels entries must be [name, count] pairs")?;
-                    match pair {
-                        [name, count] => Ok((
-                            name.as_str().ok_or("level name must be a string")?.to_string(),
-                            count.as_f64().ok_or("level count must be a number")? as usize,
-                        )),
-                        _ => Err("levels entries must be [name, count] pairs".to_string()),
-                    }
-                })
-                .collect::<Result<_, String>>()?,
             rack_of_node: usize_vec(doc, "rack_of_node")?,
             node_of_task: usize_vec(doc, "node_of_task")?,
             listen: req_str(doc, "listen")?.to_string(),
@@ -490,8 +463,6 @@ mod tests {
             n_nodes: 2,
             n_tasks: 4,
             io_timeout_ms: 30_000,
-            topo_name: "cluster2016-node".to_string(),
-            levels: vec![("machine".to_string(), 1), ("package".to_string(), 2), ("core".to_string(), 8)],
             rack_of_node: vec![0, 0],
             node_of_task: vec![0, 0, 1, 1],
             listen: "/tmp/w1.sock".to_string(),
@@ -578,6 +549,10 @@ mod tests {
         let mut wrong_schema = sample().to_json();
         if let Json::Obj(pairs) = &mut wrong_schema {
             pairs[0].1 = Json::Str("orwl-proc-assign/v999".to_string());
+        }
+        assert!(Assignment::from_json(&wrong_schema).unwrap_err().contains("schema"));
+        if let Json::Obj(pairs) = &mut wrong_schema {
+            pairs[0].1 = Json::Str("orwl-proc-assign/v1".to_string());
         }
         assert!(Assignment::from_json(&wrong_schema).unwrap_err().contains("schema"));
 

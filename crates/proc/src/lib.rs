@@ -14,8 +14,9 @@
 //! The backend reuses the whole placement stack: node sharding comes from
 //! [`orwl_cluster::policy_placement`] — the exact
 //! function the cluster simulator uses, so `Policy::Hierarchical` lays
-//! the same tasks on the same nodes in both worlds — and each worker
-//! drives its local tasks through a real `orwl_core` session.  Reports
+//! the same tasks on the same nodes in both worlds — and each worker runs
+//! its local tasks on real `orwl_core` locations, one thread per task,
+//! solving no placement of its own.  Reports
 //! carry wall time, the plan's hop-bytes (identical to `ThreadBackend`
 //! on the same communication matrix, except for a static TreeMatch program
 //! the thread runtime packs onto one PU: DESIGN.md, "Pack or spread"), and a
@@ -284,12 +285,6 @@ impl ProcBackend {
         let budgets = Budgets::new(self.io_timeout, live, live.is_some() && self.recovery);
         let cluster = self.machine.cluster();
         let n_nodes = cluster.n_nodes();
-        let node_topo = cluster.node_topology();
-        let levels: Vec<(String, usize)> = node_topo
-            .level_spec()
-            .iter()
-            .map(|level| (level.obj_type.short_name().to_string(), level.count))
-            .collect();
         let rack_of_node: Vec<usize> = (0..n_nodes).map(|k| cluster.rack_of_node(k)).collect();
         let peer_listen: Vec<String> =
             (0..n_nodes).map(|k| pool.peer_socket(k).to_string_lossy().into_owned()).collect();
@@ -302,8 +297,6 @@ impl ProcBackend {
                 n_nodes,
                 n_tasks: workload.n_tasks(),
                 io_timeout_ms: self.io_timeout.as_millis() as u64,
-                topo_name: node_topo.name().to_string(),
-                levels: levels.clone(),
                 rack_of_node: rack_of_node.clone(),
                 node_of_task: node_of_task.to_vec(),
                 listen: peer_listen[node].clone(),

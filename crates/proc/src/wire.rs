@@ -134,7 +134,7 @@ pub enum Message {
         node: u32,
     },
     /// Coordinator → worker: the run assignment (an
-    /// `orwl-proc-assign/v1` JSON document, see `assignment`).
+    /// `orwl-proc-assign/v2` JSON document, see `assignment`).
     Assignment {
         /// The assignment document text.
         json: String,
@@ -725,7 +725,7 @@ mod tests {
     fn every_kind_roundtrips() {
         for message in [
             Message::Hello { node: 0 },
-            Message::Assignment { json: "{\"schema\":\"orwl-proc-assign/v1\"}".to_string() },
+            Message::Assignment { json: "{\"schema\":\"orwl-proc-assign/v2\"}".to_string() },
             Message::Ready { node: 7 },
             Message::Start,
             Message::LockRequest { seq: 1, location: 2, access: WireAccess::Read, bytes: 65536 },

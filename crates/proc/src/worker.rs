@@ -8,9 +8,9 @@
 //!
 //! Lifecycle: connect to the coordinator → `Hello` → receive the
 //! [`Assignment`] → bind the peer listener and start the serving thread →
-//! `Ready` → `Start` → run the local tasks through a real
-//! `orwl_core` session (one-shot ORWL handles for local sections, the
-//! wire protocol for remote ones) → `Done` → keep serving peers until
+//! `Ready` → `Start` → run the local tasks, one thread each (one-shot ORWL
+//! handles for local sections, the wire protocol for remote ones) → `Done`
+//! → keep serving peers until
 //! `Shutdown` → send the final telemetry frame (observed runs) → report
 //! the grant payload bytes received per fabric lane (`Metrics`) → exit.
 //!
@@ -44,9 +44,9 @@
 //! serves them.  Each (reader, owner) pair shares one connection and the
 //! reader holds it for the whole batch, so a connection never interleaves
 //! two batches and neither side needs a demultiplexer.  A round
-//! resolves every read against the routing table before its session
-//! runs, dials each owner it names once, and hangs up on them when it
-//! ends: routing changes only between rounds.
+//! resolves every read against the routing table before its tasks start,
+//! dials each owner it names once, and hangs up on them when it ends:
+//! routing changes only between rounds.
 
 use crate::assignment::{Assignment, PhasePlan, ReAssignment};
 use crate::coordinator::{ENV_COORD, ENV_NODE, ENV_ROLE};
@@ -55,13 +55,8 @@ use crate::transport::{wait_readable, FramedStream, RecvError};
 use crate::wire::{Message, WireAccess, MAX_DATA};
 use orwl_core::location::Location;
 use orwl_core::request::AccessMode;
-use orwl_core::session::{Session, ThreadBackend};
-use orwl_core::task::{LocationLink, OrwlProgram, TaskSpec};
 use orwl_obs::json::Json;
 use orwl_obs::{ClockKind, DeltaSampler, EventKind, Recorder, TelemetryDelta};
-use orwl_topo::binding::RecordingBinder;
-use orwl_topo::object::ObjectType;
-use orwl_topo::topology::{LevelSpec, Topology};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -189,7 +184,7 @@ impl Reader {
 }
 
 /// One round's gateway: a serialized connection to every owner the
-/// round's reads name, dialled before the round's session runs.  Dropping
+/// round's reads name, dialled before the round's tasks start.  Dropping
 /// it when the round ends hangs up on those peers.
 struct PeerGateway {
     reader: Arc<Reader>,
@@ -590,9 +585,9 @@ struct ResolvedPhase {
 struct WorkState {
     /// Per task: for each phase, `(iterations, reads as (src, bytes))`.
     schedules: HashMap<usize, PhaseSchedule>,
-    /// Per task: completed iterations per phase, shared with the round's
-    /// task closure.
-    progress: HashMap<usize, Arc<Vec<AtomicUsize>>>,
+    /// Per task: completed iterations per phase, advanced by the round's
+    /// task thread.
+    progress: HashMap<usize, Vec<AtomicUsize>>,
     /// The node hosting each task, replaced by every re-assignment.
     routing: Vec<usize>,
 }
@@ -615,7 +610,7 @@ impl WorkState {
     fn enter(&mut self, tasks: &[usize], phases: &[PhasePlan]) {
         for &t in tasks {
             self.schedules.insert(t, phases.iter().map(|phase| (phase.iterations, Vec::new())).collect());
-            self.progress.insert(t, Arc::new(phases.iter().map(|_| AtomicUsize::new(0)).collect()));
+            self.progress.insert(t, phases.iter().map(|_| AtomicUsize::new(0)).collect());
         }
         for (k, phase) in phases.iter().enumerate() {
             for read in &phase.reads {
@@ -655,7 +650,7 @@ fn run_worker(
 
     // When the assignment asks for observation, a wall-clock recorder
     // becomes this thread's scope, inherited by the peer server's threads
-    // and by every round's session threads: the core session's lock-wait
+    // and by every round's task threads: the ORWL handles' lock-wait
     // hooks, the gateway's request/release events and the serving threads'
     // grant events all land in it.  It stamps the host's monotonic clock,
     // as the coordinator's recorder does, so the coordinator merges its
@@ -896,37 +891,30 @@ impl TelemetryLink {
     }
 }
 
-/// Runs one round of this worker's unfinished tasks through a real
-/// `orwl_core` session on the reconstructed node topology.  Each
-/// iteration of each task writes its own location under a one-shot write
-/// section, then reads its in-edges: the local ones one section at a time
-/// through the shared FIFO, then the remote ones in one batch per owner
-/// through the round's gateway, which the owner serves one section at a
-/// time.  At most one lock is ever held, so the schedule cannot deadlock
-/// whatever the interleaving across processes.  Every read is resolved
-/// against the routing table before the session runs: it only changes at
-/// the quiesce barrier, where a re-shard can adopt a source here and turn
-/// its reads local.  Returns the fatal cause, if a task recorded one.
-#[allow(clippy::too_many_lines)]
+/// Runs one round of this worker's unfinished tasks, one thread per task
+/// in the worker's telemetry scope.  The threads are not bound: the
+/// coordinator's plan places tasks on nodes, and the worker solves no
+/// placement of its own.  Each iteration of each task writes its own
+/// location under a one-shot write section, then reads its in-edges: the
+/// local ones one section at a time through the shared FIFO, then the
+/// remote ones in one batch per owner through the round's gateway, which
+/// the owner serves one section at a time.  At most one lock is ever held,
+/// so the schedule cannot deadlock whatever the interleaving across
+/// processes.  Every read is resolved against the routing table before the
+/// tasks start: it only changes at the quiesce barrier, where a re-shard
+/// can adopt a source here and turn its reads local.  Returns the fatal
+/// cause, if a task recorded one.
 fn run_round(
     assignment: &Assignment,
     work: &WorkState,
     locations: &SharedLocations,
     reader: &Arc<Reader>,
-    interrupt: &Arc<Interrupt>,
+    interrupt: &Interrupt,
 ) -> Result<(), String> {
     let tasks = work.tasks_with_work();
     if tasks.is_empty() {
         return Ok(());
     }
-    let levels: Vec<LevelSpec> = assignment
-        .levels
-        .iter()
-        .map(|(name, count)| ObjectType::parse(name).map(|obj_type| LevelSpec::new(obj_type, *count)))
-        .collect::<Result<_, String>>()?;
-    let topology = Topology::from_levels(&assignment.topo_name, &levels)
-        .map_err(|e| format!("reconstructing the node topology: {e}"))?;
-
     let map = locations.read().map_err(|_| "location map poisoned".to_string())?;
     let hosted = |task: usize| {
         map.get(&(task as u64))
@@ -954,80 +942,65 @@ fn run_round(
         resolved.push((t, hosted(t)?, schedule));
     }
     drop(map);
-    let gateway = Arc::new(PeerGateway::dial(reader, owners)?);
+    let gateway = PeerGateway::dial(reader, owners)?;
 
-    let mut program = OrwlProgram::new();
-    for (t, own, schedule) in resolved {
-        // The session's link structure comes from the local reads.
-        let mut links = vec![LocationLink::write(own.id(), 8.0)];
-        let mut local_read_bytes: BTreeMap<usize, (f64, &Arc<Location<u64>>)> = BTreeMap::new();
-        for phase in &schedule {
-            for (src, bytes, loc) in &phase.local {
-                local_read_bytes.entry(*src).or_insert((0.0, loc)).0 += bytes;
-            }
-        }
-        for (_, (bytes, loc)) in local_read_bytes {
-            links.push(LocationLink::read(loc.id(), bytes));
-        }
-
-        let progress = Arc::clone(&work.progress[&t]);
-        let gateway = Arc::clone(&gateway);
-        let interrupt = Arc::clone(interrupt);
-        program.add_task(TaskSpec::new(format!("task-{t}"), links), move |ctx| {
-            let mut acquisitions = 0u64;
-            'phases: for (k, phase) in schedule.iter().enumerate() {
-                while progress[k].load(Ordering::Relaxed) < phase.iterations {
-                    if interrupt.parked() {
-                        break 'phases;
-                    }
-                    let outcome = (|| -> Result<(), IterError> {
-                        let mut write = own.handle(AccessMode::Write);
-                        write.request().map_err(|e| IterError::Local(e.to_string()))?;
-                        *write.acquire().map_err(|e| IterError::Local(e.to_string()))? += 1;
-                        drop(write);
-                        acquisitions += 1;
-                        for (_, _, src_loc) in &phase.local {
-                            let mut read = src_loc.handle(AccessMode::Read);
-                            read.request().map_err(|e| IterError::Local(e.to_string()))?;
-                            let guard = read.acquire().map_err(|e| IterError::Local(e.to_string()))?;
-                            std::hint::black_box(*guard);
-                            drop(guard);
-                            acquisitions += 1;
-                        }
-                        for (owner, batch) in &phase.remote {
-                            gateway.remote_reads(*owner, batch).map_err(IterError::Remote)?;
-                            acquisitions += batch.len() as u64;
-                        }
-                        Ok(())
-                    })();
-                    match outcome {
-                        Ok(()) => {
-                            progress[k].fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(error) => {
-                            interrupt.stop(t, error);
-                            break 'phases;
+    let obs = orwl_obs::current();
+    let panicked: Vec<usize> = std::thread::scope(|scope| {
+        let threads: Vec<_> = resolved
+            .iter()
+            .map(|(t, own, schedule)| {
+                let (t, gateway, obs, progress) = (*t, &gateway, &obs, &work.progress[t]);
+                let body = move || {
+                    let _obs_scope = obs.as_ref().map(orwl_obs::install);
+                    'phases: for (k, phase) in schedule.iter().enumerate() {
+                        while progress[k].load(Ordering::Relaxed) < phase.iterations {
+                            if interrupt.parked() {
+                                break 'phases;
+                            }
+                            match iterate(own, phase, gateway) {
+                                Ok(()) => progress[k].fetch_add(1, Ordering::Relaxed),
+                                Err(error) => {
+                                    interrupt.stop(t, error);
+                                    break 'phases;
+                                }
+                            };
                         }
                     }
-                }
-            }
-            ctx.stats.record_acquisitions(acquisitions);
-        });
+                };
+                let thread =
+                    std::thread::Builder::new().name(format!("orwl-task-{t}")).spawn_scoped(scope, body);
+                (t, thread.expect("spawning a task thread cannot fail"))
+            })
+            .collect();
+        threads.into_iter().filter_map(|(t, thread)| thread.join().is_err().then_some(t)).collect()
+    });
+    drop(gateway); // hang up on the round's peers
+    if let Some(t) = panicked.first() {
+        return Err(format!("task {t} panicked"));
     }
-
-    let session = Session::builder()
-        .topology(topology)
-        .control_threads(0)
-        .binder(Arc::new(RecordingBinder::new()))
-        .backend(ThreadBackend)
-        .build()
-        .map_err(|e| format!("building the worker session: {e}"))?;
-    let _report = session.run(program).map_err(|e| format!("worker session run: {e}"))?;
-    drop(gateway); // the tasks' handles went with their bodies: hang up on the round's peers
     match interrupt.cause() {
         Some((cause, true)) => Err(cause),
         _ => Ok(()),
     }
+}
+
+/// One iteration of a task owning `own`: write it, then take `phase`'s
+/// local reads one section at a time and its remote reads one batch per
+/// owner.
+fn iterate(own: &Arc<Location<u64>>, phase: &ResolvedPhase, gateway: &PeerGateway) -> Result<(), IterError> {
+    let mut write = own.handle(AccessMode::Write);
+    write.request().map_err(|e| IterError::Local(e.to_string()))?;
+    *write.acquire().map_err(|e| IterError::Local(e.to_string()))? += 1;
+    drop(write);
+    for (_, _, src_loc) in &phase.local {
+        let mut read = src_loc.handle(AccessMode::Read);
+        read.request().map_err(|e| IterError::Local(e.to_string()))?;
+        std::hint::black_box(*read.acquire().map_err(|e| IterError::Local(e.to_string()))?);
+    }
+    for (owner, batch) in &phase.remote {
+        gateway.remote_reads(*owner, batch).map_err(IterError::Remote)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -197,6 +197,14 @@ fn merged_timeline_is_clock_aligned_across_nodes() {
             "no events arrived from track {worker_track}"
         );
     }
+    // The coordinator places every task; a worker runs its share and
+    // solves no placement of its own.
+    let worker_solves = obs
+        .events
+        .iter()
+        .filter(|e| e.track != 0 && matches!(e.kind, EventKind::PlacementSolve { .. }))
+        .count();
+    assert_eq!(worker_solves, 0, "placement solves on worker tracks");
 
     // The merge numbers events in timeline order, so on every track the
     // sequence numbers and the timestamps agree.
