@@ -70,7 +70,13 @@ impl ClusterMachine {
     /// Per-byte streaming cost between two *global* PUs: the node-local
     /// link cost within a node, the fabric per-byte cost across nodes.
     pub(crate) fn link_byte_cost(&self, ga: usize, gb: usize) -> f64 {
-        match self.cluster.link_class(ga, gb) {
+        self.class_byte_cost(self.cluster.link_class(ga, gb), ga, gb)
+    }
+
+    /// [`link_byte_cost`](Self::link_byte_cost) of a link already
+    /// classified as `class`.
+    fn class_byte_cost(&self, class: FabricClass, ga: usize, gb: usize) -> f64 {
+        match class {
             FabricClass::SameNode => {
                 self.node.link_byte_cost(self.cluster.local_pu(ga), self.cluster.local_pu(gb))
             }
@@ -110,7 +116,8 @@ impl MachineCosts for ClusterMachine {
     /// The remote lock grant's latency plus the location transfer; within
     /// a node the latency is `0` and the node's link cost prices the bytes.
     fn halo_time(&self, ga: usize, gb: usize, bytes: f64) -> f64 {
-        self.fabric.latency(self.cluster.link_class(ga, gb)) + bytes * self.link_byte_cost(ga, gb)
+        let class = self.cluster.link_class(ga, gb);
+        self.fabric.latency(class) + bytes * self.class_byte_cost(class, ga, gb)
     }
 
     fn fabric_bandwidth(&self) -> f64 {

@@ -299,9 +299,41 @@ mod deadlock {
         }
     }
 
+    thread_local! {
+        /// The task the calling thread runs, as [`TaskLabel`] set it.
+        pub(super) static TASK: std::cell::RefCell<Option<String>> = const { std::cell::RefCell::new(None) };
+    }
+
+    /// The calling thread's task label, else its name, else its id.
     fn thread_label() -> String {
-        let t = std::thread::current();
-        t.name().map_or_else(|| format!("{:?}", t.id()), str::to_string)
+        TASK.with_borrow(Clone::clone).unwrap_or_else(|| {
+            let t = std::thread::current();
+            t.name().map_or_else(|| format!("{:?}", t.id()), str::to_string)
+        })
+    }
+}
+
+/// Names the calling thread's task in a debug cycle report while it lives:
+/// a pooled thread's own name says nothing of the task it runs.
+pub(crate) struct TaskLabel {
+    _priv: (),
+}
+
+impl TaskLabel {
+    /// Labels the calling thread `orwl-task-{task}` (debug builds only).
+    pub(crate) fn enter(task: &str) -> TaskLabel {
+        #[cfg(debug_assertions)]
+        deadlock::TASK.set(Some(format!("orwl-task-{task}")));
+        #[cfg(not(debug_assertions))]
+        let _ = task;
+        TaskLabel { _priv: () }
+    }
+}
+
+impl Drop for TaskLabel {
+    fn drop(&mut self) {
+        #[cfg(debug_assertions)]
+        deadlock::TASK.set(None);
     }
 }
 
@@ -324,6 +356,11 @@ pub(crate) fn home() -> Option<usize> {
     HOME.get()
 }
 
+/// Clears the calling thread's home, as a pooled thread's job ends.
+pub(crate) fn leave_home() {
+    HOME.set(None);
+}
+
 /// The order a release unparks its wake set in, as indices into the
 /// waiters' `homes` (queue order): first every waiter not known to share
 /// the releaser's home, then the waiters on the releaser's PU, each pass in
@@ -344,12 +381,16 @@ fn wake_order(
 
 /// A binder for tests that records each thread's binding and reports it
 /// back as the thread's affinity, without calling the OS: homes get set on
-/// any host.
+/// any host.  A thread it never bound reports [`UNBOUND`](reporting::UNBOUND)
+/// PUs, as an unbound OS thread reports every PU of its host.
 #[cfg(test)]
 pub(crate) mod reporting {
     use orwl_topo::binding::{BindError, Binder};
     use orwl_topo::bitmap::CpuSet;
     use std::cell::RefCell;
+
+    /// The PUs a thread the binder never bound reports.
+    pub(crate) const UNBOUND: std::ops::Range<usize> = 0..64;
 
     thread_local! {
         static BOUND: RefCell<Option<CpuSet>> = const { RefCell::new(None) };
@@ -364,7 +405,7 @@ pub(crate) mod reporting {
         }
 
         fn current_affinity(&self) -> Option<CpuSet> {
-            BOUND.with_borrow(Clone::clone)
+            Some(BOUND.with_borrow(Clone::clone).unwrap_or_else(|| CpuSet::from_indices(UNBOUND)))
         }
 
         fn name(&self) -> &'static str {

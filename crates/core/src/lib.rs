@@ -21,7 +21,7 @@
 //! * A [`Session`](session::Session) (built with [`Session::builder`](session::Session::builder)) is the single front
 //!   door: it validates the configuration (topology, policy, control
 //!   threads, run mode) and executes workloads on an [`ExecutionBackend`](session::ExecutionBackend) —
-//!   [`ThreadBackend`](session::ThreadBackend) for the real event runtime (one thread per task,
+//!   [`ThreadBackend`](session::ThreadBackend) for the real event runtime (one thread per task, pooled across runs,
 //!   TreeMatch placement via crate `orwl-treematch`, binding via
 //!   [`orwl_topo::binding`]), or the NUMA simulator backend from
 //!   `orwl-adapt`.
@@ -72,6 +72,7 @@ pub mod location;
 mod monitor;
 mod pack;
 pub mod placement;
+mod pool;
 pub mod request;
 pub mod runtime;
 pub mod session;

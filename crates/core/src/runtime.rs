@@ -2,22 +2,28 @@
 //! [`ThreadBackend`](crate::session::ThreadBackend), its only caller.
 //!
 //! The runtime executes an [`OrwlProgram`]: it computes a placement for the
-//! program's tasks (and for its own control threads), spawns one thread per
-//! task — exactly as the reference ORWL library runs each operation on an
-//! independent thread — binds every thread according to the placement, and
-//! runs a small pool of *control threads* that drain the runtime's event
-//! channel (task lifecycle notifications, progress accounting).  Control
-//! threads are deliberately real threads doing real work because the
-//! paper's Algorithm 1 places them alongside the computation threads.
+//! program's tasks (and for its own control threads), runs each task on an
+//! OS thread of its own — exactly as the reference ORWL library runs each
+//! operation on an independent thread — binds every thread according to
+//! the placement, and runs a small pool of *control threads* that drain the
+//! runtime's event channel (task lifecycle notifications, progress
+//! accounting).  Control threads are deliberately real threads doing real
+//! work because the paper's Algorithm 1 places them alongside the
+//! computation threads.
 //!
 //! A static TreeMatch run binds TreeMatch's plan, and moves every task
 //! thread to the PU TreeMatch gave task 0 when a play of the program's lock
 //! handoffs and measured compute prices that cheaper (`pack`).
 //!
+//! Threads outlive their run: every task, control and monitor thread is
+//! taken from a process-wide list of parked idle threads (`pool`) and
+//! handed back when the run joins it, with its binding, home and scopes
+//! undone (DESIGN.md, "Task threads").
+//!
 //! Telemetry travels with the threads: the task threads and the adaptive
 //! monitor thread install the caller's `orwl_obs` scope first thing, so
 //! whatever they emit (lock waits, rebinds, epochs, the controller's drift
-//! decisions and solves) reaches the recorder of the run that spawned them
+//! decisions and solves) reaches the recorder of the run that started them
 //! and no other.
 
 use crate::error::{ConfigError, OrwlError};
@@ -26,10 +32,13 @@ use crate::location::LocationId;
 use crate::monitor::{self, AdaptiveRun};
 use crate::pack;
 use crate::placement::{plan_placement, PlacementPlan};
+use crate::pool;
 use crate::request::AccessMode;
 use crate::session::{SessionConfig, ThreadDetails};
 use crate::stats::RuntimeStats;
 use crate::task::{OrwlProgram, TaskContext, TaskId, TaskSpec};
+use orwl_topo::binding::Binder;
+use orwl_topo::bitmap::CpuSet;
 use orwl_topo::topology::Topology;
 use orwl_treematch::mapping::Placement;
 use orwl_treematch::policies::Policy;
@@ -153,12 +162,36 @@ pub(crate) struct ThreadRun {
     pub adapt: Option<AdaptReport>,
 }
 
+/// A run's hold on a pooled thread: dropping it puts back, through the
+/// run's binder when that binder reports one, the affinity the thread had
+/// before the run bound it — by the plan, by pack's re-bind or by an
+/// adaptive re-bind — and clears the thread's home.
+struct Lease {
+    binder: Arc<dyn Binder>,
+    affinity: Option<CpuSet>,
+}
+
+impl Lease {
+    fn new(binder: Arc<dyn Binder>) -> Lease {
+        Lease { affinity: binder.current_affinity(), binder }
+    }
+}
+
+impl Drop for Lease {
+    fn drop(&mut self) {
+        if let Some(pus) = &self.affinity {
+            let _ = self.binder.bind_current_thread(pus);
+        }
+        fifo::leave_home();
+    }
+}
+
 /// Runs a program to completion under the session's topology, policy,
 /// control-thread count and binder, adapting online when `adaptive` is set.
 ///
-/// Every task runs on its own OS thread (the ORWL execution model); the
-/// calling thread blocks until all tasks and control threads have
-/// finished.
+/// Every task runs on its own OS thread (the ORWL execution model), a
+/// pooled one that runs nothing else until the run joins it; the calling
+/// thread blocks until all tasks and control threads have finished.
 pub(crate) fn run(
     config: &SessionConfig,
     adaptive: Option<&AdaptiveSpec>,
@@ -201,22 +234,19 @@ pub(crate) fn run(
         let (stop_tx, stop_rx) = mpsc::channel::<()>();
         let monitor_run = Arc::clone(&run);
         let obs = obs.clone();
-        let monitor = std::thread::Builder::new()
-            .name("orwl-adapt-monitor".to_string())
-            .spawn(move || {
-                let _obs_scope = obs.as_ref().map(orwl_obs::install);
-                let (mut epochs, mut replacements) = (0u64, 0u64);
-                while let Err(RecvTimeoutError::Timeout) = stop_rx.recv_timeout(epoch_len) {
-                    epochs += 1;
-                    orwl_obs::emit(orwl_obs::EventKind::Epoch { epoch: epochs, bytes: 0.0 });
-                    if let Some(placement) = monitor_run.controller.on_epoch(epochs) {
-                        replacements += 1;
-                        monitor_run.plan.publish(placement.compute);
-                    }
+        let monitor = pool::spawn(move || {
+            let _obs_scope = obs.as_ref().map(orwl_obs::install);
+            let (mut epochs, mut replacements) = (0u64, 0u64);
+            while let Err(RecvTimeoutError::Timeout) = stop_rx.recv_timeout(epoch_len) {
+                epochs += 1;
+                orwl_obs::emit(orwl_obs::EventKind::Epoch { epoch: epochs, bytes: 0.0 });
+                if let Some(placement) = monitor_run.controller.on_epoch(epochs) {
+                    replacements += 1;
+                    monitor_run.plan.publish(placement.compute);
                 }
-                (epochs, replacements)
-            })
-            .expect("spawning the adapt monitor thread cannot fail");
+            }
+            (epochs, replacements)
+        });
         (run, stop_tx, monitor)
     });
 
@@ -228,29 +258,25 @@ pub(crate) fn run(
         let stats = Arc::clone(&stats);
         let binder = Arc::clone(&config.binder);
         let cpuset = control_cpusets.get(k).cloned().flatten();
-        control_joins.push(
-            std::thread::Builder::new()
-                .name(format!("orwl-control-{k}"))
-                .spawn(move || {
-                    if let Some(cs) = cpuset {
-                        // Binding failures are not fatal for control
-                        // threads; the OS fallback is what the paper
-                        // describes for the unmappable case.
-                        let _ = binder.bind_current_thread(&cs);
-                    }
-                    while rx.lock().unwrap_or_else(|e| e.into_inner()).recv().is_ok() {
-                        stats.record_control_event();
-                    }
-                })
-                .expect("spawning a control thread cannot fail"),
-        );
+        control_joins.push(pool::spawn(move || {
+            let lease = Lease::new(binder);
+            if let Some(cs) = cpuset {
+                // Binding failures are not fatal for control threads; the
+                // OS fallback is what the paper describes for the
+                // unmappable case.
+                let _ = lease.binder.bind_current_thread(&cs);
+            }
+            while rx.lock().unwrap_or_else(|e| e.into_inner()).recv().is_ok() {
+                stats.record_control_event();
+            }
+        }));
     }
     drop(event_rx);
 
     // 3. Computation threads: one per task, bound per the placement.
     let (specs, bodies) = program.into_parts();
     let mut task_joins = Vec::new();
-    for (idx, (spec, body)) in specs.iter().cloned().zip(bodies).enumerate() {
+    for (idx, (spec, body)) in specs.into_iter().zip(bodies).enumerate() {
         let cpuset = compute_cpusets.get(idx).cloned().flatten();
         let binder = Arc::clone(&config.binder);
         let stats = Arc::clone(&stats);
@@ -259,28 +285,28 @@ pub(crate) fn run(
         let task_run = adaptive.as_ref().map(|(run, ..)| Arc::clone(run));
         let task_probe = probe.clone();
         let obs = obs.clone();
-        let join = std::thread::Builder::new()
-            .name(format!("orwl-task-{}", spec.name))
-            .spawn(move || {
-                let _obs_scope = obs.as_ref().map(orwl_obs::install);
-                if let Some(cs) = &cpuset {
-                    binder.bind_current_thread(cs).map_err(|e| OrwlError::Binding(e.to_string()))?;
-                    fifo::read_home(&*binder);
-                }
-                let _task_scope = task_run.map(|run| monitor::enter_task(task_id, run));
-                let _probe_scope = task_probe.map(|probe| pack::enter_task(idx, probe));
-                let ctx = TaskContext { task_id, bound_to: cpuset, stats: Arc::clone(&stats) };
-                let _ = tx.send(ControlEvent::TaskStarted(task_id));
-                stats.record_task_started();
-                let t0 = Instant::now();
-                body(&ctx);
-                let elapsed = t0.elapsed();
-                stats.record_task_finished();
-                let _ = tx.send(ControlEvent::TaskFinished(task_id));
-                Ok::<Duration, OrwlError>(elapsed)
-            })
-            .expect("spawning a task thread cannot fail");
-        task_joins.push((spec.name.clone(), join));
+        let name = spec.name.clone();
+        let join = pool::spawn(move || {
+            let lease = Lease::new(binder);
+            let _label = fifo::TaskLabel::enter(&name);
+            let _obs_scope = obs.as_ref().map(orwl_obs::install);
+            if let Some(cs) = &cpuset {
+                lease.binder.bind_current_thread(cs).map_err(|e| OrwlError::Binding(e.to_string()))?;
+                fifo::read_home(&*lease.binder);
+            }
+            let _task_scope = task_run.map(|run| monitor::enter_task(task_id, run));
+            let _probe_scope = task_probe.map(|probe| pack::enter_task(idx, probe));
+            let ctx = TaskContext { task_id, bound_to: cpuset, stats: Arc::clone(&stats) };
+            let _ = tx.send(ControlEvent::TaskStarted(task_id));
+            stats.record_task_started();
+            let t0 = Instant::now();
+            body(&ctx);
+            let elapsed = t0.elapsed();
+            stats.record_task_finished();
+            let _ = tx.send(ControlEvent::TaskFinished(task_id));
+            Ok::<Duration, OrwlError>(elapsed)
+        });
+        task_joins.push((spec.name, join));
     }
     drop(event_tx);
 
@@ -289,12 +315,12 @@ pub(crate) fn run(
     let mut first_error = None;
     for (name, join) in task_joins {
         match join.join() {
-            Ok(Ok(elapsed)) => per_task_time.push(elapsed),
-            Ok(Err(e)) => {
+            Some(Ok(elapsed)) => per_task_time.push(elapsed),
+            Some(Err(e)) => {
                 per_task_time.push(Duration::ZERO);
                 first_error.get_or_insert(e);
             }
-            Err(_) => {
+            None => {
                 per_task_time.push(Duration::ZERO);
                 first_error.get_or_insert(OrwlError::TaskPanicked(name));
             }
@@ -311,7 +337,7 @@ pub(crate) fn run(
     //    like a panicking task.
     let adapt = adaptive.map(|(run, stop, monitor)| {
         drop(stop);
-        let (epochs, replacements) = monitor.join().unwrap_or_else(|_| {
+        let (epochs, replacements) = monitor.join().unwrap_or_else(|| {
             first_error.get_or_insert(OrwlError::TaskPanicked("orwl-adapt-monitor".to_string()));
             (0, 0)
         });
@@ -342,10 +368,10 @@ mod tests {
     use crate::request::AccessMode;
     use crate::session::{ExecutionBackend, Report, Session, SessionBuilder, ThreadBackend, Workload};
     use crate::task::{LocationLink, TaskSpec};
-    use orwl_topo::binding::{Binder, NoopBinder, RecordingBinder};
-    use orwl_topo::bitmap::CpuSet;
+    use orwl_topo::binding::{NoopBinder, RecordingBinder};
     use orwl_topo::synthetic;
     use orwl_treematch::policies::compute_placement;
+    use std::thread::ThreadId;
 
     /// The thread runtime on `topology` with a binder that binds nothing.
     fn threads_on(topology: Topology, policy: Policy) -> SessionBuilder {
@@ -641,15 +667,22 @@ mod tests {
         report.plan.placement.validate_against(&session.config().topology).unwrap();
     }
 
+    /// A panicking task's thread dies with it; the pool serves the next
+    /// runs from its other threads and new ones.
     #[test]
     fn task_panic_is_reported_with_name() {
-        let mut program = OrwlProgram::new();
-        program.add_task(TaskSpec::new("ok", vec![]), |_| {});
-        program.add_task(TaskSpec::new("boom", vec![]), |_| panic!("intentional"));
         let session = threads_on(synthetic::laptop(), Policy::NoBind).build().unwrap();
-        match session.run(program) {
-            Err(OrwlError::TaskPanicked(name)) => assert_eq!(name, "boom"),
-            other => panic!("expected TaskPanicked, got {other:?}"),
+        for _ in 0..3 {
+            let mut program = OrwlProgram::new();
+            program.add_task(TaskSpec::new("ok", vec![]), |_| {});
+            program.add_task(TaskSpec::new("boom", vec![]), |_| panic!("intentional"));
+            match session.run(program) {
+                Err(OrwlError::TaskPanicked(name)) => assert_eq!(name, "boom"),
+                other => panic!("expected TaskPanicked, got {other:?}"),
+            }
+            let (program, counter) = counter_program(4, 50);
+            assert!(session.run(program).is_ok());
+            assert_eq!(counter.snapshot(), 200);
         }
     }
 
@@ -678,6 +711,116 @@ mod tests {
             Err(OrwlError::TaskPanicked(name)) => assert_eq!(name, "orwl-adapt-monitor"),
             other => panic!("expected TaskPanicked, got {other:?}"),
         }
+    }
+
+    /// Where each of `n` tasks ran: its thread, its home and the affinity
+    /// the binder reports to it, in task order.  Each task writes its own
+    /// location, so a binding policy binds them all.
+    fn where_tasks_ran(session: &Session, n: usize) -> Vec<(ThreadId, Option<usize>, Option<CpuSet>)> {
+        let binder = Arc::clone(&session.config().binder);
+        let ran = Arc::new(Mutex::new(vec![None; n]));
+        let mut program = OrwlProgram::new();
+        for t in 0..n {
+            let own = Location::new(format!("own-{t}"), 0u8);
+            let (binder, ran) = (Arc::clone(&binder), Arc::clone(&ran));
+            program.add_task(
+                TaskSpec::new(format!("ran-{t}"), vec![LocationLink::write(own.id(), 1.0)]),
+                move |ctx| {
+                    let here = (std::thread::current().id(), fifo::home(), binder.current_affinity());
+                    ran.lock().unwrap()[ctx.task_id.0] = Some(here);
+                },
+            );
+        }
+        assert!(session.run(program).is_ok());
+        let ran = ran.lock().unwrap().clone();
+        ran.into_iter().map(Option::unwrap).collect()
+    }
+
+    /// A task thread whose job returned stays its run's until the run
+    /// joins it: the run's later tasks, and a run beside it, get others.
+    #[test]
+    fn every_task_of_a_run_has_its_own_thread_also_beside_another_run() {
+        let callers: Vec<_> = (0..2)
+            .map(|_| {
+                std::thread::spawn(|| {
+                    let session = threads_on(two_pus(), Policy::NoBind).build().unwrap();
+                    for _ in 0..20 {
+                        let mut threads: Vec<ThreadId> =
+                            where_tasks_ran(&session, 8).into_iter().map(|(thread, ..)| thread).collect();
+                        threads.sort_unstable_by_key(|id| format!("{id:?}"));
+                        threads.dedup();
+                        assert_eq!(threads.len(), 8, "eight tasks ran on {threads:?}");
+                    }
+                })
+            })
+            .collect();
+        for caller in callers {
+            caller.join().unwrap();
+        }
+    }
+
+    /// A task of an unbound run that lands on a thread a bound run used
+    /// finds the thread as it was before that run bound it.
+    #[test]
+    fn a_pooled_thread_comes_back_unbound_and_without_a_home() {
+        let with = |policy| threads_on(two_pus(), policy).binder(Arc::new(ReportingBinder)).build().unwrap();
+        let (bound, unbound) = (with(Policy::TreeMatch), with(Policy::NoBind));
+        for _ in 0..100 {
+            let before = where_tasks_ran(&bound, 4);
+            assert!(before.iter().all(|(_, home, _)| home.is_some()), "{before:?}");
+            let after = where_tasks_ran(&unbound, 4);
+            for (_, home, affinity) in &after {
+                assert_eq!(*home, None);
+                assert_eq!(*affinity, Some(CpuSet::from_indices(fifo::reporting::UNBOUND)));
+            }
+            if after.iter().any(|(thread, ..)| before.iter().any(|(used, ..)| used == thread)) {
+                return;
+            }
+        }
+        panic!("no task of the unbound run landed on a thread of the bound run");
+    }
+
+    /// The debug cycle report names runtime tasks although their pooled
+    /// threads carry no task name: two tasks that each hold their own
+    /// write and only then post a read of the other's location close a
+    /// cycle, and the task that closes it panics with the report.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_cycle_report_names_the_tasks_of_pooled_threads() {
+        let locations = [Location::new("lazy-a", 0u8), Location::new("lazy-b", 0u8)];
+        let writes_granted = Arc::new(std::sync::Barrier::new(2));
+        let reports = Arc::new(Mutex::new(Vec::new()));
+        let mut program = OrwlProgram::new();
+        for (t, name) in ["cycle-a", "cycle-b"].into_iter().enumerate() {
+            let (mine, other) = (Arc::clone(&locations[t]), Arc::clone(&locations[1 - t]));
+            let (fence, reports) = (Arc::clone(&writes_granted), Arc::clone(&reports));
+            let links = vec![LocationLink::write(mine.id(), 1.0), LocationLink::read(other.id(), 1.0)];
+            program.add_task(TaskSpec::new(name, links), move |_| {
+                let closed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let mut write = mine.iterative_handle(AccessMode::Write);
+                    let mut read = other.iterative_handle(AccessMode::Read);
+                    let guard = write.acquire().unwrap();
+                    fence.wait();
+                    drop(read.acquire().unwrap());
+                    drop(guard);
+                }));
+                if let Err(report) = closed {
+                    reports
+                        .lock()
+                        .unwrap()
+                        .push(report.downcast_ref::<String>().cloned().unwrap_or_default());
+                }
+            });
+        }
+        assert!(threads_on(two_pus(), Policy::NoBind).build().unwrap().run(program).is_ok());
+        let reports = reports.lock().unwrap();
+        assert_eq!(reports.len(), 1, "{reports:?}");
+        assert!(reports[0].contains("ORWL deadlock detected"), "{}", reports[0]);
+        assert!(
+            reports[0].contains("orwl-task-cycle-a") && reports[0].contains("orwl-task-cycle-b"),
+            "{}",
+            reports[0]
+        );
     }
 
     #[test]

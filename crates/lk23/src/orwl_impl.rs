@@ -73,26 +73,30 @@ pub fn build_program(
 
     // Deterministic initialisation phase (the ORWL model's "init" step):
     // post every owner's write request first, then every neighbour's read
-    // request, so the per-location schedule alternates write → read.
-    let mut write_handles: Vec<HashMap<Direction, Handle<Vec<f64>>>> = Vec::with_capacity(n_blocks);
+    // request, so the per-location schedule alternates write → read.  A
+    // block's handles, its declared links and its acquisitions all follow
+    // `Direction::all()`.
+    let mut write_handles: Vec<Vec<(Direction, Handle<Vec<f64>>)>> = Vec::with_capacity(n_blocks);
     for block_frontiers in frontiers.iter().take(n_blocks) {
-        let mut per_dir = HashMap::new();
-        for (&dir, loc) in block_frontiers {
-            let mut h = loc.iterative_handle(AccessMode::Write);
-            h.request().expect("fresh handle has no pending request");
-            per_dir.insert(dir, h);
+        let mut per_dir = Vec::new();
+        for dir in Direction::all() {
+            if let Some(loc) = block_frontiers.get(&dir) {
+                let mut h = loc.iterative_handle(AccessMode::Write);
+                h.request().expect("fresh handle has no pending request");
+                per_dir.push((dir, h));
+            }
         }
         write_handles.push(per_dir);
     }
-    let mut read_handles: Vec<HashMap<Direction, Handle<Vec<f64>>>> = Vec::with_capacity(n_blocks);
+    let mut read_handles: Vec<Vec<(Direction, Handle<Vec<f64>>)>> = Vec::with_capacity(n_blocks);
     for idx in 0..n_blocks {
-        let mut per_dir = HashMap::new();
+        let mut per_dir = Vec::new();
         for dir in Direction::all() {
             if let Some(nb) = decomposition.neighbor(idx, dir) {
                 let loc = &frontiers[nb][&dir.opposite()];
                 let mut h = loc.iterative_handle(AccessMode::Read);
                 h.request().expect("fresh handle has no pending request");
-                per_dir.insert(dir, h);
+                per_dir.push((dir, h));
             }
         }
         read_handles.push(per_dir);
@@ -111,11 +115,11 @@ pub fn build_program(
         // extracts.  Frontier writes/reads carry the halo volumes; the main
         // location carries the block's private working set.
         let mut links = vec![LocationLink::write(main_loc.id(), (view.rows * view.cols) as f64 * elem)];
-        for &dir in my_writes.keys() {
+        for &(dir, _) in &my_writes {
             links.push(LocationLink::write(frontiers[idx][&dir].id(), view.edge_bytes(dir)));
         }
-        for (&dir, h) in &my_reads {
-            links.push(LocationLink::read(h.location().id(), view.edge_bytes(dir)));
+        for (dir, h) in &my_reads {
+            links.push(LocationLink::read(h.location().id(), view.edge_bytes(*dir)));
         }
 
         program.add_task(TaskSpec::new(format!("lk23-block-{idx}"), links), move |_ctx| {
@@ -129,8 +133,8 @@ pub fn build_program(
 /// The body of one block task.
 fn run_block_task(
     mut cur: BlockView,
-    mut write_handles: HashMap<Direction, Handle<Vec<f64>>>,
-    mut read_handles: HashMap<Direction, Handle<Vec<f64>>>,
+    mut write_handles: Vec<(Direction, Handle<Vec<f64>>)>,
+    mut read_handles: Vec<(Direction, Handle<Vec<f64>>)>,
     main_loc: Arc<Location<BlockView>>,
     iterations: usize,
     grid_rows: usize,
@@ -139,14 +143,14 @@ fn run_block_task(
     let mut next = cur.clone();
     for _iter in 0..iterations {
         // 1. Export the current frontiers (state of this iteration).
-        for (&dir, handle) in write_handles.iter_mut() {
+        for (dir, handle) in &mut write_handles {
             let mut guard = handle.acquire().expect("iterative write handle always has a request");
-            cur.edge_into(dir, &mut guard);
+            cur.edge_into(*dir, &mut guard);
         }
         // 2. Import the neighbours' frontiers into the ghost ring.
-        for (&dir, handle) in read_handles.iter_mut() {
+        for (dir, handle) in &mut read_handles {
             let guard = handle.acquire().expect("iterative read handle always has a request");
-            cur.set_ghost(dir, &guard);
+            cur.set_ghost(*dir, &guard);
         }
         // 3. Compute the next state.
         cur.update_into(&mut next, grid_rows, grid_cols);
@@ -201,6 +205,29 @@ mod tests {
         assert_eq!(m, d.comm_matrix(8));
         // Every block has a main location.
         assert_eq!(built.result_blocks.len(), 4);
+    }
+
+    /// The middle block of 3×3 (blocks of 6 rows × 4 columns) declares its
+    /// main write, its eight frontier writes, then its eight reads, each
+    /// in `Direction::all()` order; each read is the frontier the
+    /// neighbour in its direction writes toward it.
+    #[test]
+    fn a_block_declares_its_links_in_direction_order() {
+        let d = BlockDecomposition::new(18, 12, 3, 3).unwrap();
+        let built = build_program(&Grid::initial(18, 12), d, 1);
+        let specs = built.program.specs();
+        let links = &specs[4].links;
+        let edges = [32.0, 32.0, 48.0, 48.0, 8.0, 8.0, 8.0, 8.0];
+        let mut declared = vec![(AccessMode::Write, 192.0)];
+        declared.extend(edges.map(|bytes| (AccessMode::Write, bytes)));
+        declared.extend(edges.map(|bytes| (AccessMode::Read, bytes)));
+        assert_eq!(links.iter().map(|l| (l.mode, l.bytes_per_iteration)).collect::<Vec<_>>(), declared);
+        for (k, dir) in Direction::all().into_iter().enumerate() {
+            let nb = d.neighbor(4, dir).unwrap();
+            let mut nb_dirs = Direction::all().into_iter().filter(|&x| d.neighbor(nb, x).is_some());
+            let at = nb_dirs.position(|x| x == dir.opposite()).unwrap();
+            assert_eq!(links[9 + k].location, specs[nb].links[1 + at].location, "{dir:?}");
+        }
     }
 
     #[test]
